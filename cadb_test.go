@@ -153,7 +153,11 @@ func TestFacadeSegmentStore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", h.Def, err)
 		}
-		if e := si.SizeError(); e > 0.10 || e < -0.10 {
+		model, err := BuildIndex(db, h.Def)
+		if err != nil {
+			t.Fatalf("%s: %v", h.Def, err)
+		}
+		if e := si.SizeError(model); e > 0.10 || e < -0.10 {
 			t.Fatalf("%s: size model off by %.1f%%", h.Def, 100*e)
 		}
 	}

@@ -161,11 +161,8 @@ func (rowCodec) Name() string { return Row.String() }
 // length-prefixed minimal encoding per non-null column — the exact layout
 // sizeRowCompressed charges for.
 func encodeRowCompressed(s *storage.Schema, r storage.Row, dst []byte) []byte {
-	bitmapLen := (len(s.Columns) + 7) / 8
 	bitmapAt := len(dst)
-	for i := 0; i < bitmapLen; i++ {
-		dst = append(dst, 0)
-	}
+	dst = append(dst, make([]byte, (len(s.Columns)+7)/8)...)
 	var scratch [64]byte
 	for i, c := range s.Columns {
 		v := r[i]
@@ -260,78 +257,7 @@ type pageCodec struct{}
 
 func (pageCodec) Name() string { return Page.String() }
 
-func (pageCodec) EncodeRows(s *storage.Schema, rows []storage.Row) ([]storage.EncodedPage, error) {
-	// Pages are packed by compressed fit, the way a bulk load or index
-	// rebuild fills page-compressed leaves: each page takes as many rows as
-	// its compressed form can hold (so the page-local dictionary scope is
-	// the physical page). Row counts per page are found by doubling then
-	// binary search — O(log rows-per-page) trial encodes per page.
-	var out []storage.EncodedPage
-	n := len(rows)
-	fits := func(payload []byte, k int) bool {
-		return len(payload)+k*storage.SlotSize <= storage.UsablePageBytes
-	}
-	start := 0
-	for start < n {
-		payload, err := encodePageGroup(s, rows[start:start+1])
-		if err != nil {
-			return nil, err
-		}
-		if !fits(payload, 1) {
-			// A single oversized row becomes an overflow run.
-			out = append(out, storage.EncodedPage{
-				Payload:        payload,
-				Rows:           1,
-				AccountedBytes: len(payload) + storage.SlotSize,
-			})
-			start++
-			continue
-		}
-		// Grow the row count until the page overflows (or rows run out).
-		good, goodPayload := 1, payload
-		bad := -1
-		for k := 2; start+good < n && bad < 0; k *= 2 {
-			try := k
-			if start+try > n {
-				try = n - start
-			}
-			p, err := encodePageGroup(s, rows[start:start+try])
-			if err != nil {
-				return nil, err
-			}
-			if fits(p, try) {
-				good, goodPayload = try, p
-				if start+try == n {
-					break
-				}
-			} else {
-				bad = try
-			}
-		}
-		// Binary search the largest fitting count in (good, bad).
-		for bad >= 0 && bad-good > 1 {
-			mid := (good + bad) / 2
-			p, err := encodePageGroup(s, rows[start:start+mid])
-			if err != nil {
-				return nil, err
-			}
-			if fits(p, mid) {
-				good, goodPayload = mid, p
-			} else {
-				bad = mid
-			}
-		}
-		out = append(out, storage.EncodedPage{
-			Payload:        goodPayload,
-			Rows:           good,
-			AccountedBytes: len(goodPayload) + good*storage.SlotSize,
-		})
-		start += good
-	}
-	return out, nil
-}
-
-// encodePageGroup encodes one page group column-major:
+// EncodeRows lays every page out column-major:
 //
 //	[u16 rowCount] then per column:
 //	[null bitmap][prefix][u16 dictCount][dict entries][dict bitmap][values]
@@ -339,119 +265,126 @@ func (pageCodec) EncodeRows(s *storage.Schema, rows []storage.Row) ([]storage.En
 // where values are stored in row order as dictionary codes (for suffixes
 // occurring at least twice, per the size model's policy) or length-prefixed
 // literal suffixes.
-func encodePageGroup(s *storage.Schema, rows []storage.Row) ([]byte, error) {
-	n := len(rows)
-	if n > 0xFFFF {
-		return nil, fmt.Errorf("compress: page group of %d rows", n)
-	}
-	payload := make([]byte, 2, 512)
-	binary.BigEndian.PutUint16(payload[:2], uint16(n))
-	for ci, c := range s.Columns {
-		var err error
-		payload, err = appendPageColumn(payload, c, rows, ci)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return payload, nil
+func (pageCodec) EncodeRows(s *storage.Schema, rows []storage.Row) ([]storage.EncodedPage, error) {
+	return uniformPagePacker(s).pack(rows)
 }
 
-// appendPageColumn appends one PAGE column section — null bitmap, prefix,
-// local dictionary, dictionary bitmap, values — exactly as encodePageGroup
-// has always laid it out. PAGE columns inside per-column design pages reuse
-// it, so parsePageColumn reads both.
-func appendPageColumn(payload []byte, c storage.Column, rows []storage.Row, ci int) ([]byte, error) {
+func uniformPagePacker(s *storage.Schema) *packer {
+	methods := make([]Method, len(s.Columns))
+	for i := range methods {
+		methods[i] = Page
+	}
+	return newPacker(s, pageLayout{methods: methods, dicts: make([]*gdictState, len(methods)), slotted: true})
+}
+
+// pageColScratch is the working memory of a PAGE column encode, reused from
+// section to section: the encoded values back to back, and the page-local
+// dictionary keyed by suffix.
+type pageColScratch struct {
+	arena []byte
+	end   []int            // end[j] is the arena offset just past row j's value
+	ids   []int32          // row -> slot in count/first/code (unset for NULLs)
+	index map[string]int32 // suffix -> slot
+	count []int32
+	first []int32 // first row holding the suffix
+	code  []int32 // dictionary code, -1 for suffixes stored as literals
+}
+
+// appendColumn appends one PAGE column section — null bitmap, prefix, local
+// dictionary, dictionary bitmap, values. PAGE columns inside per-column
+// design pages reuse it, so parsePageColumn reads both.
+func (ps *pageColScratch) appendColumn(payload []byte, c storage.Column, rows []storage.Row, ci int) ([]byte, error) {
 	n := len(rows)
 	bitmapLen := (n + 7) / 8
-	scratch := make([]byte, 0, 64)
-	// Null bitmap (bit j set = row j is NULL) and encoded values.
+	// Null bitmap (bit j set = row j is NULL), encoded values, and the
+	// common prefix across the non-null ones.
 	nullAt := len(payload)
-	for i := 0; i < bitmapLen; i++ {
-		payload = append(payload, 0)
-	}
-	vals := make([]string, n)
+	payload = append(payload, make([]byte, bitmapLen)...)
+	ps.arena, ps.end, ps.ids = ps.arena[:0], ps.end[:0], ps.ids[:0]
+	prefixAt, prefixLen := 0, -1
 	for j, r := range rows {
+		at := len(ps.arena)
 		if r[ci].Null {
 			payload[nullAt+j/8] |= 1 << (uint(j) % 8)
-			continue
+		} else {
+			ps.arena = valueBytes(c, r[ci], ps.arena)
+			if prefixLen < 0 {
+				prefixAt, prefixLen = at, len(ps.arena)-at
+			} else {
+				prefixLen = commonPrefixLen(ps.arena[prefixAt:prefixAt+prefixLen], ps.arena[at:])
+			}
 		}
-		scratch = valueBytes(c, r[ci], scratch[:0])
-		vals[j] = string(scratch)
+		ps.end = append(ps.end, len(ps.arena))
+		ps.ids = append(ps.ids, -1)
 	}
-	// Common prefix across non-null values.
-	prefix := ""
-	first := true
-	for j := range vals {
-		if rows[j][ci].Null {
-			continue
-		}
-		if first {
-			prefix, first = vals[j], false
-			continue
-		}
-		prefix = commonPrefix(prefix, vals[j])
-		if prefix == "" {
-			break
-		}
-	}
+	prefix := ps.arena[prefixAt : prefixAt+max(prefixLen, 0)]
 	payload = appendLenPrefix(payload, len(prefix))
 	payload = append(payload, prefix...)
 	// Local dictionary: suffixes occurring at least twice, codes assigned
 	// in first-occurrence order.
-	counts := make(map[string]int, n)
-	for j := range vals {
-		if !rows[j][ci].Null {
-			counts[vals[j][len(prefix):]]++
-		}
+	if ps.index == nil {
+		ps.index = make(map[string]int32)
 	}
-	codes := make(map[string]int)
-	var dict []string
-	for j := range vals {
-		if rows[j][ci].Null {
+	clear(ps.index)
+	ps.count, ps.first, ps.code = ps.count[:0], ps.first[:0], ps.code[:0]
+	suffix := func(j int) []byte {
+		at := 0
+		if j > 0 {
+			at = ps.end[j-1]
+		}
+		return ps.arena[at+len(prefix) : ps.end[j]]
+	}
+	for j, r := range rows {
+		if r[ci].Null {
 			continue
 		}
-		suffix := vals[j][len(prefix):]
-		if counts[suffix] >= 2 {
-			if _, ok := codes[suffix]; !ok {
-				codes[suffix] = len(dict)
-				dict = append(dict, suffix)
-			}
+		sfx := suffix(j)
+		id, ok := ps.index[string(sfx)]
+		if !ok {
+			id = int32(len(ps.count))
+			ps.index[string(sfx)] = id
+			ps.count = append(ps.count, 0)
+			ps.first = append(ps.first, int32(j))
 		}
+		ps.count[id]++
+		ps.ids[j] = id
 	}
-	if len(dict) > 0xFFFF {
-		return nil, fmt.Errorf("compress: page dictionary of %d entries", len(dict))
+	dictAtCount := len(payload)
+	payload = append(payload, 0, 0)
+	dictLen := 0
+	for id, cnt := range ps.count {
+		if cnt < 2 {
+			ps.code = append(ps.code, -1)
+			continue
+		}
+		ps.code = append(ps.code, int32(dictLen))
+		dictLen++
+		sfx := suffix(int(ps.first[id]))
+		payload = appendLenPrefix(payload, len(sfx))
+		payload = append(payload, sfx...)
 	}
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], uint16(len(dict)))
-	payload = append(payload, u16[:]...)
-	for _, suffix := range dict {
-		payload = appendLenPrefix(payload, len(suffix))
-		payload = append(payload, suffix...)
+	if dictLen > 0xFFFF {
+		return nil, fmt.Errorf("compress: page dictionary of %d entries", dictLen)
 	}
-	codeSize := 1
-	if len(dict) > 255 {
-		codeSize = 2
-	}
+	binary.BigEndian.PutUint16(payload[dictAtCount:], uint16(dictLen))
 	// Dictionary bitmap (bit j set = row j stored as a code), then the
 	// values themselves.
 	dictAt := len(payload)
-	for i := 0; i < bitmapLen; i++ {
-		payload = append(payload, 0)
-	}
-	for j := range vals {
-		if rows[j][ci].Null {
+	payload = append(payload, make([]byte, bitmapLen)...)
+	for j, r := range rows {
+		if r[ci].Null {
 			continue
 		}
-		suffix := vals[j][len(prefix):]
-		if code, ok := codes[suffix]; ok {
+		if code := ps.code[ps.ids[j]]; code >= 0 {
 			payload[dictAt+j/8] |= 1 << (uint(j) % 8)
-			if codeSize == 2 {
+			if dictLen > 255 {
 				payload = append(payload, byte(code>>8))
 			}
 			payload = append(payload, byte(code))
 		} else {
-			payload = appendLenPrefix(payload, len(suffix))
-			payload = append(payload, suffix...)
+			sfx := suffix(j)
+			payload = appendLenPrefix(payload, len(sfx))
+			payload = append(payload, sfx...)
 		}
 	}
 	return payload, nil

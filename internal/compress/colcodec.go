@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -72,18 +71,47 @@ const rleMaxRun = 0x7FFF
 // gdictState is the segment-global dictionary of one GDICT column.
 type gdictState struct {
 	vals  []string       // code -> encoded value bytes
-	codes map[string]int // encoded value bytes -> code
+	codes map[string]int // string columns: encoded value bytes -> code
+	nums  map[uint64]int // numeric columns: value bit pattern -> code (cheaper to hash)
 	plain bool           // pre-pass elected plain storage
 }
 
-func (st *gdictState) register(v string) int {
-	if code, ok := st.codes[v]; ok {
+// register returns the code of the encoded value, assigning the next one on
+// first sight. Only a new value allocates (its dictionary copy).
+func (st *gdictState) register(kind storage.Kind, v []byte) int {
+	if kind == storage.KindString {
+		if code, ok := st.codes[string(v)]; ok {
+			return code
+		}
+	} else if code, ok := st.nums[numKey(kind, v)]; ok {
 		return code
 	}
+	return st.add(kind, string(v))
+}
+
+// add appends a dictionary entry.
+func (st *gdictState) add(kind storage.Kind, v string) int {
 	code := len(st.vals)
 	st.vals = append(st.vals, v)
-	st.codes[v] = code
+	if kind == storage.KindString {
+		st.codes[v] = code
+	} else {
+		st.nums[numKey(kind, []byte(v))] = code
+	}
 	return code
+}
+
+// numKey restores the 64-bit pattern behind a numeric value's minimal
+// encoding: integers drop leading zero bytes, floats trailing ones.
+func numKey(kind storage.Kind, v []byte) uint64 {
+	var bits uint64
+	for _, b := range v {
+		bits = bits<<8 | uint64(b)
+	}
+	if kind == storage.KindFloat {
+		bits <<= 8 * (8 - len(v))
+	}
+	return bits
 }
 
 // newColumnCodec returns a fresh design codec instance. Overrides equal to
@@ -139,7 +167,7 @@ func (cc *columnCodec) resolve(s *storage.Schema) {
 			}
 			cc.resolved[ci] = m
 			if m == GlobalDict {
-				cc.dicts[ci] = &gdictState{codes: make(map[string]int)}
+				cc.dicts[ci] = &gdictState{codes: make(map[string]int), nums: make(map[uint64]int)}
 			}
 			if m != RLE {
 				cc.slotted = true
@@ -159,28 +187,30 @@ func (cc *columnCodec) PrepareSegment(s *storage.Schema, rows []storage.Row) err
 	if cc.prepared {
 		return fmt.Errorf("compress: PrepareSegment called twice")
 	}
+	// Row-major, so each row is visited once however many columns are GDICT.
 	scratch := make([]byte, 0, 64)
+	plain := make([]int64, len(cc.dicts))
+	nonNull := make([]int64, len(cc.dicts))
+	for _, r := range rows {
+		for ci, st := range cc.dicts {
+			if st == nil || r[ci].Null {
+				continue
+			}
+			nonNull[ci]++
+			scratch = valueBytes(s.Columns[ci], r[ci], scratch[:0])
+			plain[ci] += int64(lenPrefixSize(len(scratch)) + len(scratch))
+			st.register(s.Columns[ci].Kind, scratch)
+		}
+	}
 	for ci, st := range cc.dicts {
 		if st == nil {
 			continue
-		}
-		c := s.Columns[ci]
-		var plain, nonNull int64
-		for _, r := range rows {
-			if r[ci].Null {
-				continue
-			}
-			nonNull++
-			scratch = valueBytes(c, r[ci], scratch[:0])
-			plain += int64(lenPrefixSize(len(scratch)) + len(scratch))
-			st.register(string(scratch))
 		}
 		var dictBytes int64
 		for _, v := range st.vals {
 			dictBytes += int64(lenPrefixSize(len(v)) + len(v))
 		}
-		encoded := dictBytes + nonNull*int64(codeWidth(len(st.vals)))
-		st.plain = encoded >= plain
+		st.plain = dictBytes+nonNull[ci]*int64(codeWidth(len(st.vals))) >= plain[ci]
 	}
 	cc.prepared = true
 	return nil
@@ -264,10 +294,8 @@ func (cc *columnCodec) LoadSegmentState(s *storage.Schema, state []byte) error {
 				if len(state) < n {
 					return fmt.Errorf("compress: short dictionary entry at column %d", ci)
 				}
-				v := string(state[:n])
+				st.add(s.Columns[ci].Kind, string(state[:n]))
 				state = state[n:]
-				st.codes[v] = len(st.vals)
-				st.vals = append(st.vals, v)
 			}
 		default:
 			return fmt.Errorf("compress: unknown state mode %d at column %d", mode, ci)
@@ -288,191 +316,31 @@ func (cc *columnCodec) ColumnMethodIDs(s *storage.Schema) []byte {
 	return out
 }
 
-// DesignOf reports the default method and sorted per-column overrides of a
-// design codec (for -verbose breakdowns); ok is false for uniform row-major
-// codecs.
-func DesignOf(c storage.PageCodec) (def Method, overrides []string, ok bool) {
-	cc, isCol := c.(*columnCodec)
-	if !isCol {
-		return None, nil, false
-	}
-	for col, m := range cc.overrides {
-		overrides = append(overrides, col+"="+m.String())
-	}
-	sort.Strings(overrides)
-	return cc.def, overrides, true
-}
-
 // ---------------------------------------------------------------------------
 // Encoding
 
 func (cc *columnCodec) EncodeRows(s *storage.Schema, rows []storage.Row) ([]storage.EncodedPage, error) {
-	cc.resolve(s)
-	// Pages pack by compressed fit, exactly like the uniform PAGE codec:
-	// doubling then binary search over trial encodes. Trial encodes may
-	// register dictionary values for rows that land on a later page; that is
-	// harmless because codes are assigned in stream order either way.
-	var out []storage.EncodedPage
-	n := len(rows)
-	slotOverhead := func(k int) int {
-		if cc.slotted {
-			return k * storage.SlotSize
-		}
-		return 0 // pure-RLE segments store runs, not slotted rows
-	}
-	fits := func(payload []byte, k int) bool {
-		return len(payload)+slotOverhead(k) <= storage.UsablePageBytes
-	}
-	start := 0
-	for start < n {
-		payload, err := cc.encodeGroup(s, rows[start:start+1])
-		if err != nil {
-			return nil, err
-		}
-		if !fits(payload, 1) {
-			out = append(out, storage.EncodedPage{
-				Payload:        payload,
-				Rows:           1,
-				AccountedBytes: len(payload) + slotOverhead(1),
-			})
-			start++
-			continue
-		}
-		good, goodPayload := 1, payload
-		bad := -1
-		for k := 2; start+good < n && bad < 0; k *= 2 {
-			try := k
-			if start+try > n {
-				try = n - start
-			}
-			p, err := cc.encodeGroup(s, rows[start:start+try])
-			if err != nil {
-				return nil, err
-			}
-			if fits(p, try) {
-				good, goodPayload = try, p
-				if start+try == n {
-					break
-				}
-			} else {
-				bad = try
-			}
-		}
-		for bad >= 0 && bad-good > 1 {
-			mid := (good + bad) / 2
-			p, err := cc.encodeGroup(s, rows[start:start+mid])
-			if err != nil {
-				return nil, err
-			}
-			if fits(p, mid) {
-				good, goodPayload = mid, p
-			} else {
-				bad = mid
-			}
-		}
-		out = append(out, storage.EncodedPage{
-			Payload:        goodPayload,
-			Rows:           good,
-			AccountedBytes: len(goodPayload) + slotOverhead(good),
-		})
-		start += good
-	}
-	return out, nil
+	return cc.packer(s).pack(rows)
 }
 
-// encodeGroup encodes one page: the row count then each column's framed
-// section.
-func (cc *columnCodec) encodeGroup(s *storage.Schema, rows []storage.Row) ([]byte, error) {
-	n := len(rows)
-	if n > 0xFFFF {
-		return nil, fmt.Errorf("compress: page group of %d rows", n)
-	}
-	payload := make([]byte, 2, 512)
-	binary.BigEndian.PutUint16(payload[:2], uint16(n))
-	var body []byte
-	scratch := make([]byte, 0, 64)
-	for ci, c := range s.Columns {
-		body = body[:0]
-		var err error
-		switch cc.resolved[ci] {
-		case None:
-			body = appendNoneSection(body, c, rows, ci)
-		case Row:
-			body, scratch = appendRowSection(body, c, rows, ci, scratch)
-		case Page:
-			body, err = appendPageColumn(body, c, rows, ci)
-			if err != nil {
-				return nil, err
-			}
-		case GlobalDict:
-			body, scratch = cc.appendGDictSection(body, c, rows, ci, scratch)
-		case RLE:
-			body, scratch = appendRLESection(body, c, rows, ci, scratch)
-		default:
-			return nil, fmt.Errorf("compress: bad column method %d", cc.resolved[ci])
-		}
-		payload = appendLenPrefix(payload, len(body))
-		payload = append(payload, body...)
-	}
-	return payload, nil
+// packer returns a packer for the design's pages. Sizing a page registers the
+// dictionary values of the row that overflowed it; that is harmless because
+// codes are assigned in stream order either way.
+func (cc *columnCodec) packer(s *storage.Schema) *packer {
+	cc.resolve(s)
+	return newPacker(s, pageLayout{methods: cc.resolved, dicts: cc.dicts, framed: true, slotted: cc.slotted})
 }
 
 // appendNoneSection stores the column uncompressed: a null bitmap plus every
 // row's full-width value (VARCHAR: u16 length + bytes; NULLs zero-filled).
 func appendNoneSection(dst []byte, c storage.Column, rows []storage.Row, ci int) []byte {
-	n := len(rows)
-	bitmapLen := (n + 7) / 8
 	nullAt := len(dst)
-	for i := 0; i < bitmapLen; i++ {
-		dst = append(dst, 0)
-	}
-	var buf [8]byte
+	dst = append(dst, make([]byte, (len(rows)+7)/8)...)
 	for j, r := range rows {
-		v := r[ci]
-		if v.Null {
+		if r[ci].Null {
 			dst[nullAt+j/8] |= 1 << (uint(j) % 8)
 		}
-		switch c.Kind {
-		case storage.KindInt, storage.KindFloat:
-			var u uint64
-			if !v.Null {
-				if c.Kind == storage.KindInt {
-					u = uint64(v.Int)
-				} else {
-					u = floatBits(v.Float)
-				}
-			}
-			binary.BigEndian.PutUint64(buf[:], u)
-			dst = append(dst, buf[:8]...)
-		case storage.KindDate:
-			var u uint32
-			if !v.Null {
-				u = uint32(v.Int)
-			}
-			binary.BigEndian.PutUint32(buf[:4], u)
-			dst = append(dst, buf[:4]...)
-		case storage.KindString:
-			str := ""
-			if !v.Null {
-				str = v.Str
-			}
-			if c.FixedWidth > 0 {
-				if len(str) > c.FixedWidth {
-					str = str[:c.FixedWidth]
-				}
-				dst = append(dst, str...)
-				for k := len(str); k < c.FixedWidth; k++ {
-					dst = append(dst, ' ')
-				}
-			} else {
-				if len(str) > 0xFFFF {
-					str = str[:0xFFFF]
-				}
-				binary.BigEndian.PutUint16(buf[:2], uint16(len(str)))
-				dst = append(dst, buf[:2]...)
-				dst = append(dst, str...)
-			}
-		}
+		dst = storage.AppendValue(dst, c, r[ci])
 	}
 	return dst
 }
@@ -480,12 +348,8 @@ func appendNoneSection(dst []byte, c storage.Column, rows []storage.Row, ci int)
 // appendRowSection stores the column ROW-compressed: a null bitmap plus a
 // length-prefixed minimal encoding per non-null row.
 func appendRowSection(dst []byte, c storage.Column, rows []storage.Row, ci int, scratch []byte) ([]byte, []byte) {
-	n := len(rows)
-	bitmapLen := (n + 7) / 8
 	nullAt := len(dst)
-	for i := 0; i < bitmapLen; i++ {
-		dst = append(dst, 0)
-	}
+	dst = append(dst, make([]byte, (len(rows)+7)/8)...)
 	for j, r := range rows {
 		if r[ci].Null {
 			dst[nullAt+j/8] |= 1 << (uint(j) % 8)
@@ -502,36 +366,31 @@ func appendRowSection(dst []byte, c storage.Column, rows []storage.Row, ci int, 
 // segment-global dictionary (or ROW-style plain when the pre-pass elected
 // it). The code width is sized by the largest code present on this page, so
 // chunked encodes reproduce whole-slice bytes.
-func (cc *columnCodec) appendGDictSection(dst []byte, c storage.Column, rows []storage.Row, ci int, scratch []byte) ([]byte, []byte) {
-	st := cc.dicts[ci]
+func (p *packer) appendGDictSection(dst []byte, c storage.Column, rows []storage.Row, ci int) []byte {
+	st := p.lay.dicts[ci]
 	if st.plain {
 		dst = append(dst, gdictPlain)
-		return appendRowSection(dst, c, rows, ci, scratch)
+		dst, p.scratch = appendRowSection(dst, c, rows, ci, p.scratch)
+		return dst
 	}
-	n := len(rows)
-	bitmapLen := (n + 7) / 8
-	codes := make([]int, 0, n)
+	codes := p.codes[:0]
 	maxCode := 0
 	for _, r := range rows {
 		if r[ci].Null {
 			continue
 		}
-		scratch = valueBytes(c, r[ci], scratch[:0])
-		code := st.register(string(scratch))
+		p.scratch = valueBytes(c, r[ci], p.scratch[:0])
+		code := st.register(c.Kind, p.scratch)
 		codes = append(codes, code)
 		if code > maxCode {
 			maxCode = code
 		}
 	}
-	width := 1
-	for maxCode >= 1<<(8*width) {
-		width++
-	}
+	p.codes = codes
+	width := gdictCodeWidth(maxCode)
 	dst = append(dst, gdictCoded, byte(width))
 	nullAt := len(dst)
-	for i := 0; i < bitmapLen; i++ {
-		dst = append(dst, 0)
-	}
+	dst = append(dst, make([]byte, (len(rows)+7)/8)...)
 	k := 0
 	for j, r := range rows {
 		if r[ci].Null {
@@ -544,7 +403,7 @@ func (cc *columnCodec) appendGDictSection(dst []byte, c storage.Column, rows []s
 			dst = append(dst, byte(code>>(8*b)))
 		}
 	}
-	return dst, scratch
+	return dst
 }
 
 // appendRLESection stores the column as runs of consecutive equal encoded
@@ -1099,7 +958,7 @@ func visitPlainSection(c storage.Column, m Method, body []byte, n int, visit fun
 				if c.Kind == storage.KindInt {
 					visit(j, storage.Value{Kind: storage.KindInt, Int: int64(u)})
 				} else {
-					visit(j, storage.Value{Kind: storage.KindFloat, Float: floatFromBits(u)})
+					visit(j, storage.Value{Kind: storage.KindFloat, Float: math.Float64frombits(u)})
 				}
 			}
 			at += 8
@@ -1144,7 +1003,3 @@ func visitPlainSection(c storage.Column, m Method, body []byte, n int, visit fun
 	}
 	return nil
 }
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
-func floatFromBits(u uint64) float64 { return math.Float64frombits(u) }

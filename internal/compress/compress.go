@@ -102,9 +102,6 @@ func ParseMethod(s string) (Method, error) {
 	return None, fmt.Errorf("compress: unknown method %q", s)
 }
 
-// IsCompressed reports whether the method performs any compression.
-func (m Method) IsCompressed() bool { return m != None }
-
 // SizeRows measures the total compressed payload size in bytes of the given
 // rows (already in index order) under the method. Page-local methods operate
 // on the page groups induced by the uncompressed layout, mirroring an engine

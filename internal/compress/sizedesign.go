@@ -58,14 +58,7 @@ func MeasureDesignSizes(s *storage.Schema, rows []storage.Row) *DesignSizes {
 			// section bitmap.
 			var none int64
 			for _, r := range grows {
-				if c.Kind == storage.KindString && c.FixedWidth == 0 {
-					none += 2
-					if !r[ci].Null {
-						none += int64(len(r[ci].Str))
-					}
-					continue
-				}
-				none += int64(c.Width())
+				none += int64(storage.EncodedValueSize(c, r[ci]))
 			}
 			d.perCol[ci][None] += bm + none
 
@@ -93,27 +86,9 @@ func MeasureDesignSizes(s *storage.Schema, rows []storage.Row) *DesignSizes {
 		bitmaps += int64((g.End - g.Start + 7) / 8)
 	}
 	for ci, c := range s.Columns {
-		distinct := make(map[string]struct{}, 1024)
-		var plain int64
-		nonNull := 0
-		for _, r := range rows {
-			if r[ci].Null {
-				continue
-			}
-			nonNull++
-			scratch = valueBytes(c, r[ci], scratch[:0])
-			plain += int64(lenPrefixSize(len(scratch)) + len(scratch))
-			distinct[string(scratch)] = struct{}{}
-		}
-		var dictBytes int64
-		for v := range distinct {
-			dictBytes += int64(lenPrefixSize(len(v)) + len(v))
-		}
-		encoded := dictBytes + int64(nonNull*codeWidth(len(distinct)))
-		if encoded >= plain {
-			encoded = plain
-		}
-		d.perCol[ci][GlobalDict] = bitmaps + encoded
+		var sz int64
+		sz, scratch = gdictColumnSize(c, rows, ci, scratch)
+		d.perCol[ci][GlobalDict] = bitmaps + sz
 	}
 	return d
 }
@@ -200,22 +175,4 @@ func SizeRowsDesign(s *storage.Schema, rows []storage.Row, def Method, overrides
 		return SizeRows(s, rows, m)
 	}
 	return MeasureDesignSizes(s, rows).SizeFor(s, def, overrides)
-}
-
-// SizePagesDesign converts SizeRowsDesign to a page count.
-func SizePagesDesign(s *storage.Schema, rows []storage.Row, def Method, overrides map[string]Method) int64 {
-	return storage.PagesForBytes(SizeRowsDesign(s, rows, def, overrides))
-}
-
-// FractionDesign returns the compression fraction CF = compressed/uncompressed
-// for the rows under a per-column design (1.0 for empty input).
-func FractionDesign(s *storage.Schema, rows []storage.Row, def Method, overrides map[string]Method) float64 {
-	if len(rows) == 0 {
-		return 1
-	}
-	_, unc := storage.PackRows(s, rows)
-	if unc == 0 {
-		return 1
-	}
-	return float64(SizeRowsDesign(s, rows, def, overrides)) / float64(unc)
 }

@@ -116,79 +116,28 @@ func sizePageCompressed(s *storage.Schema, rows []storage.Row) int64 {
 }
 
 // pageColumnSize computes the PAGE-compressed size of one column within one
-// page group.
+// page group: the packer's incremental section sizer, charging the model's
+// descriptors (one prefix-header byte, no dictionary count, no bitmaps).
 func pageColumnSize(c storage.Column, rows []storage.Row, ci int) int {
-	vals := make([]string, 0, len(rows))
+	z := pageColSizer{model: true}
 	scratch := make([]byte, 0, 64)
 	for _, r := range rows {
-		if r[ci].Null {
-			vals = append(vals, "\x00null") // sentinel; never equals a real value slice
-			continue
-		}
-		scratch = valueBytes(c, r[ci], scratch[:0])
-		vals = append(vals, string(scratch))
-	}
-	// Common prefix across non-null values.
-	prefix := ""
-	first := true
-	for i, v := range vals {
-		if rows[i][ci].Null {
-			continue
-		}
-		if first {
-			prefix = v
-			first = false
-			continue
-		}
-		prefix = commonPrefix(prefix, v)
-		if prefix == "" {
-			break
+		if !r[ci].Null {
+			scratch = valueBytes(c, r[ci], scratch[:0])
+			z.add(scratch)
 		}
 	}
-	size := 1 + len(prefix) // prefix header (len byte + bytes)
-	// Local dictionary: suffixes occurring at least twice.
-	counts := make(map[string]int, len(vals))
-	for i, v := range vals {
-		if rows[i][ci].Null {
-			continue
-		}
-		counts[v[len(prefix):]]++
-	}
-	dictEntries := 0
-	for suffix, n := range counts {
-		if n >= 2 {
-			dictEntries++
-			size += lenPrefixSize(len(suffix)) + len(suffix) // stored once in the dict
-		}
-	}
-	codeSize := 1
-	if dictEntries > 255 {
-		codeSize = 2
-	}
-	for i, v := range vals {
-		if rows[i][ci].Null {
-			continue // covered by the null bitmap
-		}
-		suffix := v[len(prefix):]
-		if counts[suffix] >= 2 {
-			size += codeSize
-		} else {
-			size += lenPrefixSize(len(suffix)) + len(suffix)
-		}
-	}
-	return size
+	return z.size()
 }
 
-func commonPrefix(a, b string) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+// commonPrefixLen is the length of the longest common prefix of a and b.
+func commonPrefixLen[T string | []byte](a, b T) int {
+	n := min(len(a), len(b))
 	i := 0
 	for i < n && a[i] == b[i] {
 		i++
 	}
-	return a[:i]
+	return i
 }
 
 // sizeGlobalDict measures per-column global dictionary encoding (DB2 style):
@@ -209,32 +158,34 @@ func sizeGlobalDict(s *storage.Schema, rows []storage.Row) int64 {
 	total += int64(len(s.Columns) * (2 + (len(rows)+7)/8))
 	scratch := make([]byte, 0, 64)
 	for ci, c := range s.Columns {
-		// Gather distinct encoded values and the plain encoded size.
-		distinct := make(map[string]struct{}, 1024)
-		var plain int64
-		nonNull := 0
-		for _, r := range rows {
-			if r[ci].Null {
-				continue
-			}
-			nonNull++
-			scratch = valueBytes(c, r[ci], scratch[:0])
-			plain += int64(lenPrefixSize(len(scratch)) + len(scratch))
-			distinct[string(scratch)] = struct{}{}
-		}
-		var dictBytes int64
-		for v := range distinct {
-			dictBytes += int64(lenPrefixSize(len(v)) + len(v))
-		}
-		code := codeWidth(len(distinct))
-		encoded := dictBytes + int64(nonNull*code)
-		if encoded < plain {
-			total += encoded
-		} else {
-			total += plain
-		}
+		var sz int64
+		sz, scratch = gdictColumnSize(c, rows, ci, scratch)
+		total += sz
 	}
 	return total
+}
+
+// gdictColumnSize is the global-dictionary model for one column: the
+// dictionary plus one fixed-width code per non-null value, or the plain
+// length-prefixed values when the dictionary would not pay for itself.
+func gdictColumnSize(c storage.Column, rows []storage.Row, ci int, scratch []byte) (int64, []byte) {
+	distinct := make(map[string]struct{}, 1024)
+	var plain, dictBytes int64
+	nonNull := 0
+	for _, r := range rows {
+		if r[ci].Null {
+			continue
+		}
+		nonNull++
+		scratch = valueBytes(c, r[ci], scratch[:0])
+		cost := int64(lenPrefixSize(len(scratch)) + len(scratch))
+		plain += cost
+		if _, seen := distinct[string(scratch)]; !seen {
+			distinct[string(scratch)] = struct{}{}
+			dictBytes += cost
+		}
+	}
+	return min(dictBytes+int64(nonNull*codeWidth(len(distinct))), plain), scratch
 }
 
 // codeWidth returns the bytes needed for a dictionary code addressing n
@@ -261,27 +212,9 @@ func sizeRLE(s *storage.Schema, rows []storage.Row) int64 {
 	scratch := make([]byte, 0, 64)
 	for _, g := range groups {
 		// RLE stores runs, not slotted rows: no per-row overhead beyond the
-		// per-run headers accumulated below.
+		// per-run headers.
 		for ci, c := range s.Columns {
-			var prev string
-			started := false
-			colSize := 0
-			for i := g.Start; i < g.End; i++ {
-				var cur string
-				if rows[i][ci].Null {
-					cur = "\x00null"
-				} else {
-					scratch = valueBytes(c, rows[i][ci], scratch[:0])
-					cur = string(scratch)
-				}
-				if !started || cur != prev {
-					// New run: value bytes + 2-byte run length.
-					colSize += lenPrefixSize(len(cur)) + len(cur) + 2
-					prev = cur
-					started = true
-				}
-			}
-			total += int64(colSize)
+			total += rleColumnSize(c, rows[g.Start:g.End], ci, &scratch)
 		}
 	}
 	return total

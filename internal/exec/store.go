@@ -3,6 +3,8 @@ package exec
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,6 +12,7 @@ import (
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
 	"cadb/internal/index"
+	"cadb/internal/par"
 	"cadb/internal/storage"
 	"cadb/internal/workload"
 )
@@ -283,45 +286,83 @@ func containsFoldStr(list []string, s string) bool {
 // segment returns the handle's segment index, building it on first use and
 // after invalidation.
 func (st *Store) segment(h *segHandle) (*index.SegmentIndex, error) {
-	if h.si == nil || h.stale {
+	if err := st.ensureBuilt([]*segHandle{h}); err != nil {
+		return nil, err
+	}
+	return h.si, nil
+}
+
+// ensureBuilt builds the handles whose segment is missing or stale. The
+// builds are independent, so they fan out across the CPUs; everything that
+// must not depend on completion order — retiring stale backings, spill file
+// names — is fixed serially first, in handle order.
+func (st *Store) ensureBuilt(hs []*segHandle) error {
+	var todo []*segHandle
+	for _, h := range hs {
+		if h.si == nil || h.stale {
+			todo = append(todo, h)
+		}
+	}
+	if len(todo) == 0 {
+		return nil
+	}
+	paths := make([]string, len(todo))
+	for i, h := range todo {
 		if h.si != nil {
 			// Rebuilding over a stale disk-backed segment: drop its frames and
 			// file before the replacement spills.
 			h.si.Seg.CloseBacking()
 		}
-		si, err := index.BuildSegmentIndex(st.db, h.def)
-		if err != nil {
-			return nil, err
-		}
 		if st.pool != nil && st.diskDir != "" {
-			path := filepath.Join(st.diskDir, fmt.Sprintf("seg%06d.cadb", st.spillSeq))
+			paths[i] = filepath.Join(st.diskDir, fmt.Sprintf("seg%06d.cadb", st.spillSeq))
 			st.spillSeq++
-			if err := si.Seg.Spill(path, st.pool); err != nil {
-				return nil, err
-			}
 		}
-		h.si, h.stale = si, false
 	}
-	return h.si, nil
+	built := make([]*index.SegmentIndex, len(todo))
+	errs := make([]error, len(todo))
+	par.For(runtime.GOMAXPROCS(0), len(todo), func(i int) {
+		si, err := index.BuildSegmentIndex(st.db, todo[i].def)
+		if err == nil && paths[i] != "" {
+			err = si.Seg.Spill(paths[i], st.pool)
+		}
+		built[i], errs[i] = si, err
+	})
+	var first error
+	for i, h := range todo {
+		if errs[i] == nil {
+			h.si, h.stale = built[i], false
+		} else if first == nil {
+			first = errs[i]
+		}
+	}
+	return first
 }
 
 // Invalidate marks every segment over the table stale; the next access
-// rebuilds from the catalog rows. Writes call this automatically. Disk-backed
-// segments are closed immediately — their pool frames drop and their spill
-// files are removed, so a cursor still holding the old segment errors instead
-// of reading pre-write pages back out of the pool.
+// rebuilds from the catalog rows. Disk-backed segments are closed immediately
+// — their pool frames drop and their spill files are removed, so a cursor
+// still holding the old segment errors instead of reading pre-write pages
+// back out of the pool.
 func (st *Store) Invalidate(table string) {
-	key := strings.ToLower(table)
-	if h := st.heaps[key]; h != nil {
+	st.invalidate(table, func(*index.Def) bool { return true })
+}
+
+// invalidate marks stale the table's heap and those of its ordered
+// structures whose definition the write affects.
+func (st *Store) invalidate(table string, affects func(*index.Def) bool) {
+	mark := func(h *segHandle) {
 		h.stale = true
 		if h.si != nil {
 			h.si.Seg.CloseBacking()
 		}
 	}
+	key := strings.ToLower(table)
+	if h := st.heaps[key]; h != nil {
+		mark(h)
+	}
 	for _, h := range st.secs[key] {
-		h.stale = true
-		if h.si != nil {
-			h.si.Seg.CloseBacking()
+		if affects(h.def) {
+			mark(h)
 		}
 	}
 }
@@ -417,23 +458,25 @@ func (st *Store) planAccess(table string, preds []workload.Predicate, needed []s
 	if heapH == nil {
 		return nil, nil, fmt.Errorf("exec: unknown table %q", table)
 	}
-	heap, err := st.segment(heapH)
-	if err != nil {
+	// Everything the statement can touch — the heap plus every structure a
+	// sargable predicate can seek — builds in one fan-out.
+	need := []*segHandle{heapH}
+	for _, h := range st.secs[key] {
+		if _, hasLo, _, hasHi := leadingBounds(preds, h); hasLo || hasHi {
+			need = append(need, h)
+		}
+	}
+	if err := st.ensureBuilt(need); err != nil {
 		return nil, nil, err
 	}
+	heap := heapH.si
 	var best *candidate
 	for _, h := range st.secs[key] {
-		if len(h.def.KeyCols) == 0 {
-			continue
-		}
-		loV, hasLo, hiV, hasHi := seekBounds(preds, h.def.KeyCols[0])
+		loV, hasLo, hiV, hasHi := leadingBounds(preds, h)
 		if !hasLo && !hasHi {
 			continue
 		}
-		si, err := st.segment(h)
-		if err != nil {
-			return nil, nil, err
-		}
+		si := h.si
 		lo, hi := si.SeekPages(loV, hasLo, hiV, hasHi)
 		var rangePages int64
 		for i := lo; i < hi; i++ {
@@ -569,6 +612,15 @@ func (st *Store) ridLookup(rs *runState, heap *index.SegmentIndex, rids []int64)
 		out = append(out, rows[rid-starts[p]])
 	}
 	return out, nil
+}
+
+// leadingBounds is seekBounds on the structure's leading key column; a
+// structure without key columns is never seekable.
+func leadingBounds(preds []workload.Predicate, h *segHandle) (lo storage.Value, hasLo bool, hi storage.Value, hasHi bool) {
+	if len(h.def.KeyCols) == 0 {
+		return lo, false, hi, false
+	}
+	return seekBounds(preds, h.def.KeyCols[0])
 }
 
 // seekBounds derives a conservative leading-key interval from the sargable
@@ -802,8 +854,12 @@ func (st *Store) runProjection(rs *runState, q *workload.Query) (*Result, error)
 
 // RunUpdate applies a predicated UPDATE through the page store: qualifying
 // rows are located via the cheapest access path (counting the reads), the
-// catalog rows are rewritten in place, and every segment over the table is
-// invalidated. The returned count is identical to the plain RunUpdate's.
+// catalog rows are rewritten in place, and the segments holding a rewritten
+// column are invalidated: the heap, the clustered structure, and the
+// secondaries whose leaf stores a SET column. An in-place update moves no
+// RID, so an index storing none of the SET columns stays valid — the
+// maintenance rule the cost model charges. The returned count is identical
+// to the plain RunUpdate's.
 func (st *Store) RunUpdate(u *workload.Update) (int64, IOStats, error) {
 	rs := st.newRunState()
 	t := st.db.Table(u.Table)
@@ -821,13 +877,16 @@ func (st *Store) RunUpdate(u *workload.Update) (int64, IOStats, error) {
 		return 0, rs.io, err
 	}
 	if n > 0 {
-		st.Invalidate(u.Table)
+		st.invalidate(u.Table, func(d *index.Def) bool {
+			return slices.ContainsFunc(d.Columns(), u.Touches)
+		})
 	}
 	return n, rs.io, nil
 }
 
 // RunDelete applies a predicated DELETE through the page store; see
-// RunUpdate.
+// RunUpdate. Deleting rows shifts every later RID, so every segment over the
+// table is invalidated.
 func (st *Store) RunDelete(d *workload.Delete) (int64, IOStats, error) {
 	rs := st.newRunState()
 	t := st.db.Table(d.Table)

@@ -59,46 +59,39 @@ func (m MeasuredSize) ByteErr() float64 {
 // MeasuredSizes materializes each structure under each method and diffs the
 // size model against the segment.
 func MeasuredSizes(db *catalog.Database, structures []*index.Def, methods []compress.Method) ([]MeasuredSize, error) {
-	var out []MeasuredSize
+	var defs []*index.Def
 	for _, s := range structures {
 		for _, m := range methods {
-			d := s.WithMethod(m)
-			si, err := index.BuildSegmentIndex(db, d)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", d, err)
-			}
-			out = append(out, MeasuredSize{
-				DB:                db.Name,
-				Structure:         d.StructureID(),
-				Method:            m,
-				EstimatedBytes:    si.Physical.Bytes,
-				MaterializedBytes: si.MaterializedBytes(),
-				EstimatedPages:    storage.PagesForBytes(si.Physical.Bytes),
-				MaterializedPages: si.MaterializedPages(),
-			})
+			defs = append(defs, s.WithMethod(m))
 		}
 	}
-	return out, nil
+	return MeasuredDesignSizes(db, defs)
 }
 
 // MeasuredDesignSizes materializes each definition exactly as given —
 // per-column overrides included — and diffs the design-aware size model
-// against the segment.
+// against the segment. The model runs here, over the same leaf rows the
+// segment is built from; segment builds themselves never pay for it.
 func MeasuredDesignSizes(db *catalog.Database, defs []*index.Def) ([]MeasuredSize, error) {
 	var out []MeasuredSize
 	for _, d := range defs {
-		si, err := index.BuildSegmentIndex(db, d)
+		schema, rows, err := index.MaterializeRows(db, d)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", d, err)
 		}
+		si, err := index.BuildSegmentOver(schema, rows, d)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", d, err)
+		}
+		model := index.BuildFromRows(schema, rows, d)
 		out = append(out, MeasuredSize{
 			DB:                db.Name,
 			Structure:         d.StructureID(),
 			Method:            d.Method,
 			Design:            designLabel(d),
-			EstimatedBytes:    si.Physical.Bytes,
+			EstimatedBytes:    model.Bytes,
 			MaterializedBytes: si.MaterializedBytes(),
-			EstimatedPages:    storage.PagesForBytes(si.Physical.Bytes),
+			EstimatedPages:    model.Pages,
 			MaterializedPages: si.MaterializedPages(),
 		})
 	}

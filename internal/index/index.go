@@ -5,7 +5,9 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -335,29 +337,51 @@ func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def) (
 		schema = storage.NewSchema(outCols...)
 	}
 
+	nKeys := len(d.KeyCols)
+	if nKeys == 0 && !addRID {
+		// A heap: every column in table order and nothing to sort by, so the
+		// base rows are the leaf rows.
+		return schema, rows, nil
+	}
+
+	// Project into one slab per structure rather than one allocation per row.
+	width := len(outCols)
+	slab := make([]storage.Value, len(rows)*width)
 	out := make([]storage.Row, len(rows))
 	for i, r := range rows {
-		n := len(colIdx)
-		row := make(storage.Row, n, n+1)
+		row := slab[i*width : (i+1)*width : (i+1)*width]
 		for j, ci := range colIdx {
 			row[j] = r[ci]
 		}
 		if addRID {
-			row = append(row, storage.IntVal(int64(i)))
+			row[width-1] = storage.IntVal(int64(i))
 		}
 		out[i] = row
 	}
+	if nKeys == 0 {
+		return schema, out, nil
+	}
 
-	nKeys := len(d.KeyCols)
-	sort.SliceStable(out, func(i, j int) bool {
+	// Sort a permutation by key with the base position as tie-break: the
+	// order a stable sort gives, without its reflection-based swapper.
+	order := make([]int32, len(out))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ra, rb := out[a], out[b]
 		for k := 0; k < nKeys; k++ {
-			if c := out[i][k].Compare(out[j][k]); c != 0 {
-				return c < 0
+			if c := ra[k].Compare(rb[k]); c != 0 {
+				return c
 			}
 		}
-		return false
+		return cmp.Compare(a, b)
 	})
-	return schema, out, nil
+	sorted := make([]storage.Row, len(out))
+	for i, at := range order {
+		sorted[i] = out[at]
+	}
+	return schema, sorted, nil
 }
 
 // reorderLeading moves the key columns to the front of the column list,

@@ -12,13 +12,14 @@ import (
 // SegmentIndex is a physically materialized index: the leaf rows encoded
 // into a compressed page-backed segment, plus the per-page low keys a seek
 // needs to land on the right leaf page without decoding the level. It is the
-// ground truth the size model's estimates (Physical.Bytes/Pages) are diffed
-// against.
+// ground truth the size model's estimates (Physical.Bytes/Pages of Build)
+// are diffed against.
 type SegmentIndex struct {
 	Def *Def
-	// Physical carries the size-model measurements (compress.SizeRows over
-	// the leaf rows) for the same definition.
-	Physical *Physical
+	// Physical is what the build knows about its input. The size model stays
+	// off the build path: callers that want its estimate run Build (or
+	// BuildFromRows) and hand it to SizeError.
+	Physical *LeafStats
 	// Seg is the materialized page store.
 	Seg *storage.Segment
 	// lowKeys[i] holds the key-column values of the first row on page i.
@@ -26,9 +27,17 @@ type SegmentIndex struct {
 	nKeys   int
 }
 
+// LeafStats describes the leaf rows a segment was built from.
+type LeafStats struct {
+	Schema *storage.Schema
+	// Rows is the number of leaf entries.
+	Rows int64
+	// UncompressedBytes is the leaf payload before compression.
+	UncompressedBytes int64
+}
+
 // BuildSegmentIndex materializes the index as a compressed segment over the
-// database. Only methods with a materializing codec (NONE, ROW, PAGE) can be
-// built; estimation-only methods return an error.
+// database.
 func BuildSegmentIndex(db *catalog.Database, d *Def) (*SegmentIndex, error) {
 	schema, rows, err := MaterializeRows(db, d)
 	if err != nil {
@@ -48,9 +57,10 @@ func BuildSegmentOver(schema *storage.Schema, rows []storage.Row, d *Def) (*Segm
 	if err != nil {
 		return nil, err
 	}
+	_, unc := storage.PackRows(schema, rows)
 	si := &SegmentIndex{
 		Def:      d,
-		Physical: BuildFromRows(schema, rows, d),
+		Physical: &LeafStats{Schema: schema, Rows: int64(len(rows)), UncompressedBytes: unc},
 		Seg:      seg,
 		nKeys:    len(d.KeyCols),
 	}
@@ -70,7 +80,7 @@ func BuildSegmentOver(schema *storage.Schema, rows []storage.Row, d *Def) (*Segm
 // WrapSegment wraps an already-built segment — typically one streamed to
 // disk by a storage.SegmentWriter — as a scan-only SegmentIndex: it carries
 // no per-page low keys (SeekPages degrades to the full page range) and no
-// size-model Physical, but ScanCursor, PageRangeCursor and
+// leaf statistics, but ScanCursor, PageRangeCursor and
 // ParallelScanCursor work unchanged. This is how out-of-core builds, which
 // never hold the rows needed to extract low keys, join the cursor machinery.
 func WrapSegment(seg *storage.Segment, d *Def) *SegmentIndex {
@@ -87,14 +97,15 @@ func (si *SegmentIndex) MaterializedBytes() int64 { return si.Seg.PayloadBytes()
 // MaterializedPages is the physical page count of the real segment.
 func (si *SegmentIndex) MaterializedPages() int64 { return si.Seg.PhysicalPages() }
 
-// SizeError returns the relative error of the size model against the
-// materialized segment: (estimated - actual) / actual.
-func (si *SegmentIndex) SizeError() float64 {
+// SizeError returns the relative error of a size-model measurement of the
+// same definition (Build, BuildFromRows) against the materialized segment:
+// (estimated - actual) / actual.
+func (si *SegmentIndex) SizeError(model *Physical) float64 {
 	actual := si.MaterializedBytes()
 	if actual == 0 {
 		return 0
 	}
-	return float64(si.Physical.Bytes-actual) / float64(actual)
+	return float64(model.Bytes-actual) / float64(actual)
 }
 
 // compareKey orders a page low key against a single leading-key bound.

@@ -73,17 +73,25 @@ func TestSegmentIndexSizeWithinTolerance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", d, err)
 		}
-		if e := math.Abs(si.SizeError()); e > 0.10 {
+		model, err := Build(db, d)
+		if err != nil {
+			t.Fatalf("%s: %v", d, err)
+		}
+		if e := math.Abs(si.SizeError(model)); e > 0.10 {
 			t.Errorf("%s: size model off by %.1f%% (est %d, actual %d)",
-				d, 100*e, si.Physical.Bytes, si.MaterializedBytes())
+				d, 100*e, model.Bytes, si.MaterializedBytes())
 		}
 		if d.Method == compress.None || d.Method == compress.Row {
-			if si.SizeError() != 0 {
+			if si.SizeError(model) != 0 {
 				t.Errorf("%s: %s must match the model exactly, got %.4f%%",
-					d, d.Method, 100*si.SizeError())
+					d, d.Method, 100*si.SizeError(model))
 			}
 		}
-		estPages := storage.PagesForBytes(si.Physical.Bytes)
+		if si.Physical.Rows != model.Rows || si.Physical.UncompressedBytes != model.UncompressedBytes {
+			t.Errorf("%s: build recorded %d rows / %d raw bytes, model %d / %d",
+				d, si.Physical.Rows, si.Physical.UncompressedBytes, model.Rows, model.UncompressedBytes)
+		}
+		estPages := model.Pages
 		gotPages := si.MaterializedPages()
 		if diff := gotPages - estPages; diff < -1 && float64(-diff) > 0.1*float64(estPages) ||
 			diff > 1 && float64(diff) > 0.1*float64(estPages)+1 {

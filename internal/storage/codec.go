@@ -19,16 +19,20 @@ import (
 func EncodedRowSize(s *Schema, r Row) int {
 	n := (len(s.Columns) + 7) / 8
 	for i, c := range s.Columns {
-		if c.Kind == KindString && c.FixedWidth == 0 {
-			n += 2
-			if !r[i].Null {
-				n += len(r[i].Str)
-			}
-			continue
-		}
-		n += c.Width()
+		n += EncodedValueSize(c, r[i])
 	}
 	return n
+}
+
+// EncodedValueSize returns the number of bytes AppendValue would produce.
+func EncodedValueSize(c Column, v Value) int {
+	if c.Kind == KindString && c.FixedWidth == 0 {
+		if v.Null {
+			return 2
+		}
+		return 2 + min(len(v.Str), 0xFFFF)
+	}
+	return c.Width()
 }
 
 // EncodeRow appends the uncompressed encoding of r to dst and returns the
@@ -37,64 +41,64 @@ func EncodeRow(s *Schema, r Row, dst []byte) []byte {
 	if len(r) != len(s.Columns) {
 		panic(fmt.Sprintf("storage: row arity %d != schema arity %d", len(r), len(s.Columns)))
 	}
-	bitmapLen := (len(s.Columns) + 7) / 8
 	bitmapAt := len(dst)
-	for i := 0; i < bitmapLen; i++ {
-		dst = append(dst, 0)
-	}
-	var buf [8]byte
+	dst = append(dst, make([]byte, (len(s.Columns)+7)/8)...)
 	for i, c := range s.Columns {
-		v := r[i]
-		if v.Null {
+		if r[i].Null {
 			dst[bitmapAt+i/8] |= 1 << (uint(i) % 8)
 		}
-		switch c.Kind {
-		case KindInt, KindFloat:
-			var u uint64
-			if c.Kind == KindInt {
-				u = uint64(v.Int)
-			} else {
-				u = floatBits(v.Float)
-			}
-			if v.Null {
-				u = 0
-			}
-			binary.BigEndian.PutUint64(buf[:], u)
-			dst = append(dst, buf[:8]...)
-		case KindDate:
-			u := uint32(v.Int)
-			if v.Null {
-				u = 0
-			}
-			binary.BigEndian.PutUint32(buf[:4], u)
-			dst = append(dst, buf[:4]...)
-		case KindString:
-			if c.FixedWidth > 0 {
-				// CHAR(n): blank padded, truncated if longer.
-				str := ""
-				if !v.Null {
-					str = v.Str
-				}
-				if len(str) > c.FixedWidth {
-					str = str[:c.FixedWidth]
-				}
-				dst = append(dst, str...)
-				for j := len(str); j < c.FixedWidth; j++ {
-					dst = append(dst, ' ')
-				}
-			} else {
-				str := ""
-				if !v.Null {
-					str = v.Str
-				}
-				if len(str) > 0xFFFF {
-					str = str[:0xFFFF]
-				}
-				binary.BigEndian.PutUint16(buf[:2], uint16(len(str)))
-				dst = append(dst, buf[:2]...)
-				dst = append(dst, str...)
-			}
+		dst = AppendValue(dst, c, r[i])
+	}
+	return dst
+}
+
+// AppendValue appends the full-width uncompressed encoding of one value:
+// 8-byte integers and floats, 4-byte dates, blank-padded CHAR(n), u16 length
+// plus bytes for VARCHAR. NULLs are zero-filled (the caller's bitmap marks
+// them).
+func AppendValue(dst []byte, c Column, v Value) []byte {
+	var buf [8]byte
+	switch c.Kind {
+	case KindInt, KindFloat:
+		var u uint64
+		switch {
+		case v.Null:
+		case c.Kind == KindInt:
+			u = uint64(v.Int)
+		default:
+			u = floatBits(v.Float)
 		}
+		binary.BigEndian.PutUint64(buf[:], u)
+		return append(dst, buf[:8]...)
+	case KindDate:
+		var u uint32
+		if !v.Null {
+			u = uint32(v.Int)
+		}
+		binary.BigEndian.PutUint32(buf[:4], u)
+		return append(dst, buf[:4]...)
+	case KindString:
+		str := ""
+		if !v.Null {
+			str = v.Str
+		}
+		if c.FixedWidth > 0 {
+			// CHAR(n): blank padded, truncated if longer.
+			if len(str) > c.FixedWidth {
+				str = str[:c.FixedWidth]
+			}
+			dst = append(dst, str...)
+			for j := len(str); j < c.FixedWidth; j++ {
+				dst = append(dst, ' ')
+			}
+			return dst
+		}
+		if len(str) > 0xFFFF {
+			str = str[:0xFFFF]
+		}
+		binary.BigEndian.PutUint16(buf[:2], uint16(len(str)))
+		dst = append(dst, buf[:2]...)
+		return append(dst, str...)
 	}
 	return dst
 }
