@@ -107,8 +107,9 @@ func BenchmarkSampleCF(b *testing.B) {
 }
 
 // BenchmarkWhatIfCost measures the optimizer's what-if API on the TPC-H
-// workload under a 10-index configuration — uncached (every iteration pays
-// the full plan search) vs cached (the per-statement memo serves repeats).
+// workload under a 10-index configuration — uncached (every iteration
+// compiles the statements, interns the indexes and computes every atomic
+// term anew) vs cached (the memo serves them all).
 func BenchmarkWhatIfCost(b *testing.B) {
 	db := benchDB()
 	wl := workloads.MustTPCH()

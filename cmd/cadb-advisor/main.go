@@ -10,6 +10,7 @@
 //	cadb-advisor -db tpch -budget 0.25 -mix update
 //	cadb-advisor -db tpch -budget 0.5 -features all -verbose
 //	cadb-advisor -db tpcds -workload my_queries.sql
+//	cadb-advisor -db sales -rows 8000 -features all -cpuprofile tune.prof
 package main
 
 import (
@@ -17,6 +18,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -47,6 +50,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		par      = fs.Int("parallelism", 0, "what-if costing workers (0 = one per CPU; results are identical at any setting)")
 		verbose  = fs.Bool("verbose", false, "print per-phase timing and the estimation plan")
 		poolMB   = fs.Float64("pool", 0, "buffer pool size in MB for the -verbose per-statement replay (0 = in-memory segments); spills segments to a temp dir and reports pool hit rate and bytes read")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the tuning run (and nothing else) to this file")
+		memProf  = fs.String("memprofile", "", "write an allocation profile, taken when the tuning run ends, to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -131,7 +136,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		len(wl.Statements), len(wl.Queries()), len(wl.Updates()), *mix, toolName(*baseline, *staged))
 
 	start := time.Now()
-	rec, err := cadb.Tune(db, wl, opts)
+	var rec *cadb.Recommendation
+	err := profiled(*cpuProf, *memProf, func() (err error) {
+		rec, err = cadb.Tune(db, wl, opts)
+		return err
+	})
 	if err != nil {
 		fmt.Fprintln(stderr, "cadb-advisor:", err)
 		return 1
@@ -152,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "size oracle: %d SampleCF calls; late admissions %d deduced / %d sampled; %d estimation errors tolerated\n",
 			t.SampleCFCalls, t.AdmittedDeduced, t.AdmittedSampled, t.EstimationErrors)
 		if planned := t.DeltaStatements + t.ReusedStatements; planned > 0 {
-			fmt.Fprintf(stdout, "what-if: %d delta evaluations; %d statement costs re-planned, %d reused from base vectors (%.1f%% skipped); statement cache %d hits / %d misses\n",
+			fmt.Fprintf(stdout, "what-if: %d delta evaluations; %d statement costs re-planned, %d reused from base vectors (%.1f%% skipped); atomic terms %d memo hits / %d computed\n",
 				t.WhatIfEvaluations, t.DeltaStatements, t.ReusedStatements,
 				100*float64(t.ReusedStatements)/float64(planned),
 				t.CostCacheHits, t.CostCacheMisses)
@@ -166,6 +175,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// profiled runs fn under the requested profiles: a CPU profile covering fn
+// alone, and the allocation profile (every allocation since process start,
+// sampled) as it stands when fn returns. Empty paths disable each.
+func profiled(cpuPath, memPath string, fn func() error) error {
+	stopCPU := func() error { return nil }
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			_ = f.Close() // nothing written; the start error is the one to report
+			return err
+		}
+		stopCPU = func() error {
+			pprof.StopCPUProfile()
+			return f.Close()
+		}
+	}
+	err := fn()
+	if cerr := stopCPU(); err == nil {
+		err = cerr
+	}
+	if err != nil || memPath == "" {
+		return err
+	}
+	f, err := os.Create(memPath)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // flush recent allocations into the profile
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return err
+	}
+	return f.Close()
+}
+
 // printColumnDesigns prints each recommended structure's per-column
 // compression methods: every table column for a clustered index, the leaf
 // (key + include) columns otherwise. Structures whose refinement sweep kept a
@@ -173,8 +220,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // flagged so the overridden columns stand out.
 func printColumnDesigns(stdout io.Writer, db *cadb.Database, rec *cadb.Recommendation) {
 	fmt.Fprintf(stdout, "\nper-column compression designs:\n")
-	members := rec.Config.Indexes()
-	sort.Slice(members, func(i, j int) bool { return members[i].Def.ID() < members[j].Def.ID() })
+	members := append([]*cadb.HypoIndex(nil), rec.Config.Indexes()...) // Indexes() is shared
+	sort.Slice(members, func(i, j int) bool { return members[i].ID() < members[j].ID() })
 	for _, h := range members {
 		d := h.Def
 		var cols []string

@@ -64,3 +64,23 @@ func TestUnknownDBAndMixExitNonZero(t *testing.T) {
 		t.Fatalf("-h: exit %d, want 0", code)
 	}
 }
+
+// TestProfileFlagsWriteProfiles checks -cpuprofile and -memprofile each
+// leave a non-empty profile, and that an unwritable path is an error.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-db", "sales", "-rows", "1500", "-features", "all", "-cpuprofile", cpu, "-memprofile", mem}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0; stderr: %s", code, stderr.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s missing or empty (err %v)", path, err)
+		}
+	}
+	if code := run([]string{"-db", "sales", "-rows", "1500", "-cpuprofile", filepath.Join(dir, "no", "such", "dir.prof")}, &stdout, &stderr); code != 1 {
+		t.Fatalf("unwritable profile path: exit %d, want 1", code)
+	}
+}

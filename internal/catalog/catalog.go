@@ -6,11 +6,14 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
+	"cadb/internal/par"
 	"cadb/internal/storage"
 )
 
@@ -233,73 +236,96 @@ type Stats struct {
 // Col returns stats for the named column (nil if unknown).
 func (s *Stats) Col(name string) *ColStats { return s.Cols[strings.ToLower(name)] }
 
-// BuildStats scans the table once and produces statistics with the given
-// histogram bucket count.
+// BuildStats produces the table's statistics with the given histogram bucket
+// count. Each column is sorted once and everything — distinct count, most
+// common values, min/max, the equi-depth histogram — is read off the sorted
+// runs; columns are independent, so they build concurrently into their own
+// slots.
 func BuildStats(t *Table, buckets int) *Stats {
+	cols := make([]*ColStats, len(t.Schema.Columns))
+	par.For(runtime.GOMAXPROCS(0), len(cols), func(ci int) {
+		cols[ci] = buildColStats(t, ci, buckets)
+	})
 	st := &Stats{
 		RowCount:       t.RowCount(),
-		Cols:           make(map[string]*ColStats, len(t.Schema.Columns)),
+		Cols:           make(map[string]*ColStats, len(cols)),
 		distinctPrefix: make(map[string]int64),
 	}
 	for ci, col := range t.Schema.Columns {
-		cs := &ColStats{}
-		counts := make(map[storage.ValueKey]int64, 1024)
-		var widthSum int64
-		var nonNull []storage.Value
-		for _, r := range t.Rows {
-			v := r[ci]
-			if v.Null {
-				cs.NullCount++
-				continue
-			}
-			counts[v.Key()]++
-			widthSum += int64(valueWidth(col, v))
-			nonNull = append(nonNull, v)
-		}
-		cs.Distinct = int64(len(counts))
-		cs.MCVs = topMCVs(counts, MCVLimit)
-		if len(nonNull) > 0 {
-			sort.Slice(nonNull, func(i, j int) bool { return nonNull[i].Compare(nonNull[j]) < 0 })
-			cs.Min = nonNull[0]
-			cs.Max = nonNull[len(nonNull)-1]
-			cs.AvgWidth = float64(widthSum) / float64(len(nonNull))
-			cs.Hist = buildHistogram(nonNull, buckets)
-		}
-		st.Cols[strings.ToLower(col.Name)] = cs
+		st.Cols[strings.ToLower(col.Name)] = cols[ci]
 	}
 	return st
 }
 
-// topMCVs extracts the k most frequent values. Values that appear only once
-// are never "common"; an MCV list is only kept when it captures skew (the
-// top value must beat the uniform share).
-func topMCVs(counts map[storage.ValueKey]int64, k int) []MCV {
-	if len(counts) == 0 {
-		return nil
-	}
-	all := make([]MCV, 0, len(counts))
-	var total int64
-	for key, n := range counts {
-		all = append(all, MCV{Key: key, Count: n})
-		total += n
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
+func buildColStats(t *Table, ci, buckets int) *ColStats {
+	col := t.Schema.Columns[ci]
+	cs := &ColStats{}
+	var widthSum int64
+	nonNull := make([]storage.Value, 0, len(t.Rows))
+	for _, r := range t.Rows {
+		v := r[ci]
+		if v.Null {
+			cs.NullCount++
+			continue
 		}
-		return less(all[i].Key, all[j].Key)
+		widthSum += int64(valueWidth(col, v))
+		nonNull = append(nonNull, v)
+	}
+	if len(nonNull) == 0 {
+		return cs
+	}
+	// Kind breaks ties between values that compare equal but key differently
+	// (an int and a date with the same number), keeping each key's run
+	// contiguous.
+	slices.SortFunc(nonNull, func(a, b storage.Value) int {
+		if c := a.Compare(b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Kind, b.Kind)
 	})
-	if k > len(all) {
-		k = len(all)
+	cs.Min = nonNull[0]
+	cs.Max = nonNull[len(nonNull)-1]
+	cs.AvgWidth = float64(widthSum) / float64(len(nonNull))
+	cs.Hist = buildHistogram(nonNull, buckets)
+
+	// One pass over the runs of equal keys: count them, and keep the
+	// MCVLimit most frequent in (count desc, key asc) order.
+	top := make([]MCV, 0, MCVLimit+1)
+	for at := 0; at < len(nonNull); {
+		key, end := nonNull[at].Key(), at+1
+		for end < len(nonNull) && nonNull[end].Key() == key {
+			end++
+		}
+		cs.Distinct++
+		run := MCV{Key: key, Count: int64(end - at)}
+		at = end
+		pos := len(top)
+		for pos > 0 && mcvBefore(run, top[pos-1]) {
+			pos--
+		}
+		if pos < MCVLimit {
+			if top = slices.Insert(top, pos, run); len(top) > MCVLimit {
+				top = top[:MCVLimit]
+			}
+		}
 	}
-	out := all[:k]
-	uniform := float64(total) / float64(len(counts))
-	if float64(out[0].Count) <= uniform*1.05 && len(counts) > k {
-		return nil // no skew worth tracking
+	// Values that appear only once are never "common"; an MCV list is only
+	// kept when it captures skew (the top value must beat the uniform
+	// share).
+	uniform := float64(len(nonNull)) / float64(cs.Distinct)
+	if float64(top[0].Count) > uniform*1.05 || cs.Distinct <= MCVLimit {
+		cs.MCVs = slices.Clip(top)
 	}
-	cp := make([]MCV, k)
-	copy(cp, out)
-	return cp
+	return cs
+}
+
+// mcvBefore orders most-common-value entries: more frequent first, ties by
+// key.
+func mcvBefore(a, b MCV) bool {
+	if a.Count != b.Count {
+		return a.Count > b.Count
+	}
+	return less(a.Key, b.Key)
 }
 
 func less(a, b storage.ValueKey) bool {

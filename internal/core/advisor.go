@@ -200,8 +200,9 @@ type Timing struct {
 	WhatIfEvaluations uint64
 	DeltaStatements   uint64
 	ReusedStatements  uint64
-	// CostCacheHits / CostCacheMisses are the statement-cost memo counters
-	// (re-planned statements can still hit the per-signature cache).
+	// CostCacheHits / CostCacheMisses count the atomic-term lookups of
+	// enumeration and refinement: a (statement, structure) term served from
+	// the cost model's memo, or computed because no earlier what-if needed it.
 	CostCacheHits   uint64
 	CostCacheMisses uint64
 }
@@ -306,23 +307,19 @@ func (a *Advisor) Recommend() (*Recommendation, error) {
 	// The pool is seeded in ID-sorted order so variant lookups (and with
 	// them backtracking tie-breaks) never depend on map iteration order — a
 	// requirement for run-to-run reproducible recommendations.
-	sorted := make([]*optimizer.HypoIndex, 0, len(hypos))
-	for _, h := range hypos {
-		sorted = append(sorted, h)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Def.ID() < sorted[j].Def.ID() })
+	sorted := sortedByID(hypos)
 	a.pool = newCandidatePool(len(sorted))
 	for _, h := range sorted {
 		a.pool.add(h)
 	}
-	selected := a.selectCandidates(hypos)
+	selected := a.selectCandidates(sorted)
 	selected = a.mergeCandidates(selected)
 	for _, h := range selected {
 		a.pool.add(h)
 	}
 
 	// 4. Enumeration under the budget, through the incremental evaluator.
-	// The cost-cache counters are cumulative on the model, so snapshot
+	// The memo counters are cumulative on the model, so snapshot
 	// around enumeration to report this pass alone — matching the scope of
 	// the evaluator counters.
 	a.evalStats = &optimizer.EvaluatorStats{}
@@ -424,12 +421,8 @@ func (a *Advisor) estimateAll(structures []*index.Def) (map[string]*optimizer.Hy
 
 	hypos := make(map[string]*optimizer.HypoIndex)
 	add := func(e *estimator.Estimate) {
-		hypos[e.Def.ID()] = &optimizer.HypoIndex{
-			Def:               e.Def,
-			Rows:              e.Rows,
-			Bytes:             e.Bytes,
-			UncompressedBytes: e.UncompressedBytes,
-		}
+		h := hypoOf(e)
+		hypos[h.ID()] = h
 	}
 	for _, e := range uncEsts {
 		add(e)
@@ -447,6 +440,27 @@ func (a *Advisor) estimateAll(structures []*index.Def) (map[string]*optimizer.Hy
 		add(e)
 	}
 	return hypos, oracle.Plan(), nil
+}
+
+// hypoOf wraps a size estimate as a hypothetical index.
+func hypoOf(e *estimator.Estimate) *optimizer.HypoIndex {
+	return optimizer.NewHypoIndex(e.Def, e.Rows, e.Bytes, e.UncompressedBytes)
+}
+
+// sortedByID lists the candidates in index-ID order: the one order every
+// later stage iterates them in, so nothing downstream depends on map
+// iteration and nothing re-sorts.
+func sortedByID(hypos map[string]*optimizer.HypoIndex) []*optimizer.HypoIndex {
+	ids := make([]string, 0, len(hypos))
+	for id := range hypos {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	out := make([]*optimizer.HypoIndex, len(ids))
+	for i, id := range ids {
+		out[i] = hypos[id]
+	}
+	return out
 }
 
 // String renders the recommendation for reports.

@@ -260,40 +260,34 @@ func minus(all, remove []string) []string {
 
 // selectCandidates runs per-query candidate selection: classic top-k by cost
 // or the size/cost skyline (Section 6.1). The union over queries is the
-// enumeration candidate set.
-func (a *Advisor) selectCandidates(hypos map[string]*optimizer.HypoIndex) []*optimizer.HypoIndex {
-	chosen := make(map[string]*optimizer.HypoIndex)
-
-	// Clustered candidates always survive selection: their benefit is
-	// space (when compressed), which per-query cost ranking cannot see.
-	for id, h := range hypos {
-		if h.Def.Clustered {
-			chosen[id] = h
-		}
-	}
-
-	// Queries are scored by their plan cost under the single-index
-	// configuration; predicated UPDATE/DELETE statements are scored the same
-	// way through their own plans (qualifying-row lookup + maintenance), so
-	// an index that speeds an update's WHERE clause can survive selection.
-	for _, s := range a.WL.Statements {
+// enumeration candidate set. hypos is in ID order, and so is the result.
+func (a *Advisor) selectCandidates(hypos []*optimizer.HypoIndex) []*optimizer.HypoIndex {
+	// Each statement picks among the candidates relevant to it, scored by
+	// the statement's cost under the single-index configuration — exactly
+	// the cost model's atomic (statement, structure) term, so scoring also
+	// leaves the memo warm for enumeration. Predicated UPDATE/DELETE
+	// statements are scored the same way through their own plans
+	// (qualifying-row lookup + maintenance), so an index that speeds an
+	// update's WHERE clause can survive selection. Statements are
+	// independent: they fan out over the worker pool, each writing its picks
+	// (positions in hypos) to its own slot.
+	picks := make([][]int, len(a.WL.Statements))
+	parallelFor(a.workers(), len(a.WL.Statements), func(si int) {
+		s := a.WL.Statements[si]
 		shape := statementShape(s)
 		if shape == nil {
-			continue
+			return
 		}
-		relevant := a.relevantHypos(shape, hypos)
-		if len(relevant) == 0 {
-			continue
-		}
+		relevant := relevantHypos(shape, hypos)
 		type scored struct {
-			h    *optimizer.HypoIndex
+			at   int
 			cost float64
 			size int64
 		}
-		scoredList := make([]scored, 0, len(relevant))
-		for _, h := range relevant {
-			c := a.CM.Cost(s, optimizer.NewConfiguration(h))
-			scoredList = append(scoredList, scored{h: h, cost: c, size: h.Bytes})
+		scoredList := make([]scored, len(relevant))
+		for i, at := range relevant {
+			h := hypos[at]
+			scoredList[i] = scored{at: at, cost: a.CM.Cost(s, optimizer.NewConfiguration(h)), size: h.Bytes}
 		}
 		if a.Opts.Skyline {
 			// Keep all non-dominated (cost, size) candidates.
@@ -309,56 +303,63 @@ func (a *Advisor) selectCandidates(hypos map[string]*optimizer.HypoIndex) []*opt
 					}
 				}
 				if !dominated {
-					chosen[x.h.Def.ID()] = x.h
+					picks[si] = append(picks[si], x.at)
 				}
 			}
-		} else {
-			// Tie-break equal costs by index ID: many relevant-but-unusable
-			// indexes cost exactly the base scan, so an unstable cost-only
-			// sort would make the top-k cut — and with it the
-			// recommendation — vary run to run.
-			sort.Slice(scoredList, func(i, j int) bool {
-				if scoredList[i].cost != scoredList[j].cost {
-					return scoredList[i].cost < scoredList[j].cost
-				}
-				return scoredList[i].h.Def.ID() < scoredList[j].h.Def.ID()
-			})
-			k := a.Opts.TopK
-			if k > len(scoredList) {
-				k = len(scoredList)
+			return
+		}
+		// Tie-break equal costs by index ID (position in hypos): many
+		// relevant-but-unusable indexes cost exactly the base scan, so an
+		// unstable cost-only sort would make the top-k cut — and with it the
+		// recommendation — vary run to run.
+		sort.Slice(scoredList, func(i, j int) bool {
+			if scoredList[i].cost != scoredList[j].cost {
+				return scoredList[i].cost < scoredList[j].cost
 			}
-			for _, x := range scoredList[:k] {
-				chosen[x.h.Def.ID()] = x.h
-			}
+			return scoredList[i].at < scoredList[j].at
+		})
+		for _, x := range scoredList[:min(a.Opts.TopK, len(scoredList))] {
+			picks[si] = append(picks[si], x.at)
+		}
+	})
+
+	chosen := make([]bool, len(hypos))
+	// Clustered candidates always survive selection: their benefit is
+	// space (when compressed), which per-query cost ranking cannot see.
+	for at, h := range hypos {
+		chosen[at] = h.Def.Clustered
+	}
+	for _, stmtPicks := range picks {
+		for _, at := range stmtPicks {
+			chosen[at] = true
 		}
 	}
-	out := make([]*optimizer.HypoIndex, 0, len(chosen))
-	for _, h := range chosen {
-		out = append(out, h)
+	var out []*optimizer.HypoIndex
+	for at, h := range hypos {
+		if chosen[at] {
+			out = append(out, h)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Def.ID() < out[j].Def.ID() })
 	return out
 }
 
-// relevantHypos returns the hypothetical indexes that could plausibly serve
-// the query (same table or matching MV fact), sorted by index ID so the
-// selection order never depends on map iteration.
-func (a *Advisor) relevantHypos(q *workload.Query, hypos map[string]*optimizer.HypoIndex) []*optimizer.HypoIndex {
-	var out []*optimizer.HypoIndex
-	for _, h := range hypos {
+// relevantHypos returns the positions of the hypothetical indexes that could
+// plausibly serve the query (same table or matching MV fact), in hypos order.
+func relevantHypos(q *workload.Query, hypos []*optimizer.HypoIndex) []int {
+	var out []int
+	for at, h := range hypos {
 		if h.Def.MV != nil {
 			if len(q.Tables) > 0 && strings.EqualFold(h.Def.MV.Fact, q.Tables[0]) {
-				out = append(out, h)
+				out = append(out, at)
 			}
 			continue
 		}
 		for _, t := range q.Tables {
 			if strings.EqualFold(h.Def.Table, t) {
-				out = append(out, h)
+				out = append(out, at)
 				break
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Def.ID() < out[j].Def.ID() })
 	return out
 }

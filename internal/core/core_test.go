@@ -114,7 +114,7 @@ func TestSkylineRetainsMoreCandidatesThanTopK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(a.selectCandidates(hypos))
+		return len(a.selectCandidates(sortedByID(hypos)))
 	}
 	sky := mk(true)
 	topk := mk(false)

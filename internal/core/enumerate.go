@@ -29,7 +29,7 @@ func (a *Advisor) mergeCandidates(selected []*optimizer.HypoIndex) []*optimizer.
 	out := append([]*optimizer.HypoIndex{}, selected...)
 	have := make(map[string]bool, len(selected))
 	for _, h := range selected {
-		have[h.Def.ID()] = true
+		have[h.ID()] = true
 	}
 	const maxMerges = 12
 	merges := 0
@@ -76,13 +76,9 @@ func (a *Advisor) mergeCandidates(selected []*optimizer.HypoIndex) []*optimizer.
 					a.estErrors++
 					continue
 				}
-				have[v.ID()] = true
-				out = append(out, &optimizer.HypoIndex{
-					Def:               e.Def,
-					Rows:              e.Rows,
-					Bytes:             e.Bytes,
-					UncompressedBytes: e.UncompressedBytes,
-				})
+				h := hypoOf(e)
+				have[h.ID()] = true
+				out = append(out, h)
 			}
 			merges++
 		}
@@ -203,7 +199,7 @@ func (a *Advisor) enumerate(candidates []*optimizer.HypoIndex) *optimizer.Config
 // second clustered index on a table, or a compression variant of a structure
 // already present.
 func (a *Advisor) admissible(cfg *optimizer.Configuration, h *optimizer.HypoIndex) bool {
-	if cfg.ContainsStructure(h.Def) {
+	if cfg.HasVariantOf(h) {
 		return false
 	}
 	if h.Def.Clustered && cfg.Clustered(h.Def.Table) != nil {
@@ -328,7 +324,7 @@ func (a *Advisor) enumerateStaged(candidates []*optimizer.HypoIndex) *optimizer.
 		// Remove structures already chosen.
 		var pool []*optimizer.HypoIndex
 		for _, h := range plain {
-			if !cfg.ContainsStructure(h.Def) && !(h.Def.Clustered && cfg.Clustered(h.Def.Table) != nil) {
+			if a.admissible(cfg, h) {
 				pool = append(pool, h)
 			}
 		}

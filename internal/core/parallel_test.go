@@ -31,28 +31,38 @@ func recommendAt(t *testing.T, d *catalog.Database, w *workload.Workload, opts O
 // TestRecommendDeterministic asserts the headline determinism contract: the
 // worker-pool enumeration and estimation — now routed through the
 // incremental evaluator — return byte-identical recommendations at
-// Parallelism 1 and Parallelism 8, and run to run, on both bundled workload
-// shapes.
+// Parallelism 1, 2 and 8, and run to run, on both bundled workload shapes
+// and with every candidate feature on.
 func TestRecommendDeterministic(t *testing.T) {
 	type workloadCase struct {
-		name string
-		db   *catalog.Database
-		wl   *workload.Workload
+		name        string
+		db          *catalog.Database
+		wl          *workload.Workload
+		allFeatures bool
 	}
 	tpchDB, tpchWL := fixtures()
+	salesDB := datagen.NewSales(datagen.SalesConfig{FactRows: 4000, Zipf: 0.8, Seed: 7})
 	cases := []workloadCase{
-		{"tpch", tpchDB, workloads.SelectIntensive(tpchWL)},
-		{"sales", datagen.NewSales(datagen.SalesConfig{FactRows: 4000, Zipf: 0.8, Seed: 7}), workloads.MustSales(7)},
+		{name: "tpch", db: tpchDB, wl: workloads.SelectIntensive(tpchWL)},
+		{name: "sales", db: salesDB, wl: workloads.MustSales(7)},
 		// The update-heavy mix: UPDATE/DELETE statements dominate, so the
 		// maintenance-aware costing paths (and their relevance scoping) are
 		// what parallel enumeration exercises here.
-		{"tpch-update", tpchDB, workloads.UpdateIntensive(workloads.MustTPCHWithUpdates())},
+		{name: "tpch-update", db: tpchDB, wl: workloads.UpdateIntensive(workloads.MustTPCHWithUpdates())},
+		// MV and partial candidates: the widest pool, where candidate
+		// selection fills the memo concurrently and MV terms compete with
+		// per-table plans (the benchmark's sales-wide configuration).
+		{name: "sales-all-features", db: salesDB, wl: workloads.SelectIntensive(workloads.MustSales(1)), allFeatures: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			opts := DefaultOptions(budget(c.db, 0.3))
 			opts.Backtrack = true
+			opts.EnableMV, opts.EnablePartial = c.allFeatures, c.allFeatures
 			serial := renderRec(recommendAt(t, c.db, c.wl, opts, 1))
+			if two := renderRec(recommendAt(t, c.db, c.wl, opts, 2)); two != serial {
+				t.Fatalf("recommendation at Parallelism 2 diverged from serial:\n--- serial ---\n%s--- two ---\n%s", serial, two)
+			}
 			parallel := renderRec(recommendAt(t, c.db, c.wl, opts, 8))
 			if serial != parallel {
 				t.Fatalf("parallel recommendation diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)

@@ -6,8 +6,8 @@ import (
 )
 
 // candidatePool is the advisor's full candidate set (every structure ×
-// compression method), indexed by Def.ID() for exact lookups and by
-// Def.StructureID() for compressed-variant lookups — replacing the linear
+// compression method), indexed by ID for exact lookups and by StructureID
+// for compressed-variant lookups — replacing the linear
 // scans over a flat slice that backtracking and the staged baseline used to
 // perform per probe.
 //
@@ -28,15 +28,15 @@ func newCandidatePool(capacity int) *candidatePool {
 	}
 }
 
-// add registers a candidate, ignoring duplicates (same Def.ID()). Reports
+// add registers a candidate, ignoring duplicates (same ID). Reports
 // whether the candidate was inserted.
 func (p *candidatePool) add(h *optimizer.HypoIndex) bool {
-	id := h.Def.ID()
+	id := h.ID()
 	if _, ok := p.byID[id]; ok {
 		return false
 	}
 	p.byID[id] = h
-	sid := h.Def.StructureID()
+	sid := h.StructureID()
 	p.byStruct[sid] = append(p.byStruct[sid], h)
 	return true
 }
@@ -55,7 +55,7 @@ func (p *candidatePool) variantsOf(member *optimizer.HypoIndex) []*optimizer.Hyp
 	if p == nil {
 		return nil
 	}
-	group := p.byStruct[member.Def.StructureID()]
+	group := p.byStruct[member.StructureID()]
 	var out []*optimizer.HypoIndex
 	for _, h := range group {
 		if h != member {

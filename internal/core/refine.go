@@ -34,7 +34,7 @@ func (a *Advisor) refineColumns(cfg *optimizer.Configuration) *optimizer.Configu
 	// Deterministic member order: the configuration's iteration order is
 	// structural, so sort by definition ID before sweeping.
 	members := append([]*optimizer.HypoIndex{}, cfg.Indexes()...)
-	sort.Slice(members, func(i, j int) bool { return members[i].Def.ID() < members[j].Def.ID() })
+	sort.Slice(members, func(i, j int) bool { return members[i].ID() < members[j].ID() })
 
 	workers := a.workers()
 	for _, member := range members {
@@ -66,12 +66,7 @@ func (a *Advisor) refineColumns(cfg *optimizer.Configuration) *optimizer.Configu
 					est.Bytes >= cur.Bytes-cur.Bytes/256 {
 					continue
 				}
-				variants = append(variants, &optimizer.HypoIndex{
-					Def:               est.Def,
-					Rows:              est.Rows,
-					Bytes:             est.Bytes,
-					UncompressedBytes: est.UncompressedBytes,
-				})
+				variants = append(variants, hypoOf(est))
 			}
 			// ...then what-if the swaps concurrently, reducing in variant
 			// order so the accepted change is deterministic.

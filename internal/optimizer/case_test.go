@@ -7,14 +7,16 @@ import (
 )
 
 // TestTableNameCaseAgreement pins the normalization contract: relevance
-// scoping (evaluator), cost-cache signatures and Configuration's per-table
-// views must agree on table identity regardless of how the statement or the
-// index definition spells the name. A disagreement would either serve stale
-// cached costs (cache thinks the index is irrelevant) or waste re-planning
-// (scope thinks everything is relevant).
+// scoping (evaluator), costing (the memo's table ordinals) and
+// Configuration's per-table views must agree on table identity regardless of
+// how the statement or the index definition spells the name. A disagreement
+// would either keep a stale base cost (scope thinks the index is irrelevant
+// while the price changes) or waste re-pricing (scope thinks everything is
+// relevant).
 func TestTableNameCaseAgreement(t *testing.T) {
 	d := testDB(t)
 	cm := NewCostModel(d)
+	m := cm.memo.Load()
 
 	// The same physical index, declared with different casings of the table.
 	lower := build(t, &index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate"}})
@@ -35,25 +37,29 @@ func TestTableNameCaseAgreement(t *testing.T) {
 	}
 	for _, sql := range stmts {
 		s := parseQ(t, sql)
-		sc := scopeOf(s)
+		cs := m.compile(s)
+		// consulted reports whether pricing s under {h} looks up a term for h.
+		consulted := func(h *HypoIndex) bool {
+			hits, misses := memoDelta(cm, func() { cm.Cost(s, NewConfiguration(h)) })
+			return hits+misses > 0
+		}
 		for _, h := range []*HypoIndex{lower, upper} {
-			// Relevance scope and cache signature must agree: the index is
-			// relevant ⇔ adding it changes the statement's cache key.
-			sigBase := cm.cache.relevantSignature(s, NewConfiguration())
-			sigWith := cm.cache.relevantSignature(s, NewConfiguration(h))
-			if !sc.affectedBy(h) {
+			// Relevance scope and costing must agree: the index is in scope
+			// and the statement's price consults it, however its table is
+			// spelled.
+			if !cs.affectedBy(m.intern(h)) {
 				t.Errorf("%q: scope must see index on %q as relevant", sql, h.Def.Table)
 			}
-			if sigWith == sigBase {
-				t.Errorf("%q: cache key must change when index on %q is added", sql, h.Def.Table)
+			if !consulted(h) {
+				t.Errorf("%q: pricing must consult the index on %q", sql, h.Def.Table)
 			}
 		}
 		// And both must agree the orders index is irrelevant.
-		if sc.affectedBy(other) {
+		if cs.affectedBy(m.intern(other)) {
 			t.Errorf("%q: orders index must be out of scope", sql)
 		}
-		if cm.cache.relevantSignature(s, NewConfiguration(other)) != cm.cache.relevantSignature(s, NewConfiguration()) {
-			t.Errorf("%q: orders index must not change the cache key", sql)
+		if consulted(other) {
+			t.Errorf("%q: pricing must not consult the orders index", sql)
 		}
 	}
 
@@ -66,11 +72,11 @@ func TestTableNameCaseAgreement(t *testing.T) {
 		t.Fatalf("OnTable(uppercase) missed the lowercase-declared index: %d", got)
 	}
 
-	// Cache keys built from differently-cased but identical statements agree,
-	// so a mixed-case workload cannot split the memo.
+	// Identical statements spelled with different table casing price the
+	// same, so a mixed-case workload cannot disagree with itself.
 	a := parseQ(t, stmts[0])
 	b := parseQ(t, stmts[1])
-	if cm.cache.relevantSignature(a, cfg) != cm.cache.relevantSignature(b, cfg) {
-		t.Fatal("identical statements with different table casing produced different signatures")
+	if cm.Cost(a, cfg) != cm.Cost(b, cfg) {
+		t.Fatal("identical statements with different table casing produced different costs")
 	}
 }

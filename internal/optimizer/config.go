@@ -15,16 +15,15 @@ import (
 	"sync"
 
 	"cadb/internal/catalog"
-	"cadb/internal/compress"
 	"cadb/internal/index"
 	"cadb/internal/storage"
 )
 
-// normTable is the canonical (lowercase) form of a table name. Every map
-// keyed by table name — configuration views, evaluator relevance scopes,
-// cost-cache signature scoping — keys on this one normalization, so cache
-// keys and relevance scopes agree no matter how a statement or index
-// definition spells the name.
+// normTable is the canonical (lowercase) form of a table name. Every lookup
+// keyed by table name — configuration views and the memo's table ordinals,
+// which relevance scoping and costing both compare — goes through this one
+// normalization, so they agree no matter how a statement or index definition
+// spells the name.
 func normTable(s string) string { return strings.ToLower(s) }
 
 // HypoIndex is a hypothetical index: a definition plus (possibly estimated)
@@ -38,7 +37,50 @@ type HypoIndex struct {
 	Bytes int64
 	// UncompressedBytes is the leaf payload before compression.
 	UncompressedBytes int64
+
+	// ident holds the strings derived from Def, filled by NewHypoIndex so
+	// that sort comparators, view maps and the cost model never re-render
+	// them. It is trusted only while ident.def == Def: a literal-built
+	// HypoIndex, or a copy whose Def was swapped, derives them per call.
+	ident ident
 }
+
+// ident is the string identity of an index definition.
+type ident struct {
+	def          *index.Def
+	id, structID string
+	// table is the normalized name of the table whose statements the index
+	// can affect: the base table, or an MV's fact table.
+	table string
+}
+
+func identOf(d *index.Def) ident {
+	table := d.Table
+	if d.MV != nil {
+		table = d.MV.Fact
+	}
+	return ident{def: d, id: d.ID(), structID: d.StructureID(), table: normTable(table)}
+}
+
+// NewHypoIndex returns a hypothetical index with its identity strings
+// precomputed. Sizes may be revised on a copy (the identity depends on Def
+// alone), never in place once the index has been costed — see ResetCostCache.
+func NewHypoIndex(d *index.Def, rows, bytes, uncompressedBytes int64) *HypoIndex {
+	return &HypoIndex{Def: d, Rows: rows, Bytes: bytes, UncompressedBytes: uncompressedBytes, ident: identOf(d)}
+}
+
+func (h *HypoIndex) identity() ident {
+	if h.ident.def == h.Def {
+		return h.ident
+	}
+	return identOf(h.Def)
+}
+
+// ID is Def.ID(), precomputed when the index came from NewHypoIndex.
+func (h *HypoIndex) ID() string { return h.identity().id }
+
+// StructureID is Def.StructureID(), precomputed likewise.
+func (h *HypoIndex) StructureID() string { return h.identity().structID }
 
 // Pages returns the leaf page count.
 func (h *HypoIndex) Pages() int64 { return storage.PagesForBytes(h.Bytes) }
@@ -53,12 +95,7 @@ func (h *HypoIndex) CF() float64 {
 
 // FromPhysical wraps a fully built index as a HypoIndex with exact sizes.
 func FromPhysical(p *index.Physical) *HypoIndex {
-	return &HypoIndex{
-		Def:               p.Def,
-		Rows:              p.Rows,
-		Bytes:             p.Bytes,
-		UncompressedBytes: p.UncompressedBytes,
-	}
+	return NewHypoIndex(p.Def, p.Rows, p.Bytes, p.UncompressedBytes)
 }
 
 // String renders the hypothetical index.
@@ -72,10 +109,11 @@ func (h *HypoIndex) String() string {
 // edit and links back to its parent (With is O(1); Without/Replace add an
 // O(n) membership scan of the already-materialized receiver), so the greedy
 // enumeration's thousands of neighboring configurations share structure
-// instead of copying the index slice. The materialized view of a node — the ordered index slice plus the
-// per-table, per-ID and per-StructureID lookup maps — is built lazily, at
-// most once, only when a configuration is actually inspected (costed, size-
-// checked, rendered). All methods are safe for concurrent use.
+// instead of copying the index slice. A node materializes lazily, each part
+// at most once: the ordered index slice when the configuration is listed or
+// costed, the per-table, per-ID and per-StructureID lookup maps only when one
+// of the lookup methods is called. A what-if neighbor the Evaluator prices is
+// never materialized at all. All methods are safe for concurrent use.
 type Configuration struct {
 	parent *Configuration
 	// added / removed record this node's edit relative to parent:
@@ -93,6 +131,8 @@ type Configuration struct {
 	// n is the index count, maintained eagerly so Len is O(1).
 	n int
 
+	listOnce sync.Once
+	list     []*HypoIndex
 	viewOnce sync.Once
 	view     *configView
 
@@ -103,9 +143,9 @@ type Configuration struct {
 	size   int64
 }
 
-// configView is the lazily materialized aggregate state of a configuration.
+// configView holds the lazily built lookup maps of a configuration. They key
+// on the members' precomputed identity strings (HypoIndex.ident).
 type configView struct {
-	indexes []*HypoIndex
 	// onTable maps a lowercased table name to the indexes OnTable(t, true)
 	// returns: non-MV indexes on the table plus MV indexes whose fact table
 	// matches, in insertion order (interleaved, as a linear scan would find
@@ -130,39 +170,47 @@ func NewConfiguration(idxs ...*HypoIndex) *Configuration {
 	return &Configuration{root: root, n: len(root)}
 }
 
-// mat returns the materialized view, building it on first use.
-func (c *Configuration) mat() *configView {
-	c.viewOnce.Do(func() {
-		var list []*HypoIndex
+// Indexes returns the configuration's indexes in insertion order (Replace
+// preserves the replaced member's position). The slice is shared and must
+// not be mutated.
+func (c *Configuration) Indexes() []*HypoIndex {
+	c.listOnce.Do(func() {
 		switch {
 		case c.parent == nil:
-			list = c.root
+			c.list = c.root
 		case c.removed == nil: // With
-			p := c.parent.mat().indexes
-			list = make([]*HypoIndex, len(p)+1)
-			copy(list, p)
-			list[len(p)] = c.added
+			p := c.parent.Indexes()
+			c.list = make([]*HypoIndex, len(p)+1)
+			copy(c.list, p)
+			c.list[len(p)] = c.added
 		case c.added == nil: // Without
-			p := c.parent.mat().indexes
-			list = make([]*HypoIndex, 0, len(p)-1)
+			p := c.parent.Indexes()
+			c.list = make([]*HypoIndex, 0, len(p)-1)
 			for _, x := range p {
 				if x != c.removed {
-					list = append(list, x)
+					c.list = append(c.list, x)
 				}
 			}
 		default: // Replace, in place
-			p := c.parent.mat().indexes
-			list = make([]*HypoIndex, len(p))
+			p := c.parent.Indexes()
+			c.list = make([]*HypoIndex, len(p))
 			for i, x := range p {
 				if x == c.removed {
-					list[i] = c.added
+					c.list[i] = c.added
 				} else {
-					list[i] = x
+					c.list[i] = x
 				}
 			}
 		}
+	})
+	return c.list
+}
+
+// mat returns the lookup maps, building them on first use.
+func (c *Configuration) mat() *configView {
+	c.viewOnce.Do(func() {
+		list := c.Indexes()
 		v := &configView{
-			indexes:   list,
 			onTable:   make(map[string][]*HypoIndex),
 			plain:     make(map[string][]*HypoIndex),
 			clustered: make(map[string]*HypoIndex),
@@ -170,21 +218,18 @@ func (c *Configuration) mat() *configView {
 			structs:   make(map[string]bool, len(list)),
 		}
 		for _, x := range list {
-			v.ids[x.Def.ID()] = true
-			v.structs[x.Def.StructureID()] = true
+			id := x.identity()
+			v.ids[id.id] = true
+			v.structs[id.structID] = true
+			v.onTable[id.table] = append(v.onTable[id.table], x)
 			if x.Def.MV != nil {
 				v.mvs = append(v.mvs, x)
-				fact := normTable(x.Def.MV.Fact)
-				v.onTable[fact] = append(v.onTable[fact], x)
-			} else {
-				tbl := normTable(x.Def.Table)
-				v.onTable[tbl] = append(v.onTable[tbl], x)
-				v.plain[tbl] = append(v.plain[tbl], x)
+				continue
 			}
+			v.plain[id.table] = append(v.plain[id.table], x)
 			if x.Def.Clustered {
-				tbl := normTable(x.Def.Table)
-				if _, ok := v.clustered[tbl]; !ok {
-					v.clustered[tbl] = x
+				if _, ok := v.clustered[id.table]; !ok {
+					v.clustered[id.table] = x
 				}
 			}
 		}
@@ -192,11 +237,6 @@ func (c *Configuration) mat() *configView {
 	})
 	return c.view
 }
-
-// Indexes returns the configuration's indexes in insertion order (Replace
-// preserves the replaced member's position). The slice is shared and must
-// not be mutated.
-func (c *Configuration) Indexes() []*HypoIndex { return c.mat().indexes }
 
 // Len returns the number of indexes in O(1).
 func (c *Configuration) Len() int { return c.n }
@@ -236,7 +276,7 @@ func (c *Configuration) Replace(old, new *HypoIndex) *Configuration {
 // occurrencesOf counts pointer occurrences.
 func (c *Configuration) occurrencesOf(h *HypoIndex) int {
 	k := 0
-	for _, x := range c.mat().indexes {
+	for _, x := range c.Indexes() {
 		if x == h {
 			k++
 		}
@@ -253,6 +293,11 @@ func (c *Configuration) Contains(d *index.Def) bool {
 // is present.
 func (c *Configuration) ContainsStructure(d *index.Def) bool {
 	return c.mat().structs[d.StructureID()]
+}
+
+// HasVariantOf is ContainsStructure(h.Def) on h's precomputed StructureID.
+func (c *Configuration) HasVariantOf(h *HypoIndex) bool {
+	return c.mat().structs[h.StructureID()]
 }
 
 // OnTable returns the indexes on the named table (including MV indexes whose
@@ -337,12 +382,4 @@ func (c *Configuration) String() string {
 		parts[i] = x.Def.String()
 	}
 	return "{" + strings.Join(parts, "; ") + "}"
-}
-
-// methodOf is a nil-safe accessor.
-func methodOf(h *HypoIndex) compress.Method {
-	if h == nil {
-		return compress.None
-	}
-	return h.Def.Method
 }

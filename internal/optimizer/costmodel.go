@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
@@ -49,9 +50,10 @@ type CostModel struct {
 	// reproduces the base (cold-store) model exactly. See poolprofile.go.
 	pool *PoolProfile
 
-	// cache memoizes per-(statement, relevant-index-signature) costs; see
-	// costcache.go. Lazily initialized, safe for concurrent use.
-	cache costCache
+	// memo holds the compiled statements, interned structures and memoized
+	// atomic terms every costing call goes through; see costcache.go.
+	// ResetCostCache swaps in an empty one.
+	memo atomic.Pointer[memo]
 }
 
 // NewCostModel returns a model with default constants. The absolute values
@@ -59,7 +61,7 @@ type CostModel struct {
 // random I/O ≫ sequential I/O ≫ per-tuple CPU, and PAGE compression costs
 // roughly 3–4× ROW compression in CPU on both reads and writes.
 func NewCostModel(db *catalog.Database) *CostModel {
-	return &CostModel{
+	cm := &CostModel{
 		DB:           db,
 		SeqPageIO:    1.0,
 		RandPageIO:   4.0,
@@ -82,54 +84,25 @@ func NewCostModel(db *catalog.Database) *CostModel {
 			compress.RLE:        0.0004,
 		},
 	}
+	cm.ResetCostCache()
+	return cm
 }
 
-// alphaOf returns the per-tuple-written compression CPU cost of the index's
-// design: Alpha of the uniform method, or — for a mixed per-column design —
-// the column-count-weighted mean of the per-column Alphas (a written tuple
-// re-encodes every leaf column, each paying its own method's share). Uniform
-// designs reduce exactly to the scalar lookup, so all existing costs are
-// unchanged.
-func (cm *CostModel) alphaOf(h *HypoIndex) float64 {
-	return cm.designMean(h, cm.Alpha)
-}
-
-// betaOf is the per-tuple-per-column decompression CPU cost of the index's
-// design, weighted the same way: reads touch columns, and each column decodes
-// under its own method.
-func (cm *CostModel) betaOf(h *HypoIndex) float64 {
-	return cm.designMean(h, cm.Beta)
-}
-
-func (cm *CostModel) designMean(h *HypoIndex, table map[compress.Method]float64) float64 {
-	if h == nil {
-		return table[compress.None]
-	}
-	d := h.Def
-	if !d.IsMixed() {
-		return table[d.Method]
-	}
-	cols := cm.leafColumns(d)
-	if len(cols) == 0 {
+// designMean returns the per-tuple compression CPU constant of a design from
+// the Alpha (writes) or Beta (reads) table: the uniform method's entry, or —
+// for a mixed per-column design — the column-count-weighted mean over the
+// leaf columns (a written tuple re-encodes every leaf column and a read
+// decodes columns, each under its own method). Uniform designs reduce
+// exactly to the scalar lookup.
+func designMean(d *index.Def, leaf []string, table map[compress.Method]float64) float64 {
+	if !d.IsMixed() || len(leaf) == 0 {
 		return table[d.Method]
 	}
 	var sum float64
-	for _, c := range cols {
+	for _, c := range leaf {
 		sum += table[d.MethodFor(c)]
 	}
-	return sum / float64(len(cols))
-}
-
-// leafColumns lists the columns a leaf entry of the index carries: every
-// table column for a clustered index, key + include columns plus the row
-// locator otherwise.
-func (cm *CostModel) leafColumns(d *index.Def) []string {
-	if d.Clustered {
-		if t := cm.DB.Table(d.Table); t != nil {
-			return t.Schema.Names()
-		}
-	}
-	return append(d.Columns(), "__rid")
+	return sum / float64(len(leaf))
 }
 
 // AccessPath describes the chosen plan for one table of a query.
@@ -183,33 +156,31 @@ func (p *Plan) String() string {
 // Cost returns the estimated cost of a statement under the configuration —
 // the what-if API.
 func (cm *CostModel) Cost(stmt *workload.Statement, cfg *Configuration) float64 {
-	p := cm.Plan(stmt, cfg)
-	return p.Total
+	m := cm.memo.Load()
+	return m.price(m.compile(stmt), m.resolve(cfg), nil)
+}
+
+// StatementCost is Cost: the weighted-workload building block.
+func (cm *CostModel) StatementCost(stmt *workload.Statement, cfg *Configuration) float64 {
+	return cm.Cost(stmt, cfg)
 }
 
 // Plan costs a statement and returns the full plan.
 func (cm *CostModel) Plan(stmt *workload.Statement, cfg *Configuration) *Plan {
-	switch {
-	case stmt.Query != nil:
-		return cm.planQuery(stmt.Query, cfg)
-	case stmt.Insert != nil:
-		return cm.planInsert(stmt.Insert, cfg)
-	case stmt.Update != nil:
-		return cm.planUpdate(stmt.Update, cfg)
-	case stmt.Delete != nil:
-		return cm.planDelete(stmt.Delete, cfg)
-	}
-	return &Plan{}
+	m := cm.memo.Load()
+	plan := &Plan{}
+	plan.Total = m.price(m.compile(stmt), m.resolve(cfg), plan)
+	return plan
 }
 
 // WorkloadCost returns the weighted total cost of the workload under the
-// configuration. Per-statement costs are memoized on the model (see
-// costcache.go): a statement is re-costed only when the set of indexes
-// relevant to it changed, which is what makes greedy enumeration cheap.
+// configuration, summed in statement order.
 func (cm *CostModel) WorkloadCost(wl *workload.Workload, cfg *Configuration) float64 {
+	m := cm.memo.Load()
+	members := m.resolve(cfg)
 	var total float64
 	for _, s := range wl.Statements {
-		total += s.Weight * cm.StatementCost(s, cfg)
+		total += s.Weight * m.price(m.compile(s), members, nil)
 	}
 	return total
 }
@@ -226,179 +197,94 @@ func (cm *CostModel) Improvement(wl *workload.Workload, cfg *Configuration) floa
 }
 
 // ---------------------------------------------------------------------------
-// Query costing
+// Atomic terms. Each function below prices one structure for one compiled
+// statement and depends on nothing else in the configuration, which is what
+// lets the memo (costcache.go) compute it once.
 
-func (cm *CostModel) planQuery(q *workload.Query, cfg *Configuration) *Plan {
-	// MV path: if an MV index matches the whole query, it can replace the
-	// joins entirely.
-	bestMV := cm.bestMVPath(q, cfg)
-
-	has := func(table, col string) bool {
-		t := cm.DB.Table(table)
-		return t != nil && t.Schema.Has(col)
-	}
-	plan := &Plan{}
-	var joinRows float64
-	for ti, table := range q.Tables {
-		t := cm.DB.Table(table)
-		if t == nil {
-			continue
-		}
-		preds := q.PredsOn(table, has)
-		cols := q.NonPredColumnsOn(table, has)
-		ap := cm.bestAccess(t, preds, cols, cfg)
-		plan.Paths = append(plan.Paths, ap)
-		plan.Total += ap.Cost
-		if ti == 0 {
-			joinRows = ap.Rows
-		} else {
-			// FK join: build on the dimension, probe with the running side.
-			plan.Total += cm.CPUJoinTuple * (ap.Rows + joinRows)
-		}
-	}
-	// Grouping/aggregation CPU on the final row stream.
-	if len(q.GroupBy) > 0 || len(q.Aggs) > 0 {
-		plan.Total += cm.CPUTuple * joinRows * 0.5
-	}
-	if bestMV != nil && bestMV.Cost < plan.Total {
-		return &Plan{Total: bestMV.Cost, Paths: []AccessPath{*bestMV}, Note: "answered from MV"}
-	}
-	return plan
-}
-
-// bestAccess picks the cheapest access path for one table. cols lists the
-// columns the query needs beyond its WHERE predicates; predicate columns are
-// accounted per-index, because a partial index's filter can subsume a
-// predicate entirely.
-func (cm *CostModel) bestAccess(t *catalog.Table, preds []workload.Predicate, cols []string, cfg *Configuration) AccessPath {
-	rows := float64(t.RowCount())
-	sel := CombinedSelectivity(t, preds)
-	outRows := rows * sel
-
-	// Base path: clustered index scan/seek if present, else heap scan.
-	best := cm.baseScan(t, preds, cols, cfg, outRows)
-
-	for _, h := range cfg.OnTable(t.Name, false) {
-		if h.Def.Clustered {
-			if ap, ok := cm.indexPath(t, h, preds, cols, true); ok && ap.Cost < best.Cost {
-				best = ap
-			}
-			continue
-		}
-		if ap, ok := cm.indexPath(t, h, preds, cols, false); ok && ap.Cost < best.Cost {
-			best = ap
-		}
-	}
-	best.Rows = outRows
-	return best
-}
-
-// baseScan costs the full scan of the base structure (heap or clustered).
-func (cm *CostModel) baseScan(t *catalog.Table, preds []workload.Predicate, cols []string, cfg *Configuration, outRows float64) AccessPath {
-	rows := float64(t.RowCount())
-	if cl := cfg.Clustered(t.Name); cl != nil {
-		// Try a clustered seek first; fall back to clustered scan.
-		if ap, ok := cm.indexPath(t, cl, preds, cols, true); ok {
-			return ap
-		}
-	}
-	pages := float64(t.HeapPages())
-	disc := cm.poolDiscount(heapID(t.Name), t.HeapBytes())
-	cost := cm.SeqPageIO*pages*disc + cm.CPUTuple*rows
-	return AccessPath{Table: t.Name, Kind: "heap-scan", Rows: outRows, Cost: cost, EstPageReads: pages * disc}
-}
-
-// heapID is the heap's structure id in pool-profile rate maps, matching the
-// executor's handle naming.
-func heapID(table string) string { return "heap:" + strings.ToLower(table) }
-
-// indexPath costs using the given index for the table, returning ok=false
+// indexPath costs reading the table through the index, returning ok=false
 // when the index is unusable (partial filter not implied, or non-covering
-// with no seekable prefix).
-func (cm *CostModel) indexPath(t *catalog.Table, h *HypoIndex, preds []workload.Predicate, cols []string, clustered bool) (AccessPath, bool) {
+// with no seekable prefix). Predicate columns are accounted per index,
+// because a partial index's filter can subsume a predicate entirely.
+func (cm *CostModel) indexPath(ct *compiledTable, hd *handle) (AccessPath, bool) {
+	d := hd.h.Def
 	// Partial index: usable only if its filter is implied by the query.
-	remaining := preds
-	if h.Def.IsPartial() {
-		for _, ip := range h.Def.Where {
-			if !impliedBy(ip, preds) {
+	// Predicates exactly matching the filter are already applied inside the
+	// index; they drop out of further selectivity so they are not double
+	// counted.
+	var subsumed []bool
+	if d.IsPartial() {
+		for _, ip := range d.Where {
+			if !impliedBy(ip, ct.preds) {
 				return AccessPath{}, false
 			}
 		}
-		// Predicates exactly matching the filter are already applied inside
-		// the index; drop them from further selectivity so we don't double
-		// count.
-		remaining = nil
-		for _, qp := range preds {
-			matched := false
-			for _, ip := range h.Def.Where {
+		subsumed = make([]bool, len(ct.preds))
+		for i, qp := range ct.preds {
+			for _, ip := range d.Where {
 				if equalFoldCol(ip, qp) && implies(qp, ip) && implies(ip, qp) {
-					matched = true
+					subsumed[i] = true
 					break
 				}
 			}
-			if !matched {
-				remaining = append(remaining, qp)
-			}
 		}
 	}
+	remains := func(i int) bool { return subsumed == nil || !subsumed[i] }
 
-	idxCols := h.Def.Columns()
-	if clustered {
-		idxCols = t.Schema.Names()
-	}
 	// Needed columns: non-predicate usage plus the columns of predicates
 	// that are not subsumed by the index filter.
-	needed := append([]string{}, cols...)
-	for _, p := range remaining {
-		if !containsFold(needed, p.Col) {
+	needed := append([]string{}, ct.cols...)
+	for i, p := range ct.preds {
+		if remains(i) && !containsFold(needed, p.Col) {
 			needed = append(needed, p.Col)
 		}
 	}
-	covering := clustered || containsAll(idxCols, needed)
+	covering := hd.clustered || containsAll(hd.leaf, needed)
 
 	// Seek: contiguous sargable prefix of the key columns. Equality
 	// predicates extend the prefix; the first range predicate ends it.
 	seekSel := 1.0
 	matchedAny := false
-	for _, key := range h.Def.KeyCols {
-		p, ok := predOn(remaining, key)
-		if !ok || !p.Sargable() {
+	for _, key := range d.KeyCols {
+		i := ct.predOn(key, remains)
+		if i < 0 || !ct.preds[i].Sargable() {
 			break
 		}
-		seekSel *= PredicateSelectivity(t, p)
+		seekSel *= ct.sels[i]
 		matchedAny = true
-		if !p.IsEquality() {
+		if !ct.preds[i].IsEquality() {
 			break
 		}
 	}
 
-	idxRows := float64(h.Rows)
-	pages := float64(h.Pages())
-	usedCols := countUsedCols(idxCols, needed)
-	beta := cm.betaOf(h)
-	residualSel := CombinedSelectivity(t, remaining)
-	disc := cm.poolDiscount(h.Def.ID(), h.Bytes)
+	t := ct.t
+	idxRows := float64(hd.h.Rows)
+	pages := hd.pages
+	usedCols := countUsedCols(hd.leaf, needed)
 
 	if matchedAny {
 		matched := idxRows * seekSel
-		height := cm.treeHeight(pages)
-		cost := (cm.RandPageIO*height + cm.SeqPageIO*math.Ceil(seekSel*pages)) * disc
-		cost += cm.CPUTuple*matched + beta*matched*float64(usedCols)
+		cost := (cm.RandPageIO*hd.height + cm.SeqPageIO*math.Ceil(seekSel*pages)) * hd.disc
+		cost += cm.CPUTuple*matched + hd.beta*matched*float64(usedCols)
 		kind := "index-seek"
-		if clustered {
+		if hd.clustered {
 			kind = "clustered-seek"
 		}
-		ap := AccessPath{Table: t.Name, Index: h, Kind: kind, Cost: cost,
-			EstPageReads: (height + math.Ceil(seekSel*pages)) * disc}
+		ap := AccessPath{Table: t.Name, Index: hd.h, Kind: kind, Cost: cost,
+			EstPageReads: (hd.height + math.Ceil(seekSel*pages)) * hd.disc}
 		if !covering {
 			// RID lookups for rows surviving all predicates resolvable on
 			// the index; remaining predicates are applied after the lookup.
 			// The lookups land on the heap, so they take the heap's discount.
-			lookups := idxRows * seekSel * residualFraction(t, remaining, idxCols)
-			heapDisc := cm.poolDiscount(heapID(t.Name), t.HeapBytes())
+			frac := 1.0
+			for i, p := range ct.preds {
+				if remains(i) && containsFold(hd.leaf, p.Col) {
+					frac *= ct.sels[i]
+				}
+			}
+			lookups := idxRows * seekSel * frac
 			ap.Lookups = lookups
-			ap.Cost += cm.RandPageIO*lookups*heapDisc + cm.CPUTuple*lookups
-			ap.EstPageReads += lookups * heapDisc
+			ap.Cost += cm.RandPageIO*lookups*ct.heapDisc + cm.CPUTuple*lookups
+			ap.EstPageReads += lookups * ct.heapDisc
 		}
 		return ap, true
 	}
@@ -407,28 +293,11 @@ func (cm *CostModel) indexPath(t *catalog.Table, h *HypoIndex, preds []workload.
 		return AccessPath{}, false // non-covering scan is never competitive
 	}
 	kind := "index-scan"
-	if clustered {
+	if hd.clustered {
 		kind = "clustered-scan"
 	}
-	if h.Def.IsMV() {
-		kind = "mv-scan"
-	}
-	cost := cm.SeqPageIO*pages*disc + cm.CPUTuple*idxRows + beta*idxRows*float64(usedCols)
-	_ = residualSel
-	return AccessPath{Table: t.Name, Index: h, Kind: kind, Cost: cost, EstPageReads: pages * disc}, true
-}
-
-// residualFraction estimates the fraction of prefix-matched rows that
-// survive the predicates evaluable on the index columns (those reduce RID
-// lookups).
-func residualFraction(t *catalog.Table, preds []workload.Predicate, idxCols []string) float64 {
-	frac := 1.0
-	for _, p := range preds {
-		if containsFold(idxCols, p.Col) {
-			frac *= PredicateSelectivity(t, p)
-		}
-	}
-	return frac
+	cost := cm.SeqPageIO*pages*hd.disc + cm.CPUTuple*idxRows + hd.beta*idxRows*float64(usedCols)
+	return AccessPath{Table: t.Name, Index: hd.h, Kind: kind, Cost: cost, EstPageReads: pages * hd.disc}, true
 }
 
 func (cm *CostModel) treeHeight(leafPages float64) float64 {
@@ -436,15 +305,6 @@ func (cm *CostModel) treeHeight(leafPages float64) float64 {
 		return 1
 	}
 	return 1 + math.Ceil(math.Log(leafPages)/math.Log(cm.Fanout))
-}
-
-func predOn(preds []workload.Predicate, col string) (workload.Predicate, bool) {
-	for _, p := range preds {
-		if storageEqualFold(p.Col, col) {
-			return p, true
-		}
-	}
-	return workload.Predicate{}, false
 }
 
 func containsAll(haystack, needles []string) bool {
@@ -481,24 +341,6 @@ func countUsedCols(idxCols, queryCols []string) int {
 // ---------------------------------------------------------------------------
 // MV matching
 
-// bestMVPath returns the cheapest MV-based path answering the whole query,
-// or nil.
-func (cm *CostModel) bestMVPath(q *workload.Query, cfg *Configuration) *AccessPath {
-	var best *AccessPath
-	for _, h := range cfg.MVIndexes() {
-		residual, ok := mvMatches(h.Def.MV, q)
-		if !ok {
-			continue
-		}
-		ap := cm.mvAccess(h, residual, q)
-		if best == nil || ap.Cost < best.Cost {
-			a := ap
-			best = &a
-		}
-	}
-	return best
-}
-
 // mvMatches checks whether the MV can answer the query, returning the
 // residual predicates that must still be applied against the MV's group-by
 // columns.
@@ -524,57 +366,42 @@ func mvMatches(mv *index.MVDef, q *workload.Query) ([]workload.Predicate, bool) 
 			return nil, false
 		}
 	}
-	// Every MV WHERE predicate must appear in the query (exact match); the
-	// remaining query predicates must be on group-by columns so they can
-	// filter the MV rows.
+	// Every MV WHERE predicate must appear in the query (exact match), or
+	// the MV is missing rows the query wants; the remaining query predicates
+	// must be on group-by columns so they can filter the MV rows.
+	for _, mp := range mv.Where {
+		if !predIn(q.Preds, mp) {
+			return nil, false
+		}
+	}
 	var residual []workload.Predicate
 	for _, qp := range q.Preds {
-		matched := false
-		for _, mp := range mv.Where {
-			if predEqual(mp, qp) {
-				matched = true
-				break
-			}
-		}
-		if matched {
+		if predIn(mv.Where, qp) {
 			continue
 		}
-		onGroup := false
-		for _, g := range mv.GroupBy {
-			if storageEqualFold(g.Col, qp.Col) {
-				onGroup = true
-				break
-			}
-		}
-		if !onGroup {
+		if !colRefIn(mv.GroupBy, workload.ColRef{Col: qp.Col}) {
 			return nil, false
 		}
 		residual = append(residual, qp)
 	}
-	// Conversely every MV predicate must be present in the query, otherwise
-	// the MV is missing rows... no: MV.Where ⊆ q.Preds means the MV may be a
-	// superset of what the query needs only when residuals filter the rest.
-	for _, mp := range mv.Where {
-		found := false
-		for _, qp := range q.Preds {
-			if predEqual(mp, qp) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, false
-		}
-	}
 	return residual, true
 }
 
+func predIn(list []workload.Predicate, p workload.Predicate) bool {
+	for _, x := range list {
+		if predEqual(x, p) {
+			return true
+		}
+	}
+	return false
+}
+
 // mvAccess costs scanning/seeking the MV index with the residual predicates.
-func (cm *CostModel) mvAccess(h *HypoIndex, residual []workload.Predicate, q *workload.Query) AccessPath {
+func (cm *CostModel) mvAccess(hd *handle, residual []workload.Predicate, q *workload.Query) AccessPath {
+	h := hd.h
 	rows := float64(h.Rows)
-	pages := float64(h.Pages())
-	beta := cm.betaOf(h)
-	usedCols := len(h.Def.Columns())
+	pages := hd.pages
+	usedCols := len(hd.cols)
 	if usedCols == 0 {
 		usedCols = 1
 	}
@@ -586,29 +413,38 @@ func (cm *CostModel) mvAccess(h *HypoIndex, residual []workload.Predicate, q *wo
 	}
 	// Seek when the leading MV key column matches a residual predicate.
 	seek := false
-	if len(h.Def.KeyCols) > 0 && len(residual) > 0 {
+	if len(h.Def.KeyCols) > 0 {
 		lead := h.Def.KeyCols[0]
 		for _, p := range residual {
-			if strings.EqualFold(index.QualifiedCol(workload.ColRef{Table: p.Table, Col: p.Col}), lead) ||
-				storageEqualFold(p.Col, lead) {
+			if qualifiedEqualFold(p.Table, p.Col, lead) || storageEqualFold(p.Col, lead) {
 				seek = true
 				break
 			}
 		}
 	}
 	var cost, reads float64
-	disc := cm.poolDiscount(h.Def.ID(), h.Bytes)
 	kind := "mv-scan"
 	if seek {
 		kind = "mv-seek"
-		cost = (cm.RandPageIO*cm.treeHeight(pages) + cm.SeqPageIO*math.Ceil(sel*pages)) * disc
-		cost += cm.CPUTuple*sel*rows + beta*sel*rows*float64(usedCols)
-		reads = (cm.treeHeight(pages) + math.Ceil(sel*pages)) * disc
+		cost = (cm.RandPageIO*hd.height + cm.SeqPageIO*math.Ceil(sel*pages)) * hd.disc
+		cost += cm.CPUTuple*sel*rows + hd.beta*sel*rows*float64(usedCols)
+		reads = (hd.height + math.Ceil(sel*pages)) * hd.disc
 	} else {
-		cost = cm.SeqPageIO*pages*disc + cm.CPUTuple*rows + beta*rows*float64(usedCols)
-		reads = pages * disc
+		cost = cm.SeqPageIO*pages*hd.disc + cm.CPUTuple*rows + hd.beta*rows*float64(usedCols)
+		reads = pages * hd.disc
 	}
 	return AccessPath{Table: h.Def.Table, Index: h, Kind: kind, Rows: sel * rows, Cost: cost, EstPageReads: reads}
+}
+
+// qualifiedEqualFold reports whether name is index.QualifiedCol of the
+// column reference ("table_col", or "col" when unqualified), ignoring case.
+func qualifiedEqualFold(table, col, name string) bool {
+	if table == "" {
+		return storageEqualFold(col, name)
+	}
+	n := len(table)
+	return len(name) == n+1+len(col) && name[n] == '_' &&
+		storageEqualFold(name[:n], table) && storageEqualFold(name[n+1:], col)
 }
 
 // mvPredSelectivity estimates a residual predicate's selectivity using the
@@ -634,7 +470,7 @@ func sameJoins(a, b []workload.Join) bool {
 	for _, x := range a {
 		found := false
 		for _, y := range b {
-			if strings.EqualFold(x.String(), y.String()) {
+			if joinEqual(x, y) {
 				found = true
 				break
 			}
@@ -644,6 +480,11 @@ func sameJoins(a, b []workload.Join) bool {
 		}
 	}
 	return true
+}
+
+func joinEqual(x, y workload.Join) bool {
+	return storageEqualFold(x.LeftTable, y.LeftTable) && storageEqualFold(x.LeftCol, y.LeftCol) &&
+		storageEqualFold(x.RightTable, y.RightTable) && storageEqualFold(x.RightCol, y.RightCol)
 }
 
 func sameColRefs(a, b []workload.ColRef) bool {
@@ -684,228 +525,138 @@ func hasAgg(list []workload.Aggregate, a workload.Aggregate) bool {
 	return false
 }
 
+// predEqual compares two predicates structurally: identifiers ignoring case,
+// the same operator, and literals of the same kind comparing equal — 'FL'
+// and 'fl' are different predicates.
 func predEqual(a, b workload.Predicate) bool {
-	return strings.EqualFold(a.String(), b.String())
+	return a.Op == b.Op && storageEqualFold(a.Table, b.Table) && storageEqualFold(a.Col, b.Col) &&
+		literalEqual(a.Lo, b.Lo) && (a.Op != workload.OpBetween || literalEqual(a.Hi, b.Hi))
+}
+
+func literalEqual(a, b storage.Value) bool {
+	return a.Kind == b.Kind && a.Compare(b) == 0
 }
 
 // ---------------------------------------------------------------------------
-// Update costing
+// Write costing
 
-func (cm *CostModel) planInsert(ins *workload.Insert, cfg *Configuration) *Plan {
-	t := cm.DB.Table(ins.Table)
-	if t == nil {
-		return &Plan{}
-	}
-	n := float64(ins.Rows)
-	plan := &Plan{}
-
-	// Base structure: heap append or clustered insert.
-	rowW := t.AvgRowWidth()
-	basePages := n * rowW / storage.UsablePageBytes
-	baseCPU := cm.CPUInsert * n
-	var baseIO float64
-	cl := cfg.Clustered(t.Name)
+// baseWrite costs a write's work on the table's base structure — the
+// clustered index cl, or the heap when cl is nil — for the n rows the
+// statement writes.
+//
+// A bulk INSERT appends (heap) or sort-merges (clustered) whole pages, so its
+// I/O shrinks with the clustered index's compression. Predicated updates and
+// deletes instead dirty the pages their rows happen to live in, so their
+// write I/O does not shrink with compression — what differentiates the
+// methods is the Appendix A α(method) CPU paid per tuple written. Updating a
+// clustered key column moves the row, which costs a delete+reinsert instead
+// of an in-place rewrite.
+func (cm *CostModel) baseWrite(cs *compiledStmt, cl *handle) AccessPath {
+	t, n := cs.tables[0].t, cs.n
+	ap := AccessPath{Table: t.Name, Rows: n}
+	alpha := cm.Alpha[compress.None]
 	if cl != nil {
-		// Clustered insert: bulk sort + merge, plus compression CPU.
-		baseIO = cm.SeqPageIO * basePages * 2 * cl.CF()
-		baseCPU += cm.alphaOf(cl) * n
-	} else {
-		baseIO = cm.SeqPageIO * basePages
+		ap.Index = cl.h
+		alpha = cl.alpha
 	}
-	plan.Total += baseIO + baseCPU
-	plan.Paths = append(plan.Paths, AccessPath{Table: t.Name, Index: cl, Kind: "base-insert", Rows: n, Cost: baseIO + baseCPU})
+	if cs.stmt.Insert != nil {
+		ap.Kind = "base-insert"
+		basePages := n * t.AvgRowWidth() / storage.UsablePageBytes
+		baseCPU := cm.CPUInsert * n
+		var baseIO float64
+		if cl != nil {
+			// Clustered insert: bulk sort + merge, plus compression CPU.
+			baseIO = cm.SeqPageIO * basePages * 2 * cl.h.CF()
+			baseCPU += alpha * n
+		} else {
+			baseIO = cm.SeqPageIO * basePages
+		}
+		ap.Cost = baseIO + baseCPU
+		return ap
+	}
+	writePages := n * t.AvgRowWidth() / storage.UsablePageBytes
+	baseIO := cm.SeqPageIO * writePages
+	baseCPU := cm.CPUInsert*n + alpha*n
+	ap.Kind = "base-delete"
+	if u := cs.stmt.Update; u != nil {
+		ap.Kind = "base-update"
+		if cl != nil && touchesAny(u, cl.h.Def.KeyCols) {
+			baseIO *= 2
+			baseCPU += cm.CPUInsert * n
+		}
+	}
+	ap.Cost = baseIO + baseCPU
+	return ap
+}
 
-	// Maintenance of secondary, partial and MV indexes. The clustered index
-	// is the base structure above; skip it by identity (Def.ID), not by
-	// pointer — a clustered index reached through a different HypoIndex
-	// pointer (e.g. a duplicate entry, or a copy introduced by persistent-
-	// configuration Replace) must not be double-counted as secondary
-	// maintenance.
-	for _, h := range cfg.OnTable(t.Name, true) {
-		if isSameIndex(h, cl) {
-			continue
+// maintain costs keeping index hd in step with a write of cs.n rows to its
+// table; ok is false when the write leaves the index alone (an UPDATE that
+// touches none of its columns). Inserts and deletes touch every index.
+func (cm *CostModel) maintain(cs *compiledStmt, hd *handle) (AccessPath, bool) {
+	n := cs.n
+	affected, moves := n*hd.writeSel, false
+	if u := cs.stmt.Update; u != nil {
+		var ok bool
+		if affected, moves, ok = updateAffected(u, hd, n); !ok {
+			return AccessPath{}, false
 		}
-		affected := n
-		if h.Def.IsPartial() {
-			affected = n * CombinedSelectivity(t, h.Def.Where)
-		}
-		if h.Def.MV != nil {
-			affected = n * mvWhereSelectivity(cm.DB, h.Def.MV)
-		}
-		writePages := affected * entryWidth(h) / storage.UsablePageBytes * h.CF()
+	}
+	ap := AccessPath{Table: cs.tables[0].t.Name, Index: hd.h, Kind: "index-maintain", Rows: affected}
+	if cs.stmt.Insert != nil {
+		// Bulk maintenance writes whole leaf pages, so it shrinks with CF.
+		writePages := affected * hd.entryWidth / storage.UsablePageBytes * hd.h.CF()
 		io := cm.SeqPageIO * writePages * 2
-		cpu := cm.CPUInsert*affected + cm.alphaOf(h)*affected
-		plan.Total += io + cpu
-		plan.Paths = append(plan.Paths, AccessPath{Table: t.Name, Index: h, Kind: "index-maintain", Rows: affected, Cost: io + cpu})
+		cpu := cm.CPUInsert*affected + hd.alpha*affected
+		ap.Cost = io + cpu
+		return ap, true
 	}
-	return plan
-}
-
-// isSameIndex reports whether two hypothetical indexes denote the same
-// physical structure+method, regardless of wrapper pointer identity.
-func isSameIndex(a, b *HypoIndex) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a == b || a.Def.ID() == b.Def.ID()
-}
-
-// entryWidth is the average uncompressed leaf-entry width of an index.
-func entryWidth(h *HypoIndex) float64 {
-	if h.Rows > 0 {
-		return float64(h.UncompressedBytes) / float64(h.Rows)
-	}
-	return 32
-}
-
-// planUpdate costs a predicated UPDATE following Appendix A:
-// CPUCost_update = BaseCPUCost + α(method)·#tuples_written. The qualifying
-// rows are located through the cheapest access path under the configuration,
-// the base structure (heap or clustered index) rewrites them in place, and
-// every other index whose columns the update touches is maintained —
-// touched-column awareness: an index that stores none of the SET columns
-// needs no maintenance.
-func (cm *CostModel) planUpdate(u *workload.Update, cfg *Configuration) *Plan {
-	t := cm.DB.Table(u.Table)
-	if t == nil {
-		return &Plan{}
-	}
-	plan := &Plan{}
-
-	// 1. Locate the qualifying rows; the touched columns must be fetched so
-	// the rewrite can happen.
-	lookup := cm.bestAccess(t, u.Preds, u.SetCols(), cfg)
-	n := lookup.Rows
-	plan.Paths = append(plan.Paths, lookup)
-	plan.Total += lookup.Cost
-
-	// 2. Rewrite the base structure. Unlike a bulk load, predicated updates
-	// dirty the pages their rows happen to live in, so the write I/O does
-	// not shrink with compression — what differentiates the methods is the
-	// Appendix A α(method) CPU paid per tuple written. Updating a clustered
-	// key column moves the row, which costs a delete+reinsert instead of an
-	// in-place rewrite.
-	cl := cfg.Clustered(t.Name)
-	writePages := n * t.AvgRowWidth() / storage.UsablePageBytes
-	baseIO := cm.SeqPageIO * writePages
-	baseCPU := cm.CPUInsert*n + cm.alphaOf(cl)*n
-	if cl != nil && touchesAny(u, cl.Def.KeyCols) {
-		baseIO *= 2
-		baseCPU += cm.CPUInsert * n
-	}
-	plan.Total += baseIO + baseCPU
-	plan.Paths = append(plan.Paths, AccessPath{Table: t.Name, Index: cl, Kind: "base-update", Rows: n, Cost: baseIO + baseCPU})
-
-	// 3. Maintain the other indexes the update touches.
-	for _, h := range cfg.OnTable(t.Name, true) {
-		if isSameIndex(h, cl) {
-			continue
-		}
-		affected, moves, ok := cm.updateAffected(t, u, h, n)
-		if !ok {
-			continue
-		}
-		cost := cm.maintainCost(h, affected, moves)
-		plan.Total += cost
-		plan.Paths = append(plan.Paths, AccessPath{Table: t.Name, Index: h, Kind: "index-maintain", Rows: affected, Cost: cost})
-	}
-	return plan
-}
-
-// planDelete costs a predicated DELETE: locate the qualifying rows through
-// the cheapest access path, remove them from the base structure, and remove
-// the corresponding entries from every index on the table (deletes touch all
-// indexes — there is no touched-column filter).
-func (cm *CostModel) planDelete(d *workload.Delete, cfg *Configuration) *Plan {
-	t := cm.DB.Table(d.Table)
-	if t == nil {
-		return &Plan{}
-	}
-	plan := &Plan{}
-
-	lookup := cm.bestAccess(t, d.Preds, nil, cfg)
-	n := lookup.Rows
-	plan.Paths = append(plan.Paths, lookup)
-	plan.Total += lookup.Cost
-
-	// Base-structure removal: the dirtied pages must be rewritten (page
-	// count is method-independent, as in planUpdate), and compressed pages
-	// pay α to re-compress.
-	cl := cfg.Clustered(t.Name)
-	writePages := n * t.AvgRowWidth() / storage.UsablePageBytes
-	baseIO := cm.SeqPageIO * writePages
-	baseCPU := cm.CPUInsert*n + cm.alphaOf(cl)*n
-	plan.Total += baseIO + baseCPU
-	plan.Paths = append(plan.Paths, AccessPath{Table: t.Name, Index: cl, Kind: "base-delete", Rows: n, Cost: baseIO + baseCPU})
-
-	for _, h := range cfg.OnTable(t.Name, true) {
-		if isSameIndex(h, cl) {
-			continue
-		}
-		affected := n
-		if h.Def.IsPartial() {
-			affected = n * CombinedSelectivity(t, h.Def.Where)
-		}
-		if h.Def.MV != nil {
-			affected = n * mvWhereSelectivity(cm.DB, h.Def.MV)
-		}
-		cost := cm.maintainCost(h, affected, false)
-		plan.Total += cost
-		plan.Paths = append(plan.Paths, AccessPath{Table: t.Name, Index: h, Kind: "index-maintain", Rows: affected, Cost: cost})
-	}
-	return plan
-}
-
-// updateAffected decides whether the update maintains index h, and with how
-// many affected entries. moves reports whether entries relocate (key or
-// partial-filter columns touched: delete+reinsert) rather than being
-// rewritten in place (include columns touched).
-func (cm *CostModel) updateAffected(t *catalog.Table, u *workload.Update, h *HypoIndex, n float64) (affected float64, moves, ok bool) {
-	if h.Def.MV != nil {
-		if !mvTouchedByUpdate(h.Def.MV, u) {
-			return 0, false, false
-		}
-		return n * mvWhereSelectivity(cm.DB, h.Def.MV), true, true
-	}
-	if h.Def.IsPartial() {
-		// Touching the filter column migrates rows in and out of the index;
-		// every qualifying row may need an entry inserted or removed.
-		for _, p := range h.Def.Where {
-			if u.Touches(p.Col) {
-				return n, true, true
-			}
-		}
-		if !touchesAny(u, h.Def.Columns()) {
-			return 0, false, false
-		}
-		return n * CombinedSelectivity(t, h.Def.Where), touchesAny(u, h.Def.KeyCols), true
-	}
-	cols := h.Def.Columns()
-	if h.Def.Clustered {
-		cols = t.Schema.Names()
-	}
-	if !touchesAny(u, cols) {
-		return 0, false, false
-	}
-	return n, touchesAny(u, h.Def.KeyCols), true
-}
-
-// maintainCost is the per-index write-maintenance cost for affected entries:
-// a tree descent to locate them, leaf-page writes (twice when entries move),
-// per-entry CPU and the Appendix A α(method) compression CPU. The leaf
-// write I/O is method-independent — scattered maintenance dirties whole
-// pages regardless of how tightly they pack — so compressed variants
-// compete on α alone, which is exactly the trade-off that makes DTAc back
-// off PAGE under update-heavy mixes.
-func (cm *CostModel) maintainCost(h *HypoIndex, affected float64, moves bool) float64 {
-	writePages := affected * entryWidth(h) / storage.UsablePageBytes
+	// A tree descent to locate the entries, leaf-page writes (twice when
+	// entries move), per-entry CPU and the Appendix A α(method) compression
+	// CPU. The leaf write I/O is method-independent — scattered maintenance
+	// dirties whole pages regardless of how tightly they pack — so compressed
+	// variants compete on α alone, which is exactly the trade-off that makes
+	// DTAc back off PAGE under update-heavy mixes.
+	writePages := affected * hd.entryWidth / storage.UsablePageBytes
 	passes := 1.0
 	if moves {
 		passes = 2
 	}
-	io := cm.RandPageIO*cm.treeHeight(float64(h.Pages())) + cm.SeqPageIO*writePages*passes
-	cpu := cm.CPUInsert*affected*passes + cm.alphaOf(h)*affected
-	return io + cpu
+	io := cm.RandPageIO*hd.height + cm.SeqPageIO*writePages*passes
+	cpu := cm.CPUInsert*affected*passes + hd.alpha*affected
+	ap.Cost = io + cpu
+	return ap, true
+}
+
+// updateAffected decides whether the update maintains index hd, and with how
+// many affected entries — touched-column awareness: an index that stores
+// none of the SET columns needs no maintenance. moves reports whether entries
+// relocate (key or partial-filter columns touched: delete+reinsert) rather
+// than being rewritten in place (include columns touched).
+func updateAffected(u *workload.Update, hd *handle, n float64) (affected float64, moves, ok bool) {
+	d := hd.h.Def
+	if hd.mv {
+		if !mvTouchedByUpdate(d.MV, u) {
+			return 0, false, false
+		}
+		return n * hd.writeSel, true, true
+	}
+	if d.IsPartial() {
+		// Touching the filter column migrates rows in and out of the index;
+		// every qualifying row may need an entry inserted or removed.
+		for _, p := range d.Where {
+			if u.Touches(p.Col) {
+				return n, true, true
+			}
+		}
+		if !touchesAny(u, hd.cols) {
+			return 0, false, false
+		}
+		return n * hd.writeSel, touchesAny(u, d.KeyCols), true
+	}
+	if !touchesAny(u, hd.leaf) {
+		return 0, false, false
+	}
+	return n, touchesAny(u, d.KeyCols), true
 }
 
 // touchesAny reports whether the update rewrites any of the columns.

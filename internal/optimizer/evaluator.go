@@ -11,21 +11,21 @@ import (
 // Greedy enumeration explores configurations that differ from a base by a
 // single index (an add during the greedy step, a swap during backtracking
 // recovery). A statement's plan can only change when the delta touches a
-// table the statement reads or writes — the same relevance rule the
-// statement-cost cache keys on (costcache.go). The Evaluator precomputes
-// each statement's relevance scope once per workload, keeps the
-// per-statement cost vector of a base configuration, and answers
-// CostWithAdd/CostWithReplace by re-planning only the statements relevant to
-// the delta, reusing the base vector for everything else. Re-planned
-// statements still go through the statement-cost cache, so even they are
-// usually served without a plan search.
+// table the statement reads or writes (compiledStmt.affectedBy). The
+// Evaluator compiles the workload's statements and interns the base
+// configuration's members once, keeps the per-statement cost vector of the
+// base, and answers CostWithAdd/CostWithReplace by re-pricing only the
+// statements relevant to the delta — through memo.price, like every other
+// costing call — reusing the base vector for everything else. A what-if
+// allocates the neighbor's Configuration node and nothing that grows with
+// the workload or the configuration.
 //
 // Determinism contract: the returned total is bit-identical to a full
 // CostModel.WorkloadCost recompute. Reused entries hold the exact floats a
-// recompute would produce (StatementCost is deterministic and memoized), and
-// the total is summed in statement order with the same weight
-// multiplication — never maintained incrementally, which could drift in
-// floating point. TestEvaluatorMatchesFullRecompute enforces this.
+// recompute would produce (pricing is deterministic), and the total is
+// summed in statement order with the same weight multiplication — never
+// maintained incrementally, which could drift in floating point.
+// TestEvaluatorMatchesFullRecompute enforces this.
 //
 // An Evaluator is immutable after construction; CostWithAdd/CostWithReplace
 // are safe to call from many goroutines at once (the enumeration worker pool
@@ -46,94 +46,59 @@ func (s *EvaluatorStats) Snapshot() (evaluations, delta, reused uint64) {
 	return s.evaluations.Load(), s.deltaStatements.Load(), s.reusedStatements.Load()
 }
 
-// stmtScope is a statement's precomputed relevance: the tables whose plain
-// indexes can affect its plan, and the fact tables whose MV indexes can.
-type stmtScope struct {
-	tables  map[string]bool
-	mvFacts map[string]bool
-}
-
-// affectedBy reports whether adding/removing h can change the statement's
-// plan. Mirrors costCache.relevantSignature: plain indexes are relevant to
-// queries on their table and writes (INSERT/UPDATE/DELETE) against it; MV
-// indexes are relevant to queries whose driving table is the MV's fact
-// (mvMatches accepts no others) and to writes against the fact.
-func (sc stmtScope) affectedBy(h *HypoIndex) bool {
-	if h.Def.MV != nil {
-		return sc.mvFacts[normTable(h.Def.MV.Fact)]
-	}
-	return sc.tables[normTable(h.Def.Table)]
-}
-
-// affectedByAny reports whether any of the delta's indexes is relevant.
-func (sc stmtScope) affectedByAny(touched []*HypoIndex) bool {
-	for _, h := range touched {
-		if h != nil && sc.affectedBy(h) {
-			return true
-		}
-	}
-	return false
-}
-
-// scopeOf computes a statement's relevance scope. Every write statement —
-// bulk INSERT, predicated UPDATE or DELETE — is relevant to the indexes on
-// its table (maintenance and, for predicated writes, the qualifying-row
-// lookup) and to MV indexes whose fact table it modifies.
-func scopeOf(s *workload.Statement) stmtScope {
-	sc := stmtScope{tables: map[string]bool{}, mvFacts: map[string]bool{}}
-	switch {
-	case s.Query != nil:
-		for _, t := range s.Query.Tables {
-			sc.tables[normTable(t)] = true
-		}
-		if len(s.Query.Tables) > 0 {
-			sc.mvFacts[normTable(s.Query.Tables[0])] = true
-		}
-	default:
-		if t, ok := s.WriteTable(); ok {
-			lt := normTable(t)
-			sc.tables[lt] = true
-			sc.mvFacts[lt] = true
-		}
-	}
-	return sc
-}
-
 // Evaluator answers what-if workload costs for single-index deltas against a
-// base configuration by incremental re-planning.
+// base configuration by incremental re-pricing.
 type Evaluator struct {
-	cm *CostModel
+	m  *memo
 	wl *workload.Workload
-	// scopes and stats are shared across Advance generations.
-	scopes []stmtScope
-	stats  *EvaluatorStats
+	// stmts and stats are shared across Advance generations.
+	stmts []*compiledStmt
+	stats *EvaluatorStats
 
-	base  *Configuration
-	costs []float64 // per-statement cost under base, in workload order
-	total float64   // Σ weight·cost, summed in workload order
+	base    *Configuration
+	members []*handle // base's members, interned
+	costs   []float64 // per-statement cost under base, in workload order
+	total   float64   // Σ weight·cost, summed in workload order
 }
 
 // NewEvaluator builds an evaluator for the workload based at cfg, paying one
-// full workload costing (through the statement-cost cache). stats may be nil.
+// full workload costing. stats may be nil.
 func NewEvaluator(cm *CostModel, wl *workload.Workload, cfg *Configuration, stats *EvaluatorStats) *Evaluator {
 	if stats == nil {
 		stats = &EvaluatorStats{}
 	}
-	e := &Evaluator{
-		cm:     cm,
-		wl:     wl,
-		scopes: make([]stmtScope, len(wl.Statements)),
-		stats:  stats,
-		base:   cfg,
-		costs:  make([]float64, len(wl.Statements)),
-	}
+	m := cm.memo.Load()
+	e := &Evaluator{m: m, wl: wl, stmts: make([]*compiledStmt, len(wl.Statements)), stats: stats}
 	for i, s := range wl.Statements {
-		e.scopes[i] = scopeOf(s)
-		c := cm.StatementCost(s, cfg)
-		e.costs[i] = c
-		e.total += s.Weight * c
+		e.stmts[i] = m.compile(s)
 	}
-	return e
+	return e.rebase(cfg, nil)
+}
+
+// rebase returns an evaluator based at next. With a nil touched list every
+// statement is priced; otherwise only those a touched structure affects, the
+// rest keeping the receiver's costs.
+func (e *Evaluator) rebase(next *Configuration, touched []*handle) *Evaluator {
+	ne := &Evaluator{m: e.m, wl: e.wl, stmts: e.stmts, stats: e.stats,
+		base: next, members: e.m.resolve(next), costs: make([]float64, len(e.stmts))}
+	for i, s := range e.wl.Statements {
+		if touched == nil || affectedByAny(e.stmts[i], touched) {
+			ne.costs[i] = e.m.price(e.stmts[i], ne.members, nil)
+		} else {
+			ne.costs[i] = e.costs[i]
+		}
+		ne.total += s.Weight * ne.costs[i]
+	}
+	return ne
+}
+
+func affectedByAny(cs *compiledStmt, touched []*handle) bool {
+	for _, hd := range touched {
+		if cs.affectedBy(hd) {
+			return true
+		}
+	}
+	return false
 }
 
 // Base returns the base configuration.
@@ -143,16 +108,16 @@ func (e *Evaluator) Base() *Configuration { return e.base }
 // to CostModel.WorkloadCost(wl, Base()).
 func (e *Evaluator) Total() float64 { return e.total }
 
-// costUnder totals the workload under next, re-planning only statements
-// whose scope intersects the touched indexes.
-func (e *Evaluator) costUnder(next *Configuration, touched ...*HypoIndex) float64 {
+// costUnder totals the workload under the neighbor whose interned members
+// are cfg, re-pricing only statements a touched structure affects.
+func (e *Evaluator) costUnder(cfg []*handle, touched ...*handle) float64 {
 	e.stats.evaluations.Add(1)
 	var total float64
 	var delta, reused uint64
 	for i, s := range e.wl.Statements {
 		c := e.costs[i]
-		if e.scopes[i].affectedByAny(touched) {
-			c = e.cm.StatementCost(s, next)
+		if affectedByAny(e.stmts[i], touched) {
+			c = e.m.price(e.stmts[i], cfg, nil)
 			delta++
 		} else {
 			reused++
@@ -164,39 +129,42 @@ func (e *Evaluator) costUnder(next *Configuration, touched ...*HypoIndex) float6
 	return total
 }
 
+// neighborCap is the configuration size up to which a what-if's member list
+// lives on the stack (the advisor's default MaxIndexes is 40).
+const neighborCap = 64
+
 // CostWithAdd returns the configuration Base().With(h) and its workload
-// cost, re-planning only the statements h is relevant to.
+// cost, re-pricing only the statements h is relevant to.
 func (e *Evaluator) CostWithAdd(h *HypoIndex) (*Configuration, float64) {
-	next := e.base.With(h)
-	return next, e.costUnder(next, h)
+	hd := e.m.intern(h)
+	var buf [neighborCap]*handle
+	cfg := append(append(buf[:0], e.members...), hd)
+	return e.base.With(h), e.costUnder(cfg, hd)
 }
 
 // CostWithReplace returns the configuration Base().Replace(old, new) and its
-// workload cost, re-planning only the statements the swap is relevant to.
+// workload cost, re-pricing only the statements the swap is relevant to.
 func (e *Evaluator) CostWithReplace(old, new *HypoIndex) (*Configuration, float64) {
-	next := e.base.Replace(old, new)
-	return next, e.costUnder(next, old, new)
+	oldH, newH := e.m.intern(old), e.m.intern(new)
+	var buf [neighborCap]*handle
+	cfg := append(buf[:0], e.members...)
+	for i, hd := range cfg {
+		if hd == oldH {
+			cfg[i] = newH
+		}
+	}
+	return e.base.Replace(old, new), e.costUnder(cfg, oldH, newH)
 }
 
 // Advance returns a new evaluator rebased on next, refreshing only the cost
 // vector entries relevant to the touched indexes (the delta between Base()
-// and next). Scopes and stats are shared with the receiver.
+// and next). Compiled statements and stats are shared with the receiver.
 func (e *Evaluator) Advance(next *Configuration, touched ...*HypoIndex) *Evaluator {
-	ne := &Evaluator{
-		cm:     e.cm,
-		wl:     e.wl,
-		scopes: e.scopes,
-		stats:  e.stats,
-		base:   next,
-		costs:  make([]float64, len(e.costs)),
-	}
-	for i, s := range e.wl.Statements {
-		c := e.costs[i]
-		if e.scopes[i].affectedByAny(touched) {
-			c = e.cm.StatementCost(s, next)
+	hds := make([]*handle, 0, len(touched))
+	for _, h := range touched {
+		if h != nil {
+			hds = append(hds, e.m.intern(h))
 		}
-		ne.costs[i] = c
-		ne.total += s.Weight * c
 	}
-	return ne
+	return e.rebase(next, hds)
 }

@@ -103,6 +103,38 @@ func TestMVResidualPredicateOnGroupBy(t *testing.T) {
 	}
 }
 
+// TestMVMatchComparesLiteralsExactly is the regression test for MV matching
+// on rendered, case-folded predicate text: an MV filtered on
+// l_returnflag = 'R' holds none of the rows a query on l_returnflag = 'r'
+// wants, so it must not answer it — while identifiers still match in any
+// case.
+func TestMVMatchComparesLiteralsExactly(t *testing.T) {
+	d := testDB(t)
+	cm := NewCostModel(d)
+	own := parseQ(t, "SELECT l_shipmode, SUM(l_extendedprice) FROM lineitem WHERE l_returnflag = 'R' GROUP BY l_shipmode")
+	mv := &index.MVDef{
+		Name:    "mv_case",
+		Fact:    "lineitem",
+		Where:   own.Query.Preds,
+		GroupBy: own.Query.GroupBy,
+		Aggs:    own.Query.Aggs,
+	}
+	mvIdx := build(t, &index.Def{Table: "mv_case", KeyCols: []string{"l_shipmode"}, MV: mv})
+	cfg := NewConfiguration(mvIdx)
+
+	if p := cm.Plan(own, cfg); p.Note != "answered from MV" {
+		t.Fatalf("the MV must answer the query it mirrors: %s", p)
+	}
+	spelled := parseQ(t, "SELECT L_SHIPMODE, SUM(L_EXTENDEDPRICE) FROM LineItem WHERE L_ReturnFlag = 'R' GROUP BY L_ShipMode")
+	if p := cm.Plan(spelled, cfg); p.Note != "answered from MV" {
+		t.Fatalf("identifier case must not matter to MV matching: %s", p)
+	}
+	lower := parseQ(t, "SELECT l_shipmode, SUM(l_extendedprice) FROM lineitem WHERE l_returnflag = 'r' GROUP BY l_shipmode")
+	if p := cm.Plan(lower, cfg); p.Note != "" || p.Total != cm.Cost(lower, NewConfiguration()) {
+		t.Fatalf("an MV filtered on 'R' must not answer a query on 'r': %s", p)
+	}
+}
+
 func TestCompressedClusteredScanCPUVisible(t *testing.T) {
 	d := testDB(t)
 	cm := NewCostModel(d)

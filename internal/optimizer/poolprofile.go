@@ -76,8 +76,8 @@ func clampRate(r float64) float64 {
 	return r
 }
 
-// SetPoolProfile installs (nil clears) the pool profile and drops the cost
-// cache — memoized costs were computed under the previous profile. Call it
+// SetPoolProfile installs (nil clears) the pool profile and drops the memo —
+// its structures and terms were priced under the previous profile. Call it
 // between enumerations, not concurrently with costing.
 func (cm *CostModel) SetPoolProfile(p *PoolProfile) {
 	cm.pool = p

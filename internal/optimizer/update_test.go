@@ -32,6 +32,20 @@ func countKind(p *Plan, kind string) int {
 	return n
 }
 
+// maintenanceOf returns the cost of the plan's one index-maintain path.
+func maintenanceOf(t *testing.T, p *Plan) float64 {
+	t.Helper()
+	if countKind(p, "index-maintain") != 1 {
+		t.Fatalf("want exactly one index-maintain path:\n%s", p)
+	}
+	for _, ap := range p.Paths {
+		if ap.Kind == "index-maintain" {
+			return ap.Cost
+		}
+	}
+	return 0
+}
+
 func TestPlanUpdateTouchedColumnAwareness(t *testing.T) {
 	d := testDB(t)
 	cm := NewCostModel(d)
@@ -89,8 +103,8 @@ func TestPlanUpdatePageCostsMoreThanRow(t *testing.T) {
 
 	// Appendix A: α(PAGE) > α(ROW), so the same maintenance work costs more
 	// CPU on the PAGE variant.
-	mRow := cm.maintainCost(row, 1000, false)
-	mPage := cm.maintainCost(page, 1000, false)
+	mRow := maintenanceOf(t, cm.Plan(upd, NewConfiguration(row)))
+	mPage := maintenanceOf(t, cm.Plan(upd, NewConfiguration(page)))
 	if mPage <= mRow {
 		t.Fatalf("PAGE maintenance (%v) must cost more than ROW (%v)", mPage, mRow)
 	}
@@ -105,17 +119,19 @@ func TestPlanUpdatePageCostsMoreThanRow(t *testing.T) {
 func TestPlanUpdateKeyColumnMovesEntries(t *testing.T) {
 	d := testDB(t)
 	cm := NewCostModel(d)
-	idx := build(t, &index.Def{Table: "lineitem", KeyCols: []string{"l_discount"}})
-	inPlace := cm.maintainCost(idx, 500, false)
-	moved := cm.maintainCost(idx, 500, true)
-	if moved <= inPlace {
-		t.Fatalf("key-moving maintenance (%v) must cost more than in-place (%v)", moved, inPlace)
-	}
-	// Through the planner: updating the key column vs an include-only column.
+	idx := build(t, &index.Def{Table: "lineitem", KeyCols: []string{"l_discount"}, IncludeCols: []string{"l_tax"}})
+	// The same qualifying rows, updating the key column vs an include-only
+	// column: moved entries are deleted and reinserted.
 	keyUpd := parseQ(t, "UPDATE lineitem SET l_discount = 0.0 WHERE l_orderkey < 50")
+	inclUpd := parseQ(t, "UPDATE lineitem SET l_tax = 0.0 WHERE l_orderkey < 50")
 	p := planOf(t, cm, keyUpd, NewConfiguration(idx))
 	if countKind(p, "index-maintain") != 1 {
 		t.Fatalf("key update must maintain the index:\n%s", p)
+	}
+	moved := maintenanceOf(t, p)
+	inPlace := maintenanceOf(t, planOf(t, cm, inclUpd, NewConfiguration(idx)))
+	if moved <= inPlace {
+		t.Fatalf("key-moving maintenance (%v) must cost more than in-place (%v)", moved, inPlace)
 	}
 }
 
@@ -196,22 +212,22 @@ func TestPartialIndexFilterMigration(t *testing.T) {
 	filter := workload.Predicate{Col: "l_quantity", Op: workload.OpLt, Lo: intVal(10)}
 	partial := build(t, &index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate"}, Where: []workload.Predicate{filter}})
 
-	li := d.MustTable("lineitem")
 	// Touching the filter column: every qualifying row may migrate.
 	migrate := parseQ(t, "UPDATE lineitem SET l_quantity = 1 WHERE l_shipdate < DATE 9000")
-	aff, moves, ok := cm.updateAffected(li, migrate.Update, partial, 1000)
+	hd := cm.memo.Load().intern(partial)
+	aff, moves, ok := updateAffected(migrate.Update, hd, 1000)
 	if !ok || !moves || aff != 1000 {
 		t.Fatalf("filter-column update: affected=%v moves=%v ok=%v", aff, moves, ok)
 	}
 	// Touching a stored column only: just the rows already inside the index.
 	stored := parseQ(t, "UPDATE lineitem SET l_shipdate = DATE 9100 WHERE l_orderkey < 100")
-	aff, _, ok = cm.updateAffected(li, stored.Update, partial, 1000)
+	aff, _, ok = updateAffected(stored.Update, hd, 1000)
 	if !ok || aff >= 1000 || aff <= 0 {
 		t.Fatalf("stored-column update should scale by the filter selectivity: affected=%v ok=%v", aff, ok)
 	}
 	// Touching neither: no maintenance.
 	neither := parseQ(t, "UPDATE lineitem SET l_tax = 0.0 WHERE l_orderkey < 100")
-	if _, _, ok := cm.updateAffected(li, neither.Update, partial, 1000); ok {
+	if _, _, ok := updateAffected(neither.Update, hd, 1000); ok {
 		t.Fatal("unrelated update must not maintain the partial index")
 	}
 }
