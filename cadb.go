@@ -100,20 +100,18 @@ const (
 )
 
 // HasCodec reports whether the method has a materializing page codec (and so
-// can back a physical segment). Every recommendable method does — GDICT and
-// RLE materialize through the column-major codec, NONE/ROW/PAGE through the
-// row-major ones.
+// can back a physical segment). Every recommendable method does: a uniform
+// method is the per-column design whose columns all share it.
 func HasCodec(m CompressionMethod) bool { return compress.HasCodec(m) }
 
 // PageCodec encodes rows into page payloads and back.
 type PageCodec = storage.PageCodec
 
-// DesignCodec returns the page codec for a per-column design: def as the
+// DesignCodec returns a fresh page codec for a per-column design: def as the
 // default method with overrides for individual columns (as in
-// IndexDef.ColMethods). Uniform NONE/ROW/PAGE designs collapse to the
-// stateless row-major codecs; everything else is served by the column-major
-// codec, whose per-segment state (the global dictionaries) rides in the
-// CADBSEG2 file format.
+// IndexDef.ColMethods). Pages are column-major with one framed section per
+// column; the per-segment state (the global dictionaries) rides in the
+// segment file's header. One instance serves one segment.
 func DesignCodec(def CompressionMethod, overrides map[string]CompressionMethod) PageCodec {
 	return compress.DesignCodec(def, overrides)
 }
@@ -308,7 +306,7 @@ type SegmentIndex = index.SegmentIndex
 // operator pipeline — pages decode lazily and column-selectively, with
 // sargable predicates pushed down into the page codec — and report their
 // physical I/O. Results are byte-identical to the plain-row reference
-// executor. SetEagerDecode(true) restores the full-decode baseline.
+// executor. UPDATE and DELETE locate their rows through the same cursors.
 type SegmentStore = exec.Store
 
 // ExecResult is an executed query's output (rows plus, for segment-backed
@@ -330,7 +328,7 @@ type DecodeSpec = storage.DecodeSpec
 type ColPredicate = storage.ColPredicate
 
 // BuildSegmentIndex materializes an index definition as a compressed page
-// segment. Only NONE/ROW/PAGE have materializing codecs.
+// segment under its per-column design.
 func BuildSegmentIndex(db *Database, d *IndexDef) (*SegmentIndex, error) {
 	return index.BuildSegmentIndex(db, d)
 }

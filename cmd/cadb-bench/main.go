@@ -413,11 +413,10 @@ func main() {
 	writeReport(meaRep, *measuredOut, *quiet)
 
 	// Streaming-execution benchmarks -> BENCH_exec.json: the lazy
-	// column-selective executor against its eager full-decode baseline, per
-	// codec, on a selective single-column filter and a covering aggregate.
-	// The decode counters ride along as extra metrics, so the pushdown
-	// savings (tuples/columns decoded, streaming vs eager) are tracked in the
-	// same trajectory as the timings.
+	// column-selective executor, per method, on a selective single-column
+	// filter and a covering aggregate. The decode counters ride along as
+	// extra metrics, so the pushdown savings (tuples/columns decoded) are
+	// tracked in the same trajectory as the timings.
 	execRep := newReport()
 	cur = execRep
 	execStatements := []struct{ name, sql string }{
@@ -430,40 +429,29 @@ func main() {
 			{Table: "lineitem", KeyCols: []string{"l_orderkey", "l_linenumber"}, Clustered: true, Method: m},
 			{Table: "lineitem", KeyCols: []string{"l_shipmode"}, IncludeCols: []string{"l_extendedprice"}, Method: m},
 		}
-		streamSt, err := cadb.NewSegmentStore(db, execDefs)
+		st, err := cadb.NewSegmentStore(db, execDefs)
 		if err != nil {
 			fatal(err)
 		}
-		eagerSt, err := cadb.NewSegmentStore(db, execDefs)
-		if err != nil {
-			fatal(err)
-		}
-		eagerSt.SetEagerDecode(true)
 		for _, es := range execStatements {
 			wl, err := cadb.ParseWorkload(es.sql + ";")
 			if err != nil {
 				fatal(err)
 			}
 			q := wl.Statements[0].Query
-			for _, variant := range []struct {
-				name string
-				st   *cadb.SegmentStore
-			}{{"stream", streamSt}, {"eager", eagerSt}} {
-				variant := variant
-				run(fmt.Sprintf("SegmentQuery/%s/%s/%s", es.name, m, variant.name), *iters, 1, func() map[string]float64 {
-					res, err := variant.st.RunQuery(q)
-					if err != nil {
-						fatal(err)
-					}
-					return map[string]float64{
-						"page-reads":      float64(res.IO.PageReads),
-						"pages-decoded":   float64(res.IO.PagesDecoded),
-						"tuples-decoded":  float64(res.IO.TuplesDecoded),
-						"columns-decoded": float64(res.IO.ColumnsDecoded),
-						"rows":            float64(len(res.Rows)),
-					}
-				})
-			}
+			run(fmt.Sprintf("SegmentQuery/%s/%s/stream", es.name, m), *iters, 1, func() map[string]float64 {
+				res, err := st.RunQuery(q)
+				if err != nil {
+					fatal(err)
+				}
+				return map[string]float64{
+					"page-reads":      float64(res.IO.PageReads),
+					"pages-decoded":   float64(res.IO.PagesDecoded),
+					"tuples-decoded":  float64(res.IO.TuplesDecoded),
+					"columns-decoded": float64(res.IO.ColumnsDecoded),
+					"rows":            float64(len(res.Rows)),
+				}
+			})
 		}
 	}
 	writeReport(execRep, *execOut, *quiet)

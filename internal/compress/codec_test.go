@@ -10,8 +10,7 @@ import (
 	"cadb/internal/storage"
 )
 
-// codecMethods are the materializable methods — since the per-column design
-// codec landed, that is every method.
+// codecMethods are the materializable methods: every method.
 var codecMethods = []Method{None, Row, Page, GlobalDict, RLE}
 
 func codecSchema() *storage.Schema {
@@ -80,10 +79,11 @@ func assertRoundTrip(t *testing.T, s *storage.Schema, rows []storage.Row, m Meth
 }
 
 // assertSizeAccounting checks the segment's accounted payload against the
-// size model: exact for NONE and ROW (the codecs implement the exact layout
-// the sizers charge), within a documented real-format overhead plus 10% for
-// the page-structured methods. On realistic multi-row pages (ext-measured
-// asserts TPC-H/Sales) the overhead amortizes under the plain 10%.
+// size model: NONE and ROW values cost exactly what the sizers charge, so
+// the two differ only by the column-major framing; the page-structured
+// methods stay within a documented real-format overhead plus 10%. On
+// realistic multi-row pages (ext-measured asserts TPC-H/Sales) the framing
+// amortizes under 1% and the overhead under the plain 10%.
 func assertSizeAccounting(t *testing.T, s *storage.Schema, rows []storage.Row, m Method) {
 	t.Helper()
 	seg, err := storage.BuildSegment(s, rows, Codec(m))
@@ -96,8 +96,14 @@ func assertSizeAccounting(t *testing.T, s *storage.Schema, rows []storage.Row, m
 	cols := len(s.Columns)
 	switch m {
 	case None, Row:
-		if got != est {
-			t.Fatalf("%s: materialized %d bytes, size model says %d", m, got, est)
+		// The format pays a u16 row count per page and, per column section, a
+		// length frame and a null bitmap of one bit per row; the model
+		// charges one row-major bitmap per row instead.
+		for i := 0; i < seg.NumPages(); i++ {
+			slack += int64(2 + cols*(2+(seg.PageRows(i)+7)/8))
+		}
+		if d := got - est; d > slack || d < -int64(len(rows)*((cols+7)/8)) {
+			t.Fatalf("%s: materialized %d bytes vs estimate %d (framing allows +%d)", m, got, est, slack)
 		}
 		return
 	case Page:
@@ -283,8 +289,6 @@ func TestCodecPageLocalDictionary(t *testing.T) {
 }
 
 func TestEveryMethodHasCodec(t *testing.T) {
-	// Since the per-column design codec landed, every recommendable method
-	// materializes — GDICT and RLE are no longer estimation-only.
 	for _, m := range append([]Method{None}, Methods...) {
 		c := Codec(m)
 		if !HasCodec(m) || c == nil {
@@ -294,15 +298,14 @@ func TestEveryMethodHasCodec(t *testing.T) {
 			t.Fatalf("%s codec is named %q", m, c.Name())
 		}
 	}
-	// Stateful codecs must be fresh per call: a shared GDICT instance would
-	// leak one segment's dictionary into the next build.
+	if Codec(numMethods) != nil || HasCodec(numMethods) || DesignCodec(Row, map[string]Method{"mode": numMethods}) != nil {
+		t.Fatal("an unknown method must have no codec")
+	}
+	// A codec carries its segment's state, so it must be fresh per call: a
+	// shared GDICT instance would leak one segment's dictionary into the
+	// next build.
 	if Codec(GlobalDict) == Codec(GlobalDict) {
 		t.Fatal("Codec(GlobalDict) must return a fresh instance per call")
-	}
-	// DesignCodec: uniform row-major designs reuse the stateless codecs;
-	// mixed designs report the MIXED name.
-	if DesignCodec(Page, nil).Name() != "PAGE" {
-		t.Fatal("uniform PAGE design must be the PAGE codec")
 	}
 	mixed := DesignCodec(Row, map[string]Method{"mode": GlobalDict})
 	if mixed.Name() != "MIXED" {
@@ -310,6 +313,6 @@ func TestEveryMethodHasCodec(t *testing.T) {
 	}
 	// Overrides equal to the default collapse back to a uniform design.
 	if DesignCodec(Row, map[string]Method{"mode": Row}).Name() != "ROW" {
-		t.Fatal("no-op overrides must collapse to the uniform codec")
+		t.Fatal("no-op overrides must collapse to the uniform design")
 	}
 }

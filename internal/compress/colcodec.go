@@ -10,10 +10,10 @@ import (
 	"cadb/internal/storage"
 )
 
-// This file holds the per-column design codec: the materializing codec behind
-// GDICT, RLE and mixed per-column compression designs. Unlike the uniform
-// NONE/ROW/PAGE codecs (which encode whole rows), pages here are column-major
-// with independently framed sections, one per column, each encoded by that
+// This file holds the design codec, the one materializing codec: a design is
+// a method per column, and a uniform NONE/ROW/PAGE/GDICT/RLE index is the
+// design whose columns all share one. Pages are column-major with
+// independently framed sections, one per column, each encoded by that
 // column's method:
 //
 //	[u16 rowCount] then per column: [lenPrefix sectionLen][section body]
@@ -22,8 +22,8 @@ import (
 //
 //	NONE:  [null bitmap][full-width value per row (u16 len + bytes for VARCHAR)]
 //	ROW:   [null bitmap][lenPrefix + minimal value bytes per non-null row]
-//	PAGE:  the exact per-column section of the uniform PAGE codec
-//	       (null bitmap, prefix, local dictionary, dict bitmap, values)
+//	PAGE:  [null bitmap][prefix][local dictionary][dict bitmap][values]
+//	       (see pageColScratch.appendColumn)
 //	GDICT: [mode u8] then either [codeWidth u8][null bitmap][fixed-width
 //	       codes per non-null row] against the segment-global dictionary
 //	       (mode 0) or a ROW-style plain body when the segment pre-pass
@@ -32,9 +32,7 @@ import (
 //	       followed, for value runs, by lenPrefix + minimal value bytes
 //
 // The section length frame is what makes every method column-selective: a
-// decode skips unneeded columns in O(1) regardless of their method, so NONE
-// and ROW columns inside a mixed page enjoy the column skipping only PAGE had
-// in the row-major codecs.
+// decode skips unneeded columns in O(1) regardless of their method.
 //
 // GDICT is stateful: the codec instance carries one dictionary per GDICT
 // column for the lifetime of the segment. Codes are assigned in first-
@@ -131,26 +129,38 @@ func newColumnCodec(def Method, overrides map[string]Method) *columnCodec {
 
 // DesignCodec returns the materializing codec for a per-column compression
 // design: a default method plus optional per-column overrides (keyed by
-// column name, case-insensitive). Uniform NONE/ROW/PAGE designs return the
-// row-major codecs unchanged; anything involving GDICT, RLE or a mixed
-// vector returns a fresh stateful column codec, so every segment build gets
-// its own dictionary state.
+// column name, case-insensitive), or nil when the design names an unknown
+// method. Every call returns a fresh instance: a codec carries its segment's
+// dictionary state and must never be shared across segment builds.
 func DesignCodec(def Method, overrides map[string]Method) storage.PageCodec {
-	cc := newColumnCodec(def, overrides)
-	if len(cc.overrides) == 0 {
-		switch def {
-		case None, Row, Page:
-			return Codec(def)
+	if !HasCodec(def) {
+		return nil
+	}
+	for _, m := range overrides {
+		if !HasCodec(m) {
+			return nil
 		}
 	}
-	return cc
+	return newColumnCodec(def, overrides)
 }
 
+// Name is the method every column resolved to, or "MIXED" when they differ.
+// Before the codec has seen its schema only a design without overrides is
+// known to be uniform.
 func (cc *columnCodec) Name() string {
-	if len(cc.overrides) == 0 {
-		return cc.def.String()
+	m := cc.def
+	if len(cc.overrides) > 0 {
+		if len(cc.resolved) == 0 {
+			return "MIXED"
+		}
+		m = cc.resolved[0]
+		for _, o := range cc.resolved[1:] {
+			if o != m {
+				return "MIXED"
+			}
+		}
 	}
-	return "MIXED"
+	return m.String()
 }
 
 // resolve fixes the per-column method vector against the first schema the
@@ -328,7 +338,7 @@ func (cc *columnCodec) EncodeRows(s *storage.Schema, rows []storage.Row) ([]stor
 // codes are assigned in stream order either way.
 func (cc *columnCodec) packer(s *storage.Schema) *packer {
 	cc.resolve(s)
-	return newPacker(s, pageLayout{methods: cc.resolved, dicts: cc.dicts, framed: true, slotted: cc.slotted})
+	return newPacker(s, pageLayout{methods: cc.resolved, dicts: cc.dicts, slotted: cc.slotted})
 }
 
 // appendNoneSection stores the column uncompressed: a null bitmap plus every
@@ -600,9 +610,13 @@ func (cc *columnCodec) DecodeColumns(s *storage.Schema, payload []byte, nrows in
 			outIdx[j] = -1
 		}
 	}
+	// One slab backs every output row; the full slice expression keeps an
+	// append to one row from running into the next.
 	out.Rows = make([]storage.Row, selCount)
+	w := len(spec.Needed)
+	slab := make([]storage.Value, selCount*w)
 	for i := range out.Rows {
-		out.Rows[i] = make(storage.Row, len(spec.Needed))
+		out.Rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
 	}
 	for k, ci := range spec.Needed {
 		if !counted[ci] {
@@ -610,8 +624,10 @@ func (cc *columnCodec) DecodeColumns(s *storage.Schema, payload []byte, nrows in
 			out.ColumnsDecoded++
 		}
 		c := s.Columns[ci]
-		set := func(j int, v storage.Value) {
-			out.Rows[outIdx[j]][k] = v
+		set := func(j int, v storage.Value) { // rows outside the selection are dropped
+			if i := outIdx[j]; i >= 0 {
+				slab[i*w+k] = v
+			}
 		}
 		scratch, err = cc.materializeSection(c, ci, sections[ci], n, sel, set, scratch)
 		if err != nil {
@@ -667,11 +683,10 @@ func (cc *columnCodec) filterSection(c storage.Column, ci int, body []byte, n in
 		})
 		return selCount, scratch, true, err
 	case Page:
-		col, rest, err := parsePageColumn(body, n, (n+7)/8)
+		col, err := parsePageColumn(body, n)
 		if err != nil {
 			return 0, scratch, false, err
 		}
-		_ = rest
 		return filterPageColumn(c, &col, n, preds, sel, selCount, scratch)
 	case RLE:
 		at := 0
@@ -859,13 +874,9 @@ func (cc *columnCodec) materializeSection(c storage.Column, ci int, body []byte,
 				set(j, storage.NullValue(c.Kind))
 			}
 		}
-		return scratch, visitPlainSection(c, m, body, n, func(j int, v storage.Value) {
-			if sel[j] {
-				set(j, v)
-			}
-		})
+		return scratch, visitPlainSection(c, m, body, n, set)
 	case Page:
-		col, _, err := parsePageColumn(body, n, (n+7)/8)
+		col, err := parsePageColumn(body, n)
 		if err != nil {
 			return scratch, err
 		}

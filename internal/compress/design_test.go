@@ -259,7 +259,7 @@ func TestRLEConstantColumn(t *testing.T) {
 
 // TestSegmentStateRoundTrip serializes a prepared design codec's segment
 // state and rebuilds a fresh codec from it, which must decode every page of
-// the segment file identically — the reopen path for CADBSEG2 files.
+// the segment file identically — the reopen path for segment files.
 func TestSegmentStateRoundTrip(t *testing.T) {
 	s := codecSchema()
 	rows := genCodecRows(600, 0.2, 41)
@@ -281,11 +281,7 @@ func TestSegmentStateRoundTrip(t *testing.T) {
 	}
 
 	fresh := DesignCodec(def, over)
-	fsc, ok := fresh.(storage.StatefulCodec)
-	if !ok {
-		t.Fatal("design codec does not implement StatefulCodec")
-	}
-	if err := fsc.LoadSegmentState(s, sf.State()); err != nil {
+	if err := fresh.LoadSegmentState(s, sf.State()); err != nil {
 		t.Fatalf("LoadSegmentState: %v", err)
 	}
 	at := 0
@@ -310,8 +306,7 @@ func TestSegmentStateRoundTrip(t *testing.T) {
 	}
 
 	// The design recorded in the file matches the codec's method vector.
-	sc := codec.(storage.StatefulCodec)
-	ids := sc.ColumnMethodIDs(s)
+	ids := codec.ColumnMethodIDs(s)
 	design := sf.Design()
 	if len(design) != len(s.Columns) {
 		t.Fatalf("file design has %d columns, want %d", len(design), len(s.Columns))
@@ -323,77 +318,8 @@ func TestSegmentStateRoundTrip(t *testing.T) {
 	}
 }
 
-// fixtureRows is the deterministic row set committed fixtures are built from.
-func fixtureRows() []storage.Row { return genCodecRows(300, 0.2, 99) }
-
-// TestCADBSEG1Fixture reads the committed version-1 segment file and checks
-// it still opens and decodes byte-identically — the backward-compat contract
-// OpenSegmentFile keeps while new stateful codecs write CADBSEG2. Regenerate
-// with CADB_REGEN_FIXTURES=1 only when intentionally breaking the format.
-func TestCADBSEG1Fixture(t *testing.T) {
-	s := codecSchema()
-	rows := fixtureRows()
-	path := filepath.Join("testdata", "v1_row.cadbseg")
-	if os.Getenv("CADB_REGEN_FIXTURES") == "1" {
-		seg, err := storage.BuildSegment(s, rows, Codec(Row))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		sf, err := storage.WriteSegmentFile(path, seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sf.Close()
-		t.Logf("regenerated %s", path)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing committed fixture (regenerate with CADB_REGEN_FIXTURES=1): %v", err)
-	}
-	if !bytes.HasPrefix(raw, []byte("CADBSEG1")) {
-		t.Fatalf("fixture is not a version-1 file (magic %q)", raw[:8])
-	}
-	sf, err := storage.OpenSegmentFile(path)
-	if err != nil {
-		t.Fatalf("OpenSegmentFile(v1): %v", err)
-	}
-	defer sf.Close()
-	if sf.CodecName() != "ROW" {
-		t.Fatalf("codec name %q, want ROW", sf.CodecName())
-	}
-	if len(sf.Design()) != 0 || len(sf.State()) != 0 {
-		t.Fatalf("v1 file reports design/state (%d cols, %d state bytes)", len(sf.Design()), len(sf.State()))
-	}
-	if sf.Rows() != int64(len(rows)) {
-		t.Fatalf("fixture rows %d, want %d", sf.Rows(), len(rows))
-	}
-	at := 0
-	for p := 0; p < sf.NumPages(); p++ {
-		payload, err := sf.ReadPage(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Codec(Row).DecodePage(s, payload, sf.PageRows(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range got {
-			if !bytes.Equal(canonical(s, r), canonical(s, rows[at])) {
-				t.Fatalf("fixture page %d row %d mismatch", p, at)
-			}
-			at++
-		}
-	}
-	if at != len(rows) {
-		t.Fatalf("fixture decoded %d rows, want %d", at, len(rows))
-	}
-}
-
 // cadbseg2GoldenSHA pins the exact bytes of a CADBSEG2 file written for a
-// deterministic mixed design. Any change to the v2 header layout, the
+// deterministic mixed design. Any change to the header layout, the
 // column-major page format, GDICT code assignment, or RLE run encoding will
 // shift this hash — bump it only with a deliberate format change.
 const cadbseg2GoldenSHA = "d6caa64afaf620708c516f2fa481aab6274139519875da741e8964aac80f3774"
@@ -417,7 +343,7 @@ func TestCADBSEG2GoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(raw, []byte("CADBSEG2")) {
-		t.Fatalf("mixed design did not produce a version-2 file (magic %q)", raw[:8])
+		t.Fatalf("segment file magic %q", raw[:8])
 	}
 	sum := sha256.Sum256(raw)
 	if got := hex.EncodeToString(sum[:]); got != cadbseg2GoldenSHA {
@@ -438,6 +364,56 @@ func TestCADBSEG2GoldenBytes(t *testing.T) {
 	for _, dc := range re.Design() {
 		if Method(dc.Method) != wantMethods[dc.Name] {
 			t.Fatalf("column %q recorded method %s, want %s", dc.Name, Method(dc.Method), wantMethods[dc.Name])
+		}
+	}
+}
+
+// TestUniformIsOneValueVector: a uniform method is nothing but a design
+// vector with one value. DesignCodec(m, nil) and a design that reaches m on
+// every column through overrides must be indistinguishable — same name, same
+// pages, same segment file.
+func TestUniformIsOneValueVector(t *testing.T) {
+	s := codecSchema()
+	rows := genCodecRows(700, 0.2, 123)
+	dir := t.TempDir()
+	build := func(label string, c storage.PageCodec) (*storage.Segment, []byte) {
+		seg, err := storage.BuildSegment(s, rows, c)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		path := filepath.Join(dir, label)
+		sf, err := storage.WriteSegmentFile(path, seg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		sf.Close()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seg, raw
+	}
+	for i, m := range codecMethods {
+		other := codecMethods[(i+1)%len(codecMethods)]
+		over := make(map[string]Method, len(s.Columns))
+		for _, c := range s.Columns {
+			over[c.Name] = m
+		}
+		plain, plainFile := build(m.String()+"-plain", DesignCodec(m, nil))
+		viaOver, overFile := build(m.String()+"-overridden", DesignCodec(other, over))
+		if plain.Codec.Name() != m.String() || viaOver.Codec.Name() != m.String() {
+			t.Fatalf("%s: codecs are named %q and %q", m, plain.Codec.Name(), viaOver.Codec.Name())
+		}
+		if plain.NumPages() != viaOver.NumPages() {
+			t.Fatalf("%s: %d pages vs %d through overrides", m, plain.NumPages(), viaOver.NumPages())
+		}
+		for p := 0; p < plain.NumPages(); p++ {
+			if !bytes.Equal(plain.Page(p).Payload, viaOver.Page(p).Payload) {
+				t.Fatalf("%s: page %d differs when the method arrives through overrides", m, p)
+			}
+		}
+		if !bytes.Equal(plainFile, overFile) {
+			t.Fatalf("%s: segment files differ (%d vs %d bytes)", m, len(plainFile), len(overFile))
 		}
 	}
 }

@@ -8,21 +8,19 @@ import (
 	"cadb/internal/storage"
 )
 
-// This file holds the one page packer behind every column-major codec (the
-// uniform PAGE codec and the per-column design codec). Pages pack by
-// compressed fit, the way a bulk load fills compressed leaves: a page takes
-// the longest prefix of the remaining rows whose encoding still fits, so a
-// page-local dictionary's scope is the physical page. The fit is found
-// without trial encodes: every section format has an exact size that can be
-// maintained incrementally as rows are appended (O(1) per value; a PAGE
-// section re-sums its distinct values only when its common prefix shrinks),
-// so a page costs one sizing pass plus one real encode.
+// This file holds the codec's page packer. Pages pack by compressed fit, the
+// way a bulk load fills compressed leaves: a page takes the longest prefix of
+// the remaining rows whose encoding still fits, so a page-local dictionary's
+// scope is the physical page. The fit is found without trial encodes: every
+// section format has an exact size that can be maintained incrementally as
+// rows are appended (O(1) per value; a PAGE section re-sums its distinct
+// values only when its common prefix shrinks), so a page costs one sizing
+// pass plus one real encode.
 
-// pageLayout is what the packer needs to know about a codec's page format.
+// pageLayout is what the packer needs to know about a design's pages.
 type pageLayout struct {
 	methods []Method      // per-column section method, schema order
 	dicts   []*gdictState // per-column global dictionary; nil for non-GDICT
-	framed  bool          // sections carry a length frame (design codec)
 	slotted bool          // the page pays the per-row slot array
 }
 
@@ -90,10 +88,7 @@ func (p *packer) fill(rows []storage.Row) (int, int) {
 			m, st := p.lay.methods[ci], p.lay.dicts[ci]
 			p.scratch = p.sizers[ci].add(m, st, c, rows[k][ci], p.scratch)
 			sec := p.sizers[ci].size(m, st, k+1)
-			if p.lay.framed {
-				sec += lenPrefixLen(sec)
-			}
-			next += sec
+			next += lenPrefixLen(sec) + sec
 		}
 		if k > 0 && next+p.slotBytes(k+1) > storage.UsablePageBytes {
 			break
@@ -103,8 +98,8 @@ func (p *packer) fill(rows []storage.Row) (int, int) {
 	return k, size
 }
 
-// encodeGroup encodes one page: the row count, then each column's section
-// (length-framed when the layout says so). sizeHint presizes the payload.
+// encodeGroup encodes one page: the row count, then each column's
+// length-framed section. sizeHint presizes the payload.
 func (p *packer) encodeGroup(rows []storage.Row, sizeHint int) ([]byte, error) {
 	p.passes++
 	n := len(rows)
@@ -114,10 +109,7 @@ func (p *packer) encodeGroup(rows []storage.Row, sizeHint int) ([]byte, error) {
 	payload := make([]byte, 2, max(sizeHint, 2))
 	binary.BigEndian.PutUint16(payload, uint16(n))
 	for ci, c := range p.s.Columns {
-		dst := payload
-		if p.lay.framed {
-			dst = p.body[:0]
-		}
+		dst := p.body[:0]
 		var err error
 		switch m := p.lay.methods[ci]; m {
 		case None:
@@ -136,12 +128,8 @@ func (p *packer) encodeGroup(rows []storage.Row, sizeHint int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if p.lay.framed {
-			p.body = dst
-			payload = append(appendLenPrefix(payload, len(dst)), dst...)
-		} else {
-			payload = dst
-		}
+		p.body = dst
+		payload = append(appendLenPrefix(payload, len(dst)), dst...)
 	}
 	return payload, nil
 }

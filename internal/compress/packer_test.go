@@ -11,8 +11,8 @@ import (
 	"cadb/internal/storage"
 )
 
-// referencePack is the packer every column-major codec used before the
-// incremental sizer: grow the page by doubling until a trial encode
+// referencePack is the packer the codec used before the incremental
+// sizer: grow the page by doubling until a trial encode
 // overflows, then binary search the largest fitting row count — O(log n)
 // full encodes per page. It is kept as the differential yardstick: the
 // one-pass packer must cut the same pages and produce the same bytes.
@@ -80,21 +80,17 @@ func referencePack(p *packer, rows []storage.Row) ([]storage.EncodedPage, error)
 	return out, nil
 }
 
-// packerDesign is one way to build a packer: the uniform PAGE codec, or a
-// design codec with or without the segment pre-pass.
+// packerDesign is one way to build a packer: a design, with or without the
+// segment pre-pass.
 type packerDesign struct {
 	name    string
 	def     Method
 	over    map[string]Method
-	uniform bool // the row-count-only uniform PAGE layout
 	prepare bool // run PrepareSegment first (BuildSegment does; SegmentWriter cannot)
 }
 
 func (d packerDesign) packer(t *testing.T, s *storage.Schema, rows []storage.Row) *packer {
 	t.Helper()
-	if d.uniform {
-		return uniformPagePacker(s)
-	}
 	cc := newColumnCodec(d.def, d.over)
 	if d.prepare && len(rows) > 0 {
 		if err := cc.PrepareSegment(s, rows); err != nil {
@@ -107,7 +103,7 @@ func (d packerDesign) packer(t *testing.T, s *storage.Schema, rows []storage.Row
 // randomDesigns covers every uniform method plus seeded random per-column
 // vectors over the schema.
 func randomDesigns(s *storage.Schema, rng *rand.Rand, mixed int) []packerDesign {
-	out := []packerDesign{{name: "PAGE-uniform", uniform: true}}
+	var out []packerDesign
 	for _, m := range codecMethods {
 		out = append(out, packerDesign{name: m.String(), def: m, prepare: true})
 	}
@@ -228,7 +224,7 @@ func lineitemByShipdate(rows int) (*storage.Schema, []storage.Row) {
 func TestPackerEncodeBudget(t *testing.T) {
 	s, rows := lineitemByShipdate(6000)
 	designs := []packerDesign{
-		{name: "PAGE", uniform: true},
+		{name: "PAGE", def: Page, prepare: true},
 		{name: "mixed", def: Page, prepare: true, over: map[string]Method{
 			"l_shipdate": RLE, "l_returnflag": GlobalDict, "l_linestatus": GlobalDict,
 			"l_shipmode": GlobalDict, "l_comment": Row, "l_extendedprice": None,

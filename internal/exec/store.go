@@ -28,15 +28,15 @@ type IOStats = storage.IOStats
 // clustered index and every non-partial secondary. Queries run as an
 // operator pipeline over streaming cursors — pages decode lazily, only the
 // columns the statement can observe are reconstructed, and sargable
-// predicates are evaluated inside the codec — and report their I/O. Results
-// are byte-identical to the plain-row oracle (Run) because order-sensitive
+// predicates are evaluated inside the codec — and report their I/O; UPDATE
+// and DELETE locate their rows through the same cursors. Results are
+// byte-identical to the plain-row oracle (Run) because order-sensitive
 // consumers get insertion order restored before the join/aggregate pipeline
 // and the rest canonicalize their output.
 type Store struct {
 	db    *catalog.Database
 	heaps map[string]*segHandle   // lowercased table -> heap segment
 	secs  map[string][]*segHandle // lowercased table -> ordered structures
-	eager bool
 
 	// Disk-backed mode (SetDiskBacked): segments spill their pages to files
 	// under diskDir and every page access goes through the pool.
@@ -55,11 +55,11 @@ type Store struct {
 }
 
 // SetPrefetch enables async readahead on sequential page access (scans,
-// range seeks, RID lookups, and the eager path's range reads): cursors keep
-// a window of upcoming pages loading on workers goroutines while the current
-// page decodes. window <= 0 disables; workers <= 0 picks the default worker
-// count. Prefetch is speculative — it changes PoolHits/PoolMisses splits and
-// adds PoolPrefetched accounting but never changes results.
+// range seeks, RID lookups): cursors keep a window of upcoming pages loading
+// on workers goroutines while the current page decodes. window <= 0
+// disables; workers <= 0 picks the default worker count. Prefetch is
+// speculative — it changes PoolHits/PoolMisses splits and adds
+// PoolPrefetched accounting but never changes results.
 func (st *Store) SetPrefetch(window, workers int) {
 	if window <= 0 {
 		st.prefetchWindow, st.prefetchWorkers = 0, 0
@@ -100,12 +100,6 @@ func (st *Store) effectiveScanParts(seg *storage.Segment) int {
 	}
 	return k
 }
-
-// SetEagerDecode switches the store back to the pre-streaming access path:
-// every visited page fully decoded, filtering and projection done on
-// materialized rows. Kept as the differential baseline for the streaming
-// path's results and decode budgets.
-func (st *Store) SetEagerDecode(on bool) { st.eager = on }
 
 // SetDiskBacked switches the store to the disk-backed path: every segment
 // built from now on is spilled to a file under dir and its pages are served
@@ -220,15 +214,24 @@ func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 		if d.IsMV() || d.IsPartial() {
 			continue
 		}
-		if !compress.HasCodec(d.Method) {
-			return nil, fmt.Errorf("exec: method %s has no materializing codec", d.Method)
-		}
 		t := db.Table(d.Table)
 		if t == nil {
 			return nil, fmt.Errorf("exec: index %s on unknown table %q", d, d.Table)
 		}
-		// Validate eagerly: segments build lazily, so a bad column would
-		// otherwise surface only if the structure ever became seekable.
+		// Validate eagerly: segments build lazily, so a bad column or method
+		// would otherwise surface only at the structure's first build, and an
+		// override on a column the table lacks not at all.
+		if !compress.HasCodec(d.Method) {
+			return nil, fmt.Errorf("exec: method %s has no materializing codec", d.Method)
+		}
+		for c, m := range d.ColMethods {
+			if !compress.HasCodec(m) {
+				return nil, fmt.Errorf("exec: index %s: column %q has method %s, which has no materializing codec", d, c, m)
+			}
+			if !t.Schema.Has(c) && !strings.EqualFold(c, "__rid") {
+				return nil, fmt.Errorf("exec: index %s: design names unknown column %q", d, c)
+			}
+		}
 		for _, c := range d.Columns() {
 			if !t.Schema.Has(c) {
 				return nil, fmt.Errorf("exec: index %s references unknown column %q", d, c)
@@ -368,70 +371,18 @@ func (st *Store) invalidate(table string, affects func(*index.Def) bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-statement run state: the decode cache and I/O counters
+// Per-statement run state: I/O counters and access-path descriptions
 
 type runState struct {
 	io    IOStats
-	cache map[pageKey][]storage.Row
 	paths []string
 
 	// Readahead knobs copied from the store at statement start (0 = off).
 	pfWindow, pfWorkers int
 }
 
-type pageKey struct {
-	seg  *storage.Segment
-	page int
-}
-
-// readPage returns page i of the segment, decoding at most once per
-// statement and counting every physical access.
-func (rs *runState) readPage(seg *storage.Segment, i int) ([]storage.Row, error) {
-	rs.io.PageReads += seg.Page(i).PhysicalPages()
-	k := pageKey{seg, i}
-	if rows, ok := rs.cache[k]; ok {
-		return rows, nil
-	}
-	payload, release, err := seg.FetchPage(i, &rs.io)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := seg.Codec.DecodePage(seg.Schema, payload, seg.PageRows(i))
-	release()
-	if err != nil {
-		return nil, err
-	}
-	rs.io.PagesDecoded++
-	rs.io.TuplesDecoded += int64(len(rows))
-	rs.io.ColumnsDecoded += int64(len(seg.Schema.Columns))
-	rs.cache[k] = rows
-	return rows, nil
-}
-
-func (rs *runState) readRange(seg *storage.Segment, lo, hi int) ([]storage.Row, error) {
-	// Sequential range read: the eager path's scan shape, so it readaheads
-	// under the same knob as the streaming cursors (nil prefetcher when off
-	// or in-memory).
-	pf := storage.StartPrefetch(seg, lo, hi, rs.pfWindow, rs.pfWorkers)
-	defer pf.Close(&rs.io)
-	out := make([]storage.Row, 0, 64)
-	for i := lo; i < hi; i++ {
-		pf.Advance(i - lo)
-		rows, err := rs.readPage(seg, i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rows...)
-	}
-	return out, nil
-}
-
 func (st *Store) newRunState() *runState {
-	return &runState{
-		cache:     make(map[pageKey][]storage.Row),
-		pfWindow:  st.prefetchWindow,
-		pfWorkers: st.prefetchWorkers,
-	}
+	return &runState{pfWindow: st.prefetchWindow, pfWorkers: st.prefetchWorkers}
 }
 
 // ---------------------------------------------------------------------------
@@ -449,9 +400,7 @@ type candidate struct {
 }
 
 // planAccess picks the cheapest seekable structure for a statement, or nil
-// when no sargable predicate beats a full heap scan's page count. The plan
-// logic is shared by the eager access path and the streaming cursors, so
-// both take identical access paths for identical statements.
+// when no sargable predicate beats a full heap scan's page count.
 func (st *Store) planAccess(table string, preds []workload.Predicate, needed []string) (*index.SegmentIndex, *candidate, error) {
 	key := strings.ToLower(table)
 	heapH := st.heaps[key]
@@ -497,81 +446,6 @@ func (st *Store) planAccess(table string, preds []workload.Predicate, needed []s
 	return heap, best, nil
 }
 
-// access produces the driving-table rows for a statement eagerly: a
-// leading-key seek over the cheapest seekable structure when a sargable
-// predicate allows it, otherwise a full heap scan — every visited page fully
-// decoded. Rows always come back in insertion (RID) order, projected onto
-// the chosen structure's columns (the full table schema except for covering
-// secondary serves), so downstream operators see exactly what the plain-row
-// oracle sees. Streaming statements use accessStream instead; this path
-// remains for writes and as the SetEagerDecode baseline.
-func (st *Store) access(rs *runState, table string, preds []workload.Predicate, needed []string) (*storage.Schema, []storage.Row, error) {
-	heap, best, err := st.planAccess(table, preds, needed)
-	if err != nil {
-		return nil, nil, err
-	}
-	heapPages := heap.Seg.PhysicalPages()
-	scan := func() (*storage.Schema, []storage.Row, error) {
-		// Full heap scan: pages decode in insertion order, full schema.
-		rows, err := rs.readRange(heap.Seg, 0, heap.Seg.NumPages())
-		if err != nil {
-			return nil, nil, err
-		}
-		rs.paths = append(rs.paths, fmt.Sprintf("seg-scan %s (%d pages)", table, heap.Seg.NumPages()))
-		return heap.Schema(), rows, nil
-	}
-	if best == nil {
-		return scan()
-	}
-
-	entries, err := rs.readRange(best.si.Seg, best.lo, best.hi)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Filter the entries by the predicates resolvable on the structure —
-	// anything left over is re-applied by the pipeline.
-	entries = filterOnSchema(best.si.Schema(), entries, preds)
-	ridIdx := best.si.Schema().ColIndex("__rid")
-	if ridIdx < 0 {
-		return nil, nil, fmt.Errorf("exec: structure %s has no RID column", best.h.id)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i][ridIdx].Int < entries[j][ridIdx].Int })
-
-	if best.covering {
-		schema, rows := stripColumn(best.si.Schema(), entries, ridIdx)
-		if best.h.kind == "clustered" {
-			// The clustered structure carries every table column; restore the
-			// catalog's column order so downstream name resolution and row
-			// layout match the oracle exactly.
-			t := st.db.MustTable(table)
-			rows = projectRows(schema, rows, lowerNames(t.Schema))
-			schema = t.Schema
-		}
-		rs.paths = append(rs.paths, fmt.Sprintf("seg-%s-seek %s via %s (%d of %d pages)",
-			best.h.kind, table, best.h.id, best.hi-best.lo, best.si.Seg.NumPages()))
-		return schema, rows, nil
-	}
-
-	// RID lookups into the heap, batched in insertion order. If the matched
-	// entries would touch more heap pages than a scan, fall back to scanning
-	// (the index pages already read stay counted — the descent was real
-	// work).
-	rids := make([]int64, len(entries))
-	for i, e := range entries {
-		rids[i] = e[ridIdx].Int
-	}
-	if best.score+distinctHeapPages(heap, rids) >= heapPages {
-		return scan()
-	}
-	rows, err := st.ridLookup(rs, heap, rids)
-	if err != nil {
-		return nil, nil, err
-	}
-	rs.paths = append(rs.paths, fmt.Sprintf("seg-index-seek+lookup %s via %s (%d of %d pages, %d lookups)",
-		table, best.h.id, best.hi-best.lo, best.si.Seg.NumPages(), len(rids)))
-	return heap.Schema(), rows, nil
-}
-
 // distinctHeapPages counts the heap pages a sorted RID batch touches.
 func distinctHeapPages(heap *index.SegmentIndex, rids []int64) int64 {
 	var n int64
@@ -589,29 +463,6 @@ func distinctHeapPages(heap *index.SegmentIndex, rids []int64) int64 {
 		}
 	}
 	return n
-}
-
-// ridLookup fetches heap rows by position. RIDs must be sorted; each heap
-// page is read once per contiguous batch.
-func (st *Store) ridLookup(rs *runState, heap *index.SegmentIndex, rids []int64) ([]storage.Row, error) {
-	// Page start offsets from the per-page row counts.
-	starts := make([]int64, heap.Seg.NumPages()+1)
-	for i := 0; i < heap.Seg.NumPages(); i++ {
-		starts[i+1] = starts[i] + int64(heap.Seg.PageRows(i))
-	}
-	out := make([]storage.Row, 0, len(rids))
-	for _, rid := range rids {
-		p := sort.Search(heap.Seg.NumPages(), func(i int) bool { return starts[i+1] > rid })
-		if p >= heap.Seg.NumPages() {
-			return nil, fmt.Errorf("exec: RID %d out of range", rid)
-		}
-		rows, err := rs.readPage(heap.Seg, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rows[rid-starts[p]])
-	}
-	return out, nil
 }
 
 // leadingBounds is seekBounds on the structure's leading key column; a
@@ -666,52 +517,6 @@ func coversAll(si *index.SegmentIndex, needed []string) bool {
 	return true
 }
 
-// filterOnSchema applies the predicates whose columns exist in the schema.
-func filterOnSchema(s *storage.Schema, rows []storage.Row, preds []workload.Predicate) []storage.Row {
-	var local []workload.Predicate
-	for _, p := range preds {
-		if s.Has(p.Col) {
-			local = append(local, p)
-		}
-	}
-	if len(local) == 0 {
-		return rows
-	}
-	out := rows[:0:0]
-	for _, r := range rows {
-		if matchesAll(s, r, local) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// stripColumn removes column i from the schema and rows.
-func stripColumn(s *storage.Schema, rows []storage.Row, idx int) (*storage.Schema, []storage.Row) {
-	cols := make([]storage.Column, 0, len(s.Columns)-1)
-	for i, c := range s.Columns {
-		if i != idx {
-			cols = append(cols, c)
-		}
-	}
-	out := make([]storage.Row, len(rows))
-	for i, r := range rows {
-		row := make(storage.Row, 0, len(cols))
-		row = append(row, r[:idx]...)
-		row = append(row, r[idx+1:]...)
-		out[i] = row
-	}
-	return storage.NewSchema(cols...), out
-}
-
-func lowerNames(s *storage.Schema) []string {
-	out := make([]string, len(s.Columns))
-	for i, c := range s.Columns {
-		out[i] = strings.ToLower(c.Name)
-	}
-	return out
-}
-
 func boolRank(b bool) int {
 	if b {
 		return 1
@@ -744,12 +549,11 @@ func (st *Store) RunQuery(q *workload.Query) (*Result, error) {
 	return res, nil
 }
 
-// fetch serves dimension tables to the join machinery from their heap
-// segments (full scans, counted).
+// fetch serves dimension tables to the join machinery: a counted full scan
+// of the heap segment, every column.
 func (st *Store) fetch(rs *runState) index.TableFetch {
 	return func(table string) (*storage.Schema, []storage.Row, error) {
-		key := strings.ToLower(table)
-		h := st.heaps[key]
+		h := st.heaps[strings.ToLower(table)]
 		if h == nil {
 			return nil, nil, fmt.Errorf("exec: unknown table %q", table)
 		}
@@ -757,12 +561,13 @@ func (st *Store) fetch(rs *runState) index.TableFetch {
 		if err != nil {
 			return nil, nil, err
 		}
-		rows, err := rs.readRange(heap.Seg, 0, heap.Seg.NumPages())
-		if err != nil {
-			return nil, nil, err
-		}
-		rs.paths = append(rs.paths, fmt.Sprintf("seg-scan %s (%d pages)", table, heap.Seg.NumPages()))
-		return heap.Schema(), rows, nil
+		src := st.heapScanStream(rs, table, heap, nil, heap.Schema().Names())
+		rows := make([]storage.Row, 0, heap.Seg.Rows())
+		err = src.forEach(func(r storage.Row) error {
+			rows = append(rows, r)
+			return nil
+		})
+		return src.schema, rows, err
 	}
 }
 
@@ -852,6 +657,20 @@ func (st *Store) runProjection(rs *runState, q *workload.Query) (*Result, error)
 	return finishProjection(st.db, fact, jn.Schema(), rows, q)
 }
 
+// locate reads a write's qualifying rows, whole, through the cheapest access
+// path, for the I/O a real engine would pay to find them.
+func (st *Store) locate(rs *runState, table string, preds []workload.Predicate) error {
+	t := st.db.Table(table)
+	if t == nil {
+		return fmt.Errorf("exec: unknown table %q", table)
+	}
+	src, err := st.accessStream(rs, table, preds, t.Schema.Names(), false)
+	if err != nil {
+		return err
+	}
+	return src.forEach(func(storage.Row) error { return nil })
+}
+
 // RunUpdate applies a predicated UPDATE through the page store: qualifying
 // rows are located via the cheapest access path (counting the reads), the
 // catalog rows are rewritten in place, and the segments holding a rewritten
@@ -862,14 +681,10 @@ func (st *Store) runProjection(rs *runState, q *workload.Query) (*Result, error)
 // to the plain RunUpdate's.
 func (st *Store) RunUpdate(u *workload.Update) (int64, IOStats, error) {
 	rs := st.newRunState()
-	t := st.db.Table(u.Table)
-	if t == nil {
-		return 0, rs.io, fmt.Errorf("exec: unknown table %q", u.Table)
-	}
 	// Locate through the access layer so the lookup I/O is accounted; the
 	// mutation itself is delegated to the oracle-path implementation, which
 	// is the semantics being validated.
-	if _, _, err := st.access(rs, u.Table, u.Preds, t.Schema.Names()); err != nil {
+	if err := st.locate(rs, u.Table, u.Preds); err != nil {
 		return 0, rs.io, err
 	}
 	n, err := RunUpdate(st.db, u)
@@ -889,11 +704,7 @@ func (st *Store) RunUpdate(u *workload.Update) (int64, IOStats, error) {
 // table is invalidated.
 func (st *Store) RunDelete(d *workload.Delete) (int64, IOStats, error) {
 	rs := st.newRunState()
-	t := st.db.Table(d.Table)
-	if t == nil {
-		return 0, rs.io, fmt.Errorf("exec: unknown table %q", d.Table)
-	}
-	if _, _, err := st.access(rs, d.Table, d.Preds, t.Schema.Names()); err != nil {
+	if err := st.locate(rs, d.Table, d.Preds); err != nil {
 		return 0, rs.io, err
 	}
 	n, err := RunDelete(st.db, d)

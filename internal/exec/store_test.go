@@ -332,3 +332,34 @@ func TestStoreStalenessAfterWrite(t *testing.T) {
 	}
 	assertResultsIdentical(t, "after-delete", after, wantAfter)
 }
+
+// TestNewStoreValidatesDesignVector: segments build lazily, so NewStore must
+// reject a bad per-column design up front — an override with a method no
+// codec materializes would otherwise fail only at the structure's first
+// build, and one on a column the table lacks would never be noticed.
+func TestNewStoreValidatesDesignVector(t *testing.T) {
+	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 500, Seed: 3})
+	for _, tc := range []struct {
+		name string
+		def  *index.Def
+		want string
+	}{
+		{"unknown method byte",
+			&index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate"}, Clustered: true, Method: compress.Page,
+				ColMethods: map[string]compress.Method{"l_shipmode": compress.Method(200)}},
+			"no materializing codec"},
+		{"unknown column",
+			&index.Def{Table: "lineitem", KeyCols: []string{"l_quantity"}, Method: compress.Row,
+				ColMethods: map[string]compress.Method{"l_nosuch": compress.RLE}},
+			`unknown column "l_nosuch"`},
+	} {
+		if _, err := NewStore(db, []*index.Def{tc.def}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewStore returned %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	// The RID a secondary carries is a leaf column like any other.
+	if _, err := NewStore(db, []*index.Def{{Table: "lineitem", KeyCols: []string{"l_quantity"}, Method: compress.Row,
+		ColMethods: map[string]compress.Method{"__rid": compress.RLE}}}); err != nil {
+		t.Errorf("an override on __rid was rejected: %v", err)
+	}
+}

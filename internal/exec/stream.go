@@ -9,11 +9,12 @@ import (
 	"cadb/internal/workload"
 )
 
-// This file is the streaming access layer: lazy page-granular cursors over
+// This file is the store's one access layer: lazy page-granular cursors over
 // the chosen access path, with the statement's needed-column set and
 // sargable predicates pushed down into the page decode. The pipeline above
 // (join, filter, group, shape) pulls batches and never sees more columns or
-// rows than the query can observe.
+// rows than the query can observe; writes locate their rows by draining the
+// same streams.
 
 // rowStream is a lazily produced sequence of driving-table row batches in a
 // fixed schema; next returns a nil slice at exhaustion. Streams opened with
@@ -134,20 +135,13 @@ func projectSchema(s *storage.Schema, ords []int) *storage.Schema {
 	return storage.NewSchema(cols...)
 }
 
-// accessStream opens the driving-table stream for a statement, picking the
-// same access path the eager access() would (the plan logic is shared) but
-// decoding lazily, column-selectively and with predicate pushdown. ordered
-// asks for insertion-order delivery; paths that are naturally RID-ordered
-// (heap scans, RID lookups) ignore it, key-ordered covering serves restore
-// order by merging on the carried RID only when asked.
+// accessStream opens the driving-table stream for a statement over the
+// cheapest access path, decoding lazily, column-selectively and with
+// predicate pushdown. ordered asks for insertion-order delivery; paths that
+// are naturally RID-ordered (heap scans, RID lookups) ignore it, key-ordered
+// covering serves restore order by merging on the carried RID only when
+// asked.
 func (st *Store) accessStream(rs *runState, table string, preds []workload.Predicate, needed []string, ordered bool) (*rowStream, error) {
-	if st.eager {
-		schema, rows, err := st.access(rs, table, preds, needed)
-		if err != nil {
-			return nil, err
-		}
-		return singleBatch(schema, rows), nil
-	}
 	heap, best, err := st.planAccess(table, preds, needed)
 	if err != nil {
 		return nil, err

@@ -3,13 +3,16 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
+	"cadb/internal/datagen"
 	"cadb/internal/index"
 	"cadb/internal/storage"
 	"cadb/internal/workload"
+	"cadb/internal/workloads"
 )
 
 // streamGen generates values for one randomly drawn column.
@@ -142,10 +145,11 @@ func randomStreamQuery(rng *rand.Rand, s *storage.Schema, rows []storage.Row, ge
 	return q
 }
 
-// randomStreamDesign builds a physical design exercising every access path
-// under the given method: a clustered index on one column and a secondary
-// (randomly covering or not) on another.
-func randomStreamDesign(rng *rand.Rand, s *storage.Schema, m compress.Method) []*index.Def {
+// randomStreamDesign builds a physical design exercising every access path:
+// a clustered index on one column and a secondary (randomly covering or not)
+// on another. A nil vector makes both uniform under m; otherwise every leaf
+// column (the secondary's RID included) draws its own method from it.
+func randomStreamDesign(rng *rand.Rand, s *storage.Schema, m compress.Method, vector []compress.Method) []*index.Def {
 	perm := rng.Perm(len(s.Columns))
 	cl := &index.Def{Table: "t", KeyCols: []string{s.Columns[perm[0]].Name}, Clustered: true, Method: m}
 	sec := &index.Def{Table: "t", KeyCols: []string{s.Columns[perm[1]].Name}, Method: m}
@@ -154,71 +158,157 @@ func randomStreamDesign(rng *rand.Rand, s *storage.Schema, m compress.Method) []
 			sec.IncludeCols = append(sec.IncludeCols, s.Columns[ci].Name)
 		}
 	}
+	if vector != nil {
+		cl.ColMethods = make(map[string]compress.Method)
+		for _, c := range s.Columns {
+			cl.ColMethods[c.Name] = vector[rng.Intn(len(vector))]
+		}
+		sec.ColMethods = make(map[string]compress.Method)
+		for _, c := range append(sec.Columns(), "__rid") {
+			sec.ColMethods[c] = vector[rng.Intn(len(vector))]
+		}
+	}
 	return []*index.Def{cl, sec}
 }
 
-// TestStreamingMatchesOracleRandomized is the property test for the
-// streaming executor: over random schemas, physical designs and queries, for
-// every codec, the streaming store must return byte-identical results to the
-// plain-row oracle AND to its own eager-decode baseline, while never
-// decoding more tuples or reading more pages than the eager path.
-func TestStreamingMatchesOracleRandomized(t *testing.T) {
-	tables, queries := 6, 30
-	if testing.Short() {
-		tables, queries = 2, 8
+// randomStreamWrite draws an UPDATE (one random assignment) or a DELETE over
+// the same kind of random predicates the queries use.
+func randomStreamWrite(rng *rand.Rand, s *storage.Schema, rows []storage.Row, gens []streamGen) *workload.Statement {
+	preds := randomStreamQuery(rng, s, rows, gens).Preds
+	if rng.Float64() < 0.3 {
+		return &workload.Statement{Delete: &workload.Delete{Table: "t", Preds: preds}}
 	}
+	ci := rng.Intn(len(s.Columns))
+	return &workload.Statement{Update: &workload.Update{Table: "t", Preds: preds,
+		Set: []workload.Assignment{{Col: s.Columns[ci].Name, Value: gens[ci](rng)}}}}
+}
+
+// twinDB copies a single-table database so a store and the oracle can each
+// apply the same writes to their own rows.
+func twinDB(db *catalog.Database) *catalog.Database {
+	t := db.MustTable("t")
+	out := catalog.NewDatabase(db.Name)
+	out.AddTable(&catalog.Table{Name: t.Name, Schema: t.Schema, Rows: append([]storage.Row(nil), t.Rows...)})
+	return out
+}
+
+// pathBudget is the absolute decode budget of a single-table statement: the
+// rows held by the pages its access path may visit (the structure's seek
+// range, plus the heap unless the structure covers the statement), and the
+// number of distinct columns a page decode may touch (needed ∪ predicated,
+// plus the structure's RID).
+func pathBudget(t *testing.T, st *Store, preds []workload.Predicate, needed []string) (rows, cols int64) {
+	t.Helper()
+	heap, best, err := st.planAccess("t", preds, needed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best == nil || !best.covering {
+		rows += heap.Seg.Rows()
+	}
+	if best != nil {
+		for p := best.lo; p < best.hi; p++ {
+			rows += int64(best.si.Seg.PageRows(p))
+		}
+	}
+	touched := map[string]bool{"__rid": true}
+	for _, c := range needed {
+		touched[strings.ToLower(c)] = true
+	}
+	for _, p := range preds {
+		touched[strings.ToLower(p.Col)] = true
+	}
+	return rows, int64(len(touched))
+}
+
+// TestStreamingMatchesOracleRandomized is the property test for the
+// executor: over random schemas, physical designs (no structures, every
+// uniform method, random mixed vectors) and statement sequences, the store
+// must return byte-identical results to the plain-row oracle — writes
+// included, so later queries read rebuilt segments — within absolute decode
+// budgets: never more tuples than the pages its access path visits hold,
+// never more columns per page than the statement names.
+func TestStreamingMatchesOracleRandomized(t *testing.T) {
+	tables, stmts := 6, 30
+	if testing.Short() {
+		tables, stmts = 2, 10
+	}
+	all := []compress.Method{compress.None, compress.Row, compress.Page, compress.GlobalDict, compress.RLE}
 	rng := rand.New(rand.NewSource(23))
 	for ti := 0; ti < tables; ti++ {
-		db, gens := randomStreamTable(rng, 500+rng.Intn(600))
-		tab := db.MustTable("t")
+		base, gens := randomStreamTable(rng, 500+rng.Intn(600))
+		s := base.MustTable("t").Schema
 		designs := [][]*index.Def{nil}
-		for _, m := range []compress.Method{compress.None, compress.Row, compress.Page} {
-			designs = append(designs, randomStreamDesign(rng, tab.Schema, m))
+		for _, m := range all {
+			designs = append(designs, randomStreamDesign(rng, s, m, nil))
 		}
+		designs = append(designs,
+			randomStreamDesign(rng, s, compress.Row, all),
+			randomStreamDesign(rng, s, compress.Page, []compress.Method{compress.GlobalDict, compress.RLE, compress.Page}))
 		for di, defs := range designs {
-			stream, err := NewStore(db, defs)
+			oracleDB, storeDB := twinDB(base), twinDB(base)
+			st, err := NewStore(storeDB, defs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eager, err := NewStore(db, defs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eager.SetEagerDecode(true)
-			for qi := 0; qi < queries; qi++ {
-				q := randomStreamQuery(rng, tab.Schema, tab.Rows, gens)
-				label := fmt.Sprintf("table %d design %d query %d (%d preds)", ti, di, qi, len(q.Preds))
-				want, err := Run(db, q)
+			for qi := 0; qi < stmts; qi++ {
+				label := fmt.Sprintf("table %d design %d statement %d", ti, di, qi)
+				rows := oracleDB.MustTable("t").Rows
+				if len(rows) == 0 {
+					break // the deletes emptied the table
+				}
+				if qi%5 == 4 {
+					w := randomStreamWrite(rng, s, rows, gens)
+					var got, want int64
+					var io IOStats
+					var werr, gerr error
+					if w.Update != nil {
+						want, werr = RunUpdate(oracleDB, w.Update)
+						got, io, gerr = st.RunUpdate(w.Update)
+					} else {
+						want, werr = RunDelete(oracleDB, w.Delete)
+						got, io, gerr = st.RunDelete(w.Delete)
+					}
+					if werr != nil || gerr != nil {
+						t.Fatalf("%s: write: oracle %v, store %v", label, werr, gerr)
+					}
+					if got != want {
+						t.Fatalf("%s: wrote %d rows, oracle %d", label, got, want)
+					}
+					if io.TuplesDecoded < got {
+						t.Fatalf("%s: wrote %d rows having located only %d", label, got, io.TuplesDecoded)
+					}
+					continue
+				}
+				q := randomStreamQuery(rng, s, rows, gens)
+				want, err := Run(oracleDB, q)
 				if err != nil {
 					t.Fatalf("%s: oracle: %v", label, err)
 				}
-				got, err := stream.RunQuery(q)
+				maxRows, maxCols := pathBudget(t, st, q.Preds, st.neededCols(q, "t"))
+				got, err := st.RunQuery(q)
 				if err != nil {
-					t.Fatalf("%s: streaming: %v", label, err)
+					t.Fatalf("%s: store: %v", label, err)
 				}
-				base, err := eager.RunQuery(q)
-				if err != nil {
-					t.Fatalf("%s: eager: %v", label, err)
+				assertResultsIdentical(t, label, got, want)
+				if got.IO.TuplesDecoded > maxRows {
+					t.Fatalf("%s: decoded %d tuples, the pages of %v hold %d",
+						label, got.IO.TuplesDecoded, got.Paths, maxRows)
 				}
-				assertResultsIdentical(t, label+" [stream vs oracle]", got, want)
-				assertResultsIdentical(t, label+" [eager vs oracle]", base, want)
-				if got.IO.TuplesDecoded > base.IO.TuplesDecoded {
-					t.Fatalf("%s: streaming decoded %d tuples, eager baseline %d",
-						label, got.IO.TuplesDecoded, base.IO.TuplesDecoded)
-				}
-				if got.IO.PageReads > base.IO.PageReads {
-					t.Fatalf("%s: streaming read %d pages, eager baseline %d",
-						label, got.IO.PageReads, base.IO.PageReads)
+				if got.IO.ColumnsDecoded > got.IO.PagesDecoded*maxCols {
+					t.Fatalf("%s: decoded %d column payloads on %d pages, the statement names %d columns",
+						label, got.IO.ColumnsDecoded, got.IO.PagesDecoded, maxCols)
 				}
 			}
 		}
 	}
 }
 
-// TestStreamingDecodeBudget pins the point of the refactor with a
-// deterministic selective query: under PAGE compression, a single-column
-// equality filter must decode strictly fewer tuples and columns than the
-// eager full-decode path, and strictly fewer tuples than the table scans.
+// TestStreamingDecodeBudget pins the point of pushdown with a deterministic
+// selective query: a single-column equality filter over a scan must decode
+// fewer than half of the rows on the pages it visits — in fact only the
+// qualifying ones — and no column beyond the predicated and the projected
+// one, under every method.
 func TestStreamingDecodeBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	cols := []storage.Column{
@@ -239,43 +329,75 @@ func TestStreamingDecodeBudget(t *testing.T) {
 	}
 	db := catalog.NewDatabase("stream_budget")
 	db.AddTable(&catalog.Table{Name: "t", Schema: s, Rows: rows})
-	defs := []*index.Def{{Table: "t", KeyCols: []string{"k"}, Clustered: true, Method: compress.Page}}
-	stream, err := NewStore(db, defs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager, err := NewStore(db, defs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager.SetEagerDecode(true)
 	q := &workload.Query{
 		Tables: []string{"t"},
 		Preds:  []workload.Predicate{{Col: "grp", Op: workload.OpEq, Lo: storage.IntVal(7)}},
 		Select: []workload.ColRef{{Table: "t", Col: "price"}},
 	}
-	got, err := stream.RunQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := eager.RunQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := Run(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResultsIdentical(t, "budget", got, want)
-	if got.IO.TuplesDecoded*2 >= base.IO.TuplesDecoded {
-		t.Fatalf("selective filter decoded %d tuples, eager %d — pushdown not effective",
-			got.IO.TuplesDecoded, base.IO.TuplesDecoded)
+	for _, m := range []compress.Method{compress.None, compress.Row, compress.Page, compress.GlobalDict, compress.RLE} {
+		st, err := NewStore(db, []*index.Def{{Table: "t", KeyCols: []string{"k"}, Clustered: true, Method: m}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.RunQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertResultsIdentical(t, "budget/"+m.String(), got, want)
+		if got.IO.TuplesDecoded != int64(len(want.Rows)) || got.IO.TuplesDecoded*2 >= int64(len(rows)) {
+			t.Fatalf("%s: selective filter decoded %d tuples for %d qualifying of %d scanned rows — pushdown not effective",
+				m, got.IO.TuplesDecoded, len(want.Rows), len(rows))
+		}
+		if got.IO.ColumnsDecoded > 2*got.IO.PagesDecoded {
+			t.Fatalf("%s: selective filter touched %d column payloads on %d pages, the statement names 2 columns",
+				m, got.IO.ColumnsDecoded, got.IO.PagesDecoded)
+		}
 	}
-	if got.IO.TuplesDecoded >= int64(len(rows)) {
-		t.Fatalf("selective filter decoded %d tuples of %d scanned rows", got.IO.TuplesDecoded, len(rows))
+}
+
+// TestWriteLocateReadsWithinEagerBaseline holds the streaming write locate to
+// the page reads the eager locate it replaced counted on the TPC-H update
+// mix (4 000 lineitem rows, seed 11, statements in workload order): equal on
+// scans and clustered seeks, lower on D2's index seek + lookup, where the
+// eager path charged a heap page per RID and the RID cursor charges each
+// page once.
+func TestWriteLocateReadsWithinEagerBaseline(t *testing.T) {
+	eager := map[string][2]int64{ // label -> {heaps only, tpchDesign}
+		"U1": {73, 2}, "U2": {73, 3}, "U3": {73, 2}, "U4": {15, 16}, "U5": {2, 2}, "D1": {73, 1}, "D2": {15, 32},
 	}
-	if got.IO.ColumnsDecoded >= base.IO.ColumnsDecoded {
-		t.Fatalf("selective filter touched %d column payloads, eager %d",
-			got.IO.ColumnsDecoded, base.IO.ColumnsDecoded)
+	cfg := datagen.TPCHConfig{LineitemRows: 4000, Seed: 11}
+	for di, defs := range [][]*index.Def{nil, tpchDesign()} {
+		st, err := NewStore(datagen.NewTPCH(cfg), defs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range workloads.MustTPCHWithUpdates().Statements {
+			var io IOStats
+			switch {
+			case s.Update != nil:
+				_, io, err = st.RunUpdate(s.Update)
+			case s.Delete != nil:
+				_, io, err = st.RunDelete(s.Delete)
+			default:
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", s.Label, err)
+			}
+			base, ok := eager[s.Label]
+			if !ok {
+				t.Fatalf("%s: no eager baseline recorded", s.Label)
+			}
+			if io.PageReads > base[di] {
+				t.Errorf("design %d %s: locate read %d pages, the eager locate read %d", di, s.Label, io.PageReads, base[di])
+			}
+			if di == 1 && s.Label == "D2" && io.PageReads*2 > base[di] {
+				t.Errorf("D2: index seek + lookup read %d pages, expected under half of the eager %d", io.PageReads, base[di])
+			}
+		}
 	}
 }

@@ -497,7 +497,7 @@ func ExtMeasured(sc Scale) *Report {
 		addSizes(MeasuredSizes(setup.db, setup.structures, MeasuredMethods))
 		addSizes(MeasuredDesignSizes(setup.db, setup.mixed))
 	}
-	rep.Notef("worst byte-level size-model error: %.1f%% (NONE and ROW are exact by construction)", 100*worst)
+	rep.Notef("worst byte-level size-model error: %.1f%% (NONE and ROW differ from the model only by the column-major framing)", 100*worst)
 
 	designTable := rep.NewTable("per-column design vs every uniform method (same structure, materialized sizes, select-intensive TPC-H)",
 		"design", "bytes", "total-cost", "improvement")

@@ -51,7 +51,7 @@ func BuildSegmentIndex(db *catalog.Database, d *Def) (*SegmentIndex, error) {
 func BuildSegmentOver(schema *storage.Schema, rows []storage.Row, d *Def) (*SegmentIndex, error) {
 	codec := compress.DesignCodec(d.Method, d.ColMethods)
 	if codec == nil {
-		return nil, fmt.Errorf("index: method %s has no materializing codec", d.Method)
+		return nil, fmt.Errorf("index: %s names a method with no materializing codec", d)
 	}
 	seg, err := storage.BuildSegment(schema, rows, codec)
 	if err != nil {

@@ -139,11 +139,10 @@ func (s *Schema) AllOrdinals() []int {
 }
 
 // FallbackDecodeColumns implements DecodeColumns on top of a full page
-// decode, for codecs whose physical layout is row-major (NONE, ROW) and
-// cannot skip columns. The slot filter and predicates are applied after the
-// fact; the counters charge the full decode honestly (every row, every
-// column), which is exactly what makes PAGE's selective decode visible in
-// the I/O accounting.
+// decode: slot filter, predicates and projection applied after the fact,
+// counters charging the full decode (every row, every column). It is the
+// reference the codec's selective decode is tested against, and what a test
+// codec without a column-selective layout answers with.
 func FallbackDecodeColumns(s *Schema, full []Row, spec *DecodeSpec) *DecodedPage {
 	// A full decode materializes every row and touches every column payload
 	// once per page.

@@ -1,52 +1,48 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
+	"strings"
 )
 
 // SegmentFile is the on-disk form of a Segment: a header carrying the codec
-// method, page count and row count, a per-page directory (payload offset,
-// length, row count, accounted bytes, CRC32), a header checksum, and then
-// the raw page payloads. Pages are read back individually via ReadAt, so a
-// buffer pool can fault in exactly the pages a query touches.
+// name, the per-column design vector, the codec's segment state, page count
+// and row count, a per-page directory (payload offset, length, row count,
+// accounted bytes, CRC32), a header checksum, and then the raw page payloads.
+// Pages are read back individually via ReadAt, so a buffer pool can fault in
+// exactly the pages a query touches.
 //
-// Version 1 layout (all integers big-endian):
+// Layout (all integers big-endian):
 //
-//	[0:8)    magic "CADBSEG1"
-//	[8:12)   format version (1)
+//	[0:8)    magic "CADBSEG2"
+//	[8:12)   format version (2)
 //	[12:16)  codec name length L
 //	[16:16+L codec name
-//	+0:4     page count N
-//	+4:12    row count
+//	u16      column count; per column: u8 name length | name | u8 method
+//	u32      state length, then the codec state block (global dictionaries)
+//	u32      page count N
+//	u64      row count
 //	then N directory entries of 24 bytes each:
 //	         offset u64 | length u32 | rows u32 | accounted u32 | crc32 u32
-//	+4       CRC32 (IEEE) of everything before it
+//	u32      CRC32 (IEEE) of everything before it
 //	then the page payloads at their directory offsets.
-//
-// Version 2 ("CADBSEG2", written for stateful codecs — GDICT, RLE and mixed
-// per-column designs) inserts two blocks between the codec name and the page
-// count:
-//
-//	u16 column count; per column: u8 name length | name | u8 method
-//	u32 state length | codec state block (the global dictionaries)
-//
-// Everything else — directory, checksums, payload placement — is identical,
-// and OpenSegmentFile keeps reading version 1 files unchanged.
 type SegmentFile struct {
 	f         *os.File
 	path      string
 	codecName string
 	rows      int64
 	entries   []segPageEntry
-	design    []SegColumnMethod // per-column method vector (v2 only)
-	state     []byte            // codec state block (v2 only)
+	design    []SegColumnMethod // per-column method vector
+	state     []byte            // codec state block (nil when empty)
 }
 
-// SegColumnMethod is one entry of a CADBSEG2 design vector: a column name and
-// its compression-method byte (the compress.Method value).
+// SegColumnMethod is one entry of the header's design vector: a column name
+// and its compression-method byte (the compress.Method value).
 type SegColumnMethod struct {
 	Name   string
 	Method byte
@@ -60,84 +56,66 @@ type segPageEntry struct {
 	crc       uint32
 }
 
-var (
-	segMagic  = [8]byte{'C', 'A', 'D', 'B', 'S', 'E', 'G', '1'}
-	segMagic2 = [8]byte{'C', 'A', 'D', 'B', 'S', 'E', 'G', '2'}
-)
-
 const (
-	segFileVersion  = 1
-	segFileVersion2 = 2
+	segMagic       = "CADBSEG2"
+	segFileVersion = 2
 )
 
-// segDesign extracts the design vector and state block a segment file must
-// record for its codec: nil for stateless codecs (written as version 1).
-func segDesign(c PageCodec, s *Schema) ([]SegColumnMethod, []byte) {
-	sc, ok := c.(StatefulCodec)
-	if !ok {
-		return nil, nil
+// segHeader assembles a segment file's header — codec name, design vector,
+// state block, counts, page directory, checksum — and returns it with the
+// SegmentFile describing it (no file handle yet). entries arrive with
+// offsets relative to the first payload byte and leave rebased onto the file.
+func segHeader(path string, c PageCodec, s *Schema, entries []segPageEntry, rows int64) ([]byte, *SegmentFile, error) {
+	// The design vector first: it resolves the codec against the schema,
+	// which is what fixes the codec's name.
+	ids := c.ColumnMethodIDs(s)
+	state := c.SegmentState()
+	name := c.Name()
+	if len(name) > 255 {
+		return nil, nil, fmt.Errorf("storage: codec name %q too long", name)
 	}
-	ids := sc.ColumnMethodIDs(s)
+	if len(s.Columns) > 0xFFFF {
+		return nil, nil, fmt.Errorf("storage: design vector of %d columns", len(s.Columns))
+	}
+	h := append([]byte(nil), segMagic...)
+	h = binary.BigEndian.AppendUint32(h, segFileVersion)
+	h = binary.BigEndian.AppendUint32(h, uint32(len(name)))
+	h = append(h, name...)
+	h = binary.BigEndian.AppendUint16(h, uint16(len(s.Columns)))
 	design := make([]SegColumnMethod, len(s.Columns))
 	for i, col := range s.Columns {
+		if len(col.Name) > 255 {
+			return nil, nil, fmt.Errorf("storage: column name %q too long", col.Name)
+		}
 		design[i] = SegColumnMethod{Name: col.Name, Method: ids[i]}
+		h = append(h, byte(len(col.Name)))
+		h = append(h, col.Name...)
+		h = append(h, ids[i])
 	}
-	return design, sc.SegmentState()
-}
-
-// segHeaderPrefix assembles the header bytes that precede the page directory:
-// version 1 when design is nil, version 2 otherwise.
-func segHeaderPrefix(name string, design []SegColumnMethod, state []byte, pageCount int, rows int64) ([]byte, error) {
-	if len(name) > 255 {
-		return nil, fmt.Errorf("storage: codec name %q too long", name)
-	}
-	var h []byte
-	if design == nil {
-		h = append(h, segMagic[:]...)
-		h = binary.BigEndian.AppendUint32(h, segFileVersion)
-		h = binary.BigEndian.AppendUint32(h, uint32(len(name)))
-		h = append(h, name...)
-	} else {
-		if len(design) > 0xFFFF {
-			return nil, fmt.Errorf("storage: design vector of %d columns", len(design))
-		}
-		h = append(h, segMagic2[:]...)
-		h = binary.BigEndian.AppendUint32(h, segFileVersion2)
-		h = binary.BigEndian.AppendUint32(h, uint32(len(name)))
-		h = append(h, name...)
-		h = binary.BigEndian.AppendUint16(h, uint16(len(design)))
-		for _, cm := range design {
-			if len(cm.Name) > 255 {
-				return nil, fmt.Errorf("storage: column name %q too long", cm.Name)
-			}
-			h = append(h, byte(len(cm.Name)))
-			h = append(h, cm.Name...)
-			h = append(h, cm.Method)
-		}
-		h = binary.BigEndian.AppendUint32(h, uint32(len(state)))
-		h = append(h, state...)
-	}
-	h = binary.BigEndian.AppendUint32(h, uint32(pageCount))
+	h = binary.BigEndian.AppendUint32(h, uint32(len(state)))
+	h = append(h, state...)
+	h = binary.BigEndian.AppendUint32(h, uint32(len(entries)))
 	h = binary.BigEndian.AppendUint64(h, uint64(rows))
-	return h, nil
+	headerLen := uint64(len(h) + 24*len(entries) + 4)
+	for i := range entries {
+		e := &entries[i]
+		e.offset += headerLen
+		h = binary.BigEndian.AppendUint64(h, e.offset)
+		h = binary.BigEndian.AppendUint32(h, e.length)
+		h = binary.BigEndian.AppendUint32(h, e.rows)
+		h = binary.BigEndian.AppendUint32(h, e.accounted)
+		h = binary.BigEndian.AppendUint32(h, e.crc)
+	}
+	h = binary.BigEndian.AppendUint32(h, crc32.ChecksumIEEE(h))
+	return h, &SegmentFile{path: path, codecName: name, rows: rows, entries: entries, design: design, state: state}, nil
 }
 
 // WriteSegmentFile writes the segment's pages to path (truncating any
 // previous file) and returns an open handle for reads. The segment must
 // still hold its payloads (i.e. not already be spilled).
 func WriteSegmentFile(path string, seg *Segment) (*SegmentFile, error) {
-	name := seg.Codec.Name()
-	design, state := segDesign(seg.Codec, seg.Schema)
-	prefix, err := segHeaderPrefix(name, design, state, len(seg.pages), seg.rows)
-	if err != nil {
-		return nil, err
-	}
-	headerLen := len(prefix) + 24*len(seg.pages) + 4
-	header := make([]byte, 0, headerLen)
-	header = append(header, prefix...)
-
 	entries := make([]segPageEntry, len(seg.pages))
-	at := uint64(headerLen)
+	var at uint64
 	for i := range seg.pages {
 		p := &seg.pages[i]
 		if p.Payload == nil && p.Rows > 0 {
@@ -151,17 +129,11 @@ func WriteSegmentFile(path string, seg *Segment) (*SegmentFile, error) {
 			crc:       crc32.ChecksumIEEE(p.Payload),
 		}
 		at += uint64(len(p.Payload))
-		header = binary.BigEndian.AppendUint64(header, entries[i].offset)
-		header = binary.BigEndian.AppendUint32(header, entries[i].length)
-		header = binary.BigEndian.AppendUint32(header, entries[i].rows)
-		header = binary.BigEndian.AppendUint32(header, entries[i].accounted)
-		header = binary.BigEndian.AppendUint32(header, entries[i].crc)
 	}
-	header = binary.BigEndian.AppendUint32(header, crc32.ChecksumIEEE(header))
-	if len(header) != headerLen {
-		return nil, fmt.Errorf("storage: header length %d, computed %d", len(header), headerLen)
+	header, sf, err := segHeader(path, seg.Codec, seg.Schema, entries, seg.rows)
+	if err != nil {
+		return nil, err
 	}
-
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
@@ -181,7 +153,8 @@ func WriteSegmentFile(path string, seg *Segment) (*SegmentFile, error) {
 		return nil, err
 	}
 	adviseRandom(f)
-	return &SegmentFile{f: f, path: path, codecName: name, rows: seg.rows, entries: entries, design: design, state: state}, nil
+	sf.f = f
+	return sf, nil
 }
 
 // OpenSegmentFile opens an existing segment file, validating the header
@@ -200,74 +173,43 @@ func OpenSegmentFile(path string) (*SegmentFile, error) {
 	return sf, nil
 }
 
+// readSegHeader parses and checksums the header. Every length it reads is
+// checked against the file's size before anything is allocated for it, so a
+// hostile header costs an error, not memory. The variable-length design and
+// state blocks force incremental reads; every byte read is accumulated so the
+// trailing CRC covers the whole header.
 func readSegHeader(f *os.File, path string) (*SegmentFile, error) {
-	fixed := make([]byte, 16)
-	if _, err := f.ReadAt(fixed, 0); err != nil {
-		return nil, fmt.Errorf("storage: %s: short header: %w", path, err)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	switch [8]byte(fixed[:8]) {
-	case segMagic:
-		if v := binary.BigEndian.Uint32(fixed[8:12]); v != segFileVersion {
-			return nil, fmt.Errorf("storage: %s: unsupported version %d", path, v)
+	size := fi.Size()
+	var hdr []byte
+	read := func(n int64) ([]byte, error) {
+		at := int64(len(hdr))
+		if n > size-at {
+			return nil, fmt.Errorf("storage: %s: header wants %d bytes at offset %d of a %d-byte file", path, n, at, size)
 		}
-	case segMagic2:
-		if v := binary.BigEndian.Uint32(fixed[8:12]); v != segFileVersion2 {
-			return nil, fmt.Errorf("storage: %s: unsupported version %d", path, v)
+		hdr = slices.Grow(hdr, int(n))[:at+n]
+		if _, err := f.ReadAt(hdr[at:], at); err != nil {
+			return nil, fmt.Errorf("storage: %s: short header: %w", path, err)
 		}
-		return readSegHeaderV2(f, path, fixed)
-	default:
+		return hdr[at:], nil
+	}
+	fixed, err := read(16)
+	if err != nil {
+		return nil, err
+	}
+	if magic := string(fixed[:8]); magic != segMagic {
+		if strings.HasPrefix(magic, segMagic[:7]) {
+			return nil, fmt.Errorf("storage: %s: unsupported segment format %q (only %s is read)", path, magic, segMagic)
+		}
 		return nil, fmt.Errorf("storage: %s: bad magic", path)
 	}
-	nameLen := int(binary.BigEndian.Uint32(fixed[12:16]))
-	if nameLen > 255 {
-		return nil, fmt.Errorf("storage: %s: codec name length %d", path, nameLen)
+	if v := binary.BigEndian.Uint32(fixed[8:12]); v != segFileVersion {
+		return nil, fmt.Errorf("storage: %s: unsupported version %d", path, v)
 	}
-	rest := make([]byte, nameLen+4+8)
-	if _, err := f.ReadAt(rest, 16); err != nil {
-		return nil, fmt.Errorf("storage: %s: short header: %w", path, err)
-	}
-	name := string(rest[:nameLen])
-	n := int(binary.BigEndian.Uint32(rest[nameLen : nameLen+4]))
-	rows := int64(binary.BigEndian.Uint64(rest[nameLen+4:]))
-	dirAt := int64(16 + nameLen + 4 + 8)
-	dir := make([]byte, 24*n+4)
-	if _, err := f.ReadAt(dir, dirAt); err != nil {
-		return nil, fmt.Errorf("storage: %s: short directory: %w", path, err)
-	}
-	// Verify the header CRC over [0, dirAt+24n).
-	full := make([]byte, dirAt+int64(24*n))
-	copy(full, fixed)
-	copy(full[16:], rest)
-	copy(full[dirAt:], dir[:24*n])
-	wantCRC := binary.BigEndian.Uint32(dir[24*n:])
-	if got := crc32.ChecksumIEEE(full); got != wantCRC {
-		return nil, fmt.Errorf("storage: %s: header checksum mismatch", path)
-	}
-	entries, err := parseSegDir(dir, n)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", path, err)
-	}
-	return &SegmentFile{f: f, path: path, codecName: name, rows: rows, entries: entries}, nil
-}
-
-// readSegHeaderV2 parses a CADBSEG2 header. The variable-length design and
-// state blocks force incremental reads; every byte read is accumulated so
-// the trailing CRC covers the whole header, exactly like version 1.
-func readSegHeaderV2(f *os.File, path string, fixed []byte) (*SegmentFile, error) {
-	hdr := append([]byte(nil), fixed...)
-	at := int64(len(fixed))
-	read := func(n int) ([]byte, error) {
-		buf := make([]byte, n)
-		if n > 0 {
-			if _, err := f.ReadAt(buf, at); err != nil {
-				return nil, fmt.Errorf("storage: %s: short header: %w", path, err)
-			}
-		}
-		at += int64(n)
-		hdr = append(hdr, buf...)
-		return buf, nil
-	}
-	nameLen := int(binary.BigEndian.Uint32(fixed[12:16]))
+	nameLen := int64(binary.BigEndian.Uint32(fixed[12:16]))
 	if nameLen > 255 {
 		return nil, fmt.Errorf("storage: %s: codec name length %d", path, nameLen)
 	}
@@ -276,14 +218,17 @@ func readSegHeaderV2(f *os.File, path string, fixed []byte) (*SegmentFile, error
 		return nil, err
 	}
 	name := string(b[:nameLen])
-	colCount := int(binary.BigEndian.Uint16(b[nameLen:]))
+	colCount := int64(binary.BigEndian.Uint16(b[nameLen:]))
+	if 2*colCount > size-int64(len(hdr)) { // a column is at least 2 bytes
+		return nil, fmt.Errorf("storage: %s: design vector of %d columns in a %d-byte file", path, colCount, size)
+	}
 	design := make([]SegColumnMethod, colCount)
 	for i := range design {
 		lb, err := read(1)
 		if err != nil {
 			return nil, err
 		}
-		nb, err := read(int(lb[0]) + 1)
+		nb, err := read(int64(lb[0]) + 1)
 		if err != nil {
 			return nil, err
 		}
@@ -293,46 +238,39 @@ func readSegHeaderV2(f *os.File, path string, fixed []byte) (*SegmentFile, error
 	if err != nil {
 		return nil, err
 	}
-	stateLen := int(binary.BigEndian.Uint32(sb))
-	if stateLen > 1<<30 {
-		return nil, fmt.Errorf("storage: %s: state block of %d bytes", path, stateLen)
-	}
-	state, err := read(stateLen)
-	if err != nil {
-		return nil, err
+	var state []byte
+	if stateLen := int64(binary.BigEndian.Uint32(sb)); stateLen > 0 {
+		if state, err = read(stateLen); err != nil {
+			return nil, err
+		}
+		state = bytes.Clone(state) // not a window onto the header buffer
 	}
 	cb, err := read(4 + 8)
 	if err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(cb[:4]))
+	n := int64(binary.BigEndian.Uint32(cb[:4]))
 	rows := int64(binary.BigEndian.Uint64(cb[4:]))
-	dir := make([]byte, 24*n+4)
-	if _, err := f.ReadAt(dir, at); err != nil {
-		return nil, fmt.Errorf("storage: %s: short directory: %w", path, err)
-	}
-	hdr = append(hdr, dir[:24*n]...)
-	wantCRC := binary.BigEndian.Uint32(dir[24*n:])
-	if got := crc32.ChecksumIEEE(hdr); got != wantCRC {
-		return nil, fmt.Errorf("storage: %s: header checksum mismatch", path)
-	}
-	entries, err := parseSegDir(dir, n)
+	dir, err := read(24 * n)
 	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", path, err)
+		return nil, err
 	}
-	if stateLen == 0 {
-		state = nil
+	entries := parseSegDir(dir, int(n))
+	sum := crc32.ChecksumIEEE(hdr)
+	cs, err := read(4)
+	if err != nil {
+		return nil, err
+	}
+	if sum != binary.BigEndian.Uint32(cs) {
+		return nil, fmt.Errorf("storage: %s: header checksum mismatch", path)
 	}
 	return &SegmentFile{f: f, path: path, codecName: name, rows: rows, entries: entries, design: design, state: state}, nil
 }
 
-// parseSegDir decodes n 24-byte directory entries.
-func parseSegDir(dir []byte, n int) ([]segPageEntry, error) {
-	if len(dir) < 24*n {
-		return nil, fmt.Errorf("short directory")
-	}
+// parseSegDir decodes the n directory entries dir holds.
+func parseSegDir(dir []byte, n int) []segPageEntry {
 	entries := make([]segPageEntry, n)
-	for i := 0; i < n; i++ {
+	for i := range entries {
 		e := dir[24*i:]
 		entries[i] = segPageEntry{
 			offset:    binary.BigEndian.Uint64(e[0:8]),
@@ -342,7 +280,7 @@ func parseSegDir(dir []byte, n int) ([]segPageEntry, error) {
 			crc:       binary.BigEndian.Uint32(e[20:24]),
 		}
 	}
-	return entries, nil
+	return entries
 }
 
 // NumPages returns the page count.
@@ -354,13 +292,12 @@ func (sf *SegmentFile) Rows() int64 { return sf.rows }
 // CodecName returns the codec method name recorded in the header.
 func (sf *SegmentFile) CodecName() string { return sf.codecName }
 
-// Design returns the per-column method vector recorded in a CADBSEG2 header
-// (nil for version-1 files).
+// Design returns the per-column method vector recorded in the header.
 func (sf *SegmentFile) Design() []SegColumnMethod { return sf.design }
 
-// State returns the codec state block recorded in a CADBSEG2 header (nil for
-// version-1 files and stateless designs). Feed it to the codec's
-// LoadSegmentState to decode the file's pages in a fresh process.
+// State returns the codec state block recorded in the header (nil for designs
+// without a GDICT column). Feed it to the codec's LoadSegmentState to decode
+// the file's pages in a fresh process.
 func (sf *SegmentFile) State() []byte { return sf.state }
 
 // Path returns the file path.

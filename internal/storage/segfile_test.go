@@ -1,19 +1,27 @@
 package storage
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"cadb/internal/bufferpool"
 )
 
-// plainCodec is the minimal row-major test codec (mirrors the NONE layout
-// closely enough for round-trips without importing internal/compress, which
-// would cycle).
+// plainCodec is the minimal test codec: uncompressed row-major pages, no
+// segment state (enough for round-trips without importing internal/compress,
+// which would cycle).
 type plainCodec struct{}
 
-func (plainCodec) Name() string { return "TEST" }
+func (plainCodec) Name() string                           { return "TEST" }
+func (plainCodec) PrepareSegment(*Schema, []Row) error    { return nil }
+func (plainCodec) ColumnMethodIDs(s *Schema) []byte       { return make([]byte, len(s.Columns)) }
+func (plainCodec) SegmentState() []byte                   { return nil }
+func (plainCodec) LoadSegmentState(*Schema, []byte) error { return nil }
 
 func (plainCodec) EncodeRows(s *Schema, rows []Row) ([]EncodedPage, error) {
 	groups, _ := PackRows(s, rows)
@@ -223,5 +231,65 @@ func TestSpillAndFetch(t *testing.T) {
 	}
 	if pool.Bytes() != 0 {
 		t.Fatalf("pool still holds %d bytes after CloseBacking", pool.Bytes())
+	}
+}
+
+// TestOpenSegmentFileHostileHeader hands OpenSegmentFile headers that lie
+// about their lengths: each must cost an error, never a panic and never an
+// allocation sized by the lie.
+func TestOpenSegmentFileHostileHeader(t *testing.T) {
+	_, _, seg := testSegment(t, 500)
+	path := filepath.Join(t.TempDir(), "seg.cadb")
+	sf, err := WriteSegmentFile(path, seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	headerLen := int(sf.entries[0].offset)
+	sf.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Field offsets, back from the end of the header: CRC, directory, row
+	// count, page count, then the (empty) state block's length.
+	pageCountAt := headerLen - 4 - 24*seg.NumPages() - 8 - 4
+	stateLenAt := pageCountAt - 4
+	sealed := func(prefix []byte) []byte { // a header cut short but CRC-valid
+		return binary.BigEndian.AppendUint32(prefix, crc32.ChecksumIEEE(prefix))
+	}
+	hugePages := append([]byte(nil), raw[:pageCountAt+12]...)
+	binary.BigEndian.PutUint32(hugePages[pageCountAt:], 0xFFFFFFFF)
+	longState := append([]byte(nil), raw[:stateLenAt+4]...)
+	binary.BigEndian.PutUint32(longState[stateLenAt:], 1<<30-1)
+	manyCols := append([]byte(nil), raw[:16+len("TEST")+2]...)
+	binary.BigEndian.PutUint16(manyCols[16+len("TEST"):], 0xFFFF)
+
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{
+		{"2^32-1 pages", sealed(hugePages)},
+		{"state block longer than the file", append(sealed(longState), raw[stateLenAt+4:]...)},
+		{"65535 columns", sealed(manyCols)},
+		{"version-1 magic", append([]byte("CADBSEG1"), raw[8:]...)},
+		{"truncated", raw[:headerLen/2]},
+	} {
+		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := OpenSegmentFile(path)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			got.Close()
+			t.Fatalf("%s: header accepted", tc.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: rejecting the header allocated %d bytes", tc.name, grew)
+		}
+		if tc.name == "version-1 magic" && !strings.Contains(err.Error(), "unsupported segment format") {
+			t.Fatalf("%s: error does not name the format: %v", tc.name, err)
+		}
 	}
 }

@@ -7,54 +7,40 @@ import (
 	"cadb/internal/bufferpool"
 )
 
-// PageCodec turns rows into physical page payloads and back. Implementations
-// live in internal/compress (one per materializable compression method, plus
-// the per-column design codec behind GDICT/RLE/mixed designs); the codec owns
-// the packing policy so order-dependent methods can mirror the grouping their
-// size model assumes.
+// PageCodec turns rows into physical page payloads and back. The one
+// implementation is the per-column design codec of internal/compress; it
+// owns the packing policy, so order-dependent methods can scope their
+// page-local dictionaries to the physical page. An instance serves one
+// segment: it carries that segment's state (global dictionaries).
 type PageCodec interface {
-	// Name is the method name ("NONE", "ROW", "PAGE", "GDICT", "RLE") or
-	// "MIXED" for a per-column design.
+	// Name is the method every column is stored under ("NONE", "ROW",
+	// "PAGE", "GDICT", "RLE"), or "MIXED" when columns differ.
 	Name() string
+	// PrepareSegment is the pre-pass BuildSegment runs over the full row set
+	// before encoding, so a codec can make segment-scoped decisions (build a
+	// global dictionary, elect per-column fallbacks) from complete
+	// information. The streaming SegmentWriter never has the full row set
+	// and never prepares; codecs must stay correct — just possibly less
+	// compact — without the pre-pass.
+	PrepareSegment(s *Schema, rows []Row) error
 	// EncodeRows packs the rows into page payloads. Each payload must be
-	// decodable by DecodePage on its own.
+	// decodable by DecodePage on its own (given the segment state).
 	EncodeRows(s *Schema, rows []Row) ([]EncodedPage, error)
 	// DecodePage reconstructs the rows of one page payload.
 	DecodePage(s *Schema, payload []byte, nrows int) ([]Row, error)
 	// DecodeColumns reconstructs only the spec.Needed columns of the rows
-	// that satisfy spec's predicates and slot filter. Codecs without a
-	// column-selective layout fall back to a full decode internally (see
-	// FallbackDecodeColumns) so the interface stays uniform; the returned
-	// counters report the work actually done.
+	// that satisfy spec's predicates and slot filter; the returned counters
+	// report the work actually done.
 	DecodeColumns(s *Schema, payload []byte, nrows int, spec *DecodeSpec) (*DecodedPage, error)
-}
-
-// SegmentPreparer is an optional PageCodec extension: a pre-pass over the
-// full row set before encoding begins. BuildSegment calls it automatically,
-// so a codec can make segment-scoped decisions (e.g. building a global
-// dictionary and electing per-column fallbacks) from complete information.
-// The streaming SegmentWriter never has the full row set and therefore never
-// prepares; codecs must stay correct — just possibly less optimal — without
-// the pre-pass.
-type SegmentPreparer interface {
-	PrepareSegment(s *Schema, rows []Row) error
-}
-
-// StatefulCodec is an optional PageCodec extension for codecs carrying
-// segment-level state that pages alone cannot reproduce (e.g. a global
-// dictionary). Segments built with a stateful codec are written in the
-// CADBSEG2 format, which records the per-column method vector and the state
-// block; LoadSegmentState rebuilds a fresh codec instance from that block so
-// a segment file opened in another process can be decoded.
-type StatefulCodec interface {
-	// SegmentState serializes the codec's segment-level state (nil when the
-	// design has none to record).
-	SegmentState() []byte
-	// LoadSegmentState rebuilds the state serialized by SegmentState.
-	LoadSegmentState(s *Schema, state []byte) error
 	// ColumnMethodIDs returns one compression-method byte per schema column —
-	// the design vector recorded in the CADBSEG2 header.
+	// the design vector recorded in the segment file header.
 	ColumnMethodIDs(s *Schema) []byte
+	// SegmentState serializes the state pages alone cannot reproduce (nil
+	// when the design has none). It travels in the segment file header.
+	SegmentState() []byte
+	// LoadSegmentState rebuilds, in a fresh instance, the state serialized by
+	// SegmentState, so a segment file opened in another process decodes.
+	LoadSegmentState(s *Schema, state []byte) error
 }
 
 // EncodedPage is one materialized page: the real payload bytes plus the
@@ -113,17 +99,16 @@ type segBacking struct {
 	closed atomic.Bool
 }
 
-// BuildSegment encodes the rows into a segment using the codec. Codecs that
-// implement SegmentPreparer get a pre-pass over the full row set first;
-// codecs that implement StatefulCodec have their serialized state charged
-// into PayloadBytes (the state travels in the segment file header, so it is
+// BuildSegment encodes the rows into a segment using the codec, after the
+// codec's pre-pass over the full row set. The codec's serialized state is
+// charged into PayloadBytes (it travels in the segment file header, so it is
 // real bytes the size model must see, but not pool working set).
 func BuildSegment(s *Schema, rows []Row, c PageCodec) (*Segment, error) {
 	if c == nil {
 		return nil, fmt.Errorf("storage: nil page codec")
 	}
-	if p, ok := c.(SegmentPreparer); ok && len(rows) > 0 {
-		if err := p.PrepareSegment(s, rows); err != nil {
+	if len(rows) > 0 {
+		if err := c.PrepareSegment(s, rows); err != nil {
 			return nil, err
 		}
 	}
@@ -143,8 +128,8 @@ func BuildSegment(s *Schema, rows []Row, c PageCodec) (*Segment, error) {
 	if seg.rows != int64(len(rows)) {
 		return nil, fmt.Errorf("storage: codec %s encoded %d of %d rows", c.Name(), seg.rows, len(rows))
 	}
-	if sc, ok := c.(StatefulCodec); ok && len(pages) > 0 {
-		seg.stateBytes = int64(len(sc.SegmentState()))
+	if len(pages) > 0 {
+		seg.stateBytes = int64(len(c.SegmentState()))
 		seg.payloadBytes += seg.stateBytes
 	}
 	return seg, nil
@@ -166,7 +151,7 @@ func (g *Segment) Rows() int64 { return g.rows }
 func (g *Segment) PayloadBytes() int64 { return g.payloadBytes }
 
 // StateBytes returns the serialized codec-state size included in
-// PayloadBytes (0 for stateless codecs).
+// PayloadBytes (0 for designs without a GDICT column).
 func (g *Segment) StateBytes() int64 { return g.stateBytes }
 
 // Page returns the i-th encoded page.

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -46,9 +45,6 @@ type SegmentWriter struct {
 func NewSegmentWriter(path string, s *Schema, c PageCodec) (*SegmentWriter, error) {
 	if c == nil {
 		return nil, fmt.Errorf("storage: nil page codec")
-	}
-	if len(c.Name()) > 255 {
-		return nil, fmt.Errorf("storage: codec name %q too long", c.Name())
 	}
 	spool, err := os.Create(path + ".spool")
 	if err != nil {
@@ -135,25 +131,11 @@ func (w *SegmentWriter) Finish(pool *bufferpool.Pool) (*Segment, error) {
 	}
 	w.finished = true
 
-	name := w.codec.Name()
-	design, state := segDesign(w.codec, w.schema)
-	prefix, err := segHeaderPrefix(name, design, state, len(w.entries), w.rows)
+	header, sf, err := segHeader(w.path, w.codec, w.schema, w.entries, w.rows)
 	if err != nil {
 		w.Abort()
 		return nil, err
 	}
-	headerLen := len(prefix) + 24*len(w.entries) + 4
-	header := make([]byte, 0, headerLen)
-	header = append(header, prefix...)
-	for i := range w.entries {
-		w.entries[i].offset += uint64(headerLen)
-		header = binary.BigEndian.AppendUint64(header, w.entries[i].offset)
-		header = binary.BigEndian.AppendUint32(header, w.entries[i].length)
-		header = binary.BigEndian.AppendUint32(header, w.entries[i].rows)
-		header = binary.BigEndian.AppendUint32(header, w.entries[i].accounted)
-		header = binary.BigEndian.AppendUint32(header, w.entries[i].crc)
-	}
-	header = binary.BigEndian.AppendUint32(header, crc32.ChecksumIEEE(header))
 
 	f, err := os.Create(w.path)
 	if err != nil {
@@ -185,7 +167,7 @@ func (w *SegmentWriter) Finish(pool *bufferpool.Pool) (*Segment, error) {
 	w.spool = nil
 
 	adviseRandom(f)
-	sf := &SegmentFile{f: f, path: w.path, codecName: name, rows: w.rows, entries: w.entries, design: design, state: state}
+	sf.f = f
 	seg := &Segment{Schema: w.schema, Codec: w.codec, pages: w.pages, rows: w.rows}
 	seg.starts = make([]int64, len(w.pages)+1)
 	for i := range w.pages {
@@ -195,7 +177,7 @@ func (w *SegmentWriter) Finish(pool *bufferpool.Pool) (*Segment, error) {
 		seg.diskBytes += int64(w.entries[i].length)
 	}
 	if len(w.pages) > 0 {
-		seg.stateBytes = int64(len(state))
+		seg.stateBytes = int64(len(sf.state))
 		seg.payloadBytes += seg.stateBytes
 	}
 	seg.backing = &segBacking{file: sf, pool: pool, fileID: pool.RegisterFile()}
