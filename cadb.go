@@ -404,85 +404,6 @@ type PoolProfile = optimizer.PoolProfile
 // default resident hit rate.
 func NewPoolProfile(capacityBytes int64) *PoolProfile { return optimizer.NewPoolProfile(capacityBytes) }
 
-// PoolPoint is one cell of the pool-size × compression-method sweep.
-type PoolPoint = experiments.PoolPoint
-
-// PoolSweepConfig sizes a PoolSweep run.
-type PoolSweepConfig = experiments.PoolSweepConfig
-
-// DefaultPoolSweepConfig is the README-documented sweep configuration.
-func DefaultPoolSweepConfig() PoolSweepConfig { return experiments.DefaultPoolSweepConfig() }
-
-// PoolSweep measures buffer-pool hit rate and wall-clock across pool sizes
-// and compression methods over disk-backed segments (the ext-pool
-// experiment's engine). Above experiments.ChunkedPoolRows fact rows it
-// switches to the out-of-core chunked build path automatically.
-func PoolSweep(cfg PoolSweepConfig) ([]PoolPoint, error) { return experiments.PoolSweep(cfg) }
-
-// ScanPoint is one cell of the cold-scan bandwidth sweep (method × rows ×
-// scan mode).
-type ScanPoint = experiments.ScanPoint
-
-// ScanSweepConfig sizes a ScanSweep.
-type ScanSweepConfig = experiments.ScanSweepConfig
-
-// DefaultScanSweepConfig is the README-documented scan-sweep configuration.
-func DefaultScanSweepConfig() ScanSweepConfig { return experiments.DefaultScanSweepConfig() }
-
-// ScanSweep measures cold full-scan bandwidth over disk-backed segments
-// built out-of-core: raw sequential ReadAt vs serial cursor vs async
-// readahead vs partitioned parallel scan, each through a fresh buffer pool,
-// with the decoding modes verified checksum-identical (the ext-scan
-// experiment's engine).
-func ScanSweep(cfg ScanSweepConfig) ([]ScanPoint, error) { return experiments.ScanSweep(cfg) }
-
-// MeasuredSize is one structure×method comparison of the size model against
-// a materialized segment (the ext-measured experiment's unit).
-type MeasuredSize = experiments.MeasuredSize
-
-// MeasuredExec is one statement's estimated-vs-counted page-read comparison
-// with its oracle-identity verdict.
-type MeasuredExec = experiments.MeasuredExec
-
-// MeasuredScenario is one execution-comparison scenario of ext-measured.
-type MeasuredScenario = experiments.MeasuredScenario
-
-// MeasuredSizes materializes each structure under each method and diffs the
-// size model against the physical segment.
-func MeasuredSizes(db *Database, structures []*IndexDef, methods []CompressionMethod) ([]MeasuredSize, error) {
-	return experiments.MeasuredSizes(db, structures, methods)
-}
-
-// MeasuredDesignSizes materializes each definition exactly as given —
-// per-column ColMethods overrides included — and diffs the design-aware size
-// model against the physical segment.
-func MeasuredDesignSizes(db *Database, defs []*IndexDef) ([]MeasuredSize, error) {
-	return experiments.MeasuredDesignSizes(db, defs)
-}
-
-// DesignCost is one row of the mixed-vs-uniform design comparison.
-type DesignCost = experiments.DesignCost
-
-// MixedVsUniform compares the select-intensive TPC-H workload's what-if cost
-// under every uniform method of one clustered structure against a per-column
-// design, all physically materialized.
-func MixedVsUniform(sc ExperimentScale) ([]DesignCost, error) {
-	return experiments.MixedVsUniform(sc)
-}
-
-// MeasuredScenarios builds the TPC-H/Sales/update-mix execution scenarios at
-// the given experiment scale.
-func MeasuredScenarios(sc ExperimentScale) []MeasuredScenario {
-	return experiments.MeasuredScenarios(sc)
-}
-
-// MeasuredExecution runs a workload through the segment-backed store and the
-// plain-row oracle on twin databases, recording estimated and counted page
-// reads per statement.
-func MeasuredExecution(mkdb func() *Database, wl *Workload, defs []*IndexDef) ([]MeasuredExec, error) {
-	return experiments.MeasuredExecution(mkdb, wl, defs)
-}
-
 // ---------------------------------------------------------------------------
 // Experiments
 

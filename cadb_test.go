@@ -2,6 +2,10 @@ package cadb
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -174,5 +178,86 @@ func TestFacadeGenerators(t *testing.T) {
 	ins := InsertIntensive(base)
 	if ins.Inserts()[0].Weight <= base.Inserts()[0].Weight {
 		t.Fatal("InsertIntensive must raise load weights")
+	}
+}
+
+var (
+	docCmdPath = regexp.MustCompile(`\bcmd/([a-z][a-z0-9-]*)`)
+	docRepro   = regexp.MustCompile("cadb-repro((?:[ \t]+[^\\s`#)]+)*)")
+	docDeleted = regexp.MustCompile(`BENCH_[\w*]*|cadb-bench`)
+)
+
+// docViolations lists what a document says that the tree cannot do: a
+// cmd/<name> that is not a directory, a cadb-repro invocation with a flag it
+// does not have or an experiment ID that is not registered, and any mention
+// of the deleted harness or the files it wrote.
+func docViolations(text string) []string {
+	var out []string
+	for _, m := range docCmdPath.FindAllStringSubmatch(text, -1) {
+		if fi, err := os.Stat("cmd/" + m[1]); err != nil || !fi.IsDir() {
+			out = append(out, m[0]+" is not a directory")
+		}
+	}
+	ids := ExperimentIDs()
+	checkIDs := func(list string) {
+		for _, id := range strings.FieldsFunc(list, func(r rune) bool { return r == ',' || r == '|' }) {
+			if !slices.Contains(ids, id) {
+				out = append(out, fmt.Sprintf("cadb-repro experiment %q is not registered", id))
+			}
+		}
+	}
+	for _, m := range docRepro.FindAllStringSubmatch(text, -1) {
+		args := strings.Fields(m[1])
+		for i := 0; i < len(args); i++ {
+			flag, isFlag := strings.CutPrefix(args[i], "-")
+			if !isFlag {
+				checkIDs(args[i])
+				continue
+			}
+			switch flag {
+			case "quick", "list":
+			case "rows", "seed":
+				i++ // its value
+			case "exp":
+				if i++; i < len(args) {
+					checkIDs(args[i])
+				}
+			default:
+				out = append(out, "cadb-repro has no flag "+args[i])
+			}
+		}
+	}
+	for _, m := range docDeleted.FindAllString(text, -1) {
+		out = append(out, m+" is deleted: cite a loop-benchmark row or a cadb-repro report")
+	}
+	return out
+}
+
+// TestReadmeCitesWhatExists keeps README's commands runnable. The inline
+// cases show each rule biting; the last row is the README itself.
+func TestReadmeCitesWhatExists(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, text string
+		want       int // violations
+	}{
+		{"existing command", "`go run ./cmd/cadb-repro -quick ext-pool`", 0},
+		{"alternatives and flags", "`cadb-repro ext-pool|ext-scan -rows N` or `cadb-repro -exp fig12,fig13 -seed 7`", 0},
+		{"bare name in prose", "`cadb-repro` renders the figures (`cmd/cadb-repro`)", 0},
+		{"missing command", "`cmd/cadb-nothere`", 1},
+		{"unknown positional ID", "`cadb-repro ext-nope`", 1},
+		{"unknown -exp ID", "`cadb-repro -exp fig12,fig99`", 1},
+		{"unknown flag", "`cadb-repro -pool-rows 5 ext-pool`", 2}, // the flag, then its stray value
+		{"deleted harness", "`go run ./cmd/cadb-bench` writes `BENCH_pool.json`", 3},
+		{"deleted files by glob", "regenerate `BENCH_*.json`", 1},
+		{"BENCHMARK.json is not one of them", "`BENCHMARK.json` declares the loop benchmark", 0},
+		{"README.md", string(readme), 0},
+	} {
+		if got := docViolations(c.text); len(got) != c.want {
+			t.Errorf("%s: %d violations, want %d:\n  %s", c.name, len(got), c.want, strings.Join(got, "\n  "))
+		}
 	}
 }

@@ -61,10 +61,7 @@ func assertRoundTrip(t *testing.T, s *storage.Schema, rows []storage.Row, m Meth
 	if err != nil {
 		t.Fatalf("%s: BuildSegment: %v", m, err)
 	}
-	got, err := seg.ScanAll()
-	if err != nil {
-		t.Fatalf("%s: ScanAll: %v", m, err)
-	}
+	got := scanAll(t, seg)
 	if len(got) != len(rows) {
 		t.Fatalf("%s: decoded %d rows, want %d", m, len(got), len(rows))
 	}
@@ -189,9 +186,8 @@ func TestCodecEmptyTable(t *testing.T) {
 		if seg.NumPages() != 0 || seg.Rows() != 0 || seg.PayloadBytes() != 0 || seg.PhysicalPages() != 0 {
 			t.Fatalf("%s: empty segment not empty: %+v", m, seg)
 		}
-		rows, err := seg.ScanAll()
-		if err != nil || len(rows) != 0 {
-			t.Fatalf("%s: empty scan: %v %v", m, rows, err)
+		if rows := scanAll(t, seg); len(rows) != 0 {
+			t.Fatalf("%s: empty scan: %v", m, rows)
 		}
 	}
 }
@@ -254,10 +250,7 @@ func TestCodecCharNormalization(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		got, err := seg.ScanAll()
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
+		got := scanAll(t, seg)
 		for i := range got {
 			if got[i][0].Str != want[i] {
 				t.Fatalf("%s: row %d = %q want %q", m, i, got[i][0].Str, want[i])

@@ -475,16 +475,6 @@ func appendRLESection(dst []byte, c storage.Column, rows []storage.Row, ci int, 
 // ---------------------------------------------------------------------------
 // Decoding
 
-// DecodePage reconstructs every row of a page — a non-selective decode
-// expressed through the column-selective path.
-func (cc *columnCodec) DecodePage(s *storage.Schema, payload []byte, nrows int) ([]storage.Row, error) {
-	out, err := cc.DecodeColumns(s, payload, nrows, &storage.DecodeSpec{Needed: s.AllOrdinals()})
-	if err != nil {
-		return nil, err
-	}
-	return out.Rows, nil
-}
-
 // parseSections splits the page payload into per-column section bodies up to
 // and including column last.
 func parseSections(payload []byte, last int) ([][]byte, error) {

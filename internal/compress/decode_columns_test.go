@@ -15,11 +15,28 @@ import (
 // DecodeColumns must return exactly these rows and slots.
 func refDecodeColumns(t *testing.T, seg *storage.Segment, page int, spec *storage.DecodeSpec) *storage.DecodedPage {
 	t.Helper()
-	full, err := seg.DecodePage(page)
+	return storage.FallbackDecodeColumns(seg.Schema, fullDecode(t, seg, page), spec)
+}
+
+// fullDecode reconstructs every row of a page: DecodeColumns over every
+// ordinal, no predicates, no slot filter.
+func fullDecode(t testing.TB, seg *storage.Segment, page int) []storage.Row {
+	t.Helper()
+	dp, err := seg.DecodeColumnsPage(page, &storage.DecodeSpec{Needed: seg.Schema.AllOrdinals()})
 	if err != nil {
-		t.Fatalf("DecodePage(%d): %v", page, err)
+		t.Fatalf("full decode of page %d: %v", page, err)
 	}
-	return storage.FallbackDecodeColumns(seg.Schema, full, spec)
+	return dp.Rows
+}
+
+// scanAll full-decodes every page of seg in order.
+func scanAll(t testing.TB, seg *storage.Segment) []storage.Row {
+	t.Helper()
+	var out []storage.Row
+	for p := 0; p < seg.NumPages(); p++ {
+		out = append(out, fullDecode(t, seg, p)...)
+	}
+	return out
 }
 
 func assertSelectiveDecode(t *testing.T, seg *storage.Segment, spec *storage.DecodeSpec, label string) {

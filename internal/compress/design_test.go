@@ -36,10 +36,7 @@ func TestMixedDesignRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: BuildSegment: %v", d.name, err)
 		}
-		got, err := seg.ScanAll()
-		if err != nil {
-			t.Fatalf("%s: ScanAll: %v", d.name, err)
-		}
+		got := scanAll(t, seg)
 		if len(got) != len(rows) {
 			t.Fatalf("%s: got %d rows, want %d", d.name, len(got), len(rows))
 		}
@@ -182,10 +179,7 @@ func TestGDictPlainElection(t *testing.T) {
 	if seg.StateBytes() != 1 {
 		t.Fatalf("prepared all-distinct GDICT state = %d bytes, want 1 (plain election)", seg.StateBytes())
 	}
-	got, err := seg.ScanAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := scanAll(t, seg)
 	for i := range rows {
 		if !bytes.Equal(canonical(s, got[i]), canonical(s, rows[i])) {
 			t.Fatalf("row %d mismatch", i)
@@ -212,10 +206,7 @@ func TestGDictPlainElection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sgot, err := sseg.ScanAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sgot := scanAll(t, sseg)
 	for i := range rows {
 		if !bytes.Equal(canonical(s, sgot[i]), canonical(s, rows[i])) {
 			t.Fatalf("streamed row %d mismatch", i)
@@ -246,10 +237,7 @@ func TestRLEConstantColumn(t *testing.T) {
 	if rle.PayloadBytes()*20 >= plain.PayloadBytes() {
 		t.Fatalf("constant-column RLE payload %d not ≪ plain %d", rle.PayloadBytes(), plain.PayloadBytes())
 	}
-	got, err := rle.ScanAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := scanAll(t, rle)
 	for i := range rows {
 		if !bytes.Equal(canonical(s, got[i]), canonical(s, rows[i])) {
 			t.Fatalf("row %d mismatch", i)
@@ -290,11 +278,11 @@ func TestSegmentStateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fresh.DecodePage(s, payload, seg.PageRows(p))
+		got, err := fresh.DecodeColumns(s, payload, seg.PageRows(p), &storage.DecodeSpec{Needed: s.AllOrdinals()})
 		if err != nil {
-			t.Fatalf("page %d: DecodePage after state reload: %v", p, err)
+			t.Fatalf("page %d: full decode after state reload: %v", p, err)
 		}
-		for _, r := range got {
+		for _, r := range got.Rows {
 			if !bytes.Equal(canonical(s, r), canonical(s, rows[at])) {
 				t.Fatalf("page %d: row %d mismatch after state reload", p, at)
 			}

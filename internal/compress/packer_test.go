@@ -267,10 +267,7 @@ func TestPureRLEPageRowCap(t *testing.T) {
 	if seg.NumPages() != 2 || seg.PageRows(0) != maxPageRows {
 		t.Fatalf("got %d pages, first holding %d rows; want 2 pages, the first full at %d", seg.NumPages(), seg.PageRows(0), maxPageRows)
 	}
-	got, err := seg.ScanAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := scanAll(t, seg)
 	if len(got) != len(rows) {
 		t.Fatalf("scanned %d rows, want %d", len(got), len(rows))
 	}

@@ -30,6 +30,7 @@ import (
 	"cadb/internal/estimator"
 	"cadb/internal/index"
 	"cadb/internal/optimizer"
+	"cadb/internal/par"
 	"cadb/internal/sizeest"
 	"cadb/internal/sizing"
 	"cadb/internal/workload"
@@ -410,7 +411,7 @@ func (a *Advisor) estimateAll(structures []*index.Def) (map[string]*optimizer.Hy
 	// slots so the later reduction order is deterministic.
 	uncEsts := make([]*estimator.Estimate, len(uncompressed))
 	errs := make([]error, len(uncompressed))
-	parallelFor(workers, len(uncompressed), func(i int) {
+	par.For(workers, len(uncompressed), func(i int) {
 		uncEsts[i], errs[i] = oracle.EstimateUncompressed(uncompressed[i])
 	})
 	for _, err := range errs {

@@ -6,6 +6,7 @@ import (
 
 	"cadb/internal/index"
 	"cadb/internal/optimizer"
+	"cadb/internal/par"
 	"cadb/internal/workload"
 )
 
@@ -272,7 +273,7 @@ func (a *Advisor) selectCandidates(hypos []*optimizer.HypoIndex) []*optimizer.Hy
 	// independent: they fan out over the worker pool, each writing its picks
 	// (positions in hypos) to its own slot.
 	picks := make([][]int, len(a.WL.Statements))
-	parallelFor(a.workers(), len(a.WL.Statements), func(si int) {
+	par.For(a.workers(), len(a.WL.Statements), func(si int) {
 		s := a.WL.Statements[si]
 		shape := statementShape(s)
 		if shape == nil {

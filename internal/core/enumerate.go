@@ -8,6 +8,7 @@ import (
 	"cadb/internal/estimator"
 	"cadb/internal/index"
 	"cadb/internal/optimizer"
+	"cadb/internal/par"
 )
 
 // mergeCandidates implements index merging [8]: when two selected candidates
@@ -136,7 +137,7 @@ func (a *Advisor) enumerate(candidates []*optimizer.HypoIndex) *optimizer.Config
 		// run (first candidate with the strictly best score wins) and the
 		// recommendation is byte-identical at any Parallelism.
 		picks := make([]*pick, len(remaining))
-		parallelFor(workers, len(remaining), func(i int) {
+		par.For(workers, len(remaining), func(i int) {
 			h := remaining[i]
 			if !a.admissible(cfg, h) {
 				return
@@ -249,7 +250,7 @@ func (a *Advisor) recover(ev *optimizer.Evaluator) *optimizer.Evaluator {
 			shrink int64
 		}
 		evals := make([]swapEval, len(pairs))
-		parallelFor(workers, len(pairs), func(i int) {
+		par.For(workers, len(pairs), func(i int) {
 			next, cost := cur.CostWithReplace(pairs[i].member, pairs[i].variant)
 			evals[i] = swapEval{
 				next:   next,

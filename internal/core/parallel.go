@@ -1,10 +1,6 @@
 package core
 
-import (
-	"runtime"
-
-	"cadb/internal/par"
-)
+import "runtime"
 
 // workers resolves Options.Parallelism: non-positive means one worker per
 // available CPU.
@@ -13,10 +9,4 @@ func (a *Advisor) workers() int {
 		return p
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// parallelFor fans fn(0..n-1) over the shared worker-pool primitive; see
-// par.For for the slot-writing contract that keeps results deterministic.
-func parallelFor(workers, n int, fn func(i int)) {
-	par.For(workers, n, fn)
 }

@@ -7,6 +7,7 @@ import (
 	"cadb/internal/compress"
 	"cadb/internal/index"
 	"cadb/internal/optimizer"
+	"cadb/internal/par"
 )
 
 // refineColumns upgrades the enumerated configuration from uniform methods to
@@ -75,7 +76,7 @@ func (a *Advisor) refineColumns(cfg *optimizer.Configuration) *optimizer.Configu
 				cost float64
 			}
 			evals := make([]swapEval, len(variants))
-			parallelFor(workers, len(variants), func(i int) {
+			par.For(workers, len(variants), func(i int) {
 				next, cost := ev.CostWithReplace(cur, variants[i])
 				evals[i] = swapEval{next: next, cost: cost}
 			})

@@ -72,10 +72,10 @@ type ScanSweepConfig struct {
 }
 
 // DefaultScanSweepConfig is the README-documented configuration (rows are set
-// by the caller — cadb-bench reaches 10⁷). The readahead is deeper than the
-// exec-layer defaults: a cold full scan is exactly the access pattern that
-// profits from a 4 MB window, while the exec default stays conservative for
-// mixed workloads sharing the pool.
+// by the caller — `cadb-repro ext-scan -rows 10000000` reaches 10⁷). The
+// readahead is deeper than the exec-layer defaults: a cold full scan is
+// exactly the access pattern that profits from a 4 MB window, while the exec
+// default stays conservative for mixed workloads sharing the pool.
 func DefaultScanSweepConfig() ScanSweepConfig {
 	return ScanSweepConfig{
 		Dataset:   "tpch",

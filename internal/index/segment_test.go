@@ -23,6 +23,27 @@ func segTestDefs() []*Def {
 // TestSegmentIndexRoundTrip pins that a materialized segment decodes back to
 // exactly the leaf rows the index materializer produced, for every codec and
 // structure shape (clustered, secondary, MV).
+// fullDecode reconstructs every row of a page: DecodeColumns over every
+// ordinal, no predicates, no slot filter.
+func fullDecode(t testing.TB, seg *storage.Segment, page int) []storage.Row {
+	t.Helper()
+	dp, err := seg.DecodeColumnsPage(page, &storage.DecodeSpec{Needed: seg.Schema.AllOrdinals()})
+	if err != nil {
+		t.Fatalf("full decode of page %d: %v", page, err)
+	}
+	return dp.Rows
+}
+
+// scanAll full-decodes every page of seg in order.
+func scanAll(t testing.TB, seg *storage.Segment) []storage.Row {
+	t.Helper()
+	var out []storage.Row
+	for p := 0; p < seg.NumPages(); p++ {
+		out = append(out, fullDecode(t, seg, p)...)
+	}
+	return out
+}
+
 func TestSegmentIndexRoundTrip(t *testing.T) {
 	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 3000, Seed: 21})
 	defs := segTestDefs()
@@ -46,10 +67,7 @@ func TestSegmentIndexRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", d, err)
 		}
-		got, err := si.Seg.ScanAll()
-		if err != nil {
-			t.Fatalf("%s: %v", d, err)
-		}
+		got := scanAll(t, si.Seg)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d rows vs %d", d, len(got), len(want))
 		}
@@ -121,11 +139,7 @@ func TestSeekPagesCoversAllMatches(t *testing.T) {
 		lo, hi := si.SeekPages(bound, true, bound, true)
 		var inRange, total int64
 		for p := 0; p < si.Seg.NumPages(); p++ {
-			rows, err := si.Seg.DecodePage(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range rows {
+			for _, r := range fullDecode(t, si.Seg, p) {
 				if r[0].Compare(bound) == 0 {
 					total++
 					if p >= lo && p < hi {
@@ -167,9 +181,8 @@ func TestBuildSegmentIndexAllMethods(t *testing.T) {
 		if si.Seg.Rows() != 500 {
 			t.Fatalf("%s: segment has %d rows, want 500", d, si.Seg.Rows())
 		}
-		rows, err := si.Seg.ScanAll()
-		if err != nil || len(rows) != 500 {
-			t.Fatalf("%s: ScanAll: %d rows, err %v", d, len(rows), err)
+		if rows := scanAll(t, si.Seg); len(rows) != 500 {
+			t.Fatalf("%s: full scan decoded %d rows, want 500", d, len(rows))
 		}
 	}
 }

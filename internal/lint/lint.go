@@ -104,7 +104,6 @@ var (
 	// write-your-own-slot contract.
 	DefaultFanoutFuncs = []string{
 		"cadb/internal/par.For",
-		"cadb/internal/core.parallelFor",
 	}
 )
 

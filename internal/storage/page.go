@@ -74,14 +74,3 @@ func PackRows(s *Schema, rows []Row) ([]PageGroup, int64) {
 	flush(len(rows))
 	return groups, total
 }
-
-// RowsPerPage estimates how many rows of the given schema fit on one page,
-// using the fixed part of the row width. It is at least 1.
-func RowsPerPage(s *Schema) int {
-	w := s.RowWidth() + SlotSize
-	n := UsablePageBytes / w
-	if n < 1 {
-		n = 1
-	}
-	return n
-}

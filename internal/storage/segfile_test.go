@@ -40,25 +40,44 @@ func (plainCodec) EncodeRows(s *Schema, rows []Row) ([]EncodedPage, error) {
 	return out, nil
 }
 
-func (plainCodec) DecodePage(s *Schema, payload []byte, nrows int) ([]Row, error) {
-	rows := make([]Row, 0, nrows)
-	for at := 0; len(rows) < nrows; {
+func (plainCodec) DecodeColumns(s *Schema, payload []byte, nrows int, spec *DecodeSpec) (*DecodedPage, error) {
+	full := make([]Row, 0, nrows)
+	for at := 0; len(full) < nrows; {
 		r, n, err := DecodeRow(s, payload[at:])
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, r)
+		full = append(full, r)
 		at += n
 	}
-	return rows, nil
+	return FallbackDecodeColumns(s, full, spec), nil
 }
 
-func (c plainCodec) DecodeColumns(s *Schema, payload []byte, nrows int, spec *DecodeSpec) (*DecodedPage, error) {
-	full, err := c.DecodePage(s, payload, nrows)
+// decodeAll is the full decode of one page payload: DecodeColumns over every
+// ordinal, no predicates.
+func decodeAll(t testing.TB, seg *Segment, payload []byte, nrows int) []Row {
+	t.Helper()
+	dp, err := seg.Codec.DecodeColumns(seg.Schema, payload, nrows, &DecodeSpec{Needed: seg.Schema.AllOrdinals()})
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	return FallbackDecodeColumns(s, full, spec), nil
+	return dp.Rows
+}
+
+// scanAll full-decodes every page of seg in order, fetching through the pool
+// when the segment is spilled.
+func scanAll(t testing.TB, seg *Segment, io *IOStats) []Row {
+	t.Helper()
+	var out []Row
+	for i := 0; i < seg.NumPages(); i++ {
+		payload, release, err := seg.FetchPage(i, io)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, decodeAll(t, seg, payload, seg.PageRows(i))...)
+		release()
+	}
+	return out
 }
 
 func testSegment(t *testing.T, nrows int) (*Schema, []Row, *Segment) {
@@ -106,11 +125,7 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := seg.Codec.DecodePage(seg.Schema, payload, re.PageRows(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range got {
+		for _, r := range decodeAll(t, seg, payload, re.PageRows(i)) {
 			if r[0].Int != rows[decoded][0].Int {
 				t.Fatalf("row %d: got id %d", decoded, r[0].Int)
 			}
@@ -168,10 +183,7 @@ func TestSegmentFileDetectsCorruption(t *testing.T) {
 // counted per fetch, and CloseBacking turns later fetches into errors.
 func TestSpillAndFetch(t *testing.T) {
 	_, rows, seg := testSegment(t, 1500)
-	want, err := seg.ScanAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := scanAll(t, seg, nil)
 	pool := bufferpool.New(1 << 20)
 	if err := seg.Spill(filepath.Join(t.TempDir(), "seg.cadb"), pool); err != nil {
 		t.Fatal(err)
@@ -185,19 +197,7 @@ func TestSpillAndFetch(t *testing.T) {
 		}
 	}
 	var io IOStats
-	var got []Row
-	for i := 0; i < seg.NumPages(); i++ {
-		payload, release, err := seg.FetchPage(i, &io)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := seg.Codec.DecodePage(seg.Schema, payload, seg.PageRows(i))
-		release()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, rs...)
-	}
+	got := scanAll(t, seg, &io)
 	if len(got) != len(want) || len(got) != len(rows) {
 		t.Fatalf("scan through pool returned %d rows, want %d", len(got), len(want))
 	}

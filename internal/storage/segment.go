@@ -24,13 +24,12 @@ type PageCodec interface {
 	// compact — without the pre-pass.
 	PrepareSegment(s *Schema, rows []Row) error
 	// EncodeRows packs the rows into page payloads. Each payload must be
-	// decodable by DecodePage on its own (given the segment state).
+	// decodable on its own (given the segment state).
 	EncodeRows(s *Schema, rows []Row) ([]EncodedPage, error)
-	// DecodePage reconstructs the rows of one page payload.
-	DecodePage(s *Schema, payload []byte, nrows int) ([]Row, error)
 	// DecodeColumns reconstructs only the spec.Needed columns of the rows
 	// that satisfy spec's predicates and slot filter; the returned counters
-	// report the work actually done.
+	// report the work actually done. A full decode is every ordinal in
+	// spec.Needed and nothing else.
 	DecodeColumns(s *Schema, payload []byte, nrows int, spec *DecodeSpec) (*DecodedPage, error)
 	// ColumnMethodIDs returns one compression-method byte per schema column —
 	// the design vector recorded in the segment file header.
@@ -298,25 +297,13 @@ func (b *segBacking) loadPage(i int) func() ([]byte, error) {
 	}
 }
 
-// PrefetchPage speculatively loads page i into the pool (unpinned) so an
-// upcoming sequential FetchPage hits instead of stalling. Returns the bytes
-// loaded: 0 when the segment is in-memory, closed, or the page is already
-// resident or in flight. Errors are returned for accounting but a failed
-// prefetch is harmless — the page simply stays cold.
-func (g *Segment) PrefetchPage(i int) (int64, error) {
-	b := g.backing
-	if b == nil || b.closed.Load() {
-		return 0, nil
-	}
-	return b.pool.Prefetch(bufferpool.Key{File: b.fileID, Page: i}, b.loadPage(i))
-}
-
 // PrefetchSpan speculatively loads pages [lo, hi) into the pool (unpinned)
 // with at most one coalesced span read: the first page that is actually
 // missing triggers a single ReadAt covering the whole span, and every other
 // missing page is admitted from that buffer. Resident or in-flight pages are
-// skipped. Returns the pages and payload bytes actually admitted; like
-// PrefetchPage, errors are for accounting only — the pages simply stay cold.
+// skipped. Returns the pages and payload bytes actually admitted; errors are
+// for accounting only — a failed prefetch is harmless, the pages simply stay
+// cold.
 func (g *Segment) PrefetchSpan(lo, hi int) (pages int, bytes int64, err error) {
 	b := g.backing
 	if b == nil || b.closed.Load() {
@@ -352,16 +339,6 @@ func (g *Segment) PrefetchSpan(lo, hi int) (pages int, bytes int64, err error) {
 	return pages, bytes, err
 }
 
-// DecodePage decodes page i back into rows.
-func (g *Segment) DecodePage(i int) ([]Row, error) {
-	payload, release, err := g.FetchPage(i, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return g.Codec.DecodePage(g.Schema, payload, g.pages[i].Rows)
-}
-
 // DecodeColumnsPage runs a column-selective decode of page i.
 func (g *Segment) DecodeColumnsPage(i int, spec *DecodeSpec) (*DecodedPage, error) {
 	payload, release, err := g.FetchPage(i, nil)
@@ -370,18 +347,4 @@ func (g *Segment) DecodeColumnsPage(i int, spec *DecodeSpec) (*DecodedPage, erro
 	}
 	defer release()
 	return g.Codec.DecodeColumns(g.Schema, payload, g.pages[i].Rows, spec)
-}
-
-// ScanAll decodes every page in order — the full-scan access path without
-// accounting (callers that need PageReads counters decode page by page).
-func (g *Segment) ScanAll() ([]Row, error) {
-	out := make([]Row, 0, g.rows)
-	for i := range g.pages {
-		rows, err := g.DecodePage(i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rows...)
-	}
-	return out, nil
 }

@@ -62,10 +62,7 @@ func TestSegmentWriterMatchesBuildSegment(t *testing.T) {
 			t.Fatalf("chunk size %d: segment metadata differs", chunk)
 		}
 		// The returned segment must serve pages through the pool.
-		got, err := cseg.ScanAll()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := scanAll(t, cseg, nil)
 		if len(got) != len(rows) || got[0][0].Int != rows[0][0].Int {
 			t.Fatalf("chunk size %d: scan through pool wrong", chunk)
 		}
@@ -137,19 +134,7 @@ func TestPrefetcherWarmsScan(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	var got []Row
-	for i := 0; i < seg.NumPages(); i++ {
-		payload, release, err := seg.FetchPage(i, &io)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := seg.Codec.DecodePage(seg.Schema, payload, seg.PageRows(i))
-		release()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, rs...)
-	}
+	got := scanAll(t, seg, &io)
 	pf.Close(&io)
 	if len(got) != len(rows) {
 		t.Fatalf("scan with prefetch returned %d rows, want %d", len(got), len(rows))

@@ -305,17 +305,6 @@ func TestPagesForBytes(t *testing.T) {
 	}
 }
 
-func TestRowsPerPagePositive(t *testing.T) {
-	s := testSchema()
-	if RowsPerPage(s) < 1 {
-		t.Fatal("RowsPerPage must be at least 1")
-	}
-	wide := NewSchema(Column{Name: "big", Kind: KindString, FixedWidth: 100000})
-	if RowsPerPage(wide) != 1 {
-		t.Fatal("oversized rows still get one per page")
-	}
-}
-
 func TestAvgRowWidth(t *testing.T) {
 	s := testSchema()
 	rng := rand.New(rand.NewSource(1))
