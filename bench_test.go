@@ -280,10 +280,6 @@ func BenchmarkAblationNoBacktrack(b *testing.B) {
 	benchAdvisor(b, func(o *core.Options) { o.Backtrack = false })
 }
 
-func BenchmarkAblationDensityGreedy(b *testing.B) {
-	benchAdvisor(b, func(o *core.Options) { o.Density = true })
-}
-
 func BenchmarkAblationNoDeduction(b *testing.B) {
 	benchAdvisor(b, func(o *core.Options) { o.UseDeduction = false })
 }

@@ -268,8 +268,8 @@ type SizeOracleConfig = sizeest.Config
 // SizeAccounting is the oracle's runtime split and admission counters.
 type SizeAccounting = sizeest.Accounting
 
-// NewSizeOracle creates the batched, DAG-parallel size oracle.
-func NewSizeOracle(db *Database, cfg SizeOracleConfig) SizeOracle {
+// NewSizeOracle creates a size oracle.
+func NewSizeOracle(db *Database, cfg SizeOracleConfig) *SizeOracle {
 	return sizeest.New(db, cfg)
 }
 
@@ -281,7 +281,7 @@ type EstimationPlan = sizing.Plan
 // fraction grid and returns the cheapest feasible plan plus the estimator to
 // execute it with (tolerance e, confidence q as in Section 5.1).
 func PlanEstimation(db *Database, targets []*IndexDef, e, q float64, seed int64) (*EstimationPlan, *SizeEstimator) {
-	return sizing.Sweep(db, targets, nil, e, q, nil, seed, sizing.Greedy)
+	return sizing.Sweep(db, targets, nil, e, q, seed)
 }
 
 // ExecuteEstimation runs a plan, returning estimates keyed by IndexDef.ID().
@@ -389,19 +389,18 @@ func NewChunkedSegmentWriter(path string, src *ChunkedSource, m CompressionMetho
 
 // WrapSegmentScanOnly wraps an already-built segment (e.g. a SegmentWriter's
 // output) as a scan-only SegmentIndex: no per-page low keys, but full-scan
-// and parallel-scan cursors work unchanged.
+// cursors work unchanged.
 func WrapSegmentScanOnly(seg *Segment, d *IndexDef) *SegmentIndex {
 	return index.WrapSegment(seg, d)
 }
 
-// PoolProfile makes what-if costing buffer-pool-aware: page-I/O cost terms
-// are discounted by each structure's expected hit rate (measured per-file
-// rates win over the fits-in-capacity heuristic). Install via
-// CostModel.SetPoolProfile or Options.PoolProfile.
+// PoolProfile makes what-if costing buffer-pool-aware: the page-I/O cost
+// terms of a structure that fits the pool's capacity are discounted by the
+// resident hit rate. Install via CostModel.SetPoolProfile or
+// Options.PoolProfile.
 type PoolProfile = optimizer.PoolProfile
 
-// NewPoolProfile returns a profile for a pool of the given capacity with the
-// default resident hit rate.
+// NewPoolProfile returns a profile for a pool of the given capacity.
 func NewPoolProfile(capacityBytes int64) *PoolProfile { return optimizer.NewPoolProfile(capacityBytes) }
 
 // ---------------------------------------------------------------------------

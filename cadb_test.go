@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
+
+	"cadb/internal/experiments"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -185,12 +188,22 @@ var (
 	docCmdPath = regexp.MustCompile(`\bcmd/([a-z][a-z0-9-]*)`)
 	docRepro   = regexp.MustCompile("cadb-repro((?:[ \t]+[^\\s`#)]+)*)")
 	docDeleted = regexp.MustCompile(`BENCH_[\w*]*|cadb-bench`)
+	docMember  = regexp.MustCompile(`\b(SegmentStore|PoolProfile|Options)\.([A-Z]\w*)`)
 )
+
+// docTypes are the facade types whose members a document may cite.
+var docTypes = map[string]reflect.Type{
+	"SegmentStore": reflect.TypeOf((*SegmentStore)(nil)),
+	"PoolProfile":  reflect.TypeOf((*PoolProfile)(nil)),
+	"Options":      reflect.TypeOf((*Options)(nil)),
+}
 
 // docViolations lists what a document says that the tree cannot do: a
 // cmd/<name> that is not a directory, a cadb-repro invocation with a flag it
-// does not have or an experiment ID that is not registered, and any mention
-// of the deleted harness or the files it wrote.
+// does not have or an experiment ID that is not registered, a
+// SegmentStore.X / PoolProfile.X / Options.X that is neither a method nor a
+// field of that type, and any mention of the deleted harness or the files it
+// wrote.
 func docViolations(text string) []string {
 	var out []string
 	for _, m := range docCmdPath.FindAllStringSubmatch(text, -1) {
@@ -227,6 +240,14 @@ func docViolations(text string) []string {
 			}
 		}
 	}
+	for _, m := range docMember.FindAllStringSubmatch(text, -1) {
+		t := docTypes[m[1]]
+		_, isMethod := t.MethodByName(m[2])
+		_, isField := t.Elem().FieldByName(m[2])
+		if !isMethod && !isField {
+			out = append(out, m[0]+" is neither a method nor a field of cadb."+m[1])
+		}
+	}
 	for _, m := range docDeleted.FindAllString(text, -1) {
 		out = append(out, m+" is deleted: cite a loop-benchmark row or a cadb-repro report")
 	}
@@ -253,11 +274,37 @@ func TestReadmeCitesWhatExists(t *testing.T) {
 		{"unknown flag", "`cadb-repro -pool-rows 5 ext-pool`", 2}, // the flag, then its stray value
 		{"deleted harness", "`go run ./cmd/cadb-bench` writes `BENCH_pool.json`", 3},
 		{"deleted files by glob", "regenerate `BENCH_*.json`", 1},
+		{"real members", "`SegmentStore.SetPrefetch(8, 2)`, `Options.PoolProfile`, `cadb.PoolProfile.CapacityBytes`, `DefaultOptions.`", 0},
+		{"members that do not exist", "`PoolProfile.Measured` feeds `SegmentStore.NoSuchMethod()` into `Options.Knob`", 3},
 		{"BENCHMARK.json is not one of them", "`BENCHMARK.json` declares the loop benchmark", 0},
 		{"README.md", string(readme), 0},
 	} {
 		if got := docViolations(c.text); len(got) != c.want {
 			t.Errorf("%s: %d violations, want %d:\n  %s", c.name, len(got), c.want, strings.Join(got, "\n  "))
+		}
+	}
+}
+
+// TestOptionCounts is the ratchet on the audited configuration surface: each
+// row pins how many independently settable fields a config struct has.
+// Lowering a count is always fine (update the row); raising one needs the
+// justification in the failure message.
+func TestOptionCounts(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		config any
+		want   int
+	}{
+		{"core.Options", Options{}, 15},
+		{"sizeest.Config", SizeOracleConfig{}, 5},
+		{"optimizer.PoolProfile", PoolProfile{}, 1},
+		{"experiments.ScanSweepConfig", experiments.ScanSweepConfig{}, 3},
+		{"experiments.PoolSweepConfig", experiments.PoolSweepConfig{}, 6},
+	} {
+		if got := reflect.TypeOf(c.config).NumField(); got != c.want {
+			t.Errorf("%s has %d fields, want %d: a new option needs two non-test callers that set it differently — "+
+				"with one value in use make it a constant; a value the code can derive is not an option",
+				c.name, got, c.want)
 		}
 	}
 }

@@ -7,13 +7,15 @@
 //	cadb-datagen -db tpch -rows 10000 -zipf 1
 //	cadb-datagen -db sales
 //	cadb-datagen -db tpch -chunk -rows 10000000            # out-of-core stream
-//	cadb-datagen -db tpch -chunk -rows 10000000 -spill f.seg -method PAGE
+//	cadb-datagen -db tpch -chunk -rows 10000000 -spill f.seg -method page
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"cadb"
@@ -21,29 +23,45 @@ import (
 )
 
 func main() {
-	var (
-		dbName = flag.String("db", "tpch", "database: tpch | sales | tpcds")
-		rows   = flag.Int("rows", 10000, "fact-table row count")
-		scale  = flag.Float64("scale", 1, "row-count multiplier (e.g. -scale 100 turns the 10000-row default into 1e6 rows)")
-		zipf   = flag.Float64("zipf", 0, "value skew Z (Zipf exponent over fact-table value choices)")
-		seed   = flag.Int64("seed", 42, "generator seed")
-		chunk  = flag.Bool("chunk", false, "stream the fact table out-of-core in fixed-size blocks instead of materializing the database (tpch | sales)")
-		spill  = flag.String("spill", "", "with -chunk: also stream the rows through a SegmentWriter into a segment file at this path")
-		method = flag.String("method", "NONE", "with -chunk -spill: compression method for the spilled segment (NONE | ROW | PAGE)")
-	)
-	flag.Parse()
-	if *scale <= 0 {
-		fmt.Fprintf(os.Stderr, "cadb-datagen: -scale must be > 0, got %g\n", *scale)
-		os.Exit(1)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// methodNames lists every -method value: NONE plus compress.Methods.
+func methodNames() string {
+	names := []string{compress.None.String()}
+	for _, m := range compress.Methods {
+		names = append(names, m.String())
 	}
-	*rows = int(float64(*rows) * *scale)
+	return strings.Join(names, " | ")
+}
+
+// run is main with injectable streams and exit code, so flag handling is
+// testable.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cadb-datagen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		dbName = fs.String("db", "tpch", "database: tpch | sales | tpcds")
+		rows   = fs.Int("rows", 10000, "fact-table row count")
+		zipf   = fs.Float64("zipf", 0, "value skew Z (Zipf exponent over fact-table value choices)")
+		seed   = fs.Int64("seed", 42, "generator seed")
+		chunk  = fs.Bool("chunk", false, "stream the fact table out-of-core in fixed-size blocks instead of materializing the database (tpch | sales)")
+		spill  = fs.String("spill", "", "with -chunk: also stream the rows through a SegmentWriter into a segment file at this path")
+		method = fs.String("method", "NONE", "with -chunk -spill: compression method for the spilled segment ("+methodNames()+", any case)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *chunk {
-		if err := runChunked(*dbName, *rows, *zipf, *seed, *spill, *method); err != nil {
-			fmt.Fprintln(os.Stderr, "cadb-datagen:", err)
-			os.Exit(1)
+		if err := runChunked(stdout, *dbName, *rows, *zipf, *seed, *spill, *method); err != nil {
+			fmt.Fprintln(stderr, "cadb-datagen:", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	var db *cadb.Database
@@ -55,52 +73,52 @@ func main() {
 	case "tpcds":
 		db = cadb.NewTPCDS(cadb.TPCDSConfig{StoreSalesRows: *rows, Seed: *seed})
 	default:
-		fmt.Fprintf(os.Stderr, "cadb-datagen: unknown db %q\n", *dbName)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "cadb-datagen: unknown db %q\n", *dbName)
+		return 1
 	}
 
-	fmt.Printf("database %s: %d tables, %.2f MB total heap\n\n", db.Name, len(db.Tables()), float64(db.TotalHeapBytes())/(1<<20))
+	fmt.Fprintf(stdout, "database %s: %d tables, %.2f MB total heap\n\n", db.Name, len(db.Tables()), float64(db.TotalHeapBytes())/(1<<20))
 	for _, t := range db.Tables() {
 		fact := ""
 		if t.Fact {
 			fact = " [fact]"
 		}
-		fmt.Printf("%s%s: %d rows, %d pages\n", t.Name, fact, t.RowCount(), t.HeapPages())
-		fmt.Printf("  schema: %s\n", t.Schema)
+		fmt.Fprintf(stdout, "%s%s: %d rows, %d pages\n", t.Name, fact, t.RowCount(), t.HeapPages())
+		fmt.Fprintf(stdout, "  schema: %s\n", t.Schema)
 		st := t.Stats()
 		for _, c := range t.Schema.Columns {
 			cs := st.Col(c.Name)
-			fmt.Printf("  %-18s distinct=%-8d nulls=%-6d avgwidth=%.1f\n", c.Name, cs.Distinct, cs.NullCount, cs.AvgWidth)
+			fmt.Fprintf(stdout, "  %-18s distinct=%-8d nulls=%-6d avgwidth=%.1f\n", c.Name, cs.Distinct, cs.NullCount, cs.AvgWidth)
 		}
-		fmt.Printf("  compressibility (CF = compressed/uncompressed):")
+		fmt.Fprintf(stdout, "  compressibility (CF = compressed/uncompressed):")
 		for _, m := range compress.Methods {
-			fmt.Printf("  %s=%.2f", m, compress.Fraction(t.Schema, t.Rows, m))
+			fmt.Fprintf(stdout, "  %s=%.2f", m, compress.Fraction(t.Schema, t.Rows, m))
 		}
-		fmt.Println()
-		fmt.Println()
+		fmt.Fprint(stdout, "\n\n")
 	}
+	return 0
 }
 
 // runChunked streams the fact table block by block — never holding more than
 // one block (plus, when spilling, one tentative page) in memory — and prints
 // generation throughput; with -spill the stream lands in an on-disk segment.
-func runChunked(dbName string, rows int, zipf float64, seed int64, spill, method string) error {
+func runChunked(stdout io.Writer, dbName string, rows int, zipf float64, seed int64, spill, method string) error {
 	src, err := cadb.NewChunkedSource(dbName, rows, zipf, seed)
 	if err != nil {
 		return err
 	}
 	var w *cadb.SegmentWriter
+	var m cadb.CompressionMethod
 	if spill != "" {
-		m, ok := parseMethod(method)
-		if !ok {
-			return fmt.Errorf("unknown or non-materializing method %q (want NONE | ROW | PAGE)", method)
+		if m, err = compress.ParseMethod(method); err != nil {
+			return fmt.Errorf("-method: %w (want %s)", err, methodNames())
 		}
 		if w, err = cadb.NewChunkedSegmentWriter(spill, src, m); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("chunked %s fact: %d rows in %d blocks of %d\n", dbName, src.Rows(), src.NumBlocks(), cadb.ChunkedBlockRows)
-	fmt.Printf("  schema: %s\n", src.Schema())
+	fmt.Fprintf(stdout, "chunked %s fact: %d rows in %d blocks of %d\n", dbName, src.Rows(), src.NumBlocks(), cadb.ChunkedBlockRows)
+	fmt.Fprintf(stdout, "  schema: %s\n", src.Schema())
 	start := time.Now()
 	var streamed int64
 	for b := src.NextBlock(); b != nil; b = src.NextBlock() {
@@ -113,24 +131,16 @@ func runChunked(dbName string, rows int, zipf float64, seed int64, spill, method
 		}
 	}
 	wall := time.Since(start)
-	fmt.Printf("  streamed %d rows in %.2fs (%.0f rows/s)\n", streamed, wall.Seconds(), float64(streamed)/wall.Seconds())
+	fmt.Fprintf(stdout, "  streamed %d rows in %.2fs (%.0f rows/s)\n", streamed, wall.Seconds(), float64(streamed)/wall.Seconds())
 	if w != nil {
 		seg, err := w.Finish(cadb.NewBufferPool(32 << 20))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  spilled to %s: %d pages, %.2f MB on disk (%s)\n",
-			spill, seg.NumPages(), float64(seg.DiskBytes())/(1<<20), method)
+		fmt.Fprintf(stdout, "  spilled to %s: %d pages, %.2f MB on disk (%s)\n",
+			spill, seg.NumPages(), float64(seg.DiskBytes())/(1<<20), m)
+		// The file is the product: close its handle, keep it on disk.
+		return seg.ReleaseBacking()
 	}
 	return nil
-}
-
-// parseMethod resolves a method name to a materializing compression method.
-func parseMethod(name string) (cadb.CompressionMethod, bool) {
-	for _, m := range compress.Methods {
-		if m.String() == name && compress.HasCodec(m) {
-			return m, true
-		}
-	}
-	return 0, false
 }

@@ -68,22 +68,6 @@ type Stats struct {
 	PinnedBytes  int64
 }
 
-// FileStats are the per-file hit/miss counters — the measured-hit-rate input
-// the pool-aware cost model consumes (hits and misses attribute to the file
-// of the requested key; prefetch loads are not Gets and count in neither).
-type FileStats struct {
-	Hits   int64
-	Misses int64
-}
-
-// HitRate returns hits/(hits+misses), or 0 before any Get.
-func (fs FileStats) HitRate() float64 {
-	if t := fs.Hits + fs.Misses; t > 0 {
-		return float64(fs.Hits) / float64(t)
-	}
-	return 0
-}
-
 // frame is one resident or loading page.
 type frame struct {
 	key  Key
@@ -119,7 +103,6 @@ type Pool struct {
 	ring     []*frame // CLOCK order (admission order, hand wraps)
 	hand     int
 	stats    Stats
-	perFile  map[uint64]*FileStats
 	nextFile atomic.Uint64
 }
 
@@ -133,7 +116,6 @@ func New(capacityBytes int64) *Pool {
 	return &Pool{
 		capacity: capacityBytes,
 		frames:   make(map[Key]*frame),
-		perFile:  make(map[uint64]*FileStats),
 	}
 }
 
@@ -170,33 +152,14 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
-// FileStatsFor returns the cumulative hit/miss counters of one registered
-// file. Counters survive InvalidateFile (they describe traffic, not
-// residency).
-func (p *Pool) FileStatsFor(file uint64) FileStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if fs := p.perFile[file]; fs != nil {
-		return *fs
-	}
-	return FileStats{}
-}
-
 // countGet classifies one Get under the lock. hit=false is the load
 // initiator.
-func (p *Pool) countGet(k Key, hit bool) {
+func (p *Pool) countGet(hit bool) {
 	p.stats.Gets++
-	fs := p.perFile[k.File]
-	if fs == nil {
-		fs = &FileStats{}
-		p.perFile[k.File] = fs
-	}
 	if hit {
 		p.stats.Hits++
-		fs.Hits++
 	} else {
 		p.stats.Misses++
-		fs.Misses++
 	}
 }
 
@@ -213,7 +176,7 @@ func (p *Pool) Get(k Key, load func() ([]byte, error)) (data []byte, hit bool, e
 			f.pins++
 			f.ref = true
 			f.prefetched = false
-			p.countGet(k, true)
+			p.countGet(true)
 			p.mu.Unlock()
 			return f.data, true, nil
 		}
@@ -221,7 +184,7 @@ func (p *Pool) Get(k Key, load func() ([]byte, error)) (data []byte, hit bool, e
 		// waiter's pin, so the bytes cannot be evicted before we wake.
 		f.waiters++
 		f.prefetched = false
-		p.countGet(k, true)
+		p.countGet(true)
 		done := f.loadDone
 		p.mu.Unlock()
 		<-done
@@ -233,7 +196,7 @@ func (p *Pool) Get(k Key, load func() ([]byte, error)) (data []byte, hit bool, e
 	// Miss: install a loading placeholder and read outside the lock.
 	f := &frame{key: k, loading: true, loadDone: make(chan struct{})}
 	p.frames[k] = f
-	p.countGet(k, false)
+	p.countGet(false)
 	p.mu.Unlock()
 
 	data, err = load()

@@ -507,28 +507,3 @@ func TestInvalidateDuringLoad(t *testing.T) {
 	}
 	p.Unpin(k)
 }
-
-// TestFileStatsPerFile checks hits and misses attribute to the right file.
-func TestFileStatsPerFile(t *testing.T) {
-	p := New(1 << 16)
-	f1, f2 := p.RegisterFile(), p.RegisterFile()
-	for i := 0; i < 3; i++ {
-		mustGet(t, p, Key{f1, 0}, 64)
-		p.Unpin(Key{f1, 0})
-	}
-	mustGet(t, p, Key{f2, 0}, 64)
-	p.Unpin(Key{f2, 0})
-	s1, s2 := p.FileStatsFor(f1), p.FileStatsFor(f2)
-	if s1.Misses != 1 || s1.Hits != 2 {
-		t.Fatalf("file1: %+v", s1)
-	}
-	if s2.Misses != 1 || s2.Hits != 0 {
-		t.Fatalf("file2: %+v", s2)
-	}
-	if r := s1.HitRate(); r < 0.66 || r > 0.67 {
-		t.Fatalf("file1 hit rate %f", r)
-	}
-	if (FileStats{}).HitRate() != 0 {
-		t.Fatal("empty file stats hit rate should be 0")
-	}
-}

@@ -13,9 +13,9 @@ type Histogram struct {
 	Total  int64
 }
 
-// buildHistogram constructs an equi-depth histogram from sorted values.
-func buildHistogram(sorted []storage.Value, buckets int) *Histogram {
-	n := len(sorted)
+// buildHistogram constructs an equi-depth histogram from n sorted values,
+// the i-th read through at.
+func buildHistogram(n int, at func(i int) storage.Value, buckets int) *Histogram {
 	if n == 0 {
 		return nil
 	}
@@ -28,8 +28,8 @@ func buildHistogram(sorted []storage.Value, buckets int) *Histogram {
 	h := &Histogram{Total: int64(n)}
 	per := n / buckets
 	rem := n % buckets
-	at := 0
-	for b := 0; b < buckets && at < n; b++ {
+	start := 0
+	for b := 0; b < buckets && start < n; b++ {
 		count := per
 		if b < rem {
 			count++
@@ -37,18 +37,18 @@ func buildHistogram(sorted []storage.Value, buckets int) *Histogram {
 		if count == 0 {
 			continue
 		}
-		end := at + count
+		end := start + count
 		if end > n {
 			end = n
 		}
 		// Extend the bucket so equal values never straddle a boundary.
-		for end < n && sorted[end].Compare(sorted[end-1]) == 0 {
+		for last := at(end - 1); end < n && at(end).Compare(last) == 0; {
 			end++
 		}
-		h.Bounds = append(h.Bounds, sorted[end-1])
-		h.Counts = append(h.Counts, int64(end-at))
-		at = end
-		if at >= n {
+		h.Bounds = append(h.Bounds, at(end-1))
+		h.Counts = append(h.Counts, int64(end-start))
+		start = end
+		if start >= n {
 			break
 		}
 	}

@@ -39,7 +39,7 @@ func ReferenceBuildStats(t *Table, buckets int) *Stats {
 			cs.Min = nonNull[0]
 			cs.Max = nonNull[len(nonNull)-1]
 			cs.AvgWidth = float64(widthSum) / float64(len(nonNull))
-			cs.Hist = buildHistogram(nonNull, buckets)
+			cs.Hist = buildHistogram(len(nonNull), func(i int) storage.Value { return nonNull[i] }, buckets)
 		}
 		st.Cols[strings.ToLower(col.Name)] = cs
 	}

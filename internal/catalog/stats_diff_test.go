@@ -12,8 +12,9 @@ import (
 
 // edgeTable holds the column shapes the bundled generators do not guarantee:
 // all-NULL, single-value, all-distinct, NULL-heavy, more distinct values than
-// MCVLimit with ties in the counts around the cut, and few distinct values
-// with no skew at all.
+// MCVLimit with ties in the counts around the cut, few distinct values with
+// no skew at all, and values of another kind than the column's (which the
+// builder sorts as Values, not as bare keys).
 func edgeTable() *catalog.Table {
 	sch := storage.NewSchema(
 		storage.Column{Name: "allnull", Kind: storage.KindInt, Nullable: true},
@@ -23,6 +24,7 @@ func edgeTable() *catalog.Table {
 		storage.Column{Name: "tied", Kind: storage.KindString, FixedWidth: 4},
 		storage.Column{Name: "flat", Kind: storage.KindDate},
 		storage.Column{Name: "uniform", Kind: storage.KindInt},
+		storage.Column{Name: "mixed", Kind: storage.KindInt},
 	)
 	rows := make([]storage.Row, 600)
 	for i := range rows {
@@ -35,6 +37,10 @@ func edgeTable() *catalog.Table {
 		if i >= 480 {
 			tied = i % 4
 		}
+		mixed := storage.IntVal(int64(i % 5))
+		if i%2 == 1 {
+			mixed = storage.DateVal(int64(100 + i%5))
+		}
 		rows[i] = storage.Row{
 			storage.NullValue(storage.KindInt),
 			storage.StringVal("only"),
@@ -43,6 +49,7 @@ func edgeTable() *catalog.Table {
 			storage.StringVal(fmt.Sprintf("t%02d", tied)),
 			storage.DateVal(int64(9000 + i%3)),
 			storage.IntVal(int64(i % 20)),
+			mixed,
 		}
 	}
 	return &catalog.Table{Name: "edge", Schema: sch, Rows: rows}

@@ -10,10 +10,9 @@
 //     the SampleCF + deduction framework (Sections 4–5).
 //  3. Merging — combine candidates that serve multiple queries (index
 //     merging, with compressed variants of merged structures).
-//  4. Enumeration — greedy search under the storage bound, optionally
-//     density-based, with the backtracking recovery step that swaps members
-//     for their compressed variants when a greedy pick overshoots the
-//     budget (Section 6.2).
+//  4. Enumeration — greedy search under the storage bound, with the
+//     backtracking recovery step that swaps members for their compressed
+//     variants when a greedy pick overshoots the budget (Section 6.2).
 //
 // Running with Options.EnableCompression=false reproduces the baseline DTA;
 // Options.Staged reproduces the decoupled select-then-compress strategy the
@@ -51,19 +50,14 @@ type Options struct {
 	// Skyline keeps the whole size/cost skyline per query instead of the
 	// top-k cheapest configurations (Section 6.1).
 	Skyline bool
-	// TopK is the per-query candidate count when Skyline is off (default 2).
-	TopK int
 	// Backtrack enables the oversized-pick recovery in enumeration
 	// (Section 6.2).
 	Backtrack bool
-	// Density uses benefit/size greedy scoring instead of pure benefit.
-	Density bool
 
-	// EnableClustered, EnablePartial and EnableMV widen the candidate space
-	// ("all features" runs of the paper enable all three).
-	EnableClustered bool
-	EnablePartial   bool
-	EnableMV        bool
+	// EnablePartial and EnableMV widen the candidate space beyond plain and
+	// clustered indexes (the paper's "all features" runs enable both).
+	EnablePartial bool
+	EnableMV      bool
 
 	// Staged reproduces the naive decoupled baseline: pick indexes without
 	// considering compression, then compress everything selected, repeat
@@ -85,13 +79,6 @@ type Options struct {
 	// the size-estimation problem (Section 5.1).
 	ErrTolerance float64
 	Confidence   float64
-	// FGrid lists the candidate sampling fractions (default 1–10%).
-	FGrid []float64
-
-	// MaxIndexes caps the recommendation size; MaxKeyCols caps composite key
-	// width during candidate generation.
-	MaxIndexes int
-	MaxKeyCols int
 
 	// Parallelism bounds the worker pool used for what-if costing during
 	// enumeration and for candidate size estimation. Non-positive means
@@ -111,6 +98,15 @@ type Options struct {
 	Seed int64
 }
 
+// Search bounds every run shares: the per-query candidate count when Skyline
+// is off, the recommendation-size cap, and the composite-key width cap of
+// candidate generation.
+const (
+	topK       = 2
+	maxIndexes = 40
+	maxKeyCols = 3
+)
+
 // DefaultOptions returns the full DTAc configuration at the given budget.
 func DefaultOptions(budget int64) Options {
 	return Options{
@@ -122,18 +118,14 @@ func DefaultOptions(budget int64) Options {
 		// pruning that keeps the widened design space within the enumeration
 		// time budget — doubling Methods would double candidate variants in
 		// the greedy loop for designs refinement reaches anyway.
-		Methods:         []compress.Method{compress.Row, compress.Page},
-		RefineColumns:   true,
-		Skyline:         true,
-		TopK:            2,
-		Backtrack:       true,
-		EnableClustered: true,
-		UseDeduction:    true,
-		ErrTolerance:    0.5,
-		Confidence:      0.9,
-		MaxIndexes:      40,
-		MaxKeyCols:      3,
-		Seed:            1,
+		Methods:       []compress.Method{compress.Row, compress.Page},
+		RefineColumns: true,
+		Skyline:       true,
+		Backtrack:     true,
+		UseDeduction:  true,
+		ErrTolerance:  0.5,
+		Confidence:    0.9,
+		Seed:          1,
 	}
 }
 
@@ -246,7 +238,7 @@ type Advisor struct {
 	// oracle is the size-estimation layer for the current Recommend run;
 	// merging and late candidates go through it instead of wiring sampling +
 	// estimator + sizing inline.
-	oracle sizeest.Oracle
+	oracle *sizeest.Oracle
 	// estErrors tallies estimation failures tolerated by the merge/variant
 	// loop (surfaced as Timing.EstimationErrors).
 	estErrors uint64
@@ -257,15 +249,6 @@ type Advisor struct {
 
 // New creates an advisor with the default cost model.
 func New(db *catalog.Database, wl *workload.Workload, opts Options) *Advisor {
-	if opts.TopK <= 0 {
-		opts.TopK = 2
-	}
-	if opts.MaxIndexes <= 0 {
-		opts.MaxIndexes = 40
-	}
-	if opts.MaxKeyCols <= 0 {
-		opts.MaxKeyCols = 3
-	}
 	if len(opts.Methods) == 0 {
 		opts.Methods = []compress.Method{compress.Row, compress.Page}
 	}
@@ -395,7 +378,6 @@ func (a *Advisor) estimateAll(structures []*index.Def) (map[string]*optimizer.Hy
 	oracle := sizeest.New(a.DB, sizeest.Config{
 		ErrTolerance: a.Opts.ErrTolerance,
 		Confidence:   a.Opts.Confidence,
-		FGrid:        a.Opts.FGrid,
 		Seed:         a.Opts.Seed,
 		Workers:      workers,
 		UseDeduction: a.Opts.UseDeduction,

@@ -19,8 +19,8 @@ func (a *Advisor) generateCandidates() []*index.Def {
 		if d == nil || len(d.KeyCols) == 0 {
 			return
 		}
-		if len(d.KeyCols) > a.Opts.MaxKeyCols {
-			d.KeyCols = d.KeyCols[:a.Opts.MaxKeyCols]
+		if len(d.KeyCols) > maxKeyCols {
+			d.KeyCols = d.KeyCols[:maxKeyCols]
 		}
 		id := d.StructureID()
 		if _, dup := seen[id]; !dup {
@@ -36,11 +36,9 @@ func (a *Advisor) generateCandidates() []*index.Def {
 	}
 	// Clustered-index candidates for fact tables: even at a 0% budget,
 	// compressing the base table frees space (Appendix D).
-	if a.Opts.EnableClustered {
-		for _, t := range a.DB.Tables() {
-			if len(t.PK) > 0 {
-				add(&index.Def{Table: t.Name, KeyCols: t.PK[:1], Clustered: true})
-			}
+	for _, t := range a.DB.Tables() {
+		if len(t.PK) > 0 {
+			add(&index.Def{Table: t.Name, KeyCols: t.PK[:1], Clustered: true})
 		}
 	}
 	out := make([]*index.Def, 0, len(seen))
@@ -106,9 +104,7 @@ func (a *Advisor) candidatesForQuery(q *workload.Query, add func(*index.Def)) {
 			if len(include) > 0 {
 				add(&index.Def{Table: table, KeyCols: keys, IncludeCols: include})
 			}
-			if a.Opts.EnableClustered {
-				add(&index.Def{Table: table, KeyCols: keys[:1], Clustered: true})
-			}
+			add(&index.Def{Table: table, KeyCols: keys[:1], Clustered: true})
 		}
 
 		// Group-by driven covering index.
@@ -319,7 +315,7 @@ func (a *Advisor) selectCandidates(hypos []*optimizer.HypoIndex) []*optimizer.Hy
 			}
 			return scoredList[i].at < scoredList[j].at
 		})
-		for _, x := range scoredList[:min(a.Opts.TopK, len(scoredList))] {
+		for _, x := range scoredList[:min(topK, len(scoredList))] {
 			picks[si] = append(picks[si], x.at)
 		}
 	})

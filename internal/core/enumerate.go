@@ -106,10 +106,10 @@ func unionCols(a, b []string) []string {
 }
 
 // enumerate performs the greedy search under the storage bound (Section
-// 6.2): at each step add the candidate with the best score (cost reduction,
-// or reduction/size when Density is on) that fits the remaining budget. With
-// Backtrack on, an oversized best pick is recovered by swapping members of
-// the tentative configuration for their compressed variants.
+// 6.2): at each step add the candidate with the largest cost reduction that
+// fits the remaining budget. With Backtrack on, an oversized best pick is
+// recovered by swapping members of the tentative configuration for their
+// compressed variants.
 //
 // Every what-if goes through the incremental Evaluator: only the statements
 // relevant to the added/swapped index are re-planned, the rest reuse the
@@ -120,7 +120,7 @@ func (a *Advisor) enumerate(candidates []*optimizer.HypoIndex) *optimizer.Config
 	workers := a.workers()
 
 	remaining := append([]*optimizer.HypoIndex{}, candidates...)
-	for ev.Base().Len() < a.Opts.MaxIndexes {
+	for ev.Base().Len() < maxIndexes {
 		cfg := ev.Base()
 		curCost := ev.Total()
 		type pick struct {
@@ -147,15 +147,7 @@ func (a *Advisor) enumerate(candidates []*optimizer.HypoIndex) *optimizer.Config
 			if gain <= 1e-9 {
 				return
 			}
-			score := gain
-			if a.Opts.Density {
-				den := float64(h.Bytes)
-				if den < 1 {
-					den = 1
-				}
-				score = gain / den
-			}
-			picks[i] = &pick{h: h, cfg: next, cost: nextCost, score: score,
+			picks[i] = &pick{h: h, cfg: next, cost: nextCost, score: gain,
 				fits: next.SizeBytes(a.DB) <= a.Opts.Budget}
 		})
 		var bestFit *pick // best scoring candidate that fits

@@ -75,7 +75,7 @@ func TestRecommendDeterministic(t *testing.T) {
 }
 
 // TestParallelMatchesSerialDensityStaged covers the other enumeration modes
-// (density scoring and the staged baseline) at a tight budget, where
+// (the staged baseline, top-k selection) and a tight budget, where
 // backtracking and recovery actually fire.
 func TestParallelMatchesSerialDensityStaged(t *testing.T) {
 	if testing.Short() {
@@ -87,7 +87,6 @@ func TestParallelMatchesSerialDensityStaged(t *testing.T) {
 		name   string
 		mutate func(*Options)
 	}{
-		{"density", func(o *Options) { o.Density = true }},
 		{"staged", func(o *Options) { o.Staged = true }},
 		{"tight-backtrack", func(o *Options) { o.Budget = budget(d, 0.08) }},
 		{"topk-dta", func(o *Options) { *o = DTAOptions(o.Budget) }},

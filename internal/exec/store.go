@@ -44,14 +44,11 @@ type Store struct {
 	pool     *bufferpool.Pool
 	spillSeq int
 
-	// Cold-scan accelerators, both off by default so exact-counter tests and
-	// single-stream baselines see unchanged behavior. prefetchWindow/Workers
-	// enable async readahead on sequential cursors; scanParts partitions full
-	// scans across goroutines (clamped so concurrent pins can't exhaust the
-	// pool).
+	// prefetchWindow/Workers enable async readahead on sequential cursors;
+	// off by default so exact-counter tests and single-stream baselines see
+	// unchanged behavior.
 	prefetchWindow  int
 	prefetchWorkers int
-	scanParts       int
 }
 
 // SetPrefetch enables async readahead on sequential page access (scans,
@@ -69,36 +66,6 @@ func (st *Store) SetPrefetch(window, workers int) {
 		workers = storage.DefaultPrefetchWorkers
 	}
 	st.prefetchWindow, st.prefetchWorkers = window, workers
-}
-
-// SetScanParallelism partitions full heap scans across up to k goroutines
-// over disjoint page ranges (k <= 1 disables). Batches still arrive in
-// global page order, so results stay byte-identical to serial scans. The
-// effective k is clamped per scan so that concurrent pins can never exceed
-// the pool's capacity.
-func (st *Store) SetScanParallelism(k int) {
-	if k < 1 {
-		k = 1
-	}
-	st.scanParts = k
-}
-
-// effectiveScanParts clamps the configured scan parallelism for one segment:
-// each partition pins at most one page at a time, but pinned pages plus
-// readahead must leave the pool admissible, so allow one partition per
-// 4 pages of capacity (overflow runs can exceed one page payload).
-func (st *Store) effectiveScanParts(seg *storage.Segment) int {
-	k := st.scanParts
-	if k <= 1 || !seg.Backed() || st.pool == nil {
-		return 1
-	}
-	if max := int(st.pool.Capacity() / (4 * storage.PageSize)); k > max {
-		k = max
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
 }
 
 // SetDiskBacked switches the store to the disk-backed path: every segment
@@ -128,33 +95,6 @@ func (st *Store) SetPool(pool *bufferpool.Pool) error {
 
 // Pool returns the buffer pool of a disk-backed store (nil otherwise).
 func (st *Store) Pool() *bufferpool.Pool { return st.pool }
-
-// MeasuredHitRates reports the pool's observed hit rate for every built
-// disk-backed segment, keyed by the structure's stable id ("heap:<table>" for
-// heaps, the index def ID for structures). Segments never fetched through the
-// pool are omitted. This is the feedback signal for pool-aware costing: a
-// structure whose hot set stays resident serves most fetches from memory, and
-// the cost model can discount its page reads accordingly.
-func (st *Store) MeasuredHitRates() map[string]float64 {
-	if st.pool == nil {
-		return nil
-	}
-	out := make(map[string]float64)
-	for _, h := range st.allHandles() {
-		if h.si == nil || h.stale {
-			continue
-		}
-		id, ok := h.si.Seg.BackingFileID()
-		if !ok {
-			continue
-		}
-		fs := st.pool.FileStatsFor(id)
-		if fs.Hits+fs.Misses > 0 {
-			out[h.id] = fs.HitRate()
-		}
-	}
-	return out
-}
 
 // DiskBytes sums the on-disk payload bytes of every currently built segment —
 // the store's total working set under the disk-backed path.

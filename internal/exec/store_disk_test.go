@@ -16,10 +16,9 @@ import (
 // TestDiskStoreMatchesOracleTPCH extends the differential sweep through the
 // disk-backed path: the full TPC-H update-capable workload, every statement
 // byte-identical to the plain-row oracle, at a pool large enough to hold the
-// working set and at one small enough to churn constantly — and across the
-// cold-scan accelerator knobs, because readahead and partitioned scans must
-// never change what a statement returns, including after writes invalidate
-// and rebuild segments mid-sweep.
+// working set and at one small enough to churn constantly — with and without
+// readahead, because prefetch must never change what a statement returns,
+// including after writes invalidate and rebuild segments mid-sweep.
 func TestDiskStoreMatchesOracleTPCH(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is not short")
@@ -28,11 +27,9 @@ func TestDiskStoreMatchesOracleTPCH(t *testing.T) {
 	knobs := []struct {
 		name            string
 		window, workers int
-		parts           int
 	}{
-		{"serial", 0, 0, 1},
-		{"prefetch", 8, 2, 1},
-		{"prefetch+parallel", 8, 2, 4},
+		{"serial", 0, 0},
+		{"prefetch", 8, 2},
 	}
 	for _, poolBytes := range []int64{64 << 10, 64 << 20} {
 		for _, defs := range [][]*index.Def{nil, tpchDesign()} {
@@ -46,7 +43,6 @@ func TestDiskStoreMatchesOracleTPCH(t *testing.T) {
 				pool := bufferpool.New(poolBytes)
 				st.SetDiskBacked(t.TempDir(), pool)
 				st.SetPrefetch(k.window, k.workers)
-				st.SetScanParallelism(k.parts)
 				runDifferential(t, oracleDB, st, workloads.MustTPCHWithUpdates())
 				if pool.Stats().PeakBytes > poolBytes {
 					t.Fatalf("%s: pool peak %d exceeds capacity %d", k.name, pool.Stats().PeakBytes, poolBytes)
@@ -104,9 +100,9 @@ func TestDiskStoreOneMissPerPage(t *testing.T) {
 // TestDiskStoreStaleFrameGuard pins the invalidation satellite: after a
 // write, the old segment's pool frames are dropped and a reader still holding
 // that segment errors instead of seeing pre-write pages, while fresh queries
-// rebuild and match the oracle. Prefetch and scan parallelism are on: the
-// guard must hold when frames entered the pool speculatively and the write
-// lands while readahead workers exist.
+// rebuild and match the oracle. Prefetch is on: the guard must hold when
+// frames entered the pool speculatively and the write lands while readahead
+// workers exist.
 func TestDiskStoreStaleFrameGuard(t *testing.T) {
 	cfg := datagen.TPCHConfig{LineitemRows: 2000, Seed: 13}
 	oracleDB := datagen.NewTPCH(cfg)
@@ -118,7 +114,6 @@ func TestDiskStoreStaleFrameGuard(t *testing.T) {
 	pool := bufferpool.New(64 << 20)
 	st.SetDiskBacked(t.TempDir(), pool)
 	st.SetPrefetch(8, 2)
-	st.SetScanParallelism(2)
 	defer st.Close()
 
 	query := q(t, "SELECT COUNT(*) FROM lineitem WHERE l_quantity <= 10")
@@ -163,10 +158,9 @@ func TestDiskStoreStaleFrameGuard(t *testing.T) {
 }
 
 // TestDiskStorePrefetchRacesWrites interleaves scans (with readahead workers
-// and scan partitions in flight) against UPDATE/DELETE invalidation at
-// randomized offsets. A racing reader must either finish with exactly the
-// pre-write rows — the spill file is immutable until invalidation removes it —
-// or fail; it must never surface stale or torn bytes, and after the write the
+// in flight) against UPDATE/DELETE invalidation at randomized offsets. A
+// racing reader must either finish with exactly the pre-write rows — the
+// spill file is immutable until invalidation removes it — or fail; it must never surface stale or torn bytes, and after the write the
 // old segment must refuse every fetch. Run under -race this also proves the
 // prefetcher/invalidation shutdown protocol is data-race free.
 func TestDiskStorePrefetchRacesWrites(t *testing.T) {
@@ -182,7 +176,6 @@ func TestDiskStorePrefetchRacesWrites(t *testing.T) {
 	pool := bufferpool.New(256 << 10)
 	st.SetDiskBacked(t.TempDir(), pool)
 	st.SetPrefetch(8, 2)
-	st.SetScanParallelism(4)
 	defer st.Close()
 
 	query := q(t, "SELECT l_shipmode, COUNT(*) FROM lineitem GROUP BY l_shipmode")
@@ -218,7 +211,8 @@ func TestDiskStorePrefetchRacesWrites(t *testing.T) {
 		done := make(chan raceResult, 1)
 		go func() {
 			var io storage.IOStats
-			src := si.ParallelScanCursor(4, spec, &io, 8, 2)
+			src := si.ScanCursor(spec, &io)
+			src.EnablePrefetch(8, 2)
 			var rows []int64
 			for {
 				b, err := src.NextBatch()

@@ -26,8 +26,8 @@ import (
 type rowStream struct {
 	schema *storage.Schema
 	next   func() ([]storage.Row, error)
-	// close releases the stream's cursor resources (readahead workers, scan
-	// partitions) when the consumer stops early; nil when there are none.
+	// close releases the stream's cursor resources (readahead workers) when
+	// the consumer stops early; nil when there are none.
 	// Cursors self-close at exhaustion and on their own errors.
 	close func()
 }
@@ -157,17 +157,14 @@ func (st *Store) accessStream(rs *runState, table string, preds []workload.Predi
 
 // heapScanStream streams the heap in page order — insertion order by
 // construction — decoding only the needed columns and pre-filtering rows in
-// the codec. Full scans are where the store's cold-scan accelerators apply:
-// readahead keeps a window of pages loading ahead of the decode, and scan
-// parallelism partitions the page range across goroutines; the partitioned
-// cursor still merges batches in global page order, so consumers observe the
-// serial scan's exact stream.
+// the codec. With SetPrefetch on, readahead keeps a window of pages loading
+// ahead of the decode.
 func (st *Store) heapScanStream(rs *runState, table string, heap *index.SegmentIndex, preds []workload.Predicate, needed []string) *rowStream {
 	hs := heap.Schema()
 	ords := ordinalsFor(hs, needed)
 	spec := &storage.DecodeSpec{Needed: ords, Preds: compilePushdown(hs, preds)}
-	parts := st.effectiveScanParts(heap.Seg)
-	cur := heap.ParallelScanCursor(parts, spec, &rs.io, rs.pfWindow, rs.pfWorkers)
+	cur := heap.ScanCursor(spec, &rs.io)
+	cur.EnablePrefetch(rs.pfWindow, rs.pfWorkers)
 	rs.paths = append(rs.paths, fmt.Sprintf("seg-scan %s (%d pages)", table, heap.Seg.NumPages()))
 	return &rowStream{schema: projectSchema(hs, ords), close: cur.Close, next: func() ([]storage.Row, error) {
 		b, err := cur.NextBatch()

@@ -58,14 +58,12 @@ const ChunkedPoolRows = 2_000_000
 
 // PoolSweepConfig sizes a PoolSweep.
 type PoolSweepConfig struct {
-	// FactRows is the lineitem row count (the -scale knob reaches 1e6).
+	// FactRows is the lineitem row count (`cadb-repro ext-pool -rows N`).
 	FactRows int
 	// Chunked forces the out-of-core build path regardless of FactRows
 	// (it is automatic above ChunkedPoolRows).
 	Chunked bool
-	// Skew is the Zipf exponent fed to datagen (0 = uniform).
-	Skew float64
-	Seed int64
+	Seed    int64
 	// PoolFracs are the pool capacities as fractions of the NONE working
 	// set; the same absolute byte budgets are applied to every method.
 	PoolFracs []float64
@@ -82,7 +80,6 @@ type PoolSweepConfig struct {
 func DefaultPoolSweepConfig() PoolSweepConfig {
 	return PoolSweepConfig{
 		FactRows:  12000,
-		Skew:      0,
 		Seed:      42,
 		PoolFracs: []float64{0.05, 0.1, 0.25, 0.5, 1.0},
 		Queries:   120,
@@ -149,7 +146,7 @@ func PoolSweep(cfg PoolSweepConfig) ([]PoolPoint, error) {
 	var noneWS int64
 	var out []PoolPoint
 	for _, m := range poolMethods {
-		db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: cfg.FactRows, Zipf: cfg.Skew, Seed: cfg.Seed})
+		db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: cfg.FactRows, Seed: cfg.Seed})
 		li := db.MustTable("lineitem")
 		ci := li.Schema.ColIndex("l_shipdate")
 		sp := catalogDateSpan{lo: li.Rows[0][ci].Int, hi: li.Rows[0][ci].Int}
@@ -290,7 +287,7 @@ func poolSweepChunked(cfg PoolSweepConfig, dir string) ([]PoolPoint, error) {
 	var noneWS int64
 	var out []PoolPoint
 	for _, m := range poolMethods {
-		src := datagen.ChunkedTPCHLineitem(datagen.TPCHConfig{LineitemRows: cfg.FactRows, Zipf: cfg.Skew, Seed: cfg.Seed})
+		src := datagen.ChunkedTPCHLineitem(datagen.TPCHConfig{LineitemRows: cfg.FactRows, Seed: cfg.Seed})
 		si, err := buildChunkedSegment(fmt.Sprintf("%s/%s.seg", dir, m), src, m, bufferpool.New(64<<20))
 		if err != nil {
 			return nil, err
@@ -466,7 +463,7 @@ func ExtPool(sc Scale) *Report {
 	// The capacity sits between the compressed and uncompressed working sets
 	// measured above, so compressed designs earn the residency discount and
 	// uncompressed ones don't.
-	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: sc.LineitemRows, Zipf: cfg.Skew, Seed: sc.Seed})
+	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: sc.LineitemRows, Seed: sc.Seed})
 	wl := workloads.SelectIntensive(workloads.MustTPCH())
 	var noneWS, pageWS int64
 	for _, p := range points {

@@ -19,15 +19,14 @@ import (
 // end through a fresh buffer pool, with MB/s measured against the raw ReadAt
 // baseline over the same file.
 type ScanPoint struct {
-	Dataset string          `json:"dataset"`
-	Method  compress.Method `json:"method"`
-	Rows    int             `json:"rows"`
-	Pages   int             `json:"pages"`
+	Method compress.Method `json:"method"`
+	Rows   int             `json:"rows"`
+	Pages  int             `json:"pages"`
 	// DiskBytes is the segment's on-disk payload size — the numerator of
 	// every mode's MB/s, so the modes are directly comparable.
 	DiskBytes int64 `json:"disk_bytes"`
 
-	// Mode is one of "raw-read", "serial", "prefetch", "parallel+prefetch".
+	// Mode is one of "raw-read", "serial", "prefetch".
 	Mode   string  `json:"mode"`
 	WallNS int64   `json:"wall_ns"`
 	MBps   float64 `json:"mbps"`
@@ -45,48 +44,29 @@ type ScanPoint struct {
 	PrefetchWasted int64 `json:"prefetch_wasted"`
 }
 
-// ScanSweepConfig sizes a ScanSweep.
+// ScanSweepConfig sizes a ScanSweep over the chunked TPC-H lineitem source.
 type ScanSweepConfig struct {
-	// Dataset is the chunked fact source ("tpch" or "sales").
-	Dataset string
 	// Rows are the fact row counts to sweep (each gets its own segments).
 	Rows []int
-	// Methods is the codec axis; defaults to NONE/ROW/PAGE.
-	Methods []compress.Method
-	Zipf    float64
-	Seed    int64
-	// Window/Workers size the readahead of the prefetch modes; Parts is the
-	// partition count of the parallel mode.
-	Window  int
-	Workers int
-	Parts   int
+	Seed int64
 	// PoolBytes is the capacity of the fresh pool each mode scans through.
 	// Cold scans touch every page exactly once, so the pool only bounds
 	// memory — it never turns the scan warm.
 	PoolBytes int64
-	// KeepOSCache skips the page-cache eviction between modes. By default
-	// the sweep drops the segment file from the OS cache before every run,
-	// so each mode pays real disk latency — without that, every mode reads
-	// at memcpy speed and readahead has nothing to hide.
-	KeepOSCache bool
 }
 
+// The sweep's readahead is deeper than the exec-layer defaults: a cold full
+// scan is exactly the access pattern that profits from a 4 MB window, while
+// the exec default stays conservative for mixed workloads sharing the pool.
+const (
+	scanSweepWindow  = 2 * storage.DefaultPrefetchWindow
+	scanSweepWorkers = 6
+)
+
 // DefaultScanSweepConfig is the README-documented configuration (rows are set
-// by the caller — `cadb-repro ext-scan -rows 10000000` reaches 10⁷). The
-// readahead is deeper than the exec-layer defaults: a cold full scan is
-// exactly the access pattern that profits from a 4 MB window, while the exec
-// default stays conservative for mixed workloads sharing the pool.
+// by the caller — `cadb-repro ext-scan -rows 10000000` reaches 10⁷).
 func DefaultScanSweepConfig() ScanSweepConfig {
-	return ScanSweepConfig{
-		Dataset:   "tpch",
-		Rows:      []int{1_000_000},
-		Methods:   poolMethods,
-		Seed:      42,
-		Window:    2 * storage.DefaultPrefetchWindow,
-		Workers:   6,
-		Parts:     4,
-		PoolBytes: 64 << 20,
-	}
+	return ScanSweepConfig{Rows: []int{1_000_000}, Seed: 42, PoolBytes: 64 << 20}
 }
 
 // buildChunkedSegment streams a chunked source through a SegmentWriter into
@@ -133,9 +113,9 @@ func scanMeasureSpec(s *storage.Schema) *storage.DecodeSpec {
 	return &storage.DecodeSpec{Needed: needed}
 }
 
-// drainChecksum consumes a batch source to exhaustion, folding the first
-// projected column into an order-sensitive FNV-style checksum.
-func drainChecksum(cur index.BatchSource) (tuples int64, sum uint64, err error) {
+// drainChecksum consumes a cursor to exhaustion, folding the first projected
+// column into an order-sensitive FNV-style checksum.
+func drainChecksum(cur *index.Cursor) (tuples int64, sum uint64, err error) {
 	defer cur.Close()
 	for {
 		b, berr := cur.NextBatch()
@@ -185,31 +165,14 @@ func mbps(bytes int64, wall time.Duration) float64 {
 
 // ScanSweep measures cold full-scan bandwidth over disk-backed segments built
 // out-of-core from a chunked source. For each method × row count the segment
-// is built once, then scanned four ways — raw sequential ReadAt (the disk
-// baseline), a serial cursor, a serial cursor with async readahead, and a
-// partitioned parallel scan with per-partition readahead — each through a
-// fresh buffer pool, with the file evicted from the OS page cache first so
-// each mode pays genuinely cold reads. The three decoding modes must produce
-// identical order-sensitive checksums; a divergence fails the sweep.
+// is built once, then scanned three ways — raw sequential ReadAt (the disk
+// baseline), a serial cursor, and a serial cursor with async readahead — each
+// through a fresh buffer pool, with the file evicted from the OS page cache
+// first so each mode pays genuinely cold reads (without that, every mode
+// reads at memcpy speed and readahead has nothing to hide). The two decoding
+// modes must produce identical order-sensitive checksums; a divergence fails
+// the sweep.
 func ScanSweep(cfg ScanSweepConfig) ([]ScanPoint, error) {
-	if cfg.Dataset == "" {
-		cfg.Dataset = "tpch"
-	}
-	if len(cfg.Methods) == 0 {
-		cfg.Methods = poolMethods
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = storage.DefaultPrefetchWindow
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = storage.DefaultPrefetchWorkers
-	}
-	if cfg.Parts <= 0 {
-		cfg.Parts = 4
-	}
-	if cfg.PoolBytes < 2*storage.PageSize {
-		cfg.PoolBytes = 32 << 20
-	}
 	if len(cfg.Rows) == 0 {
 		return nil, fmt.Errorf("experiments: empty scan sweep")
 	}
@@ -221,11 +184,8 @@ func ScanSweep(cfg ScanSweepConfig) ([]ScanPoint, error) {
 
 	var out []ScanPoint
 	for _, rows := range cfg.Rows {
-		for _, m := range cfg.Methods {
-			src, err := datagen.ChunkedByName(cfg.Dataset, rows, cfg.Zipf, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
+		for _, m := range poolMethods {
+			src := datagen.ChunkedTPCHLineitem(datagen.TPCHConfig{LineitemRows: rows, Seed: cfg.Seed})
 			path := filepath.Join(dir, fmt.Sprintf("%s-%d.seg", m, rows))
 			si, err := buildChunkedSegment(path, src, m, bufferpool.New(cfg.PoolBytes))
 			if err != nil {
@@ -236,17 +196,11 @@ func ScanSweep(cfg ScanSweepConfig) ([]ScanPoint, error) {
 			// Evict the just-written file from the OS page cache before each
 			// mode so every run pays real disk reads; best-effort — on
 			// platforms without fadvise the sweep runs warm and says so.
-			chill := func() bool {
-				if cfg.KeepOSCache {
-					return false
-				}
-				return storage.DropOSCache(path) == nil
-			}
+			chill := func() bool { return storage.DropOSCache(path) == nil }
 			point := func(mode string, cold bool) ScanPoint {
 				return ScanPoint{
-					Dataset: cfg.Dataset, Method: m, Rows: rows,
-					Pages: seg.NumPages(), DiskBytes: seg.DiskBytes(), Mode: mode,
-					ColdOS: cold,
+					Method: m, Rows: rows, Pages: seg.NumPages(), DiskBytes: seg.DiskBytes(),
+					Mode: mode, ColdOS: cold,
 				}
 			}
 
@@ -263,7 +217,7 @@ func ScanSweep(cfg ScanSweepConfig) ([]ScanPoint, error) {
 
 			var refTuples int64
 			var refSum uint64
-			for _, mode := range []string{"serial", "prefetch", "parallel+prefetch"} {
+			for _, mode := range []string{"serial", "prefetch"} {
 				pool := bufferpool.New(cfg.PoolBytes)
 				if err := seg.Repool(pool); err != nil {
 					seg.CloseBacking()
@@ -271,17 +225,10 @@ func ScanSweep(cfg ScanSweepConfig) ([]ScanPoint, error) {
 				}
 				cold := chill()
 				var st storage.IOStats
-				var cur index.BatchSource
 				start := time.Now()
-				switch mode {
-				case "serial":
-					cur = si.ScanCursor(spec, &st)
-				case "prefetch":
-					c := si.ScanCursor(spec, &st)
-					c.EnablePrefetch(cfg.Window, cfg.Workers)
-					cur = c
-				default:
-					cur = si.ParallelScanCursor(cfg.Parts, spec, &st, cfg.Window, cfg.Workers)
+				cur := si.ScanCursor(spec, &st)
+				if mode == "prefetch" {
+					cur.EnablePrefetch(scanSweepWindow, scanSweepWorkers)
 				}
 				tuples, sum, err := drainChecksum(cur)
 				wall := time.Since(start)
@@ -314,7 +261,7 @@ func ScanSweep(cfg ScanSweepConfig) ([]ScanPoint, error) {
 // ExtScan is the registry entry: a reduced-scale cold-scan bandwidth sweep
 // rendering MB/s per method × mode with the raw ReadAt baseline alongside.
 func ExtScan(sc Scale) *Report {
-	rep := &Report{ID: "ext-scan", Title: "Extension: cold-scan bandwidth — readahead and parallel scans vs raw ReadAt"}
+	rep := &Report{ID: "ext-scan", Title: "Extension: cold-scan bandwidth — serial and readahead scans vs raw ReadAt"}
 	cfg := DefaultScanSweepConfig()
 	cfg.Rows = []int{sc.LineitemRows}
 	cfg.Seed = sc.Seed
@@ -339,8 +286,8 @@ func ExtScan(sc Scale) *Report {
 		tbl.Add(p.Method.String(), p.Rows, p.Mode, mb,
 			fmt.Sprintf("%.1f", float64(p.WallNS)/1e6), p.PoolMisses, p.PoolPrefetched, p.PrefetchWasted)
 	}
-	rep.Notef("segments are built out-of-core (chunked generation through a SegmentWriter); the three decoding modes produced identical order-sensitive row checksums")
-	rep.Notef("raw-read is sequential 1MB ReadAt over the same file — the no-decode bandwidth ceiling the parallel scan chases")
+	rep.Notef("segments are built out-of-core (chunked generation through a SegmentWriter); both decoding modes produced identical order-sensitive row checksums")
+	rep.Notef("raw-read is sequential 1MB ReadAt over the same file — the no-decode bandwidth ceiling the scans chase")
 	for _, p := range points {
 		if !p.ColdOS {
 			rep.Notef("OS page-cache eviction unavailable on this platform — numbers measure cache-warm reads")

@@ -7,7 +7,7 @@ import (
 )
 
 // TestScanSweepSmall runs the cold-scan bandwidth sweep at a reduced scale
-// and checks its invariants: every method × mode cell is present, the three
+// and checks its invariants: every method × mode cell is present, the two
 // decoding modes materialize the same tuple count (the sweep itself fails on
 // checksum divergence), and the accounting is coherent (a cold scan's misses
 // plus prefetched pages cover the page count).
@@ -19,7 +19,7 @@ func TestScanSweepSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(poolMethods) * 4; len(points) != want {
+	if want := len(poolMethods) * 3; len(points) != want {
 		t.Fatalf("got %d points, want %d", len(points), want)
 	}
 	byMode := map[string]ScanPoint{}
@@ -35,7 +35,7 @@ func TestScanSweepSmall(t *testing.T) {
 			if p.Tuples != 0 {
 				t.Fatalf("raw-read decoded tuples: %+v", p)
 			}
-		case "serial", "prefetch", "parallel+prefetch":
+		case "serial", "prefetch":
 			if p.Tuples != 20000 {
 				t.Fatalf("%s/%s materialized %d tuples, want 20000", p.Method, p.Mode, p.Tuples)
 			}
@@ -44,21 +44,19 @@ func TestScanSweepSmall(t *testing.T) {
 		}
 	}
 	// A cold scan touches every page exactly once: the serial mode demand-
-	// misses every page; readahead modes cover the segment with misses plus
-	// prefetched loads (a prefetch that loses its frame before consumption is
-	// missed again, so the sum can exceed the page count but never undershoot
-	// it).
+	// misses every page; the readahead mode covers the segment with misses
+	// plus prefetched loads (a prefetch that loses its frame before
+	// consumption is missed again, so the sum can exceed the page count but
+	// never undershoot it).
 	if s := byMode["serial"]; s.PoolMisses != int64(s.Pages) || s.PoolPrefetched != 0 {
 		t.Fatalf("serial cold scan: misses=%d prefetched=%d, want %d/0", s.PoolMisses, s.PoolPrefetched, s.Pages)
 	}
-	for _, mode := range []string{"prefetch", "parallel+prefetch"} {
-		p := byMode[mode]
-		if got := p.PoolMisses + p.PoolPrefetched; got < int64(p.Pages) {
-			t.Fatalf("%s: misses(%d) + prefetched(%d) < pages(%d)", mode, p.PoolMisses, p.PoolPrefetched, p.Pages)
-		}
-		if p.PoolPrefetched == 0 {
-			t.Fatalf("%s scan issued no readahead", mode)
-		}
+	p := byMode["prefetch"]
+	if got := p.PoolMisses + p.PoolPrefetched; got < int64(p.Pages) {
+		t.Fatalf("prefetch: misses(%d) + prefetched(%d) < pages(%d)", p.PoolMisses, p.PoolPrefetched, p.Pages)
+	}
+	if p.PoolPrefetched == 0 {
+		t.Fatal("prefetch scan issued no readahead")
 	}
 }
 

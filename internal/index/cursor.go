@@ -41,26 +41,9 @@ type Cursor struct {
 	pfBase int // work index the prefetch plan starts at
 }
 
-// BatchSource is the streaming contract access paths consume: NextBatch
-// until nil, Close when done (Close is idempotent and required even on early
-// abandonment so readahead workers drain). Cursor and ParallelCursor both
-// satisfy it.
-type BatchSource interface {
-	NextBatch() (*Batch, error)
-	Close()
-}
-
 // ScanCursor streams every page in order — the full-scan access path.
 func (si *SegmentIndex) ScanCursor(spec *storage.DecodeSpec, io *storage.IOStats) *Cursor {
 	return si.PageRangeCursor(0, si.Seg.NumPages(), spec, io)
-}
-
-// SeekCursor streams the conservative page range that can hold leading keys
-// in [loKey, hiKey], using the per-page low keys to skip pages before any
-// decode (see SeekPages).
-func (si *SegmentIndex) SeekCursor(loKey storage.Value, hasLo bool, hiKey storage.Value, hasHi bool, spec *storage.DecodeSpec, io *storage.IOStats) *Cursor {
-	lo, hi := si.SeekPages(loKey, hasLo, hiKey, hasHi)
-	return si.PageRangeCursor(lo, hi, spec, io)
 }
 
 // PageRangeCursor streams the half-open page range [lo, hi).
@@ -105,11 +88,12 @@ func (si *SegmentIndex) RIDCursor(rids []int64, spec *storage.DecodeSpec, io *st
 func (c *Cursor) NumPages() int { return len(c.work) }
 
 // EnablePrefetch starts async readahead over the cursor's page visit order
-// (a no-op for in-memory segments or before any pages remain). The cursor
-// advances the readahead frontier as it consumes pages and flushes the
-// prefetch accounting into its stats sink on Close/exhaustion.
+// (a no-op for in-memory segments, a non-positive window or worker count, or
+// once no pages remain). The cursor advances the readahead frontier as it
+// consumes pages and flushes the prefetch accounting into its stats sink on
+// Close/exhaustion.
 func (c *Cursor) EnablePrefetch(window, workers int) {
-	if c.pf != nil || c.at >= len(c.work) {
+	if c.pf != nil || c.at >= len(c.work) || window < 1 || workers < 1 || !c.seg.Backed() {
 		return
 	}
 	plan := make([]int, 0, len(c.work)-c.at)

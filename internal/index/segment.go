@@ -80,9 +80,9 @@ func BuildSegmentOver(schema *storage.Schema, rows []storage.Row, d *Def) (*Segm
 // WrapSegment wraps an already-built segment — typically one streamed to
 // disk by a storage.SegmentWriter — as a scan-only SegmentIndex: it carries
 // no per-page low keys (SeekPages degrades to the full page range) and no
-// leaf statistics, but ScanCursor, PageRangeCursor and
-// ParallelScanCursor work unchanged. This is how out-of-core builds, which
-// never hold the rows needed to extract low keys, join the cursor machinery.
+// leaf statistics, but ScanCursor and PageRangeCursor work unchanged. This is
+// how out-of-core builds, which never hold the rows needed to extract low
+// keys, join the cursor machinery.
 func WrapSegment(seg *storage.Segment, d *Def) *SegmentIndex {
 	return &SegmentIndex{Def: d, Seg: seg}
 }

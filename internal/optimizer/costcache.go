@@ -15,7 +15,7 @@ import (
 // structures on it, for a write a sum of per-structure maintenance costs —
 // and each of those terms depends on the statement and on one structure,
 // never on what else the configuration holds. So every costing entry point
-// (Plan, Cost, StatementCost, WorkloadCost, the Evaluator) goes through one
+// (Plan, Cost, WorkloadCost, the Evaluator) goes through one
 // routine, memo.price, over three things computed once each:
 //
 //   - a compiled statement per *workload.Statement: its tables resolved in the
@@ -131,7 +131,7 @@ func (m *memo) newHandle(h *HypoIndex) *handle {
 		cols:       d.Columns(),
 		pages:      float64(h.Pages()),
 		entryWidth: 32,
-		disc:       cm.poolDiscount(id.id, h.Bytes),
+		disc:       cm.poolDiscount(h.Bytes),
 		writeSel:   1,
 	}
 	hd.height = cm.treeHeight(hd.pages)
@@ -229,11 +229,9 @@ func (m *memo) newCompiled(s *workload.Statement) *compiledStmt {
 	cm := m.cm
 	cs := &compiledStmt{stmt: s}
 	access := func(t *catalog.Table, preds []workload.Predicate, cols []string) compiledTable {
-		// The heap's structure id in pool-profile rate maps matches the
-		// executor's handle naming.
 		ct := compiledTable{t: t, tbl: m.tableOrd(t.Name), preds: preds, cols: cols,
 			sels:     make([]float64, len(preds)),
-			heapDisc: cm.poolDiscount("heap:"+normTable(t.Name), t.HeapBytes())}
+			heapDisc: cm.poolDiscount(t.HeapBytes())}
 		sel := 1.0 // independence, as CombinedSelectivity
 		for i, p := range preds {
 			ct.sels[i] = PredicateSelectivity(t, p)

@@ -24,14 +24,14 @@ func TestMemoIgnoresIrrelevantNeighbors(t *testing.T) {
 
 	cfg := NewConfiguration(hLine)
 	var first float64
-	if hits, misses := memoDelta(cm, func() { first = cm.StatementCost(q, cfg) }); hits != 0 || misses != 1 {
+	if hits, misses := memoDelta(cm, func() { first = cm.Cost(q, cfg) }); hits != 0 || misses != 1 {
 		t.Fatalf("cold: want the one (statement, lineitem index) term computed, got %d hits / %d misses", hits, misses)
 	}
 
 	// An index on an unrelated table contributes no term to the statement:
 	// nothing new is computed, the lineitem term is reused, the cost is equal.
 	var second float64
-	hits, misses := memoDelta(cm, func() { second = cm.StatementCost(q, cfg.With(hOrders)) })
+	hits, misses := memoDelta(cm, func() { second = cm.Cost(q, cfg.With(hOrders)) })
 	if hits != 1 || misses != 0 {
 		t.Fatalf("irrelevant neighbor: want 1 hit / 0 misses, got %d/%d", hits, misses)
 	}
@@ -51,13 +51,13 @@ func TestMemoRecomputesOnRelevantChange(t *testing.T) {
 	hNarrow := build(t, &index.Def{Table: "lineitem", KeyCols: []string{"l_shipmode"}})
 
 	cfg := NewConfiguration(hNarrow)
-	base := cm.StatementCost(q, cfg)
+	base := cm.Cost(q, cfg)
 
 	// Adding an index on the statement's table brings exactly one new term;
 	// the one already known is reused.
 	grown := cfg.With(hWide)
 	var withWide float64
-	if hits, misses := memoDelta(cm, func() { withWide = cm.StatementCost(q, grown) }); hits != 1 || misses != 1 {
+	if hits, misses := memoDelta(cm, func() { withWide = cm.Cost(q, grown) }); hits != 1 || misses != 1 {
 		t.Fatalf("relevant change: want 1 hit / 1 miss, got %d/%d", hits, misses)
 	}
 	if want := cm.refPlan(q, grown).Total; withWide != want {
@@ -74,7 +74,7 @@ func TestMemoRecomputesOnRelevantChange(t *testing.T) {
 	resized.Bytes = hWide.Bytes / 2
 	shrunk := cfg.With(&resized)
 	var withShrunk float64
-	if _, misses := memoDelta(cm, func() { withShrunk = cm.StatementCost(q, shrunk) }); misses != 1 {
+	if _, misses := memoDelta(cm, func() { withShrunk = cm.Cost(q, shrunk) }); misses != 1 {
 		t.Fatalf("resized copy: want a fresh term, got %d computed", misses)
 	}
 	if want := cm.refPlan(q, shrunk).Total; withShrunk != want {
@@ -92,18 +92,18 @@ func TestMemoInsertStatements(t *testing.T) {
 	hLine := build(t, &index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate"}})
 	hOrders := build(t, &index.Def{Table: "orders", KeyCols: []string{"o_orderdate"}})
 
-	base := cm.StatementCost(ins, NewConfiguration())
+	base := cm.Cost(ins, NewConfiguration())
 	// Maintenance cost appears only when an index lands on the insert's
 	// table; an index elsewhere contributes no term and keeps the cost.
 	hits, misses := memoDelta(cm, func() {
-		if got := cm.StatementCost(ins, NewConfiguration(hOrders)); got != base {
+		if got := cm.Cost(ins, NewConfiguration(hOrders)); got != base {
 			t.Fatalf("orders index changed lineitem insert cost: %v != %v", got, base)
 		}
 	})
 	if hits != 0 || misses != 0 {
 		t.Fatalf("irrelevant insert neighbor: want no term lookups, got %d/%d", hits, misses)
 	}
-	if got := cm.StatementCost(ins, NewConfiguration(hLine)); got <= base {
+	if got := cm.Cost(ins, NewConfiguration(hLine)); got <= base {
 		t.Fatalf("index maintenance not charged: %v <= %v", got, base)
 	}
 }
@@ -115,8 +115,8 @@ func TestMemoReset(t *testing.T) {
 	cfg := NewConfiguration(build(t, &index.Def{Table: "orders", KeyCols: []string{"o_orderdate"}}))
 	warm := func() {
 		t.Helper()
-		cm.StatementCost(q, cfg)
-		if hits, misses := memoDelta(cm, func() { cm.StatementCost(q, cfg) }); hits != 1 || misses != 0 {
+		cm.Cost(q, cfg)
+		if hits, misses := memoDelta(cm, func() { cm.Cost(q, cfg) }); hits != 1 || misses != 0 {
 			t.Fatalf("warm lookup: want 1 hit / 0 misses, got %d/%d", hits, misses)
 		}
 	}
@@ -125,7 +125,7 @@ func TestMemoReset(t *testing.T) {
 		if h, m := cm.CostCacheStats(); h != 0 || m != 0 {
 			t.Fatalf("%s: stats not reset: %d/%d", after, h, m)
 		}
-		if _, misses := memoDelta(cm, func() { cm.StatementCost(q, cfg) }); misses != 1 {
+		if _, misses := memoDelta(cm, func() { cm.Cost(q, cfg) }); misses != 1 {
 			t.Fatalf("%s: memo not emptied", after)
 		}
 	}

@@ -160,11 +160,6 @@ func (cm *CostModel) Cost(stmt *workload.Statement, cfg *Configuration) float64 
 	return m.price(m.compile(stmt), m.resolve(cfg), nil)
 }
 
-// StatementCost is Cost: the weighted-workload building block.
-func (cm *CostModel) StatementCost(stmt *workload.Statement, cfg *Configuration) float64 {
-	return cm.Cost(stmt, cfg)
-}
-
 // Plan costs a statement and returns the full plan.
 func (cm *CostModel) Plan(stmt *workload.Statement, cfg *Configuration) *Plan {
 	m := cm.memo.Load()

@@ -3,7 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math/rand"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 
@@ -159,15 +159,15 @@ func candidatePool(db *catalog.Database, wl *workload.Workload, rng *rand.Rand) 
 }
 
 // poolProfiles are the pool-awareness settings every differential runs under:
-// pool-blind, and a profile mixing the capacity heuristic with measured rates
-// for a heap and for some index structures.
+// pool-blind, and a capacity at the median candidate size, so about half the
+// structures (and the smaller heaps) are priced resident and half cold.
 func poolProfiles(c *whatIfCase) []*PoolProfile {
-	p := NewPoolProfile(c.pool[0].Bytes)
-	p.Rates = map[string]float64{"heap:" + strings.ToLower(c.db.Tables()[0].Name): 0.5}
-	for i := 0; i < len(c.pool); i += 7 {
-		p.Rates[c.pool[i].ID()] = float64(i%10) / 10
+	sizes := make([]int64, len(c.pool))
+	for i, h := range c.pool {
+		sizes[i] = h.Bytes
 	}
-	return []*PoolProfile{nil, p}
+	slices.Sort(sizes)
+	return []*PoolProfile{nil, NewPoolProfile(sizes[len(sizes)/2])}
 }
 
 // mutate applies one random With / Replace / Without to cfg, returning the

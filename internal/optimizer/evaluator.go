@@ -130,7 +130,7 @@ func (e *Evaluator) costUnder(cfg []*handle, touched ...*handle) float64 {
 }
 
 // neighborCap is the configuration size up to which a what-if's member list
-// lives on the stack (the advisor's default MaxIndexes is 40).
+// lives on the stack (the advisor caps a recommendation at 40 structures).
 const neighborCap = 64
 
 // CostWithAdd returns the configuration Base().With(h) and its workload

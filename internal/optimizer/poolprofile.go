@@ -14,66 +14,34 @@ package optimizer
 // page — and write I/O is never discounted, because dirtied pages must reach
 // disk regardless of residency.
 
-// DefaultResidentHitRate is the assumed steady-state hit rate for a
-// structure whose pages all fit in the pool: after the first pass nearly
-// every fetch is a hit, but cold misses and invalidation churn keep it
-// below 1.
-const DefaultResidentHitRate = 0.9
+// ResidentHitRate is the assumed steady-state hit rate for a structure whose
+// pages all fit in the pool: after the first pass nearly every fetch is a
+// hit, but cold misses and invalidation churn keep it below 1 — and a rate of
+// exactly 1 would cost a resident structure zero I/O forever, erasing the
+// tie-break against simply not building it.
+const ResidentHitRate = 0.9
 
 // PoolProfile describes the buffer pool the costed execution runs against.
 type PoolProfile struct {
 	// CapacityBytes is the pool size. A structure whose estimated bytes fit
-	// is assumed resident (ResidentHitRate) unless a measured rate overrides.
+	// is assumed resident (ResidentHitRate).
 	CapacityBytes int64
-	// ResidentHitRate is the hit rate assumed for structures that fit
-	// entirely in the pool. Zero means DefaultResidentHitRate.
-	ResidentHitRate float64
-	// Rates holds measured per-structure hit rates keyed by structure id —
-	// "heap:<table>" for heaps (lowercased table), Def.ID() for index
-	// structures — e.g. exec.Store.MeasuredHitRates. Measured rates win over
-	// the capacity heuristic.
-	Rates map[string]float64
 }
 
-// NewPoolProfile returns a profile for a pool of the given size with the
-// default resident hit rate and no measured rates.
+// NewPoolProfile returns a profile for a pool of the given size.
 func NewPoolProfile(capacityBytes int64) *PoolProfile {
-	return &PoolProfile{CapacityBytes: capacityBytes, ResidentHitRate: DefaultResidentHitRate}
+	return &PoolProfile{CapacityBytes: capacityBytes}
 }
 
-// RateFor returns the expected pool hit rate for a structure: its measured
-// rate when one is recorded, else the resident rate when its bytes fit the
-// pool, else 0 (every read is physical). Rates are clamped to [0, 1); a nil
-// profile always reports 0, so an unset profile costs exactly like the base
-// model.
-func (p *PoolProfile) RateFor(id string, bytes int64) float64 {
-	if p == nil {
-		return 0
-	}
-	if r, ok := p.Rates[id]; ok {
-		return clampRate(r)
-	}
-	if p.CapacityBytes > 0 && bytes > 0 && bytes <= p.CapacityBytes {
-		r := p.ResidentHitRate
-		if r == 0 {
-			r = DefaultResidentHitRate
-		}
-		return clampRate(r)
+// RateFor returns the expected pool hit rate for a structure of the given
+// size: ResidentHitRate when its bytes fit the pool, else 0 (every read is
+// physical). A nil profile always reports 0, so an unset profile costs
+// exactly like the base model.
+func (p *PoolProfile) RateFor(bytes int64) float64 {
+	if p != nil && bytes > 0 && bytes <= p.CapacityBytes {
+		return ResidentHitRate
 	}
 	return 0
-}
-
-// clampRate bounds a hit rate to [0, 1): a rate of exactly 1 would cost a
-// resident structure zero I/O forever, erasing the tie-break against simply
-// not building it.
-func clampRate(r float64) float64 {
-	if r < 0 {
-		return 0
-	}
-	if r > 0.999 {
-		return 0.999
-	}
-	return r
 }
 
 // SetPoolProfile installs (nil clears) the pool profile and drops the memo —
@@ -89,6 +57,6 @@ func (cm *CostModel) PoolProfile() *PoolProfile { return cm.pool }
 
 // poolDiscount is the multiplier applied to a structure's page-I/O terms:
 // 1 when pool-blind, (1 - hit rate) otherwise.
-func (cm *CostModel) poolDiscount(id string, bytes int64) float64 {
-	return 1 - cm.pool.RateFor(id, bytes)
+func (cm *CostModel) poolDiscount(bytes int64) float64 {
+	return 1 - cm.pool.RateFor(bytes)
 }

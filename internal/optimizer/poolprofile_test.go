@@ -12,31 +12,18 @@ import (
 
 func TestPoolProfileRateFor(t *testing.T) {
 	var nilP *PoolProfile
-	if got := nilP.RateFor("heap:x", 100); got != 0 {
+	if got := nilP.RateFor(100); got != 0 {
 		t.Fatalf("nil profile rate = %g, want 0", got)
 	}
-	p := &PoolProfile{
-		CapacityBytes:   1000,
-		ResidentHitRate: 0.8,
-		Rates:           map[string]float64{"measured": 0.5, "over": 1.5, "under": -1},
+	p := NewPoolProfile(1000)
+	if got := p.RateFor(1000); got != ResidentHitRate {
+		t.Fatalf("fitting structure rate = %g, want %g", got, ResidentHitRate)
 	}
-	if got := p.RateFor("fits", 1000); got != 0.8 {
-		t.Fatalf("fitting structure rate = %g, want 0.8", got)
-	}
-	if got := p.RateFor("spills", 1001); got != 0 {
+	if got := p.RateFor(1001); got != 0 {
 		t.Fatalf("spilling structure rate = %g, want 0", got)
 	}
-	if got := p.RateFor("measured", 1); got != 0.5 {
-		t.Fatalf("measured rate = %g, want 0.5 (measured wins over fit)", got)
-	}
-	if got := p.RateFor("over", 1); got != 0.999 {
-		t.Fatalf("over-unity rate clamps to %g, want 0.999", got)
-	}
-	if got := p.RateFor("under", 1); got != 0 {
-		t.Fatalf("negative rate clamps to %g, want 0", got)
-	}
-	if got := NewPoolProfile(1000).RateFor("fits", 10); got != DefaultResidentHitRate {
-		t.Fatalf("default resident rate = %g, want %g", got, DefaultResidentHitRate)
+	if got := p.RateFor(0); got != 0 {
+		t.Fatalf("empty structure rate = %g, want 0", got)
 	}
 }
 
@@ -67,7 +54,7 @@ func TestPoolAwareCostingDiscountsResident(t *testing.T) {
 		t.Fatal("cold plan reads nothing")
 	}
 
-	cm.SetPoolProfile(&PoolProfile{CapacityBytes: 1 << 40, ResidentHitRate: 0.9})
+	cm.SetPoolProfile(NewPoolProfile(1 << 40))
 	warm := cm.Plan(stmt, cfg)
 	wantReads := coldReads * 0.1
 	if diff := warm.EstimatedPageReads() - wantReads; diff > 1e-9 || diff < -1e-9 {
@@ -127,7 +114,7 @@ func TestPoolAwareCostingShiftsChoice(t *testing.T) {
 	}
 
 	// Pool holds the compressed variant but not the uncompressed one.
-	cm.SetPoolProfile(&PoolProfile{CapacityBytes: 160 << 10, ResidentHitRate: 0.9})
+	cm.SetPoolProfile(NewPoolProfile(160 << 10))
 	warmPlain := cm.Cost(stmt, cfgPlain)
 	warmPacked := cm.Cost(stmt, cfgPacked)
 	if warmPacked >= warmPlain {
@@ -144,8 +131,7 @@ func TestPoolAwareCostingShiftsChoice(t *testing.T) {
 func TestPoolProfileDeterministic(t *testing.T) {
 	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 2000, Seed: 3})
 	stmt := poolTestStmt(t)
-	profile := &PoolProfile{CapacityBytes: 1 << 20, ResidentHitRate: 0.85,
-		Rates: map[string]float64{"heap:lineitem": 0.4}}
+	profile := NewPoolProfile(db.MustTable("lineitem").HeapBytes())
 	run := func() (float64, float64) {
 		cm := NewCostModel(db)
 		cm.SetPoolProfile(profile)
@@ -157,13 +143,10 @@ func TestPoolProfileDeterministic(t *testing.T) {
 	if c1 != c2 || r1 != r2 {
 		t.Fatalf("pool-aware costing not deterministic: %g/%g vs %g/%g", c1, r1, c2, r2)
 	}
-	// The measured heap rate (0.4) must override the fit heuristic (0.85).
-	cm := NewCostModel(db)
-	cm.SetPoolProfile(profile)
-	reads := cm.Plan(stmt, NewConfiguration()).EstimatedPageReads()
+	// The heap exactly fits, so its scan is discounted at the resident rate.
 	pages := float64(db.MustTable("lineitem").HeapPages())
-	want := pages * 0.6
-	if diff := reads - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("measured-rate reads = %g, want %g", reads, want)
+	want := pages * (1 - ResidentHitRate)
+	if diff := r1 - want; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("resident-heap reads = %g, want %g", r1, want)
 	}
 }

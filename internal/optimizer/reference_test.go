@@ -158,14 +158,10 @@ func (cm *CostModel) refBaseScan(t *catalog.Table, preds []workload.Predicate, c
 		}
 	}
 	pages := float64(t.HeapPages())
-	disc := cm.poolDiscount(refHeapID(t.Name), t.HeapBytes())
+	disc := cm.poolDiscount(t.HeapBytes())
 	cost := cm.SeqPageIO*pages*disc + cm.CPUTuple*rows
 	return AccessPath{Table: t.Name, Kind: "heap-scan", Rows: outRows, Cost: cost, EstPageReads: pages * disc}
 }
-
-// refHeapID is the heap's structure id in pool-profile rate maps, matching the
-// executor's handle naming.
-func refHeapID(table string) string { return "heap:" + strings.ToLower(table) }
 
 // refIndexPath costs using the given index for the table, returning ok=false
 // when the index is unusable (partial filter not implied, or non-covering
@@ -232,7 +228,7 @@ func (cm *CostModel) refIndexPath(t *catalog.Table, h *HypoIndex, preds []worklo
 	usedCols := countUsedCols(idxCols, needed)
 	beta := cm.refBetaOf(h)
 	residualSel := CombinedSelectivity(t, remaining)
-	disc := cm.poolDiscount(h.Def.ID(), h.Bytes)
+	disc := cm.poolDiscount(h.Bytes)
 
 	if matchedAny {
 		matched := idxRows * seekSel
@@ -250,7 +246,7 @@ func (cm *CostModel) refIndexPath(t *catalog.Table, h *HypoIndex, preds []worklo
 			// the index; remaining predicates are applied after the lookup.
 			// The lookups land on the heap, so they take the heap's discount.
 			lookups := idxRows * seekSel * refResidualFraction(t, remaining, idxCols)
-			heapDisc := cm.poolDiscount(refHeapID(t.Name), t.HeapBytes())
+			heapDisc := cm.poolDiscount(t.HeapBytes())
 			ap.Lookups = lookups
 			ap.Cost += cm.RandPageIO*lookups*heapDisc + cm.CPUTuple*lookups
 			ap.EstPageReads += lookups * heapDisc
@@ -341,7 +337,7 @@ func (cm *CostModel) refMvAccess(h *HypoIndex, residual []workload.Predicate, q 
 		}
 	}
 	var cost, reads float64
-	disc := cm.poolDiscount(h.Def.ID(), h.Bytes)
+	disc := cm.poolDiscount(h.Bytes)
 	kind := "mv-scan"
 	if seek {
 		kind = "mv-seek"

@@ -10,7 +10,6 @@ package sampling
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -27,12 +26,11 @@ import (
 // sizing different indexes on the same table share one lazily built sample.
 // Samples and synopses are immutable once published.
 type Manager struct {
-	DB   *catalog.Database
-	F    float64 // sampling fraction, e.g. 0.01
-	Seed int64
+	DB *catalog.Database
+	F  float64 // sampling fraction, e.g. 0.01
 
-	// store, when set, supplies samples as prefixes of a shared per-table
-	// permutation so every fraction in an f-grid reuses one table scan.
+	// store supplies samples as prefixes of a shared per-table permutation so
+	// every fraction in an f-grid reuses one table scan.
 	store *Store
 
 	mu       sync.Mutex
@@ -48,7 +46,8 @@ type Manager struct {
 // AbsorbAccounting folds another manager's runtime accounting into m, so a
 // caller that tried several managers (e.g. an f-grid sweep) can report the
 // total cost on the one it kept. Managers sharing a Store never double-count:
-// the shared permutation build is charged to the store, not to any manager.
+// the shared permutation build is charged to the one manager that triggered
+// it.
 func (m *Manager) AbsorbAccounting(o *Manager) {
 	if o == nil || o == m {
 		return
@@ -79,23 +78,23 @@ type Synopsis struct {
 	Rows   []storage.Row
 }
 
-// NewManager creates a manager with the given sampling fraction.
+// NewManager creates a manager with the given sampling fraction over a sample
+// store of its own.
 func NewManager(db *catalog.Database, f float64, seed int64) *Manager {
-	if f <= 0 || f > 1 {
-		panic(fmt.Sprintf("sampling: invalid fraction %v", f))
-	}
-	return &Manager{
-		DB:       db,
-		F:        f,
-		Seed:     seed,
-		samples:  make(map[string]*TableSample),
-		synopses: make(map[string]*Synopsis),
-	}
+	return NewStore(db, seed).Manager(f)
 }
 
 // Sample returns (building lazily, then reusing) the uniform sample of the
 // named table. This is the amortization of Section 4.1: one sample per
 // table, shared by all indexes on that table.
+//
+// The sample is a prefix of the store's shared per-table permutation. The
+// prefix of a uniform random permutation is a uniform sample without
+// replacement, and a smaller-f manager's sample is by construction a prefix
+// of a larger-f manager's — the nesting that lets one table scan serve every
+// point of an f-grid sweep. The manager whose call triggers the permutation
+// build is charged for it (exactly one manager per table), so callers summing
+// manager accounting never double-count.
 func (m *Manager) Sample(table string) (*TableSample, error) {
 	key := strings.ToLower(table)
 	m.mu.Lock()
@@ -108,50 +107,7 @@ func (m *Manager) Sample(table string) (*TableSample, error) {
 	if t == nil {
 		return nil, fmt.Errorf("sampling: unknown table %q", table)
 	}
-	if m.store != nil {
-		return m.prefixSample(key, t)
-	}
-	// Build outside the lock so a slow sample build on one table does not
-	// serialize workers sampling other tables. The draw is seeded per table,
-	// so a concurrent duplicate build produces the identical sample; the
-	// loser discards its copy and the accounting charges each table once.
-	start := time.Now()
-	rng := rand.New(rand.NewSource(m.Seed ^ int64(len(key))<<32 ^ hashString(key)))
-	want := int(float64(len(t.Rows)) * m.F)
-	if want < 1 {
-		want = 1
-	}
-	if want > len(t.Rows) {
-		want = len(t.Rows)
-	}
-	rows := reservoir(rng, t.Rows, want)
-	s := &TableSample{Table: t, Rows: rows, Fraction: float64(want) / maxf(1, float64(len(t.Rows)))}
-	elapsed := time.Since(start)
-	pages := t.HeapPages() // a sample scan reads the table once
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if prev, ok := m.samples[key]; ok {
-		return prev, nil
-	}
-	m.samples[key] = s
-	m.SampleBuildTime += elapsed
-	m.SampleBuildPages += pages
-	return s, nil
-}
-
-// prefixSample serves a sample as a prefix of the store's shared per-table
-// permutation. The prefix of a uniform random permutation is a uniform
-// sample without replacement, and a smaller-f manager's sample is by
-// construction a prefix of a larger-f manager's — the nesting that lets one
-// table scan serve every point of an f-grid sweep. The manager whose call
-// triggers the permutation build is charged for it (exactly one manager per
-// table), so per-manager accounting stays meaningful for store-backed
-// managers and callers summing manager accounting never double-count.
-func (m *Manager) prefixSample(key string, t *catalog.Table) (*TableSample, error) {
-	ordered, elapsed, pages, err := m.store.ordered(key, t)
-	if err != nil {
-		return nil, err
-	}
+	ordered, elapsed, pages := m.store.ordered(key, t)
 	want := int(float64(len(t.Rows)) * m.F)
 	if want < 1 {
 		want = 1
@@ -181,10 +137,9 @@ type Store struct {
 	DB   *catalog.Database
 	Seed int64
 
-	mu      sync.Mutex
-	tables  map[string][]storage.Row
-	elapsed time.Duration
-	pages   int64
+	mu     sync.Mutex
+	tables map[string][]storage.Row
+	pages  int64
 }
 
 // NewStore creates a sample store for the database.
@@ -195,16 +150,16 @@ func NewStore(db *catalog.Database, seed int64) *Store {
 // Manager returns a manager at fraction f whose table samples are prefixes
 // of the store's shared permutations.
 func (s *Store) Manager(f float64) *Manager {
-	m := NewManager(s.DB, f, s.Seed)
-	m.store = s
-	return m
-}
-
-// SampleBuildTime returns the accumulated one-time permutation build cost.
-func (s *Store) SampleBuildTime() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.elapsed
+	if f <= 0 || f > 1 {
+		panic(fmt.Sprintf("sampling: invalid fraction %v", f))
+	}
+	return &Manager{
+		DB:       s.DB,
+		F:        f,
+		store:    s,
+		samples:  make(map[string]*TableSample),
+		synopses: make(map[string]*Synopsis),
+	}
 }
 
 // SampleBuildPages returns the pages scanned building the permutations.
@@ -220,11 +175,11 @@ func (s *Store) SampleBuildPages() int64 {
 // once. The non-zero elapsed/pages are returned exactly once per table — to
 // the caller whose build was kept — so the triggering manager can charge
 // itself without double-counting.
-func (s *Store) ordered(key string, t *catalog.Table) ([]storage.Row, time.Duration, int64, error) {
+func (s *Store) ordered(key string, t *catalog.Table) ([]storage.Row, time.Duration, int64) {
 	s.mu.Lock()
 	if rows, ok := s.tables[key]; ok {
 		s.mu.Unlock()
-		return rows, 0, 0, nil
+		return rows, 0, 0
 	}
 	s.mu.Unlock()
 	start := time.Now()
@@ -253,12 +208,11 @@ func (s *Store) ordered(key string, t *catalog.Table) ([]storage.Row, time.Durat
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev, ok := s.tables[key]; ok {
-		return prev, 0, 0, nil
+		return prev, 0, 0
 	}
 	s.tables[key] = rows
-	s.elapsed += elapsed
 	s.pages += t.HeapPages()
-	return rows, elapsed, t.HeapPages(), nil
+	return rows, elapsed, t.HeapPages()
 }
 
 // splitmix64 is the SplitMix64 finalizer: a high-quality 64-bit mix giving
@@ -275,22 +229,6 @@ func maxf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// reservoir draws k rows uniformly without replacement.
-func reservoir(rng *rand.Rand, rows []storage.Row, k int) []storage.Row {
-	out := make([]storage.Row, 0, k)
-	for i, r := range rows {
-		if len(out) < k {
-			out = append(out, r)
-			continue
-		}
-		j := rng.Intn(i + 1)
-		if j < k {
-			out[j] = r
-		}
-	}
-	return out
 }
 
 func hashString(s string) int64 {

@@ -1,6 +1,6 @@
 // Package sizeest is the size-estimation orchestration layer: it owns the
 // wiring of sampling + estimator + sizing (Sections 4–5 of the paper) behind
-// a single SizeOracle that the advisor consumes. The batched implementation
+// a single Oracle that the advisor consumes. The oracle
 //
 //   - shares samples across the f-grid sweep: each smaller-f sample is a
 //     deterministic prefix of the largest-f sample (sampling.Store), so one
@@ -36,53 +36,24 @@ import (
 	"cadb/internal/sizing"
 )
 
-// Oracle is the size-estimation service the advisor consumes: solve and
-// execute an estimation plan for the initial target set, serve statistics-
-// only estimates for uncompressed variants, and admit late arrivals.
-type Oracle interface {
-	// Prepare solves the estimation plan over the f-grid and executes it,
-	// returning the estimates for every plan node keyed by Def.ID(). Must be
-	// called exactly once, before any other method.
-	Prepare(targets []*index.Def) (map[string]*estimator.Estimate, error)
-	// EstimateUncompressed serves the statistics-only estimate for an
-	// uncompressed definition.
-	EstimateUncompressed(d *index.Def) (*estimator.Estimate, error)
-	// Admit estimates a definition that did not exist when the plan was
-	// solved, deducing from the live graph when possible.
-	Admit(d *index.Def) (*estimator.Estimate, error)
-	// Plan returns the executed estimation plan (nil when Prepare saw no
-	// targets).
-	Plan() *sizing.Plan
-	// Estimator exposes the underlying estimator (winning f-grid point).
-	Estimator() *estimator.Estimator
-	// Accounting reports the layer's cumulative runtime split and counters.
-	Accounting() Accounting
-}
-
-// Config parameterizes a batched oracle.
+// Config parameterizes an Oracle.
 type Config struct {
 	// ErrTolerance (e) and Confidence (q) form the accuracy constraint of
 	// the estimation-plan search (Section 5.1). Zero values default to the
 	// advisor's 0.5 / 0.9.
 	ErrTolerance float64
 	Confidence   float64
-	// FGrid lists the candidate sampling fractions (nil: the default 1–10%).
-	FGrid []float64
-	Seed  int64
+	Seed         int64
 	// Workers bounds the plan-execution pool; non-positive means one per
 	// CPU. Estimates are byte-identical at any setting.
 	Workers int
-	// UseDeduction enables the deduction framework; off solves with
-	// sizing.All and admissions always SampleCF.
+	// UseDeduction enables the deduction framework (skeleton-shared Greedy);
+	// off solves with the skeleton's All and admissions always SampleCF.
 	UseDeduction bool
-	// Solve overrides the plan solver (default: skeleton-shared Greedy, or
-	// All when UseDeduction is false). An override runs per grid point
-	// without skeleton sharing.
-	Solve sizing.Solver
 }
 
 // Accounting is the Figure 11 runtime split of the size-estimation layer,
-// plus the batched oracle's admission counters.
+// plus the oracle's admission counters.
 type Accounting struct {
 	SampleBuild      time.Duration // shared sample permutations + synopses
 	SampleBuildPages int64
@@ -98,8 +69,11 @@ type Accounting struct {
 	AdmittedSampled int
 }
 
-// Batched is the production Oracle implementation.
-type Batched struct {
+// Oracle is the size-estimation service the advisor consumes: Prepare solves
+// and executes an estimation plan for the initial target set (exactly once,
+// before any other method), EstimateUncompressed serves statistics-only
+// estimates, and Admit takes late arrivals.
+type Oracle struct {
 	db  *catalog.Database
 	cfg Config
 
@@ -117,8 +91,8 @@ type Batched struct {
 // targets but uncompressed/partial estimates still need a sample.
 const defaultSampleF = 0.05
 
-// New creates a batched oracle over a fresh shared sample store.
-func New(db *catalog.Database, cfg Config) *Batched {
+// New creates an oracle over a fresh shared sample store.
+func New(db *catalog.Database, cfg Config) *Oracle {
 	if cfg.ErrTolerance <= 0 {
 		cfg.ErrTolerance = 0.5
 	}
@@ -128,11 +102,12 @@ func New(db *catalog.Database, cfg Config) *Batched {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Batched{db: db, cfg: cfg, store: sampling.NewStore(db, cfg.Seed)}
+	return &Oracle{db: db, cfg: cfg, store: sampling.NewStore(db, cfg.Seed)}
 }
 
-// Prepare implements Oracle.
-func (o *Batched) Prepare(targets []*index.Def) (map[string]*estimator.Estimate, error) {
+// Prepare solves the estimation plan over the f-grid and executes it,
+// returning the estimates for every plan node keyed by Def.ID().
+func (o *Oracle) Prepare(targets []*index.Def) (map[string]*estimator.Estimate, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.est != nil {
@@ -158,11 +133,8 @@ func (o *Batched) Prepare(targets []*index.Def) (map[string]*estimator.Estimate,
 // (sizing.Skeleton) and instantiated per grid point. Losing grid points'
 // accounting folds into the winner and the plan's SolveTime reports the
 // grid's total search effort.
-func (o *Batched) sweep(targets []*index.Def) (*sizing.Plan, *estimator.Estimator) {
-	grid := o.cfg.FGrid
-	if len(grid) == 0 {
-		grid = sizing.DefaultFGrid()
-	}
+func (o *Oracle) sweep(targets []*index.Def) (*sizing.Plan, *estimator.Estimator) {
+	grid := sizing.DefaultFGrid()
 	type point struct {
 		plan  *sizing.Plan
 		est   *estimator.Estimator
@@ -172,19 +144,12 @@ func (o *Batched) sweep(targets []*index.Def) (*sizing.Plan, *estimator.Estimato
 	for i, f := range grid {
 		pts[i].est = estimator.New(o.db, o.store.Manager(f))
 	}
-	solve := func(est *estimator.Estimator, e, q, f float64) *sizing.Plan {
-		return o.cfg.Solve(est, targets, nil, e, q, f)
-	}
-	var skelTime time.Duration
-	if o.cfg.Solve == nil {
-		start := time.Now()
-		skel := sizing.NewSkeleton(pts[0].est, targets, nil)
-		skelTime = time.Since(start)
-		if o.cfg.UseDeduction {
-			solve = skel.Greedy
-		} else {
-			solve = skel.All
-		}
+	start := time.Now()
+	skel := sizing.NewSkeleton(pts[0].est, targets, nil)
+	skelTime := time.Since(start)
+	solve := skel.All
+	if o.cfg.UseDeduction {
+		solve = skel.Greedy
 	}
 	par.For(o.cfg.Workers, len(grid), func(i int) {
 		start := time.Now()
@@ -219,7 +184,7 @@ func (o *Batched) sweep(targets []*index.Def) (*sizing.Plan, *estimator.Estimato
 // deduction's children complete strictly before it, each level fans out on
 // the worker pool, and sampled nodes are batched by structure so one sorted
 // sample scan serves all compression variants sharing (table, key columns).
-func (o *Batched) execute(p *sizing.Plan) (map[string]*estimator.Estimate, error) {
+func (o *Oracle) execute(p *sizing.Plan) (map[string]*estimator.Estimate, error) {
 	levels, err := levelSchedule(p)
 	if err != nil {
 		return nil, err
@@ -276,7 +241,7 @@ func (o *Batched) execute(p *sizing.Plan) (map[string]*estimator.Estimate, error
 // falling back to SampleCF for any child missing from it (mirroring the
 // serial sizing.Execute semantics). record, when non-nil, receives each
 // fallback-sampled child estimate so the caller can publish it.
-func (o *Batched) deduce(n *sizing.Node, lookup func(*index.Def) *estimator.Estimate, record func(*estimator.Estimate)) (*estimator.Estimate, error) {
+func (o *Oracle) deduce(n *sizing.Node, lookup func(*index.Def) *estimator.Estimate, record func(*estimator.Estimate)) (*estimator.Estimate, error) {
 	child := func(c *sizing.Node) (*estimator.Estimate, error) {
 		if e := lookup(c.Def); e != nil {
 			return e, nil
@@ -373,8 +338,9 @@ func batchByStructure(level []*sizing.Node) (map[string][]int, []string) {
 	return groups, order
 }
 
-// EstimateUncompressed implements Oracle.
-func (o *Batched) EstimateUncompressed(d *index.Def) (*estimator.Estimate, error) {
+// EstimateUncompressed serves the statistics-only estimate for an
+// uncompressed definition.
+func (o *Oracle) EstimateUncompressed(d *index.Def) (*estimator.Estimate, error) {
 	est := o.estimator()
 	if est == nil {
 		return nil, fmt.Errorf("sizeest: EstimateUncompressed before Prepare")
@@ -382,11 +348,12 @@ func (o *Batched) EstimateUncompressed(d *index.Def) (*estimator.Estimate, error
 	return est.EstimateUncompressed(d)
 }
 
-// Admit implements Oracle: insert a late-arriving definition into the live
-// deduction graph and deduce it when an executed parent/child supports it;
-// otherwise SampleCF. Admissions are serialized, so the graph grows — and
-// later arrivals deduce from earlier ones — deterministically.
-func (o *Batched) Admit(d *index.Def) (*estimator.Estimate, error) {
+// Admit estimates a definition that did not exist when the plan was solved:
+// insert it into the live deduction graph and deduce it when an executed
+// parent/child supports it; otherwise SampleCF. Admissions are serialized, so
+// the graph grows — and later arrivals deduce from earlier ones —
+// deterministically.
+func (o *Oracle) Admit(d *index.Def) (*estimator.Estimate, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.est == nil {
@@ -426,25 +393,27 @@ func (o *Batched) Admit(d *index.Def) (*estimator.Estimate, error) {
 	return o.est.SampleCF(d)
 }
 
-// Plan implements Oracle.
-func (o *Batched) Plan() *sizing.Plan {
+// Plan returns the executed estimation plan (nil when Prepare saw no
+// targets).
+func (o *Oracle) Plan() *sizing.Plan {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.plan
 }
 
-// Estimator implements Oracle.
-func (o *Batched) Estimator() *estimator.Estimator { return o.estimator() }
+// Estimator exposes the underlying estimator (winning f-grid point).
+func (o *Oracle) Estimator() *estimator.Estimator { return o.estimator() }
 
-func (o *Batched) estimator() *estimator.Estimator {
+func (o *Oracle) estimator() *estimator.Estimator {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.est
 }
 
-// Accounting implements Oracle. Call between phases (not concurrently with
-// estimation work), like the estimator's own accounting fields.
-func (o *Batched) Accounting() Accounting {
+// Accounting reports the layer's cumulative runtime split and counters. Call
+// between phases (not concurrently with estimation work), like the
+// estimator's own accounting fields.
+func (o *Oracle) Accounting() Accounting {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	a := Accounting{

@@ -65,7 +65,7 @@ func TestOracleMatchesSerialExecute(t *testing.T) {
 
 	// Serial baseline: same sweep, executed node by node in plan order.
 	store := sampling.NewStore(testDB(), seed)
-	plan, est := sizing.SweepShared(store, targets, nil, 0.5, 0.9, nil, sizing.Greedy)
+	plan, est := sizing.SweepShared(store, targets, nil, 0.5, 0.9)
 	want, err := sizing.Execute(est, plan)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cadb/internal/catalog"
-	"cadb/internal/compress"
 	"cadb/internal/estimator"
 	"cadb/internal/index"
 	"cadb/internal/sampling"
@@ -338,21 +337,16 @@ func (g *graph) finish(f, e, q float64) *Plan {
 	return p
 }
 
-// Solver is a plan-search strategy over one sampling fraction: Greedy, All
-// or (curried) Optimal.
-type Solver func(est *estimator.Estimator, targets, existing []*index.Def, e, q, f float64) *Plan
-
 // DefaultFGrid is the candidate sampling-fraction grid (1–10%).
 func DefaultFGrid() []float64 { return []float64{0.01, 0.025, 0.05, 0.075, 0.1} }
 
-// Sweep tries each sampling fraction, runs the solver, and returns the
+// Sweep runs Greedy at each sampling fraction of DefaultFGrid and returns the
 // feasible plan with the smallest total cost along with the estimator
 // configured for the winning fraction (Section 5.2's choice of f). All grid
 // points share one sample store, so a smaller-f sample is a prefix of the
 // largest-f sample and one table scan serves the whole grid.
-func Sweep(db *catalog.Database, targets, existing []*index.Def, e, q float64, fGrid []float64, seed int64,
-	solve Solver) (*Plan, *estimator.Estimator) {
-	return SweepShared(sampling.NewStore(db, seed), targets, existing, e, q, fGrid, solve)
+func Sweep(db *catalog.Database, targets, existing []*index.Def, e, q float64, seed int64) (*Plan, *estimator.Estimator) {
+	return SweepShared(sampling.NewStore(db, seed), targets, existing, e, q)
 }
 
 // SweepShared is Sweep over a caller-provided sample store (so the samples —
@@ -361,19 +355,15 @@ func Sweep(db *catalog.Database, targets, existing []*index.Def, e, q float64, f
 // estimator accounting is folded into the returned estimator, so the Figure
 // 11 runtime breakdown reports the full grid cost rather than the winner's
 // share alone.
-func SweepShared(store *sampling.Store, targets, existing []*index.Def, e, q float64, fGrid []float64,
-	solve Solver) (*Plan, *estimator.Estimator) {
-	if len(fGrid) == 0 {
-		fGrid = DefaultFGrid()
-	}
+func SweepShared(store *sampling.Store, targets, existing []*index.Def, e, q float64) (*Plan, *estimator.Estimator) {
 	var bestPlan *Plan
 	var bestEst *estimator.Estimator
 	var losers []*estimator.Estimator
 	var solveTime time.Duration
-	for _, f := range fGrid {
+	for _, f := range DefaultFGrid() {
 		est := estimator.New(store.DB, store.Manager(f))
 		start := time.Now()
-		plan := solve(est, targets, existing, e, q, f)
+		plan := Greedy(est, targets, existing, e, q, f)
 		solveTime += time.Since(start)
 		if bestPlan == nil ||
 			(plan.Feasible && !bestPlan.Feasible) ||
@@ -444,17 +434,4 @@ func Execute(est *estimator.Estimator, p *Plan) (map[string]*estimator.Estimate,
 		}
 	}
 	return out, nil
-}
-
-// CompressedVariants expands a structure definition into one target per
-// compression method — the candidate fan-out the advisor feeds this package.
-func CompressedVariants(d *index.Def, methods []compress.Method) []*index.Def {
-	out := make([]*index.Def, 0, len(methods))
-	for _, m := range methods {
-		if m == compress.None {
-			continue
-		}
-		out = append(out, d.WithMethod(m))
-	}
-	return out
 }

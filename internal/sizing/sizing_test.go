@@ -154,7 +154,7 @@ func TestColSetNotOfferedForOrdDep(t *testing.T) {
 }
 
 func TestSweepPicksCheapestFeasible(t *testing.T) {
-	plan, est := Sweep(testDB(), rowTargets(), nil, 0.5, 0.9, nil, 7, Greedy)
+	plan, est := Sweep(testDB(), rowTargets(), nil, 0.5, 0.9, 7)
 	if plan == nil || est == nil {
 		t.Fatal("sweep returned nothing")
 	}
@@ -168,7 +168,7 @@ func TestSweepPicksCheapestFeasible(t *testing.T) {
 
 func TestExecuteProducesEstimates(t *testing.T) {
 	targets := rowTargets()
-	plan, est := Sweep(testDB(), targets, nil, 0.5, 0.9, nil, 7, Greedy)
+	plan, est := Sweep(testDB(), targets, nil, 0.5, 0.9, 7)
 	got, err := Execute(est, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -188,22 +188,6 @@ func TestExecuteProducesEstimates(t *testing.T) {
 		}
 		if re > 0.5 {
 			t.Errorf("%s: executed estimate err=%.2f (est %d true %d, src %s)", d, re, e.Bytes, truth.Bytes, e.Source)
-		}
-	}
-}
-
-func TestCompressedVariants(t *testing.T) {
-	d := liDef(compress.None, "l_shipdate")
-	vs := CompressedVariants(d, compress.Methods)
-	if len(vs) != len(compress.Methods) {
-		t.Fatalf("variants=%d", len(vs))
-	}
-	for _, v := range vs {
-		if v.Method == compress.None {
-			t.Fatal("None must be excluded")
-		}
-		if v.StructureID() != d.StructureID() {
-			t.Fatal("variants must share structure")
 		}
 	}
 }
@@ -262,7 +246,7 @@ func TestExecuteStoresDeductionFallback(t *testing.T) {
 // TestSweepAccountsForAllGridPoints: the winning plan's SolveTime must cover
 // every f-grid point, not just the winner's own search.
 func TestSweepAccountsForAllGridPoints(t *testing.T) {
-	plan, est := Sweep(testDB(), rowTargets(), nil, 0.5, 0.9, nil, 7, Greedy)
+	plan, est := Sweep(testDB(), rowTargets(), nil, 0.5, 0.9, 7)
 	if est == nil {
 		t.Fatal("sweep returned no estimator")
 	}
@@ -276,7 +260,7 @@ func TestSweepAccountsForAllGridPoints(t *testing.T) {
 // nothing in the graph helps — and appends it so later arrivals see it.
 func TestPlanAdmitDeducesAndAppends(t *testing.T) {
 	targets := rowTargets()
-	plan, est := Sweep(testDB(), targets, nil, 0.5, 0.9, nil, 7, Greedy)
+	plan, est := Sweep(testDB(), targets, nil, 0.5, 0.9, 7)
 	if _, err := Execute(est, plan); err != nil {
 		t.Fatal(err)
 	}

@@ -51,24 +51,12 @@ const (
 	MaxPrefetchSpanPages   = 128
 )
 
-// StartPrefetch launches readahead for pages [lo, hi) of the segment with
-// the given window and worker count. Returns nil when the segment is not
-// disk-backed or the parameters disable prefetch (window or workers < 1) —
-// callers treat a nil Prefetcher as a no-op.
-func StartPrefetch(seg *Segment, lo, hi, window, workers int) *Prefetcher {
-	if lo >= hi {
-		return nil
-	}
-	plan := make([]int, hi-lo)
-	for i := range plan {
-		plan[i] = lo + i
-	}
-	return StartPrefetchPlan(seg, plan, window, workers)
-}
-
 // StartPrefetchPlan launches readahead over an explicit page visit order —
 // the form cursors use, since a RID cursor's pages are sparse. Advance
-// positions are indexes into the plan, not page numbers.
+// positions are indexes into the plan, not page numbers. Returns nil when the
+// segment is not disk-backed, the plan is empty or the parameters disable
+// prefetch (window or workers < 1) — callers treat a nil Prefetcher as a
+// no-op.
 func StartPrefetchPlan(seg *Segment, plan []int, window, workers int) *Prefetcher {
 	if seg == nil || !seg.Backed() || window < 1 || workers < 1 || len(plan) == 0 {
 		return nil

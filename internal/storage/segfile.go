@@ -306,9 +306,6 @@ func (sf *SegmentFile) Path() string { return sf.path }
 // PageRows returns the row count of page i without reading it.
 func (sf *SegmentFile) PageRows(i int) int { return int(sf.entries[i].rows) }
 
-// PageAccountedBytes returns the accounted payload size of page i.
-func (sf *SegmentFile) PageAccountedBytes(i int) int { return int(sf.entries[i].accounted) }
-
 // PayloadBytes returns the total on-disk payload bytes across all pages —
 // the working-set size a buffer pool is dimensioned against.
 func (sf *SegmentFile) PayloadBytes() int64 {

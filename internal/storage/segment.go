@@ -244,16 +244,15 @@ func (g *Segment) CloseBacking() {
 	g.backing.file.Remove()
 }
 
-// BackingFileID returns the pool file identity of a spilled segment and true,
-// or 0 and false for in-memory or closed segments. The pool's per-file
-// counters for this identity are the measured-hit-rate input the pool-aware
-// cost model consumes.
-func (g *Segment) BackingFileID() (uint64, bool) {
-	b := g.backing
-	if b == nil || b.closed.Load() {
-		return 0, false
+// ReleaseBacking ends a spilled segment's service like CloseBacking — pool
+// frames dropped, every later FetchPage fails — but keeps the file on disk
+// for OpenSegmentFile: the exit path of a build whose product is the file.
+func (g *Segment) ReleaseBacking() error {
+	if g.backing == nil || g.backing.closed.Swap(true) {
+		return nil
 	}
-	return b.fileID, true
+	g.backing.pool.InvalidateFile(g.backing.fileID)
+	return g.backing.file.Close()
 }
 
 // FetchPage returns page i's payload and a release func the caller must

@@ -111,6 +111,15 @@ func TestSegmentWriterBoundedMemory(t *testing.T) {
 	}
 }
 
+// allPages is the visit order of a full scan.
+func allPages(seg *Segment) []int {
+	plan := make([]int, seg.NumPages())
+	for i := range plan {
+		plan[i] = i
+	}
+	return plan
+}
+
 // TestPrefetcherWarmsScan runs readahead over a spilled segment and checks a
 // following serial scan sees hits for prefetched pages, with the prefetch
 // accounted in PoolPrefetched/BytesRead and no stale or wrong bytes.
@@ -121,7 +130,7 @@ func TestPrefetcherWarmsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var io IOStats
-	pf := StartPrefetch(seg, 0, seg.NumPages(), 4, 2)
+	pf := StartPrefetchPlan(seg, allPages(seg), 4, 2)
 	if pf == nil {
 		t.Fatal("prefetcher should start for a backed segment")
 	}
@@ -168,7 +177,7 @@ func TestPrefetchRacesCloseBacking(t *testing.T) {
 		if err := seg.Spill(filepath.Join(t.TempDir(), "seg.cadb"), pool); err != nil {
 			t.Fatal(err)
 		}
-		pf := StartPrefetch(seg, 0, seg.NumPages(), 8, 3)
+		pf := StartPrefetchPlan(seg, allPages(seg), 8, 3)
 		pf.Advance(0)
 		seg.CloseBacking()
 		pf.Advance(4) // advancing after close must be harmless
@@ -186,20 +195,20 @@ func TestPrefetchRacesCloseBacking(t *testing.T) {
 // segment, zero window or workers.
 func TestPrefetchDisabledCases(t *testing.T) {
 	_, _, seg := testSegment(t, 100)
-	if pf := StartPrefetch(nil, 0, 1, 4, 2); pf != nil {
+	if pf := StartPrefetchPlan(nil, []int{0}, 4, 2); pf != nil {
 		t.Fatal("nil segment should not start a prefetcher")
 	}
-	if pf := StartPrefetch(seg, 0, seg.NumPages(), 4, 2); pf != nil {
+	if pf := StartPrefetchPlan(seg, allPages(seg), 4, 2); pf != nil {
 		t.Fatal("in-memory segment should not start a prefetcher")
 	}
 	pool := bufferpool.New(1 << 20)
 	if err := seg.Spill(filepath.Join(t.TempDir(), "seg.cadb"), pool); err != nil {
 		t.Fatal(err)
 	}
-	if pf := StartPrefetch(seg, 0, seg.NumPages(), 0, 2); pf != nil {
+	if pf := StartPrefetchPlan(seg, allPages(seg), 0, 2); pf != nil {
 		t.Fatal("zero window should disable prefetch")
 	}
-	if pf := StartPrefetch(seg, 0, seg.NumPages(), 4, 0); pf != nil {
+	if pf := StartPrefetchPlan(seg, allPages(seg), 4, 0); pf != nil {
 		t.Fatal("zero workers should disable prefetch")
 	}
 	var nilPF *Prefetcher

@@ -67,9 +67,6 @@ func StringVal(v string) Value { return Value{Kind: KindString, Str: v} }
 // DateVal returns a date value given days since the Unix epoch.
 func DateVal(days int64) Value { return Value{Kind: KindDate, Int: days} }
 
-// IsNull reports whether the value is NULL.
-func (v Value) IsNull() bool { return v.Null }
-
 // Compare orders two values of the same kind. NULLs sort first.
 // The result is -1, 0 or +1.
 func (v Value) Compare(o Value) int {
