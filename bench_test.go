@@ -295,3 +295,66 @@ func BenchmarkAblationNoCompression(b *testing.B) {
 func BenchmarkAblationStaged(b *testing.B) {
 	benchAdvisor(b, func(o *core.Options) { o.Staged = true })
 }
+
+// ---------------------------------------------------------------------------
+// The read path: one pass of a workload's queries on the tuned, deployed store
+
+// benchStorePass tunes for the workload, deploys the recommendation (pass 0
+// builds every segment the queries touch) and then times whole passes — the
+// loop benchmark's pass_s with B/op beside it. Tune and deploy sit outside
+// the timer, so `-cpuprofile` is a profile of the passes alone. spill puts
+// the store behind a pool a tenth of the design's bytes with readahead on,
+// as the sales-disk workload does.
+func benchStorePass(b *testing.B, db *Database, wl *workload.Workload, spill bool) {
+	opts := DefaultOptions(db.TotalHeapBytes() / 4)
+	opts.Parallelism = 1
+	rec, err := Tune(db, wl, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var defs []*IndexDef
+	for _, h := range rec.Config.Indexes() {
+		defs = append(defs, h.Def)
+	}
+	st, err := NewSegmentStore(db, defs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	if spill {
+		st.SetDiskBacked(b.TempDir(), NewBufferPool((db.TotalHeapBytes()+rec.SizeBytes)/10))
+		st.SetPrefetch(32, 2)
+	}
+	var queries []*workload.Query
+	for _, s := range wl.Statements {
+		if s.Query != nil {
+			queries = append(queries, s.Query)
+		}
+	}
+	pass := func() {
+		for _, q := range queries {
+			if _, err := st.RunQuery(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+}
+
+// BenchmarkStorePassTPCH is one tpch-select pass (40 000 lineitem rows, in
+// memory).
+func BenchmarkStorePassTPCH(b *testing.B) {
+	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 40000, Seed: 1})
+	benchStorePass(b, db, workloads.SelectIntensive(workloads.MustTPCH()), false)
+}
+
+// BenchmarkStorePassSales is one sales-disk pass (30 000 fact rows, spilled).
+func BenchmarkStorePassSales(b *testing.B) {
+	db := datagen.NewSales(datagen.SalesConfig{FactRows: 30000, Zipf: 0.8, Seed: 1})
+	benchStorePass(b, db, workloads.SelectIntensive(workloads.MustSales(1)), true)
+}

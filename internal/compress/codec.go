@@ -67,17 +67,19 @@ func readLenPrefix(src []byte) (int, int, error) {
 	}
 }
 
-// decodeValueBytes is the inverse of valueBytes: reconstruct a value from its
-// minimal encoding.
-func decodeValueBytes(c storage.Column, b []byte) (storage.Value, error) {
+// decodeValue is the inverse of valueBytes: reconstruct a value from its
+// minimal encoding. The encoding may be bytes (a page section) or a string (a
+// global-dictionary entry, which a string value then shares instead of
+// copying).
+func decodeValue[B []byte | string](c storage.Column, b B) (storage.Value, error) {
 	switch c.Kind {
 	case storage.KindInt, storage.KindDate:
 		if len(b) > 8 {
 			return storage.Value{}, fmt.Errorf("compress: %d-byte integer", len(b))
 		}
 		var u uint64
-		for _, x := range b {
-			u = u<<8 | uint64(x)
+		for i := 0; i < len(b); i++ {
+			u = u<<8 | uint64(b[i])
 		}
 		v := int64(u>>1) ^ -int64(u&1) // un-zigzag
 		return storage.Value{Kind: c.Kind, Int: v}, nil
@@ -85,9 +87,11 @@ func decodeValueBytes(c storage.Column, b []byte) (storage.Value, error) {
 		if len(b) > 8 {
 			return storage.Value{}, fmt.Errorf("compress: %d-byte float", len(b))
 		}
-		var buf [8]byte
-		copy(buf[:], b)
-		return storage.FloatVal(math.Float64frombits(binary.BigEndian.Uint64(buf[:]))), nil
+		var u uint64 // trailing zero bytes are dropped by the encoding
+		for i := 0; i < len(b); i++ {
+			u |= uint64(b[i]) << (56 - 8*i)
+		}
+		return storage.FloatVal(math.Float64frombits(u)), nil
 	case storage.KindString:
 		return storage.StringVal(string(b)), nil
 	}

@@ -3,7 +3,6 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 
@@ -43,9 +42,9 @@ import (
 // additionally scans the full row set up front so each GDICT column can fall
 // back to plain storage when the dictionary would not pay for itself (the
 // same min(dict, plain) policy the size model charges). After the segment is
-// built the dictionary is read-only, so concurrent decodes share it without
-// synchronization; per-decode memoization (entry values, predicate verdicts)
-// lives in call-local state.
+// built the dictionary is read-only, so concurrent decoders share it without
+// synchronization; predicate verdicts per code are memoized in each decoder
+// (see decoder.go), never in the shared state.
 type columnCodec struct {
 	def       Method
 	overrides map[string]Method // lowercased column name -> method
@@ -470,537 +469,4 @@ func appendRLESection(dst []byte, c storage.Column, rows []storage.Row, ci int, 
 		emit(runLen, runNull, prev)
 	}
 	return dst, scratch
-}
-
-// ---------------------------------------------------------------------------
-// Decoding
-
-// parseSections splits the page payload into per-column section bodies up to
-// and including column last.
-func parseSections(payload []byte, last int) ([][]byte, error) {
-	sections := make([][]byte, last+1)
-	rest := payload
-	for ci := 0; ci <= last; ci++ {
-		ln, adv, err := readLenPrefix(rest)
-		if err != nil {
-			return nil, err
-		}
-		rest = rest[adv:]
-		if len(rest) < ln {
-			return nil, fmt.Errorf("compress: short column section %d", ci)
-		}
-		sections[ci] = rest[:ln]
-		rest = rest[ln:]
-	}
-	return sections, nil
-}
-
-func (cc *columnCodec) DecodeColumns(s *storage.Schema, payload []byte, nrows int, spec *storage.DecodeSpec) (*storage.DecodedPage, error) {
-	cc.resolve(s)
-	if len(payload) < 2 {
-		return nil, fmt.Errorf("compress: short %s page", cc.Name())
-	}
-	n := int(binary.BigEndian.Uint16(payload[:2]))
-	payload = payload[2:]
-	if n != nrows {
-		return nil, fmt.Errorf("compress: %s header says %d rows, directory says %d", cc.Name(), n, nrows)
-	}
-
-	sel := make([]bool, n)
-	selCount := 0
-	if spec.Slots == nil {
-		for j := range sel {
-			sel[j] = true
-		}
-		selCount = n
-	} else {
-		for _, sl := range spec.Slots {
-			if sl >= 0 && sl < n && !sel[sl] {
-				sel[sl] = true
-				selCount++
-			}
-		}
-	}
-
-	predsByCol := make(map[int][]storage.ColPredicate, len(spec.Preds))
-	last := -1
-	for _, p := range spec.Preds {
-		predsByCol[p.Col] = append(predsByCol[p.Col], p)
-		if p.Col > last {
-			last = p.Col
-		}
-	}
-	needSet := make(map[int]bool, len(spec.Needed))
-	for _, ci := range spec.Needed {
-		needSet[ci] = true
-		if ci > last {
-			last = ci
-		}
-	}
-	if last >= len(s.Columns) {
-		return nil, fmt.Errorf("compress: column %d out of range", last)
-	}
-
-	out := &storage.DecodedPage{}
-	if last < 0 {
-		out.TuplesDecoded = int64(selCount)
-		if selCount > 0 {
-			out.Slots = make([]int, 0, selCount)
-			out.Rows = make([]storage.Row, 0, selCount)
-			for j := 0; j < n; j++ {
-				if sel[j] {
-					out.Slots = append(out.Slots, j)
-					out.Rows = append(out.Rows, storage.Row{})
-				}
-			}
-		}
-		return out, nil
-	}
-	sections, err := parseSections(payload, last)
-	if err != nil {
-		return nil, err
-	}
-	counted := make(map[int]bool, len(spec.Needed))
-	scratch := make([]byte, 0, 64)
-
-	// Pass 1: evaluate pushed predicates column by column, narrowing the
-	// selection. Each method exploits its own layout: GDICT evaluates once
-	// per dictionary code, RLE once per run, PAGE once per local-dictionary
-	// entry; NONE/ROW walk the section but decode only selected rows.
-	for ci := 0; ci <= last; ci++ {
-		ps := predsByCol[ci]
-		if len(ps) == 0 || selCount == 0 {
-			continue
-		}
-		c := s.Columns[ci]
-		touched := false
-		selCount, scratch, touched, err = cc.filterSection(c, ci, sections[ci], n, ps, sel, selCount, scratch)
-		if err != nil {
-			return nil, err
-		}
-		if touched && !counted[ci] {
-			counted[ci] = true
-			out.ColumnsDecoded++
-		}
-	}
-
-	out.TuplesDecoded = int64(selCount)
-	if selCount == 0 {
-		return out, nil
-	}
-
-	// Pass 2: materialize the needed columns of the survivors.
-	outIdx := make([]int, n)
-	out.Slots = make([]int, 0, selCount)
-	for j := 0; j < n; j++ {
-		if sel[j] {
-			outIdx[j] = len(out.Slots)
-			out.Slots = append(out.Slots, j)
-		} else {
-			outIdx[j] = -1
-		}
-	}
-	// One slab backs every output row; the full slice expression keeps an
-	// append to one row from running into the next.
-	out.Rows = make([]storage.Row, selCount)
-	w := len(spec.Needed)
-	slab := make([]storage.Value, selCount*w)
-	for i := range out.Rows {
-		out.Rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
-	}
-	for k, ci := range spec.Needed {
-		if !counted[ci] {
-			counted[ci] = true
-			out.ColumnsDecoded++
-		}
-		c := s.Columns[ci]
-		set := func(j int, v storage.Value) { // rows outside the selection are dropped
-			if i := outIdx[j]; i >= 0 {
-				slab[i*w+k] = v
-			}
-		}
-		scratch, err = cc.materializeSection(c, ci, sections[ci], n, sel, set, scratch)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// filterSection narrows sel by evaluating preds against one column section,
-// returning the new selection count and whether any value bytes were decoded
-// (columns decided from bitmaps alone are free).
-func (cc *columnCodec) filterSection(c storage.Column, ci int, body []byte, n int, preds []storage.ColPredicate, sel []bool, selCount int, scratch []byte) (int, []byte, bool, error) {
-	m := cc.resolved[ci]
-	if m == GlobalDict {
-		if len(body) < 1 {
-			return 0, scratch, false, fmt.Errorf("compress: short GDICT section")
-		}
-		if body[0] == gdictPlain {
-			m, body = Row, body[1:]
-		} else {
-			return cc.filterGDict(c, ci, body[1:], n, preds, sel, selCount, scratch)
-		}
-	}
-	switch m {
-	case None, Row:
-		// A predicated column fails every NULL row; decided from the bitmap.
-		bitmapLen := (n + 7) / 8
-		if len(body) < bitmapLen {
-			return 0, scratch, false, fmt.Errorf("compress: short %s section", m)
-		}
-		nulls := body[:bitmapLen]
-		for j := 0; j < n; j++ {
-			if sel[j] && nulls[j/8]&(1<<(uint(j)%8)) != 0 {
-				sel[j] = false
-				selCount--
-			}
-		}
-		if selCount == 0 {
-			return 0, scratch, false, nil
-		}
-		err := visitPlainSection(c, m, body, n, func(j int, v storage.Value) {
-			if !sel[j] {
-				return
-			}
-			for _, p := range preds {
-				if !p.Matches(v) {
-					sel[j] = false
-					selCount--
-					return
-				}
-			}
-		})
-		return selCount, scratch, true, err
-	case Page:
-		col, err := parsePageColumn(body, n)
-		if err != nil {
-			return 0, scratch, false, err
-		}
-		return filterPageColumn(c, &col, n, preds, sel, selCount, scratch)
-	case RLE:
-		at := 0
-		j := 0
-		for j < n {
-			if len(body) < at+2 {
-				return 0, scratch, false, fmt.Errorf("compress: short RLE run header")
-			}
-			hdr := binary.BigEndian.Uint16(body[at:])
-			at += 2
-			runLen := int(hdr & rleMaxRun)
-			null := hdr&0x8000 != 0
-			if runLen == 0 || j+runLen > n {
-				return 0, scratch, false, fmt.Errorf("compress: RLE run of %d rows at row %d", runLen, j)
-			}
-			ok := false
-			if !null {
-				ln, adv, err := readLenPrefix(body[at:])
-				if err != nil {
-					return 0, scratch, false, err
-				}
-				at += adv
-				if len(body) < at+ln {
-					return 0, scratch, false, fmt.Errorf("compress: short RLE value")
-				}
-				v, err := decodeValueBytes(c, body[at:at+ln])
-				if err != nil {
-					return 0, scratch, false, err
-				}
-				at += ln
-				ok = true
-				for _, p := range preds {
-					if !p.Matches(v) {
-						ok = false
-						break
-					}
-				}
-			}
-			if !ok {
-				for r := j; r < j+runLen; r++ {
-					if sel[r] {
-						sel[r] = false
-						selCount--
-					}
-				}
-			}
-			j += runLen
-		}
-		return selCount, scratch, true, nil
-	}
-	return 0, scratch, false, fmt.Errorf("compress: bad column method %d", m)
-}
-
-// filterGDict evaluates predicates once per dictionary code present on the
-// page; the verdict memo is call-local so concurrent decodes never mutate
-// shared dictionary state.
-func (cc *columnCodec) filterGDict(c storage.Column, ci int, body []byte, n int, preds []storage.ColPredicate, sel []bool, selCount int, scratch []byte) (int, []byte, bool, error) {
-	st := cc.dicts[ci]
-	bitmapLen := (n + 7) / 8
-	if len(body) < 1+bitmapLen {
-		return 0, scratch, false, fmt.Errorf("compress: short GDICT section")
-	}
-	width := int(body[0])
-	if width < 1 || width > 4 {
-		return 0, scratch, false, fmt.Errorf("compress: GDICT code width %d", width)
-	}
-	nulls := body[1 : 1+bitmapLen]
-	codes := body[1+bitmapLen:]
-	verdict := make(map[int]bool)
-	at := 0
-	for j := 0; j < n; j++ {
-		if nulls[j/8]&(1<<(uint(j)%8)) != 0 {
-			if sel[j] {
-				sel[j] = false
-				selCount--
-			}
-			continue
-		}
-		if len(codes) < at+width {
-			return 0, scratch, false, fmt.Errorf("compress: short GDICT codes")
-		}
-		code := 0
-		for b := 0; b < width; b++ {
-			code = code<<8 | int(codes[at+b])
-		}
-		at += width
-		if !sel[j] {
-			continue
-		}
-		ok, seen := verdict[code]
-		if !seen {
-			if code >= len(st.vals) {
-				return 0, scratch, false, fmt.Errorf("compress: GDICT code %d out of range", code)
-			}
-			v, err := decodeValueBytes(c, []byte(st.vals[code]))
-			if err != nil {
-				return 0, scratch, false, err
-			}
-			ok = true
-			for _, p := range preds {
-				if !p.Matches(v) {
-					ok = false
-					break
-				}
-			}
-			verdict[code] = ok
-		}
-		if !ok {
-			sel[j] = false
-			selCount--
-		}
-	}
-	return selCount, scratch, true, nil
-}
-
-// materializeSection reconstructs the selected rows' values of one column,
-// decoding dictionary entries and run values at most once each.
-func (cc *columnCodec) materializeSection(c storage.Column, ci int, body []byte, n int, sel []bool, set func(j int, v storage.Value), scratch []byte) ([]byte, error) {
-	m := cc.resolved[ci]
-	if m == GlobalDict {
-		if len(body) < 1 {
-			return scratch, fmt.Errorf("compress: short GDICT section")
-		}
-		if body[0] == gdictPlain {
-			m, body = Row, body[1:]
-		} else {
-			st := cc.dicts[ci]
-			bitmapLen := (n + 7) / 8
-			rest := body[1:]
-			if len(rest) < 1+bitmapLen {
-				return scratch, fmt.Errorf("compress: short GDICT section")
-			}
-			width := int(rest[0])
-			if width < 1 || width > 4 {
-				return scratch, fmt.Errorf("compress: GDICT code width %d", width)
-			}
-			nulls := rest[1 : 1+bitmapLen]
-			codes := rest[1+bitmapLen:]
-			cache := make(map[int]storage.Value)
-			at := 0
-			for j := 0; j < n; j++ {
-				if nulls[j/8]&(1<<(uint(j)%8)) != 0 {
-					if sel[j] {
-						set(j, storage.NullValue(c.Kind))
-					}
-					continue
-				}
-				if len(codes) < at+width {
-					return scratch, fmt.Errorf("compress: short GDICT codes")
-				}
-				code := 0
-				for b := 0; b < width; b++ {
-					code = code<<8 | int(codes[at+b])
-				}
-				at += width
-				if !sel[j] {
-					continue
-				}
-				v, seen := cache[code]
-				if !seen {
-					if code >= len(st.vals) {
-						return scratch, fmt.Errorf("compress: GDICT code %d out of range", code)
-					}
-					var err error
-					v, err = decodeValueBytes(c, []byte(st.vals[code]))
-					if err != nil {
-						return scratch, err
-					}
-					cache[code] = v
-				}
-				set(j, v)
-			}
-			return scratch, nil
-		}
-	}
-	switch m {
-	case None, Row:
-		bitmapLen := (n + 7) / 8
-		if len(body) < bitmapLen {
-			return scratch, fmt.Errorf("compress: short %s section", m)
-		}
-		nulls := body[:bitmapLen]
-		for j := 0; j < n; j++ {
-			if sel[j] && nulls[j/8]&(1<<(uint(j)%8)) != 0 {
-				set(j, storage.NullValue(c.Kind))
-			}
-		}
-		return scratch, visitPlainSection(c, m, body, n, set)
-	case Page:
-		col, err := parsePageColumn(body, n)
-		if err != nil {
-			return scratch, err
-		}
-		return materializePageColumn(c, &col, n, sel, set, scratch)
-	case RLE:
-		at := 0
-		j := 0
-		for j < n {
-			if len(body) < at+2 {
-				return scratch, fmt.Errorf("compress: short RLE run header")
-			}
-			hdr := binary.BigEndian.Uint16(body[at:])
-			at += 2
-			runLen := int(hdr & rleMaxRun)
-			null := hdr&0x8000 != 0
-			if runLen == 0 || j+runLen > n {
-				return scratch, fmt.Errorf("compress: RLE run of %d rows at row %d", runLen, j)
-			}
-			var v storage.Value
-			if null {
-				v = storage.NullValue(c.Kind)
-			} else {
-				ln, adv, err := readLenPrefix(body[at:])
-				if err != nil {
-					return scratch, err
-				}
-				at += adv
-				if len(body) < at+ln {
-					return scratch, fmt.Errorf("compress: short RLE value")
-				}
-				v, err = decodeValueBytes(c, body[at:at+ln])
-				if err != nil {
-					return scratch, err
-				}
-				at += ln
-			}
-			for r := j; r < j+runLen; r++ {
-				if sel[r] {
-					set(r, v)
-				}
-			}
-			j += runLen
-		}
-		return scratch, nil
-	}
-	return scratch, fmt.Errorf("compress: bad column method %d", m)
-}
-
-// visitPlainSection walks a NONE or ROW column section in row order, calling
-// visit for every non-null row with its decoded value.
-func visitPlainSection(c storage.Column, m Method, body []byte, n int, visit func(j int, v storage.Value)) error {
-	bitmapLen := (n + 7) / 8
-	if len(body) < bitmapLen {
-		return fmt.Errorf("compress: short %s section", m)
-	}
-	nulls := body[:bitmapLen]
-	at := bitmapLen
-	isNull := func(j int) bool { return nulls[j/8]&(1<<(uint(j)%8)) != 0 }
-	if m == Row {
-		for j := 0; j < n; j++ {
-			if isNull(j) {
-				continue
-			}
-			ln, adv, err := readLenPrefix(body[at:])
-			if err != nil {
-				return err
-			}
-			at += adv
-			if len(body) < at+ln {
-				return fmt.Errorf("compress: short ROW section value")
-			}
-			v, err := decodeValueBytes(c, body[at:at+ln])
-			if err != nil {
-				return err
-			}
-			at += ln
-			visit(j, v)
-		}
-		return nil
-	}
-	for j := 0; j < n; j++ {
-		null := isNull(j)
-		switch c.Kind {
-		case storage.KindInt, storage.KindFloat:
-			if len(body) < at+8 {
-				return fmt.Errorf("compress: short NONE section")
-			}
-			if !null {
-				u := binary.BigEndian.Uint64(body[at:])
-				if c.Kind == storage.KindInt {
-					visit(j, storage.Value{Kind: storage.KindInt, Int: int64(u)})
-				} else {
-					visit(j, storage.Value{Kind: storage.KindFloat, Float: math.Float64frombits(u)})
-				}
-			}
-			at += 8
-		case storage.KindDate:
-			if len(body) < at+4 {
-				return fmt.Errorf("compress: short NONE section")
-			}
-			if !null {
-				u := binary.BigEndian.Uint32(body[at:])
-				visit(j, storage.Value{Kind: storage.KindDate, Int: int64(int32(u))})
-			}
-			at += 4
-		case storage.KindString:
-			if c.FixedWidth > 0 {
-				if len(body) < at+c.FixedWidth {
-					return fmt.Errorf("compress: short NONE section")
-				}
-				if !null {
-					raw := body[at : at+c.FixedWidth]
-					end := len(raw)
-					for end > 0 && raw[end-1] == ' ' {
-						end--
-					}
-					visit(j, storage.Value{Kind: storage.KindString, Str: string(raw[:end])})
-				}
-				at += c.FixedWidth
-			} else {
-				if len(body) < at+2 {
-					return fmt.Errorf("compress: short NONE section")
-				}
-				ln := int(binary.BigEndian.Uint16(body[at:]))
-				at += 2
-				if len(body) < at+ln {
-					return fmt.Errorf("compress: short NONE section")
-				}
-				if !null {
-					visit(j, storage.Value{Kind: storage.KindString, Str: string(body[at : at+ln])})
-				}
-				at += ln
-			}
-		}
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"cadb/internal/storage"
@@ -34,42 +35,42 @@ type pageColumn struct {
 func (col *pageColumn) isNull(j int) bool  { return col.nulls[j/8]&(1<<(uint(j)%8)) != 0 }
 func (col *pageColumn) isCoded(j int) bool { return col.coded[j/8]&(1<<(uint(j)%8)) != 0 }
 
-// parsePageColumn splits an n-row column section into its parts, walking the
-// values region only to bounds-check it (no value decoding).
-func parsePageColumn(payload []byte, n int) (pageColumn, error) {
-	var col pageColumn
+// parse splits an n-row column section into its parts, walking the values
+// region only to bounds-check it (no value decoding). The dictionary slice is
+// reused from the previous parse.
+func (col *pageColumn) parse(payload []byte, n int) error {
 	bitmapLen := (n + 7) / 8
 	if len(payload) < bitmapLen {
-		return col, fmt.Errorf("compress: short PAGE null bitmap")
+		return fmt.Errorf("compress: short PAGE null bitmap")
 	}
 	col.nulls = payload[:bitmapLen]
 	payload = payload[bitmapLen:]
 	pn, adv, err := readLenPrefix(payload)
 	if err != nil {
-		return col, err
+		return err
 	}
 	payload = payload[adv:]
 	if len(payload) < pn {
-		return col, fmt.Errorf("compress: short PAGE prefix")
+		return fmt.Errorf("compress: short PAGE prefix")
 	}
 	col.prefix = payload[:pn]
 	payload = payload[pn:]
 	if len(payload) < 2 {
-		return col, fmt.Errorf("compress: short PAGE dictionary count")
+		return fmt.Errorf("compress: short PAGE dictionary count")
 	}
 	dictCount := int(binary.BigEndian.Uint16(payload[:2]))
 	payload = payload[2:]
-	col.dict = make([][]byte, dictCount)
-	for i := range col.dict {
+	col.dict = col.dict[:0]
+	for i := 0; i < dictCount; i++ {
 		dn, adv, err := readLenPrefix(payload)
 		if err != nil {
-			return col, err
+			return err
 		}
 		payload = payload[adv:]
 		if len(payload) < dn {
-			return col, fmt.Errorf("compress: short PAGE dictionary entry")
+			return fmt.Errorf("compress: short PAGE dictionary entry")
 		}
-		col.dict[i] = payload[:dn]
+		col.dict = append(col.dict, payload[:dn])
 		payload = payload[dn:]
 	}
 	col.codeSize = 1
@@ -77,7 +78,7 @@ func parsePageColumn(payload []byte, n int) (pageColumn, error) {
 		col.codeSize = 2
 	}
 	if len(payload) < bitmapLen {
-		return col, fmt.Errorf("compress: short PAGE dictionary bitmap")
+		return fmt.Errorf("compress: short PAGE dictionary bitmap")
 	}
 	col.coded = payload[:bitmapLen]
 	payload = payload[bitmapLen:]
@@ -88,69 +89,56 @@ func parsePageColumn(payload []byte, n int) (pageColumn, error) {
 		}
 		if col.isCoded(j) {
 			if len(payload) < at+col.codeSize {
-				return col, fmt.Errorf("compress: short PAGE code")
+				return fmt.Errorf("compress: short PAGE code")
 			}
 			at += col.codeSize
 			continue
 		}
 		ln, adv, err := readLenPrefix(payload[at:])
 		if err != nil {
-			return col, err
+			return err
 		}
 		if len(payload) < at+adv+ln {
-			return col, fmt.Errorf("compress: short PAGE literal")
+			return fmt.Errorf("compress: short PAGE literal")
 		}
 		at += adv + ln
 	}
 	col.values = payload[:at]
-	return col, nil
+	return nil
 }
 
-// visitValues walks the values region in row order, calling visit once per
-// non-null row with either a dictionary code (code >= 0, lit nil) or the
-// literal suffix bytes (code < 0).
-func (col *pageColumn) visitValues(n int, visit func(j, code int, lit []byte) error) error {
+// nextValue reads row j's entry of the (parse-validated) values region at
+// offset at: a dictionary code (code >= 0, lit nil) or the literal suffix
+// bytes (code < 0). Callers skip NULL rows, which store nothing.
+func (col *pageColumn) nextValue(j, at int) (code int, lit []byte, next int, err error) {
 	vals := col.values
-	for j := 0; j < n; j++ {
-		if col.isNull(j) {
-			continue
+	if col.isCoded(j) {
+		code = int(vals[at])
+		if col.codeSize == 2 {
+			code = code<<8 | int(vals[at+1])
 		}
-		if col.isCoded(j) {
-			code := int(vals[0])
-			if col.codeSize == 2 {
-				code = code<<8 | int(vals[1])
-			}
-			vals = vals[col.codeSize:]
-			if code >= len(col.dict) {
-				return fmt.Errorf("compress: PAGE code %d out of range", code)
-			}
-			if err := visit(j, code, nil); err != nil {
-				return err
-			}
-			continue
+		if code >= len(col.dict) {
+			return 0, nil, 0, fmt.Errorf("compress: PAGE code %d out of range", code)
 		}
-		ln, adv, err := readLenPrefix(vals)
-		if err != nil {
-			return err
-		}
-		if err := visit(j, -1, vals[adv:adv+ln]); err != nil {
-			return err
-		}
-		vals = vals[adv+ln:]
+		return code, nil, at + col.codeSize, nil
 	}
-	return nil
+	ln, adv, err := readLenPrefix(vals[at:])
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	return -1, vals[at+adv : at+adv+ln], at + adv + ln, nil
 }
 
 // decodePrefixed reconstructs one value from the page prefix plus a suffix,
 // reusing scratch for the concatenation.
 func decodePrefixed(c storage.Column, prefix, suffix, scratch []byte) (storage.Value, []byte, error) {
 	if len(prefix) == 0 {
-		v, err := decodeValueBytes(c, suffix)
+		v, err := decodeValue(c, suffix)
 		return v, scratch, err
 	}
 	scratch = append(scratch[:0], prefix...)
 	scratch = append(scratch, suffix...)
-	v, err := decodeValueBytes(c, scratch)
+	v, err := decodeValue(c, scratch)
 	return v, scratch, err
 }
 
@@ -272,13 +260,24 @@ func strHighOutcome(pre, t string, orEq bool) predOutcome {
 	return outUnknown
 }
 
-// filterPageColumn narrows sel by evaluating preds against one parsed PAGE
-// column section: NULL rows fail outright, the common prefix decides what it
-// can for the whole page, and residual predicates evaluate once per local-
-// dictionary entry with row codes tested against the matching set. Returns
-// the new selection count and whether any value bytes were decoded (pages
-// decided from metadata alone are free).
-func filterPageColumn(c storage.Column, col *pageColumn, n int, ps []storage.ColPredicate, sel []bool, selCount int, scratch []byte) (int, []byte, bool, error) {
+// matchesAll reports whether the value satisfies every predicate.
+func matchesAll(ps []storage.ColPredicate, v storage.Value) bool {
+	for i := range ps {
+		if !ps[i].Matches(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// filterPage narrows sel by evaluating the column's predicates against its
+// parsed PAGE section: NULL rows fail outright, the common prefix decides
+// what it can for the whole page, and residual predicates evaluate once per
+// local-dictionary entry with row codes tested against the matching set.
+// Returns the new selection count and whether any value bytes were decoded
+// (pages decided from metadata alone are free).
+func (d *pageDecoder) filterPage(c *decodeCol, n int, sel []bool, selCount int) (int, bool, error) {
+	col := &c.page
 	// A predicated column fails every NULL row (three-valued logic) —
 	// decided from the null bitmap alone.
 	for j := 0; j < n; j++ {
@@ -288,10 +287,10 @@ func filterPageColumn(c storage.Column, col *pageColumn, n int, ps []storage.Col
 		}
 	}
 	// Try to decide each predicate from the common prefix.
-	var residual []storage.ColPredicate
+	residual := d.residual[:0]
 	none := false
-	for _, p := range ps {
-		switch prefixPredOutcome(c, p, col.prefix) {
+	for _, p := range c.preds {
+		switch prefixPredOutcome(c.col, p, col.prefix) {
 		case outNoneMatch:
 			none = true
 		case outAllMatch:
@@ -300,98 +299,99 @@ func filterPageColumn(c storage.Column, col *pageColumn, n int, ps []storage.Col
 			residual = append(residual, p)
 		}
 	}
+	d.residual = residual
 	if none {
-		for j := range sel {
-			sel[j] = false
-		}
-		return 0, scratch, false, nil
+		clear(sel)
+		return 0, false, nil
 	}
 	if len(residual) == 0 || selCount == 0 {
-		return selCount, scratch, false, nil
+		return selCount, false, nil
 	}
 	// Evaluate the residual predicates once per dictionary entry, then
 	// test row codes against the matching set; literal suffixes decode
 	// per occurrence.
-	match := make([]bool, len(col.dict))
-	for k, suffix := range col.dict {
+	match := d.match[:0]
+	for _, suffix := range col.dict {
 		var v storage.Value
 		var err error
-		v, scratch, err = decodePrefixed(c, col.prefix, suffix, scratch)
+		v, d.scratch, err = decodePrefixed(c.col, col.prefix, suffix, d.scratch)
 		if err != nil {
-			return 0, scratch, true, err
+			return 0, true, err
 		}
-		ok := true
-		for _, p := range residual {
-			if !p.Matches(v) {
-				ok = false
-				break
-			}
-		}
-		match[k] = ok
+		match = append(match, matchesAll(residual, v))
 	}
-	err := col.visitValues(n, func(j, code int, lit []byte) error {
+	d.match = match
+	at := 0
+	for j := 0; j < n; j++ {
+		if col.isNull(j) {
+			continue
+		}
+		code, lit, next, err := col.nextValue(j, at)
+		if err != nil {
+			return 0, true, err
+		}
+		at = next
 		if !sel[j] {
-			return nil
+			continue
 		}
+		ok := false
 		if code >= 0 {
-			if !match[code] {
-				sel[j] = false
-				selCount--
+			ok = match[code]
+		} else {
+			var v storage.Value
+			v, d.scratch, err = decodePrefixed(c.col, col.prefix, lit, d.scratch)
+			if err != nil {
+				return 0, true, err
 			}
-			return nil
+			ok = matchesAll(residual, v)
 		}
-		var v storage.Value
-		var verr error
-		v, scratch, verr = decodePrefixed(c, col.prefix, lit, scratch)
-		if verr != nil {
-			return verr
+		if !ok {
+			sel[j] = false
+			selCount--
 		}
-		for _, p := range residual {
-			if !p.Matches(v) {
-				sel[j] = false
-				selCount--
-				break
-			}
-		}
-		return nil
-	})
-	return selCount, scratch, true, err
+	}
+	return selCount, true, nil
 }
 
-// materializePageColumn reconstructs the selected rows' values of one parsed
-// PAGE column, decoding each dictionary entry at most once, delivering them
-// through set(row, value).
-func materializePageColumn(c storage.Column, col *pageColumn, n int, sel []bool, set func(j int, v storage.Value), scratch []byte) ([]byte, error) {
+// materializePage writes the selected rows' values of the column's parsed
+// PAGE section into the output slab, decoding each dictionary entry at most
+// once per page.
+func (d *pageDecoder) materializePage(c *decodeCol, n int) error {
+	col := &c.page
+	d.dictVals = slices.Grow(d.dictVals[:0], len(col.dict))[:len(col.dict)]
+	d.dictDone = slices.Grow(d.dictDone[:0], len(col.dict))[:len(col.dict)]
+	clear(d.dictDone)
+	at := 0
 	for j := 0; j < n; j++ {
-		if sel[j] && col.isNull(j) {
-			set(j, storage.NullValue(c.Kind))
+		i := int(d.outIdx[j])
+		if col.isNull(j) {
+			if i >= 0 {
+				d.slab[i*d.width+c.out] = storage.NullValue(c.col.Kind)
+			}
+			continue
 		}
-	}
-	dictVals := make([]storage.Value, len(col.dict))
-	dictDone := make([]bool, len(col.dict))
-	err := col.visitValues(n, func(j, code int, lit []byte) error {
-		if !sel[j] {
-			return nil
+		code, lit, next, err := col.nextValue(j, at)
+		if err != nil {
+			return err
+		}
+		at = next
+		if i < 0 {
+			continue
 		}
 		var v storage.Value
-		var verr error
 		if code >= 0 {
-			if !dictDone[code] {
-				v, scratch, verr = decodePrefixed(c, col.prefix, col.dict[code], scratch)
-				if verr != nil {
-					return verr
-				}
-				dictVals[code], dictDone[code] = v, true
+			if !d.dictDone[code] {
+				d.dictVals[code], d.scratch, err = decodePrefixed(c.col, col.prefix, col.dict[code], d.scratch)
+				d.dictDone[code] = true
 			}
-			set(j, dictVals[code])
-			return nil
+			v = d.dictVals[code]
+		} else {
+			v, d.scratch, err = decodePrefixed(c.col, col.prefix, lit, d.scratch)
 		}
-		v, scratch, verr = decodePrefixed(c, col.prefix, lit, scratch)
-		if verr != nil {
-			return verr
+		if err != nil {
+			return err
 		}
-		set(j, v)
-		return nil
-	})
-	return scratch, err
+		d.slab[i*d.width+c.out] = v
+	}
+	return nil
 }

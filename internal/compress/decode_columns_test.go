@@ -11,18 +11,29 @@ import (
 )
 
 // refDecodeColumns is the semantics yardstick: a full decode followed by
-// slot filtering, predicate evaluation and projection. Every codec's
-// DecodeColumns must return exactly these rows and slots.
-func refDecodeColumns(t *testing.T, seg *storage.Segment, page int, spec *storage.DecodeSpec) *storage.DecodedPage {
+// slot filtering, predicate evaluation and projection. A selective decode
+// must return exactly these rows and slots.
+func refDecodeColumns(t *testing.T, seg *storage.Segment, page int, spec *storage.DecodeSpec, slots []int) *storage.DecodedPage {
 	t.Helper()
-	return storage.FallbackDecodeColumns(seg.Schema, fullDecode(t, seg, page), spec)
+	return storage.FallbackDecodeColumns(seg.Schema, fullDecode(t, seg, page), spec, slots)
 }
 
-// fullDecode reconstructs every row of a page: DecodeColumns over every
-// ordinal, no predicates, no slot filter.
+// decodePage is the one-shot decode of a page: a decoder compiled for the
+// spec and used once, so the rows it returns stay the caller's.
+func decodePage(seg *storage.Segment, page int, spec *storage.DecodeSpec, slots []int) (*storage.DecodedPage, error) {
+	payload, release, err := seg.FetchPage(page, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return seg.Codec.NewDecoder(seg.Schema, spec).Decode(payload, seg.PageRows(page), slots)
+}
+
+// fullDecode reconstructs every row of a page: every ordinal, no predicates,
+// no slot filter.
 func fullDecode(t testing.TB, seg *storage.Segment, page int) []storage.Row {
 	t.Helper()
-	dp, err := seg.DecodeColumnsPage(page, &storage.DecodeSpec{Needed: seg.Schema.AllOrdinals()})
+	dp, err := decodePage(seg, page, &storage.DecodeSpec{Needed: seg.Schema.AllOrdinals()}, nil)
 	if err != nil {
 		t.Fatalf("full decode of page %d: %v", page, err)
 	}
@@ -39,45 +50,61 @@ func scanAll(t testing.TB, seg *storage.Segment) []storage.Row {
 	return out
 }
 
-func assertSelectiveDecode(t *testing.T, seg *storage.Segment, spec *storage.DecodeSpec, label string) {
+// assertSelectiveDecode drives one decoder over every page of the segment —
+// the way a cursor does — and holds each page's result to the reference.
+func assertSelectiveDecode(t *testing.T, seg *storage.Segment, spec *storage.DecodeSpec, slots []int, label string) {
+	t.Helper()
+	dec := seg.Codec.NewDecoder(seg.Schema, spec)
+	for p := 0; p < seg.NumPages(); p++ {
+		assertPageDecode(t, seg, dec, p, spec, slots, label)
+	}
+}
+
+// assertPageDecode runs page p through dec and compares rows, slots and
+// counters with the reference decode.
+func assertPageDecode(t *testing.T, seg *storage.Segment, dec storage.PageDecoder, p int, spec *storage.DecodeSpec, slots []int, label string) *storage.DecodedPage {
 	t.Helper()
 	proj := make([]storage.Column, len(spec.Needed))
 	for i, ci := range spec.Needed {
 		proj[i] = seg.Schema.Columns[ci]
 	}
 	projSchema := storage.NewSchema(proj...)
-	for p := 0; p < seg.NumPages(); p++ {
-		want := refDecodeColumns(t, seg, p, spec)
-		got, err := seg.DecodeColumnsPage(p, spec)
-		if err != nil {
-			t.Fatalf("%s: DecodeColumnsPage(%d): %v", label, p, err)
+	want := refDecodeColumns(t, seg, p, spec, slots)
+	payload, release, err := seg.FetchPage(p, nil)
+	if err != nil {
+		t.Fatalf("%s: FetchPage(%d): %v", label, p, err)
+	}
+	defer release()
+	got, err := dec.Decode(payload, seg.PageRows(p), slots)
+	if err != nil {
+		t.Fatalf("%s: Decode of page %d: %v", label, p, err)
+	}
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%s: page %d: got %d rows, want %d", label, p, len(got.Rows), len(want.Rows))
+	}
+	for i := range got.Rows {
+		if got.Slots[i] != want.Slots[i] {
+			t.Fatalf("%s: page %d row %d: slot %d, want %d", label, p, i, got.Slots[i], want.Slots[i])
 		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("%s: page %d: got %d rows, want %d", label, p, len(got.Rows), len(want.Rows))
-		}
-		for i := range got.Rows {
-			if got.Slots[i] != want.Slots[i] {
-				t.Fatalf("%s: page %d row %d: slot %d, want %d", label, p, i, got.Slots[i], want.Slots[i])
-			}
-			gb := storage.EncodeRow(projSchema, got.Rows[i], nil)
-			wb := storage.EncodeRow(projSchema, want.Rows[i], nil)
-			if !bytes.Equal(gb, wb) {
-				t.Fatalf("%s: page %d slot %d: row mismatch\n got %v\nwant %v",
-					label, p, got.Slots[i], got.Rows[i], want.Rows[i])
-			}
-		}
-		// Selective decode must never materialize more than the full decode.
-		if got.TuplesDecoded > want.TuplesDecoded || got.ColumnsDecoded > want.ColumnsDecoded {
-			t.Fatalf("%s: page %d: decode counters (%d tuples, %d cols) exceed full decode (%d, %d)",
-				label, p, got.TuplesDecoded, got.ColumnsDecoded, want.TuplesDecoded, want.ColumnsDecoded)
+		gb := storage.EncodeRow(projSchema, got.Rows[i], nil)
+		wb := storage.EncodeRow(projSchema, want.Rows[i], nil)
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("%s: page %d slot %d: row mismatch\n got %v\nwant %v",
+				label, p, got.Slots[i], got.Rows[i], want.Rows[i])
 		}
 	}
+	// Selective decode must never materialize more than the full decode.
+	if got.TuplesDecoded > want.TuplesDecoded || got.ColumnsDecoded > want.ColumnsDecoded {
+		t.Fatalf("%s: page %d: decode counters (%d tuples, %d cols) exceed full decode (%d, %d)",
+			label, p, got.TuplesDecoded, got.ColumnsDecoded, want.TuplesDecoded, want.ColumnsDecoded)
+	}
+	return got
 }
 
 // randomSpec builds a random decode spec over the schema: a non-empty
 // ascending needed set, up to three predicates with bounds drawn from the
 // data (plus occasional NULL bounds), and sometimes a slot filter.
-func randomSpec(rng *rand.Rand, s *storage.Schema, rows []storage.Row) *storage.DecodeSpec {
+func randomSpec(rng *rand.Rand, s *storage.Schema, rows []storage.Row) (*storage.DecodeSpec, []int) {
 	spec := &storage.DecodeSpec{}
 	for ci := range s.Columns {
 		if rng.Float64() < 0.5 {
@@ -107,17 +134,18 @@ func randomSpec(rng *rand.Rand, s *storage.Schema, rows []storage.Row) *storage.
 			Hi:  pick().CoerceTo(kind),
 		})
 	}
+	var slots []int
 	if rng.Float64() < 0.3 {
 		seen := map[int]bool{}
 		for k := rng.Intn(20) + 1; k > 0; k-- {
 			seen[rng.Intn(len(rows)+1)] = true
 		}
 		for sl := range seen {
-			spec.Slots = append(spec.Slots, sl)
+			slots = append(slots, sl)
 		}
-		sort.Ints(spec.Slots)
+		sort.Ints(slots)
 	}
-	return spec
+	return spec, slots
 }
 
 func TestDecodeColumnsMatchesFullDecode(t *testing.T) {
@@ -130,8 +158,8 @@ func TestDecodeColumnsMatchesFullDecode(t *testing.T) {
 			t.Fatalf("%s: BuildSegment: %v", m, err)
 		}
 		for trial := 0; trial < 60; trial++ {
-			spec := randomSpec(rng, s, rows)
-			assertSelectiveDecode(t, seg, spec, fmt.Sprintf("%s trial %d", m, trial))
+			spec, slots := randomSpec(rng, s, rows)
+			assertSelectiveDecode(t, seg, spec, slots, fmt.Sprintf("%s trial %d", m, trial))
 		}
 	}
 }
@@ -171,7 +199,7 @@ func TestDecodeColumnsPrefixShortcuts(t *testing.T) {
 				Needed: []int{0, 2},
 				Preds:  []storage.ColPredicate{{Col: 0, Op: op, Lo: storage.StringVal(lo)}},
 			}
-			assertSelectiveDecode(t, seg, spec, fmt.Sprintf("tag case %d", label))
+			assertSelectiveDecode(t, seg, spec, nil, fmt.Sprintf("tag case %d", label))
 			label++
 		}
 		spec := &storage.DecodeSpec{
@@ -181,7 +209,7 @@ func TestDecodeColumnsPrefixShortcuts(t *testing.T) {
 				Lo: storage.StringVal(lo), Hi: storage.StringVal("PREFIX-9"),
 			}},
 		}
-		assertSelectiveDecode(t, seg, spec, fmt.Sprintf("tag between %d", label))
+		assertSelectiveDecode(t, seg, spec, nil, fmt.Sprintf("tag between %d", label))
 		label++
 	}
 	// Constant integer column: the page prefix is the full encoding, so
@@ -192,7 +220,7 @@ func TestDecodeColumnsPrefixShortcuts(t *testing.T) {
 				Needed: []int{0},
 				Preds:  []storage.ColPredicate{{Col: 1, Op: op, Lo: storage.IntVal(iv)}},
 			}
-			assertSelectiveDecode(t, seg, spec, fmt.Sprintf("grp %d op %d", iv, op))
+			assertSelectiveDecode(t, seg, spec, nil, fmt.Sprintf("grp %d op %d", iv, op))
 		}
 	}
 }
@@ -213,7 +241,7 @@ func TestDecodeColumnsSkipsWork(t *testing.T) {
 	}
 	var sel, full storage.IOStats
 	for p := 0; p < seg.NumPages(); p++ {
-		got, err := seg.DecodeColumnsPage(p, spec)
+		got, err := decodePage(seg, p, spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,5 +255,69 @@ func TestDecodeColumnsSkipsWork(t *testing.T) {
 	}
 	if sel.ColumnsDecoded >= full.ColumnsDecoded {
 		t.Fatalf("selective decode touched %d of %d column payloads", sel.ColumnsDecoded, full.ColumnsDecoded)
+	}
+}
+
+// TestDecoderReuseMatchesFallback holds a decoder's page-to-page reuse to the
+// reference: one decoder per (segment, spec) is driven over every page, in a
+// shuffled order, some pages whole and some through a slot filter, under a
+// range predicate on the row-ordered id column that empties the pages outside
+// it. Selection vectors, output positions, slabs, PAGE parses or GDICT
+// verdicts left over from the previous page would show as a mismatch on the
+// next.
+func TestDecoderReuseMatchesFallback(t *testing.T) {
+	s := codecSchema()
+	type design struct {
+		name  string
+		codec storage.PageCodec
+	}
+	var designs []design
+	for _, m := range codecMethods {
+		designs = append(designs, design{m.String(), Codec(m)})
+	}
+	for _, d := range mixedDesigns {
+		designs = append(designs, design{d.name, DesignCodec(d.def, d.over)})
+	}
+	rng := rand.New(rand.NewSource(31))
+	for di, d := range designs {
+		rows := genCodecRows(1500, 0.2, int64(100+di))
+		seg, err := storage.BuildSegment(s, rows, d.codec)
+		if err != nil {
+			t.Fatalf("%s: BuildSegment: %v", d.name, err)
+		}
+		sizes := map[int]bool{}
+		for p := 0; p < seg.NumPages(); p++ {
+			sizes[seg.PageRows(p)] = true
+		}
+		if len(sizes) < 2 {
+			t.Fatalf("%s: every page holds the same number of rows; the test wants them to differ", d.name)
+		}
+		emptied, filled := 0, 0
+		for trial := 0; trial < 25; trial++ {
+			spec, _ := randomSpec(rng, s, rows)
+			lo, hi := rows[rng.Intn(len(rows))][0], rows[rng.Intn(len(rows))][0]
+			if lo.Int > hi.Int {
+				lo, hi = hi, lo
+			}
+			spec.Preds = append(spec.Preds, storage.ColPredicate{Col: 0, Op: storage.PredBetween, Lo: lo, Hi: hi})
+			dec := seg.Codec.NewDecoder(s, spec)
+			for _, p := range rng.Perm(seg.NumPages()) {
+				var slots []int
+				if rng.Intn(2) == 0 {
+					for sl := rng.Intn(4); sl < seg.PageRows(p)+3; sl += 1 + rng.Intn(6) {
+						slots = append(slots, sl)
+					}
+				}
+				got := assertPageDecode(t, seg, dec, p, spec, slots, fmt.Sprintf("%s trial %d", d.name, trial))
+				if len(got.Rows) == 0 {
+					emptied++
+				} else {
+					filled++
+				}
+			}
+		}
+		if emptied == 0 || filled == 0 {
+			t.Fatalf("%s: %d pages emptied, %d with survivors; the test wants both", d.name, emptied, filled)
+		}
 	}
 }

@@ -58,8 +58,8 @@ func TestMixedDesignSelectiveDecode(t *testing.T) {
 			t.Fatalf("%s: BuildSegment: %v", d.name, err)
 		}
 		for trial := 0; trial < 40; trial++ {
-			spec := randomSpec(rng, s, rows)
-			assertSelectiveDecode(t, seg, spec, fmt.Sprintf("%s trial %d", d.name, trial))
+			spec, slots := randomSpec(rng, s, rows)
+			assertSelectiveDecode(t, seg, spec, slots, fmt.Sprintf("%s trial %d", d.name, trial))
 		}
 	}
 }
@@ -278,7 +278,7 @@ func TestSegmentStateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fresh.DecodeColumns(s, payload, seg.PageRows(p), &storage.DecodeSpec{Needed: s.AllOrdinals()})
+		got, err := fresh.NewDecoder(s, &storage.DecodeSpec{Needed: s.AllOrdinals()}).Decode(payload, seg.PageRows(p), nil)
 		if err != nil {
 			t.Fatalf("page %d: full decode after state reload: %v", p, err)
 		}

@@ -9,7 +9,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cadb/internal/catalog"
@@ -69,7 +69,11 @@ func runProjection(db *catalog.Database, q *workload.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finishProjection(db, q.Tables[0], schema, rows, q)
+	keep, err := selectList(db, q.Tables[0], schema, q)
+	if err != nil {
+		return nil, err
+	}
+	return applyOrder(&Result{Schema: schema.Project(keep), Rows: projectRows(schema, rows, keep)}, q)
 }
 
 func projectRows(schema *storage.Schema, rows []storage.Row, keep []string) []storage.Row {
@@ -125,26 +129,26 @@ func orderBy(res *Result, keys []workload.ColRef) error {
 		}
 		idx[i] = res.Schema.ColIndex(name)
 	}
-	sort.SliceStable(res.Rows, func(a, b int) bool {
+	slices.SortStableFunc(res.Rows, func(a, b storage.Row) int {
 		for _, k := range idx {
-			if c := res.Rows[a][k].Compare(res.Rows[b][k]); c != 0 {
-				return c < 0
+			if c := a[k].Compare(b[k]); c != 0 {
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 	return nil
 }
 
 // sortCanonical orders grouped output deterministically for test comparison.
 func sortCanonical(res *Result) {
-	sort.SliceStable(res.Rows, func(a, b int) bool {
+	slices.SortStableFunc(res.Rows, func(a, b storage.Row) int {
 		for k := range res.Schema.Columns {
-			if c := res.Rows[a][k].Compare(res.Rows[b][k]); c != 0 {
-				return c < 0
+			if c := a[k].Compare(b[k]); c != 0 {
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 }
 

@@ -8,10 +8,11 @@ import (
 
 // This file is the single result-shaping tail shared by the plain-row
 // oracle (Run) and the segment-backed executor (Store). Both produce a wide
-// row set through the same join/filter/group operators; everything after —
-// select-list resolution, projection, ordering — happens here exactly once,
-// so the differential tests compare access paths, not re-implementations of
-// the output pipeline.
+// row set through the same join/filter/group operators; what comes after —
+// select-list resolution, ordering — happens here exactly once, so the
+// differential tests compare access paths, not re-implementations of the
+// output pipeline. (The oracle projects its materialized rows onto the
+// resolved list; the store copies each survivor straight into that shape.)
 
 // finishAggregate projects away the hidden __count column of a grouped
 // result and applies the query's ordering.
@@ -26,10 +27,10 @@ func finishAggregate(schema *storage.Schema, rows []storage.Row, q *workload.Que
 	return applyOrder(res, q)
 }
 
-// finishProjection resolves the select list against the wide schema
-// (SELECT * expands to the driving table's columns), projects, and applies
-// the query's ordering.
-func finishProjection(db *catalog.Database, fact string, schema *storage.Schema, rows []storage.Row, q *workload.Query) (*Result, error) {
+// selectList resolves the select list against the wide schema (SELECT *
+// expands to the driving table's columns) to the wide column names the
+// result keeps, in output order.
+func selectList(db *catalog.Database, fact string, schema *storage.Schema, q *workload.Query) ([]string, error) {
 	cols := q.Select
 	if len(cols) == 0 {
 		// SELECT *: every column of the driving table.
@@ -46,8 +47,7 @@ func finishProjection(db *catalog.Database, fact string, schema *storage.Schema,
 		}
 		keep = append(keep, name)
 	}
-	res := &Result{Schema: schema.Project(keep), Rows: projectRows(schema, rows, keep)}
-	return applyOrder(res, q)
+	return keep, nil
 }
 
 // applyOrder sorts the result by the ORDER BY keys, or canonically (on

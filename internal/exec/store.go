@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 
 	"cadb/internal/bufferpool"
@@ -212,7 +211,7 @@ func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 		st.heaps[key] = &segHandle{def: heapDef, id: "heap:" + key, kind: "heap"}
 	}
 	for _, hs := range st.secs {
-		sort.Slice(hs, func(i, j int) bool { return hs[i].id < hs[j].id })
+		slices.SortFunc(hs, func(a, b *segHandle) int { return strings.Compare(a.id, b.id) })
 	}
 	return st, nil
 }
@@ -490,9 +489,11 @@ func (st *Store) RunQuery(q *workload.Query) (*Result, error) {
 }
 
 // fetch serves dimension tables to the join machinery: a counted full scan
-// of the heap segment, every column.
+// of the heap segment that decodes only the asked-for columns. The joiner
+// keeps the rows for the statement's life, so they are copied out of the
+// cursor's batches into one slab.
 func (st *Store) fetch(rs *runState) index.TableFetch {
-	return func(table string) (*storage.Schema, []storage.Row, error) {
+	return func(table string, cols []string) (*storage.Schema, []storage.Row, error) {
 		h := st.heaps[strings.ToLower(table)]
 		if h == nil {
 			return nil, nil, fmt.Errorf("exec: unknown table %q", table)
@@ -501,100 +502,120 @@ func (st *Store) fetch(rs *runState) index.TableFetch {
 		if err != nil {
 			return nil, nil, err
 		}
-		src := st.heapScanStream(rs, table, heap, nil, heap.Schema().Names())
-		rows := make([]storage.Row, 0, heap.Seg.Rows())
+		src := st.heapScanStream(rs, table, heap, nil, cols)
+		w := len(src.schema.Columns)
+		slab := make([]storage.Value, 0, int(heap.Seg.Rows())*w)
 		err = src.forEach(func(r storage.Row) error {
-			rows = append(rows, r)
+			slab = append(slab, r...)
 			return nil
 		})
+		rows := make([]storage.Row, len(slab)/max(w, 1))
+		for i := range rows {
+			rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+		}
 		return src.schema, rows, err
 	}
 }
 
-func (st *Store) neededCols(q *workload.Query, table string) []string {
-	has := func(tbl, col string) bool {
-		t := st.db.Table(tbl)
-		return t != nil && t.Schema.Has(col)
-	}
-	if len(q.Aggs) == 0 && len(q.GroupBy) == 0 && len(q.Select) == 0 {
-		// SELECT *: every column of the driving table.
-		return st.db.MustTable(table).Schema.Names()
-	}
-	return q.ColumnsOn(table, has)
-}
-
-// runAggregate pulls the driving-table stream through join → filter →
-// group accumulation. Float sums make the accumulation order-sensitive, so
-// the stream is opened ordered: every batch arrives in insertion (RID)
-// order and the result stays byte-identical to the oracle's.
-func (st *Store) runAggregate(rs *runState, q *workload.Query) (*Result, error) {
+// pipeline is the read path every query shares: the driving-table stream
+// pulled through join → filter, each surviving wide row handed to a sink.
+//
+// Names resolve first, against the joiner's full wide schema — every column
+// of every joined table — so the store accepts and rejects exactly the
+// references the oracle does. What resolution marks as used is then all that
+// is read: the driving stream decodes only its used columns, each dimension
+// only its key and used columns. plan resolves the consumer's own references
+// (marking them used) and returns its sink; the wide row a sink receives is
+// borrowed, valid until the sink returns.
+func (st *Store) pipeline(rs *runState, q *workload.Query, ordered bool, plan func(wide *storage.Schema, used []bool) (func(storage.Row), error)) error {
 	fact := q.Tables[0]
-	has := func(tbl, col string) bool {
-		t := st.db.Table(tbl)
-		return t != nil && t.Schema.Has(col)
-	}
-	src, err := st.accessStream(rs, fact, q.PredsOn(fact, has), st.neededCols(q, fact), true)
+	jn, err := index.NewJoiner(st.db, fact, q.Joins)
 	if err != nil {
-		return nil, err
-	}
-	jn, err := index.NewJoiner(st.db, fact, src.schema, q.Joins, st.fetch(rs))
-	if err != nil {
-		return nil, err
+		return err
 	}
 	flt, err := index.NewRowFilter(jn.Schema(), q.Preds)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	acc, err := index.NewGroupAcc(jn.Schema(), q.GroupBy, q.Aggs)
+	used := jn.JoinCols()
+	flt.MarkCols(used)
+	sink, err := plan(jn.Schema(), used)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := src.forEach(func(r storage.Row) error {
-		wide, ok := jn.JoinRow(r)
+	has := func(tbl, col string) bool {
+		t := st.db.Table(tbl)
+		return t != nil && t.Schema.Has(col)
+	}
+	src, err := st.accessStream(rs, fact, q.PredsOn(fact, has), jn.FactCols(used), ordered)
+	if err != nil {
+		return err
+	}
+	// The stream's readahead workers started when it opened: release them on
+	// every way out, not only at exhaustion.
+	defer src.close()
+	if err := jn.Bind(src.schema, used, st.fetch(rs)); err != nil {
+		return err
+	}
+	return src.forEach(func(r storage.Row) error {
+		wide, ok := jn.Widen(r)
 		if ok && flt.Keep(wide) {
-			acc.Add(wide)
+			sink(wide)
+		}
+		if ok && poison != nil {
+			poison(wide)
 		}
 		return nil
-	}); err != nil {
+	})
+}
+
+// runAggregate accumulates the pipeline's rows into groups. Float sums make
+// the accumulation order-sensitive, so the stream is opened ordered: every
+// batch arrives in insertion (RID) order and the result stays byte-identical
+// to the oracle's.
+func (st *Store) runAggregate(rs *runState, q *workload.Query) (*Result, error) {
+	var acc *index.GroupAcc
+	err := st.pipeline(rs, q, true, func(wide *storage.Schema, used []bool) (func(storage.Row), error) {
+		var err error
+		if acc, err = index.NewGroupAcc(wide, q.GroupBy, q.Aggs); err != nil {
+			return nil, err
+		}
+		acc.MarkCols(used)
+		return acc.Add, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	schema, rows := acc.Finish()
 	return finishAggregate(schema, rows, q)
 }
 
-// runProjection pulls the driving-table stream through join → filter and
-// collects the survivors. Without an ORDER BY the shared shaping tail
-// canonicalizes the output, so the stream may deliver in whatever order the
-// access path produces (covering seeks skip order restoration entirely);
-// with one, ordered delivery keeps tie-breaking identical to the oracle's.
+// runProjection collects the pipeline's rows, projected onto the select list
+// as they pass. Without an ORDER BY the shared shaping tail canonicalizes the
+// output, so the stream may deliver in whatever order the access path
+// produces (covering seeks skip order restoration entirely); with one,
+// ordered delivery keeps tie-breaking identical to the oracle's.
 func (st *Store) runProjection(rs *runState, q *workload.Query) (*Result, error) {
-	fact := q.Tables[0]
-	has := func(tbl, col string) bool {
-		t := st.db.Table(tbl)
-		return t != nil && t.Schema.Has(col)
-	}
-	src, err := st.accessStream(rs, fact, q.PredsOn(fact, has), st.neededCols(q, fact), len(q.OrderBy) > 0)
-	if err != nil {
-		return nil, err
-	}
-	jn, err := index.NewJoiner(st.db, fact, src.schema, q.Joins, st.fetch(rs))
-	if err != nil {
-		return nil, err
-	}
-	flt, err := index.NewRowFilter(jn.Schema(), q.Preds)
-	if err != nil {
-		return nil, err
-	}
+	var schema *storage.Schema
 	var rows []storage.Row
-	if err := src.forEach(func(r storage.Row) error {
-		if wide, ok := jn.JoinRow(r); ok && flt.Keep(wide) {
-			rows = append(rows, wide)
+	err := st.pipeline(rs, q, len(q.OrderBy) > 0, func(wide *storage.Schema, used []bool) (func(storage.Row), error) {
+		keep, err := selectList(st.db, q.Tables[0], wide, q)
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	}); err != nil {
+		schema = wide.Project(keep)
+		idx := make([]int, len(keep))
+		for i, name := range keep {
+			idx[i] = wide.ColIndex(name)
+			used[idx[i]] = true
+		}
+		slab := newRowSlab(len(idx), 0)
+		return func(r storage.Row) { rows = append(rows, slab.keep(r, idx)) }, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return finishProjection(st.db, fact, jn.Schema(), rows, q)
+	return applyOrder(&Result{Schema: schema, Rows: rows}, q)
 }
 
 // locate reads a write's qualifying rows, whole, through the cheapest access

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"cadb/internal/index"
 	"cadb/internal/storage"
@@ -17,34 +19,93 @@ import (
 // same streams.
 
 // rowStream is a lazily produced sequence of driving-table row batches in a
-// fixed schema; next returns a nil slice at exhaustion. Streams opened with
-// ordered=true deliver rows in insertion (RID) order — required whenever
-// downstream arithmetic is order-sensitive (float aggregation) or ORDER BY
-// ties must break like the oracle's. Unordered streams may emit in
-// structure-key order, which is only legal for consumers that canonicalize
-// afterwards (projections without ORDER BY).
+// fixed schema; next returns a nil slice at exhaustion. A batch is borrowed:
+// its rows are valid until the following call to next, so a consumer copies
+// what it keeps. Streams opened with ordered=true deliver rows in insertion
+// (RID) order — required whenever downstream arithmetic is order-sensitive
+// (float aggregation) or ORDER BY ties must break like the oracle's.
+// Unordered streams may emit in structure-key order, which is only legal for
+// consumers that canonicalize afterwards (projections without ORDER BY).
 type rowStream struct {
 	schema *storage.Schema
 	next   func() ([]storage.Row, error)
-	// close releases the stream's cursor resources (readahead workers) when
-	// the consumer stops early; nil when there are none.
-	// Cursors self-close at exhaustion and on their own errors.
-	close func()
+	// cur, when set, is the cursor whose readahead workers must be released
+	// if the consumer stops early. Cursors self-close at exhaustion and on
+	// their own errors.
+	cur *index.Cursor
 }
 
-func singleBatch(schema *storage.Schema, rows []storage.Row) *rowStream {
-	done := false
-	return &rowStream{schema: schema, next: func() ([]storage.Row, error) {
-		if done || len(rows) == 0 {
-			return nil, nil
+// cursorStream streams a cursor's batches as they decode.
+func cursorStream(schema *storage.Schema, cur *index.Cursor) *rowStream {
+	return &rowStream{schema: schema, cur: cur, next: func() ([]storage.Row, error) {
+		b, err := cur.NextBatch()
+		if err != nil || b == nil {
+			return nil, err
 		}
-		done = true
-		return rows, nil
+		return b.Rows, nil
 	}}
 }
 
-// forEach drains the stream through fn, releasing cursor resources if fn
-// aborts the drain.
+// close releases the stream's cursor resources; a no-op on a stream that has
+// none or has already released them.
+func (s *rowStream) close() {
+	if s.cur != nil {
+		s.cur.Close()
+	}
+}
+
+// rowSlab keeps copies of rows of one width in chunks that double in size —
+// chunk k holds first<<k rows — so a consumer that copies what it keeps out
+// of borrowed batches pays a handful of allocations, not one per row; a kept
+// row never moves, and row i is found by arithmetic, not a table.
+type rowSlab struct {
+	w      int
+	first  int // rows in chunk 0
+	n      int // rows kept
+	chunks [][]storage.Value
+}
+
+// newRowSlab sizes the first chunk for the expected number of rows, within
+// bounds that keep a wrong guess cheap either way.
+func newRowSlab(w, expect int) rowSlab {
+	return rowSlab{w: w, first: min(max(expect, 64), 1<<15)}
+}
+
+// locate returns the chunk of row i and its position in it: chunks 0..k-1
+// hold first*(2^k - 1) rows.
+func (s *rowSlab) locate(i int) (chunk, pos int) {
+	chunk = bits.Len(uint(i/s.first+1)) - 1
+	return chunk, i - s.first*(1<<chunk-1)
+}
+
+// row returns kept row i.
+func (s *rowSlab) row(i int) storage.Row {
+	k, pos := s.locate(i)
+	return s.chunks[k][pos*s.w : (pos+1)*s.w : (pos+1)*s.w]
+}
+
+// keep copies the given columns of r into the slab and returns the copy.
+func (s *rowSlab) keep(r storage.Row, cols []int) storage.Row {
+	if k, _ := s.locate(s.n); k == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]storage.Value, (s.first<<k)*s.w))
+	}
+	row := s.row(s.n)
+	s.n++
+	for i, c := range cols {
+		row[i] = r[c]
+	}
+	return row
+}
+
+// poison, when a test sets it, overwrites each borrowed row as soon as its
+// lender may reuse it — a batch's rows before the stream advances, the
+// widened row before the next widen — so a consumer that kept a reference
+// fails the differential tests at once, not whenever a buffer happens to be
+// recycled.
+var poison func(storage.Row)
+
+// forEach drains the stream through fn — the one loop every consumer of a
+// stream runs — releasing cursor resources if fn aborts the drain.
 func (s *rowStream) forEach(fn func(storage.Row) error) error {
 	for {
 		batch, err := s.next()
@@ -56,10 +117,13 @@ func (s *rowStream) forEach(fn func(storage.Row) error) error {
 		}
 		for _, r := range batch {
 			if err := fn(r); err != nil {
-				if s.close != nil {
-					s.close()
-				}
+				s.close()
 				return err
+			}
+		}
+		if poison != nil {
+			for _, r := range batch {
+				poison(r)
 			}
 		}
 	}
@@ -67,39 +131,15 @@ func (s *rowStream) forEach(fn func(storage.Row) error) error {
 
 // compilePushdown lowers the statement's predicates onto a segment schema:
 // every predicate whose column exists becomes a storage.ColPredicate with
-// bounds coerced to the column kind. The oracle coerces the bound per row to
-// the stored value's kind, but a stored value always has its column's kind,
-// so compile-time coercion is equivalent. Predicates on other tables'
-// columns are left to the post-join filter, which re-applies everything.
+// bounds coerced to the column kind (see workload.Predicate.Lower).
+// Predicates on other tables' columns are left to the post-join filter,
+// which re-applies everything.
 func compilePushdown(s *storage.Schema, preds []workload.Predicate) []storage.ColPredicate {
 	var out []storage.ColPredicate
 	for _, p := range preds {
-		ci := s.ColIndex(p.Col)
-		if ci < 0 {
-			continue
+		if ci := s.ColIndex(p.Col); ci >= 0 {
+			out = append(out, p.Lower(ci, s.Columns[ci].Kind))
 		}
-		kind := s.Columns[ci].Kind
-		cp := storage.ColPredicate{Col: ci, Lo: p.Lo.CoerceTo(kind)}
-		switch p.Op {
-		case workload.OpEq:
-			cp.Op = storage.PredEq
-		case workload.OpNe:
-			cp.Op = storage.PredNe
-		case workload.OpLt:
-			cp.Op = storage.PredLt
-		case workload.OpLe:
-			cp.Op = storage.PredLe
-		case workload.OpGt:
-			cp.Op = storage.PredGt
-		case workload.OpGe:
-			cp.Op = storage.PredGe
-		case workload.OpBetween:
-			cp.Op = storage.PredBetween
-			cp.Hi = p.Hi.CoerceTo(kind)
-		default:
-			continue
-		}
-		out = append(out, cp)
 	}
 	return out
 }
@@ -122,7 +162,7 @@ func ordinalsFor(s *storage.Schema, needed []string, extra ...int) []int {
 	for _, ci := range extra {
 		add(ci)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -166,19 +206,13 @@ func (st *Store) heapScanStream(rs *runState, table string, heap *index.SegmentI
 	cur := heap.ScanCursor(spec, &rs.io)
 	cur.EnablePrefetch(rs.pfWindow, rs.pfWorkers)
 	rs.paths = append(rs.paths, fmt.Sprintf("seg-scan %s (%d pages)", table, heap.Seg.NumPages()))
-	return &rowStream{schema: projectSchema(hs, ords), close: cur.Close, next: func() ([]storage.Row, error) {
-		b, err := cur.NextBatch()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		return b.Rows, nil
-	}}
+	return cursorStream(projectSchema(hs, ords), cur)
 }
 
 // coveringStream serves the statement from a key-ordered structure whose
 // leaf carries every needed column. The structure's RID column rides along
 // in the decode; unordered consumers get batches as pages decode (key
-// order), ordered consumers get one RID-merged batch.
+// order), ordered consumers get the drained range back in RID order.
 func (st *Store) coveringStream(rs *runState, table string, best *candidate, preds []workload.Predicate, needed []string, ordered bool) (*rowStream, error) {
 	ss := best.si.Schema()
 	ridIdx := ss.ColIndex("__rid")
@@ -205,54 +239,70 @@ func (st *Store) coveringStream(rs *runState, table string, best *candidate, pre
 		cols = append(cols, ss.Columns[o])
 	}
 	outSchema := storage.NewSchema(cols...)
-	strip := func(rows []storage.Row) []storage.Row {
-		out := make([]storage.Row, len(rows))
-		for i, r := range rows {
-			nr := make(storage.Row, len(outIdx))
-			for j, k := range outIdx {
-				nr[j] = r[k]
-			}
-			out[i] = nr
-		}
-		return out
-	}
+	src := cursorStream(outSchema, cur)
 	if !ordered {
 		// Canonicalizing consumers don't care about row order: stream page
-		// batches straight through, skipping order restoration entirely.
-		return &rowStream{schema: outSchema, close: cur.Close, next: func() ([]storage.Row, error) {
-			b, err := cur.NextBatch()
-			if err != nil || b == nil {
+		// batches straight through, skipping order restoration entirely. The
+		// stripped rows live in a slab this stream reuses batch after batch.
+		w := len(outIdx)
+		var slab []storage.Value
+		var rows []storage.Row
+		return &rowStream{schema: outSchema, cur: cur, next: func() ([]storage.Row, error) {
+			batch, err := src.next()
+			if err != nil || batch == nil {
 				return nil, err
 			}
-			return strip(b.Rows), nil
+			slab, rows = slab[:0], rows[:0]
+			for _, r := range batch {
+				for _, k := range outIdx {
+					slab = append(slab, r[k])
+				}
+			}
+			for i := range batch {
+				rows = append(rows, slab[i*w:(i+1)*w:(i+1)*w])
+			}
+			return rows, nil
 		}}, nil
 	}
 	// Insertion-order restoration: the structure delivers key order, so drain
-	// and merge on the carried RID before handing rows downstream.
-	type tagged struct {
+	// it — stripped copies in decode order — and sort a compact (RID,
+	// position) array to emit them in RID order.
+	type ridAt struct {
 		rid int64
-		row storage.Row
+		at  int32
 	}
-	var all []tagged
-	for {
-		b, err := cur.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		for _, r := range b.Rows {
-			all = append(all, tagged{rid: r[ridPos].Int, row: r})
-		}
+	// Most rows of the seek range survive the pushed predicates, so the range
+	// is a good guess at the result.
+	inRange := int(best.si.Seg.PageStartRow(best.hi) - best.si.Seg.PageStartRow(best.lo))
+	slab := newRowSlab(len(outIdx), inRange)
+	order := make([]ridAt, 0, slab.first)
+	if err := src.forEach(func(r storage.Row) error {
+		order = append(order, ridAt{rid: r[ridPos].Int, at: int32(slab.n)})
+		slab.keep(r, outIdx)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].rid < all[j].rid })
-	rows := make([]storage.Row, len(all))
-	for i, t := range all {
-		rows[i] = t.row
-	}
-	return singleBatch(outSchema, strip(rows)), nil
+	slices.SortFunc(order, func(a, b ridAt) int { return cmp.Compare(a.rid, b.rid) })
+	batch := make([]storage.Row, 0, min(len(order), orderedBatchRows))
+	return &rowStream{schema: outSchema, next: func() ([]storage.Row, error) {
+		if len(order) == 0 {
+			return nil, nil
+		}
+		n := min(len(order), cap(batch))
+		batch = batch[:0]
+		for _, o := range order[:n] {
+			batch = append(batch, slab.row(int(o.at)))
+		}
+		order = order[n:]
+		return batch, nil
+	}}, nil
 }
+
+// orderedBatchRows is how many rows an order-restored stream hands out per
+// batch: row headers are built a batch at a time instead of for the whole
+// result.
+const orderedBatchRows = 1024
 
 // lookupStream runs a non-covering index seek: the structure range is
 // decoded down to just its RID column (predicates still pushed), then the
@@ -271,19 +321,13 @@ func (st *Store) lookupStream(rs *runState, table string, heap *index.SegmentInd
 	cur := best.si.PageRangeCursor(best.lo, best.hi, spec, &rs.io)
 	cur.EnablePrefetch(rs.pfWindow, rs.pfWorkers)
 	var rids []int64
-	for {
-		b, err := cur.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		for _, r := range b.Rows {
-			rids = append(rids, r[0].Int)
-		}
+	if err := cursorStream(nil, cur).forEach(func(r storage.Row) error {
+		rids = append(rids, r[0].Int)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	sort.Slice(rids, func(i, j int) bool { return rids[i] < rids[j] })
+	slices.Sort(rids)
 	if best.score+distinctHeapPages(heap, rids) >= heap.Seg.PhysicalPages() {
 		return st.heapScanStream(rs, table, heap, preds, needed), nil
 	}
@@ -294,11 +338,5 @@ func (st *Store) lookupStream(rs *runState, table string, heap *index.SegmentInd
 	hcur.EnablePrefetch(rs.pfWindow, rs.pfWorkers)
 	rs.paths = append(rs.paths, fmt.Sprintf("seg-index-seek+lookup %s via %s (%d of %d pages, %d lookups)",
 		table, best.h.id, best.hi-best.lo, best.si.Seg.NumPages(), len(rids)))
-	return &rowStream{schema: projectSchema(hs, ords), close: hcur.Close, next: func() ([]storage.Row, error) {
-		b, err := hcur.NextBatch()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		return b.Rows, nil
-	}}, nil
+	return cursorStream(projectSchema(hs, ords), hcur), nil
 }

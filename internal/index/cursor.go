@@ -1,21 +1,19 @@
 package index
 
 import (
-	"sort"
+	"slices"
 
 	"cadb/internal/storage"
 )
 
 // Batch is one page's worth of cursor output: the surviving rows projected
-// onto the cursor's needed columns, plus where each row came from — the
-// page-local slot and the segment-wide row offset (RID). Access paths use
-// the (page, slot) positions to restore insertion order with a bounded
-// merge instead of a global sort.
+// onto the cursor's needed columns, in page order. The batch and its rows
+// belong to the cursor and are overwritten by the next NextBatch; a consumer
+// that keeps rows longer copies them. Structures that are not in insertion
+// order carry the RID as a column, and the access path that needs the order
+// back sorts on it.
 type Batch struct {
-	Page  int
-	Rows  []storage.Row
-	Slots []int
-	RIDs  []int64
+	Rows []storage.Row
 }
 
 // pageWork is one page visit: slots == nil decodes the whole page, otherwise
@@ -25,15 +23,16 @@ type pageWork struct {
 	slots []int
 }
 
-// Cursor streams column-selective page decodes out of a segment index. Each
-// NextBatch call reads and decodes pages until one yields rows (pages whose
-// rows are all filtered out by the pushed predicates cost their read and a
-// metadata-level decode, but materialize nothing). I/O is accounted into the
-// stats sink as it happens, so a partially consumed cursor reports only the
-// work actually done.
+// Cursor streams column-selective page decodes out of a segment index,
+// through one decoder compiled from its spec. Each NextBatch call reads and
+// decodes pages until one yields rows (pages whose rows are all filtered out
+// by the pushed predicates cost their read and a metadata-level decode, but
+// materialize nothing). I/O is accounted into the stats sink as it happens,
+// so a partially consumed cursor reports only the work actually done.
 type Cursor struct {
 	seg    *storage.Segment
-	spec   *storage.DecodeSpec
+	dec    storage.PageDecoder
+	batch  Batch
 	work   []pageWork
 	at     int
 	io     *storage.IOStats
@@ -52,16 +51,20 @@ func (si *SegmentIndex) PageRangeCursor(lo, hi int, spec *storage.DecodeSpec, io
 	for p := lo; p < hi; p++ {
 		work = append(work, pageWork{page: p})
 	}
-	return &Cursor{seg: si.Seg, spec: spec, work: work, io: io}
+	return si.cursor(spec, work, io)
+}
+
+func (si *SegmentIndex) cursor(spec *storage.DecodeSpec, work []pageWork, io *storage.IOStats) *Cursor {
+	return &Cursor{seg: si.Seg, dec: si.Seg.Codec.NewDecoder(si.Seg.Schema, spec), work: work, io: io}
 }
 
 // RIDCursor streams exactly the rows at the given segment offsets (sorted
 // ascending), visiting each page once with a slot filter — the batched heap
 // lookup half of a non-covering index seek.
 func (si *SegmentIndex) RIDCursor(rids []int64, spec *storage.DecodeSpec, io *storage.IOStats) *Cursor {
-	if !sort.SliceIsSorted(rids, func(i, j int) bool { return rids[i] < rids[j] }) {
-		rids = append([]int64(nil), rids...)
-		sort.Slice(rids, func(i, j int) bool { return rids[i] < rids[j] })
+	if !slices.IsSorted(rids) {
+		rids = slices.Clone(rids)
+		slices.Sort(rids)
 	}
 	var work []pageWork
 	for i := 0; i < len(rids); {
@@ -81,7 +84,7 @@ func (si *SegmentIndex) RIDCursor(rids []int64, spec *storage.DecodeSpec, io *st
 		}
 		work = append(work, pageWork{page: p, slots: slots})
 	}
-	return &Cursor{seg: si.Seg, spec: spec, work: work, io: io}
+	return si.cursor(spec, work, io)
 }
 
 // NumPages returns how many pages the cursor will visit in total.
@@ -114,25 +117,19 @@ func (c *Cursor) Close() {
 }
 
 // NextBatch returns the next non-empty batch, or nil when the cursor is
-// exhausted.
+// exhausted. The batch is valid until the next call.
 func (c *Cursor) NextBatch() (*Batch, error) {
 	for c.at < len(c.work) {
 		c.pf.Advance(c.at - c.pfBase)
 		w := c.work[c.at]
 		c.at++
 		c.io.PageReads += c.seg.Page(w.page).PhysicalPages()
-		spec := c.spec
-		if w.slots != nil {
-			s := *c.spec
-			s.Slots = w.slots
-			spec = &s
-		}
 		payload, release, err := c.seg.FetchPage(w.page, c.io)
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		dp, err := c.seg.Codec.DecodeColumns(c.seg.Schema, payload, c.seg.PageRows(w.page), spec)
+		dp, err := c.dec.Decode(payload, c.seg.PageRows(w.page), w.slots)
 		release()
 		if err != nil {
 			c.Close()
@@ -144,12 +141,8 @@ func (c *Cursor) NextBatch() (*Batch, error) {
 		if len(dp.Rows) == 0 {
 			continue
 		}
-		start := c.seg.PageStartRow(w.page)
-		rids := make([]int64, len(dp.Slots))
-		for i, sl := range dp.Slots {
-			rids[i] = start + int64(sl)
-		}
-		return &Batch{Page: w.page, Rows: dp.Rows, Slots: dp.Slots, RIDs: rids}, nil
+		c.batch.Rows = dp.Rows
+		return &c.batch, nil
 	}
 	c.Close()
 	return nil, nil

@@ -311,3 +311,76 @@ func TestFilterRowsResolvesQualifiedAndBare(t *testing.T) {
 		t.Fatal("unknown predicate column must error")
 	}
 }
+
+// TestJoinerKeyKinds pins that the two hash forms behind a join step agree:
+// an integer key hashes as int64, a string key through the generic ValueKey,
+// and in both a NULL probe, an unmatched probe and a probe of another kind
+// find nothing while the last of two dimension rows sharing a key wins.
+func TestJoinerKeyKinds(t *testing.T) {
+	dim := func(name string, kind storage.Kind, keys ...storage.Value) *catalog.Table {
+		tb := &catalog.Table{Name: name, Schema: storage.NewSchema(
+			storage.Column{Name: "k", Kind: kind, Nullable: true},
+			storage.Column{Name: "payload", Kind: storage.KindInt},
+		)}
+		for i, k := range keys {
+			tb.Rows = append(tb.Rows, storage.Row{k, storage.IntVal(int64(i))})
+		}
+		return tb
+	}
+	db := catalog.NewDatabase("joiner")
+	db.AddTable(dim("di", storage.KindInt, storage.IntVal(1), storage.IntVal(2), storage.IntVal(2)))
+	db.AddTable(dim("ds", storage.KindString, storage.StringVal("a"), storage.StringVal("b"), storage.StringVal("b")))
+	fact := &catalog.Table{Name: "f", Schema: storage.NewSchema(
+		storage.Column{Name: "ik", Kind: storage.KindInt, Nullable: true},
+		storage.Column{Name: "sk", Kind: storage.KindString, Nullable: true},
+	)}
+	db.AddTable(fact)
+	probe := func(join workload.Join, r storage.Row) (storage.Row, bool) {
+		t.Helper()
+		jn, err := NewJoiner(db, "f", []workload.Join{join})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jn.Bind(fact.Schema, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		return jn.Widen(r)
+	}
+	onInt := workload.Join{LeftTable: "f", LeftCol: "ik", RightTable: "di", RightCol: "k"}
+	onStr := workload.Join{LeftTable: "f", LeftCol: "sk", RightTable: "ds", RightCol: "k"}
+	cases := []struct {
+		name    string
+		join    workload.Join
+		row     storage.Row
+		payload int64 // of the matched dimension row, -1 for no match
+	}{
+		{"int match", onInt, storage.Row{storage.IntVal(1), storage.StringVal("a")}, 0},
+		{"int duplicate key: last wins", onInt, storage.Row{storage.IntVal(2), storage.StringVal("a")}, 2},
+		{"int no match", onInt, storage.Row{storage.IntVal(9), storage.StringVal("a")}, -1},
+		{"int NULL probe", onInt, storage.Row{storage.NullValue(storage.KindInt), storage.StringVal("a")}, -1},
+		{"date probe of an int key", onInt, storage.Row{storage.DateVal(1), storage.StringVal("a")}, -1},
+		{"string match", onStr, storage.Row{storage.IntVal(1), storage.StringVal("a")}, 0},
+		{"string duplicate key: last wins", onStr, storage.Row{storage.IntVal(1), storage.StringVal("b")}, 2},
+		{"string no match", onStr, storage.Row{storage.IntVal(1), storage.StringVal("z")}, -1},
+		{"string NULL probe", onStr, storage.Row{storage.IntVal(1), storage.NullValue(storage.KindString)}, -1},
+	}
+	for _, c := range cases {
+		wide, ok := probe(c.join, c.row)
+		if ok != (c.payload >= 0) {
+			t.Fatalf("%s: matched=%v", c.name, ok)
+		}
+		if ok && wide[3].Int != c.payload {
+			t.Fatalf("%s: joined dimension row %d, want %d", c.name, wide[3].Int, c.payload)
+		}
+	}
+	// A NULL among an integer dimension's keys takes the generic form, where a
+	// NULL probe of the same kind matches it as it always has.
+	db.AddTable(dim("dn", storage.KindInt, storage.IntVal(1), storage.NullValue(storage.KindInt)))
+	onNull := workload.Join{LeftTable: "f", LeftCol: "ik", RightTable: "dn", RightCol: "k"}
+	if wide, ok := probe(onNull, storage.Row{storage.NullValue(storage.KindInt), storage.StringVal("a")}); !ok || wide[3].Int != 1 {
+		t.Fatalf("NULL key: matched=%v row %v", ok, wide)
+	}
+	if wide, ok := probe(onNull, storage.Row{storage.IntVal(1), storage.StringVal("a")}); !ok || wide[3].Int != 0 {
+		t.Fatalf("int key beside a NULL key: matched=%v row %v", ok, wide)
+	}
+}

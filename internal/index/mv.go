@@ -24,14 +24,7 @@ func MaterializeMV(db *catalog.Database, mv *MVDef) (*storage.Schema, []storage.
 // override; the sampling subsystem passes a fact sample here to build MV
 // samples over join synopses (Appendix B).
 func MaterializeMVOver(db *catalog.Database, mv *MVDef, factSchema *storage.Schema, factRows []storage.Row) (*storage.Schema, []storage.Row, error) {
-	return MaterializeMVWith(db, mv, factSchema, factRows, nil)
-}
-
-// MaterializeMVWith additionally routes dimension-table access through fetch
-// (see JoinRowsWith) — the segment-backed executor materializes aggregates
-// with every table read served from the page store.
-func MaterializeMVWith(db *catalog.Database, mv *MVDef, factSchema *storage.Schema, factRows []storage.Row, fetch TableFetch) (*storage.Schema, []storage.Row, error) {
-	schema, rows, err := JoinRowsWith(db, mv.Fact, factSchema, factRows, mv.Joins, fetch)
+	schema, rows, err := JoinRowsFrom(db, mv.Fact, factSchema, factRows, mv.Joins)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -62,66 +55,84 @@ func JoinRows(db *catalog.Database, fact string, joins []workload.Join) (*storag
 	return JoinRowsFrom(db, fact, nil, nil, joins)
 }
 
-// TableFetch overrides where a table's rows come from during joins; nil
-// falls back to the catalog's in-memory rows. The segment-backed executor
-// supplies a fetch that decodes pages (and counts the reads).
-type TableFetch func(table string) (*storage.Schema, []storage.Row, error)
-
 // JoinRowsFrom is JoinRows but with an optional row override for the fact
-// table (factSchema/factRows non-nil) — used by the sampling subsystem to
-// join a fact-table sample against the full dimension tables (join synopses,
-// Appendix B.2).
+// table (factSchema/factRows non-nil, in the table's own schema) — used by
+// the sampling subsystem to join a fact-table sample against the full
+// dimension tables (join synopses, Appendix B.2).
 func JoinRowsFrom(db *catalog.Database, fact string, factSchema *storage.Schema, factRows []storage.Row, joins []workload.Join) (*storage.Schema, []storage.Row, error) {
-	return JoinRowsWith(db, fact, factSchema, factRows, joins, nil)
-}
-
-// JoinRowsWith is JoinRowsFrom with dimension access routed through fetch.
-func JoinRowsWith(db *catalog.Database, fact string, factSchema *storage.Schema, factRows []storage.Row, joins []workload.Join, fetch TableFetch) (*storage.Schema, []storage.Row, error) {
-	ft := db.Table(fact)
-	if ft == nil {
-		return nil, nil, fmt.Errorf("index: unknown fact table %q", fact)
+	jn, err := NewJoiner(db, fact, joins)
+	if err != nil {
+		return nil, nil, err
 	}
 	if factSchema == nil {
+		ft := db.Table(fact)
 		factSchema, factRows = ft.Schema, ft.Rows
 	}
-	jn, err := NewJoiner(db, fact, factSchema, joins, fetch)
-	if err != nil {
+	if len(joins) == 0 {
+		// Nothing to widen: the fact rows are the wide rows.
+		return jn.Schema(), factRows, nil
+	}
+	if err := jn.Bind(factSchema, nil, nil); err != nil {
 		return nil, nil, err
 	}
 	out := make([]storage.Row, 0, len(factRows))
 	for _, r := range factRows {
-		if wide, ok := jn.JoinRow(r); ok {
-			out = append(out, wide)
+		if wide, ok := jn.Widen(r); ok {
+			out = append(out, wide.Clone())
 		}
 	}
 	return jn.Schema(), out, nil
 }
 
-// Joiner is the streaming form of JoinRowsWith: the dimension hash tables
-// are built once up front, then fact rows widen one at a time. Both the
-// plain-row oracle and the segment-backed executor run their rows through
-// this same probe code, so join behavior (and the resulting float-sum
-// order downstream) cannot diverge between them.
+// TableFetch overrides where a dimension's rows come from during joins: it
+// returns the named columns of every row of the table (with their schema), as
+// rows the joiner may keep. The segment-backed executor supplies a fetch that
+// decodes pages (and counts the reads).
+type TableFetch func(table string, cols []string) (*storage.Schema, []storage.Row, error)
+
+// Joiner is the streaming hash join of a fact table with its dimensions. Both
+// the plain-row oracle and the segment-backed executor run their rows through
+// this same probe code, so join behavior (and the resulting float-sum order
+// downstream) cannot diverge between them.
+//
+// It works in two steps so that a pipeline can prune what it reads without
+// changing what it accepts. NewJoiner resolves the join chain against the
+// catalog alone and fixes the wide schema: every column of the fact table and
+// of each dimension, named table_col. Column references resolve — and are
+// rejected as unknown or ambiguous — against that full schema whatever is
+// read later. Bind then builds the hash tables from only the columns the
+// statement uses, and Widen fills only those positions of the wide row.
 type Joiner struct {
+	fact   *catalog.Table // its columns lead the wide schema, in table order
 	schema *storage.Schema
+	factAt []int // Widen's input column i lands at wide[factAt[i]]
 	steps  []joinStep
+	wide   storage.Row // Widen's output, overwritten by the next call
 }
 
 type joinStep struct {
-	hash     map[storage.ValueKey]storage.Row
-	probeIdx int
+	dim      *catalog.Table
+	keyIdx   int          // the dimension's join key, as an ordinal of its table schema
+	keyKind  storage.Kind // that column's kind
+	base     int          // the dimension's first column in the wide schema
+	probeIdx int          // the wide column probed into the hash
+
+	// Built by Bind. Integer and date keys hash as int64; any other kind
+	// through the generic ValueKey.
+	ints map[int64]storage.Row
+	keys map[storage.ValueKey]storage.Row
+	at   []int // dimension row column i lands at wide[at[i]]
 }
 
-// NewJoiner resolves the join chain against the database, fetching each
-// dimension (through fetch when given) and hashing it on its key. The fact
-// schema is the shape of the rows that will be fed to JoinRow — possibly a
-// pruned projection of the table when the access path pushes the needed
-// column set down.
-func NewJoiner(db *catalog.Database, fact string, factSchema *storage.Schema, joins []workload.Join, fetch TableFetch) (*Joiner, error) {
+// NewJoiner resolves the join chain against the catalog. No row is read.
+func NewJoiner(db *catalog.Database, fact string, joins []workload.Join) (*Joiner, error) {
+	ft := db.Table(fact)
+	if ft == nil {
+		return nil, fmt.Errorf("index: unknown fact table %q", fact)
+	}
 	// Start with the fact table, columns renamed to fact_col.
-	curCols := qualifyColumns(fact, factSchema.Columns)
-	steps := make([]joinStep, 0, len(joins))
-
+	curCols := qualifyColumns(fact, ft.Schema.Columns)
+	jn := &Joiner{fact: ft}
 	for _, j := range joins {
 		dimName, dimCol, factCol := j.RightTable, j.RightCol, j.LeftCol
 		if !strings.EqualFold(j.LeftTable, fact) {
@@ -138,50 +149,142 @@ func NewJoiner(db *catalog.Database, fact string, factSchema *storage.Schema, jo
 		if dim == nil {
 			return nil, fmt.Errorf("index: unknown dimension table %q", dimName)
 		}
-		dimSchema, dimRows := dim.Schema, dim.Rows
-		if fetch != nil {
-			var err error
-			dimSchema, dimRows, err = fetch(dimName)
-			if err != nil {
-				return nil, err
-			}
-		}
-		// Hash the dimension on its key.
-		dimKey := dimSchema.ColIndex(dimCol)
-		if dimKey < 0 {
+		keyIdx := dim.Schema.ColIndex(dimCol)
+		if keyIdx < 0 {
 			return nil, fmt.Errorf("index: %s has no column %q", dimName, dimCol)
-		}
-		hash := make(map[storage.ValueKey]storage.Row, len(dimRows))
-		for _, r := range dimRows {
-			hash[r[dimKey].Key()] = r
 		}
 		// Probe side column index in the current wide row.
 		probeIdx := indexOfQualified(curCols, fact, factCol)
 		if probeIdx < 0 {
 			return nil, fmt.Errorf("index: join column %q not found in joined row", factCol)
 		}
-		steps = append(steps, joinStep{hash: hash, probeIdx: probeIdx})
-		curCols = append(curCols, qualifyColumns(dimName, dimSchema.Columns)...)
+		jn.steps = append(jn.steps, joinStep{
+			dim: dim, keyIdx: keyIdx, keyKind: dim.Schema.Columns[keyIdx].Kind, base: len(curCols), probeIdx: probeIdx,
+		})
+		curCols = append(curCols, qualifyColumns(dimName, dim.Schema.Columns)...)
 	}
-	return &Joiner{schema: storage.NewSchema(curCols...), steps: steps}, nil
+	jn.schema = storage.NewSchema(curCols...)
+	return jn, nil
 }
 
-// Schema returns the wide table_col-named schema JoinRow produces.
+// Schema returns the wide table_col-named schema: every column of every
+// joined table, whatever subset Bind goes on to read.
 func (jn *Joiner) Schema() *storage.Schema { return jn.schema }
 
-// JoinRow widens one fact row through every join step. ok=false means the
-// row found no dimension match and is dropped (inner-join semantics).
-func (jn *Joiner) JoinRow(r storage.Row) (wide storage.Row, ok bool) {
-	wide = r
+// JoinCols starts a used-column set over the wide schema with what the join
+// itself reads: each step's probe column and dimension key.
+func (jn *Joiner) JoinCols() []bool {
+	used := make([]bool, len(jn.schema.Columns))
 	for _, st := range jn.steps {
-		m, found := st.hash[wide[st.probeIdx].Key()]
-		if !found {
+		used[st.probeIdx] = true
+		used[st.base+st.keyIdx] = true
+	}
+	return used
+}
+
+// FactCols names the fact table's columns in the used set, in table order.
+func (jn *Joiner) FactCols(used []bool) []string {
+	var cols []string
+	for i, c := range jn.fact.Schema.Columns {
+		if used[i] {
+			cols = append(cols, c.Name)
+		}
+	}
+	return cols
+}
+
+// Bind fixes the shape of the rows Widen will be fed — factSchema names their
+// columns, any subset of the fact table's in any order — and hashes each
+// dimension on its key. used marks the wide columns the statement can
+// observe (nil: all of them); only those are read from a dimension, through
+// fetch when given, and only those are filled in by Widen.
+func (jn *Joiner) Bind(factSchema *storage.Schema, used []bool, fetch TableFetch) error {
+	jn.factAt = make([]int, len(factSchema.Columns))
+	for i, c := range factSchema.Columns {
+		// The fact table's columns lead the wide schema in table order.
+		at := jn.fact.Schema.ColIndex(c.Name)
+		if at < 0 {
+			return fmt.Errorf("index: %s has no column %q", jn.fact.Name, c.Name)
+		}
+		jn.factAt[i] = at
+	}
+	for si := range jn.steps {
+		st := &jn.steps[si]
+		schema, rows := st.dim.Schema, st.dim.Rows
+		if fetch != nil {
+			var cols []string
+			for i, c := range schema.Columns {
+				if used == nil || used[st.base+i] {
+					cols = append(cols, c.Name)
+				}
+			}
+			var err error
+			schema, rows, err = fetch(st.dim.Name, cols)
+			if err != nil {
+				return err
+			}
+		}
+		st.at = make([]int, len(schema.Columns))
+		for i, c := range schema.Columns {
+			st.at[i] = st.base + st.dim.Schema.ColIndex(c.Name)
+		}
+		st.hash(rows, schema.ColIndex(st.dim.Schema.Columns[st.keyIdx].Name))
+	}
+	jn.wide = make(storage.Row, len(jn.schema.Columns))
+	return nil
+}
+
+// hash indexes the dimension rows on their key column; the last row wins a
+// duplicate key. A key column of integer or date kind hashes as int64 — as
+// long as every key is a non-NULL value of that kind, which a stored column
+// guarantees; otherwise the generic map takes over.
+func (st *joinStep) hash(rows []storage.Row, key int) {
+	if st.keyKind == storage.KindInt || st.keyKind == storage.KindDate {
+		st.ints = make(map[int64]storage.Row, len(rows))
+		for _, r := range rows {
+			if v := r[key]; v.Null || v.Kind != st.keyKind {
+				st.ints = nil
+				break
+			}
+			st.ints[r[key].Int] = r
+		}
+		if st.ints != nil {
+			return
+		}
+	}
+	st.keys = make(map[storage.ValueKey]storage.Row, len(rows))
+	for _, r := range rows {
+		st.keys[r[key].Key()] = r
+	}
+}
+
+// Widen widens one fact row through every join step into the joiner's own
+// wide row, which the next call overwrites: a caller keeping it copies it.
+// ok=false means the row found no dimension match and is dropped (inner-join
+// semantics).
+func (jn *Joiner) Widen(r storage.Row) (wide storage.Row, ok bool) {
+	wide = jn.wide
+	for i, at := range jn.factAt {
+		wide[at] = r[i]
+	}
+	for si := range jn.steps {
+		st := &jn.steps[si]
+		v := wide[st.probeIdx]
+		var m storage.Row
+		if st.ints != nil {
+			// A probe of another kind (or NULL) equals no key of this kind.
+			if ok = !v.Null && v.Kind == st.keyKind; ok {
+				m, ok = st.ints[v.Int]
+			}
+		} else {
+			m, ok = st.keys[v.Key()]
+		}
+		if !ok {
 			return nil, false
 		}
-		nw := make(storage.Row, 0, len(wide)+len(m))
-		nw = append(nw, wide...)
-		nw = append(nw, m...)
-		wide = nw
+		for i, at := range st.at {
+			wide[at] = m[i]
+		}
 	}
 	return wide, true
 }
@@ -230,63 +333,44 @@ func FilterRows(s *storage.Schema, rows []storage.Row, preds []workload.Predicat
 }
 
 // RowFilter is the streaming form of FilterRows: predicate columns resolve
-// against the schema once, then rows are tested one at a time.
+// against the schema and bounds coerce to the column kind once, then rows are
+// tested one at a time.
 type RowFilter struct {
-	bounds []predBound
-}
-
-type predBound struct {
-	idx int
-	p   workload.Predicate
+	preds []storage.ColPredicate
 }
 
 // NewRowFilter resolves every predicate column against the schema, failing
 // on unknown columns exactly as FilterRows does.
 func NewRowFilter(s *storage.Schema, preds []workload.Predicate) (*RowFilter, error) {
-	f := &RowFilter{bounds: make([]predBound, 0, len(preds))}
+	f := &RowFilter{preds: make([]storage.ColPredicate, 0, len(preds))}
 	for _, p := range preds {
 		idx := resolveCol(s, p.Table, p.Col)
 		if idx < 0 {
 			return nil, fmt.Errorf("index: predicate column %q not found", p.Col)
 		}
-		f.bounds = append(f.bounds, predBound{idx: idx, p: p})
+		f.preds = append(f.preds, p.Lower(idx, s.Columns[idx].Kind))
 	}
 	return f, nil
 }
 
 // Empty reports whether the filter has no predicates (every row passes).
-func (f *RowFilter) Empty() bool { return len(f.bounds) == 0 }
+func (f *RowFilter) Empty() bool { return len(f.preds) == 0 }
+
+// MarkCols adds the columns the filter reads to a used-column set.
+func (f *RowFilter) MarkCols(used []bool) {
+	for _, p := range f.preds {
+		used[p.Col] = true
+	}
+}
 
 // Keep reports whether the row satisfies every predicate (NULLs never do).
 func (f *RowFilter) Keep(r storage.Row) bool {
-	for _, b := range f.bounds {
-		v := r[b.idx]
-		if v.Null || !cmpMatches(b.p, v) {
+	for i := range f.preds {
+		if p := &f.preds[i]; !p.Matches(r[p.Col]) {
 			return false
 		}
 	}
 	return true
-}
-
-func cmpMatches(p workload.Predicate, v storage.Value) bool {
-	lo := p.Lo.CoerceTo(v.Kind)
-	switch p.Op {
-	case workload.OpEq:
-		return v.Compare(lo) == 0
-	case workload.OpNe:
-		return v.Compare(lo) != 0
-	case workload.OpLt:
-		return v.Compare(lo) < 0
-	case workload.OpLe:
-		return v.Compare(lo) <= 0
-	case workload.OpGt:
-		return v.Compare(lo) > 0
-	case workload.OpGe:
-		return v.Compare(lo) >= 0
-	case workload.OpBetween:
-		return v.Compare(lo) >= 0 && v.Compare(p.Hi.CoerceTo(v.Kind)) <= 0
-	}
-	return false
 }
 
 // resolveCol finds a column in a (possibly qualified) wide schema.
@@ -384,7 +468,19 @@ func NewGroupAcc(s *storage.Schema, groupBy []workload.ColRef, aggs []workload.A
 	return ga, nil
 }
 
-// Add folds one row into its group.
+// MarkCols adds the columns the accumulator reads to a used-column set.
+func (ga *GroupAcc) MarkCols(used []bool) {
+	for _, i := range ga.gIdx {
+		used[i] = true
+	}
+	for _, i := range ga.aIdx {
+		if i >= 0 {
+			used[i] = true
+		}
+	}
+}
+
+// Add folds one row into its group. It keeps no reference to the row.
 func (ga *GroupAcc) Add(r storage.Row) {
 	ga.kb = ga.kb[:0]
 	for _, gi := range ga.gIdx {

@@ -23,11 +23,17 @@ func segTestDefs() []*Def {
 // TestSegmentIndexRoundTrip pins that a materialized segment decodes back to
 // exactly the leaf rows the index materializer produced, for every codec and
 // structure shape (clustered, secondary, MV).
-// fullDecode reconstructs every row of a page: DecodeColumns over every
-// ordinal, no predicates, no slot filter.
+// fullDecode reconstructs every row of a page through a decoder of its own:
+// every ordinal, no predicates, no slot filter.
 func fullDecode(t testing.TB, seg *storage.Segment, page int) []storage.Row {
 	t.Helper()
-	dp, err := seg.DecodeColumnsPage(page, &storage.DecodeSpec{Needed: seg.Schema.AllOrdinals()})
+	payload, release, err := seg.FetchPage(page, nil)
+	if err != nil {
+		t.Fatalf("fetch of page %d: %v", page, err)
+	}
+	defer release()
+	dec := seg.Codec.NewDecoder(seg.Schema, &storage.DecodeSpec{Needed: seg.Schema.AllOrdinals()})
+	dp, err := dec.Decode(payload, seg.PageRows(page), nil)
 	if err != nil {
 		t.Fatalf("full decode of page %d: %v", page, err)
 	}

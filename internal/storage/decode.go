@@ -1,8 +1,8 @@
 package storage
 
 // This file is the column-selective half of the codec contract: the decode
-// spec an access path pushes down into PageCodec.DecodeColumns, the batch it
-// gets back, and the I/O counters every segment-backed execution reports.
+// spec an access path compiles into a PageDecoder, the batch each page gives
+// back, and the I/O counters every segment-backed execution reports.
 // Predicates are expressed against column ordinals with bounds already
 // coerced to the column kind, so codecs can evaluate them without knowing
 // anything about query syntax or name resolution.
@@ -102,16 +102,13 @@ func (p ColPredicate) Matches(v Value) bool {
 
 // DecodeSpec tells a codec which columns of a page to reconstruct and which
 // predicates to apply while doing so. A row is returned only if it passes
-// every predicate (and, when Slots is set, sits on one of the listed slots).
+// every predicate.
 type DecodeSpec struct {
 	// Needed lists the column ordinals to materialize, strictly ascending.
 	// Returned rows have exactly len(Needed) values, in this order.
 	Needed []int
 	// Preds are the pushed-down predicates; all must hold (AND semantics).
 	Preds []ColPredicate
-	// Slots optionally restricts the decode to the given page-local slot
-	// numbers (strictly ascending). Nil means every slot.
-	Slots []int
 }
 
 // DecodedPage is the batch a column-selective decode returns: the surviving
@@ -138,12 +135,12 @@ func (s *Schema) AllOrdinals() []int {
 	return out
 }
 
-// FallbackDecodeColumns implements DecodeColumns on top of a full page
+// FallbackDecodeColumns implements PageDecoder.Decode on top of a full page
 // decode: slot filter, predicates and projection applied after the fact,
 // counters charging the full decode (every row, every column). It is the
 // reference the codec's selective decode is tested against, and what a test
 // codec without a column-selective layout answers with.
-func FallbackDecodeColumns(s *Schema, full []Row, spec *DecodeSpec) *DecodedPage {
+func FallbackDecodeColumns(s *Schema, full []Row, spec *DecodeSpec, slots []int) *DecodedPage {
 	// A full decode materializes every row and touches every column payload
 	// once per page.
 	out := &DecodedPage{
@@ -152,11 +149,11 @@ func FallbackDecodeColumns(s *Schema, full []Row, spec *DecodeSpec) *DecodedPage
 	}
 	si := 0
 	for slot, r := range full {
-		if spec.Slots != nil {
-			for si < len(spec.Slots) && spec.Slots[si] < slot {
+		if slots != nil {
+			for si < len(slots) && slots[si] < slot {
 				si++
 			}
-			if si >= len(spec.Slots) || spec.Slots[si] != slot {
+			if si >= len(slots) || slots[si] != slot {
 				continue
 			}
 		}

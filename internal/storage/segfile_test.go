@@ -40,24 +40,34 @@ func (plainCodec) EncodeRows(s *Schema, rows []Row) ([]EncodedPage, error) {
 	return out, nil
 }
 
-func (plainCodec) DecodeColumns(s *Schema, payload []byte, nrows int, spec *DecodeSpec) (*DecodedPage, error) {
+func (plainCodec) NewDecoder(s *Schema, spec *DecodeSpec) PageDecoder {
+	return plainDecoder{s: s, spec: spec}
+}
+
+// plainDecoder full-decodes a page and answers with the fallback.
+type plainDecoder struct {
+	s    *Schema
+	spec *DecodeSpec
+}
+
+func (d plainDecoder) Decode(payload []byte, nrows int, slots []int) (*DecodedPage, error) {
 	full := make([]Row, 0, nrows)
 	for at := 0; len(full) < nrows; {
-		r, n, err := DecodeRow(s, payload[at:])
+		r, n, err := DecodeRow(d.s, payload[at:])
 		if err != nil {
 			return nil, err
 		}
 		full = append(full, r)
 		at += n
 	}
-	return FallbackDecodeColumns(s, full, spec), nil
+	return FallbackDecodeColumns(d.s, full, d.spec, slots), nil
 }
 
-// decodeAll is the full decode of one page payload: DecodeColumns over every
-// ordinal, no predicates.
+// decodeAll is the full decode of one page payload: every ordinal, no
+// predicates, no slot filter.
 func decodeAll(t testing.TB, seg *Segment, payload []byte, nrows int) []Row {
 	t.Helper()
-	dp, err := seg.Codec.DecodeColumns(seg.Schema, payload, nrows, &DecodeSpec{Needed: seg.Schema.AllOrdinals()})
+	dp, err := seg.Codec.NewDecoder(seg.Schema, &DecodeSpec{Needed: seg.Schema.AllOrdinals()}).Decode(payload, nrows, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

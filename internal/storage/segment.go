@@ -26,11 +26,10 @@ type PageCodec interface {
 	// EncodeRows packs the rows into page payloads. Each payload must be
 	// decodable on its own (given the segment state).
 	EncodeRows(s *Schema, rows []Row) ([]EncodedPage, error)
-	// DecodeColumns reconstructs only the spec.Needed columns of the rows
-	// that satisfy spec's predicates and slot filter; the returned counters
-	// report the work actually done. A full decode is every ordinal in
-	// spec.Needed and nothing else.
-	DecodeColumns(s *Schema, payload []byte, nrows int, spec *DecodeSpec) (*DecodedPage, error)
+	// NewDecoder compiles a column-selective decoder for the spec: one per
+	// cursor, fed every page the cursor visits. A spec naming a column the
+	// schema lacks fails at the first Decode.
+	NewDecoder(s *Schema, spec *DecodeSpec) PageDecoder
 	// ColumnMethodIDs returns one compression-method byte per schema column —
 	// the design vector recorded in the segment file header.
 	ColumnMethodIDs(s *Schema) []byte
@@ -40,6 +39,19 @@ type PageCodec interface {
 	// LoadSegmentState rebuilds, in a fresh instance, the state serialized by
 	// SegmentState, so a segment file opened in another process decodes.
 	LoadSegmentState(s *Schema, state []byte) error
+}
+
+// PageDecoder is a decode plan compiled from one (schema, spec) pair. It owns
+// its working memory, so it serves one goroutine.
+type PageDecoder interface {
+	// Decode reconstructs only the spec.Needed columns of the page's rows
+	// that satisfy spec's predicates and, when slots is non-nil, sit on one
+	// of the listed page-local slots (strictly ascending); the returned
+	// counters report the work actually done. A full decode is every ordinal
+	// in spec.Needed, no predicate and nil slots. The returned page — rows
+	// included — is valid until the next Decode: a caller keeping rows longer
+	// copies them.
+	Decode(payload []byte, nrows int, slots []int) (*DecodedPage, error)
 }
 
 // EncodedPage is one materialized page: the real payload bytes plus the
@@ -336,14 +348,4 @@ func (g *Segment) PrefetchSpan(lo, hi int) (pages int, bytes int64, err error) {
 		}
 	}
 	return pages, bytes, err
-}
-
-// DecodeColumnsPage runs a column-selective decode of page i.
-func (g *Segment) DecodeColumnsPage(i int, spec *DecodeSpec) (*DecodedPage, error) {
-	payload, release, err := g.FetchPage(i, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return g.Codec.DecodeColumns(g.Schema, payload, g.pages[i].Rows, spec)
 }

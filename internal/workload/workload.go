@@ -98,6 +98,28 @@ func (p Predicate) Matches(s *storage.Schema, r storage.Row) bool {
 	return false
 }
 
+// predOps maps each CmpOp onto the storage-level operator.
+var predOps = [...]storage.PredOp{
+	OpEq: storage.PredEq, OpLt: storage.PredLt, OpLe: storage.PredLe, OpGt: storage.PredGt,
+	OpGe: storage.PredGe, OpBetween: storage.PredBetween, OpNe: storage.PredNe,
+}
+
+// Lower compiles the predicate against the column it resolved to: ordinal col
+// of the given kind, bounds coerced to that kind once. Matches coerces per
+// row to the stored value's kind, but a stored value always has its column's
+// kind, so the lowered predicate accepts exactly the same values. An operator
+// outside the enumeration lowers to one no value satisfies.
+func (p Predicate) Lower(col int, kind storage.Kind) storage.ColPredicate {
+	cp := storage.ColPredicate{Col: col, Op: storage.PredOp(len(predOps)), Lo: p.Lo.CoerceTo(kind)}
+	if int(p.Op) < len(predOps) {
+		cp.Op = predOps[p.Op]
+	}
+	if p.Op == OpBetween {
+		cp.Hi = p.Hi.CoerceTo(kind)
+	}
+	return cp
+}
+
 // Sargable reports whether the predicate can drive an index seek: equality
 // and ranges can, <> cannot.
 func (p Predicate) Sargable() bool { return p.Op != OpNe }
