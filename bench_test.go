@@ -299,13 +299,9 @@ func BenchmarkAblationStaged(b *testing.B) {
 // ---------------------------------------------------------------------------
 // The read path: one pass of a workload's queries on the tuned, deployed store
 
-// benchStorePass tunes for the workload, deploys the recommendation (pass 0
-// builds every segment the queries touch) and then times whole passes — the
-// loop benchmark's pass_s with B/op beside it. Tune and deploy sit outside
-// the timer, so `-cpuprofile` is a profile of the passes alone. spill puts
-// the store behind a pool a tenth of the design's bytes with readahead on,
-// as the sales-disk workload does.
-func benchStorePass(b *testing.B, db *Database, wl *workload.Workload, spill bool) {
+// benchDesign tunes for the workload the way the loop benchmark does and
+// returns the recommendation, its structures and the workload's queries.
+func benchDesign(b *testing.B, db *Database, wl *workload.Workload) (*Recommendation, []*IndexDef, []*workload.Query) {
 	opts := DefaultOptions(db.TotalHeapBytes() / 4)
 	opts.Parallelism = 1
 	rec, err := Tune(db, wl, opts)
@@ -316,21 +312,38 @@ func benchStorePass(b *testing.B, db *Database, wl *workload.Workload, spill boo
 	for _, h := range rec.Config.Indexes() {
 		defs = append(defs, h.Def)
 	}
-	st, err := NewSegmentStore(db, defs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	if spill {
-		st.SetDiskBacked(b.TempDir(), NewBufferPool((db.TotalHeapBytes()+rec.SizeBytes)/10))
-		st.SetPrefetch(32, 2)
-	}
 	var queries []*workload.Query
 	for _, s := range wl.Statements {
 		if s.Query != nil {
 			queries = append(queries, s.Query)
 		}
 	}
+	return rec, defs, queries
+}
+
+// openBenchStore opens a store over the design; spill puts it behind a pool
+// a tenth of the design's bytes with readahead on, as the sales-disk workload
+// does.
+func openBenchStore(b *testing.B, db *Database, rec *Recommendation, defs []*IndexDef, spill bool, dir string) *SegmentStore {
+	st, err := NewSegmentStore(db, defs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if spill {
+		st.SetDiskBacked(dir, NewBufferPool((db.TotalHeapBytes()+rec.SizeBytes)/10))
+		st.SetPrefetch(32, 2)
+	}
+	return st
+}
+
+// benchStorePass tunes for the workload, deploys the recommendation (the
+// first statement deploys the whole design) and then times whole passes —
+// the loop benchmark's pass_s with B/op beside it. Tune and deploy sit
+// outside the timer, so `-cpuprofile` is a profile of the passes alone.
+func benchStorePass(b *testing.B, db *Database, wl *workload.Workload, spill bool) {
+	rec, defs, queries := benchDesign(b, db, wl)
+	st := openBenchStore(b, db, rec, defs, spill, b.TempDir())
+	defer st.Close()
 	pass := func() {
 		for _, q := range queries {
 			if _, err := st.RunQuery(q); err != nil {
@@ -357,4 +370,44 @@ func BenchmarkStorePassTPCH(b *testing.B) {
 func BenchmarkStorePassSales(b *testing.B) {
 	db := datagen.NewSales(datagen.SalesConfig{FactRows: 30000, Zipf: 0.8, Seed: 1})
 	benchStorePass(b, db, workloads.SelectIntensive(workloads.MustSales(1)), true)
+}
+
+// benchStoreDeploy times a deploy: NewSegmentStore plus the first statement,
+// which builds (and with spill, spills) every structure of the design. Each
+// iteration deploys into a freshly generated database; datagen and the one
+// tune sit outside the timer, so `-cpuprofile` is a profile of deploys.
+func benchStoreDeploy(b *testing.B, gen func() *Database, wl *workload.Workload, spill bool) {
+	rec, defs, queries := benchDesign(b, gen(), wl)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db := gen()
+		db.TotalHeapBytes() // cached by tune in the loop benchmark
+		dir := b.TempDir()
+		b.StartTimer()
+		st := openBenchStore(b, db, rec, defs, spill, dir)
+		if _, err := st.RunQuery(queries[0]); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		st.Close()
+		b.StartTimer()
+	}
+}
+
+// BenchmarkStoreDeployTPCH is a tpch-select deploy (40 000 lineitem rows, in
+// memory).
+func BenchmarkStoreDeployTPCH(b *testing.B) {
+	benchStoreDeploy(b, func() *Database {
+		return datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 40000, Seed: 1})
+	}, workloads.SelectIntensive(workloads.MustTPCH()), false)
+}
+
+// BenchmarkStoreDeploySales is a sales-disk deploy (30 000 fact rows,
+// spilled).
+func BenchmarkStoreDeploySales(b *testing.B) {
+	benchStoreDeploy(b, func() *Database {
+		return datagen.NewSales(datagen.SalesConfig{FactRows: 30000, Zipf: 0.8, Seed: 1})
+	}, workloads.SelectIntensive(workloads.MustSales(1)), true)
 }

@@ -334,6 +334,8 @@ func BuildSegmentIndex(db *Database, d *IndexDef) (*SegmentIndex, error) {
 }
 
 // NewSegmentStore materializes a physical design as a segment-backed store.
+// The design deploys — every structure builds — at the store's first
+// statement, so SetDiskBacked and SetPrefetch still apply to every segment.
 func NewSegmentStore(db *Database, defs []*IndexDef) (*SegmentStore, error) {
 	return exec.NewStore(db, defs)
 }

@@ -54,7 +54,7 @@ func TestUpdateInvalidatesOnlyTouchedStructures(t *testing.T) {
 	check("before")
 	built := func() map[string]*index.SegmentIndex {
 		out := make(map[string]*index.SegmentIndex)
-		for _, h := range st.allHandles() {
+		for _, h := range st.all {
 			if h.si != nil && !h.stale {
 				out[h.id] = h.si
 			}
@@ -150,7 +150,7 @@ func footprint(t *testing.T, procs int, disk bool) buildFootprint {
 		}
 		fp.statements = append(fp.statements, line)
 	}
-	for _, h := range st.allHandles() {
+	for _, h := range st.all {
 		if h.si != nil && !h.stale {
 			fp.segments = append(fp.segments, fmt.Sprintf("%s pages=%d disk=%d", h.id, h.si.Seg.NumPages(), h.si.Seg.DiskBytes()))
 		}

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 
@@ -11,7 +10,6 @@ import (
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
 	"cadb/internal/index"
-	"cadb/internal/par"
 	"cadb/internal/storage"
 	"cadb/internal/workload"
 )
@@ -24,18 +22,22 @@ type IOStats = storage.IOStats
 // Store is the physical half of the database: every table materialized as a
 // page-backed heap segment (insertion order, compressed with the clustered
 // index's method when the design has one), plus key-ordered segments for the
-// clustered index and every non-partial secondary. Queries run as an
-// operator pipeline over streaming cursors — pages decode lazily, only the
-// columns the statement can observe are reconstructed, and sargable
-// predicates are evaluated inside the codec — and report their I/O; UPDATE
-// and DELETE locate their rows through the same cursors. Results are
+// clustered index and every non-partial secondary. The first statement
+// deploys the whole design — every structure of every table — in one planned
+// build; after a write, a statement rebuilds the stale structures it needs.
+// Queries run as an operator pipeline over streaming cursors — pages decode
+// lazily, only the columns the statement can observe are reconstructed, and
+// sargable predicates are evaluated inside the codec — and report their I/O;
+// UPDATE and DELETE locate their rows through the same cursors. Results are
 // byte-identical to the plain-row oracle (Run) because order-sensitive
 // consumers get insertion order restored before the join/aggregate pipeline
 // and the rest canonicalize their output.
 type Store struct {
-	db    *catalog.Database
-	heaps map[string]*segHandle   // lowercased table -> heap segment
-	secs  map[string][]*segHandle // lowercased table -> ordered structures
+	db       *catalog.Database
+	heaps    map[string]*segHandle   // lowercased table -> heap segment
+	secs     map[string][]*segHandle // lowercased table -> ordered structures
+	all      []*segHandle            // every handle in ID order, as deployed and spilled
+	deployed bool
 
 	// Disk-backed mode (SetDiskBacked): segments spill their pages to files
 	// under diskDir and every page access goes through the pool.
@@ -70,8 +72,8 @@ func (st *Store) SetPrefetch(window, workers int) {
 // SetDiskBacked switches the store to the disk-backed path: every segment
 // built from now on is spilled to a file under dir and its pages are served
 // through the pool (pinned on fetch, loaded from disk on a miss, evicted
-// under memory pressure). Call before the first statement so every segment
-// takes the same path.
+// under memory pressure). Call before the first statement — it deploys the
+// design — so every segment takes the same path.
 func (st *Store) SetDiskBacked(dir string, pool *bufferpool.Pool) {
 	st.diskDir, st.pool = dir, pool
 }
@@ -82,7 +84,7 @@ func (st *Store) SetDiskBacked(dir string, pool *bufferpool.Pool) {
 // sweep reuse one set of segment files.
 func (st *Store) SetPool(pool *bufferpool.Pool) error {
 	st.pool = pool
-	for _, h := range st.allHandles() {
+	for _, h := range st.all {
 		if h.si != nil && h.si.Seg.Backed() && !h.stale {
 			if err := h.si.Seg.Repool(pool); err != nil {
 				return err
@@ -99,7 +101,7 @@ func (st *Store) Pool() *bufferpool.Pool { return st.pool }
 // the store's total working set under the disk-backed path.
 func (st *Store) DiskBytes() int64 {
 	var n int64
-	for _, h := range st.allHandles() {
+	for _, h := range st.all {
 		if h.si != nil && !h.stale {
 			n += h.si.Seg.DiskBytes()
 		}
@@ -110,25 +112,14 @@ func (st *Store) DiskBytes() int64 {
 // Close releases every disk-backed segment: pool frames are invalidated and
 // the spill files removed. The store is unusable afterwards.
 func (st *Store) Close() {
-	for _, h := range st.allHandles() {
+	for _, h := range st.all {
 		if h.si != nil {
 			h.si.Seg.CloseBacking()
 		}
 	}
 }
 
-func (st *Store) allHandles() []*segHandle {
-	out := make([]*segHandle, 0, len(st.heaps)+len(st.secs))
-	for _, h := range st.heaps {
-		out = append(out, h)
-	}
-	for _, hs := range st.secs {
-		out = append(out, hs...)
-	}
-	return out
-}
-
-// segHandle lazily builds (and rebuilds after writes) one segment.
+// segHandle is one segment of the design, built at deploy and after writes.
 type segHandle struct {
 	def   *index.Def // the materialization def (synthetic for heaps)
 	id    string     // stable identity for deterministic candidate order
@@ -157,9 +148,9 @@ func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 		if t == nil {
 			return nil, fmt.Errorf("exec: index %s on unknown table %q", d, d.Table)
 		}
-		// Validate eagerly: segments build lazily, so a bad column or method
-		// would otherwise surface only at the structure's first build, and an
-		// override on a column the table lacks not at all.
+		// Validate eagerly: the design deploys at the first statement, so a bad
+		// column or method would otherwise surface only there, and an override
+		// on a column the table lacks not at all.
 		if !compress.HasCodec(d.Method) {
 			return nil, fmt.Errorf("exec: method %s has no materializing codec", d.Method)
 		}
@@ -174,6 +165,11 @@ func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 		for _, c := range d.Columns() {
 			if !t.Schema.Has(c) {
 				return nil, fmt.Errorf("exec: index %s references unknown column %q", d, c)
+			}
+		}
+		for i, c := range d.KeyCols {
+			if containsFoldStr(d.KeyCols[:i], c) {
+				return nil, fmt.Errorf("exec: index %s repeats key column %q", d, c)
 			}
 		}
 		key := strings.ToLower(d.Table)
@@ -210,9 +206,13 @@ func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 		}
 		st.heaps[key] = &segHandle{def: heapDef, id: "heap:" + key, kind: "heap"}
 	}
-	for _, hs := range st.secs {
-		slices.SortFunc(hs, func(a, b *segHandle) int { return strings.Compare(a.id, b.id) })
+	byID := func(a, b *segHandle) int { return strings.Compare(a.id, b.id) }
+	for _, t := range db.Tables() {
+		key := strings.ToLower(t.Name)
+		slices.SortFunc(st.secs[key], byID)
+		st.all = append(append(st.all, st.heaps[key]), st.secs[key]...)
 	}
+	slices.SortStableFunc(st.all, byID)
 	return st, nil
 }
 
@@ -225,24 +225,20 @@ func containsFoldStr(list []string, s string) bool {
 	return false
 }
 
-// segment returns the handle's segment index, building it on first use and
-// after invalidation.
-func (st *Store) segment(h *segHandle) (*index.SegmentIndex, error) {
-	if err := st.ensureBuilt([]*segHandle{h}); err != nil {
-		return nil, err
-	}
-	return h.si, nil
-}
-
-// ensureBuilt builds the handles whose segment is missing or stale. The
-// builds are independent, so they fan out across the CPUs; everything that
-// must not depend on completion order — retiring stale backings, spill file
-// names — is fixed serially first, in handle order.
+// ensureBuilt builds the handles whose segment is missing or stale; the first
+// call deploys the whole design instead, needed by this statement or not.
+// Both are one index.BuildSegments fan-out. What must not depend on
+// completion order — retiring stale backings, spill file names — is fixed
+// serially first, in handle order.
 func (st *Store) ensureBuilt(hs []*segHandle) error {
+	if !st.deployed {
+		hs, st.deployed = st.all, true
+	}
 	var todo []*segHandle
+	var defs []*index.Def
 	for _, h := range hs {
 		if h.si == nil || h.stale {
-			todo = append(todo, h)
+			todo, defs = append(todo, h), append(defs, h.def)
 		}
 	}
 	if len(todo) == 0 {
@@ -260,24 +256,18 @@ func (st *Store) ensureBuilt(hs []*segHandle) error {
 			st.spillSeq++
 		}
 	}
-	built := make([]*index.SegmentIndex, len(todo))
-	errs := make([]error, len(todo))
-	par.For(runtime.GOMAXPROCS(0), len(todo), func(i int) {
-		si, err := index.BuildSegmentIndex(st.db, todo[i].def)
-		if err == nil && paths[i] != "" {
-			err = si.Seg.Spill(paths[i], st.pool)
+	built, err := index.BuildSegments(st.db, defs, func(i int, si *index.SegmentIndex) error {
+		if paths[i] == "" {
+			return nil
 		}
-		built[i], errs[i] = si, err
+		return si.Seg.Spill(paths[i], st.pool)
 	})
-	var first error
 	for i, h := range todo {
-		if errs[i] == nil {
+		if built[i] != nil {
 			h.si, h.stale = built[i], false
-		} else if first == nil {
-			first = errs[i]
 		}
 	}
-	return first
+	return err
 }
 
 // Invalidate marks every segment over the table stale; the next access
@@ -347,7 +337,7 @@ func (st *Store) planAccess(table string, preds []workload.Predicate, needed []s
 		return nil, nil, fmt.Errorf("exec: unknown table %q", table)
 	}
 	// Everything the statement can touch — the heap plus every structure a
-	// sargable predicate can seek — builds in one fan-out.
+	// sargable predicate can seek — must be current; stale ones rebuild here.
 	need := []*segHandle{heapH}
 	for _, h := range st.secs[key] {
 		if _, hasLo, _, hasHi := leadingBounds(preds, h); hasLo || hasHi {
@@ -373,7 +363,7 @@ func (st *Store) planAccess(table string, preds []workload.Predicate, needed []s
 		c := candidate{h: h, si: si, lo: lo, hi: hi, score: rangePages}
 		c.covering = h.kind == "clustered" || coversAll(si, needed)
 		if best == nil || c.score < best.score ||
-			(c.score == best.score && (boolRank(c.covering) > boolRank(best.covering) ||
+			(c.score == best.score && (c.covering && !best.covering ||
 				c.covering == best.covering && c.h.id < best.h.id)) {
 			cc := c
 			best = &cc
@@ -456,13 +446,6 @@ func coversAll(si *index.SegmentIndex, needed []string) bool {
 	return true
 }
 
-func boolRank(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // ---------------------------------------------------------------------------
 // Statement execution
 
@@ -498,14 +481,13 @@ func (st *Store) fetch(rs *runState) index.TableFetch {
 		if h == nil {
 			return nil, nil, fmt.Errorf("exec: unknown table %q", table)
 		}
-		heap, err := st.segment(h)
-		if err != nil {
+		if err := st.ensureBuilt([]*segHandle{h}); err != nil {
 			return nil, nil, err
 		}
-		src := st.heapScanStream(rs, table, heap, nil, cols)
+		src := st.heapScanStream(rs, table, h.si, nil, cols)
 		w := len(src.schema.Columns)
-		slab := make([]storage.Value, 0, int(heap.Seg.Rows())*w)
-		err = src.forEach(func(r storage.Row) error {
+		slab := make([]storage.Value, 0, int(h.si.Seg.Rows())*w)
+		err := src.forEach(func(r storage.Row) error {
 			slab = append(slab, r...)
 			return nil
 		})

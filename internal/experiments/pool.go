@@ -162,7 +162,12 @@ func PoolSweep(cfg PoolSweepConfig) ([]PoolPoint, error) {
 		defs := []*index.Def{
 			{Table: "lineitem", KeyCols: []string{"l_shipdate"}, Clustered: true, Method: m},
 		}
-		st, err := exec.NewStore(db, defs)
+		// The first statement deploys every table's segments, and the stream
+		// reads lineitem alone: a store over lineitem alone keeps the working
+		// set — and every pool budget, a fraction of it — what the sweep reads.
+		lineitemDB := catalog.NewDatabase(db.Name)
+		lineitemDB.AddTable(li)
+		st, err := exec.NewStore(lineitemDB, defs)
 		if err != nil {
 			return nil, err
 		}

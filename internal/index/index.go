@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
@@ -257,42 +258,65 @@ func (p *Physical) CF() float64 {
 	return float64(p.Bytes) / float64(p.UncompressedBytes)
 }
 
-// ridWidth is the byte width of the row locator appended to non-clustered
-// index entries.
-const ridWidth = 8
-
 // MaterializeRows produces the leaf rows (and their schema) of the index over
 // the given database, already sorted by the key columns. Non-clustered
 // indexes carry an 8-byte row locator column. For MV indexes the view is
 // materialized first.
 func MaterializeRows(db *catalog.Database, d *Def) (*storage.Schema, []storage.Row, error) {
-	var baseSchema *storage.Schema
-	var baseRows []storage.Row
-	if d.MV != nil {
-		var err error
-		baseSchema, baseRows, err = MaterializeMV(db, d.MV)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		t := db.Table(d.Table)
-		if t == nil {
-			return nil, nil, fmt.Errorf("index: unknown table %q", d.Table)
-		}
-		baseSchema, baseRows = t.Schema, t.Rows
-	}
-	return buildLeafRows(baseSchema, baseRows, d)
+	return (&buildBatch{db: db}).leafRows(d)
 }
 
 // MaterializeOver builds the index leaf rows over an explicit base row set
 // instead of the catalog table — this is how SampleCF builds an index on a
-// sample (Section 2.2).
+// sample (Section 2.2). It is a build batch of one.
 func MaterializeOver(baseSchema *storage.Schema, baseRows []storage.Row, d *Def) (*storage.Schema, []storage.Row, error) {
-	return buildLeafRows(baseSchema, baseRows, d)
+	return buildLeafRows(baseSchema, baseRows, d, nil)
 }
 
-// buildLeafRows filters, projects, appends the RID column and sorts.
-func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def) (*storage.Schema, []storage.Row, error) {
+// buildBatch is what the builds of one BuildSegments call share: each
+// (table, key column)'s ranks, computed once by whichever build needs them
+// first. Ranks never outlive the batch, so a build after a write ranks the
+// rows it sees.
+type buildBatch struct {
+	db    *catalog.Database
+	ranks sync.Map // *catalog.Table -> []sharedRanks, one per column
+}
+
+type sharedRanks struct {
+	once sync.Once
+	rank []int32
+}
+
+// leafRows materializes one definition's leaf rows with the batch's ranks.
+func (b *buildBatch) leafRows(d *Def) (*storage.Schema, []storage.Row, error) {
+	if d.MV != nil {
+		schema, rows, err := MaterializeMV(b.db, d.MV)
+		if err != nil {
+			return nil, nil, err
+		}
+		return MaterializeOver(schema, rows, d)
+	}
+	t := b.db.Table(d.Table)
+	if t == nil {
+		return nil, nil, fmt.Errorf("index: unknown table %q", d.Table)
+	}
+	return buildLeafRows(t.Schema, t.Rows, d, func(ci int) []int32 {
+		v, _ := b.ranks.LoadOrStore(t, make([]sharedRanks, len(t.Schema.Columns)))
+		sr := &v.([]sharedRanks)[ci]
+		sr.once.Do(func() { sr.rank = rankColumn(t.Rows, ci, t.Schema.Columns[ci].Kind) })
+		return sr.rank
+	})
+}
+
+// buildLeafRows filters, projects in key order and appends the RID column.
+// rank serves a key column's ranks over baseRows; nil (and a partial index,
+// whose kept rows are its own) ranks the rows for this definition alone.
+func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def, rank func(ci int) []int32) (*storage.Schema, []storage.Row, error) {
+	for i, c := range d.KeyCols {
+		if slices.ContainsFunc(d.KeyCols[:i], func(k string) bool { return strings.EqualFold(k, c) }) {
+			return nil, nil, fmt.Errorf("index: %s repeats key column %q", d, c)
+		}
+	}
 	// Filter for partial indexes.
 	rows := baseRows
 	if d.IsPartial() {
@@ -309,6 +333,9 @@ func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def) (
 				rows = append(rows, r)
 			}
 		}
+	}
+	if rank == nil || d.IsPartial() {
+		rank = func(ci int) []int32 { return rankColumn(rows, ci, baseSchema.Columns[ci].Kind) }
 	}
 
 	var cols []string
@@ -337,51 +364,118 @@ func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def) (
 		schema = storage.NewSchema(outCols...)
 	}
 
-	nKeys := len(d.KeyCols)
-	if nKeys == 0 && !addRID {
+	if len(d.KeyCols) == 0 && !addRID {
 		// A heap: every column in table order and nothing to sort by, so the
 		// base rows are the leaf rows.
 		return schema, rows, nil
 	}
+	keyIdx := make([]int, len(d.KeyCols))
+	for k, c := range d.KeyCols {
+		keyIdx[k] = baseSchema.ColIndex(c)
+	}
 
-	// Project into one slab per structure rather than one allocation per row.
+	// Project in key order into one slab, so the packer walks memory
+	// sequentially.
 	width := len(outCols)
 	slab := make([]storage.Value, len(rows)*width)
 	out := make([]storage.Row, len(rows))
-	for i, r := range rows {
-		row := slab[i*width : (i+1)*width : (i+1)*width]
-		for j, ci := range colIdx {
-			row[j] = r[ci]
+	for j, i := range keyOrder(rows, keyIdx, rank) {
+		row := slab[j*width : (j+1)*width : (j+1)*width]
+		for c, ci := range colIdx {
+			row[c] = rows[i][ci]
 		}
 		if addRID {
 			row[width-1] = storage.IntVal(int64(i))
 		}
-		out[i] = row
+		out[j] = row
 	}
-	if nKeys == 0 {
-		return schema, out, nil
-	}
+	return schema, out, nil
+}
 
-	// Sort a permutation by key with the base position as tie-break: the
-	// order a stable sort gives, without its reflection-based swapper.
-	order := make([]int32, len(out))
+// rankColumn returns each row's dense rank in column ci under Value.Compare:
+// NULL = 0, equal values share a rank, the rest count up from 1. It returns
+// nil for a column only the comparator can order — one holding a value of
+// another kind than the column's, or a NaN, which Compare and a key order
+// place differently (catalog.sortedValues falls back the same way).
+func rankColumn(rows []storage.Row, ci int, kind storage.Kind) []int32 {
+	switch kind {
+	case storage.KindInt, storage.KindDate:
+		return rankBy(rows, ci, kind, func(v storage.Value) int64 { return v.Int })
+	case storage.KindFloat:
+		return rankBy(rows, ci, kind, func(v storage.Value) float64 { return v.Float })
+	case storage.KindString:
+		return rankBy(rows, ci, kind, func(v storage.Value) string { return v.Str })
+	}
+	return nil
+}
+
+// rankBy ranks column ci by its bare keys: one typed sort of (key, position)
+// pairs, then one pass handing out dense ranks.
+func rankBy[K cmp.Ordered](rows []storage.Row, ci int, kind storage.Kind, key func(storage.Value) K) []int32 {
+	type entry struct {
+		k   K
+		pos int32
+	}
+	es := make([]entry, 0, len(rows))
+	for i, r := range rows {
+		if v := r[ci]; !v.Null {
+			if k := key(v); v.Kind == kind && k == k {
+				es = append(es, entry{k, int32(i)})
+			} else {
+				return nil
+			}
+		}
+	}
+	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.k, b.k) })
+	rank, r := make([]int32, len(rows)), int32(0)
+	for i, e := range es {
+		if i == 0 || es[i-1].k < e.k {
+			r++
+		}
+		rank[e.pos] = r
+	}
+	return rank
+}
+
+// keyOrder returns the positions of rows sorted by the key columns keyIdx,
+// ties by position — the order of a stable sort under Value.Compare — as a
+// stable LSD counting sort over the columns' ranks: O(rows × keys), no
+// comparisons. A column only the comparator can order sends the whole order
+// through a comparison sort instead.
+func keyOrder(rows []storage.Row, keyIdx []int, rank func(ci int) []int32) []int32 {
+	order, next := make([]int32, len(rows)), make([]int32, len(rows))
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		ra, rb := out[a], out[b]
-		for k := 0; k < nKeys; k++ {
-			if c := ra[k].Compare(rb[k]); c != 0 {
-				return c
-			}
+	ranks := make([][]int32, len(keyIdx))
+	for k, ci := range keyIdx {
+		if ranks[k] = rank(ci); ranks[k] == nil {
+			slices.SortFunc(order, func(a, b int32) int {
+				for _, ci := range keyIdx {
+					if c := rows[a][ci].Compare(rows[b][ci]); c != 0 {
+						return c
+					}
+				}
+				return cmp.Compare(a, b)
+			})
+			return order
 		}
-		return cmp.Compare(a, b)
-	})
-	sorted := make([]storage.Row, len(out))
-	for i, at := range order {
-		sorted[i] = out[at]
 	}
-	return schema, sorted, nil
+	for k := len(ranks) - 1; k >= 0; k-- {
+		rk, count := ranks[k], make([]int32, len(rows)+2)
+		for _, i := range order {
+			count[rk[i]+1]++
+		}
+		for r := 1; r < len(count); r++ {
+			count[r] += count[r-1]
+		}
+		for _, i := range order {
+			next[count[rk[i]]] = i
+			count[rk[i]]++
+		}
+		order, next = next, order
+	}
+	return order
 }
 
 // reorderLeading moves the key columns to the front of the column list,

@@ -1,11 +1,15 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
+	"cadb/internal/par"
 	"cadb/internal/storage"
 )
 
@@ -37,13 +41,47 @@ type LeafStats struct {
 }
 
 // BuildSegmentIndex materializes the index as a compressed segment over the
-// database.
+// database: BuildSegments of one definition.
 func BuildSegmentIndex(db *catalog.Database, d *Def) (*SegmentIndex, error) {
-	schema, rows, err := MaterializeRows(db, d)
-	if err != nil {
-		return nil, err
+	sis, err := BuildSegments(db, []*Def{d}, nil)
+	return sis[0], err
+}
+
+// BuildSegments materializes one segment per definition over the database's
+// current rows in one fan-out across the CPUs. The builds share each key
+// column's ranks and start heaviest first (base rows × leaf width), so the
+// longest does not start last; each lands in its definition's slot, so the
+// segments are the same at any GOMAXPROCS. done, when non-nil, runs on each
+// built segment inside the fan-out. A failed build or done leaves its slot
+// nil; the first error in definition order is returned.
+func BuildSegments(db *catalog.Database, defs []*Def, done func(i int, si *SegmentIndex) error) ([]*SegmentIndex, error) {
+	b := &buildBatch{db: db}
+	order, weight := make([]int, len(defs)), make([]int, len(defs))
+	for i, d := range defs {
+		order[i] = i
+		if t := db.Table(d.Table); t != nil {
+			weight[i] = len(t.Rows) * (len(d.Columns()) + 1)
+			if d.Clustered {
+				weight[i] = len(t.Rows) * len(t.Schema.Columns)
+			}
+		}
 	}
-	return BuildSegmentOver(schema, rows, d)
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(weight[y], weight[x]) })
+	out, errs := make([]*SegmentIndex, len(defs)), make([]error, len(defs))
+	par.For(runtime.GOMAXPROCS(0), len(order), func(k int) {
+		i := order[k]
+		schema, rows, err := b.leafRows(defs[i])
+		if err == nil {
+			out[i], err = BuildSegmentOver(schema, rows, defs[i])
+		}
+		if err == nil && done != nil {
+			err = done(i, out[i])
+		}
+		if errs[i] = err; err != nil {
+			out[i] = nil
+		}
+	})
+	return out, cmp.Or(errs...)
 }
 
 // BuildSegmentOver materializes a segment index over pre-built, pre-sorted
