@@ -34,7 +34,6 @@
 package cadb
 
 import (
-	"fmt"
 	"io"
 
 	"cadb/internal/bufferpool"
@@ -162,23 +161,6 @@ func InsertIntensive(wl *Workload) *Workload { return workloads.InsertIntensive(
 
 // UpdateIntensive scales the UPDATE/DELETE weights up by 10x.
 func UpdateIntensive(wl *Workload) *Workload { return workloads.UpdateIntensive(wl) }
-
-// ChunkedSource streams a deterministic synthetic fact table in fixed-size
-// blocks whose randomness is re-derived per (seed, block), so any block can
-// be generated independently — the out-of-core generation path that reaches
-// 10⁷ rows without materializing a database.
-type ChunkedSource = datagen.ChunkedSource
-
-// ChunkedBlockRows is the fixed block size of a ChunkedSource.
-const ChunkedBlockRows = datagen.ChunkedBlockRows
-
-// NewChunkedSource returns the out-of-core fact generator for a dataset name
-// ("tpch" or "sales"). The rows match the in-memory generators' schema and
-// distributions (not row-for-row — dimension-derived values are hashed from
-// keys instead of looked up).
-func NewChunkedSource(name string, rows int, zipf float64, seed int64) (*ChunkedSource, error) {
-	return datagen.ChunkedByName(name, rows, zipf, seed)
-}
 
 // ParseWorkload parses a SQL workload script (semicolon-separated statements
 // with optional "-- label: X weight: N" directives).
@@ -371,30 +353,6 @@ func WriteSegmentFile(path string, seg *Segment) (*SegmentFile, error) {
 // OpenSegmentFile opens an existing segment file, validating the header
 // checksum.
 func OpenSegmentFile(path string) (*SegmentFile, error) { return storage.OpenSegmentFile(path) }
-
-// SegmentWriter builds a disk-backed segment from a stream of row batches
-// without materializing all rows or pages in memory — byte-identical to a
-// whole-slice build, holding only the tentative tail page between batches.
-type SegmentWriter = storage.SegmentWriter
-
-// NewChunkedSegmentWriter starts an out-of-core segment build at path for a
-// chunked source's schema under the given compression method (which must
-// have a materializing codec). Stream src's blocks through Append and call
-// Finish with a buffer pool to obtain the disk-backed Segment.
-func NewChunkedSegmentWriter(path string, src *ChunkedSource, m CompressionMethod) (*SegmentWriter, error) {
-	codec := compress.Codec(m)
-	if codec == nil {
-		return nil, fmt.Errorf("cadb: method %s has no materializing codec", m)
-	}
-	return storage.NewSegmentWriter(path, src.Schema(), codec)
-}
-
-// WrapSegmentScanOnly wraps an already-built segment (e.g. a SegmentWriter's
-// output) as a scan-only SegmentIndex: no per-page low keys, but full-scan
-// cursors work unchanged.
-func WrapSegmentScanOnly(seg *Segment, d *IndexDef) *SegmentIndex {
-	return index.WrapSegment(seg, d)
-}
 
 // PoolProfile makes what-if costing buffer-pool-aware: the page-I/O cost
 // terms of a structure that fits the pool's capacity are discounted by the

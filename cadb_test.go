@@ -299,7 +299,7 @@ func TestOptionCounts(t *testing.T) {
 		{"sizeest.Config", SizeOracleConfig{}, 5},
 		{"optimizer.PoolProfile", PoolProfile{}, 1},
 		{"experiments.ScanSweepConfig", experiments.ScanSweepConfig{}, 3},
-		{"experiments.PoolSweepConfig", experiments.PoolSweepConfig{}, 6},
+		{"experiments.PoolSweepConfig", experiments.PoolSweepConfig{}, 5},
 	} {
 		if got := reflect.TypeOf(c.config).NumField(); got != c.want {
 			t.Errorf("%s has %d fields, want %d: a new option needs two non-test callers that set it differently — "+

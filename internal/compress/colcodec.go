@@ -34,17 +34,14 @@ import (
 // decode skips unneeded columns in O(1) regardless of their method.
 //
 // GDICT is stateful: the codec instance carries one dictionary per GDICT
-// column for the lifetime of the segment. Codes are assigned in first-
-// occurrence order over the row stream, and each page records the code width
-// of the largest code it actually holds — both properties depend only on the
-// stream prefix, which keeps chunked (SegmentWriter) encoding byte-identical
-// to a whole-slice build. PrepareSegment, run automatically by BuildSegment,
-// additionally scans the full row set up front so each GDICT column can fall
-// back to plain storage when the dictionary would not pay for itself (the
-// same min(dict, plain) policy the size model charges). After the segment is
-// built the dictionary is read-only, so concurrent decoders share it without
-// synchronization; predicate verdicts per code are memoized in each decoder
-// (see decoder.go), never in the shared state.
+// column for the lifetime of the segment. EncodeRows first scans the full row
+// set, assigning codes in first-occurrence order and letting each GDICT
+// column fall back to plain storage when the dictionary would not pay for
+// itself (the same min(dict, plain) policy the size model charges); each page
+// then records the code width of the largest code it actually holds. After
+// the segment is built the dictionary is read-only, so concurrent decoders
+// share it without synchronization; predicate verdicts per code are memoized
+// in each decoder (see decoder.go), never in the shared state.
 type columnCodec struct {
 	def       Method
 	overrides map[string]Method // lowercased column name -> method
@@ -53,7 +50,6 @@ type columnCodec struct {
 	resolved    []Method      // per-column method, schema order
 	dicts       []*gdictState // per-column dictionary; nil for non-GDICT
 	slotted     bool          // any non-RLE column: page pays the slot array
-	prepared    bool
 }
 
 // GDICT section modes.
@@ -70,7 +66,7 @@ type gdictState struct {
 	vals  []string       // code -> encoded value bytes
 	codes map[string]int // string columns: encoded value bytes -> code
 	nums  map[uint64]int // numeric columns: value bit pattern -> code (cheaper to hash)
-	plain bool           // pre-pass elected plain storage
+	plain bool           // the dictionary lost to plain storage
 }
 
 // register returns the code of the encoded value, assigning the next one on
@@ -185,17 +181,12 @@ func (cc *columnCodec) resolve(s *storage.Schema) {
 	})
 }
 
-// PrepareSegment is the segment-level pre-pass: it builds each GDICT column's
-// full dictionary in first-occurrence order and elects plain storage for
-// columns where the dictionary would not beat ROW-style plain values — the
-// same min(dictionary, plain) policy the size model charges. BuildSegment
-// calls it automatically; the streaming SegmentWriter cannot (no full row
-// set), so chunked GDICT builds always dictionary-encode.
-func (cc *columnCodec) PrepareSegment(s *storage.Schema, rows []storage.Row) error {
+// prepare is the segment-level pre-pass: it builds each GDICT column's full
+// dictionary in first-occurrence order and elects plain storage for columns
+// where the dictionary would not beat ROW-style plain values — the same
+// min(dictionary, plain) policy the size model charges.
+func (cc *columnCodec) prepare(s *storage.Schema, rows []storage.Row) {
 	cc.resolve(s)
-	if cc.prepared {
-		return fmt.Errorf("compress: PrepareSegment called twice")
-	}
 	// Row-major, so each row is visited once however many columns are GDICT.
 	scratch := make([]byte, 0, 64)
 	plain := make([]int64, len(cc.dicts))
@@ -221,8 +212,6 @@ func (cc *columnCodec) PrepareSegment(s *storage.Schema, rows []storage.Row) err
 		}
 		st.plain = dictBytes+nonNull[ci]*int64(codeWidth(len(st.vals))) >= plain[ci]
 	}
-	cc.prepared = true
-	return nil
 }
 
 // SegmentState serializes the codec's segment-level state (the global
@@ -293,6 +282,9 @@ func (cc *columnCodec) LoadSegmentState(s *storage.Schema, state []byte) error {
 			}
 			count := int(binary.BigEndian.Uint32(state))
 			state = state[4:]
+			if count > len(state) { // every entry has at least its length byte
+				return fmt.Errorf("compress: %d dictionary entries in %d state bytes at column %d", count, len(state), ci)
+			}
 			st.vals = make([]string, 0, count)
 			for k := 0; k < count; k++ {
 				n, adv, err := readLenPrefix(state)
@@ -303,6 +295,9 @@ func (cc *columnCodec) LoadSegmentState(s *storage.Schema, state []byte) error {
 				if len(state) < n {
 					return fmt.Errorf("compress: short dictionary entry at column %d", ci)
 				}
+				if s.Columns[ci].Kind != storage.KindString && n > 8 {
+					return fmt.Errorf("compress: %d-byte numeric dictionary entry at column %d", n, ci)
+				}
 				st.add(s.Columns[ci].Kind, string(state[:n]))
 				state = state[n:]
 			}
@@ -310,7 +305,6 @@ func (cc *columnCodec) LoadSegmentState(s *storage.Schema, state []byte) error {
 			return fmt.Errorf("compress: unknown state mode %d at column %d", mode, ci)
 		}
 	}
-	cc.prepared = true
 	return nil
 }
 
@@ -328,13 +322,18 @@ func (cc *columnCodec) ColumnMethodIDs(s *storage.Schema) []byte {
 // ---------------------------------------------------------------------------
 // Encoding
 
+// EncodeRows runs the GDICT pre-pass over the segment's rows, then packs
+// them. An empty segment skips the pre-pass, so its state records an empty
+// dictionary rather than a plain election.
 func (cc *columnCodec) EncodeRows(s *storage.Schema, rows []storage.Row) ([]storage.EncodedPage, error) {
+	if len(rows) > 0 {
+		cc.prepare(s, rows)
+	}
 	return cc.packer(s).pack(rows)
 }
 
-// packer returns a packer for the design's pages. Sizing a page registers the
-// dictionary values of the row that overflowed it; that is harmless because
-// codes are assigned in stream order either way.
+// packer returns a packer for the design's pages, against the dictionaries
+// the pre-pass built.
 func (cc *columnCodec) packer(s *storage.Schema) *packer {
 	cc.resolve(s)
 	return newPacker(s, pageLayout{methods: cc.resolved, dicts: cc.dicts, slotted: cc.slotted})
@@ -373,8 +372,7 @@ func appendRowSection(dst []byte, c storage.Column, rows []storage.Row, ci int, 
 
 // appendGDictSection stores the column as fixed-width codes against the
 // segment-global dictionary (or ROW-style plain when the pre-pass elected
-// it). The code width is sized by the largest code present on this page, so
-// chunked encodes reproduce whole-slice bytes.
+// it). The code width is sized by the largest code present on this page.
 func (p *packer) appendGDictSection(dst []byte, c storage.Column, rows []storage.Row, ci int) []byte {
 	st := p.lay.dicts[ci]
 	if st.plain {

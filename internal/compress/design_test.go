@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"cadb/internal/bufferpool"
 	"cadb/internal/storage"
 )
 
@@ -64,105 +63,9 @@ func TestMixedDesignSelectiveDecode(t *testing.T) {
 	}
 }
 
-// buildChunked streams rows through a SegmentWriter in the given chunk size
-// and returns the finished file's bytes.
-func buildChunked(t *testing.T, path string, s *storage.Schema, rows []storage.Row, c storage.PageCodec, chunk int) []byte {
-	t.Helper()
-	w, err := storage.NewSegmentWriter(path, s, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for at := 0; at < len(rows); at += chunk {
-		end := at + chunk
-		if end > len(rows) {
-			end = len(rows)
-		}
-		if err := w.Append(rows[at:end]); err != nil {
-			w.Abort()
-			t.Fatal(err)
-		}
-	}
-	seg, err := w.Finish(bufferpool.New(1 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg.CloseBacking() // removes the file; bytes are already in hand
-	return data
-}
-
-// TestMixedChunkedWriterIdentity checks that the out-of-core build path is
-// chunk-invariant for the stateful codecs: any batching of the same rows
-// produces a byte-identical segment file. GDICT's first-occurrence code
-// assignment is what makes this hold — codes registered while trial-encoding
-// a tentative tail page are exactly the codes a whole-slice encode assigns.
-func TestMixedChunkedWriterIdentity(t *testing.T) {
-	s := codecSchema()
-	rows := genCodecRows(900, 0.2, 31)
-	dir := t.TempDir()
-	designs := append([]struct {
-		name string
-		def  Method
-		over map[string]Method
-	}{
-		{"uniform-gdict", GlobalDict, nil},
-		{"uniform-rle", RLE, nil},
-	}, mixedDesigns...)
-	for _, d := range designs {
-		base := buildChunked(t, filepath.Join(dir, d.name+"-whole.cadbseg"), s, rows,
-			DesignCodec(d.def, d.over), len(rows))
-		for _, chunk := range []int{1, 13, 97, 350} {
-			got := buildChunked(t, filepath.Join(dir, fmt.Sprintf("%s-%d.cadbseg", d.name, chunk)),
-				s, rows, DesignCodec(d.def, d.over), chunk)
-			if !bytes.Equal(base, got) {
-				t.Fatalf("%s: chunk size %d produced different file bytes (%d vs %d)",
-					d.name, chunk, len(got), len(base))
-			}
-		}
-	}
-}
-
-// TestChunkedMatchesBuildSegment pins the stronger identity for designs where
-// no GDICT column elects plain storage: the streamed file is byte-identical
-// to WriteSegmentFile over a whole-slice BuildSegment (which runs the
-// dictionary pre-pass). The design keeps GDICT on low-cardinality columns so
-// the dictionary always wins the election.
-func TestChunkedMatchesBuildSegment(t *testing.T) {
-	s := codecSchema()
-	rows := genCodecRows(900, 0.2, 37)
-	over := map[string]Method{"mode": GlobalDict, "qty": GlobalDict, "ship": RLE}
-	dir := t.TempDir()
-
-	seg, err := storage.BuildSegment(s, rows, DesignCodec(Row, over))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wholePath := filepath.Join(dir, "whole.cadbseg")
-	sf, err := storage.WriteSegmentFile(wholePath, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf.Close()
-	whole, err := os.ReadFile(wholePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{64, 350, 900} {
-		got := buildChunked(t, filepath.Join(dir, fmt.Sprintf("chunk-%d.cadbseg", chunk)),
-			s, rows, DesignCodec(Row, over), chunk)
-		if !bytes.Equal(whole, got) {
-			t.Fatalf("chunk size %d differs from BuildSegment file (%d vs %d bytes)", chunk, len(got), len(whole))
-		}
-	}
-}
-
 // TestGDictPlainElection: an all-distinct column is GDICT's worst case — the
-// prepared build must elect plain storage (dropping the dictionary from the
-// segment state) and still round-trip, while the unprepared streaming build
-// keeps dictionary codes and also round-trips.
+// build must elect plain storage (dropping the dictionary from the segment
+// state) and still round-trip.
 func TestGDictPlainElection(t *testing.T) {
 	s := storage.NewSchema(
 		storage.Column{Name: "k", Kind: storage.KindString, Nullable: true},
@@ -177,7 +80,7 @@ func TestGDictPlainElection(t *testing.T) {
 	}
 	// Plain election drops the dictionary: the state is one mode byte.
 	if seg.StateBytes() != 1 {
-		t.Fatalf("prepared all-distinct GDICT state = %d bytes, want 1 (plain election)", seg.StateBytes())
+		t.Fatalf("all-distinct GDICT state = %d bytes, want 1 (plain election)", seg.StateBytes())
 	}
 	got := scanAll(t, seg)
 	for i := range rows {
@@ -190,29 +93,6 @@ func TestGDictPlainElection(t *testing.T) {
 	if gd, row := SizeRows(s, rows, GlobalDict), SizeRows(s, rows, Row); gd > row {
 		t.Fatalf("all-distinct GDICT modeled %d > ROW %d — plain election missing from model", gd, row)
 	}
-
-	// Streaming build (no pre-pass): dictionary codes are used regardless and
-	// the rows still come back byte-identical.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "stream.cadbseg")
-	w, err := storage.NewSegmentWriter(path, s, Codec(GlobalDict))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(rows); err != nil {
-		t.Fatal(err)
-	}
-	sseg, err := w.Finish(bufferpool.New(1 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sgot := scanAll(t, sseg)
-	for i := range rows {
-		if !bytes.Equal(canonical(s, sgot[i]), canonical(s, rows[i])) {
-			t.Fatalf("streamed row %d mismatch", i)
-		}
-	}
-	sseg.CloseBacking()
 }
 
 // TestRLEConstantColumn: a constant column is RLE's best case — whole pages
@@ -245,7 +125,7 @@ func TestRLEConstantColumn(t *testing.T) {
 	}
 }
 
-// TestSegmentStateRoundTrip serializes a prepared design codec's segment
+// TestSegmentStateRoundTrip serializes a built design codec's segment
 // state and rebuilds a fresh codec from it, which must decode every page of
 // the segment file identically — the reopen path for segment files.
 func TestSegmentStateRoundTrip(t *testing.T) {

@@ -80,22 +80,19 @@ func referencePack(p *packer, rows []storage.Row) ([]storage.EncodedPage, error)
 	return out, nil
 }
 
-// packerDesign is one way to build a packer: a design, with or without the
-// segment pre-pass.
+// packerDesign is one design to build a packer for.
 type packerDesign struct {
-	name    string
-	def     Method
-	over    map[string]Method
-	prepare bool // run PrepareSegment first (BuildSegment does; SegmentWriter cannot)
+	name string
+	def  Method
+	over map[string]Method
 }
 
+// packer is what EncodeRows packs with: a fresh codec after its pre-pass.
 func (d packerDesign) packer(t *testing.T, s *storage.Schema, rows []storage.Row) *packer {
 	t.Helper()
 	cc := newColumnCodec(d.def, d.over)
-	if d.prepare && len(rows) > 0 {
-		if err := cc.PrepareSegment(s, rows); err != nil {
-			t.Fatal(err)
-		}
+	if len(rows) > 0 {
+		cc.prepare(s, rows)
 	}
 	return cc.packer(s)
 }
@@ -105,15 +102,14 @@ func (d packerDesign) packer(t *testing.T, s *storage.Schema, rows []storage.Row
 func randomDesigns(s *storage.Schema, rng *rand.Rand, mixed int) []packerDesign {
 	var out []packerDesign
 	for _, m := range codecMethods {
-		out = append(out, packerDesign{name: m.String(), def: m, prepare: true})
+		out = append(out, packerDesign{name: m.String(), def: m})
 	}
-	out = append(out, packerDesign{name: "GDICT-unprepared", def: GlobalDict})
 	for i := 0; i < mixed; i++ {
 		over := make(map[string]Method)
 		for _, c := range s.Columns {
 			over[c.Name] = codecMethods[rng.Intn(len(codecMethods))]
 		}
-		out = append(out, packerDesign{name: fmt.Sprintf("mixed%d%v", i, over), def: Row, over: over, prepare: i%2 == 0})
+		out = append(out, packerDesign{name: fmt.Sprintf("mixed%d%v", i, over), def: Row, over: over})
 	}
 	return out
 }
@@ -224,8 +220,8 @@ func lineitemByShipdate(rows int) (*storage.Schema, []storage.Row) {
 func TestPackerEncodeBudget(t *testing.T) {
 	s, rows := lineitemByShipdate(6000)
 	designs := []packerDesign{
-		{name: "PAGE", def: Page, prepare: true},
-		{name: "mixed", def: Page, prepare: true, over: map[string]Method{
+		{name: "PAGE", def: Page},
+		{name: "mixed", def: Page, over: map[string]Method{
 			"l_shipdate": RLE, "l_returnflag": GlobalDict, "l_linestatus": GlobalDict,
 			"l_shipmode": GlobalDict, "l_comment": Row, "l_extendedprice": None,
 		}},

@@ -117,10 +117,8 @@ func genSalesStores(rng *rand.Rand, n int) *catalog.Table {
 	return &catalog.Table{Name: "stores", Schema: sch, Rows: rows, PK: []string{"storeid"}}
 }
 
-// salesFactSchema is shared by the in-memory generator and the chunked
-// out-of-core one.
-func salesFactSchema() *storage.Schema {
-	return storage.NewSchema(
+func genSalesFact(rng *rand.Rand, cfg SalesConfig, nCust, nProd, nStore int) *catalog.Table {
+	sch := storage.NewSchema(
 		storage.Column{Name: "salesid", Kind: storage.KindInt},
 		storage.Column{Name: "orderdate", Kind: storage.KindDate},
 		storage.Column{Name: "shipdate", Kind: storage.KindDate},
@@ -136,10 +134,6 @@ func salesFactSchema() *storage.Schema {
 		storage.Column{Name: "promo", Kind: storage.KindString, FixedWidth: 10, Nullable: true},
 		storage.Column{Name: "note", Kind: storage.KindString},
 	)
-}
-
-func genSalesFact(rng *rand.Rand, cfg SalesConfig, nCust, nProd, nStore int) *catalog.Table {
-	sch := salesFactSchema()
 	cz := NewZipf(rng, nCust, cfg.Zipf)
 	pz := NewZipf(rng, nProd, cfg.Zipf)
 	stz := NewZipf(rng, len(usStates), cfg.Zipf)

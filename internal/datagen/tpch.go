@@ -267,10 +267,8 @@ func genOrders(rng *rand.Rand, n, nCust int, z float64) *catalog.Table {
 	}
 }
 
-// lineitemSchema is shared by the in-memory generator and the chunked
-// out-of-core one, so segments built either way agree structurally.
-func lineitemSchema() *storage.Schema {
-	return storage.NewSchema(
+func genLineitem(rng *rand.Rand, n int, orders *catalog.Table, nPart, nSupp int, z float64) *catalog.Table {
+	sch := storage.NewSchema(
 		storage.Column{Name: "l_orderkey", Kind: storage.KindInt},
 		storage.Column{Name: "l_partkey", Kind: storage.KindInt},
 		storage.Column{Name: "l_suppkey", Kind: storage.KindInt},
@@ -288,10 +286,6 @@ func lineitemSchema() *storage.Schema {
 		storage.Column{Name: "l_shipmode", Kind: storage.KindString, FixedWidth: 10},
 		storage.Column{Name: "l_comment", Kind: storage.KindString},
 	)
-}
-
-func genLineitem(rng *rand.Rand, n int, orders *catalog.Table, nPart, nSupp int, z float64) *catalog.Table {
-	sch := lineitemSchema()
 	nOrders := len(orders.Rows)
 	odateIdx := orders.Schema.ColIndex("o_orderdate")
 	pz := NewZipf(rng, nPart, z)

@@ -49,21 +49,11 @@ type PoolPoint struct {
 	CountedReads int64   `json:"counted_reads"`
 }
 
-// ChunkedPoolRows is the fact-row count above which PoolSweep switches to the
-// out-of-core path: the database is never materialized in memory — the
-// segment is streamed to disk from a chunked generator — so the sweep reaches
-// 10⁷ rows. Above the threshold there is no plain-row oracle; verification
-// compares readahead scans against serial ones instead.
-const ChunkedPoolRows = 2_000_000
-
 // PoolSweepConfig sizes a PoolSweep.
 type PoolSweepConfig struct {
 	// FactRows is the lineitem row count (`cadb-repro ext-pool -rows N`).
 	FactRows int
-	// Chunked forces the out-of-core build path regardless of FactRows
-	// (it is automatic above ChunkedPoolRows).
-	Chunked bool
-	Seed    int64
+	Seed     int64
 	// PoolFracs are the pool capacities as fractions of the NONE working
 	// set; the same absolute byte budgets are applied to every method.
 	PoolFracs []float64
@@ -136,10 +126,6 @@ func PoolSweep(cfg PoolSweepConfig) ([]PoolPoint, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-
-	if cfg.Chunked || cfg.FactRows > ChunkedPoolRows {
-		return poolSweepChunked(cfg, dir)
-	}
 
 	// The NONE working set anchors the absolute pool budgets so every method
 	// competes for the same memory.
@@ -277,123 +263,6 @@ func PoolSweep(cfg PoolSweepConfig) ([]PoolPoint, error) {
 			out = append(out, pt)
 		}
 		st.Close()
-	}
-	return out, nil
-}
-
-// poolSweepChunked is the out-of-core sweep: the lineitem segment is built
-// straight from the chunked generator through a SegmentWriter (one block plus
-// one tentative page resident), and the query stream is random ~3% row
-// windows — picked in row space so every method serves the same logical rows,
-// then mapped to each segment's page range, exactly what a clustered shipdate
-// window resolves to on the in-memory path.
-func poolSweepChunked(cfg PoolSweepConfig, dir string) ([]PoolPoint, error) {
-	type pageRange struct{ lo, hi int }
-	var noneWS int64
-	var out []PoolPoint
-	for _, m := range poolMethods {
-		src := datagen.ChunkedTPCHLineitem(datagen.TPCHConfig{LineitemRows: cfg.FactRows, Seed: cfg.Seed})
-		si, err := buildChunkedSegment(fmt.Sprintf("%s/%s.seg", dir, m), src, m, bufferpool.New(64<<20))
-		if err != nil {
-			return nil, err
-		}
-		seg := si.Seg
-		ws := seg.DiskBytes()
-		if m == compress.None {
-			noneWS = ws
-		}
-		spec := scanMeasureSpec(src.Schema())
-
-		rng := rand.New(rand.NewSource(cfg.Seed + 1))
-		total := seg.Rows()
-		width := total * 3 / 100
-		if width < 1 {
-			width = 1
-		}
-		ranges := make([]pageRange, cfg.Queries)
-		for i := range ranges {
-			a := rng.Int63n(total - width + 1)
-			ranges[i] = pageRange{lo: seg.PageForRow(a), hi: seg.PageForRow(a+width-1) + 1}
-		}
-
-		// No plain-row oracle exists at this scale; verify that readahead
-		// scans of the first windows are checksum-identical to serial ones.
-		for i := 0; i < cfg.Verify && i < len(ranges); i++ {
-			var s1, s2 storage.IOStats
-			t1, sum1, err := drainChecksum(si.PageRangeCursor(ranges[i].lo, ranges[i].hi, spec, &s1))
-			if err != nil {
-				seg.CloseBacking()
-				return nil, err
-			}
-			pc := si.PageRangeCursor(ranges[i].lo, ranges[i].hi, spec, &s2)
-			pc.EnablePrefetch(storage.DefaultPrefetchWindow, storage.DefaultPrefetchWorkers)
-			t2, sum2, err := drainChecksum(pc)
-			if err != nil {
-				seg.CloseBacking()
-				return nil, err
-			}
-			if t1 != t2 || sum1 != sum2 {
-				seg.CloseBacking()
-				return nil, fmt.Errorf("experiments: %s chunked window %d: readahead scan diverged from serial", m, i)
-			}
-		}
-
-		for _, frac := range cfg.PoolFracs {
-			poolBytes := int64(float64(noneWS) * frac)
-			if poolBytes < 2*storage.PageSize {
-				poolBytes = 2 * storage.PageSize
-			}
-			pool := bufferpool.New(poolBytes)
-			if err := seg.Repool(pool); err != nil {
-				seg.CloseBacking()
-				return nil, err
-			}
-			run := func(count *int64) error {
-				for _, r := range ranges {
-					var st storage.IOStats
-					if _, _, err := drainChecksum(si.PageRangeCursor(r.lo, r.hi, spec, &st)); err != nil {
-						return err
-					}
-					if count != nil {
-						*count += st.PageReads
-					}
-				}
-				return nil
-			}
-			// One unmeasured pass warms the pool (same steady-state protocol
-			// as the in-memory sweep).
-			if err := run(nil); err != nil {
-				seg.CloseBacking()
-				return nil, fmt.Errorf("%s @ %.2f (warm): %w", m, frac, err)
-			}
-			before := pool.Stats()
-			var counted int64
-			start := time.Now()
-			if err := run(&counted); err != nil {
-				seg.CloseBacking()
-				return nil, fmt.Errorf("%s @ %.2f: %w", m, frac, err)
-			}
-			wall := time.Since(start)
-			after := pool.Stats()
-			pt := PoolPoint{
-				Method:       m,
-				PoolFrac:     frac,
-				PoolBytes:    poolBytes,
-				WorkingSet:   ws,
-				Queries:      len(ranges),
-				Hits:         after.Hits - before.Hits,
-				Misses:       after.Misses - before.Misses,
-				BytesRead:    after.BytesRead - before.BytesRead,
-				Evictions:    after.Evictions - before.Evictions,
-				WallNS:       wall.Nanoseconds(),
-				CountedReads: counted,
-			}
-			if total := pt.Hits + pt.Misses; total > 0 {
-				pt.HitRate = float64(pt.Hits) / float64(total)
-			}
-			out = append(out, pt)
-		}
-		seg.CloseBacking()
 	}
 	return out, nil
 }

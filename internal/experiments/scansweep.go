@@ -15,9 +15,9 @@ import (
 )
 
 // ScanPoint is one (method × row count × mode) cell of the cold-scan
-// bandwidth sweep: a disk-backed segment built out-of-core, scanned end to
-// end through a fresh buffer pool, with MB/s measured against the raw ReadAt
-// baseline over the same file.
+// bandwidth sweep: a spilled segment scanned end to end through a fresh
+// buffer pool, with MB/s measured against the raw ReadAt baseline over the
+// same file.
 type ScanPoint struct {
 	Method compress.Method `json:"method"`
 	Rows   int             `json:"rows"`
@@ -44,7 +44,7 @@ type ScanPoint struct {
 	PrefetchWasted int64 `json:"prefetch_wasted"`
 }
 
-// ScanSweepConfig sizes a ScanSweep over the chunked TPC-H lineitem source.
+// ScanSweepConfig sizes a ScanSweep over the generated TPC-H lineitem table.
 type ScanSweepConfig struct {
 	// Rows are the fact row counts to sweep (each gets its own segments).
 	Rows []int
@@ -64,53 +64,17 @@ const (
 )
 
 // DefaultScanSweepConfig is the README-documented configuration (rows are set
-// by the caller — `cadb-repro ext-scan -rows 10000000` reaches 10⁷).
+// by the caller — `cadb-repro ext-scan -rows 1000000`).
 func DefaultScanSweepConfig() ScanSweepConfig {
 	return ScanSweepConfig{Rows: []int{1_000_000}, Seed: 42, PoolBytes: 64 << 20}
 }
 
-// buildChunkedSegment streams a chunked source through a SegmentWriter into
-// an on-disk segment served by pool, wrapped as a scan-only index. One block
-// plus one tentative page is resident at a time, so the build works at row
-// counts the in-memory generators cannot reach.
-func buildChunkedSegment(path string, src *datagen.ChunkedSource, m compress.Method, pool *bufferpool.Pool) (*index.SegmentIndex, error) {
-	codec := compress.Codec(m)
-	if codec == nil {
-		return nil, fmt.Errorf("experiments: method %s has no materializing codec", m)
-	}
-	w, err := storage.NewSegmentWriter(path, src.Schema(), codec)
-	if err != nil {
-		return nil, err
-	}
-	src.Reset()
-	for b := src.NextBlock(); b != nil; b = src.NextBlock() {
-		if err := w.Append(b); err != nil {
-			w.Abort()
-			return nil, err
-		}
-	}
-	seg, err := w.Finish(pool)
-	if err != nil {
-		return nil, err
-	}
-	return index.WrapSegment(seg, &index.Def{Table: src.Schema().Columns[0].Name, Method: m}), nil
-}
-
-// scanMeasureSpec projects the two measure columns the pool sweep also reads.
-// The first needed column is an integer — drainChecksum folds it into an
+// scanMeasureSpec projects the two lineitem measure columns the pool sweep
+// also reads. The first is an integer — drainChecksum folds it into an
 // order-sensitive checksum, so any reordering or divergence across scan modes
 // is caught, not just miscounts.
 func scanMeasureSpec(s *storage.Schema) *storage.DecodeSpec {
-	var needed []int
-	for _, name := range []string{"l_quantity", "l_extendedprice", "qty", "price"} {
-		if i := s.ColIndex(name); i >= 0 {
-			needed = append(needed, i)
-		}
-	}
-	if len(needed) == 0 {
-		needed = []int{0}
-	}
-	return &storage.DecodeSpec{Needed: needed}
+	return &storage.DecodeSpec{Needed: []int{s.ColIndex("l_quantity"), s.ColIndex("l_extendedprice")}}
 }
 
 // drainChecksum consumes a cursor to exhaustion, folding the first projected
@@ -163,9 +127,9 @@ func mbps(bytes int64, wall time.Duration) float64 {
 	return float64(bytes) / (1 << 20) / wall.Seconds()
 }
 
-// ScanSweep measures cold full-scan bandwidth over disk-backed segments built
-// out-of-core from a chunked source. For each method × row count the segment
-// is built once, then scanned three ways — raw sequential ReadAt (the disk
+// ScanSweep measures cold full-scan bandwidth over spilled lineitem heap
+// segments. For each method × row count the segment is built and spilled
+// once, then scanned three ways — raw sequential ReadAt (the disk
 // baseline), a serial cursor, and a serial cursor with async readahead — each
 // through a fresh buffer pool, with the file evicted from the OS page cache
 // first so each mode pays genuinely cold reads (without that, every mode
@@ -184,15 +148,18 @@ func ScanSweep(cfg ScanSweepConfig) ([]ScanPoint, error) {
 
 	var out []ScanPoint
 	for _, rows := range cfg.Rows {
+		db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: rows, Seed: cfg.Seed})
 		for _, m := range poolMethods {
-			src := datagen.ChunkedTPCHLineitem(datagen.TPCHConfig{LineitemRows: rows, Seed: cfg.Seed})
-			path := filepath.Join(dir, fmt.Sprintf("%s-%d.seg", m, rows))
-			si, err := buildChunkedSegment(path, src, m, bufferpool.New(cfg.PoolBytes))
+			si, err := index.BuildSegmentIndex(db, &index.Def{Table: "lineitem", Clustered: true, Method: m})
 			if err != nil {
 				return nil, err
 			}
 			seg := si.Seg
-			spec := scanMeasureSpec(src.Schema())
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.seg", m, rows))
+			if err := seg.Spill(path, bufferpool.New(cfg.PoolBytes)); err != nil {
+				return nil, err
+			}
+			spec := scanMeasureSpec(seg.Schema)
 			// Evict the just-written file from the OS page cache before each
 			// mode so every run pays real disk reads; best-effort — on
 			// platforms without fadvise the sweep runs warm and says so.
@@ -286,7 +253,7 @@ func ExtScan(sc Scale) *Report {
 		tbl.Add(p.Method.String(), p.Rows, p.Mode, mb,
 			fmt.Sprintf("%.1f", float64(p.WallNS)/1e6), p.PoolMisses, p.PoolPrefetched, p.PrefetchWasted)
 	}
-	rep.Notef("segments are built out-of-core (chunked generation through a SegmentWriter); both decoding modes produced identical order-sensitive row checksums")
+	rep.Notef("each segment is the lineitem heap built in memory and spilled; both decoding modes produced identical order-sensitive row checksums")
 	rep.Notef("raw-read is sequential 1MB ReadAt over the same file — the no-decode bandwidth ceiling the scans chase")
 	for _, p := range points {
 		if !p.ColdOS {

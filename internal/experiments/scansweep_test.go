@@ -59,34 +59,3 @@ func TestScanSweepSmall(t *testing.T) {
 		t.Fatal("prefetch scan issued no readahead")
 	}
 }
-
-// TestPoolSweepChunkedSmall forces the out-of-core pool-sweep path at a small
-// row count and checks the residency shape: with the pool sized to the full
-// NONE working set every method runs entirely from memory after the warm
-// pass, while a 10% pool leaves NONE missing.
-func TestPoolSweepChunkedSmall(t *testing.T) {
-	cfg := DefaultPoolSweepConfig()
-	cfg.FactRows = 40000
-	cfg.Queries = 8
-	cfg.Verify = 2
-	cfg.PoolFracs = []float64{0.1, 1.0}
-	cfg.Chunked = true
-	points, err := PoolSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(poolMethods) * len(cfg.PoolFracs); len(points) != want {
-		t.Fatalf("got %d points, want %d", len(points), want)
-	}
-	for _, p := range points {
-		if p.Queries != cfg.Queries || p.CountedReads <= 0 || p.WorkingSet <= 0 {
-			t.Fatalf("degenerate point: %+v", p)
-		}
-		if p.PoolFrac == 1.0 && p.Misses != 0 {
-			t.Fatalf("%s at full-size pool still missed %d pages", p.Method, p.Misses)
-		}
-		if p.PoolFrac == 0.1 && p.Method == compress.None && p.Misses == 0 {
-			t.Fatalf("NONE at 10%% pool missed nothing — sweep not exercising eviction")
-		}
-	}
-}

@@ -115,16 +115,6 @@ func BuildSegmentOver(schema *storage.Schema, rows []storage.Row, d *Def) (*Segm
 	return si, nil
 }
 
-// WrapSegment wraps an already-built segment — typically one streamed to
-// disk by a storage.SegmentWriter — as a scan-only SegmentIndex: it carries
-// no per-page low keys (SeekPages degrades to the full page range) and no
-// leaf statistics, but ScanCursor and PageRangeCursor work unchanged. This is
-// how out-of-core builds, which never hold the rows needed to extract low
-// keys, join the cursor machinery.
-func WrapSegment(seg *storage.Segment, d *Def) *SegmentIndex {
-	return &SegmentIndex{Def: d, Seg: seg}
-}
-
 // Schema returns the leaf schema (key + include columns, plus __rid for
 // non-clustered indexes).
 func (si *SegmentIndex) Schema() *storage.Schema { return si.Seg.Schema }

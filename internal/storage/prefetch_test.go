@@ -1,115 +1,12 @@
 package storage
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"cadb/internal/bufferpool"
 )
-
-// TestSegmentWriterMatchesBuildSegment streams rows through the chunked
-// writer in awkward batch sizes and checks the resulting file is
-// byte-identical to WriteSegmentFile over a whole-slice BuildSegment — the
-// property that makes out-of-core builds interchangeable with in-memory
-// ones.
-func TestSegmentWriterMatchesBuildSegment(t *testing.T) {
-	s, rows, seg := testSegment(t, 3000)
-	dir := t.TempDir()
-	wholePath := filepath.Join(dir, "whole.cadb")
-	sf, err := WriteSegmentFile(wholePath, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf.Close()
-
-	for _, chunk := range []int{1, 7, 64, 501, 3000} {
-		chunkPath := filepath.Join(dir, "chunked.cadb")
-		w, err := NewSegmentWriter(chunkPath, s, plainCodec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for at := 0; at < len(rows); at += chunk {
-			end := at + chunk
-			if end > len(rows) {
-				end = len(rows)
-			}
-			if err := w.Append(rows[at:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		pool := bufferpool.New(1 << 20)
-		cseg, err := w.Finish(pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		whole, err := os.ReadFile(wholePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chunked, err := os.ReadFile(chunkPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(whole, chunked) {
-			t.Fatalf("chunk size %d: chunked file differs from whole-slice file (%d vs %d bytes)",
-				chunk, len(chunked), len(whole))
-		}
-		if cseg.Rows() != seg.Rows() || cseg.NumPages() != seg.NumPages() ||
-			cseg.DiskBytes() != seg.DiskBytes() || cseg.PayloadBytes() != seg.PayloadBytes() {
-			t.Fatalf("chunk size %d: segment metadata differs", chunk)
-		}
-		// The returned segment must serve pages through the pool.
-		got := scanAll(t, cseg, nil)
-		if len(got) != len(rows) || got[0][0].Int != rows[0][0].Int {
-			t.Fatalf("chunk size %d: scan through pool wrong", chunk)
-		}
-		if pool.Stats().Misses == 0 {
-			t.Fatalf("chunk size %d: scan did not go through the pool", chunk)
-		}
-		// No spool left behind.
-		if _, err := os.Stat(chunkPath + ".spool"); !os.IsNotExist(err) {
-			t.Fatalf("chunk size %d: spool file left behind", chunk)
-		}
-		cseg.CloseBacking()
-	}
-}
-
-// TestSegmentWriterBoundedMemory checks the writer retains at most a tail
-// page of rows between Appends.
-func TestSegmentWriterBoundedMemory(t *testing.T) {
-	s := NewSchema(
-		Column{Name: "id", Kind: KindInt},
-		Column{Name: "name", Kind: KindString, FixedWidth: 40},
-		Column{Name: "val", Kind: KindFloat},
-	)
-	w, err := NewSegmentWriter(filepath.Join(t.TempDir(), "seg.cadb"), s, plainCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Abort()
-	batch := make([]Row, 512)
-	for i := range batch {
-		batch[i] = Row{IntVal(int64(i)), StringVal("row-padding-padding-padding"), FloatVal(1.5)}
-	}
-	rowsPerPage := 0
-	for i := 0; i < 20; i++ {
-		if err := w.Append(batch); err != nil {
-			t.Fatal(err)
-		}
-		if rowsPerPage == 0 && len(w.pages) > 0 {
-			rowsPerPage = w.pages[0].Rows
-		}
-		if rowsPerPage > 0 && len(w.pending) > rowsPerPage {
-			t.Fatalf("after append %d: %d rows pending, page holds %d", i, len(w.pending), rowsPerPage)
-		}
-	}
-	if w.Rows() != 20*512 {
-		t.Fatalf("Rows() = %d", w.Rows())
-	}
-}
 
 // allPages is the visit order of a full scan.
 func allPages(seg *Segment) []int {

@@ -30,7 +30,8 @@ import (
 //	then N directory entries of 24 bytes each:
 //	         offset u64 | length u32 | rows u32 | accounted u32 | crc32 u32
 //	u32      CRC32 (IEEE) of everything before it
-//	then the page payloads at their directory offsets.
+//	then the page payloads back to back, page 0 first, up to the file's end
+//	(each directory offset is where the previous payload ends).
 type SegmentFile struct {
 	f         *os.File
 	path      string
@@ -61,21 +62,21 @@ const (
 	segFileVersion = 2
 )
 
-// segHeader assembles a segment file's header — codec name, design vector,
-// state block, counts, page directory, checksum — and returns it with the
-// SegmentFile describing it (no file handle yet). entries arrive with
-// offsets relative to the first payload byte and leave rebased onto the file.
-func segHeader(path string, c PageCodec, s *Schema, entries []segPageEntry, rows int64) ([]byte, *SegmentFile, error) {
+// WriteSegmentFile writes the segment's pages to path (truncating any
+// previous file) and returns an open handle for reads. The segment must
+// still hold its payloads (i.e. not already be spilled).
+func WriteSegmentFile(path string, seg *Segment) (*SegmentFile, error) {
 	// The design vector first: it resolves the codec against the schema,
 	// which is what fixes the codec's name.
-	ids := c.ColumnMethodIDs(s)
-	state := c.SegmentState()
-	name := c.Name()
+	s := seg.Schema
+	ids := seg.Codec.ColumnMethodIDs(s)
+	state := seg.Codec.SegmentState()
+	name := seg.Codec.Name()
 	if len(name) > 255 {
-		return nil, nil, fmt.Errorf("storage: codec name %q too long", name)
+		return nil, fmt.Errorf("storage: codec name %q too long", name)
 	}
 	if len(s.Columns) > 0xFFFF {
-		return nil, nil, fmt.Errorf("storage: design vector of %d columns", len(s.Columns))
+		return nil, fmt.Errorf("storage: design vector of %d columns", len(s.Columns))
 	}
 	h := append([]byte(nil), segMagic...)
 	h = binary.BigEndian.AppendUint32(h, segFileVersion)
@@ -85,7 +86,7 @@ func segHeader(path string, c PageCodec, s *Schema, entries []segPageEntry, rows
 	design := make([]SegColumnMethod, len(s.Columns))
 	for i, col := range s.Columns {
 		if len(col.Name) > 255 {
-			return nil, nil, fmt.Errorf("storage: column name %q too long", col.Name)
+			return nil, fmt.Errorf("storage: column name %q too long", col.Name)
 		}
 		design[i] = SegColumnMethod{Name: col.Name, Method: ids[i]}
 		h = append(h, byte(len(col.Name)))
@@ -94,12 +95,25 @@ func segHeader(path string, c PageCodec, s *Schema, entries []segPageEntry, rows
 	}
 	h = binary.BigEndian.AppendUint32(h, uint32(len(state)))
 	h = append(h, state...)
-	h = binary.BigEndian.AppendUint32(h, uint32(len(entries)))
-	h = binary.BigEndian.AppendUint64(h, uint64(rows))
-	headerLen := uint64(len(h) + 24*len(entries) + 4)
-	for i := range entries {
+	h = binary.BigEndian.AppendUint32(h, uint32(len(seg.pages)))
+	h = binary.BigEndian.AppendUint64(h, uint64(seg.rows))
+	// Payloads follow the header back to back, in page order.
+	entries := make([]segPageEntry, len(seg.pages))
+	at := uint64(len(h) + 24*len(entries) + 4)
+	for i := range seg.pages {
+		p := &seg.pages[i]
+		if p.Payload == nil && p.Rows > 0 {
+			return nil, fmt.Errorf("storage: page %d has no payload (segment already spilled?)", i)
+		}
 		e := &entries[i]
-		e.offset += headerLen
+		*e = segPageEntry{
+			offset:    at,
+			length:    uint32(len(p.Payload)),
+			rows:      uint32(p.Rows),
+			accounted: uint32(p.AccountedBytes),
+			crc:       crc32.ChecksumIEEE(p.Payload),
+		}
+		at += uint64(e.length)
 		h = binary.BigEndian.AppendUint64(h, e.offset)
 		h = binary.BigEndian.AppendUint32(h, e.length)
 		h = binary.BigEndian.AppendUint32(h, e.rows)
@@ -107,38 +121,12 @@ func segHeader(path string, c PageCodec, s *Schema, entries []segPageEntry, rows
 		h = binary.BigEndian.AppendUint32(h, e.crc)
 	}
 	h = binary.BigEndian.AppendUint32(h, crc32.ChecksumIEEE(h))
-	return h, &SegmentFile{path: path, codecName: name, rows: rows, entries: entries, design: design, state: state}, nil
-}
 
-// WriteSegmentFile writes the segment's pages to path (truncating any
-// previous file) and returns an open handle for reads. The segment must
-// still hold its payloads (i.e. not already be spilled).
-func WriteSegmentFile(path string, seg *Segment) (*SegmentFile, error) {
-	entries := make([]segPageEntry, len(seg.pages))
-	var at uint64
-	for i := range seg.pages {
-		p := &seg.pages[i]
-		if p.Payload == nil && p.Rows > 0 {
-			return nil, fmt.Errorf("storage: page %d has no payload (segment already spilled?)", i)
-		}
-		entries[i] = segPageEntry{
-			offset:    at,
-			length:    uint32(len(p.Payload)),
-			rows:      uint32(p.Rows),
-			accounted: uint32(p.AccountedBytes),
-			crc:       crc32.ChecksumIEEE(p.Payload),
-		}
-		at += uint64(len(p.Payload))
-	}
-	header, sf, err := segHeader(path, seg.Codec, seg.Schema, entries, seg.rows)
-	if err != nil {
-		return nil, err
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(header); err != nil {
+	if _, err := f.Write(h); err != nil {
 		_ = f.Close() // best-effort cleanup; the write error is the story
 		return nil, err
 	}
@@ -153,8 +141,7 @@ func WriteSegmentFile(path string, seg *Segment) (*SegmentFile, error) {
 		return nil, err
 	}
 	adviseRandom(f)
-	sf.f = f
-	return sf, nil
+	return &SegmentFile{f: f, path: path, codecName: name, rows: seg.rows, entries: entries, design: design, state: state}, nil
 }
 
 // OpenSegmentFile opens an existing segment file, validating the header
@@ -174,8 +161,9 @@ func OpenSegmentFile(path string) (*SegmentFile, error) {
 }
 
 // readSegHeader parses and checksums the header. Every length it reads is
-// checked against the file's size before anything is allocated for it, so a
-// hostile header costs an error, not memory. The variable-length design and
+// checked against the file's size before anything is allocated for it, and
+// the directory must describe WriteSegmentFile's layout exactly, so a hostile
+// header costs an error, not memory. The variable-length design and
 // state blocks force incremental reads; every byte read is accumulated so the
 // trailing CRC covers the whole header.
 func readSegHeader(f *os.File, path string) (*SegmentFile, error) {
@@ -264,6 +252,19 @@ func readSegHeader(f *os.File, path string) (*SegmentFile, error) {
 	if sum != binary.BigEndian.Uint32(cs) {
 		return nil, fmt.Errorf("storage: %s: header checksum mismatch", path)
 	}
+	// WriteSegmentFile's layout is the only one: payloads back to back from
+	// the header's end to the file's. Holding every directory entry to it is
+	// what bounds each read by the file size.
+	at := uint64(len(hdr))
+	for i, e := range entries {
+		if e.offset != at {
+			return nil, fmt.Errorf("storage: %s: page %d at offset %d, want %d", path, i, e.offset, at)
+		}
+		at += uint64(e.length)
+	}
+	if at != uint64(size) {
+		return nil, fmt.Errorf("storage: %s: payloads end at %d of a %d-byte file", path, at, size)
+	}
 	return &SegmentFile{f: f, path: path, codecName: name, rows: rows, entries: entries, design: design, state: state}, nil
 }
 
@@ -337,10 +338,11 @@ func (sf *SegmentFile) ReadPage(i int) ([]byte, error) {
 // ReadPageSpan reads pages [lo, hi) in one ReadAt over their contiguous file
 // range and returns the per-page payloads, each checksum-verified and copied
 // out of the span buffer (so a buffer pool admitting individual pages never
-// retains the whole span). Page payloads are laid out back to back by the
-// writers, which is what makes the single large read possible — coalescing is
-// the point: one span read runs at sequential-disk bandwidth where hi-lo
-// individual page reads would each pay a seek-sized latency.
+// retains the whole span). Page payloads lie back to back (readSegHeader
+// holds every file to that), which is what makes the single large read
+// possible — coalescing is the point: one span read runs at sequential-disk
+// bandwidth where hi-lo individual page reads would each pay a seek-sized
+// latency.
 func (sf *SegmentFile) ReadPageSpan(lo, hi int) ([][]byte, error) {
 	if lo < 0 || hi > len(sf.entries) || lo >= hi {
 		return nil, fmt.Errorf("storage: %s: page span [%d,%d) of %d", sf.path, lo, hi, len(sf.entries))

@@ -18,7 +18,6 @@ import (
 type plainCodec struct{}
 
 func (plainCodec) Name() string                           { return "TEST" }
-func (plainCodec) PrepareSegment(*Schema, []Row) error    { return nil }
 func (plainCodec) ColumnMethodIDs(s *Schema) []byte       { return make([]byte, len(s.Columns)) }
 func (plainCodec) SegmentState() []byte                   { return nil }
 func (plainCodec) LoadSegmentState(*Schema, []byte) error { return nil }
@@ -273,6 +272,18 @@ func TestOpenSegmentFileHostileHeader(t *testing.T) {
 	binary.BigEndian.PutUint32(longState[stateLenAt:], 1<<30-1)
 	manyCols := append([]byte(nil), raw[:16+len("TEST")+2]...)
 	binary.BigEndian.PutUint16(manyCols[16+len("TEST"):], 0xFFFF)
+	// A whole file whose directory is edited and whose header CRC is then
+	// recomputed: only the layout check stands between it and the reads.
+	dirAt := headerLen - 4 - 24*seg.NumPages()
+	resealed := func(edit func(dir []byte)) []byte {
+		file := append([]byte(nil), raw...)
+		edit(file[dirAt : headerLen-4])
+		binary.BigEndian.PutUint32(file[headerLen-4:], crc32.ChecksumIEEE(file[:headerLen-4]))
+		return file
+	}
+	if seg.NumPages() < 2 {
+		t.Fatalf("test segment has %d pages, the directory cases need 2", seg.NumPages())
+	}
 
 	for _, tc := range []struct {
 		name string
@@ -282,6 +293,13 @@ func TestOpenSegmentFileHostileHeader(t *testing.T) {
 		{"state block longer than the file", append(sealed(longState), raw[stateLenAt+4:]...)},
 		{"65535 columns", sealed(manyCols)},
 		{"version-1 magic", append([]byte("CADBSEG1"), raw[8:]...)},
+		{"page 1 starts before page 0", resealed(func(dir []byte) {
+			binary.BigEndian.PutUint64(dir[24:], binary.BigEndian.Uint64(dir[0:])-1)
+		})},
+		{"page 0 is 4 GiB long", resealed(func(dir []byte) {
+			binary.BigEndian.PutUint32(dir[8:], 0xFFFFFFF0)
+		})},
+		{"payloads stop short of the file's end", append(append([]byte(nil), raw...), 0)},
 		{"truncated", raw[:headerLen/2]},
 	} {
 		if err := os.WriteFile(path, tc.file, 0o644); err != nil {

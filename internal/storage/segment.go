@@ -16,15 +16,11 @@ type PageCodec interface {
 	// Name is the method every column is stored under ("NONE", "ROW",
 	// "PAGE", "GDICT", "RLE"), or "MIXED" when columns differ.
 	Name() string
-	// PrepareSegment is the pre-pass BuildSegment runs over the full row set
-	// before encoding, so a codec can make segment-scoped decisions (build a
+	// EncodeRows packs the segment's rows — all of them, in one call — into
+	// page payloads, so a codec can make segment-scoped decisions (build a
 	// global dictionary, elect per-column fallbacks) from complete
-	// information. The streaming SegmentWriter never has the full row set
-	// and never prepares; codecs must stay correct — just possibly less
-	// compact — without the pre-pass.
-	PrepareSegment(s *Schema, rows []Row) error
-	// EncodeRows packs the rows into page payloads. Each payload must be
-	// decodable on its own (given the segment state).
+	// information. Each payload must be decodable on its own (given the
+	// segment state).
 	EncodeRows(s *Schema, rows []Row) ([]EncodedPage, error)
 	// NewDecoder compiles a column-selective decoder for the spec: one per
 	// cursor, fed every page the cursor visits. A spec naming a column the
@@ -110,18 +106,13 @@ type segBacking struct {
 	closed atomic.Bool
 }
 
-// BuildSegment encodes the rows into a segment using the codec, after the
-// codec's pre-pass over the full row set. The codec's serialized state is
-// charged into PayloadBytes (it travels in the segment file header, so it is
-// real bytes the size model must see, but not pool working set).
+// BuildSegment encodes the rows into a segment using the codec. The codec's
+// serialized state is charged into PayloadBytes (it travels in the segment
+// file header, so it is real bytes the size model must see, but not pool
+// working set).
 func BuildSegment(s *Schema, rows []Row, c PageCodec) (*Segment, error) {
 	if c == nil {
 		return nil, fmt.Errorf("storage: nil page codec")
-	}
-	if len(rows) > 0 {
-		if err := c.PrepareSegment(s, rows); err != nil {
-			return nil, err
-		}
 	}
 	pages, err := c.EncodeRows(s, rows)
 	if err != nil {
@@ -254,17 +245,6 @@ func (g *Segment) CloseBacking() {
 	// the fd so any straggling ReadAt errors instead of reading.
 	g.backing.pool.InvalidateFile(g.backing.fileID)
 	g.backing.file.Remove()
-}
-
-// ReleaseBacking ends a spilled segment's service like CloseBacking — pool
-// frames dropped, every later FetchPage fails — but keeps the file on disk
-// for OpenSegmentFile: the exit path of a build whose product is the file.
-func (g *Segment) ReleaseBacking() error {
-	if g.backing == nil || g.backing.closed.Swap(true) {
-		return nil
-	}
-	g.backing.pool.InvalidateFile(g.backing.fileID)
-	return g.backing.file.Close()
 }
 
 // FetchPage returns page i's payload and a release func the caller must
