@@ -70,8 +70,7 @@ func (t *Table) HeapBytes() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.heapBytes == 0 {
-		_, total := storage.PackRows(t.Schema, t.Rows)
-		t.heapBytes = total
+		t.heapBytes = storage.PackedBytes(t.Schema, t.Rows)
 	}
 	return t.heapBytes
 }

@@ -102,11 +102,8 @@ func decodeValue[B []byte | string](c storage.Column, b B) (storage.Value, error
 // PAGE column sections: common prefix + page-local dictionary
 
 // pageColScratch is the working memory of a PAGE column encode, reused from
-// section to section: the encoded values back to back, and the page-local
-// dictionary keyed by suffix.
+// section to section: the page-local dictionary keyed by suffix.
 type pageColScratch struct {
-	arena []byte
-	end   []int            // end[j] is the arena offset just past row j's value
 	ids   []int32          // row -> slot in count/first/code (unset for NULLs)
 	index map[string]int32 // suffix -> slot
 	count []int32
@@ -121,32 +118,27 @@ type pageColScratch struct {
 //
 // Values are stored in row order as dictionary codes (for suffixes occurring
 // at least twice, per the size model's policy) or length-prefixed literal
-// suffixes.
-func (ps *pageColScratch) appendColumn(payload []byte, c storage.Column, rows []storage.Row, ci int) ([]byte, error) {
+// suffixes. The values' encodings come from the page's value arena.
+func (ps *pageColScratch) appendColumn(payload []byte, rows []storage.Row, ci int, pv *pageValues) ([]byte, error) {
 	n := len(rows)
 	bitmapLen := (n + 7) / 8
-	// Null bitmap (bit j set = row j is NULL), encoded values, and the
-	// common prefix across the non-null ones.
+	// Null bitmap (bit j set = row j is NULL) and the common prefix across
+	// the non-null values.
 	nullAt := len(payload)
 	payload = append(payload, make([]byte, bitmapLen)...)
-	ps.arena, ps.end, ps.ids = ps.arena[:0], ps.end[:0], ps.ids[:0]
-	prefixAt, prefixLen := 0, -1
+	ps.ids = ps.ids[:0]
+	var prefix []byte
+	seen := false
 	for j, r := range rows {
-		at := len(ps.arena)
+		ps.ids = append(ps.ids, -1)
 		if r[ci].Null {
 			payload[nullAt+j/8] |= 1 << (uint(j) % 8)
+		} else if v := pv.at(j); !seen {
+			prefix, seen = v, true
 		} else {
-			ps.arena = valueBytes(c, r[ci], ps.arena)
-			if prefixLen < 0 {
-				prefixAt, prefixLen = at, len(ps.arena)-at
-			} else {
-				prefixLen = commonPrefixLen(ps.arena[prefixAt:prefixAt+prefixLen], ps.arena[at:])
-			}
+			prefix = prefix[:commonPrefixLen(prefix, v)]
 		}
-		ps.end = append(ps.end, len(ps.arena))
-		ps.ids = append(ps.ids, -1)
 	}
-	prefix := ps.arena[prefixAt : prefixAt+max(prefixLen, 0)]
 	payload = appendLenPrefix(payload, len(prefix))
 	payload = append(payload, prefix...)
 	// Local dictionary: suffixes occurring at least twice, codes assigned
@@ -156,13 +148,7 @@ func (ps *pageColScratch) appendColumn(payload []byte, c storage.Column, rows []
 	}
 	clear(ps.index)
 	ps.count, ps.first, ps.code = ps.count[:0], ps.first[:0], ps.code[:0]
-	suffix := func(j int) []byte {
-		at := 0
-		if j > 0 {
-			at = ps.end[j-1]
-		}
-		return ps.arena[at+len(prefix) : ps.end[j]]
-	}
+	suffix := func(j int) []byte { return pv.at(j)[len(prefix):] }
 	for j, r := range rows {
 		if r[ci].Null {
 			continue

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -37,11 +38,12 @@ import (
 // column for the lifetime of the segment. EncodeRows first scans the full row
 // set, assigning codes in first-occurrence order and letting each GDICT
 // column fall back to plain storage when the dictionary would not pay for
-// itself (the same min(dict, plain) policy the size model charges); each page
-// then records the code width of the largest code it actually holds. After
-// the segment is built the dictionary is read-only, so concurrent decoders
-// share it without synchronization; predicate verdicts per code are memoized
-// in each decoder (see decoder.go), never in the shared state.
+// itself (the same min(dict, plain) policy the size model charges); the
+// packer writes the codes that scan assigned, and each page records the code
+// width of the largest code it actually holds. After the segment is built the
+// dictionary is read-only, so concurrent decoders share it without
+// synchronization; predicate verdicts per code are memoized in each decoder
+// (see decoder.go), never in the shared state.
 type columnCodec struct {
 	def       Method
 	overrides map[string]Method // lowercased column name -> method
@@ -69,9 +71,16 @@ type gdictState struct {
 	plain bool           // the dictionary lost to plain storage
 }
 
+// onRegister, when a test sets it, hears every dictionary lookup: the
+// packer's budget is that the pre-pass alone looks values up.
+var onRegister func()
+
 // register returns the code of the encoded value, assigning the next one on
 // first sight. Only a new value allocates (its dictionary copy).
 func (st *gdictState) register(kind storage.Kind, v []byte) int {
+	if onRegister != nil {
+		onRegister()
+	}
 	if kind == storage.KindString {
 		if code, ok := st.codes[string(v)]; ok {
 			return code
@@ -184,22 +193,36 @@ func (cc *columnCodec) resolve(s *storage.Schema) {
 // prepare is the segment-level pre-pass: it builds each GDICT column's full
 // dictionary in first-occurrence order and elects plain storage for columns
 // where the dictionary would not beat ROW-style plain values — the same
-// min(dictionary, plain) policy the size model charges.
-func (cc *columnCodec) prepare(s *storage.Schema, rows []storage.Row) {
+// min(dictionary, plain) policy the size model charges. It returns every
+// row's code per dictionary-coded column (-1 for NULL; nil for the other
+// columns), which the packer writes instead of looking values up again. The
+// codes belong to the build, not to the codec: the codec outlives it as the
+// segment's decode state and keeps nothing per row.
+func (cc *columnCodec) prepare(s *storage.Schema, rows []storage.Row) [][]int32 {
 	cc.resolve(s)
+	codes := make([][]int32, len(cc.dicts))
+	for ci, st := range cc.dicts {
+		if st != nil {
+			codes[ci] = make([]int32, len(rows))
+		}
+	}
 	// Row-major, so each row is visited once however many columns are GDICT.
 	scratch := make([]byte, 0, 64)
 	plain := make([]int64, len(cc.dicts))
 	nonNull := make([]int64, len(cc.dicts))
-	for _, r := range rows {
+	for i, r := range rows {
 		for ci, st := range cc.dicts {
-			if st == nil || r[ci].Null {
+			if st == nil {
+				continue
+			}
+			if r[ci].Null {
+				codes[ci][i] = -1
 				continue
 			}
 			nonNull[ci]++
 			scratch = valueBytes(s.Columns[ci], r[ci], scratch[:0])
 			plain[ci] += int64(lenPrefixSize(len(scratch)) + len(scratch))
-			st.register(s.Columns[ci].Kind, scratch)
+			codes[ci][i] = int32(st.register(s.Columns[ci].Kind, scratch))
 		}
 	}
 	for ci, st := range cc.dicts {
@@ -210,8 +233,11 @@ func (cc *columnCodec) prepare(s *storage.Schema, rows []storage.Row) {
 		for _, v := range st.vals {
 			dictBytes += int64(lenPrefixSize(len(v)) + len(v))
 		}
-		st.plain = dictBytes+nonNull[ci]*int64(codeWidth(len(st.vals))) >= plain[ci]
+		if st.plain = dictBytes+nonNull[ci]*int64(codeWidth(len(st.vals))) >= plain[ci]; st.plain {
+			codes[ci] = nil
+		}
 	}
+	return codes
 }
 
 // SegmentState serializes the codec's segment-level state (the global
@@ -326,17 +352,18 @@ func (cc *columnCodec) ColumnMethodIDs(s *storage.Schema) []byte {
 // them. An empty segment skips the pre-pass, so its state records an empty
 // dictionary rather than a plain election.
 func (cc *columnCodec) EncodeRows(s *storage.Schema, rows []storage.Row) ([]storage.EncodedPage, error) {
+	var codes [][]int32
 	if len(rows) > 0 {
-		cc.prepare(s, rows)
+		codes = cc.prepare(s, rows)
 	}
-	return cc.packer(s).pack(rows)
+	return cc.packer(s, rows, codes).pack()
 }
 
-// packer returns a packer for the design's pages, against the dictionaries
-// the pre-pass built.
-func (cc *columnCodec) packer(s *storage.Schema) *packer {
+// packer returns a packer for the design's pages over the rows, writing the
+// codes the pre-pass assigned (none for no rows).
+func (cc *columnCodec) packer(s *storage.Schema, rows []storage.Row, codes [][]int32) *packer {
 	cc.resolve(s)
-	return newPacker(s, pageLayout{methods: cc.resolved, dicts: cc.dicts, slotted: cc.slotted})
+	return newPacker(s, pageLayout{methods: cc.resolved, codes: codes, slotted: cc.slotted}, rows)
 }
 
 // appendNoneSection stores the column uncompressed: a null bitmap plus every
@@ -354,8 +381,9 @@ func appendNoneSection(dst []byte, c storage.Column, rows []storage.Row, ci int)
 }
 
 // appendRowSection stores the column ROW-compressed: a null bitmap plus a
-// length-prefixed minimal encoding per non-null row.
-func appendRowSection(dst []byte, c storage.Column, rows []storage.Row, ci int, scratch []byte) ([]byte, []byte) {
+// length-prefixed minimal encoding per non-null row, read from the page's
+// value arena.
+func appendRowSection(dst []byte, rows []storage.Row, ci int, pv *pageValues) []byte {
 	nullAt := len(dst)
 	dst = append(dst, make([]byte, (len(rows)+7)/8)...)
 	for j, r := range rows {
@@ -363,49 +391,30 @@ func appendRowSection(dst []byte, c storage.Column, rows []storage.Row, ci int, 
 			dst[nullAt+j/8] |= 1 << (uint(j) % 8)
 			continue
 		}
-		scratch = valueBytes(c, r[ci], scratch[:0])
-		dst = appendLenPrefix(dst, len(scratch))
-		dst = append(dst, scratch...)
+		v := pv.at(j)
+		dst = appendLenPrefix(dst, len(v))
+		dst = append(dst, v...)
 	}
-	return dst, scratch
+	return dst
 }
 
-// appendGDictSection stores the column as fixed-width codes against the
-// segment-global dictionary (or ROW-style plain when the pre-pass elected
-// it). The code width is sized by the largest code present on this page.
-func (p *packer) appendGDictSection(dst []byte, c storage.Column, rows []storage.Row, ci int) []byte {
-	st := p.lay.dicts[ci]
-	if st.plain {
-		dst = append(dst, gdictPlain)
-		dst, p.scratch = appendRowSection(dst, c, rows, ci, p.scratch)
-		return dst
+// appendGDictSection stores the page's codes (-1 for NULL) fixed-width
+// against the segment-global dictionary. The code width is sized by the
+// largest code present on this page.
+func appendGDictSection(dst []byte, codes []int32) []byte {
+	maxCode := int32(0)
+	for _, code := range codes {
+		maxCode = max(maxCode, code)
 	}
-	codes := p.codes[:0]
-	maxCode := 0
-	for _, r := range rows {
-		if r[ci].Null {
-			continue
-		}
-		p.scratch = valueBytes(c, r[ci], p.scratch[:0])
-		code := st.register(c.Kind, p.scratch)
-		codes = append(codes, code)
-		if code > maxCode {
-			maxCode = code
-		}
-	}
-	p.codes = codes
-	width := gdictCodeWidth(maxCode)
+	width := gdictCodeWidth(int(maxCode))
 	dst = append(dst, gdictCoded, byte(width))
 	nullAt := len(dst)
-	dst = append(dst, make([]byte, (len(rows)+7)/8)...)
-	k := 0
-	for j, r := range rows {
-		if r[ci].Null {
+	dst = append(dst, make([]byte, (len(codes)+7)/8)...)
+	for j, code := range codes {
+		if code < 0 {
 			dst[nullAt+j/8] |= 1 << (uint(j) % 8)
 			continue
 		}
-		code := codes[k]
-		k++
 		for b := width - 1; b >= 0; b-- {
 			dst = append(dst, byte(code>>(8*b)))
 		}
@@ -414,16 +423,13 @@ func (p *packer) appendGDictSection(dst []byte, c storage.Column, rows []storage
 }
 
 // appendRLESection stores the column as runs of consecutive equal encoded
-// values. Run equality is on the encoded bytes (bit-exact, so -0.0 and +0.0
-// stay distinct); NULL runs carry no value bytes.
-func appendRLESection(dst []byte, c storage.Column, rows []storage.Row, ci int, scratch []byte) ([]byte, []byte) {
-	n := len(rows)
+// values, read from the page's value arena. Run equality is on the encoded
+// bytes (bit-exact, so -0.0 and +0.0 stay distinct); NULL runs carry no value
+// bytes.
+func appendRLESection(dst []byte, rows []storage.Row, ci int, pv *pageValues) []byte {
 	emit := func(runLen int, null bool, val []byte) {
 		for runLen > 0 {
-			chunk := runLen
-			if chunk > rleMaxRun {
-				chunk = rleMaxRun
-			}
+			chunk := min(runLen, rleMaxRun)
 			hdr := uint16(chunk)
 			if null {
 				hdr |= 0x8000
@@ -437,34 +443,24 @@ func appendRLESection(dst []byte, c storage.Column, rows []storage.Row, ci int, 
 		}
 	}
 	var prev []byte
-	runLen := 0
-	runNull := false
-	for j := 0; j < n; j++ {
-		v := rows[j][ci]
-		if v.Null {
-			if runLen > 0 && runNull {
-				runLen++
-				continue
-			}
-			if runLen > 0 {
-				emit(runLen, runNull, prev)
-			}
-			runLen, runNull = 1, true
-			continue
+	runLen, runNull := 0, false
+	for j, r := range rows {
+		null := r[ci].Null
+		var v []byte
+		if !null {
+			v = pv.at(j)
 		}
-		scratch = valueBytes(c, v, scratch[:0])
-		if runLen > 0 && !runNull && string(prev) == string(scratch) {
+		if runLen > 0 && runNull == null && (null || bytes.Equal(prev, v)) {
 			runLen++
 			continue
 		}
 		if runLen > 0 {
 			emit(runLen, runNull, prev)
 		}
-		prev = append(prev[:0], scratch...)
-		runLen, runNull = 1, false
+		prev, runLen, runNull = v, 1, null
 	}
 	if runLen > 0 {
 		emit(runLen, runNull, prev)
 	}
-	return dst, scratch
+	return dst
 }

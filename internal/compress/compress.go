@@ -109,8 +109,7 @@ func ParseMethod(s string) (Method, error) {
 func SizeRows(s *storage.Schema, rows []storage.Row, m Method) int64 {
 	switch m {
 	case None:
-		_, total := storage.PackRows(s, rows)
-		return total
+		return storage.PackedBytes(s, rows)
 	case Row:
 		return sizeRowCompressed(s, rows)
 	case Page:
@@ -134,7 +133,7 @@ func Fraction(s *storage.Schema, rows []storage.Row, m Method) float64 {
 	if len(rows) == 0 {
 		return 1
 	}
-	_, unc := storage.PackRows(s, rows)
+	unc := storage.PackedBytes(s, rows)
 	if unc == 0 {
 		return 1
 	}

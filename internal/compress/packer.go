@@ -15,33 +15,58 @@ import (
 // section format has an exact size that can be maintained incrementally as
 // rows are appended (O(1) per value; a PAGE section re-sums its distinct
 // values only when its common prefix shrinks), so a page costs one sizing
-// pass plus one real encode.
+// pass plus one real encode. Each value is encoded once: the sizing pass
+// appends its minimal bytes to the column's page arena and the section
+// writers read them back from there; GDICT columns carry the codes the
+// segment pre-pass assigned and are never looked up again.
 
 // pageLayout is what the packer needs to know about a design's pages.
 type pageLayout struct {
-	methods []Method      // per-column section method, schema order
-	dicts   []*gdictState // per-column global dictionary; nil for non-GDICT
-	slotted bool          // the page pays the per-row slot array
+	methods []Method // per-column section method, schema order
+	// codes[ci][i] is GDICT column ci's code for segment row i, -1 for NULL;
+	// nil for other columns and for GDICT columns the pre-pass left plain.
+	codes   [][]int32
+	slotted bool // the page pays the per-row slot array
 }
 
 // maxPageRows is the most rows one page holds: the row count is a u16.
 const maxPageRows = 0xFFFF
 
-// packer packs one row stream into pages. Sizers, section buffers and
-// dictionary scratch are reused from page to page.
+// packer packs one row stream into pages. Sizers, value arenas, section
+// buffers and dictionary scratch are reused from page to page.
 type packer struct {
 	s      *storage.Schema
 	lay    pageLayout
+	rows   []storage.Row
 	sizers []colSizer
-	passes int // row-set walks so far, sizing and encoding alike (test budget)
+	vals   []pageValues // per column: the minimal encodings fill produced
+	passes int          // row-set walks so far, sizing and encoding alike (test budget)
 
-	body, scratch []byte
-	codes         []int
-	page          pageColScratch
+	body []byte
+	page pageColScratch
 }
 
-func newPacker(s *storage.Schema, lay pageLayout) *packer {
-	return &packer{s: s, lay: lay, sizers: make([]colSizer, len(s.Columns))}
+func newPacker(s *storage.Schema, lay pageLayout, rows []storage.Row) *packer {
+	n := len(s.Columns)
+	return &packer{s: s, lay: lay, rows: rows, sizers: make([]colSizer, n), vals: make([]pageValues, n)}
+}
+
+// pageValues is one column's minimal value encodings for the rows fill added
+// to the page, back to back: row j's bytes end at end[j] (a NULL is empty).
+type pageValues struct {
+	buf []byte
+	end []int32
+}
+
+func (pv *pageValues) reset() { pv.buf, pv.end = pv.buf[:0], pv.end[:0] }
+
+// at returns page row j's encoding.
+func (pv *pageValues) at(j int) []byte {
+	at := int32(0)
+	if j > 0 {
+		at = pv.end[j-1]
+	}
+	return pv.buf[at:pv.end[j]]
 }
 
 func (p *packer) slotBytes(k int) int {
@@ -53,11 +78,11 @@ func (p *packer) slotBytes(k int) int {
 
 // pack encodes the rows into pages, each holding the maximal fitting prefix
 // of what remains (a single oversized row becomes an overflow run).
-func (p *packer) pack(rows []storage.Row) ([]storage.EncodedPage, error) {
+func (p *packer) pack() ([]storage.EncodedPage, error) {
 	var out []storage.EncodedPage
-	for start := 0; start < len(rows); {
-		k, size := p.fill(rows[start:])
-		payload, err := p.encodeGroup(rows[start:start+k], size)
+	for start := 0; start < len(p.rows); {
+		k, size := p.fill(start)
+		payload, err := p.encodeGroup(start, k, size)
 		if err != nil {
 			return nil, err
 		}
@@ -74,20 +99,36 @@ func (p *packer) pack(rows []storage.Row) ([]storage.EncodedPage, error) {
 	return out, nil
 }
 
-// fill sizes the next page: it returns the largest row count (at least 1, at
-// most maxPageRows) whose encoding fits a page, and that encoding's size.
-func (p *packer) fill(rows []storage.Row) (int, int) {
+// fill sizes the page starting at row start: it returns the largest row count
+// (at least 1, at most maxPageRows) whose encoding fits a page, and that
+// encoding's size. The value arenas then hold the encodings of those rows
+// (and of the first row that did not fit, which the next page encodes again).
+func (p *packer) fill(start int) (int, int) {
 	p.passes++
 	for ci := range p.sizers {
 		p.sizers[ci].reset()
+		p.vals[ci].reset()
 	}
+	rows := p.rows[start:]
 	k, size := 0, 0
 	for k < len(rows) && k < maxPageRows {
 		next := 2 // u16 row count
 		for ci, c := range p.s.Columns {
-			m, st := p.lay.methods[ci], p.lay.dicts[ci]
-			p.scratch = p.sizers[ci].add(m, st, c, rows[k][ci], p.scratch)
-			sec := p.sizers[ci].size(m, st, k+1)
+			m, codes, z, v := p.lay.methods[ci], p.lay.codes[ci], &p.sizers[ci], rows[k][ci]
+			switch {
+			case m == None:
+				z.bytes += storage.EncodedValueSize(c, v)
+			case codes != nil:
+				z.addCode(codes[start+k])
+			default:
+				pv := &p.vals[ci]
+				if !v.Null {
+					pv.buf = valueBytes(c, v, pv.buf)
+				}
+				pv.end = append(pv.end, int32(len(pv.buf)))
+				z.add(m, v.Null, pv.at(k))
+			}
+			sec := z.size(m, codes != nil, k+1)
 			next += lenPrefixLen(sec) + sec
 		}
 		if k > 0 && next+p.slotBytes(k+1) > storage.UsablePageBytes {
@@ -98,30 +139,35 @@ func (p *packer) fill(rows []storage.Row) (int, int) {
 	return k, size
 }
 
-// encodeGroup encodes one page: the row count, then each column's
-// length-framed section. sizeHint presizes the payload.
-func (p *packer) encodeGroup(rows []storage.Row, sizeHint int) ([]byte, error) {
+// encodeGroup encodes the page fill sized, rows [start, start+n): the row
+// count, then each column's length-framed section. sizeHint presizes the
+// payload.
+func (p *packer) encodeGroup(start, n, sizeHint int) ([]byte, error) {
 	p.passes++
-	n := len(rows)
 	if n > maxPageRows {
 		return nil, fmt.Errorf("compress: page group of %d rows", n)
 	}
+	rows := p.rows[start : start+n]
 	payload := make([]byte, 2, max(sizeHint, 2))
 	binary.BigEndian.PutUint16(payload, uint16(n))
 	for ci, c := range p.s.Columns {
-		dst := p.body[:0]
+		dst, pv := p.body[:0], &p.vals[ci]
 		var err error
 		switch m := p.lay.methods[ci]; m {
 		case None:
 			dst = appendNoneSection(dst, c, rows, ci)
 		case Row:
-			dst, p.scratch = appendRowSection(dst, c, rows, ci, p.scratch)
+			dst = appendRowSection(dst, rows, ci, pv)
 		case Page:
-			dst, err = p.page.appendColumn(dst, c, rows, ci)
+			dst, err = p.page.appendColumn(dst, rows, ci, pv)
 		case GlobalDict:
-			dst = p.appendGDictSection(dst, c, rows, ci)
+			if codes := p.lay.codes[ci]; codes != nil {
+				dst = appendGDictSection(dst, codes[start:start+n])
+			} else {
+				dst = appendRowSection(append(dst, gdictPlain), rows, ci, pv)
+			}
 		case RLE:
-			dst, p.scratch = appendRLESection(dst, c, rows, ci, p.scratch)
+			dst = appendRLESection(dst, rows, ci, pv)
 		default:
 			err = fmt.Errorf("compress: bad column method %d", m)
 		}
@@ -140,9 +186,9 @@ type colSizer struct {
 	bytes   int // row-count-independent body bytes: values, run headers
 	nonNull int
 
-	maxCode int // GDICT: largest code seen
+	maxCode int32 // GDICT: largest code seen
 
-	run     []byte // RLE: the open run's value
+	run     []byte // RLE: the open run's value (a view into the page arena)
 	runLen  int
 	runNull bool
 
@@ -154,47 +200,44 @@ func (z *colSizer) reset() {
 	z.page.reset()
 }
 
-// add accounts one more row's value. scratch carries the value's minimal
-// encoding and is returned for reuse.
-func (z *colSizer) add(m Method, st *gdictState, c storage.Column, v storage.Value, scratch []byte) []byte {
-	if m == None {
-		z.bytes += storage.EncodedValueSize(c, v)
-		return scratch
+// addCode accounts one more row of a dictionary-coded GDICT column.
+func (z *colSizer) addCode(code int32) {
+	if code >= 0 {
+		z.nonNull++
+		z.maxCode = max(z.maxCode, code)
 	}
-	if !v.Null {
-		scratch = valueBytes(c, v, scratch[:0])
+}
+
+// add accounts one more row's value, given as its minimal encoding, under a
+// method that stores those bytes (ROW, PAGE, RLE, plain GDICT).
+func (z *colSizer) add(m Method, null bool, v []byte) {
+	if !null {
 		z.nonNull++
 	}
 	switch {
 	case m == RLE:
-		if z.runLen == 0 || z.runNull != v.Null || !v.Null && !bytes.Equal(z.run, scratch) {
-			z.runLen, z.runNull = 0, v.Null
-			z.run = append(z.run[:0], scratch...) // unread while the run is NULL
+		if z.runLen == 0 || z.runNull != null || !null && !bytes.Equal(z.run, v) {
+			z.runLen, z.runNull, z.run = 0, null, v // a view: the arena only grows within a page
 		}
 		if z.runLen%rleMaxRun == 0 { // a fresh run, or one outgrowing its header
 			z.bytes += 2
-			if !v.Null {
-				z.bytes += lenPrefixLen(len(scratch)) + len(scratch)
+			if !null {
+				z.bytes += lenPrefixLen(len(v)) + len(v)
 			}
 		}
 		z.runLen++
-	case v.Null:
+	case null:
 		// Every other section records a NULL in its bitmap alone.
 	case m == Page:
-		z.page.add(scratch)
-	case m == GlobalDict && !st.plain:
-		if code := st.register(c.Kind, scratch); code > z.maxCode {
-			z.maxCode = code
-		}
+		z.page.add(v)
 	default: // ROW, and GDICT columns the pre-pass left plain
-		z.bytes += lenPrefixLen(len(scratch)) + len(scratch)
+		z.bytes += lenPrefixLen(len(v)) + len(v)
 	}
-	return scratch
 }
 
 // size is the section's encoded length were the page to hold the k rows
-// added so far.
-func (z *colSizer) size(m Method, st *gdictState, k int) int {
+// added so far. coded marks a GDICT column stored as dictionary codes.
+func (z *colSizer) size(m Method, coded bool, k int) int {
 	bitmap := (k + 7) / 8
 	switch m {
 	case RLE:
@@ -202,10 +245,10 @@ func (z *colSizer) size(m Method, st *gdictState, k int) int {
 	case Page:
 		return 2*bitmap + z.page.size()
 	case GlobalDict:
-		if st.plain {
+		if !coded {
 			return 1 + bitmap + z.bytes
 		}
-		return 2 + bitmap + z.nonNull*gdictCodeWidth(z.maxCode)
+		return 2 + bitmap + z.nonNull*gdictCodeWidth(int(z.maxCode))
 	}
 	return bitmap + z.bytes
 }

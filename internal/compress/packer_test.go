@@ -15,13 +15,21 @@ import (
 // sizer: grow the page by doubling until a trial encode
 // overflows, then binary search the largest fitting row count — O(log n)
 // full encodes per page. It is kept as the differential yardstick: the
-// one-pass packer must cut the same pages and produce the same bytes.
-func referencePack(p *packer, rows []storage.Row) ([]storage.EncodedPage, error) {
-	encode := func(rows []storage.Row) ([]byte, error) { return p.encodeGroup(rows, 0) }
+// one-pass packer must cut the same pages and produce the same bytes. Its
+// trial encodes are the reference encoder below, which shares no section
+// writer with the packer.
+func referencePack(r *refEncoder, rows []storage.Row) ([]storage.EncodedPage, error) {
+	encode := func(rows []storage.Row) ([]byte, error) { return r.encodeGroup(rows) }
+	slotBytes := func(k int) int {
+		if r.cc.slotted {
+			return k * storage.SlotSize
+		}
+		return 0
+	}
 	var out []storage.EncodedPage
 	n := len(rows)
 	fits := func(payload []byte, k int) bool {
-		return len(payload)+p.slotBytes(k) <= storage.UsablePageBytes
+		return len(payload)+slotBytes(k) <= storage.UsablePageBytes
 	}
 	start := 0
 	for start < n {
@@ -33,7 +41,7 @@ func referencePack(p *packer, rows []storage.Row) ([]storage.EncodedPage, error)
 			out = append(out, storage.EncodedPage{
 				Payload:        payload,
 				Rows:           1,
-				AccountedBytes: len(payload) + p.slotBytes(1),
+				AccountedBytes: len(payload) + slotBytes(1),
 			})
 			start++
 			continue
@@ -73,11 +81,187 @@ func referencePack(p *packer, rows []storage.Row) ([]storage.EncodedPage, error)
 		out = append(out, storage.EncodedPage{
 			Payload:        goodPayload,
 			Rows:           good,
-			AccountedBytes: len(goodPayload) + p.slotBytes(good),
+			AccountedBytes: len(goodPayload) + slotBytes(good),
 		})
 		start += good
 	}
 	return out, nil
+}
+
+// refEncoder is the reference page encoder: every section writer encodes
+// each value itself (valueBytes per value, a dictionary lookup per GDICT
+// value), the way the codec wrote pages before values were encoded once per
+// page. It reads the codec's method vector and dictionaries and nothing of
+// the packer.
+type refEncoder struct {
+	cc     *columnCodec
+	s      *storage.Schema
+	passes int
+}
+
+// encodeGroup encodes one page: the row count, then each column's
+// length-framed section.
+func (r *refEncoder) encodeGroup(rows []storage.Row) ([]byte, error) {
+	r.passes++
+	if len(rows) > maxPageRows {
+		return nil, fmt.Errorf("compress: page group of %d rows", len(rows))
+	}
+	payload := []byte{byte(len(rows) >> 8), byte(len(rows))}
+	for ci, c := range r.s.Columns {
+		var dst []byte
+		switch m := r.cc.resolved[ci]; m {
+		case None:
+			dst = refNoneSection(c, rows, ci)
+		case Row:
+			dst = refRowSection(nil, c, rows, ci)
+		case Page:
+			dst = refPageSection(c, rows, ci)
+		case GlobalDict:
+			dst = refGDictSection(r.cc.dicts[ci], c, rows, ci)
+		case RLE:
+			dst = refRLESection(c, rows, ci)
+		default:
+			return nil, fmt.Errorf("compress: bad column method %d", m)
+		}
+		payload = append(appendLenPrefix(payload, len(dst)), dst...)
+	}
+	return payload, nil
+}
+
+// nullBitmap is a section's null bitmap over the rows' column ci.
+func nullBitmap(rows []storage.Row, ci int) []byte {
+	bm := make([]byte, (len(rows)+7)/8)
+	for j, r := range rows {
+		if r[ci].Null {
+			bm[j/8] |= 1 << (uint(j) % 8)
+		}
+	}
+	return bm
+}
+
+func refNoneSection(c storage.Column, rows []storage.Row, ci int) []byte {
+	dst := nullBitmap(rows, ci)
+	for _, r := range rows {
+		dst = storage.AppendValue(dst, c, r[ci])
+	}
+	return dst
+}
+
+func refRowSection(dst []byte, c storage.Column, rows []storage.Row, ci int) []byte {
+	dst = append(dst, nullBitmap(rows, ci)...)
+	for _, r := range rows {
+		if !r[ci].Null {
+			v := valueBytes(c, r[ci], nil)
+			dst = append(appendLenPrefix(dst, len(v)), v...)
+		}
+	}
+	return dst
+}
+
+func refGDictSection(st *gdictState, c storage.Column, rows []storage.Row, ci int) []byte {
+	if st.plain {
+		return refRowSection([]byte{gdictPlain}, c, rows, ci)
+	}
+	var codes []int
+	maxCode := 0
+	for _, r := range rows {
+		if !r[ci].Null {
+			code := st.register(c.Kind, valueBytes(c, r[ci], nil))
+			codes = append(codes, code)
+			maxCode = max(maxCode, code)
+		}
+	}
+	width := gdictCodeWidth(maxCode)
+	dst := append([]byte{gdictCoded, byte(width)}, nullBitmap(rows, ci)...)
+	for _, code := range codes {
+		for b := width - 1; b >= 0; b-- {
+			dst = append(dst, byte(code>>(8*b)))
+		}
+	}
+	return dst
+}
+
+func refRLESection(c storage.Column, rows []storage.Row, ci int) []byte {
+	var dst []byte
+	for j := 0; j < len(rows); {
+		v := rows[j][ci]
+		enc := valueBytes(c, v, nil)
+		end := j + 1
+		for end < len(rows) && end-j < rleMaxRun && rows[end][ci].Null == v.Null &&
+			(v.Null || string(valueBytes(c, rows[end][ci], nil)) == string(enc)) {
+			end++
+		}
+		hdr := uint16(end - j)
+		if v.Null {
+			hdr |= 0x8000
+		}
+		dst = append(dst, byte(hdr>>8), byte(hdr))
+		if !v.Null {
+			dst = append(appendLenPrefix(dst, len(enc)), enc...)
+		}
+		j = end
+	}
+	return dst
+}
+
+func refPageSection(c storage.Column, rows []storage.Row, ci int) []byte {
+	dst := nullBitmap(rows, ci)
+	vals := make([][]byte, len(rows))
+	var prefix []byte
+	seen := false
+	for j, r := range rows {
+		if r[ci].Null {
+			continue
+		}
+		vals[j] = valueBytes(c, r[ci], nil)
+		if !seen {
+			prefix, seen = vals[j], true
+		} else {
+			prefix = prefix[:commonPrefixLen(prefix, vals[j])]
+		}
+	}
+	dst = append(appendLenPrefix(dst, len(prefix)), prefix...)
+	count := make(map[string]int)
+	var order []string // distinct suffixes, first occurrence first
+	for j, r := range rows {
+		if !r[ci].Null {
+			sfx := string(vals[j][len(prefix):])
+			if count[sfx] == 0 {
+				order = append(order, sfx)
+			}
+			count[sfx]++
+		}
+	}
+	code := make(map[string]int)
+	for _, sfx := range order {
+		if count[sfx] >= 2 {
+			code[sfx] = len(code)
+		}
+	}
+	dst = append(dst, byte(len(code)>>8), byte(len(code)))
+	for _, sfx := range order {
+		if count[sfx] >= 2 {
+			dst = append(appendLenPrefix(dst, len(sfx)), sfx...)
+		}
+	}
+	dictAt := len(dst)
+	dst = append(dst, make([]byte, (len(rows)+7)/8)...)
+	for j, r := range rows {
+		if r[ci].Null {
+			continue
+		}
+		sfx := string(vals[j][len(prefix):])
+		if k, ok := code[sfx]; ok {
+			dst[dictAt+j/8] |= 1 << (uint(j) % 8)
+			if len(code) > 255 {
+				dst = append(dst, byte(k>>8))
+			}
+			dst = append(dst, byte(k))
+		} else {
+			dst = append(appendLenPrefix(dst, len(sfx)), sfx...)
+		}
+	}
+	return dst
 }
 
 // packerDesign is one design to build a packer for.
@@ -88,13 +272,19 @@ type packerDesign struct {
 }
 
 // packer is what EncodeRows packs with: a fresh codec after its pre-pass.
-func (d packerDesign) packer(t *testing.T, s *storage.Schema, rows []storage.Row) *packer {
-	t.Helper()
+func (d packerDesign) packer(s *storage.Schema, rows []storage.Row) (*packer, *columnCodec) {
 	cc := newColumnCodec(d.def, d.over)
+	var codes [][]int32
 	if len(rows) > 0 {
-		cc.prepare(s, rows)
+		codes = cc.prepare(s, rows)
 	}
-	return cc.packer(s)
+	return cc.packer(s, rows, codes), cc
+}
+
+// reference is the reference encoder over a fresh codec after its pre-pass.
+func (d packerDesign) reference(s *storage.Schema, rows []storage.Row) *refEncoder {
+	_, cc := d.packer(s, rows)
+	return &refEncoder{cc: cc, s: s}
 }
 
 // randomDesigns covers every uniform method plus seeded random per-column
@@ -194,11 +384,12 @@ func TestPackerMatchesReference(t *testing.T) {
 	for _, in := range inputs {
 		for _, d := range randomDesigns(in.s, rng, 6) {
 			label := in.name + "/" + d.name
-			got, err := d.packer(t, in.s, in.rows).pack(in.rows)
+			p, _ := d.packer(in.s, in.rows)
+			got, err := p.pack()
 			if err != nil {
 				t.Fatalf("%s: pack: %v", label, err)
 			}
-			want, err := referencePack(d.packer(t, in.s, in.rows), in.rows)
+			want, err := referencePack(d.reference(in.s, in.rows), in.rows)
 			if err != nil {
 				t.Fatalf("%s: reference: %v", label, err)
 			}
@@ -216,26 +407,57 @@ func lineitemByShipdate(rows int) (*storage.Schema, []storage.Row) {
 
 // TestPackerEncodeBudget holds the packer to its cost: at most three
 // page-sized walks of the rows (sizing and encoding alike) per page, where
-// the reference spends one per trial.
+// the reference spends one per trial; each value encoded once, plus once more
+// per page for the row that did not fit the page before; no dictionary
+// lookup after the GDICT pre-pass.
 func TestPackerEncodeBudget(t *testing.T) {
 	s, rows := lineitemByShipdate(6000)
 	designs := []packerDesign{
+		{name: "ROW", def: Row},
 		{name: "PAGE", def: Page},
+		{name: "RLE", def: RLE},
+		{name: "GDICT", def: GlobalDict},
 		{name: "mixed", def: Page, over: map[string]Method{
 			"l_shipdate": RLE, "l_returnflag": GlobalDict, "l_linestatus": GlobalDict,
 			"l_shipmode": GlobalDict, "l_comment": Row, "l_extendedprice": None,
 		}},
 	}
 	for _, d := range designs {
-		p := d.packer(t, s, rows)
-		pages, err := p.pack(rows)
+		p, cc := d.packer(s, rows)
+		encodes, lookups := make(map[string]int), 0
+		onValueBytes = func(c storage.Column) { encodes[c.Name]++ }
+		onRegister = func() { lookups++ }
+		pages, err := p.pack()
+		onValueBytes, onRegister = nil, nil
 		if err != nil {
 			t.Fatalf("%s: %v", d.name, err)
 		}
 		if p.passes > 3*len(pages) {
 			t.Errorf("%s: %d passes over %d pages, budget is 3 per page", d.name, p.passes, len(pages))
 		}
-		ref := d.packer(t, s, rows)
+		if lookups != 0 {
+			t.Errorf("%s: %d dictionary lookups after the pre-pass, want 0", d.name, lookups)
+		}
+		for ci, c := range s.Columns {
+			nonNull := 0
+			for _, r := range rows {
+				if !r[ci].Null {
+					nonNull++
+				}
+			}
+			budget := nonNull + len(pages)
+			switch {
+			case cc.resolved[ci] == None:
+				budget = 0 // NONE writes full-width values with AppendValue
+			case cc.resolved[ci] == GlobalDict && !cc.dicts[ci].plain:
+				budget = 0 // coded from the pre-pass
+			}
+			if encodes[c.Name] > budget {
+				t.Errorf("%s: column %s encoded %d times, budget %d (%d non-NULL values over %d pages)",
+					d.name, c.Name, encodes[c.Name], budget, nonNull, len(pages))
+			}
+		}
+		ref := d.reference(s, rows)
 		want, err := referencePack(ref, rows)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", d.name, err)

@@ -7,12 +7,19 @@ import (
 	"cadb/internal/storage"
 )
 
+// onValueBytes, when a test sets it, hears every valueBytes call: the
+// packer's budget is one encode per value.
+var onValueBytes func(storage.Column)
+
 // valueBytes returns the minimal ("row compressed") byte encoding of a value:
 // integers and dates drop leading zero bytes (after zigzag mapping), floats
 // drop trailing zero mantissa bytes, CHAR(n) drops the blank padding, and
 // VARCHAR stores its bytes as-is. NULL values take zero bytes (they are
 // represented solely by the null bitmap).
 func valueBytes(c storage.Column, v storage.Value, dst []byte) []byte {
+	if onValueBytes != nil {
+		onValueBytes(c)
+	}
 	if v.Null {
 		return dst
 	}

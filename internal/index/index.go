@@ -263,23 +263,28 @@ func (p *Physical) CF() float64 {
 // indexes carry an 8-byte row locator column. For MV indexes the view is
 // materialized first.
 func MaterializeRows(db *catalog.Database, d *Def) (*storage.Schema, []storage.Row, error) {
-	return (&buildBatch{db: db}).leafRows(d)
+	schema, leaf, err := (&buildBatch{db: db}).leafRows(d)
+	return schema, leaf.rows, err
 }
 
 // MaterializeOver builds the index leaf rows over an explicit base row set
 // instead of the catalog table — this is how SampleCF builds an index on a
 // sample (Section 2.2). It is a build batch of one.
 func MaterializeOver(baseSchema *storage.Schema, baseRows []storage.Row, d *Def) (*storage.Schema, []storage.Row, error) {
-	return buildLeafRows(baseSchema, baseRows, d, nil)
+	schema, leaf, err := buildLeafRows(baseSchema, baseRows, d, nil, newLeafSlab)
+	return schema, leaf.rows, err
 }
 
 // buildBatch is what the builds of one BuildSegments call share: each
 // (table, key column)'s ranks, computed once by whichever build needs them
-// first. Ranks never outlive the batch, so a build after a write ranks the
-// rows it sees.
+// first, and the leaf slabs finished builds gave back. Neither outlives the
+// batch, so a build after a write ranks the rows it sees.
 type buildBatch struct {
 	db    *catalog.Database
 	ranks sync.Map // *catalog.Table -> []sharedRanks, one per column
+
+	mu   sync.Mutex
+	free []leafSlab
 }
 
 type sharedRanks struct {
@@ -287,34 +292,88 @@ type sharedRanks struct {
 	rank []int32
 }
 
-// leafRows materializes one definition's leaf rows with the batch's ranks.
-func (b *buildBatch) leafRows(d *Def) (*storage.Schema, []storage.Row, error) {
+// leafSlab is the memory a structure's leaf rows are laid out in: the values,
+// row-major, and the row headers over them. vals is nil when the rows are not
+// the build's own (a heap's leaf rows are its base rows).
+type leafSlab struct {
+	vals []storage.Value
+	rows []storage.Row
+}
+
+func newLeafSlab(cells, n int) leafSlab {
+	return leafSlab{vals: make([]storage.Value, cells), rows: make([]storage.Row, n)}
+}
+
+// PoisonRecycledSlab, when a test sets it, scribbles every leaf slab the
+// build fan-out puts back for reuse, so a segment, low key or codec that
+// kept leaf-row memory past its build reads garbage at once rather than
+// whenever the slab happens to be reused.
+var PoisonRecycledSlab func(vals []storage.Value, rows []storage.Row)
+
+// take hands a build the smallest free slab that holds cells values and n
+// rows, or a new one. A reused slab keeps its old contents: the build
+// overwrites every cell it uses.
+func (b *buildBatch) take(cells, n int) leafSlab {
+	b.mu.Lock()
+	best := -1
+	for i, s := range b.free {
+		if cap(s.vals) >= cells && cap(s.rows) >= n && (best < 0 || cap(s.vals) < cap(b.free[best].vals)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		b.mu.Unlock()
+		return newLeafSlab(cells, n)
+	}
+	s := b.free[best]
+	b.free = slices.Delete(b.free, best, best+1)
+	b.mu.Unlock()
+	return leafSlab{vals: s.vals[:cells], rows: s.rows[:n]}
+}
+
+// give returns a finished build's slab for the next build to reuse.
+func (b *buildBatch) give(s leafSlab) {
+	if cap(s.vals) == 0 {
+		return
+	}
+	if PoisonRecycledSlab != nil {
+		PoisonRecycledSlab(s.vals[:cap(s.vals)], s.rows[:cap(s.rows)])
+	}
+	b.mu.Lock()
+	b.free = append(b.free, s)
+	b.mu.Unlock()
+}
+
+// leafRows materializes one definition's leaf rows with the batch's ranks,
+// into a slab from the batch.
+func (b *buildBatch) leafRows(d *Def) (*storage.Schema, leafSlab, error) {
 	if d.MV != nil {
 		schema, rows, err := MaterializeMV(b.db, d.MV)
 		if err != nil {
-			return nil, nil, err
+			return nil, leafSlab{}, err
 		}
-		return MaterializeOver(schema, rows, d)
+		return buildLeafRows(schema, rows, d, nil, b.take)
 	}
 	t := b.db.Table(d.Table)
 	if t == nil {
-		return nil, nil, fmt.Errorf("index: unknown table %q", d.Table)
+		return nil, leafSlab{}, fmt.Errorf("index: unknown table %q", d.Table)
 	}
 	return buildLeafRows(t.Schema, t.Rows, d, func(ci int) []int32 {
 		v, _ := b.ranks.LoadOrStore(t, make([]sharedRanks, len(t.Schema.Columns)))
 		sr := &v.([]sharedRanks)[ci]
 		sr.once.Do(func() { sr.rank = rankColumn(t.Rows, ci, t.Schema.Columns[ci].Kind) })
 		return sr.rank
-	})
+	}, b.take)
 }
 
 // buildLeafRows filters, projects in key order and appends the RID column.
 // rank serves a key column's ranks over baseRows; nil (and a partial index,
 // whose kept rows are its own) ranks the rows for this definition alone.
-func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def, rank func(ci int) []int32) (*storage.Schema, []storage.Row, error) {
+// slab supplies the memory for cells values and n rows.
+func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def, rank func(ci int) []int32, slab func(cells, n int) leafSlab) (*storage.Schema, leafSlab, error) {
 	for i, c := range d.KeyCols {
 		if slices.ContainsFunc(d.KeyCols[:i], func(k string) bool { return strings.EqualFold(k, c) }) {
-			return nil, nil, fmt.Errorf("index: %s repeats key column %q", d, c)
+			return nil, leafSlab{}, fmt.Errorf("index: %s repeats key column %q", d, c)
 		}
 	}
 	// Filter for partial indexes.
@@ -348,7 +407,7 @@ func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def, r
 	}
 	for _, c := range cols {
 		if !baseSchema.Has(c) {
-			return nil, nil, fmt.Errorf("index: column %q not in %s", c, d.Table)
+			return nil, leafSlab{}, fmt.Errorf("index: column %q not in %s", c, d.Table)
 		}
 	}
 	schema := baseSchema.Project(cols)
@@ -367,7 +426,7 @@ func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def, r
 	if len(d.KeyCols) == 0 && !addRID {
 		// A heap: every column in table order and nothing to sort by, so the
 		// base rows are the leaf rows.
-		return schema, rows, nil
+		return schema, leafSlab{rows: rows}, nil
 	}
 	keyIdx := make([]int, len(d.KeyCols))
 	for k, c := range d.KeyCols {
@@ -375,19 +434,18 @@ func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def, r
 	}
 
 	// Project in key order into one slab, so the packer walks memory
-	// sequentially.
+	// sequentially. Every cell is written: the slab may be a reused one.
 	width := len(outCols)
-	slab := make([]storage.Value, len(rows)*width)
-	out := make([]storage.Row, len(rows))
+	out := slab(len(rows)*width, len(rows))
 	for j, i := range keyOrder(rows, keyIdx, rank) {
-		row := slab[j*width : (j+1)*width : (j+1)*width]
+		row := out.vals[j*width : (j+1)*width : (j+1)*width]
 		for c, ci := range colIdx {
 			row[c] = rows[i][ci]
 		}
 		if addRID {
 			row[width-1] = storage.IntVal(int64(i))
 		}
-		out[j] = row
+		out.rows[j] = row
 	}
 	return schema, out, nil
 }
@@ -400,6 +458,9 @@ func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def, r
 func rankColumn(rows []storage.Row, ci int, kind storage.Kind) []int32 {
 	switch kind {
 	case storage.KindInt, storage.KindDate:
+		if rank, ok := rankDense(rows, ci, kind); ok {
+			return rank
+		}
 		return rankBy(rows, ci, kind, func(v storage.Value) int64 { return v.Int })
 	case storage.KindFloat:
 		return rankBy(rows, ci, kind, func(v storage.Value) float64 { return v.Float })
@@ -407,6 +468,55 @@ func rankColumn(rows []storage.Row, ci int, kind storage.Kind) []int32 {
 		return rankBy(rows, ci, kind, func(v storage.Value) string { return v.Str })
 	}
 	return nil
+}
+
+// denseSpanFactor bounds the integer span rankDense counts over, as a
+// multiple of the row count: past it the sort is cheaper than the marks.
+const denseSpanFactor = 4
+
+// rankDense ranks an integer column whose values span under denseSpanFactor
+// × rows without sorting: mark the values present, number the marks in
+// order, look each row's value up — O(rows + span). ok is false when the
+// span is wider (or overflows int64) or the column holds a value of another
+// kind, which the sort or the comparator then handles.
+func rankDense(rows []storage.Row, ci int, kind storage.Kind) ([]int32, bool) {
+	lo, hi, seen := int64(0), int64(0), false
+	for _, r := range rows {
+		if v := r[ci]; !v.Null {
+			if v.Kind != kind {
+				return nil, false
+			}
+			if !seen {
+				lo, hi, seen = v.Int, v.Int, true
+			}
+			lo, hi = min(lo, v.Int), max(hi, v.Int)
+		}
+	}
+	// span is 0 for an all-NULL column (every rank 0), and negative when
+	// hi − lo overflowed.
+	span := hi - lo
+	if span < 0 || span >= denseSpanFactor*int64(len(rows)) {
+		return nil, false
+	}
+	rank, mark := make([]int32, len(rows)), make([]int32, span+1)
+	for _, r := range rows {
+		if v := r[ci]; !v.Null {
+			mark[v.Int-lo] = 1
+		}
+	}
+	next := int32(0)
+	for i, m := range mark {
+		if m != 0 {
+			next++
+			mark[i] = next
+		}
+	}
+	for i, r := range rows {
+		if v := r[ci]; !v.Null {
+			rank[i] = mark[v.Int-lo]
+		}
+	}
+	return rank, true
 }
 
 // rankBy ranks column ci by its bare keys: one typed sort of (key, position)

@@ -82,7 +82,11 @@ func sameValue(a, b storage.Value) bool {
 // keyOrderTable generates n rows over one column of every kind plus the two
 // shapes only the comparator can order: a float column holding NaNs and an
 // int column holding floats and strings. Small domains make duplicates heavy;
-// every column is a tenth NULL.
+// every column but the all-NULL one is a tenth NULL. The integer columns
+// cover both rank paths: narrow spans (i, d, negative neg, all-NULL null,
+// one repeated value) are counted, while spans that overflow int64 (ext,
+// extd: both MinInt64 and MaxInt64) or are sparse and wide (sparse) are
+// sorted.
 func keyOrderTable(rng *rand.Rand, n int) *catalog.Table {
 	schema := storage.NewSchema(
 		storage.Column{Name: "i", Kind: storage.KindInt, Nullable: true},
@@ -91,7 +95,14 @@ func keyOrderTable(rng *rand.Rand, n int) *catalog.Table {
 		storage.Column{Name: "d", Kind: storage.KindDate, Nullable: true},
 		storage.Column{Name: "nan", Kind: storage.KindFloat, Nullable: true},
 		storage.Column{Name: "mixed", Kind: storage.KindInt, Nullable: true},
+		storage.Column{Name: "ext", Kind: storage.KindInt, Nullable: true},
+		storage.Column{Name: "extd", Kind: storage.KindDate, Nullable: true},
+		storage.Column{Name: "sparse", Kind: storage.KindInt, Nullable: true},
+		storage.Column{Name: "neg", Kind: storage.KindInt, Nullable: true},
+		storage.Column{Name: "null", Kind: storage.KindInt, Nullable: true},
+		storage.Column{Name: "one", Kind: storage.KindDate, Nullable: true},
 	)
+	extremes := []int64{math.MinInt64, math.MaxInt64, 0, -1, math.MinInt64 + 1}
 	t := &catalog.Table{Name: "t", Schema: schema}
 	for r := 0; r < n; r++ {
 		row := storage.Row{
@@ -101,6 +112,12 @@ func keyOrderTable(rng *rand.Rand, n int) *catalog.Table {
 			storage.DateVal(int64(9000 + rng.Intn(5))),
 			storage.FloatVal([]float64{math.NaN(), 1, -1, 0}[rng.Intn(4)]),
 			[]storage.Value{storage.IntVal(2), storage.IntVal(-1), storage.FloatVal(0.5), storage.StringVal("x")}[rng.Intn(4)],
+			storage.IntVal(extremes[rng.Intn(len(extremes))]),
+			storage.DateVal(extremes[rng.Intn(len(extremes))]),
+			storage.IntVal((rng.Int63n(2001) - 1000) * 1_000_003),
+			storage.IntVal(int64(-5000 - rng.Intn(n+1))),
+			storage.NullValue(storage.KindInt),
+			storage.DateVal(-7),
 		}
 		for c := range row {
 			if rng.Intn(10) == 0 {
@@ -114,13 +131,14 @@ func keyOrderTable(rng *rand.Rand, n int) *catalog.Table {
 
 // TestKeyOrderMatchesReference is a randomized differential of the rank-based
 // key order against the comparator sort it replaced, over 1–3 key columns of
-// every kind (clean columns through ranks, NaN and mixed-kind columns through
-// the comparator fallback), partial and clustered shapes, and empty and
+// every kind (clean columns through ranks — counted or sorted, see
+// keyOrderTable — NaN and mixed-kind columns through the comparator
+// fallback), partial and clustered shapes, and empty and
 // single-row inputs — both as a batch of one (MaterializeOver, SampleCF's
 // path) and through one shared build batch per table.
 func TestKeyOrderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	names := []string{"i", "f", "s", "d", "nan", "mixed"}
+	names := []string{"i", "f", "s", "d", "nan", "mixed", "ext", "extd", "sparse", "neg", "null", "one"}
 	for trial := 0; trial < 150; trial++ {
 		n := []int{0, 1, 2, 40, 400}[trial%5]
 		tbl := keyOrderTable(rng, n)
@@ -129,8 +147,20 @@ func TestKeyOrderMatchesReference(t *testing.T) {
 		batch := &buildBatch{db: db}
 		for _, c := range names {
 			ci := tbl.Schema.ColIndex(c)
-			if fallback := rankColumn(tbl.Rows, ci, tbl.Schema.Columns[ci].Kind) == nil; fallback && (c != "nan" && c != "mixed") {
+			kind := tbl.Schema.Columns[ci].Kind
+			if fallback := rankColumn(tbl.Rows, ci, kind) == nil; fallback && (c != "nan" && c != "mixed") {
 				t.Fatalf("trial %d: clean column %s took the comparator fallback", trial, c)
+			}
+			if kind != storage.KindInt && kind != storage.KindDate || c == "mixed" {
+				continue
+			}
+			// Both rank paths: counted where the span allows, equal to sorted.
+			counted, ok := rankDense(tbl.Rows, ci, kind)
+			if wantCounted := c != "ext" && c != "extd" && c != "sparse"; n >= 40 && ok != wantCounted {
+				t.Fatalf("trial %d: column %s counted = %v, want %v", trial, c, ok, wantCounted)
+			}
+			if sorted := rankBy(tbl.Rows, ci, kind, func(v storage.Value) int64 { return v.Int }); ok && !slices.Equal(counted, sorted) {
+				t.Fatalf("trial %d: column %s counted ranks %v, sorted %v", trial, c, counted, sorted)
 			}
 		}
 		for j := 0; j < 6; j++ {
@@ -153,7 +183,9 @@ func TestKeyOrderMatchesReference(t *testing.T) {
 				if path == "batch of one" {
 					schema, got, err = MaterializeOver(tbl.Schema, tbl.Rows, d)
 				} else {
-					schema, got, err = batch.leafRows(d)
+					var leaf leafSlab
+					schema, leaf, err = batch.leafRows(d)
+					got = leaf.rows
 				}
 				label := fmt.Sprintf("trial %d, %s, %s", trial, path, d)
 				if err != nil {

@@ -50,7 +50,8 @@ func BuildSegmentIndex(db *catalog.Database, d *Def) (*SegmentIndex, error) {
 // BuildSegments materializes one segment per definition over the database's
 // current rows in one fan-out across the CPUs. The builds share each key
 // column's ranks and start heaviest first (base rows × leaf width), so the
-// longest does not start last; each lands in its definition's slot, so the
+// longest does not start last; a finished build's leaf slab goes to the next
+// build that fits in it. Each lands in its definition's slot, so the
 // segments are the same at any GOMAXPROCS. done, when non-nil, runs on each
 // built segment inside the fan-out. A failed build or done leaves its slot
 // nil; the first error in definition order is returned.
@@ -70,9 +71,10 @@ func BuildSegments(db *catalog.Database, defs []*Def, done func(i int, si *Segme
 	out, errs := make([]*SegmentIndex, len(defs)), make([]error, len(defs))
 	par.For(runtime.GOMAXPROCS(0), len(order), func(k int) {
 		i := order[k]
-		schema, rows, err := b.leafRows(defs[i])
+		schema, leaf, err := b.leafRows(defs[i])
 		if err == nil {
-			out[i], err = BuildSegmentOver(schema, rows, defs[i])
+			out[i], err = BuildSegmentOver(schema, leaf.rows, defs[i])
+			b.give(leaf)
 		}
 		if err == nil && done != nil {
 			err = done(i, out[i])
@@ -95,10 +97,9 @@ func BuildSegmentOver(schema *storage.Schema, rows []storage.Row, d *Def) (*Segm
 	if err != nil {
 		return nil, err
 	}
-	_, unc := storage.PackRows(schema, rows)
 	si := &SegmentIndex{
 		Def:      d,
-		Physical: &LeafStats{Schema: schema, Rows: int64(len(rows)), UncompressedBytes: unc},
+		Physical: &LeafStats{Schema: schema, Rows: int64(len(rows)), UncompressedBytes: storage.PackedBytes(schema, rows)},
 		Seg:      seg,
 		nKeys:    len(d.KeyCols),
 	}

@@ -74,3 +74,38 @@ func PackRows(s *Schema, rows []Row) ([]PageGroup, int64) {
 	flush(len(rows))
 	return groups, total
 }
+
+// PackedBytes is PackRows' total without the groups: every row's encoded
+// size plus its slot, an oversized row charged whole overflow pages. Only
+// VARCHAR values vary in size, so a row costs its schema's fixed bytes plus
+// their lengths, and a schema without VARCHAR columns costs rows × one row.
+func PackedBytes(s *Schema, rows []Row) int64 {
+	fixed := (len(s.Columns)+7)/8 + SlotSize
+	var varchars []int
+	for i, c := range s.Columns {
+		if c.Kind == KindString && c.FixedWidth == 0 {
+			varchars = append(varchars, i)
+		}
+		fixed += EncodedValueSize(c, NullValue(c.Kind))
+	}
+	charge := func(sz int) int64 {
+		if sz > UsablePageBytes {
+			return PagesForBytes(int64(sz)) * UsablePageBytes
+		}
+		return int64(sz)
+	}
+	if len(varchars) == 0 {
+		return int64(len(rows)) * charge(fixed)
+	}
+	var total int64
+	for _, r := range rows {
+		sz := fixed
+		for _, i := range varchars {
+			if !r[i].Null {
+				sz += min(len(r[i].Str), 0xFFFF)
+			}
+		}
+		total += charge(sz)
+	}
+	return total
+}
