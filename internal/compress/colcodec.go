@@ -71,16 +71,9 @@ type gdictState struct {
 	plain bool           // the dictionary lost to plain storage
 }
 
-// onRegister, when a test sets it, hears every dictionary lookup: the
-// packer's budget is that the pre-pass alone looks values up.
-var onRegister func()
-
 // register returns the code of the encoded value, assigning the next one on
 // first sight. Only a new value allocates (its dictionary copy).
 func (st *gdictState) register(kind storage.Kind, v []byte) int {
-	if onRegister != nil {
-		onRegister()
-	}
 	if kind == storage.KindString {
 		if code, ok := st.codes[string(v)]; ok {
 			return code

@@ -18,7 +18,8 @@ import (
 // pass plus one real encode. Each value is encoded once: the sizing pass
 // appends its minimal bytes to the column's page arena and the section
 // writers read them back from there; GDICT columns carry the codes the
-// segment pre-pass assigned and are never looked up again.
+// segment pre-pass assigned, and the packer holds no dictionary to look a
+// value up in again.
 
 // pageLayout is what the packer needs to know about a design's pages.
 type pageLayout struct {
@@ -54,11 +55,22 @@ func newPacker(s *storage.Schema, lay pageLayout, rows []storage.Row) *packer {
 // pageValues is one column's minimal value encodings for the rows fill added
 // to the page, back to back: row j's bytes end at end[j] (a NULL is empty).
 type pageValues struct {
-	buf []byte
-	end []int32
+	buf     []byte
+	end     []int32
+	encodes int // values encoded into the arena so far, every page (test budget)
 }
 
 func (pv *pageValues) reset() { pv.buf, pv.end = pv.buf[:0], pv.end[:0] }
+
+// add appends the next page row's value: its minimal encoding, or nothing for
+// a NULL.
+func (pv *pageValues) add(c storage.Column, v storage.Value) {
+	if !v.Null {
+		pv.buf = valueBytes(c, v, pv.buf)
+		pv.encodes++
+	}
+	pv.end = append(pv.end, int32(len(pv.buf)))
+}
 
 // at returns page row j's encoding.
 func (pv *pageValues) at(j int) []byte {
@@ -122,10 +134,7 @@ func (p *packer) fill(start int) (int, int) {
 				z.addCode(codes[start+k])
 			default:
 				pv := &p.vals[ci]
-				if !v.Null {
-					pv.buf = valueBytes(c, v, pv.buf)
-				}
-				pv.end = append(pv.end, int32(len(pv.buf)))
+				pv.add(c, v)
 				z.add(m, v.Null, pv.at(k))
 			}
 			sec := z.size(m, codes != nil, k+1)

@@ -47,7 +47,7 @@ func MeasureDesignSizes(s *storage.Schema, rows []storage.Row) *DesignSizes {
 	for ci := range s.Columns {
 		d.perCol[ci] = make(map[Method]int64, int(numMethods))
 	}
-	groups, _ := storage.PackRows(s, rows)
+	groups := storage.PackRows(s, rows)
 	scratch := make([]byte, 0, 64)
 	for _, g := range groups {
 		n := g.End - g.Start

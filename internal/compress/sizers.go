@@ -7,19 +7,12 @@ import (
 	"cadb/internal/storage"
 )
 
-// onValueBytes, when a test sets it, hears every valueBytes call: the
-// packer's budget is one encode per value.
-var onValueBytes func(storage.Column)
-
 // valueBytes returns the minimal ("row compressed") byte encoding of a value:
 // integers and dates drop leading zero bytes (after zigzag mapping), floats
 // drop trailing zero mantissa bytes, CHAR(n) drops the blank padding, and
 // VARCHAR stores its bytes as-is. NULL values take zero bytes (they are
 // represented solely by the null bitmap).
 func valueBytes(c storage.Column, v storage.Value, dst []byte) []byte {
-	if onValueBytes != nil {
-		onValueBytes(c)
-	}
 	if v.Null {
 		return dst
 	}
@@ -108,7 +101,7 @@ func sizeRowCompressed(s *storage.Schema, rows []storage.Row) int64 {
 // dictionary codes or as length-prefixed literals. This is order-dependent:
 // the same rows in a different order fragment differently across pages.
 func sizePageCompressed(s *storage.Schema, rows []storage.Row) int64 {
-	groups, _ := storage.PackRows(s, rows)
+	groups := storage.PackRows(s, rows)
 	bitmap := (len(s.Columns) + 7) / 8
 	var total int64
 	for _, g := range groups {
@@ -214,7 +207,7 @@ func codeWidth(n int) int {
 // column stores one (value, count) pair per run of consecutive equal values.
 // Strongly order-dependent; sorted leading columns collapse dramatically.
 func sizeRLE(s *storage.Schema, rows []storage.Row) int64 {
-	groups, _ := storage.PackRows(s, rows)
+	groups := storage.PackRows(s, rows)
 	var total int64
 	scratch := make([]byte, 0, 64)
 	for _, g := range groups {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,12 +39,7 @@ func assertMatchesStandalone(t *testing.T, label string, st *Store) {
 		if h.si == nil || h.stale {
 			continue
 		}
-		// The yardstick is built unpoisoned: a standalone build that kept its
-		// slab would otherwise be scribbled exactly like the deployed one.
-		poison := index.PoisonRecycledSlab
-		index.PoisonRecycledSlab = nil
 		want, err := index.BuildSegmentIndex(st.db, h.def)
-		index.PoisonRecycledSlab = poison
 		if err != nil {
 			t.Fatalf("%s: %s: standalone build: %v", label, h.id, err)
 		}
@@ -79,58 +73,7 @@ func assertMatchesStandalone(t *testing.T, label string, st *Store) {
 		if !reflect.DeepEqual(gs, ws) {
 			t.Fatalf("%s: %s: low keys or leaf statistics differ from the standalone build", label, h.id)
 		}
-		// The codec is the segment's decode state for as long as the segment
-		// lives: the GDICT codes the build wrote per row must not be in it.
-		if path := perRowCodes(reflect.ValueOf(got.Codec), "codec"); path != "" {
-			t.Fatalf("%s: %s: the built codec holds a per-row code array at %s", label, h.id, path)
-		}
 	}
-}
-
-// perRowCodes returns the path of the first []int32 reachable from v — the
-// type of the build's per-row GDICT codes — or "" when there is none.
-func perRowCodes(v reflect.Value, path string) string {
-	switch v.Kind() {
-	case reflect.Pointer, reflect.Interface:
-		if !v.IsNil() {
-			return perRowCodes(v.Elem(), path)
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if p := perRowCodes(v.Field(i), path+"."+v.Type().Field(i).Name); p != "" {
-				return p
-			}
-		}
-	case reflect.Slice, reflect.Array:
-		if v.Type().Elem().Kind() == reflect.Int32 {
-			return path
-		}
-		for i := 0; i < v.Len(); i++ {
-			if p := perRowCodes(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
-				return p
-			}
-		}
-	}
-	return ""
-}
-
-// scribbleSlab overwrites a leaf slab with values no build produces.
-func scribbleSlab(vals []storage.Value, rows []storage.Row) {
-	for i := range vals {
-		vals[i] = storage.Value{Kind: storage.KindString, Str: "\x00leaf slab read after its build"}
-	}
-	clear(rows)
-}
-
-// TestPoisonedSlabsMatchStandaloneBuilds reruns the deploy differential with
-// every leaf slab scribbled the moment the fan-out takes it back for the next
-// build: a segment, low key or codec that kept leaf-row memory past its
-// build differs from the standalone build here, deterministically, rather
-// than whenever a slab happens to be reused.
-func TestPoisonedSlabsMatchStandaloneBuilds(t *testing.T) {
-	index.PoisonRecycledSlab = scribbleSlab
-	t.Cleanup(func() { index.PoisonRecycledSlab = nil })
-	TestDeployMatchesStandaloneBuilds(t)
 }
 
 // TestDeployMatchesStandaloneBuilds: the deploy fan-out shares key ranks

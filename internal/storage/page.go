@@ -35,8 +35,8 @@ type PageGroup struct {
 }
 
 // PackRows partitions rows (already in index order) into page groups using
-// the uncompressed encoding size of each row. It returns the groups and the
-// total uncompressed payload size in bytes.
+// the uncompressed encoding size of each row. The groups' Bytes sum to
+// PackedBytes.
 //
 // Packing follows the first-fit rule of a bulk-loaded B+-tree leaf level with
 // a 100% fill factor: rows are appended until the next row would overflow the
@@ -44,9 +44,8 @@ type PageGroup struct {
 // overflow-page run, charged at whole pages (ceil of its true encoded size) —
 // clamping it to a single page would under-count the payload bytes that
 // heap-size and compression-fraction estimates are built on.
-func PackRows(s *Schema, rows []Row) ([]PageGroup, int64) {
+func PackRows(s *Schema, rows []Row) []PageGroup {
 	var groups []PageGroup
-	var total int64
 	start := 0
 	used := 0
 	flush := func(end int) {
@@ -60,8 +59,7 @@ func PackRows(s *Schema, rows []Row) ([]PageGroup, int64) {
 		sz := EncodedRowSize(s, r) + SlotSize
 		if sz > UsablePageBytes {
 			flush(i)
-			used = int(PagesForBytes(int64(sz))) * UsablePageBytes
-			total += int64(used)
+			used = chargedRowBytes(sz)
 			flush(i + 1)
 			continue
 		}
@@ -69,43 +67,44 @@ func PackRows(s *Schema, rows []Row) ([]PageGroup, int64) {
 			flush(i)
 		}
 		used += sz
-		total += int64(sz)
 	}
 	flush(len(rows))
-	return groups, total
+	return groups
 }
 
-// PackedBytes is PackRows' total without the groups: every row's encoded
-// size plus its slot, an oversized row charged whole overflow pages. Only
-// VARCHAR values vary in size, so a row costs its schema's fixed bytes plus
-// their lengths, and a schema without VARCHAR columns costs rows × one row.
+// chargedRowBytes is what a row of sz bytes (slot included) costs in the
+// packed layout: its size, or whole overflow pages when it outgrows a page.
+func chargedRowBytes(sz int) int {
+	if sz > UsablePageBytes {
+		return int(PagesForBytes(int64(sz))) * UsablePageBytes
+	}
+	return sz
+}
+
+// PackedBytes is the total uncompressed payload of rows in the packed
+// layout: every row's encoded size plus its slot, an oversized row charged
+// whole overflow pages. Only variable-width values differ from row to row,
+// so a schema without them costs rows × one row.
 func PackedBytes(s *Schema, rows []Row) int64 {
 	fixed := (len(s.Columns)+7)/8 + SlotSize
-	var varchars []int
+	var varying []int
 	for i, c := range s.Columns {
-		if c.Kind == KindString && c.FixedWidth == 0 {
-			varchars = append(varchars, i)
+		if c.Width() == 0 {
+			varying = append(varying, i)
+		} else {
+			fixed += c.Width()
 		}
-		fixed += EncodedValueSize(c, NullValue(c.Kind))
 	}
-	charge := func(sz int) int64 {
-		if sz > UsablePageBytes {
-			return PagesForBytes(int64(sz)) * UsablePageBytes
-		}
-		return int64(sz)
-	}
-	if len(varchars) == 0 {
-		return int64(len(rows)) * charge(fixed)
+	if len(varying) == 0 {
+		return int64(len(rows)) * int64(chargedRowBytes(fixed))
 	}
 	var total int64
 	for _, r := range rows {
 		sz := fixed
-		for _, i := range varchars {
-			if !r[i].Null {
-				sz += min(len(r[i].Str), 0xFFFF)
-			}
+		for _, i := range varying {
+			sz += EncodedValueSize(s.Columns[i], r[i])
 		}
-		total += charge(sz)
+		total += int64(chargedRowBytes(sz))
 	}
 	return total
 }

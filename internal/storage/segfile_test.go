@@ -23,7 +23,7 @@ func (plainCodec) SegmentState() []byte                   { return nil }
 func (plainCodec) LoadSegmentState(*Schema, []byte) error { return nil }
 
 func (plainCodec) EncodeRows(s *Schema, rows []Row) ([]EncodedPage, error) {
-	groups, _ := PackRows(s, rows)
+	groups := PackRows(s, rows)
 	out := make([]EncodedPage, 0, len(groups))
 	for _, g := range groups {
 		var payload []byte

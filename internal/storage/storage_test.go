@@ -205,7 +205,7 @@ func TestPackRowsBasic(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		rows = append(rows, Row{IntVal(int64(i))})
 	}
-	groups, total := PackRows(s, rows)
+	groups, total := PackRows(s, rows), PackedBytes(s, rows)
 	if total <= 0 {
 		t.Fatal("total must be positive")
 	}
@@ -249,7 +249,7 @@ func TestPackRowsOversizedRowAccounting(t *testing.T) {
 		{IntVal(2), StringVal(string(big))},
 		{IntVal(3), StringVal("y")},
 	}
-	groups, total := PackRows(s, rows)
+	groups, total := PackRows(s, rows), PackedBytes(s, rows)
 	if len(groups) != 3 {
 		t.Fatalf("want 3 groups (row, overflow run, row), got %d: %+v", len(groups), groups)
 	}
@@ -280,7 +280,7 @@ func TestPackRowsOversizedRowAccounting(t *testing.T) {
 
 func TestPackRowsEmpty(t *testing.T) {
 	s := NewSchema(Column{Name: "a", Kind: KindInt})
-	groups, total := PackRows(s, nil)
+	groups, total := PackRows(s, nil), PackedBytes(s, nil)
 	if len(groups) != 0 || total != 0 {
 		t.Fatalf("empty input: groups=%d total=%d", len(groups), total)
 	}
