@@ -46,7 +46,6 @@ import (
 	"cadb/internal/experiments"
 	"cadb/internal/index"
 	"cadb/internal/optimizer"
-	"cadb/internal/sampling"
 	"cadb/internal/sizeest"
 	"cadb/internal/sizing"
 	"cadb/internal/sqlparse"
@@ -61,25 +60,15 @@ import (
 // Database is a set of tables with rows and statistics.
 type Database = catalog.Database
 
-// Table is one relation.
-type Table = catalog.Table
-
 // Workload is a weighted set of SQL statements.
 type Workload = workload.Workload
 
 // Statement is one workload entry (query or bulk insert).
 type Statement = workload.Statement
 
-// Query is a SELECT statement in the supported subset.
-type Query = workload.Query
-
 // IndexDef describes a (possibly compressed, partial, clustered or MV)
 // index.
 type IndexDef = index.Def
-
-// MVDef describes a materialized view (fact, FK joins, WHERE, GROUP BY,
-// aggregates).
-type MVDef = index.MVDef
 
 // CompressionMethod identifies a compression method.
 type CompressionMethod = compress.Method
@@ -97,23 +86,6 @@ const (
 	// RLECompression is per-page run-length encoding.
 	RLECompression = compress.RLE
 )
-
-// HasCodec reports whether the method has a materializing page codec (and so
-// can back a physical segment). Every recommendable method does: a uniform
-// method is the per-column design whose columns all share it.
-func HasCodec(m CompressionMethod) bool { return compress.HasCodec(m) }
-
-// PageCodec encodes rows into page payloads and back.
-type PageCodec = storage.PageCodec
-
-// DesignCodec returns a fresh page codec for a per-column design: def as the
-// default method with overrides for individual columns (as in
-// IndexDef.ColMethods). Pages are column-major with one framed section per
-// column; the per-segment state (the global dictionaries) rides in the
-// segment file's header. One instance serves one segment.
-func DesignCodec(def CompressionMethod, overrides map[string]CompressionMethod) PageCodec {
-	return compress.DesignCodec(def, overrides)
-}
 
 // ---------------------------------------------------------------------------
 // Data and workload generation
@@ -166,9 +138,6 @@ func UpdateIntensive(wl *Workload) *Workload { return workloads.UpdateIntensive(
 // with optional "-- label: X weight: N" directives).
 func ParseWorkload(sql string) (*Workload, error) { return sqlparse.ParseScript(sql) }
 
-// ParseStatement parses a single SQL statement in the supported subset.
-func ParseStatement(sql string) (*Statement, error) { return sqlparse.ParseStatement(sql) }
-
 // ---------------------------------------------------------------------------
 // The advisor
 
@@ -178,20 +147,12 @@ type Options = core.Options
 // Recommendation is the advisor's output.
 type Recommendation = core.Recommendation
 
-// Advisor is the compression-aware physical design advisor.
-type Advisor = core.Advisor
-
 // DefaultOptions returns the full DTAc configuration (compression, skyline
 // selection and backtracking enabled) at the given storage budget in bytes.
 func DefaultOptions(budget int64) Options { return core.DefaultOptions(budget) }
 
 // DTAOptions returns the compression-blind baseline configuration.
 func DTAOptions(budget int64) Options { return core.DTAOptions(budget) }
-
-// NewAdvisor creates an advisor for a database and workload.
-func NewAdvisor(db *Database, wl *Workload, opts Options) *Advisor {
-	return core.New(db, wl, opts)
-}
 
 // Tune runs the advisor end to end.
 func Tune(db *Database, wl *Workload, opts Options) (*Recommendation, error) {
@@ -231,12 +192,6 @@ type SizeEstimator = estimator.Estimator
 // SizeEstimate is one size estimate with its error distribution.
 type SizeEstimate = estimator.Estimate
 
-// NewSizeEstimator creates an estimator over a fresh sample manager with
-// sampling fraction f.
-func NewSizeEstimator(db *Database, f float64, seed int64) *SizeEstimator {
-	return estimator.New(db, sampling.NewManager(db, f, seed))
-}
-
 // SizeOracle is the size-estimation orchestration layer the advisor runs on:
 // plan the estimation strategy over shared f-grid prefix samples, execute
 // the deduction DAG in parallel with batched SampleCF, and admit
@@ -246,9 +201,6 @@ type SizeOracle = sizeest.Oracle
 
 // SizeOracleConfig parameterizes a size oracle.
 type SizeOracleConfig = sizeest.Config
-
-// SizeAccounting is the oracle's runtime split and admission counters.
-type SizeAccounting = sizeest.Accounting
 
 // NewSizeOracle creates a size oracle.
 func NewSizeOracle(db *Database, cfg SizeOracleConfig) *SizeOracle {
@@ -273,10 +225,6 @@ func ExecuteEstimation(est *SizeEstimator, p *EstimationPlan) (map[string]*SizeE
 
 // ---------------------------------------------------------------------------
 // The physical page store and segment-backed execution
-
-// Segment is a materialized compressed page store (rows encoded into real
-// 8 KB slotted pages by a per-method codec).
-type Segment = storage.Segment
 
 // SegmentIndex is a physically materialized index: leaf rows compressed into
 // a segment, with per-page low keys for leading-key seeks and measured
@@ -304,10 +252,6 @@ type ExecIOStats = exec.IOStats
 // predicates to evaluate during decode (the pushed-down half of a streaming
 // scan).
 type DecodeSpec = storage.DecodeSpec
-
-// ColPredicate is one pushed-down comparison: a column ordinal, an operator
-// and bounds pre-coerced to the column kind.
-type ColPredicate = storage.ColPredicate
 
 // BuildSegmentIndex materializes an index definition as a compressed page
 // segment under its per-column design.
@@ -339,30 +283,6 @@ type BufferPoolStats = bufferpool.Stats
 // payloads.
 func NewBufferPool(capacityBytes int64) *BufferPool { return bufferpool.New(capacityBytes) }
 
-// SegmentFile is the on-disk form of a segment: a checksummed header and
-// page directory followed by the raw page payloads, readable page-by-page
-// via ReadAt.
-type SegmentFile = storage.SegmentFile
-
-// WriteSegmentFile writes a segment's pages to disk and returns an open
-// handle.
-func WriteSegmentFile(path string, seg *Segment) (*SegmentFile, error) {
-	return storage.WriteSegmentFile(path, seg)
-}
-
-// OpenSegmentFile opens an existing segment file, validating the header
-// checksum.
-func OpenSegmentFile(path string) (*SegmentFile, error) { return storage.OpenSegmentFile(path) }
-
-// PoolProfile makes what-if costing buffer-pool-aware: the page-I/O cost
-// terms of a structure that fits the pool's capacity are discounted by the
-// resident hit rate. Install via CostModel.SetPoolProfile or
-// Options.PoolProfile.
-type PoolProfile = optimizer.PoolProfile
-
-// NewPoolProfile returns a profile for a pool of the given capacity.
-func NewPoolProfile(capacityBytes int64) *PoolProfile { return optimizer.NewPoolProfile(capacityBytes) }
-
 // ---------------------------------------------------------------------------
 // Experiments
 
@@ -375,7 +295,7 @@ func DefaultExperimentScale() ExperimentScale { return experiments.DefaultScale(
 // QuickExperimentScale is the reduced smoke-test scale.
 func QuickExperimentScale() ExperimentScale { return experiments.QuickScale() }
 
-// ExperimentIDs lists the reproducible tables/figures.
+// ExperimentIDs lists the reproducible tables/figures in paper order.
 func ExperimentIDs() []string { return experiments.IDs() }
 
 // RunExperiment regenerates one paper table/figure, writing a text report.
@@ -384,6 +304,4 @@ func RunExperiment(id string, sc ExperimentScale, w io.Writer) error {
 }
 
 // RunAllExperiments regenerates every table and figure in paper order.
-func RunAllExperiments(sc ExperimentScale, w io.Writer) error {
-	return experiments.RunAll(sc, w)
-}
+func RunAllExperiments(sc ExperimentScale, w io.Writer) { experiments.RunAll(sc, w) }

@@ -52,10 +52,10 @@ INSERT INTO sales BULK 100;
 	if len(wl.Statements) != 2 || wl.Statements[0].Weight != 2 {
 		t.Fatalf("parse result: %+v", wl.Statements)
 	}
-	if _, err := ParseStatement("SELECT COUNT(*) FROM t"); err != nil {
+	if _, err := ParseWorkload("SELECT COUNT(*) FROM t"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseStatement("DROP TABLE t"); err == nil {
+	if _, err := ParseWorkload("DROP TABLE t"); err == nil {
 		t.Fatal("unsupported statement must error")
 	}
 }
@@ -63,10 +63,11 @@ INSERT INTO sales BULK 100;
 func TestFacadeWhatIf(t *testing.T) {
 	db := NewSales(SalesConfig{FactRows: 2000, Seed: 2})
 	cm := NewCostModel(db)
-	stmt, err := ParseStatement("SELECT SUM(price) FROM sales WHERE orderdate BETWEEN DATE 12100 AND DATE 12200")
+	wl, err := ParseWorkload("SELECT SUM(price) FROM sales WHERE orderdate BETWEEN DATE 12100 AND DATE 12200")
 	if err != nil {
 		t.Fatal(err)
 	}
+	stmt := wl.Statements[0]
 	base := cm.Cost(stmt, NewConfiguration())
 	phys, err := BuildIndex(db, (&IndexDef{Table: "sales", KeyCols: []string{"orderdate"}, IncludeCols: []string{"price"}}).WithMethod(PageCompression))
 	if err != nil {
@@ -103,8 +104,8 @@ func TestFacadeSizeEstimation(t *testing.T) {
 
 func TestFacadeExperimentRegistry(t *testing.T) {
 	ids := ExperimentIDs()
-	if len(ids) != 19 {
-		t.Fatalf("experiments=%d want 19", len(ids))
+	if len(ids) != 18 {
+		t.Fatalf("experiments=%d want 18", len(ids))
 	}
 	var buf bytes.Buffer
 	sc := QuickExperimentScale()
@@ -188,20 +189,19 @@ var (
 	docCmdPath = regexp.MustCompile(`\bcmd/([a-z][a-z0-9-]*)`)
 	docRepro   = regexp.MustCompile("cadb-repro((?:[ \t]+[^\\s`#)]+)*)")
 	docDeleted = regexp.MustCompile(`BENCH_[\w*]*|cadb-bench`)
-	docMember  = regexp.MustCompile(`\b(SegmentStore|PoolProfile|Options)\.([A-Z]\w*)`)
+	docMember  = regexp.MustCompile(`\b(SegmentStore|Options)\.([A-Z]\w*)`)
 )
 
 // docTypes are the facade types whose members a document may cite.
 var docTypes = map[string]reflect.Type{
 	"SegmentStore": reflect.TypeOf((*SegmentStore)(nil)),
-	"PoolProfile":  reflect.TypeOf((*PoolProfile)(nil)),
 	"Options":      reflect.TypeOf((*Options)(nil)),
 }
 
 // docViolations lists what a document says that the tree cannot do: a
 // cmd/<name> that is not a directory, a cadb-repro invocation with a flag it
 // does not have or an experiment ID that is not registered, a
-// SegmentStore.X / PoolProfile.X / Options.X that is neither a method nor a
+// SegmentStore.X / Options.X that is neither a method nor a
 // field of that type, and any mention of the deleted harness or the files it
 // wrote.
 func docViolations(text string) []string {
@@ -274,8 +274,8 @@ func TestReadmeCitesWhatExists(t *testing.T) {
 		{"unknown flag", "`cadb-repro -pool-rows 5 ext-pool`", 2}, // the flag, then its stray value
 		{"deleted harness", "`go run ./cmd/cadb-bench` writes `BENCH_pool.json`", 3},
 		{"deleted files by glob", "regenerate `BENCH_*.json`", 1},
-		{"real members", "`SegmentStore.SetPrefetch(8, 2)`, `Options.PoolProfile`, `cadb.PoolProfile.CapacityBytes`, `DefaultOptions.`", 0},
-		{"members that do not exist", "`PoolProfile.Measured` feeds `SegmentStore.NoSuchMethod()` into `Options.Knob`", 3},
+		{"real members", "`SegmentStore.SetPrefetch(8, 2)`, `Options.Parallelism`, `DefaultOptions.`", 0},
+		{"members that do not exist", "`Options.PoolBytes` feeds `SegmentStore.NoSuchMethod()` into `Options.Knob`", 3},
 		{"BENCHMARK.json is not one of them", "`BENCHMARK.json` declares the loop benchmark", 0},
 		{"README.md", string(readme), 0},
 	} {
@@ -295,9 +295,8 @@ func TestOptionCounts(t *testing.T) {
 		config any
 		want   int
 	}{
-		{"core.Options", Options{}, 15},
+		{"core.Options", Options{}, 14},
 		{"sizeest.Config", SizeOracleConfig{}, 5},
-		{"optimizer.PoolProfile", PoolProfile{}, 1},
 		{"experiments.ScanSweepConfig", experiments.ScanSweepConfig{}, 3},
 		{"experiments.PoolSweepConfig", experiments.PoolSweepConfig{}, 5},
 	} {

@@ -8,7 +8,7 @@
 //	cadb-repro -exp fig12,fig13       # several
 //	cadb-repro -quick                 # reduced scale (fast smoke run)
 //	cadb-repro ext-pool -rows 1000000 # override database size
-//	cadb-repro -list                  # list experiment IDs
+//	cadb-repro -list                  # list experiment IDs in paper order
 package main
 
 import (
@@ -79,14 +79,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sc.Seed = *seed
 
 	if len(ids) == 0 {
-		err = cadb.RunAllExperiments(sc, stdout)
+		cadb.RunAllExperiments(sc, stdout)
 	}
-	for i := 0; err == nil && i < len(ids); i++ {
-		err = cadb.RunExperiment(ids[i], sc, stdout)
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "cadb-repro:", err)
-		return 1
+	for _, id := range ids {
+		if err := cadb.RunExperiment(id, sc, stdout); err != nil {
+			fmt.Fprintln(stderr, "cadb-repro:", err)
+			return 1
+		}
 	}
 	return 0
 }

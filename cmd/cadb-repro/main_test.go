@@ -29,6 +29,8 @@ func reportIDs(out string) []string {
 	return ids
 }
 
+// TestListMatchesExperimentIDs: -list prints the registered IDs in paper
+// order, the introduction's examples first and the extensions last.
 func TestListMatchesExperimentIDs(t *testing.T) {
 	out, _, code := repro("-list")
 	if code != 0 {
@@ -36,6 +38,9 @@ func TestListMatchesExperimentIDs(t *testing.T) {
 	}
 	if want := strings.Join(cadb.ExperimentIDs(), "\n") + "\n"; out != want {
 		t.Fatalf("-list printed\n%s\nwant\n%s", out, want)
+	}
+	if ids := strings.Fields(out); ids[0] != "motivating" || ids[1] != "table1" || ids[len(ids)-1] != "ext-scan" {
+		t.Fatalf("-list is not in paper order: %v", ids)
 	}
 }
 
@@ -95,9 +100,7 @@ func TestNoArgumentsRunsEverything(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d; stderr: %s", code, stderr)
 	}
-	got := reportIDs(out)
-	slices.Sort(got)
-	if want := cadb.ExperimentIDs(); !slices.Equal(got, want) {
-		t.Fatalf("rendered reports %v, want one each of %v", got, want)
+	if got, want := reportIDs(out), cadb.ExperimentIDs(); !slices.Equal(got, want) {
+		t.Fatalf("rendered reports %v, want one each of %v in that order", got, want)
 	}
 }

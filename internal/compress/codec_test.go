@@ -79,8 +79,9 @@ func assertRoundTrip(t *testing.T, s *storage.Schema, rows []storage.Row, m Meth
 // size model: NONE and ROW values cost exactly what the sizers charge, so
 // the two differ only by the column-major framing; the page-structured
 // methods stay within a documented real-format overhead plus 10%. On
-// realistic multi-row pages (ext-measured asserts TPC-H/Sales) the framing
-// amortizes under 1% and the overhead under the plain 10%.
+// realistic multi-row pages (experiments.TestMeasuredSizesWithinTolerance
+// asserts TPC-H/Sales) the framing amortizes under 1% and the overhead under
+// the plain 10%.
 func assertSizeAccounting(t *testing.T, s *storage.Schema, rows []storage.Row, m Method) {
 	t.Helper()
 	seg, err := storage.BuildSegment(s, rows, Codec(m))

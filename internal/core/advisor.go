@@ -87,14 +87,6 @@ type Options struct {
 	// order.
 	Parallelism int
 
-	// PoolProfile, when non-nil, makes what-if costing pool-aware: page-I/O
-	// terms are discounted by each structure's expected buffer-pool hit rate
-	// (see optimizer.PoolProfile), so designs that fit the pool — e.g. a
-	// PAGE-compressed hot set — are rewarded beyond their raw page-count
-	// reduction. Nil keeps the cold-store model; recommendations stay
-	// deterministic either way.
-	PoolProfile *optimizer.PoolProfile
-
 	Seed int64
 }
 
@@ -258,11 +250,7 @@ func New(db *catalog.Database, wl *workload.Workload, opts Options) *Advisor {
 	if opts.Confidence <= 0 {
 		opts.Confidence = 0.9
 	}
-	cm := optimizer.NewCostModel(db)
-	if opts.PoolProfile != nil {
-		cm.SetPoolProfile(opts.PoolProfile)
-	}
-	return &Advisor{DB: db, WL: wl, Opts: opts, CM: cm}
+	return &Advisor{DB: db, WL: wl, Opts: opts, CM: optimizer.NewCostModel(db)}
 }
 
 // Recommend runs the full pipeline.

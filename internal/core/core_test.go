@@ -263,3 +263,27 @@ func TestSizeOracleCountersSurfaced(t *testing.T) {
 		t.Fatalf("unexpected estimation errors: %d", tm.EstimationErrors)
 	}
 }
+
+// TestAdvisorAdoptsMixedDesigns pins the search integration: with the
+// default options the full advisor run accepts per-column refinements and
+// recommends at least one mixed structure on the select-intensive TPC-H
+// workload.
+func TestAdvisorAdoptsMixedDesigns(t *testing.T) {
+	d := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 4000, Seed: 42})
+	rec, err := New(d, workloads.SelectIntensive(workloads.MustTPCH()), DefaultOptions(d.TotalHeapBytes()/8)).Recommend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Timing.Refinements == 0 {
+		t.Error("refinement sweep accepted no per-column changes")
+	}
+	mixed := 0
+	for _, h := range rec.Config.Indexes() {
+		if h.Def.IsMixed() {
+			mixed++
+		}
+	}
+	if mixed == 0 {
+		t.Error("recommendation contains no mixed per-column designs")
+	}
+}

@@ -5,6 +5,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"cadb/internal/datagen"
+	"cadb/internal/workloads"
 )
 
 // parsePct converts "12.3%" to 0.123.
@@ -80,17 +83,6 @@ func TestTable4ShapeGreedyBetweenOptimalAndAll(t *testing.T) {
 	}
 }
 
-func TestRegistryComplete(t *testing.T) {
-	if len(Registry) != len(Order) {
-		t.Fatalf("registry (%d) and order (%d) out of sync", len(Registry), len(Order))
-	}
-	for _, id := range Order {
-		if _, ok := Registry[id]; !ok {
-			t.Fatalf("order references unknown experiment %q", id)
-		}
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Run("nope", QuickScale(), &buf); err == nil {
@@ -139,6 +131,26 @@ func TestMotivatingIntegratedAtLeastStaged(t *testing.T) {
 			if staged > integrated+1.5 {
 				t.Fatalf("staged (%v) should not beat integrated (%v): %v", staged, integrated, r)
 			}
+		}
+	}
+}
+
+// TestMixedDesignBeatsUniform pins ext-methods' second table: on the
+// select-intensive TPC-H workload a per-column design of one structure beats
+// that structure under every uniform method on total cost — including each
+// single-method restriction the advisor had before design vectors.
+func TestMixedDesignBeatsUniform(t *testing.T) {
+	sc := QuickScale()
+	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: sc.LineitemRows, Seed: sc.Seed})
+	costs, err := mixedVsUniform(db, workloads.SelectIntensive(workloads.MustTPCH()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perColumn := costs[len(costs)-1]
+	for _, c := range costs[:len(costs)-1] {
+		if !(perColumn.TotalCost < c.TotalCost) {
+			t.Errorf("%s design (%.1f) must beat %s (%.1f) on total cost",
+				perColumn.Label, perColumn.TotalCost, c.Label, c.TotalCost)
 		}
 	}
 }

@@ -70,6 +70,6 @@ func Table4(sc Scale) *Report {
 	start := time.Now()
 	sizing.Greedy(estimator.New(db, sampling.NewManager(db, 0.05, sc.Seed)), big, nil, e, q, 0.05)
 	greedyTime := time.Since(start)
-	rep.Notef("Greedy over %d targets: %v (Optimal is exponential and is capped out)", len(big), greedyTime)
+	rep.Notef("Greedy over %d targets: %v (Optimal is exponential and is capped out)", len(big), clock{greedyTime})
 	return rep
 }

@@ -7,16 +7,89 @@ import (
 
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
-	"cadb/internal/core"
+	"cadb/internal/datagen"
 	"cadb/internal/exec"
 	"cadb/internal/index"
+	"cadb/internal/optimizer"
 	"cadb/internal/workload"
 	"cadb/internal/workloads"
 )
 
+// The acceptance checks behind the loop's size and page-read rows, at
+// QuickScale over the TPC-H and Sales structure families and designs: the
+// size model against materialized segments, and the segment-backed executor
+// against the plain-row oracle.
+
+func quickTPCH(sc Scale) *catalog.Database {
+	return datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: sc.LineitemRows, Seed: sc.Seed})
+}
+
+func quickSales(sc Scale) *catalog.Database {
+	return datagen.NewSales(datagen.SalesConfig{FactRows: sc.SalesRows, Zipf: 0.8, Seed: sc.Seed})
+}
+
+// everyMethod is each structure under every materializable method.
+func everyMethod(structures ...*index.Def) []*index.Def {
+	var out []*index.Def
+	for _, s := range structures {
+		for _, m := range append([]compress.Method{compress.None}, compress.Methods...) {
+			out = append(out, s.WithMethod(m))
+		}
+	}
+	return out
+}
+
+// tpchStructures is a structure family over the TPC-H fact tables:
+// clustered, plain and covering secondaries, and an MV.
+func tpchStructures() []*index.Def {
+	return everyMethod(
+		&index.Def{Table: "lineitem", KeyCols: []string{"l_orderkey", "l_linenumber"}, Clustered: true},
+		&index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate"}, IncludeCols: []string{"l_quantity", "l_extendedprice"}},
+		&index.Def{Table: "lineitem", KeyCols: []string{"l_shipmode"}},
+		&index.Def{Table: "orders", KeyCols: []string{"o_orderdate"}, IncludeCols: []string{"o_totalprice"}},
+		&index.Def{Table: "mv_mode_rev", KeyCols: []string{"lineitem_l_shipmode"}, MV: &index.MVDef{
+			Name:    "mv_mode_rev",
+			Fact:    "lineitem",
+			GroupBy: []workload.ColRef{{Table: "lineitem", Col: "l_shipmode"}},
+			Aggs:    []workload.Aggregate{{Func: workload.AggSum, Col: workload.ColRef{Table: "lineitem", Col: "l_extendedprice"}}},
+		}},
+	)
+}
+
+func salesStructures() []*index.Def {
+	return everyMethod(
+		&index.Def{Table: "sales", KeyCols: []string{"orderdate"}, Clustered: true},
+		&index.Def{Table: "sales", KeyCols: []string{"qty"}, IncludeCols: []string{"price"}},
+		&index.Def{Table: "sales", KeyCols: []string{"state"}},
+	)
+}
+
+// sizeMeasure is one definition's size model against its materialized
+// segment, both built over the same leaf rows.
+type sizeMeasure struct {
+	seg   *index.SegmentIndex
+	model *index.Physical
+}
+
+// byteErr is the relative size-model error, (estimated - actual) / actual.
+func (m sizeMeasure) byteErr() float64 { return m.seg.SizeError(m.model) }
+
+func measureSize(t *testing.T, db *catalog.Database, d *index.Def) sizeMeasure {
+	t.Helper()
+	schema, rows, err := index.MaterializeRows(db, d)
+	if err != nil {
+		t.Fatalf("%s: %v", d, err)
+	}
+	si, err := index.BuildSegmentOver(schema, rows, d)
+	if err != nil {
+		t.Fatalf("%s: %v", d, err)
+	}
+	return sizeMeasure{seg: si, model: index.BuildFromRows(schema, rows, d)}
+}
+
 // TestMeasuredSizesWithinTolerance pins the acceptance bound: materialized
 // segment sizes within 10% of the compress.SizeRows/SizePages estimates for
-// NONE/ROW/PAGE on both TPC-H and Sales. The order-independent methods
+// every method on both TPC-H and Sales. The order-independent methods
 // differ from their model only by the column-major framing, which makes a
 // wide structure at most 1% larger than modeled (measured: clustered
 // lineitem +0.43% NONE, +0.57% ROW) and a narrow one smaller (one null bit
@@ -24,39 +97,212 @@ import (
 // is 9.0% under).
 func TestMeasuredSizesWithinTolerance(t *testing.T) {
 	sc := QuickScale()
-	cases := []struct {
-		name  string
-		sizes func() ([]MeasuredSize, error)
+	for _, c := range []struct {
+		name string
+		db   *catalog.Database
+		defs []*index.Def
 	}{
-		{"tpch", func() ([]MeasuredSize, error) {
-			return MeasuredSizes(newTPCHAt(sc), measuredTPCHStructures(), MeasuredMethods)
-		}},
-		{"sales", func() ([]MeasuredSize, error) {
-			return MeasuredSizes(newSalesAt(sc), measuredSalesStructures(), MeasuredMethods)
-		}},
+		{"tpch", quickTPCH(sc), tpchStructures()},
+		{"sales", quickSales(sc), salesStructures()},
+	} {
+		for _, d := range c.defs {
+			m := measureSize(t, c.db, d)
+			if e := math.Abs(m.byteErr()); e > 0.10 {
+				t.Errorf("%s %s: size error %.1f%% (est %d, actual %d)",
+					c.name, d, 100*e, m.model.Bytes, m.seg.MaterializedBytes())
+			}
+			if (d.Method == compress.None || d.Method == compress.Row) && m.byteErr() < -0.01 {
+				t.Errorf("%s %s: order-independent method is %.3f%% larger than the model, framing allows 1%%",
+					c.name, d, -100*m.byteErr())
+			}
+			if m.seg.MaterializedPages() == 0 || m.model.Pages == 0 {
+				t.Errorf("%s %s: zero pages", c.name, d)
+			}
+		}
 	}
-	for _, c := range cases {
-		sizes, err := c.sizes()
+}
+
+// TestMixedDesignSizesWithinTolerance extends the size-model acceptance
+// bound to mixed per-column designs — RLE where the sort order creates runs,
+// GDICT on low-cardinality columns, ROW elsewhere: the design-aware
+// decomposition must stay within 10% of the materialized segment.
+func TestMixedDesignSizesWithinTolerance(t *testing.T) {
+	sc := QuickScale()
+	for _, c := range []struct {
+		name string
+		db   *catalog.Database
+		defs []*index.Def
+	}{
+		{"tpch", quickTPCH(sc), []*index.Def{
+			{Table: "lineitem", KeyCols: []string{"l_orderkey", "l_linenumber"}, Clustered: true, Method: compress.Row,
+				ColMethods: map[string]compress.Method{
+					"l_orderkey":   compress.RLE, // clustered order -> long runs
+					"l_shipmode":   compress.GlobalDict,
+					"l_returnflag": compress.GlobalDict,
+					"l_linestatus": compress.GlobalDict,
+				}},
+			{Table: "lineitem", KeyCols: []string{"l_shipdate"}, IncludeCols: []string{"l_quantity", "l_extendedprice"}, Method: compress.Row,
+				ColMethods: map[string]compress.Method{
+					"l_shipdate": compress.RLE, // key order -> date runs
+					"l_quantity": compress.GlobalDict,
+				}},
+		}},
+		{"sales", quickSales(sc), []*index.Def{
+			{Table: "sales", KeyCols: []string{"orderdate"}, Clustered: true, Method: compress.Row,
+				ColMethods: map[string]compress.Method{
+					"orderdate": compress.RLE,
+					"state":     compress.GlobalDict,
+					"channel":   compress.GlobalDict,
+				}},
+		}},
+	} {
+		for _, d := range c.defs {
+			if !d.IsMixed() {
+				t.Errorf("%s %s: expected a mixed design", c.name, d)
+			}
+			m := measureSize(t, c.db, d)
+			if e := math.Abs(m.byteErr()); e > 0.10 {
+				t.Errorf("%s %s: size error %.1f%% (est %d, actual %d)",
+					c.name, d, 100*e, m.model.Bytes, m.seg.MaterializedBytes())
+			}
+		}
+	}
+}
+
+// scenario is one oracle-identity run: a workload over twin databases (mkdb
+// must be deterministic) under one physical design.
+type scenario struct {
+	name string
+	mkdb func() *catalog.Database
+	wl   *workload.Workload
+	defs []*index.Def
+}
+
+// scenarios are the TPC-H and Sales select and update mixes under designs
+// with one method per structure, so a divergence is attributable to that
+// method, and the two select mixes under mixed designs whose every segment
+// carries at least two methods.
+func scenarios(sc Scale) []scenario {
+	tpch := func() *catalog.Database { return quickTPCH(sc) }
+	sales := func() *catalog.Database { return quickSales(sc) }
+	tpchDesign := []*index.Def{
+		{Table: "lineitem", KeyCols: []string{"l_shipdate"}, Clustered: true, Method: compress.Page},
+		{Table: "lineitem", KeyCols: []string{"l_quantity"}, IncludeCols: []string{"l_extendedprice"}, Method: compress.Row},
+		{Table: "orders", KeyCols: []string{"o_orderdate"}, IncludeCols: []string{"o_totalprice"}, Method: compress.Row},
+	}
+	salesDesign := []*index.Def{
+		{Table: "sales", KeyCols: []string{"orderdate"}, Clustered: true, Method: compress.Row},
+		{Table: "sales", KeyCols: []string{"state"}, IncludeCols: []string{"price", "channel"}, Method: compress.Page},
+	}
+	tpchMixed := []*index.Def{
+		{Table: "lineitem", KeyCols: []string{"l_shipdate"}, Clustered: true, Method: compress.Row,
+			ColMethods: map[string]compress.Method{
+				"l_shipdate":   compress.RLE,
+				"l_shipmode":   compress.GlobalDict,
+				"l_returnflag": compress.GlobalDict,
+			}},
+		{Table: "lineitem", KeyCols: []string{"l_quantity"}, IncludeCols: []string{"l_extendedprice"}, Method: compress.GlobalDict,
+			ColMethods: map[string]compress.Method{"l_extendedprice": compress.Row}},
+		{Table: "orders", KeyCols: []string{"o_orderdate"}, IncludeCols: []string{"o_totalprice"}, Method: compress.Row,
+			ColMethods: map[string]compress.Method{"o_orderdate": compress.RLE}},
+	}
+	salesMixed := []*index.Def{
+		{Table: "sales", KeyCols: []string{"orderdate"}, Clustered: true, Method: compress.Row,
+			ColMethods: map[string]compress.Method{
+				"orderdate": compress.RLE,
+				"state":     compress.GlobalDict,
+				"channel":   compress.GlobalDict,
+			}},
+		{Table: "sales", KeyCols: []string{"state"}, IncludeCols: []string{"price", "channel"}, Method: compress.Page,
+			ColMethods: map[string]compress.Method{
+				"state": compress.RLE, // key order -> one run per state
+				"price": compress.Row,
+			}},
+	}
+	return []scenario{
+		{"tpch/select", tpch, workloads.SelectIntensive(workloads.MustTPCH()), tpchDesign},
+		{"tpch/update", tpch, workloads.UpdateIntensive(workloads.MustTPCHWithUpdates()), tpchDesign},
+		{"sales/select", sales, workloads.SelectIntensive(workloads.MustSales(sc.Seed)), salesDesign},
+		{"sales/update", sales, workloads.UpdateIntensive(workloads.MustSalesWithUpdates(sc.Seed)), salesDesign},
+		{"tpch/mixed", tpch, workloads.SelectIntensive(workloads.MustTPCH()), tpchMixed},
+		{"sales/mixed", sales, workloads.SelectIntensive(workloads.MustSales(sc.Seed)), salesMixed},
+	}
+}
+
+// runScenario runs every statement of the scenario through the segment-backed
+// store and the plain-row oracle, writes in workload order, and reports each
+// statement whose rows (queries) or affected-row count (writes) differ. It
+// returns how many statements ran, the optimizer's page-read estimate and the
+// executor's counted page reads over all of them.
+func runScenario(t *testing.T, s scenario) (ran int, est float64, counted int64) {
+	t.Helper()
+	oracleDB, storeDB := s.mkdb(), s.mkdb()
+	st, err := exec.NewStore(storeDB, s.defs)
+	if err != nil {
+		t.Fatalf("%s: %v", s.name, err)
+	}
+	defer st.Close()
+	cm := optimizer.NewCostModel(oracleDB)
+	var hypos []*optimizer.HypoIndex
+	for _, d := range s.defs {
+		p, err := index.Build(oracleDB, d)
 		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			t.Fatalf("%s: %v", s.name, err)
 		}
-		if len(sizes) == 0 {
-			t.Fatalf("%s: no measurements", c.name)
+		hypos = append(hypos, optimizer.FromPhysical(p))
+	}
+	cfg := optimizer.NewConfiguration(hypos...)
+
+	for _, stmt := range s.wl.Statements {
+		if stmt.Insert != nil {
+			continue // bulk loads have no executable row semantics
 		}
-		for _, m := range sizes {
-			if e := math.Abs(m.ByteErr()); e > 0.10 {
-				t.Errorf("%s %s %s: size error %.1f%% (est %d, actual %d)",
-					c.name, m.Structure, m.Method, 100*e, m.EstimatedBytes, m.MaterializedBytes)
+		ran++
+		est += cm.Plan(stmt, cfg).EstimatedPageReads()
+		identical := true
+		switch {
+		case stmt.Query != nil:
+			want, err := exec.Run(oracleDB, stmt.Query)
+			if err != nil {
+				t.Fatalf("%s %s: oracle: %v", s.name, stmt.Label, err)
 			}
-			if (m.Method == compress.None || m.Method == compress.Row) && m.ByteErr() < -0.01 {
-				t.Errorf("%s %s %s: order-independent method is %.3f%% larger than the model, framing allows 1%%",
-					c.name, m.Structure, m.Method, -100*m.ByteErr())
+			got, err := st.RunQuery(stmt.Query)
+			if err != nil {
+				t.Fatalf("%s %s: store: %v", s.name, stmt.Label, err)
 			}
-			if m.MaterializedPages == 0 || m.EstimatedPages == 0 {
-				t.Errorf("%s %s %s: zero pages", c.name, m.Structure, m.Method)
+			counted += got.IO.PageReads
+			identical = resultsIdentical(got, want)
+		case stmt.Update != nil:
+			want, err := exec.RunUpdate(oracleDB, stmt.Update)
+			if err != nil {
+				t.Fatalf("%s %s: oracle: %v", s.name, stmt.Label, err)
 			}
+			got, io, err := st.RunUpdate(stmt.Update)
+			if err != nil {
+				t.Fatalf("%s %s: store: %v", s.name, stmt.Label, err)
+			}
+			counted += io.PageReads
+			identical = got == want
+			// Writes invalidate the optimizer's premise too: refresh stats.
+			cm.ResetCostCache()
+		case stmt.Delete != nil:
+			want, err := exec.RunDelete(oracleDB, stmt.Delete)
+			if err != nil {
+				t.Fatalf("%s %s: oracle: %v", s.name, stmt.Label, err)
+			}
+			got, io, err := st.RunDelete(stmt.Delete)
+			if err != nil {
+				t.Fatalf("%s %s: store: %v", s.name, stmt.Label, err)
+			}
+			counted += io.PageReads
+			identical = got == want
+			cm.ResetCostCache()
+		}
+		if !identical {
+			t.Errorf("%s %s: store result differs from the plain-row oracle", s.name, stmt.Label)
 		}
 	}
+	return ran, est, counted
 }
 
 // TestMeasuredExecutionIdenticalAcrossScenarios pins the other acceptance
@@ -67,27 +313,33 @@ func TestMeasuredExecutionIdenticalAcrossScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload sweep is not short")
 	}
-	sc := QuickScale()
-	for _, scen := range MeasuredScenarios(sc) {
-		results, err := MeasuredExecution(scen.Mkdb, scen.WL, scen.Defs)
-		if err != nil {
-			t.Fatalf("%s: %v", scen.Name, err)
-		}
-		if len(results) == 0 {
-			t.Fatalf("%s: no statements measured", scen.Name)
-		}
-		var counted int64
-		var est float64
-		for _, r := range results {
-			if !r.Identical {
-				t.Errorf("%s %s: store result differs from the oracle", scen.Name, r.Label)
-			}
-			counted += r.CountedReads
-			est += r.EstReads
+	for _, s := range scenarios(QuickScale()) {
+		ran, est, counted := runScenario(t, s)
+		if ran == 0 {
+			t.Fatalf("%s: no statements measured", s.name)
 		}
 		if counted == 0 || est == 0 {
-			t.Errorf("%s: degenerate I/O totals (est=%g counted=%d)", scen.Name, est, counted)
+			t.Errorf("%s: degenerate I/O totals (est=%g counted=%d)", s.name, est, counted)
 		}
+	}
+}
+
+// TestMixedScenarioDifferential is the mixed-design half of the oracle
+// identity sweep, kept -short friendly so the CI race job always runs the
+// executor's mixed-method decode paths under the race detector.
+func TestMixedScenarioDifferential(t *testing.T) {
+	mixed := 0
+	for _, s := range scenarios(QuickScale()) {
+		if !strings.HasSuffix(s.name, "/mixed") {
+			continue
+		}
+		mixed++
+		if ran, _, _ := runScenario(t, s); ran == 0 {
+			t.Fatalf("%s: no statements measured", s.name)
+		}
+	}
+	if mixed != 2 {
+		t.Fatalf("expected 2 mixed scenarios, ran %d", mixed)
 	}
 }
 
@@ -99,32 +351,17 @@ func TestMeasuredExecutionIdenticalAcrossScenarios(t *testing.T) {
 // so CI always runs it.)
 func TestMeasuredDecodeBudgetPAGE(t *testing.T) {
 	sc := QuickScale()
-	cases := []struct {
-		name string
-		fact string
-		db   *catalog.Database
-		wl   *workload.Workload
-		defs []*index.Def
+	for _, c := range []struct {
+		name, fact, key string
+		db              *catalog.Database
+		wl              *workload.Workload
 	}{
-		{
-			name: "tpch", fact: "lineitem",
-			db: newTPCHAt(sc),
-			wl: workloads.SelectIntensive(workloads.MustTPCH()),
-			defs: []*index.Def{
-				{Table: "lineitem", KeyCols: []string{"l_shipdate"}, Clustered: true, Method: compress.Page},
-			},
-		},
-		{
-			name: "sales", fact: "sales",
-			db: newSalesAt(sc),
-			wl: workloads.SelectIntensive(workloads.MustSales(sc.Seed)),
-			defs: []*index.Def{
-				{Table: "sales", KeyCols: []string{"orderdate"}, Clustered: true, Method: compress.Page},
-			},
-		},
-	}
-	for _, c := range cases {
-		st, err := exec.NewStore(c.db, c.defs)
+		{"tpch", "lineitem", "l_shipdate", quickTPCH(sc), workloads.SelectIntensive(workloads.MustTPCH())},
+		{"sales", "sales", "orderdate", quickSales(sc), workloads.SelectIntensive(workloads.MustSales(sc.Seed))},
+	} {
+		st, err := exec.NewStore(c.db, []*index.Def{
+			{Table: c.fact, KeyCols: []string{c.key}, Clustered: true, Method: compress.Page},
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -152,125 +389,9 @@ func TestMeasuredDecodeBudgetPAGE(t *testing.T) {
 			}
 			checked++
 		}
+		st.Close()
 		if checked == 0 {
 			t.Fatalf("%s: workload has no selective single-table filter queries to guard", c.name)
 		}
-	}
-}
-
-// TestMixedDesignSizesWithinTolerance extends the size-model acceptance
-// bound to mixed per-column designs: the design-aware decomposition must
-// stay within 10% of the materialized segment.
-func TestMixedDesignSizesWithinTolerance(t *testing.T) {
-	sc := QuickScale()
-	cases := []struct {
-		name  string
-		sizes func() ([]MeasuredSize, error)
-	}{
-		{"tpch", func() ([]MeasuredSize, error) {
-			return MeasuredDesignSizes(newTPCHAt(sc), measuredTPCHMixedDesigns())
-		}},
-		{"sales", func() ([]MeasuredSize, error) {
-			return MeasuredDesignSizes(newSalesAt(sc), measuredSalesMixedDesigns())
-		}},
-	}
-	for _, c := range cases {
-		sizes, err := c.sizes()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		for _, m := range sizes {
-			if m.Design == "" {
-				t.Errorf("%s %s: expected a mixed design label", c.name, m.Structure)
-			}
-			if e := math.Abs(m.ByteErr()); e > 0.10 {
-				t.Errorf("%s %s %s: size error %.1f%% (est %d, actual %d)",
-					c.name, m.Structure, m.MethodLabel(), 100*e, m.EstimatedBytes, m.MaterializedBytes)
-			}
-		}
-	}
-}
-
-// TestMixedScenarioDifferential is the mixed-design half of the oracle
-// identity sweep, kept -short friendly so the CI race job always runs the
-// executor's mixed-method decode paths under the race detector.
-func TestMixedScenarioDifferential(t *testing.T) {
-	sc := QuickScale()
-	ran := 0
-	for _, scen := range MeasuredScenarios(sc) {
-		if !strings.HasSuffix(scen.Name, "/mixed") {
-			continue
-		}
-		ran++
-		results, err := MeasuredExecution(scen.Mkdb, scen.WL, scen.Defs)
-		if err != nil {
-			t.Fatalf("%s: %v", scen.Name, err)
-		}
-		if len(results) == 0 {
-			t.Fatalf("%s: no statements measured", scen.Name)
-		}
-		for _, r := range results {
-			if !r.Identical {
-				t.Errorf("%s %s: mixed-design store result differs from the plain-row oracle", scen.Name, r.Label)
-			}
-		}
-	}
-	if ran != 2 {
-		t.Fatalf("expected 2 mixed scenarios, ran %d", ran)
-	}
-}
-
-// TestMixedDesignBeatsUniform pins the issue's acceptance criterion: on a
-// built-in workload there is a per-column design whose total cost beats
-// every uniform design at the same budget — including each single-method
-// restriction the pre-design-vector advisor was limited to.
-func TestMixedDesignBeatsUniform(t *testing.T) {
-	costs, err := MixedVsUniform(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mixed *DesignCost
-	for i := range costs {
-		if costs[i].Mixed {
-			mixed = &costs[i]
-		}
-	}
-	if mixed == nil {
-		t.Fatal("no per-column row")
-	}
-	for _, c := range costs {
-		if c.Mixed {
-			continue
-		}
-		if !(mixed.TotalCost < c.TotalCost) {
-			t.Errorf("per-column design (%.1f) must beat %s (%.1f) on total cost",
-				mixed.TotalCost, c.Label, c.TotalCost)
-		}
-	}
-}
-
-// TestAdvisorAdoptsMixedDesigns pins the search integration: with the
-// default options the full advisor run accepts per-column refinements and
-// recommends at least one mixed structure on the select-intensive TPC-H
-// workload.
-func TestAdvisorAdoptsMixedDesigns(t *testing.T) {
-	sc := QuickScale()
-	db := newTPCHAt(sc)
-	wl := workloads.SelectIntensive(workloads.MustTPCH())
-	rec, err := core.New(db, wl, core.DefaultOptions(db.TotalHeapBytes()/8)).Recommend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Timing.Refinements == 0 {
-		t.Error("refinement sweep accepted no per-column changes")
-	}
-	mixed := 0
-	for _, h := range rec.Config.Indexes() {
-		if h.Def.IsMixed() {
-			mixed++
-		}
-	}
-	if mixed == 0 {
-		t.Error("recommendation contains no mixed per-column designs")
 	}
 }

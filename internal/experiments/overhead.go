@@ -38,8 +38,8 @@ func Fig11(sc Scale) *Report {
 		tm := rec.Timing
 		estTime := tm.EstimateAll
 		t.Add(name,
-			fmtDur(tm.Other()), fmtDur(estTime), fmtDur(tm.SampleBuild), fmtDur(tm.TableEstimate),
-			fmtDur(tm.PartialEstim), fmtDur(tm.MVEstimate), fmtDur(tm.Total),
+			wallClock(tm.Other()), wallClock(estTime), wallClock(tm.SampleBuild), wallClock(tm.TableEstimate),
+			wallClock(tm.PartialEstim), wallClock(tm.MVEstimate), wallClock(tm.Total),
 			fmt.Sprintf("%.0f", tm.EstimationCost))
 		return estTime, tm.EstimationCost
 	}
@@ -50,11 +50,7 @@ func Fig11(sc Scale) *Report {
 		rep.Notef("estimation cost reduction: %.1fx (paper: ~3x wall clock, 3-10x cost)", withoutCost/withCost)
 	}
 	if withTime > 0 {
-		rep.Notef("estimation wall-clock reduction: %.1fx", float64(withoutTime)/float64(withTime))
+		rep.Notef("estimation wall-clock reduction: %.1fx", clock{float64(withoutTime) / float64(withTime)})
 	}
 	return rep
-}
-
-func fmtDur(d time.Duration) string {
-	return d.Round(time.Millisecond).String()
 }

@@ -1,22 +1,22 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"time"
 
 	"cadb/internal/bufferpool"
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
-	"cadb/internal/core"
 	"cadb/internal/datagen"
 	"cadb/internal/exec"
 	"cadb/internal/index"
 	"cadb/internal/optimizer"
 	"cadb/internal/storage"
 	"cadb/internal/workload"
-	"cadb/internal/workloads"
 )
 
 // PoolPoint is one cell of the pool-size × compression-method sweep: the
@@ -93,7 +93,9 @@ func poolQueries(db *catalogDateSpan, n int, seed int64) []*workload.Query {
 	}
 	out := make([]*workload.Query, n)
 	for i := range out {
-		a := db.lo + int64(rng.Intn(int(span-width+1)))
+		// A span narrower than the window (one shipping date) pins every
+		// window at the start.
+		a := db.lo + int64(rng.Intn(int(max(span-width, 0)+1)))
 		out[i] = &workload.Query{
 			Tables: []string{"lineitem"},
 			Select: []workload.ColRef{
@@ -107,6 +109,25 @@ func poolQueries(db *catalogDateSpan, n int, seed int64) []*workload.Query {
 		}
 	}
 	return out
+}
+
+// resultsIdentical compares two executed results byte-for-byte under the
+// canonical row encoding.
+func resultsIdentical(a, b *exec.Result) bool {
+	if len(a.Rows) != len(b.Rows) || len(a.Schema.Columns) != len(b.Schema.Columns) {
+		return false
+	}
+	for i := range a.Schema.Columns {
+		if !strings.EqualFold(a.Schema.Columns[i].Name, b.Schema.Columns[i].Name) {
+			return false
+		}
+	}
+	for i := range a.Rows {
+		if !bytes.Equal(storage.EncodeRow(a.Schema, a.Rows[i], nil), storage.EncodeRow(b.Schema, b.Rows[i], nil)) {
+			return false
+		}
+	}
+	return true
 }
 
 // catalogDateSpan is the observed l_shipdate range of a generated database.
@@ -267,42 +288,6 @@ func PoolSweep(cfg PoolSweepConfig) ([]PoolPoint, error) {
 	return out, nil
 }
 
-// PoolAwareShift runs the advisor twice over the same database, workload and
-// budget — once with the cold-store cost model, once with a PoolProfile of
-// the given capacity — and returns both recommendations. With the pool
-// holding a compressed hot set that the uncompressed variants spill out of,
-// the pool-aware run shifts additional bytes onto PAGE compression.
-func PoolAwareShift(db *catalog.Database, wl *workload.Workload, budget, poolBytes int64, seed int64) (cold, aware *core.Recommendation, err error) {
-	mk := func(profile *optimizer.PoolProfile) (*core.Recommendation, error) {
-		opts := core.DefaultOptions(budget)
-		opts.Seed = seed
-		opts.PoolProfile = profile
-		return core.New(db, wl, opts).Recommend()
-	}
-	if cold, err = mk(nil); err != nil {
-		return nil, nil, err
-	}
-	if aware, err = mk(optimizer.NewPoolProfile(poolBytes)); err != nil {
-		return nil, nil, err
-	}
-	return cold, aware, nil
-}
-
-// pageShare is the fraction of a recommendation's bytes on PAGE compression.
-func pageShare(rec *core.Recommendation) float64 {
-	var page, total int64
-	for _, h := range rec.Config.Indexes() {
-		total += h.Bytes
-		if h.Def.Method == compress.Page {
-			page += h.Bytes
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(page) / float64(total)
-}
-
 // ExtPool is the registry entry: a reduced-scale sweep rendering the
 // hit-rate and wall-clock table, with the compression-aware headline (PAGE's
 // working set fits where NONE's doesn't) called out.
@@ -332,42 +317,5 @@ func ExtPool(sc Scale) *Report {
 	}
 	rep.Notef("pool capacities are fractions of the NONE working set, so at each row every method competes for the same memory; PAGE's smaller working set turns the same pool into a higher hit rate")
 	rep.Notef("the first %d queries of each method's stream are verified byte-identical to the plain-row oracle before the timed loop", cfg.Verify)
-
-	// Pool-aware costing: the same tuning run with and without a PoolProfile.
-	// The capacity sits between the compressed and uncompressed working sets
-	// measured above, so compressed designs earn the residency discount and
-	// uncompressed ones don't.
-	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: sc.LineitemRows, Seed: sc.Seed})
-	wl := workloads.SelectIntensive(workloads.MustTPCH())
-	var noneWS, pageWS int64
-	for _, p := range points {
-		if p.Method == compress.None && p.WorkingSet > noneWS {
-			noneWS = p.WorkingSet
-		}
-		if p.Method == compress.Page && p.WorkingSet > pageWS {
-			pageWS = p.WorkingSet
-		}
-	}
-	poolBytes := (noneWS + pageWS) / 2
-	cold, aware, err := PoolAwareShift(db, wl, db.TotalHeapBytes()/4, poolBytes, sc.Seed)
-	if err != nil {
-		rep.Notef("pool-aware advisor comparison failed: %v", err)
-		return rep
-	}
-	shift := rep.NewTable(fmt.Sprintf("advisor with vs without a PoolProfile (capacity %d KB, between PAGE's and NONE's working sets)", poolBytes/1024),
-		"cost model", "designs", "size-KB", "page-share", "improvement")
-	for _, row := range []struct {
-		name string
-		rec  *core.Recommendation
-	}{{"cold-store", cold}, {"pool-aware", aware}} {
-		shift.Add(row.name, len(row.rec.Config.Indexes()), row.rec.SizeBytes/1024,
-			fmt.Sprintf("%.0f%%", 100*pageShare(row.rec)),
-			fmt.Sprintf("%.1f%%", row.rec.Improvement))
-	}
-	if ps, cs := pageShare(aware), pageShare(cold); ps > cs {
-		rep.Notef("the residency discount moved %.0f%% of recommended bytes onto PAGE compression (%.0f%% -> %.0f%%): designs that fit the pool are rewarded beyond their raw page-count reduction", 100*(ps-cs), 100*cs, 100*ps)
-	} else {
-		rep.Notef("recommendations agree at this scale; the profile only reorders choices when a compressed variant fits the pool and its uncompressed twin does not")
-	}
 	return rep
 }

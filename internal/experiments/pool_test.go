@@ -59,3 +59,17 @@ func TestPoolSweepPageBeatsNone(t *testing.T) {
 }
 
 func formatFrac(f float64) string { return fmt.Sprintf("%.2f", f) }
+
+// TestPoolSweepOneRow: one lineitem row has one shipping date, a span
+// narrower than the query window, which must still yield a query stream.
+func TestPoolSweepOneRow(t *testing.T) {
+	cfg := DefaultPoolSweepConfig()
+	cfg.FactRows, cfg.Queries, cfg.PoolFracs = 1, 4, []float64{1}
+	pts, err := PoolSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != len(poolMethods) {
+		t.Fatalf("%d sweep points, want one per method (%d)", len(pts), len(poolMethods))
+	}
+}

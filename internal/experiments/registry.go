@@ -3,68 +3,60 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
-// Runner is one experiment entry point.
-type Runner func(Scale) *Report
-
-// Registry maps experiment IDs to their runners, in paper order.
-var Registry = map[string]Runner{
-	"table1":       Table1,
-	"fig9":         Fig9,
-	"table2":       Table2,
-	"fig10":        Fig10,
-	"table3":       Table3,
-	"table4":       Table4,
-	"fig11":        Fig11,
-	"fig12":        Fig12,
-	"fig13":        Fig13,
-	"fig14":        Fig14,
-	"fig15":        Fig15,
-	"fig16":        Fig16,
-	"fig17":        Fig17,
-	"motivating":   Motivating,
-	"ext-methods":  ExtMethods,
-	"ext-updates":  ExtUpdates,
-	"ext-measured": ExtMeasured,
-	"ext-pool":     ExtPool,
-	"ext-scan":     ExtScan,
+// Experiment is one registered report: its ID and the runner that builds it.
+type Experiment struct {
+	ID  string
+	Run func(Scale) *Report
 }
 
-// Order is the canonical presentation order.
-var Order = []string{
-	"motivating", "table1", "fig9", "table2", "fig10", "table3",
-	"table4", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-	"ext-methods", "ext-updates", "ext-measured", "ext-pool", "ext-scan",
+// Experiments lists every experiment in paper order: the introduction's
+// examples, the evaluation's tables and figures, then the extensions.
+var Experiments = []Experiment{
+	{"motivating", Motivating},
+	{"table1", Table1},
+	{"fig9", Fig9},
+	{"table2", Table2},
+	{"fig10", Fig10},
+	{"table3", Table3},
+	{"table4", Table4},
+	{"fig11", Fig11},
+	{"fig12", Fig12},
+	{"fig13", Fig13},
+	{"fig14", Fig14},
+	{"fig15", Fig15},
+	{"fig16", Fig16},
+	{"fig17", Fig17},
+	{"ext-methods", ExtMethods},
+	{"ext-updates", ExtUpdates},
+	{"ext-pool", ExtPool},
+	{"ext-scan", ExtScan},
 }
 
-// IDs returns the registered experiment IDs, sorted.
+// IDs returns the experiment IDs in paper order.
 func IDs() []string {
-	out := make([]string, 0, len(Registry))
-	for id := range Registry {
-		out = append(out, id)
+	out := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		out[i] = e.ID
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Run executes one experiment by ID and writes its report.
 func Run(id string, sc Scale, w io.Writer) error {
-	r, ok := Registry[id]
-	if !ok {
-		return fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
-	}
-	r(sc).Render(w)
-	return nil
-}
-
-// RunAll executes every experiment in canonical order.
-func RunAll(sc Scale, w io.Writer) error {
-	for _, id := range Order {
-		if err := Run(id, sc, w); err != nil {
-			return err
+	for _, e := range Experiments {
+		if e.ID == id {
+			e.Run(sc).Render(w)
+			return nil
 		}
 	}
-	return nil
+	return fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+}
+
+// RunAll executes every experiment in paper order.
+func RunAll(sc Scale, w io.Writer) {
+	for _, e := range Experiments {
+		e.Run(sc).Render(w)
+	}
 }

@@ -3,21 +3,41 @@
 // dataset(s), runs the relevant subsystem, and prints the same rows/series
 // the paper reports. Absolute numbers differ (the substrate is a simulator,
 // not SQL Server on 2011 hardware); the shapes — who wins, by what factor,
-// where the curves converge — are the reproduction target, recorded in
-// EXPERIMENTS.md.
+// where the curves converge — are the reproduction target. Every report but
+// the two measured sweeps (ext-pool, ext-scan) is pinned at QuickScale, wall
+// clock masked, by testdata/golden/<id>.txt.
 package experiments
 
 import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 )
+
+// clock marks a table cell or note argument derived from the wall clock, the
+// one content of a report that differs run to run. It formats as the value it
+// wraps; maskClocks empties it, and an empty clock formats as "<clock>".
+type clock struct{ v any }
+
+func (c clock) Format(f fmt.State, verb rune) {
+	if c.v == nil {
+		io.WriteString(f, "<clock>")
+		return
+	}
+	fmt.Fprintf(f, fmt.FormatString(f, verb), c.v)
+}
+
+// wallClock is a duration cell, rounded to the millisecond.
+func wallClock(d time.Duration) clock { return clock{d.Round(time.Millisecond)} }
 
 // Table is a printable result table.
 type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
+	// clocks holds the {row, column} of every clock cell.
+	clocks [][2]int
 }
 
 // Add appends a row, formatting each cell with %v.
@@ -27,6 +47,9 @@ func (t *Table) Add(cells ...interface{}) {
 		switch v := c.(type) {
 		case float64:
 			row[i] = fmt.Sprintf("%.3g", v)
+		case clock:
+			t.clocks = append(t.clocks, [2]int{len(t.Rows), i})
+			row[i] = fmt.Sprintf("%v", v)
 		default:
 			row[i] = fmt.Sprintf("%v", c)
 		}
@@ -81,6 +104,14 @@ type Report struct {
 	Title  string
 	Tables []*Table
 	Notes  []string
+	// clockNotes keeps how each note with a clock argument was made.
+	clockNotes []clockNote
+}
+
+type clockNote struct {
+	i      int
+	format string
+	args   []interface{}
 }
 
 // NewTable adds a table to the report.
@@ -92,7 +123,33 @@ func (r *Report) NewTable(title string, header ...string) *Table {
 
 // Notef appends a formatted note.
 func (r *Report) Notef(format string, args ...interface{}) {
+	for _, a := range args {
+		if _, ok := a.(clock); ok {
+			r.clockNotes = append(r.clockNotes, clockNote{len(r.Notes), format, args})
+			break
+		}
+	}
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+}
+
+// maskClocks replaces every clock cell and note argument with "<clock>", so
+// the rendered report — column widths included — is the same on every run.
+func (r *Report) maskClocks() {
+	for _, t := range r.Tables {
+		for _, rc := range t.clocks {
+			t.Rows[rc[0]][rc[1]] = fmt.Sprint(clock{})
+		}
+	}
+	for _, n := range r.clockNotes {
+		args := make([]interface{}, len(n.args))
+		for i, a := range n.args {
+			if _, ok := a.(clock); ok {
+				a = clock{}
+			}
+			args[i] = a
+		}
+		r.Notes[n.i] = fmt.Sprintf(n.format, args...)
+	}
 }
 
 // Render writes the whole report.

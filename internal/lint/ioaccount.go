@@ -1,9 +1,10 @@
 package lint
 
-// ioaccount: the estimated-vs-measured loop (ext-measured, ext-pool, the
-// pool-aware cost model) is only meaningful if the measured side is
-// trustworthy, and it is trustworthy because storage.IOStats counters are
-// mutated at a handful of chokepoints — the page-fetch pin site, the codec
+// ioaccount: the estimated-vs-measured loop (the loop benchmark's
+// optimizer.page_read_err_pct, ext-pool's est/counted column) is only
+// meaningful if the measured side is trustworthy, and it is trustworthy
+// because storage.IOStats counters are mutated at a handful of
+// chokepoints — the page-fetch pin site, the codec
 // decode accounting in runState.readPage / Cursor.NextBatch, prefetcher
 // flush, and the IOStats.Add reducer. A counter bumped anywhere else is a
 // smuggled number that silently skews every ratio the benchmarks report.

@@ -24,7 +24,7 @@ import (
 //     qualifying-row count and the heap write path;
 //   - a handle per *HypoIndex: everything the model derives from the
 //     definition and the sizes — identity, table ordinal, column sets, α/β
-//     design means, pages, tree height, entry width, pool discount;
+//     design means, pages, tree height, entry width;
 //   - a term per (compiled statement, handle): the access path through the
 //     structure, and for writes its maintenance and base-structure costs.
 //
@@ -99,7 +99,6 @@ type handle struct {
 	pages       float64 // leaf pages
 	height      float64 // tree descent, in page reads
 	entryWidth  float64 // average uncompressed leaf-entry width
-	disc        float64 // pool discount on page reads
 	// writeSel is the fraction of the rows a write touches that the
 	// structure holds: its filter's selectivity for a partial or MV index.
 	writeSel float64
@@ -131,7 +130,6 @@ func (m *memo) newHandle(h *HypoIndex) *handle {
 		cols:       d.Columns(),
 		pages:      float64(h.Pages()),
 		entryWidth: 32,
-		disc:       cm.poolDiscount(h.Bytes),
 		writeSel:   1,
 	}
 	hd.height = cm.treeHeight(hd.pages)
@@ -202,10 +200,9 @@ type compiledTable struct {
 	preds []workload.Predicate
 	sels  []float64 // PredicateSelectivity of each pred
 	// cols lists the columns needed beyond the WHERE predicates'.
-	cols     []string
-	outRows  float64
-	heapDisc float64
-	heap     AccessPath
+	cols    []string
+	outRows float64
+	heap    AccessPath
 	// joinCPU is the hash-join cost of bringing this table into the running
 	// row stream; the driving table (first in FROM) pays none.
 	joinCPU float64
@@ -230,8 +227,7 @@ func (m *memo) newCompiled(s *workload.Statement) *compiledStmt {
 	cs := &compiledStmt{stmt: s}
 	access := func(t *catalog.Table, preds []workload.Predicate, cols []string) compiledTable {
 		ct := compiledTable{t: t, tbl: m.tableOrd(t.Name), preds: preds, cols: cols,
-			sels:     make([]float64, len(preds)),
-			heapDisc: cm.poolDiscount(t.HeapBytes())}
+			sels: make([]float64, len(preds))}
 		sel := 1.0 // independence, as CombinedSelectivity
 		for i, p := range preds {
 			ct.sels[i] = PredicateSelectivity(t, p)
@@ -240,8 +236,8 @@ func (m *memo) newCompiled(s *workload.Statement) *compiledStmt {
 		ct.outRows = float64(t.RowCount()) * sel
 		pages := float64(t.HeapPages())
 		ct.heap = AccessPath{Table: t.Name, Kind: "heap-scan", Rows: ct.outRows,
-			Cost:         cm.SeqPageIO*pages*ct.heapDisc + cm.CPUTuple*float64(t.RowCount()),
-			EstPageReads: pages * ct.heapDisc}
+			Cost:         cm.SeqPageIO*pages + cm.CPUTuple*float64(t.RowCount()),
+			EstPageReads: pages}
 		return ct
 	}
 	if q := s.Query; q != nil {

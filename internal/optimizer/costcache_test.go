@@ -132,13 +132,4 @@ func TestMemoReset(t *testing.T) {
 	warm()
 	cm.ResetCostCache()
 	cold("ResetCostCache")
-
-	// A pool profile changes every page-I/O term, so installing (or
-	// clearing) one must empty the memo too.
-	warm()
-	cm.SetPoolProfile(NewPoolProfile(1 << 30))
-	cold("SetPoolProfile")
-	warm()
-	cm.SetPoolProfile(nil)
-	cold("SetPoolProfile(nil)")
 }

@@ -45,11 +45,6 @@ type CostModel struct {
 	// Beta is the per-tuple per-column decompression CPU cost on reads.
 	Beta map[compress.Method]float64
 
-	// pool, when set, makes costing pool-aware: page-I/O terms are
-	// discounted by each structure's expected buffer-pool hit rate. Nil
-	// reproduces the base (cold-store) model exactly. See poolprofile.go.
-	pool *PoolProfile
-
 	// memo holds the compiled statements, interned structures and memoized
 	// atomic terms every costing call goes through; see costcache.go.
 	// ResetCostCache swaps in an empty one.
@@ -116,7 +111,7 @@ type AccessPath struct {
 	// EstPageReads is the model's estimate of physical page reads for this
 	// path (leaf pages scanned, tree-descent reads, RID lookups) — the
 	// validation hook the segment-backed executor's counted IOStats are
-	// diffed against (ext-measured).
+	// diffed against (the loop benchmark's optimizer.page_read_err_pct).
 	EstPageReads float64
 }
 
@@ -258,18 +253,17 @@ func (cm *CostModel) indexPath(ct *compiledTable, hd *handle) (AccessPath, bool)
 
 	if matchedAny {
 		matched := idxRows * seekSel
-		cost := (cm.RandPageIO*hd.height + cm.SeqPageIO*math.Ceil(seekSel*pages)) * hd.disc
+		cost := cm.RandPageIO*hd.height + cm.SeqPageIO*math.Ceil(seekSel*pages)
 		cost += cm.CPUTuple*matched + hd.beta*matched*float64(usedCols)
 		kind := "index-seek"
 		if hd.clustered {
 			kind = "clustered-seek"
 		}
 		ap := AccessPath{Table: t.Name, Index: hd.h, Kind: kind, Cost: cost,
-			EstPageReads: (hd.height + math.Ceil(seekSel*pages)) * hd.disc}
+			EstPageReads: hd.height + math.Ceil(seekSel*pages)}
 		if !covering {
 			// RID lookups for rows surviving all predicates resolvable on
 			// the index; remaining predicates are applied after the lookup.
-			// The lookups land on the heap, so they take the heap's discount.
 			frac := 1.0
 			for i, p := range ct.preds {
 				if remains(i) && containsFold(hd.leaf, p.Col) {
@@ -278,8 +272,8 @@ func (cm *CostModel) indexPath(ct *compiledTable, hd *handle) (AccessPath, bool)
 			}
 			lookups := idxRows * seekSel * frac
 			ap.Lookups = lookups
-			ap.Cost += cm.RandPageIO*lookups*ct.heapDisc + cm.CPUTuple*lookups
-			ap.EstPageReads += lookups * ct.heapDisc
+			ap.Cost += cm.RandPageIO*lookups + cm.CPUTuple*lookups
+			ap.EstPageReads += lookups
 		}
 		return ap, true
 	}
@@ -291,8 +285,8 @@ func (cm *CostModel) indexPath(ct *compiledTable, hd *handle) (AccessPath, bool)
 	if hd.clustered {
 		kind = "clustered-scan"
 	}
-	cost := cm.SeqPageIO*pages*hd.disc + cm.CPUTuple*idxRows + hd.beta*idxRows*float64(usedCols)
-	return AccessPath{Table: t.Name, Index: hd.h, Kind: kind, Cost: cost, EstPageReads: pages * hd.disc}, true
+	cost := cm.SeqPageIO*pages + cm.CPUTuple*idxRows + hd.beta*idxRows*float64(usedCols)
+	return AccessPath{Table: t.Name, Index: hd.h, Kind: kind, Cost: cost, EstPageReads: pages}, true
 }
 
 func (cm *CostModel) treeHeight(leafPages float64) float64 {
@@ -421,12 +415,12 @@ func (cm *CostModel) mvAccess(hd *handle, residual []workload.Predicate, q *work
 	kind := "mv-scan"
 	if seek {
 		kind = "mv-seek"
-		cost = (cm.RandPageIO*hd.height + cm.SeqPageIO*math.Ceil(sel*pages)) * hd.disc
+		cost = cm.RandPageIO*hd.height + cm.SeqPageIO*math.Ceil(sel*pages)
 		cost += cm.CPUTuple*sel*rows + hd.beta*sel*rows*float64(usedCols)
-		reads = (hd.height + math.Ceil(sel*pages)) * hd.disc
+		reads = hd.height + math.Ceil(sel*pages)
 	} else {
-		cost = cm.SeqPageIO*pages*hd.disc + cm.CPUTuple*rows + hd.beta*rows*float64(usedCols)
-		reads = pages * hd.disc
+		cost = cm.SeqPageIO*pages + cm.CPUTuple*rows + hd.beta*rows*float64(usedCols)
+		reads = pages
 	}
 	return AccessPath{Table: h.Def.Table, Index: h, Kind: kind, Rows: sel * rows, Cost: cost, EstPageReads: reads}
 }

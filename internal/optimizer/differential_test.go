@@ -3,7 +3,6 @@ package optimizer
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -158,18 +157,6 @@ func candidatePool(db *catalog.Database, wl *workload.Workload, rng *rand.Rand) 
 	return pool
 }
 
-// poolProfiles are the pool-awareness settings every differential runs under:
-// pool-blind, and a capacity at the median candidate size, so about half the
-// structures (and the smaller heaps) are priced resident and half cold.
-func poolProfiles(c *whatIfCase) []*PoolProfile {
-	sizes := make([]int64, len(c.pool))
-	for i, h := range c.pool {
-		sizes[i] = h.Bytes
-	}
-	slices.Sort(sizes)
-	return []*PoolProfile{nil, NewPoolProfile(sizes[len(sizes)/2])}
-}
-
 // mutate applies one random With / Replace / Without to cfg, returning the
 // neighbor and the indexes the edit touched.
 func mutate(rng *rand.Rand, cfg *Configuration, pool []*HypoIndex) (*Configuration, []*HypoIndex) {
@@ -218,49 +205,46 @@ func comparePlans(t *testing.T, where string, got, want *Plan) {
 // delta totals must equal the reference summed in statement order.
 func TestPriceMatchesReferencePlanSearch(t *testing.T) {
 	for _, c := range testCases(t) {
-		for pi, profile := range poolProfiles(c) {
-			cm := NewCostModel(c.db)
-			cm.SetPoolProfile(profile)
-			rng := rand.New(rand.NewSource(int64(29 + pi)))
-			refTotal := func(cfg *Configuration) float64 {
-				var total float64
+		cm := NewCostModel(c.db)
+		rng := rand.New(rand.NewSource(29))
+		refTotal := func(cfg *Configuration) float64 {
+			var total float64
+			for _, s := range c.wl.Statements {
+				total += s.Weight * cm.refPlan(s, cfg).Total
+			}
+			return total
+		}
+		chains, steps := 12, 10
+		if testing.Short() {
+			chains = 4
+		}
+		for chain := 0; chain < chains; chain++ {
+			cfg := NewConfiguration()
+			for i := rng.Intn(6); i > 0; i-- {
+				cfg = cfg.With(c.pool[rng.Intn(len(c.pool))])
+			}
+			ev := NewEvaluator(cm, c.wl, cfg, nil)
+			for step := 0; step < steps; step++ {
+				where := fmt.Sprintf("%s chain %d step %d", c.name, chain, step)
 				for _, s := range c.wl.Statements {
-					total += s.Weight * cm.refPlan(s, cfg).Total
+					comparePlans(t, where+" "+s.Label+" under "+cfg.String(), cm.Plan(s, cfg), cm.refPlan(s, cfg))
 				}
-				return total
-			}
-			chains, steps := 12, 10
-			if testing.Short() {
-				chains = 4
-			}
-			for chain := 0; chain < chains; chain++ {
-				cfg := NewConfiguration()
-				for i := rng.Intn(6); i > 0; i-- {
-					cfg = cfg.With(c.pool[rng.Intn(len(c.pool))])
+				if got, want := ev.Total(), refTotal(cfg); got != want {
+					t.Fatalf("%s: evaluator total %v, reference %v", where, got, want)
 				}
-				ev := NewEvaluator(cm, c.wl, cfg, nil)
-				for step := 0; step < steps; step++ {
-					where := fmt.Sprintf("%s profile %d chain %d step %d", c.name, pi, chain, step)
-					for _, s := range c.wl.Statements {
-						comparePlans(t, where+" "+s.Label+" under "+cfg.String(), cm.Plan(s, cfg), cm.refPlan(s, cfg))
-					}
-					if got, want := ev.Total(), refTotal(cfg); got != want {
-						t.Fatalf("%s: evaluator total %v, reference %v", where, got, want)
-					}
-					add := c.pool[rng.Intn(len(c.pool))]
-					if next, got := ev.CostWithAdd(add); got != refTotal(next) {
-						t.Fatalf("%s: CostWithAdd(%s) = %v, reference %v", where, add.Def, got, refTotal(next))
-					}
-					if members := cfg.Indexes(); len(members) > 0 {
-						old, repl := members[rng.Intn(len(members))], c.pool[rng.Intn(len(c.pool))]
-						if next, got := ev.CostWithReplace(old, repl); got != refTotal(next) {
-							t.Fatalf("%s: CostWithReplace(%s -> %s) = %v, reference %v", where, old.Def, repl.Def, got, refTotal(next))
-						}
-					}
-					var touched []*HypoIndex
-					cfg, touched = mutate(rng, cfg, c.pool)
-					ev = ev.Advance(cfg, touched...)
+				add := c.pool[rng.Intn(len(c.pool))]
+				if next, got := ev.CostWithAdd(add); got != refTotal(next) {
+					t.Fatalf("%s: CostWithAdd(%s) = %v, reference %v", where, add.Def, got, refTotal(next))
 				}
+				if members := cfg.Indexes(); len(members) > 0 {
+					old, repl := members[rng.Intn(len(members))], c.pool[rng.Intn(len(c.pool))]
+					if next, got := ev.CostWithReplace(old, repl); got != refTotal(next) {
+						t.Fatalf("%s: CostWithReplace(%s -> %s) = %v, reference %v", where, old.Def, repl.Def, got, refTotal(next))
+					}
+				}
+				var touched []*HypoIndex
+				cfg, touched = mutate(rng, cfg, c.pool)
+				ev = ev.Advance(cfg, touched...)
 			}
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // what made it slow and what makes it an independent oracle:
 // TestPriceMatchesReferencePlanSearch holds memo.price to it bit for bit.
 // Only the leaves that define the model rather than the search are shared
-// with production: selectivities, implication, mvMatches, pool discounts.
+// with production: selectivities, implication, mvMatches.
 
 // refPlan is CostModel.Plan as the reference computes it.
 func (cm *CostModel) refPlan(stmt *workload.Statement, cfg *Configuration) *Plan {
@@ -158,9 +158,8 @@ func (cm *CostModel) refBaseScan(t *catalog.Table, preds []workload.Predicate, c
 		}
 	}
 	pages := float64(t.HeapPages())
-	disc := cm.poolDiscount(t.HeapBytes())
-	cost := cm.SeqPageIO*pages*disc + cm.CPUTuple*rows
-	return AccessPath{Table: t.Name, Kind: "heap-scan", Rows: outRows, Cost: cost, EstPageReads: pages * disc}
+	cost := cm.SeqPageIO*pages + cm.CPUTuple*rows
+	return AccessPath{Table: t.Name, Kind: "heap-scan", Rows: outRows, Cost: cost, EstPageReads: pages}
 }
 
 // refIndexPath costs using the given index for the table, returning ok=false
@@ -228,28 +227,25 @@ func (cm *CostModel) refIndexPath(t *catalog.Table, h *HypoIndex, preds []worklo
 	usedCols := countUsedCols(idxCols, needed)
 	beta := cm.refBetaOf(h)
 	residualSel := CombinedSelectivity(t, remaining)
-	disc := cm.poolDiscount(h.Bytes)
 
 	if matchedAny {
 		matched := idxRows * seekSel
 		height := cm.treeHeight(pages)
-		cost := (cm.RandPageIO*height + cm.SeqPageIO*math.Ceil(seekSel*pages)) * disc
+		cost := cm.RandPageIO*height + cm.SeqPageIO*math.Ceil(seekSel*pages)
 		cost += cm.CPUTuple*matched + beta*matched*float64(usedCols)
 		kind := "index-seek"
 		if clustered {
 			kind = "clustered-seek"
 		}
 		ap := AccessPath{Table: t.Name, Index: h, Kind: kind, Cost: cost,
-			EstPageReads: (height + math.Ceil(seekSel*pages)) * disc}
+			EstPageReads: height + math.Ceil(seekSel*pages)}
 		if !covering {
 			// RID lookups for rows surviving all predicates resolvable on
 			// the index; remaining predicates are applied after the lookup.
-			// The lookups land on the heap, so they take the heap's discount.
 			lookups := idxRows * seekSel * refResidualFraction(t, remaining, idxCols)
-			heapDisc := cm.poolDiscount(t.HeapBytes())
 			ap.Lookups = lookups
-			ap.Cost += cm.RandPageIO*lookups*heapDisc + cm.CPUTuple*lookups
-			ap.EstPageReads += lookups * heapDisc
+			ap.Cost += cm.RandPageIO*lookups + cm.CPUTuple*lookups
+			ap.EstPageReads += lookups
 		}
 		return ap, true
 	}
@@ -264,9 +260,9 @@ func (cm *CostModel) refIndexPath(t *catalog.Table, h *HypoIndex, preds []worklo
 	if h.Def.IsMV() {
 		kind = "mv-scan"
 	}
-	cost := cm.SeqPageIO*pages*disc + cm.CPUTuple*idxRows + beta*idxRows*float64(usedCols)
+	cost := cm.SeqPageIO*pages + cm.CPUTuple*idxRows + beta*idxRows*float64(usedCols)
 	_ = residualSel
-	return AccessPath{Table: t.Name, Index: h, Kind: kind, Cost: cost, EstPageReads: pages * disc}, true
+	return AccessPath{Table: t.Name, Index: h, Kind: kind, Cost: cost, EstPageReads: pages}, true
 }
 
 // refResidualFraction estimates the fraction of prefix-matched rows that
@@ -337,16 +333,15 @@ func (cm *CostModel) refMvAccess(h *HypoIndex, residual []workload.Predicate, q 
 		}
 	}
 	var cost, reads float64
-	disc := cm.poolDiscount(h.Bytes)
 	kind := "mv-scan"
 	if seek {
 		kind = "mv-seek"
-		cost = (cm.RandPageIO*cm.treeHeight(pages) + cm.SeqPageIO*math.Ceil(sel*pages)) * disc
+		cost = cm.RandPageIO*cm.treeHeight(pages) + cm.SeqPageIO*math.Ceil(sel*pages)
 		cost += cm.CPUTuple*sel*rows + beta*sel*rows*float64(usedCols)
-		reads = (cm.treeHeight(pages) + math.Ceil(sel*pages)) * disc
+		reads = cm.treeHeight(pages) + math.Ceil(sel*pages)
 	} else {
-		cost = cm.SeqPageIO*pages*disc + cm.CPUTuple*rows + beta*rows*float64(usedCols)
-		reads = pages * disc
+		cost = cm.SeqPageIO*pages + cm.CPUTuple*rows + beta*rows*float64(usedCols)
+		reads = pages
 	}
 	return AccessPath{Table: h.Def.Table, Index: h, Kind: kind, Rows: sel * rows, Cost: cost, EstPageReads: reads}
 }
