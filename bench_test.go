@@ -13,7 +13,6 @@ import (
 	"cadb/internal/compress"
 	"cadb/internal/core"
 	"cadb/internal/datagen"
-	"cadb/internal/estimator"
 	"cadb/internal/experiments"
 	"cadb/internal/index"
 	"cadb/internal/optimizer"
@@ -99,7 +98,7 @@ func BenchmarkSampleCF(b *testing.B) {
 	d := (&index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate", "l_shipmode"}}).WithMethod(compress.Page)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		est := estimator.New(db, sampling.NewManager(db, 0.05, int64(i)))
+		est := sizing.NewEstimator(db, sampling.NewManager(db, 0.05, int64(i)))
 		if _, err := est.SampleCF(d); err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +222,7 @@ func BenchmarkEnumerate(b *testing.B) {
 // indexes").
 func BenchmarkGraphSearchGreedy(b *testing.B) {
 	db := benchDB()
-	est := estimator.New(db, sampling.NewManager(db, 0.05, 1))
+	est := sizing.NewEstimator(db, sampling.NewManager(db, 0.05, 1))
 	var targets []*index.Def
 	for _, t := range db.Tables() {
 		if !t.Fact {

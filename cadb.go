@@ -41,7 +41,6 @@ import (
 	"cadb/internal/compress"
 	"cadb/internal/core"
 	"cadb/internal/datagen"
-	"cadb/internal/estimator"
 	"cadb/internal/exec"
 	"cadb/internal/experiments"
 	"cadb/internal/index"
@@ -187,10 +186,10 @@ func BuildIndex(db *Database, d *IndexDef) (*index.Physical, error) { return ind
 func FromPhysical(p *index.Physical) *HypoIndex { return optimizer.FromPhysical(p) }
 
 // SizeEstimator estimates compressed index sizes via SampleCF and deduction.
-type SizeEstimator = estimator.Estimator
+type SizeEstimator = sizing.Estimator
 
 // SizeEstimate is one size estimate with its error distribution.
-type SizeEstimate = estimator.Estimate
+type SizeEstimate = sizing.Estimate
 
 // SizeOracle is the size-estimation orchestration layer the advisor runs on:
 // plan the estimation strategy over shared f-grid prefix samples, execute
@@ -205,22 +204,6 @@ type SizeOracleConfig = sizeest.Config
 // NewSizeOracle creates a size oracle.
 func NewSizeOracle(db *Database, cfg SizeOracleConfig) *SizeOracle {
 	return sizeest.New(db, cfg)
-}
-
-// EstimationPlan is a solved estimation strategy (which indexes to SampleCF,
-// which to deduce).
-type EstimationPlan = sizing.Plan
-
-// PlanEstimation runs the greedy graph search over the default sampling
-// fraction grid and returns the cheapest feasible plan plus the estimator to
-// execute it with (tolerance e, confidence q as in Section 5.1).
-func PlanEstimation(db *Database, targets []*IndexDef, e, q float64, seed int64) (*EstimationPlan, *SizeEstimator) {
-	return sizing.Sweep(db, targets, nil, e, q, seed)
-}
-
-// ExecuteEstimation runs a plan, returning estimates keyed by IndexDef.ID().
-func ExecuteEstimation(est *SizeEstimator, p *EstimationPlan) (map[string]*SizeEstimate, error) {
-	return sizing.Execute(est, p)
 }
 
 // ---------------------------------------------------------------------------

@@ -86,13 +86,13 @@ func TestFacadeSizeEstimation(t *testing.T) {
 		(&IndexDef{Table: "lineitem", KeyCols: []string{"l_shipdate", "l_quantity"}}).WithMethod(RowCompression),
 		(&IndexDef{Table: "lineitem", KeyCols: []string{"l_quantity"}}).WithMethod(RowCompression),
 	}
-	plan, est := PlanEstimation(db, targets, 0.5, 0.9, 1)
-	if !plan.Feasible {
-		t.Fatalf("plan infeasible: %s", plan.Describe())
-	}
-	got, err := ExecuteEstimation(est, plan)
+	oracle := NewSizeOracle(db, SizeOracleConfig{Seed: 1, UseDeduction: true})
+	got, err := oracle.Prepare(targets)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if plan := oracle.Plan(); !plan.Feasible {
+		t.Fatalf("plan infeasible: %s", plan.Describe())
 	}
 	for _, d := range targets {
 		e := got[d.ID()]

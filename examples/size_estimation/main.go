@@ -25,16 +25,20 @@ func main() {
 			WithMethod(cadb.RowCompression),
 	}
 
-	// Plan: which indexes get SampleCF, which are deduced — subject to
-	// "error <= 50% with >= 90% confidence", minimizing sampling cost.
-	plan, est := cadb.PlanEstimation(db, targets, 0.5, 0.9, 1)
-	fmt.Printf("estimation plan (chosen sampling fraction f=%.1f%%):\n%s\n",
-		100*plan.F, plan.Describe())
-
-	estimates, err := cadb.ExecuteEstimation(est, plan)
+	// The size oracle plans which indexes get SampleCF and which are
+	// deduced — subject to "error <= 50% with >= 90% confidence" (its
+	// default), minimizing sampling cost over the f-grid — then executes the
+	// plan: the deduction DAG level-parallel, SampleCF batched per structure,
+	// one shared sample store for every f-grid point (each smaller-f sample
+	// is a prefix of the largest-f sample).
+	oracle := cadb.NewSizeOracle(db, cadb.SizeOracleConfig{Seed: 1, UseDeduction: true})
+	estimates, err := oracle.Prepare(targets)
 	if err != nil {
 		log.Fatal(err)
 	}
+	plan := oracle.Plan()
+	fmt.Printf("estimation plan (chosen sampling fraction f=%.1f%%):\n%s\n",
+		100*plan.F, plan.Describe())
 
 	fmt.Println("estimate vs ground truth:")
 	for _, d := range targets {
@@ -52,21 +56,13 @@ func main() {
 	fmt.Printf("\ntotal estimation cost: %.0f sample-index pages "+
 		"(SampleCF on every index would cost more)\n", plan.TotalCost)
 
-	// The advisor runs the same machinery through the SizeOracle layer:
-	// one shared sample store serves every f-grid point (each smaller-f
-	// sample is a prefix of the largest-f sample), the deduction DAG is
-	// executed level-parallel with SampleCF batched per structure, and
-	// indexes invented later — merged candidates, compressed variants — are
-	// admitted into the live graph instead of always being re-sampled.
-	oracle := cadb.NewSizeOracle(db, cadb.SizeOracleConfig{Seed: 1, UseDeduction: true})
-	if _, err := oracle.Prepare(targets); err != nil {
-		log.Fatal(err)
-	}
 	a := oracle.Accounting()
 	fmt.Printf("\noracle: %d SampleCF calls, sample-build %v, plan-solve %v, plan-execute %v\n",
 		a.SampleCFCalls, a.SampleBuild.Round(time.Microsecond),
 		a.PlanSolve.Round(time.Microsecond), a.PlanExecute.Round(time.Microsecond))
 
+	// Indexes invented later — merged candidates, compressed variants — are
+	// admitted into the live graph instead of always being re-sampled.
 	// A "merged" index arriving after the plan was solved: same column set
 	// as the composite target, so the live graph deduces it for free.
 	merged := (&cadb.IndexDef{

@@ -26,7 +26,6 @@ import (
 
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
-	"cadb/internal/estimator"
 	"cadb/internal/index"
 	"cadb/internal/optimizer"
 	"cadb/internal/par"
@@ -229,7 +228,7 @@ type Advisor struct {
 	evalStats *optimizer.EvaluatorStats
 	// oracle is the size-estimation layer for the current Recommend run;
 	// merging and late candidates go through it instead of wiring sampling +
-	// estimator + sizing inline.
+	// sizing inline.
 	oracle *sizeest.Oracle
 	// estErrors tallies estimation failures tolerated by the merge/variant
 	// loop (surfaced as Timing.EstimationErrors).
@@ -379,7 +378,7 @@ func (a *Advisor) estimateAll(structures []*index.Def) (map[string]*optimizer.Hy
 	// Size the uncompressed variants concurrently: the defs are distinct,
 	// the oracle is safe for concurrent use, and results land in per-index
 	// slots so the later reduction order is deterministic.
-	uncEsts := make([]*estimator.Estimate, len(uncompressed))
+	uncEsts := make([]*sizing.Estimate, len(uncompressed))
 	errs := make([]error, len(uncompressed))
 	par.For(workers, len(uncompressed), func(i int) {
 		uncEsts[i], errs[i] = oracle.EstimateUncompressed(uncompressed[i])
@@ -391,7 +390,7 @@ func (a *Advisor) estimateAll(structures []*index.Def) (map[string]*optimizer.Hy
 	}
 
 	hypos := make(map[string]*optimizer.HypoIndex)
-	add := func(e *estimator.Estimate) {
+	add := func(e *sizing.Estimate) {
 		h := hypoOf(e)
 		hypos[h.ID()] = h
 	}
@@ -414,7 +413,7 @@ func (a *Advisor) estimateAll(structures []*index.Def) (map[string]*optimizer.Hy
 }
 
 // hypoOf wraps a size estimate as a hypothetical index.
-func hypoOf(e *estimator.Estimate) *optimizer.HypoIndex {
+func hypoOf(e *sizing.Estimate) *optimizer.HypoIndex {
 	return optimizer.NewHypoIndex(e.Def, e.Rows, e.Bytes, e.UncompressedBytes)
 }
 

@@ -5,10 +5,10 @@ import (
 	"strings"
 
 	"cadb/internal/compress"
-	"cadb/internal/estimator"
 	"cadb/internal/index"
 	"cadb/internal/optimizer"
 	"cadb/internal/par"
+	"cadb/internal/sizing"
 )
 
 // mergeCandidates implements index merging [8]: when two selected candidates
@@ -66,7 +66,7 @@ func (a *Advisor) mergeCandidates(selected []*optimizer.HypoIndex) []*optimizer.
 				if have[v.ID()] {
 					continue
 				}
-				var e *estimator.Estimate
+				var e *sizing.Estimate
 				var err error
 				if v.Method == compress.None {
 					e, err = a.oracle.EstimateUncompressed(v)

@@ -5,9 +5,9 @@ import (
 
 	"cadb/internal/compress"
 	"cadb/internal/datagen"
-	"cadb/internal/estimator"
 	"cadb/internal/index"
 	"cadb/internal/sampling"
+	"cadb/internal/sizing"
 )
 
 // measureDeductionErrors extrapolates composite indexes from a = 2..4
@@ -16,7 +16,7 @@ import (
 // X−1 against the ground truth.
 func measureDeductionErrors(lineitemRows int, m compress.Method, cap int, seed int64) map[int][]float64 {
 	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: lineitemRows, Seed: seed})
-	est := estimator.New(db, sampling.NewManager(db, 0.1, seed))
+	est := sizing.NewEstimator(db, sampling.NewManager(db, 0.1, seed))
 	out := make(map[int][]float64)
 
 	li := db.MustTable("lineitem")
@@ -31,7 +31,7 @@ func measureDeductionErrors(lineitemRows int, m compress.Method, cap int, seed i
 				continue
 			}
 			// Extrapolate from `width` singleton indexes (a = width).
-			parts := make([]*estimator.Estimate, 0, width)
+			parts := make([]*sizing.Estimate, 0, width)
 			ok := true
 			for _, c := range keys {
 				p, err := est.SampleCF((&index.Def{Table: "lineitem", KeyCols: []string{c}}).WithMethod(m))
@@ -63,7 +63,7 @@ func measureDeductionErrors(lineitemRows int, m compress.Method, cap int, seed i
 					continue
 				}
 				est.Forget(target)
-				ded2, err := est.DeduceColExt(target, []*estimator.Estimate{pp, pl})
+				ded2, err := est.DeduceColExt(target, []*sizing.Estimate{pp, pl})
 				if err != nil {
 					continue
 				}
@@ -113,8 +113,8 @@ func Table3(sc Scale) *Report {
 			stds = append(stds, stddev(errs[a]))
 		}
 		t.Add(mm.name,
-			fmt.Sprintf("%+.4f a", estimator.FitLinearCoefficient(as, biases)),
-			fmt.Sprintf("%+.4f a", estimator.FitLinearCoefficient(as, stds)))
+			fmt.Sprintf("%+.4f a", sizing.FitLinearCoefficient(as, biases)),
+			fmt.Sprintf("%+.4f a", sizing.FitLinearCoefficient(as, stds)))
 	}
 	// ColSet: measure the permutation invariance error directly.
 	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: sc.LineitemRows, Seed: sc.Seed})

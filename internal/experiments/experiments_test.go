@@ -154,3 +154,19 @@ func TestMixedDesignBeatsUniform(t *testing.T) {
 		}
 	}
 }
+
+// TestFig11ShapeDeductionCutsEstimationCost pins fig11's claim beside its
+// golden: DTAc with deduction spends fewer estimation cost units than DTAc
+// without it.
+func TestFig11ShapeDeductionCutsEstimationCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two advisor runs in -short mode")
+	}
+	rows := Fig11(QuickScale()).Tables[0].Rows
+	// Rows: without deduction, with deduction; the last column is the cost.
+	without := parseF(t, rows[0][len(rows[0])-1])
+	with := parseF(t, rows[1][len(rows[1])-1])
+	if !(with < without) {
+		t.Fatalf("deduction must cut estimation cost: %v with vs %v without", with, without)
+	}
+}

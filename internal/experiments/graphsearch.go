@@ -6,7 +6,6 @@ import (
 
 	"cadb/internal/compress"
 	"cadb/internal/datagen"
-	"cadb/internal/estimator"
 	"cadb/internal/index"
 	"cadb/internal/sampling"
 	"cadb/internal/sizing"
@@ -43,8 +42,8 @@ func Table4(sc Scale) *Report {
 
 	const e, q = 0.5, 0.9
 	for _, f := range []float64{0.01, 0.025, 0.05, 0.075, 0.10} {
-		mkEst := func() *estimator.Estimator {
-			return estimator.New(db, sampling.NewManager(db, f, sc.Seed))
+		mkEst := func() *sizing.Estimator {
+			return sizing.NewEstimator(db, sampling.NewManager(db, f, sc.Seed))
 		}
 		all := sizing.All(mkEst(), targets, nil, e, q, f)
 		greedy := sizing.Greedy(mkEst(), targets, nil, e, q, f)
@@ -68,7 +67,7 @@ func Table4(sc Scale) *Report {
 	// indexes; Greedy finished in a second").
 	big := errorStudyIndexes(db, compress.Row, 300)
 	start := time.Now()
-	sizing.Greedy(estimator.New(db, sampling.NewManager(db, 0.05, sc.Seed)), big, nil, e, q, 0.05)
+	sizing.Greedy(sizing.NewEstimator(db, sampling.NewManager(db, 0.05, sc.Seed)), big, nil, e, q, 0.05)
 	greedyTime := time.Since(start)
 	rep.Notef("Greedy over %d targets: %v (Optimal is exponential and is capped out)", len(big), clock{greedyTime})
 	return rep

@@ -6,9 +6,9 @@ import (
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
 	"cadb/internal/datagen"
-	"cadb/internal/estimator"
 	"cadb/internal/index"
 	"cadb/internal/sampling"
+	"cadb/internal/sizing"
 )
 
 // errorStudyIndexes enumerates a diverse family of index definitions on the
@@ -46,7 +46,7 @@ func errorStudyIndexes(db *catalog.Database, m compress.Method, cap int) []*inde
 // measureSampleCFErrors returns X-1 = (estimate/truth - 1) for each study
 // index at the given sampling fraction.
 func measureSampleCFErrors(db *catalog.Database, m compress.Method, f float64, cap int, seed int64) []float64 {
-	est := estimator.New(db, sampling.NewManager(db, f, seed))
+	est := sizing.NewEstimator(db, sampling.NewManager(db, f, seed))
 	var errs []float64
 	for _, d := range errorStudyIndexes(db, m, cap) {
 		truth, err := index.Build(db, d)
@@ -108,9 +108,9 @@ func Table2(sc Scale) *Report {
 			ldStd = append(ldStd, stddev(ld))
 		}
 		t.Add(ds.name,
-			fmt.Sprintf("%+.4f", -estimator.FitLogCoefficient(fs, ldBias)),
-			fmt.Sprintf("%+.4f", -estimator.FitLogCoefficient(fs, nsStd)),
-			fmt.Sprintf("%+.4f", -estimator.FitLogCoefficient(fs, ldStd)))
+			fmt.Sprintf("%+.4f", -sizing.FitLogCoefficient(fs, ldBias)),
+			fmt.Sprintf("%+.4f", -sizing.FitLogCoefficient(fs, nsStd)),
+			fmt.Sprintf("%+.4f", -sizing.FitLogCoefficient(fs, ldStd)))
 	}
 	rep.Notef("stability across rows (not their absolute values) is the reproduction target")
 	return rep

@@ -1,10 +1,10 @@
 // Package sizeest is the size-estimation orchestration layer: it owns the
-// wiring of sampling + estimator + sizing (Sections 4–5 of the paper) behind
-// a single Oracle that the advisor consumes. The oracle
+// wiring of sampling + sizing (Sections 4–5 of the paper) behind a single
+// Oracle that the advisor consumes. The oracle
 //
-//   - shares samples across the f-grid sweep: each smaller-f sample is a
-//     deterministic prefix of the largest-f sample (sampling.Store), so one
-//     table scan serves every grid point;
+//   - sweeps the f-grid over one shared sample store (sizing.Sweep): each
+//     smaller-f sample is a deterministic prefix of the largest-f sample, so
+//     one table scan serves every grid point;
 //   - executes the chosen estimation plan DAG-parallel: the deduction graph
 //     is level-scheduled (children strictly before parents) onto a worker
 //     pool, and SampleCF targets sharing a (table, key-column) structure are
@@ -29,7 +29,6 @@ import (
 
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
-	"cadb/internal/estimator"
 	"cadb/internal/index"
 	"cadb/internal/par"
 	"cadb/internal/sampling"
@@ -44,11 +43,12 @@ type Config struct {
 	ErrTolerance float64
 	Confidence   float64
 	Seed         int64
-	// Workers bounds the plan-execution pool; non-positive means one per
-	// CPU. Estimates are byte-identical at any setting.
+	// Workers bounds the f-grid sweep and the plan-execution pool;
+	// non-positive means one per CPU. Estimates are byte-identical at any
+	// setting.
 	Workers int
-	// UseDeduction enables the deduction framework (skeleton-shared Greedy);
-	// off solves with the skeleton's All and admissions always SampleCF.
+	// UseDeduction enables the deduction framework (the sweep solves with
+	// Greedy); off, the sweep solves with All and admissions always SampleCF.
 	UseDeduction bool
 }
 
@@ -80,7 +80,7 @@ type Oracle struct {
 	store *sampling.Store
 
 	mu           sync.Mutex
-	est          *estimator.Estimator
+	est          *sizing.Estimator
 	plan         *sizing.Plan
 	execTime     time.Duration
 	admitDeduced int
@@ -107,98 +107,42 @@ func New(db *catalog.Database, cfg Config) *Oracle {
 
 // Prepare solves the estimation plan over the f-grid and executes it,
 // returning the estimates for every plan node keyed by Def.ID().
-func (o *Oracle) Prepare(targets []*index.Def) (map[string]*estimator.Estimate, error) {
+func (o *Oracle) Prepare(targets []*index.Def) (map[string]*sizing.Estimate, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.est != nil {
 		return nil, fmt.Errorf("sizeest: Prepare called twice")
 	}
 	if len(targets) == 0 {
-		o.est = estimator.New(o.db, o.store.Manager(defaultSampleF))
-		return map[string]*estimator.Estimate{}, nil
+		o.est = sizing.NewEstimator(o.db, o.store.Manager(defaultSampleF))
+		return map[string]*sizing.Estimate{}, nil
 	}
-	plan, est := o.sweep(targets)
-	o.plan, o.est = plan, est
+	o.plan, o.est = sizing.Sweep(o.store, targets, o.cfg.UseDeduction, o.cfg.ErrTolerance, o.cfg.Confidence, o.cfg.Workers)
 	start := time.Now()
-	out, err := o.execute(plan)
+	out, err := o.execute(o.plan)
 	o.execTime = time.Since(start)
 	return out, err
-}
-
-// sweep solves the estimation plan at every f-grid point concurrently — the
-// solvers are independent, stats-only searches over the shared store — and
-// reduces the results serially in grid order with the same winner rule as
-// sizing.SweepShared, so the parallel sweep picks the identical plan at any
-// worker count. The f-independent deduction graph is built once
-// (sizing.Skeleton) and instantiated per grid point. Losing grid points'
-// accounting folds into the winner and the plan's SolveTime reports the
-// grid's total search effort.
-func (o *Oracle) sweep(targets []*index.Def) (*sizing.Plan, *estimator.Estimator) {
-	grid := sizing.DefaultFGrid()
-	type point struct {
-		plan  *sizing.Plan
-		est   *estimator.Estimator
-		solve time.Duration
-	}
-	pts := make([]point, len(grid))
-	for i, f := range grid {
-		pts[i].est = estimator.New(o.db, o.store.Manager(f))
-	}
-	start := time.Now()
-	skel := sizing.NewSkeleton(pts[0].est, targets, nil)
-	skelTime := time.Since(start)
-	solve := skel.All
-	if o.cfg.UseDeduction {
-		solve = skel.Greedy
-	}
-	par.For(o.cfg.Workers, len(grid), func(i int) {
-		start := time.Now()
-		plan := solve(pts[i].est, o.cfg.ErrTolerance, o.cfg.Confidence, grid[i])
-		pts[i].plan = plan
-		pts[i].solve = time.Since(start)
-	})
-	best := 0
-	solveTime := skelTime
-	for i, p := range pts {
-		solveTime += p.solve
-		if i == 0 {
-			continue
-		}
-		b := pts[best].plan
-		if (p.plan.Feasible && !b.Feasible) ||
-			(p.plan.Feasible == b.Feasible && p.plan.TotalCost < b.TotalCost) {
-			best = i
-		}
-	}
-	plan, est := pts[best].plan, pts[best].est
-	plan.SolveTime = solveTime
-	for i := range pts {
-		if i != best {
-			est.AbsorbAccounting(pts[i].est)
-		}
-	}
-	return plan, est
 }
 
 // execute runs the plan DAG-parallel: nodes are level-scheduled so every
 // deduction's children complete strictly before it, each level fans out on
 // the worker pool, and sampled nodes are batched by structure so one sorted
 // sample scan serves all compression variants sharing (table, key columns).
-func (o *Oracle) execute(p *sizing.Plan) (map[string]*estimator.Estimate, error) {
+func (o *Oracle) execute(p *sizing.Plan) (map[string]*sizing.Estimate, error) {
 	levels, err := levelSchedule(p)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]*estimator.Estimate, len(p.Nodes))
+	out := make(map[string]*sizing.Estimate, len(p.Nodes))
 	for li, level := range levels {
-		var ests []*estimator.Estimate
+		var ests []*sizing.Estimate
 		var errs []error
 		if li == 0 {
 			// Leaves: SampleCF (or cached exact sizes). Group by structure;
 			// one worker materializes a group's shared sample index once and
 			// sizes every variant off it.
 			groups, order := batchByStructure(level)
-			ests = make([]*estimator.Estimate, len(level))
+			ests = make([]*sizing.Estimate, len(level))
 			errs = make([]error, len(level))
 			par.For(o.cfg.Workers, len(groups), func(gi int) {
 				for _, slot := range groups[order[gi]] {
@@ -206,13 +150,13 @@ func (o *Oracle) execute(p *sizing.Plan) (map[string]*estimator.Estimate, error)
 				}
 			})
 		} else {
-			ests = make([]*estimator.Estimate, len(level))
+			ests = make([]*sizing.Estimate, len(level))
 			errs = make([]error, len(level))
-			extras := make([][]*estimator.Estimate, len(level))
+			extras := make([][]*sizing.Estimate, len(level))
 			par.For(o.cfg.Workers, len(level), func(i int) {
 				ests[i], errs[i] = o.deduce(level[i],
-					func(d *index.Def) *estimator.Estimate { return out[d.ID()] },
-					func(e *estimator.Estimate) { extras[i] = append(extras[i], e) })
+					func(d *index.Def) *sizing.Estimate { return out[d.ID()] },
+					func(e *sizing.Estimate) { extras[i] = append(extras[i], e) })
 			})
 			// Fallback-sampled children enter the result map like the serial
 			// Execute path stores them; slot order keeps first-wins
@@ -241,8 +185,8 @@ func (o *Oracle) execute(p *sizing.Plan) (map[string]*estimator.Estimate, error)
 // falling back to SampleCF for any child missing from it (mirroring the
 // serial sizing.Execute semantics). record, when non-nil, receives each
 // fallback-sampled child estimate so the caller can publish it.
-func (o *Oracle) deduce(n *sizing.Node, lookup func(*index.Def) *estimator.Estimate, record func(*estimator.Estimate)) (*estimator.Estimate, error) {
-	child := func(c *sizing.Node) (*estimator.Estimate, error) {
+func (o *Oracle) deduce(n *sizing.Node, lookup func(*index.Def) *sizing.Estimate, record func(*sizing.Estimate)) (*sizing.Estimate, error) {
+	return o.est.Deduce(n, func(c *sizing.Node) (*sizing.Estimate, error) {
 		if e := lookup(c.Def); e != nil {
 			return e, nil
 		}
@@ -251,25 +195,7 @@ func (o *Oracle) deduce(n *sizing.Node, lookup func(*index.Def) *estimator.Estim
 			record(e)
 		}
 		return e, err
-	}
-	switch n.Chosen.Kind {
-	case sizing.DeduceColSet:
-		c, err := child(n.Chosen.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return o.est.DeduceColSet(n.Def, c)
-	case sizing.DeduceColExt:
-		parts := make([]*estimator.Estimate, len(n.Chosen.Children))
-		for i, c := range n.Chosen.Children {
-			var err error
-			if parts[i], err = child(c); err != nil {
-				return nil, err
-			}
-		}
-		return o.est.DeduceColExt(n.Def, parts)
-	}
-	return nil, fmt.Errorf("sizeest: unknown deduction kind %d", n.Chosen.Kind)
+	})
 }
 
 // levelSchedule assigns every plan node a level: SAMPLED/existing nodes sit
@@ -340,7 +266,7 @@ func batchByStructure(level []*sizing.Node) (map[string][]int, []string) {
 
 // EstimateUncompressed serves the statistics-only estimate for an
 // uncompressed definition.
-func (o *Oracle) EstimateUncompressed(d *index.Def) (*estimator.Estimate, error) {
+func (o *Oracle) EstimateUncompressed(d *index.Def) (*sizing.Estimate, error) {
 	est := o.estimator()
 	if est == nil {
 		return nil, fmt.Errorf("sizeest: EstimateUncompressed before Prepare")
@@ -353,7 +279,7 @@ func (o *Oracle) EstimateUncompressed(d *index.Def) (*estimator.Estimate, error)
 // parent/child supports it; otherwise SampleCF. Admissions are serialized, so
 // the graph grows — and later arrivals deduce from earlier ones —
 // deterministically.
-func (o *Oracle) Admit(d *index.Def) (*estimator.Estimate, error) {
+func (o *Oracle) Admit(d *index.Def) (*sizing.Estimate, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.est == nil {
@@ -375,7 +301,7 @@ func (o *Oracle) Admit(d *index.Def) (*estimator.Estimate, error) {
 	}
 	n := o.plan.Admit(o.est, d, o.cfg.ErrTolerance, o.cfg.Confidence)
 	if n.State == sizing.StateDeduced {
-		est, err := o.deduce(n, func(cd *index.Def) *estimator.Estimate {
+		est, err := o.deduce(n, func(cd *index.Def) *sizing.Estimate {
 			if e, ok := o.est.Cached(cd); ok {
 				return e
 			}
@@ -402,9 +328,9 @@ func (o *Oracle) Plan() *sizing.Plan {
 }
 
 // Estimator exposes the underlying estimator (winning f-grid point).
-func (o *Oracle) Estimator() *estimator.Estimator { return o.estimator() }
+func (o *Oracle) Estimator() *sizing.Estimator { return o.estimator() }
 
-func (o *Oracle) estimator() *estimator.Estimator {
+func (o *Oracle) estimator() *sizing.Estimator {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.est

@@ -7,7 +7,6 @@ import (
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
 	"cadb/internal/datagen"
-	"cadb/internal/estimator"
 	"cadb/internal/index"
 	"cadb/internal/sampling"
 	"cadb/internal/sizing"
@@ -50,7 +49,7 @@ func testTargets() []*index.Def {
 	return targets
 }
 
-func sameEstimate(a, b *estimator.Estimate) bool {
+func sameEstimate(a, b *sizing.Estimate) bool {
 	return a.Rows == b.Rows && a.Bytes == b.Bytes && a.UncompressedBytes == b.UncompressedBytes &&
 		a.CF == b.CF && a.Source == b.Source && a.Mean == b.Mean && a.Std == b.Std && a.Cost == b.Cost
 }
@@ -65,7 +64,7 @@ func TestOracleMatchesSerialExecute(t *testing.T) {
 
 	// Serial baseline: same sweep, executed node by node in plan order.
 	store := sampling.NewStore(testDB(), seed)
-	plan, est := sizing.SweepShared(store, targets, nil, 0.5, 0.9)
+	plan, est := sizing.Sweep(store, targets, true, 0.5, 0.9, 1)
 	want, err := sizing.Execute(est, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +151,7 @@ func TestAdmitDeducesMergedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Source != estimator.SourceColSet && e.Source != estimator.SourceColExt {
+	if e.Source != sizing.SourceColSet && e.Source != sizing.SourceColExt {
 		t.Fatalf("merged index should be deduced, got source %s", e.Source)
 	}
 	acct := o.Accounting()
@@ -186,7 +185,7 @@ func TestAdmitFallsBackToSampleCF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Source != estimator.SourceSampled {
+	if e.Source != sizing.SourceSampled {
 		t.Fatalf("no parent exists, expected samplecf, got %s", e.Source)
 	}
 	if a := o.Accounting(); a.AdmittedSampled != 1 {
@@ -202,7 +201,7 @@ func TestAdmitFallsBackToSampleCF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.Source != estimator.SourceColSet {
+	if e2.Source != sizing.SourceColSet {
 		t.Fatalf("permutation of an admitted node should deduce, got %s", e2.Source)
 	}
 }

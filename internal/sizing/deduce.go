@@ -1,4 +1,4 @@
-package estimator
+package sizing
 
 import (
 	"fmt"
@@ -18,22 +18,23 @@ func (e *Estimator) DeduceColSet(target *index.Def, known *Estimate) (*Estimate,
 		return est, nil
 	}
 	if target.Method != known.Def.Method {
-		return nil, fmt.Errorf("estimator: colset deduction across methods (%s vs %s)", target.Method, known.Def.Method)
+		return nil, fmt.Errorf("sizing: colset deduction across methods (%s vs %s)", target.Method, known.Def.Method)
+	}
+	if target.Clustered != known.Def.Clustered {
+		return nil, fmt.Errorf("sizing: colset deduction between a clustered and a secondary index")
 	}
 	if target.Method.Class() != compress.OrderIndependent {
-		return nil, fmt.Errorf("estimator: colset deduction invalid for ORD-DEP method %s", target.Method)
+		return nil, fmt.Errorf("sizing: colset deduction invalid for ORD-DEP method %s", target.Method)
 	}
 	if !sameBase(target, known.Def) {
-		return nil, fmt.Errorf("estimator: colset deduction across different bases")
+		return nil, fmt.Errorf("sizing: colset deduction across different bases")
 	}
-	tCols, kCols := colsOf(e, target), colsOf(e, known.Def)
-	if colsKey(tCols) != colsKey(kCols) {
-		return nil, fmt.Errorf("estimator: column sets differ: %v vs %v", tCols, kCols)
+	tCols, kCols := e.colsOf(target), e.colsOf(known.Def)
+	if setKey(tCols) != setKey(kCols) {
+		return nil, fmt.Errorf("sizing: column sets differ: %v vs %v", tCols, kCols)
 	}
-	mean, std := compose(
-		known.Mean, known.Std,
-		1, e.Model.ColSetStd,
-	)
+	mean, std := e.Model.deducedError(DeduceColSet, target.Method, 1,
+		func(int) (float64, float64) { return known.Mean, known.Std })
 	est := &Estimate{
 		Def:               target,
 		Rows:              known.Rows,
@@ -60,29 +61,29 @@ func (e *Estimator) DeduceColExt(target *index.Def, parts []*Estimate) (*Estimat
 		return est, nil
 	}
 	if len(parts) == 0 {
-		return nil, fmt.Errorf("estimator: no parts to extrapolate from")
+		return nil, fmt.Errorf("sizing: no parts to extrapolate from")
 	}
 	if target.MV != nil || target.IsPartial() {
-		return nil, fmt.Errorf("estimator: colext deduction supports plain table indexes only")
+		return nil, fmt.Errorf("sizing: colext deduction supports plain table indexes only")
 	}
 	t := e.DB.Table(target.Table)
 	if t == nil {
-		return nil, fmt.Errorf("estimator: unknown table %q", target.Table)
+		return nil, fmt.Errorf("sizing: unknown table %q", target.Table)
 	}
 	// Validate the partition.
-	tCols := colsOf(e, target)
+	tCols := e.colsOf(target)
 	var joined []string
 	for _, p := range parts {
 		if p.Def.Method != target.Method {
-			return nil, fmt.Errorf("estimator: part method %s != target %s", p.Def.Method, target.Method)
+			return nil, fmt.Errorf("sizing: part method %s != target %s", p.Def.Method, target.Method)
 		}
 		if !sameBase(target, p.Def) {
-			return nil, fmt.Errorf("estimator: part on different base")
+			return nil, fmt.Errorf("sizing: part on different base")
 		}
-		joined = append(joined, colsOf(e, p.Def)...)
+		joined = append(joined, e.colsOf(p.Def)...)
 	}
-	if colsKey(joined) != colsKey(tCols) {
-		return nil, fmt.Errorf("estimator: parts %v do not partition target columns %v", joined, tCols)
+	if setKey(joined) != setKey(tCols) {
+		return nil, fmt.Errorf("sizing: parts %v do not partition target columns %v", joined, tCols)
 	}
 
 	// Uncompressed size of the target from statistics (cheap and accurate).
@@ -99,7 +100,7 @@ func (e *Estimator) DeduceColExt(target *index.Def, parts []*Estimate) (*Estimat
 	prefix := []string{}
 	tTuplesPerPage := tuplesPerPage(unc, rows)
 	for _, p := range parts {
-		pCols := colsOf(e, p.Def)
+		pCols := e.colsOf(p.Def)
 		prefix = append(prefix, pCols...)
 		r := float64(p.UncompressedBytes - p.Bytes)
 		// Scale the part's reduction to the target's row count (normally
@@ -139,20 +140,15 @@ func (e *Estimator) DeduceColExt(target *index.Def, parts []*Estimate) (*Estimat
 		bytes = float64(unc)
 	}
 
-	// Compose errors: X_target = X_colext(a) * Π X_part.
-	mean, std := 1.0, 0.0
-	for _, p := range parts {
-		mean, std = compose(mean, std, p.Mean, p.Std)
-	}
-	dm, ds := e.Model.ColExtError(target.Method, len(parts))
-	mean, std = compose(mean, std, dm, ds)
+	mean, std := e.Model.deducedError(DeduceColExt, target.Method, len(parts),
+		func(i int) (float64, float64) { return parts[i].Mean, parts[i].Std })
 
 	est := &Estimate{
 		Def:               target,
 		Rows:              rows,
 		UncompressedBytes: unc,
 		Bytes:             int64(bytes),
-		CF:                bytes / maxf(1, float64(unc)),
+		CF:                bytes / max(1, float64(unc)),
 		Source:            SourceColExt,
 		Mean:              mean,
 		Std:               std,
@@ -247,7 +243,7 @@ func replacedFraction(runLen, domain, tuplesPerPage float64) float64 {
 
 // colsOf returns the full physical column list of the index (clustered
 // indexes carry every table column).
-func colsOf(e *Estimator, d *index.Def) []string {
+func (e *Estimator) colsOf(d *index.Def) []string {
 	if d.Clustered && d.MV == nil {
 		if t := e.DB.Table(d.Table); t != nil {
 			return t.Schema.Names()
@@ -277,17 +273,4 @@ func sameBase(a, b *index.Def) bool {
 		}
 	}
 	return true
-}
-
-// compose multiplies two error random variables: E[XY] = E[X]E[Y] (assuming
-// independence) and V[XY] = Π(Vi+Ei²) − ΠEi² (Goodman 1962), as Section 5.1
-// prescribes.
-func compose(m1, s1, m2, s2 float64) (mean, std float64) {
-	mean = m1 * m2
-	v := (s1*s1 + m1*m1) * (s2*s2 + m2*m2)
-	v -= m1 * m1 * m2 * m2
-	if v < 0 {
-		v = 0
-	}
-	return mean, math.Sqrt(v)
 }

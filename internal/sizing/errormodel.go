@@ -1,4 +1,4 @@
-package estimator
+package sizing
 
 import (
 	"math"
@@ -85,6 +85,40 @@ func (m *ErrorModel) SampleError(method compress.Method, f float64) (mean, std f
 func (m *ErrorModel) ColExtError(method compress.Method, a int) (mean, std float64) {
 	fa := float64(a)
 	return 1 + m.ColExtBiasPer[method]*fa, m.ColExtStdPer[method] * fa
+}
+
+// deducedError returns (mean, std) of X for a deduction of the given kind
+// from a children whose errors child reports: the children's error variables
+// multiplied together with the deduction's own — ColSet's constant σ, or
+// ColExt's error over a extrapolated indexes. The planner and the deductions
+// it schedules both compose errors here, so an executed estimate carries the
+// error its plan node was chosen with.
+func (m *ErrorModel) deducedError(kind DeductionKind, method compress.Method, a int, child func(i int) (mean, std float64)) (mean, std float64) {
+	mean, std = 1.0, 0.0
+	for i := 0; i < a; i++ {
+		cm, cs := child(i)
+		mean, std = compose(mean, std, cm, cs)
+	}
+	switch kind {
+	case DeduceColSet:
+		mean, std = compose(mean, std, 1, m.ColSetStd)
+	case DeduceColExt:
+		dm, ds := m.ColExtError(method, a)
+		mean, std = compose(mean, std, dm, ds)
+	}
+	return mean, std
+}
+
+// compose multiplies two error random variables: E[XY] = E[X]E[Y] (assuming
+// independence) and V[XY] = Π(Vi+Ei²) − ΠEi² (Goodman 1962), as Section 5.1
+// prescribes.
+func compose(m1, s1, m2, s2 float64) (mean, std float64) {
+	mean = m1 * m2
+	v := (s1*s1+m1*m1)*(s2*s2+m2*m2) - m1*m1*m2*m2
+	if v < 0 {
+		v = 0
+	}
+	return mean, math.Sqrt(v)
 }
 
 // ProbWithin returns P(1/(1+e) <= X <= 1+e) for a normal X with the given

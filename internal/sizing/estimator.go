@@ -1,14 +1,7 @@
-// Package estimator implements compressed-index size estimation (Section 4):
-// SampleCF (build the index on the table's amortized sample, compress it,
-// return the compression fraction), the zero-cost deduction methods (ColSet
-// and ColExt for order-independent methods; the fragmentation-corrected
-// ColExt for order-dependent methods), and the stochastic error model used
-// by the estimation-plan graph search (Section 5, Appendix C).
-package estimator
+package sizing
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -134,8 +127,8 @@ func (m *materialization) designSizes() *compress.DesignSizes {
 	return m.design
 }
 
-// New creates an estimator.
-func New(db *catalog.Database, mgr *sampling.Manager) *Estimator {
+// NewEstimator creates an estimator.
+func NewEstimator(db *catalog.Database, mgr *sampling.Manager) *Estimator {
 	return &Estimator{DB: db, Mgr: mgr, Model: DefaultErrorModel(),
 		cache: make(map[string]*Estimate), mats: make(map[string]*materialization)}
 }
@@ -212,17 +205,11 @@ func (e *Estimator) sampleBase(d *index.Def) (*storage.Schema, []storage.Row, in
 		}
 		return ms.Schema, ms.Rows, ms.EstimatedRows, &e.MVSampleCFTime, nil
 	case d.IsPartial():
-		s, err := e.Mgr.Sample(d.Table)
+		t, rows, full, err := e.partialSample(d)
 		if err != nil {
 			return nil, nil, 0, nil, err
 		}
-		rows, err := e.Mgr.FilteredSample(d.Table, d.Where)
-		if err != nil {
-			return nil, nil, 0, nil, err
-		}
-		frac := float64(len(rows)) / maxf(1, float64(len(s.Rows)))
-		full := int64(frac * float64(s.Table.RowCount()))
-		return s.Table.Schema, rows, full, &e.PartialSampleCFTime, nil
+		return t.Schema, rows, full, &e.PartialSampleCFTime, nil
 	default:
 		s, err := e.Mgr.Sample(d.Table)
 		if err != nil {
@@ -230,6 +217,21 @@ func (e *Estimator) sampleBase(d *index.Def) (*storage.Schema, []storage.Row, in
 		}
 		return s.Table.Schema, s.Rows, s.Table.RowCount(), &e.TableSampleCFTime, nil
 	}
+}
+
+// partialSample returns the sample rows that pass a partial index's filter,
+// with their table and the full-table row count they stand for.
+func (e *Estimator) partialSample(d *index.Def) (*catalog.Table, []storage.Row, int64, error) {
+	s, err := e.Mgr.Sample(d.Table)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	rows, err := e.Mgr.FilteredSample(d.Table, d.Where)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	frac := float64(len(rows)) / max(1, float64(len(s.Rows)))
+	return s.Table, rows, int64(frac * float64(s.Table.RowCount())), nil
 }
 
 // materialize builds (or returns the cached) sorted sample leaf rows for the
@@ -362,23 +364,18 @@ func (e *Estimator) EstimateUncompressed(d *index.Def) (*Estimate, error) {
 		if err != nil {
 			return nil, err
 		}
-		entryW = float64(compress.SizeRows(sch, leaf, compress.None)) / maxf(1, float64(len(leaf)))
+		entryW = float64(compress.SizeRows(sch, leaf, compress.None)) / max(1, float64(len(leaf)))
 	default:
 		t := e.DB.Table(d.Table)
 		if t == nil {
-			return nil, fmt.Errorf("estimator: unknown table %q", d.Table)
+			return nil, fmt.Errorf("sizing: unknown table %q", d.Table)
 		}
 		rows = t.RowCount()
 		if d.IsPartial() {
-			s, err := e.Mgr.Sample(d.Table)
-			if err != nil {
+			var err error
+			if _, _, rows, err = e.partialSample(d); err != nil {
 				return nil, err
 			}
-			filtered, err := e.Mgr.FilteredSample(d.Table, d.Where)
-			if err != nil {
-				return nil, err
-			}
-			rows = int64(float64(len(filtered)) / maxf(1, float64(len(s.Rows))) * float64(t.RowCount()))
 		}
 		entryW = e.entryWidthFromStats(t, d)
 	}
@@ -407,10 +404,7 @@ func (e *Estimator) EstimateUncompressed(d *index.Def) (*Estimate, error) {
 // statistics (fixed widths + average varchar widths + bitmap/slot/RID
 // overhead).
 func (e *Estimator) entryWidthFromStats(t *catalog.Table, d *index.Def) float64 {
-	cols := d.Columns()
-	if d.Clustered {
-		cols = t.Schema.Names()
-	}
+	cols := e.colsOf(d)
 	w := float64((len(cols)+7)/8 + storage.SlotSize)
 	if !d.Clustered {
 		w += 8 // RID
@@ -432,24 +426,22 @@ func (e *Estimator) entryWidthFromStats(t *catalog.Table, d *index.Def) float64 
 	return w
 }
 
-// PlanPages returns the f-independent part of PlanCost: the data pages of
-// the full index, from statistics only. The graph-search planner computes it
-// once per node and scales by each candidate sampling fraction.
+// PlanPages returns the f-independent part of a SampleCF cost: the data
+// pages of the full index, from statistics only. The graph-search planner
+// computes it once per node and scales it by each sampling fraction through
+// sampleCost.
 func (e *Estimator) PlanPages(d *index.Def) float64 {
 	rows, entryW := e.planShape(d)
 	return rows * entryW / storage.UsablePageBytes
 }
 
-// PlanCost returns the abstract cost of running SampleCF on the index at
-// sampling fraction f, before actually doing it: the number of data pages of
-// the index built on the sample (Section 5.1's cost model). Used by the
-// graph-search planner to compare strategies without paying for them.
-func (e *Estimator) PlanCost(d *index.Def, f float64) float64 {
-	pages := f * e.PlanPages(d)
-	if pages < 1 {
-		pages = 1
-	}
-	return pages
+// sampleCost returns the abstract cost of running SampleCF at sampling
+// fraction f on an index of the given PlanPages, before actually doing it:
+// the number of data pages of the index built on the sample (Section 5.1's
+// cost model), at least one. The planner compares strategies with it without
+// paying for them.
+func sampleCost(pages, f float64) float64 {
+	return max(1, f*pages)
 }
 
 // planShape estimates (rows, entry width) from statistics only.
@@ -512,28 +504,4 @@ func resolveStatsTable(db *catalog.Database, mv *index.MVDef, table, col string)
 		}
 	}
 	return nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func colsKey(cols []string) string {
-	out := make([]string, len(cols))
-	for i, c := range cols {
-		out[i] = strings.ToLower(c)
-	}
-	sortStrings(out)
-	return strings.Join(out, ",")
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -1,4 +1,4 @@
-package estimator
+package sizing
 
 import (
 	"math"
@@ -14,25 +14,28 @@ import (
 	"cadb/internal/workload"
 )
 
+// The SampleCF and deduction tests keep their own database and sampling
+// seed, apart from the planner tests', so their accuracy thresholds hold on
+// the data they were set on.
 var (
-	dbOnce sync.Once
-	db     *catalog.Database
+	estDBOnce sync.Once
+	estDBv    *catalog.Database
 )
 
-func testDB() *catalog.Database {
-	dbOnce.Do(func() {
-		db = datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 12000, Seed: 31})
+func estDB() *catalog.Database {
+	estDBOnce.Do(func() {
+		estDBv = datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 12000, Seed: 31})
 	})
-	return db
+	return estDBv
 }
 
-func newEst(f float64) *Estimator {
-	return New(testDB(), sampling.NewManager(testDB(), f, 17))
+func sampleEst(f float64) *Estimator {
+	return NewEstimator(estDB(), sampling.NewManager(estDB(), f, 17))
 }
 
 func buildTrue(t *testing.T, d *index.Def) *index.Physical {
 	t.Helper()
-	p, err := index.Build(testDB(), d)
+	p, err := index.Build(estDB(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func relErr(est, truth int64) float64 {
 }
 
 func TestSampleCFAccuracyRow(t *testing.T) {
-	e := newEst(0.1)
+	e := sampleEst(0.1)
 	d := (&index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate"},
 		IncludeCols: []string{"l_shipmode", "l_shipinstruct", "l_quantity"}}).WithMethod(compress.Row)
 	est, err := e.SampleCF(d)
@@ -64,7 +67,7 @@ func TestSampleCFAccuracyRow(t *testing.T) {
 }
 
 func TestSampleCFAccuracyPage(t *testing.T) {
-	e := newEst(0.1)
+	e := sampleEst(0.1)
 	d := (&index.Def{Table: "lineitem", KeyCols: []string{"l_shipmode"},
 		IncludeCols: []string{"l_returnflag", "l_linestatus"}}).WithMethod(compress.Page)
 	est, err := e.SampleCF(d)
@@ -78,7 +81,7 @@ func TestSampleCFAccuracyPage(t *testing.T) {
 }
 
 func TestSampleCFCaching(t *testing.T) {
-	e := newEst(0.05)
+	e := sampleEst(0.05)
 	d := (&index.Def{Table: "orders", KeyCols: []string{"o_orderdate"}}).WithMethod(compress.Row)
 	a, err := e.SampleCF(d)
 	if err != nil {
@@ -95,7 +98,7 @@ func TestSampleCFCaching(t *testing.T) {
 }
 
 func TestEstimateUncompressedMatchesTruth(t *testing.T) {
-	e := newEst(0.05)
+	e := sampleEst(0.05)
 	d := &index.Def{Table: "lineitem", KeyCols: []string{"l_partkey"}, IncludeCols: []string{"l_extendedprice"}}
 	est, err := e.EstimateUncompressed(d)
 	if err != nil {
@@ -111,7 +114,7 @@ func TestEstimateUncompressedMatchesTruth(t *testing.T) {
 }
 
 func TestEstimateUncompressedPartial(t *testing.T) {
-	e := newEst(0.2)
+	e := sampleEst(0.2)
 	d := &index.Def{Table: "lineitem", KeyCols: []string{"l_suppkey"},
 		Where: []workload.Predicate{{Col: "l_quantity", Op: workload.OpLe, Lo: storage.IntVal(10)}}}
 	est, err := e.EstimateUncompressed(d)
@@ -125,7 +128,7 @@ func TestEstimateUncompressedPartial(t *testing.T) {
 }
 
 func TestPutExactZeroErrorZeroCost(t *testing.T) {
-	e := newEst(0.05)
+	e := sampleEst(0.05)
 	d := (&index.Def{Table: "orders", KeyCols: []string{"o_custkey"}}).WithMethod(compress.Page)
 	p := buildTrue(t, d)
 	est := e.PutExact(p)
@@ -139,7 +142,7 @@ func TestPutExactZeroErrorZeroCost(t *testing.T) {
 }
 
 func TestDeduceColSet(t *testing.T) {
-	e := newEst(0.1)
+	e := sampleEst(0.1)
 	ab := (&index.Def{Table: "lineitem", KeyCols: []string{"l_shipmode", "l_returnflag"}}).WithMethod(compress.Row)
 	ba := (&index.Def{Table: "lineitem", KeyCols: []string{"l_returnflag", "l_shipmode"}}).WithMethod(compress.Row)
 	known, err := e.SampleCF(ab)
@@ -167,7 +170,7 @@ func TestDeduceColSet(t *testing.T) {
 }
 
 func TestDeduceColSetRejectsOrdDep(t *testing.T) {
-	e := newEst(0.1)
+	e := sampleEst(0.1)
 	ab := (&index.Def{Table: "lineitem", KeyCols: []string{"l_shipmode", "l_returnflag"}}).WithMethod(compress.Page)
 	ba := (&index.Def{Table: "lineitem", KeyCols: []string{"l_returnflag", "l_shipmode"}}).WithMethod(compress.Page)
 	known, err := e.SampleCF(ab)
@@ -180,7 +183,7 @@ func TestDeduceColSetRejectsOrdDep(t *testing.T) {
 }
 
 func TestDeduceColExtOrdInd(t *testing.T) {
-	e := newEst(0.1)
+	e := sampleEst(0.1)
 	target := (&index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate", "l_shipmode"}}).WithMethod(compress.Row)
 	pa, err := e.SampleCF((&index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate"}}).WithMethod(compress.Row))
 	if err != nil {
@@ -204,7 +207,7 @@ func TestDeduceColExtOrdInd(t *testing.T) {
 }
 
 func TestDeduceColExtOrdDepFragmentation(t *testing.T) {
-	e := newEst(0.1)
+	e := sampleEst(0.1)
 	// Leading high-cardinality column fragments the low-cardinality one:
 	// the fragmentation correction must shrink the deduced savings for
 	// l_shipmode when it follows l_partkey.
@@ -228,7 +231,7 @@ func TestDeduceColExtOrdDepFragmentation(t *testing.T) {
 }
 
 func TestDeduceColExtValidatesPartition(t *testing.T) {
-	e := newEst(0.1)
+	e := sampleEst(0.1)
 	target := (&index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate", "l_shipmode"}}).WithMethod(compress.Row)
 	pa, err := e.SampleCF((&index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate"}}).WithMethod(compress.Row))
 	if err != nil {
@@ -333,7 +336,7 @@ func TestFitLinearCoefficient(t *testing.T) {
 }
 
 func TestSampleCFOnMVIndex(t *testing.T) {
-	e := newEst(0.1)
+	e := sampleEst(0.1)
 	mv := &index.MVDef{
 		Name:    "mv_mode",
 		Fact:    "lineitem",
@@ -355,7 +358,7 @@ func TestSampleCFOnMVIndex(t *testing.T) {
 }
 
 func TestSampleCFPartialIndex(t *testing.T) {
-	e := newEst(0.2)
+	e := sampleEst(0.2)
 	d := (&index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate"},
 		Where: []workload.Predicate{{Col: "l_quantity", Op: workload.OpLe, Lo: storage.IntVal(10)}}}).WithMethod(compress.Row)
 	est, err := e.SampleCF(d)

@@ -4,9 +4,8 @@ import (
 	"math"
 	"time"
 
-	"cadb/internal/catalog"
-	"cadb/internal/estimator"
 	"cadb/internal/index"
+	"cadb/internal/par"
 	"cadb/internal/sampling"
 )
 
@@ -15,8 +14,8 @@ import (
 // meets the accuracy constraint; otherwise enable a deduction by sampling
 // its children when that is cheaper than sampling the node; otherwise
 // sample the node itself.
-func Greedy(est *estimator.Estimator, targets, existing []*index.Def, e, q, f float64) *Plan {
-	return greedyOn(buildGraph(est, targets, existing, f), e, q)
+func Greedy(est *Estimator, targets, existing []*index.Def, e, q, f float64) *Plan {
+	return greedyOn(newSkeleton(est, targets, existing).graph(est, f), e, q)
 }
 
 // greedyOn runs the greedy assignment over a pre-built graph.
@@ -26,30 +25,10 @@ func greedyOn(g *graph, e, q float64) *Plan {
 			continue
 		}
 		// Option 1: an already-enabled deduction that satisfies e/q.
-		var bestDed *Deduction
-		bestProb := -1.0
-		for _, ded := range n.Deductions {
-			enabled := true
-			for _, c := range ded.Children {
-				if !g.known(c) {
-					enabled = false
-					break
-				}
-			}
-			if !enabled {
-				continue
-			}
-			mean, std := g.deducedError(n, ded)
-			p := estimator.ProbWithin(mean, std, e)
-			if p >= q && p > bestProb {
-				bestProb = p
-				bestDed = ded
-			}
-		}
-		if bestDed != nil {
+		if best, mean, std := g.bestDeduction(n, e, q, false); best != nil {
 			n.State = StateDeduced
-			n.Chosen = bestDed
-			n.Mean, n.Std = g.deducedError(n, bestDed)
+			n.Chosen = best
+			n.Mean, n.Std = mean, std
 			continue
 		}
 		// Option 2: enable a deduction by sampling its undecided children,
@@ -66,23 +45,7 @@ func greedyOn(g *graph, e, q float64) *Plan {
 			if extra >= n.Cost || extra >= bestEnableCost {
 				continue
 			}
-			// Error if the unknown children were sampled now.
-			mean, std := 1.0, 0.0
-			for _, c := range ded.Children {
-				cm, cs := c.Mean, c.Std
-				if !g.known(c) {
-					cm, cs = g.sampleError(c)
-				}
-				mean, std = composeErr(mean, std, cm, cs)
-			}
-			switch ded.Kind {
-			case DeduceColSet:
-				mean, std = composeErr(mean, std, 1, g.est.Model.ColSetStd)
-			case DeduceColExt:
-				dm, ds := g.est.Model.ColExtError(n.Def.Method, len(ded.Children))
-				mean, std = composeErr(mean, std, dm, ds)
-			}
-			if estimator.ProbWithin(mean, std, e) >= q {
+			if mean, std := g.deducedError(n, ded); ProbWithin(mean, std, e) >= q {
 				bestEnable = ded
 				bestEnableCost = extra
 			}
@@ -104,7 +67,7 @@ func greedyOn(g *graph, e, q float64) *Plan {
 		n.Mean, n.Std = g.sampleError(n)
 	}
 	g.refine(e, q)
-	return g.finish(g.f, e, q)
+	return g.finish(e, q)
 }
 
 // refine is a strict-improvement pass over the greedy assignment: a SAMPLED
@@ -129,33 +92,10 @@ func (g *graph) refine(e, q float64) {
 		if !n.Target || n.Existing || n.State != StateSampled || pinned[n] {
 			continue
 		}
-		var best *Deduction
-		bm, bs := 0.0, 0.0
-		bestProb := -1.0
-		for _, ded := range n.Deductions {
-			ok := true
-			for _, c := range ded.Children {
-				if c == n || !g.known(c) {
-					ok = false
-					break
-				}
-				if ded.Kind == DeduceColSet && !(c.State == StateSampled || c.Existing) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			mean, std := g.deducedError(n, ded)
-			if p := estimator.ProbWithin(mean, std, e); p >= q && p > bestProb {
-				best, bm, bs, bestProb = ded, mean, std, p
-			}
-		}
-		if best != nil {
+		if best, mean, std := g.bestDeduction(n, e, q, true); best != nil {
 			n.State = StateDeduced
 			n.Chosen = best
-			n.Mean, n.Std = bm, bs
+			n.Mean, n.Std = mean, std
 			for _, c := range best.Children {
 				pinned[c] = true
 			}
@@ -165,8 +105,8 @@ func (g *graph) refine(e, q float64) {
 
 // All is the no-deduction baseline: SampleCF on every target (Table 4's
 // "All" row).
-func All(est *estimator.Estimator, targets, existing []*index.Def, e, q, f float64) *Plan {
-	return allOn(buildGraph(est, targets, existing, f), e, q)
+func All(est *Estimator, targets, existing []*index.Def, e, q, f float64) *Plan {
+	return allOn(newSkeleton(est, targets, existing).graph(est, f), e, q)
 }
 
 // allOn runs the all-sampled assignment over a pre-built graph.
@@ -177,18 +117,19 @@ func allOn(g *graph, e, q float64) *Plan {
 			n.Mean, n.Std = g.sampleError(n)
 		}
 	}
-	return g.finish(g.f, e, q)
+	return g.finish(e, q)
 }
 
 // Optimal is the exact exponential algorithm (Appendix D): enumerate every
 // subset of nodes to sample; the rest must be deducible bottom-up while
 // meeting the accuracy constraint. Practical only for small target sets.
 // maxNodes caps the universe size (0 means 24).
-func Optimal(est *estimator.Estimator, targets, existing []*index.Def, e, q, f float64, maxNodes int) (*Plan, bool) {
+func Optimal(est *Estimator, targets, existing []*index.Def, e, q, f float64, maxNodes int) (*Plan, bool) {
 	if maxNodes <= 0 {
 		maxNodes = 24
 	}
-	g := buildGraph(est, targets, existing, f)
+	skel := newSkeleton(est, targets, existing)
+	g := skel.graph(est, f)
 	// Free (existing) nodes stay fixed; the choice space is the rest.
 	var free []*Node
 	for _, n := range g.order {
@@ -234,14 +175,7 @@ func Optimal(est *estimator.Estimator, targets, existing []*index.Def, e, q, f f
 			var best *Deduction
 			bm, bs := 0.0, math.Inf(1)
 			for _, ded := range n.Deductions {
-				enabled := true
-				for _, c := range ded.Children {
-					if !g.known(c) {
-						enabled = false
-						break
-					}
-				}
-				if !enabled {
+				if !g.enabled(ded, false) {
 					continue
 				}
 				m, s := g.deducedError(n, ded)
@@ -277,7 +211,7 @@ func Optimal(est *estimator.Estimator, targets, existing []*index.Def, e, q, f f
 	}
 	if bestStates == nil {
 		// Infeasible at this f: report the all-sampled plan as infeasible.
-		return All(est, targets, existing, e, q, f), true
+		return allOn(skel.graph(est, f), e, q), true
 	}
 	// Re-apply the best assignment.
 	for i, n := range free {
@@ -295,12 +229,12 @@ func Optimal(est *estimator.Estimator, targets, existing []*index.Def, e, q, f f
 			n.Mean, n.Std = g.deducedError(n, n.Chosen)
 		}
 	}
-	return g.finish(f, e, q), true
+	return g.finish(e, q), true
 }
 
 // finish prunes unused helper nodes (Greedy lines 13–14), totals the cost
 // and checks feasibility.
-func (g *graph) finish(f, e, q float64) *Plan {
+func (g *graph) finish(e, q float64) *Plan {
 	used := make(map[*Node]bool)
 	var mark func(n *Node)
 	mark = func(n *Node) {
@@ -319,7 +253,7 @@ func (g *graph) finish(f, e, q float64) *Plan {
 			mark(n)
 		}
 	}
-	p := &Plan{F: f, ByID: make(map[string]*Node), Feasible: true}
+	p := &Plan{F: g.f, ByID: make(map[string]*Node), Feasible: true}
 	for _, n := range g.order {
 		if !used[n] {
 			n.State = StateNone
@@ -340,55 +274,60 @@ func (g *graph) finish(f, e, q float64) *Plan {
 // DefaultFGrid is the candidate sampling-fraction grid (1–10%).
 func DefaultFGrid() []float64 { return []float64{0.01, 0.025, 0.05, 0.075, 0.1} }
 
-// Sweep runs Greedy at each sampling fraction of DefaultFGrid and returns the
-// feasible plan with the smallest total cost along with the estimator
-// configured for the winning fraction (Section 5.2's choice of f). All grid
-// points share one sample store, so a smaller-f sample is a prefix of the
-// largest-f sample and one table scan serves the whole grid.
-func Sweep(db *catalog.Database, targets, existing []*index.Def, e, q float64, seed int64) (*Plan, *estimator.Estimator) {
-	return SweepShared(sampling.NewStore(db, seed), targets, existing, e, q)
-}
-
-// SweepShared is Sweep over a caller-provided sample store (so the samples —
-// and their build cost accounting — can outlive the sweep). The winning
-// plan's SolveTime covers every grid point, and the losing grid points'
-// estimator accounting is folded into the returned estimator, so the Figure
-// 11 runtime breakdown reports the full grid cost rather than the winner's
-// share alone.
-func SweepShared(store *sampling.Store, targets, existing []*index.Def, e, q float64) (*Plan, *estimator.Estimator) {
-	var bestPlan *Plan
-	var bestEst *estimator.Estimator
-	var losers []*estimator.Estimator
-	var solveTime time.Duration
-	for _, f := range DefaultFGrid() {
-		est := estimator.New(store.DB, store.Manager(f))
+// Sweep chooses the sampling fraction (Section 5.2): it solves the
+// estimation plan at every point of DefaultFGrid — Greedy when deduce is
+// set, the no-deduction All otherwise — and returns the feasible plan with
+// the smallest total cost, with the estimator for its fraction. The grid
+// points are independent stats-only searches over one skeleton, solved on
+// up to workers goroutines and reduced in grid order, so the winner is the
+// same at any worker count. All points share the store's samples: a
+// smaller-f sample is a prefix of the largest-f one, and one table scan
+// serves the whole grid. The plan's SolveTime covers the skeleton and every
+// grid point, and the losing points' estimator accounting is folded into
+// the winner, so the Figure 11 runtime breakdown reports the grid's cost.
+func Sweep(store *sampling.Store, targets []*index.Def, deduce bool, e, q float64, workers int) (*Plan, *Estimator) {
+	grid := DefaultFGrid()
+	ests := make([]*Estimator, len(grid))
+	for i, f := range grid {
+		ests[i] = NewEstimator(store.DB, store.Manager(f))
+	}
+	start := time.Now()
+	skel := newSkeleton(ests[0], targets, nil)
+	solveTime := time.Since(start)
+	solve := allOn
+	if deduce {
+		solve = greedyOn
+	}
+	plans := make([]*Plan, len(grid))
+	times := make([]time.Duration, len(grid))
+	par.For(workers, len(grid), func(i int) {
 		start := time.Now()
-		plan := Greedy(est, targets, existing, e, q, f)
-		solveTime += time.Since(start)
-		if bestPlan == nil ||
-			(plan.Feasible && !bestPlan.Feasible) ||
-			(plan.Feasible == bestPlan.Feasible && plan.TotalCost < bestPlan.TotalCost) {
-			if bestEst != nil {
-				losers = append(losers, bestEst)
-			}
-			bestPlan = plan
-			bestEst = est
-		} else {
-			losers = append(losers, est)
+		plans[i] = solve(skel.graph(ests[i], grid[i]), e, q)
+		times[i] = time.Since(start)
+	})
+	best := 0
+	for i, p := range plans {
+		solveTime += times[i]
+		b := plans[best]
+		if (p.Feasible && !b.Feasible) || (p.Feasible == b.Feasible && p.TotalCost < b.TotalCost) {
+			best = i
 		}
 	}
-	bestPlan.SolveTime = solveTime
-	for _, l := range losers {
-		bestEst.AbsorbAccounting(l)
+	plan, est := plans[best], ests[best]
+	plan.SolveTime = solveTime
+	for i, l := range ests {
+		if i != best {
+			est.AbsorbAccounting(l)
+		}
 	}
-	return bestPlan, bestEst
+	return plan, est
 }
 
 // Execute runs the chosen plan through the estimator: SampleCF for sampled
 // nodes, deductions for deduced nodes, narrow-to-wide so children are ready
 // before parents. Returns the estimates keyed by def ID.
-func Execute(est *estimator.Estimator, p *Plan) (map[string]*estimator.Estimate, error) {
-	out := make(map[string]*estimator.Estimate, len(p.Nodes))
+func Execute(est *Estimator, p *Plan) (map[string]*Estimate, error) {
+	out := make(map[string]*Estimate, len(p.Nodes))
 	for _, n := range p.Nodes {
 		switch n.State {
 		case StateSampled:
@@ -398,35 +337,18 @@ func Execute(est *estimator.Estimator, p *Plan) (map[string]*estimator.Estimate,
 			}
 			out[n.Def.ID()] = e
 		case StateDeduced:
-			var e *estimator.Estimate
-			var err error
-			switch n.Chosen.Kind {
-			case DeduceColSet:
-				child := out[n.Chosen.Children[0].Def.ID()]
-				if child == nil {
-					child, err = est.SampleCF(n.Chosen.Children[0].Def)
-					if err != nil {
-						return nil, err
-					}
-					// Record the fallback so a second node deducing from
-					// the same child reuses it instead of re-sampling.
-					out[n.Chosen.Children[0].Def.ID()] = child
+			e, err := est.Deduce(n, func(c *Node) (*Estimate, error) {
+				if ce := out[c.Def.ID()]; ce != nil {
+					return ce, nil
 				}
-				e, err = est.DeduceColSet(n.Def, child)
-			case DeduceColExt:
-				parts := make([]*estimator.Estimate, len(n.Chosen.Children))
-				for i, c := range n.Chosen.Children {
-					parts[i] = out[c.Def.ID()]
-					if parts[i] == nil {
-						parts[i], err = est.SampleCF(c.Def)
-						if err != nil {
-							return nil, err
-						}
-						out[c.Def.ID()] = parts[i]
-					}
+				// Record the fallback so a second node deducing from the
+				// same child reuses it instead of re-sampling.
+				ce, err := est.SampleCF(c.Def)
+				if err == nil {
+					out[c.Def.ID()] = ce
 				}
-				e, err = est.DeduceColExt(n.Def, parts)
-			}
+				return ce, err
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -434,4 +356,20 @@ func Execute(est *estimator.Estimator, p *Plan) (map[string]*estimator.Estimate,
 		}
 	}
 	return out, nil
+}
+
+// Deduce executes a DEDUCED node's chosen deduction over its children's
+// estimates, which child supplies in the deduction's child order.
+func (e *Estimator) Deduce(n *Node, child func(c *Node) (*Estimate, error)) (*Estimate, error) {
+	parts := make([]*Estimate, len(n.Chosen.Children))
+	for i, c := range n.Chosen.Children {
+		var err error
+		if parts[i], err = child(c); err != nil {
+			return nil, err
+		}
+	}
+	if n.Chosen.Kind == DeduceColSet {
+		return e.DeduceColSet(n.Def, parts[0])
+	}
+	return e.DeduceColExt(n.Def, parts)
 }

@@ -1,9 +1,14 @@
-// Package sizing implements the estimation-plan optimization of Section 5:
-// given a set of compressed indexes whose sizes are needed (targets), a
-// tolerable error ratio e and a confidence q, decide for each index whether
-// to run SampleCF (costly, accurate) or deduce its size from other indexes
-// (free, noisier), and pick the sampling fraction f — minimizing total
-// sampling cost subject to P(error <= e) >= q for every target.
+// Package sizing is the paper's size oracle (Sections 4–5). Size estimation:
+// SampleCF (build the index on the table's amortized sample, compress it,
+// return the compression fraction), the zero-cost deduction methods (ColSet
+// and ColExt for order-independent methods; the fragmentation-corrected
+// ColExt for order-dependent methods), and the stochastic error model of
+// Appendix C. Estimation-plan optimization: given a set of compressed
+// indexes whose sizes are needed (targets), a tolerable error ratio e and a
+// confidence q, decide for each index whether to run SampleCF (costly,
+// accurate) or deduce its size from other indexes (free, noisier), and pick
+// the sampling fraction f — minimizing total sampling cost subject to
+// P(error <= e) >= q for every target.
 //
 // The search is over a graph of index nodes and deduction nodes (Figure 3).
 // Greedy is the paper's fast heuristic (Section 5.2); Optimal is the exact
@@ -12,13 +17,11 @@ package sizing
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
 
 	"cadb/internal/compress"
-	"cadb/internal/estimator"
 	"cadb/internal/index"
 )
 
@@ -81,7 +84,7 @@ type Node struct {
 
 // Prob returns P(error within e) for the node's current error.
 func (n *Node) Prob(e float64) float64 {
-	return estimator.ProbWithin(n.Mean, n.Std, e)
+	return ProbWithin(n.Mean, n.Std, e)
 }
 
 // Plan is a complete assignment for all targets.
@@ -107,7 +110,7 @@ type Plan struct {
 //
 // Admission is deterministic: candidate deductions are discovered by
 // scanning the plan's nodes in their (deterministic) narrow-to-wide order.
-func (p *Plan) Admit(est *estimator.Estimator, d *index.Def, e, q float64) *Node {
+func (p *Plan) Admit(est *Estimator, d *index.Def, e, q float64) *Node {
 	if n, ok := p.ByID[d.ID()]; ok {
 		return n
 	}
@@ -121,48 +124,25 @@ func (p *Plan) Admit(est *estimator.Estimator, d *index.Def, e, q float64) *Node
 	}
 	n := g.node(d)
 	n.Target = true
+	n.Cost = sampleCost(est.PlanPages(d), p.F)
 	g.addDeductions(n)
-	var best *Deduction
-	bestProb := -1.0
-	for _, ded := range n.Deductions {
-		enabled := true
-		for _, c := range ded.Children {
-			if !g.known(c) {
-				enabled = false
-				break
-			}
-		}
-		if !enabled {
-			continue
-		}
-		mean, std := g.deducedError(n, ded)
-		if prob := estimator.ProbWithin(mean, std, e); prob >= q && prob > bestProb {
-			bestProb = prob
-			best = ded
-		}
-	}
-	if best != nil {
-		n.State = StateDeduced
-		n.Chosen = best
-		n.Mean, n.Std = g.deducedError(n, best)
-	} else {
-		n.State = StateSampled
-		n.Mean, n.Std = g.sampleError(n)
-		p.TotalCost += n.Cost
-	}
 	p.Nodes = append(p.Nodes, n)
 	p.ByID[n.Def.ID()] = n
-	if n.Prob(e) < q {
-		p.Feasible = false
+	if best, mean, std := g.bestDeduction(n, e, q, false); best != nil {
+		n.State = StateDeduced
+		n.Chosen = best
+		n.Mean, n.Std = mean, std
+	} else {
+		p.Demote(est, n, e, q)
 	}
 	return n
 }
 
-// Demote reverts an admitted node whose chosen deduction could not be
-// executed to the sampled state, with the same bookkeeping as Admit's own
-// sampled fallback: sample error, cost charged to the plan, and the
-// accuracy constraint re-checked.
-func (p *Plan) Demote(est *estimator.Estimator, n *Node, e, q float64) {
+// Demote puts an admitted node on SampleCF — Admit's fallback when no
+// deduction meets the accuracy constraint, and the oracle's when the chosen
+// deduction could not be executed: sample error, cost charged to the plan,
+// and the accuracy constraint re-checked.
+func (p *Plan) Demote(est *Estimator, n *Node, e, q float64) {
 	n.State = StateSampled
 	n.Chosen = nil
 	g := &graph{est: est, f: p.F}
@@ -200,19 +180,18 @@ func (p *Plan) Describe() string {
 // helper nodes its candidate deductions reference (single-column indexes and
 // the widest proper prefix).
 type graph struct {
-	est   *estimator.Estimator
+	est   *Estimator
 	f     float64
 	nodes map[string]*Node
 	order []*Node
 }
 
-func buildGraph(est *estimator.Estimator, targets []*index.Def, existing []*index.Def, f float64) *graph {
-	g := &graph{est: est, f: f, nodes: make(map[string]*Node)}
+func buildGraph(est *Estimator, targets []*index.Def, existing []*index.Def) *graph {
+	g := &graph{est: est, nodes: make(map[string]*Node)}
 	for _, d := range existing {
 		n := g.node(d)
 		n.Existing = true
 		n.State = StateSampled // size known exactly from the catalog
-		n.Cost = 0
 		n.Mean, n.Std = 1, 0
 	}
 	for _, d := range targets {
@@ -242,7 +221,7 @@ func (g *graph) node(d *index.Def) *Node {
 	if n, ok := g.nodes[id]; ok {
 		return n
 	}
-	n := &Node{Def: d, Cost: g.est.PlanCost(d, g.f)}
+	n := &Node{Def: d}
 	g.nodes[id] = n
 	g.order = append(g.order, n)
 	return n
@@ -261,17 +240,13 @@ func (g *graph) addDeductions(n *Node) {
 	if d.MV != nil || d.IsPartial() || d.Method == compress.None {
 		return
 	}
-	cols := d.Columns()
-	if d.Clustered {
-		if t := g.est.DB.Table(d.Table); t != nil {
-			cols = t.Schema.Names()
-		}
-	}
-	// ColSet: same column set, different order, ORD-IND only.
+	cols := g.est.colsOf(d)
+	// ColSet: same column set, different order, ORD-IND only. A clustered
+	// index and a secondary one never match: the secondary carries a RID.
 	if d.Method.Class() == compress.OrderIndependent {
 		key := setKey(cols)
 		for _, other := range g.order {
-			if other == n || other.Def.Method != d.Method {
+			if other == n || other.Def.Method != d.Method || other.Def.Clustered != d.Clustered {
 				continue
 			}
 			if other.Def.MV != nil || other.Def.IsPartial() {
@@ -280,13 +255,7 @@ func (g *graph) addDeductions(n *Node) {
 			if !strings.EqualFold(other.Def.Table, d.Table) {
 				continue
 			}
-			oCols := other.Def.Columns()
-			if other.Def.Clustered {
-				if t := g.est.DB.Table(other.Def.Table); t != nil {
-					oCols = t.Schema.Names()
-				}
-			}
-			if setKey(oCols) == key {
+			if setKey(g.est.colsOf(other.Def)) == key {
 				n.Deductions = append(n.Deductions, &Deduction{Kind: DeduceColSet, Children: []*Node{other}})
 			}
 		}
@@ -362,41 +331,36 @@ func (g *graph) addDeductions(n *Node) {
 	}
 }
 
-// Skeleton is the f-independent part of the estimation graph: the node
+// skeleton is the f-independent part of the estimation graph: the node
 // universe, the candidate deduction wiring (the O(n²) column-set matching of
-// addDeductions) and each node's plan shape in pages. An f-grid sweep builds
-// it once and instantiates a graph per sampling fraction — only node costs
-// (linear in f) and sampling errors depend on f — instead of re-solving the
-// graph construction from scratch at every grid point.
-type Skeleton struct {
+// addDeductions) and each node's plan shape in pages. A solver instantiates
+// it per sampling fraction — only node costs (linear in f) and sampling
+// errors depend on f — so an f-grid sweep builds the graph once.
+type skeleton struct {
 	proto *graph
 	pages []float64 // PlanPages per node, in proto order
 }
 
-// NewSkeleton builds the shared graph prototype for a target set. The
-// estimator is used for statistics only; any fraction's estimator over the
-// same database works.
-func NewSkeleton(est *estimator.Estimator, targets, existing []*index.Def) *Skeleton {
-	g := buildGraph(est, targets, existing, 0)
+// newSkeleton builds the graph prototype for a target set. The estimator is
+// used for statistics only; any fraction's estimator over the same database
+// works.
+func newSkeleton(est *Estimator, targets, existing []*index.Def) *skeleton {
+	g := buildGraph(est, targets, existing)
 	pages := make([]float64, len(g.order))
 	for i, n := range g.order {
 		pages[i] = est.PlanPages(n.Def)
 	}
-	return &Skeleton{proto: g, pages: pages}
+	return &skeleton{proto: g, pages: pages}
 }
 
 // graph instantiates a fresh solvable graph at fraction f: nodes are cloned
-// (solvers mutate states), deductions rewired onto the clones, and costs
-// scaled exactly as estimator.PlanCost would — so a skeleton-instantiated
-// solve is bit-identical to one over a freshly built graph.
-func (s *Skeleton) graph(est *estimator.Estimator, f float64) *graph {
+// (solvers mutate states), deductions rewired onto the clones, and each
+// node's cost is its sampleCost at f (zero for existing indexes).
+func (s *skeleton) graph(est *Estimator, f float64) *graph {
 	g := &graph{est: est, f: f, nodes: make(map[string]*Node, len(s.proto.order))}
 	clones := make(map[*Node]*Node, len(s.proto.order))
 	for i, n := range s.proto.order {
-		cost := f * s.pages[i]
-		if cost < 1 {
-			cost = 1
-		}
+		cost := sampleCost(s.pages[i], f)
 		if n.Existing {
 			cost = 0
 		}
@@ -419,16 +383,6 @@ func (s *Skeleton) graph(est *estimator.Estimator, f float64) *graph {
 	return g
 }
 
-// Greedy runs the greedy solver (Section 5.2) over a skeleton instantiation.
-func (s *Skeleton) Greedy(est *estimator.Estimator, e, q, f float64) *Plan {
-	return greedyOn(s.graph(est, f), e, q)
-}
-
-// All runs the no-deduction baseline over a skeleton instantiation.
-func (s *Skeleton) All(est *estimator.Estimator, e, q, f float64) *Plan {
-	return allOn(s.graph(est, f), e, q)
-}
-
 func setKey(cols []string) string {
 	out := make([]string, len(cols))
 	for i, c := range cols {
@@ -439,29 +393,44 @@ func setKey(cols []string) string {
 }
 
 // deducedError composes the error of a deduction applied to its children's
-// current errors.
+// current errors. A child not yet decided counts as sampled at the graph's
+// f: that is what enabling the deduction would cost it.
 func (g *graph) deducedError(n *Node, ded *Deduction) (mean, std float64) {
-	mean, std = 1.0, 0.0
-	for _, c := range ded.Children {
-		mean, std = composeErr(mean, std, c.Mean, c.Std)
-	}
-	switch ded.Kind {
-	case DeduceColSet:
-		mean, std = composeErr(mean, std, 1, g.est.Model.ColSetStd)
-	case DeduceColExt:
-		dm, ds := g.est.Model.ColExtError(n.Def.Method, len(ded.Children))
-		mean, std = composeErr(mean, std, dm, ds)
-	}
-	return mean, std
+	return g.est.Model.deducedError(ded.Kind, n.Def.Method, len(ded.Children), func(i int) (float64, float64) {
+		c := ded.Children[i]
+		if !g.known(c) {
+			return g.sampleError(c)
+		}
+		return c.Mean, c.Std
+	})
 }
 
-func composeErr(m1, s1, m2, s2 float64) (float64, float64) {
-	mean := m1 * m2
-	v := (s1*s1+m1*m1)*(s2*s2+m2*m2) - m1*m1*m2*m2
-	if v < 0 {
-		v = 0
+// enabled reports whether every child of ded is known; sampledOnly further
+// requires each to be sampled rather than deduced.
+func (g *graph) enabled(ded *Deduction, sampledOnly bool) bool {
+	for _, c := range ded.Children {
+		if !g.known(c) || (sampledOnly && c.State != StateSampled) {
+			return false
+		}
 	}
-	return mean, math.Sqrt(v)
+	return true
+}
+
+// bestDeduction returns n's enabled deduction with the highest probability
+// of meeting the accuracy constraint (e, q), and its error; nil when none
+// meets it. sampledColSet requires a ColSet deduction's child to be sampled.
+func (g *graph) bestDeduction(n *Node, e, q float64, sampledColSet bool) (best *Deduction, mean, std float64) {
+	bestProb := -1.0
+	for _, ded := range n.Deductions {
+		if !g.enabled(ded, sampledColSet && ded.Kind == DeduceColSet) {
+			continue
+		}
+		m, s := g.deducedError(n, ded)
+		if p := ProbWithin(m, s, e); p >= q && p > bestProb {
+			best, mean, std, bestProb = ded, m, s, p
+		}
+	}
+	return best, mean, std
 }
 
 func (g *graph) sampleError(n *Node) (float64, float64) {

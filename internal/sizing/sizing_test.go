@@ -7,7 +7,6 @@ import (
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
 	"cadb/internal/datagen"
-	"cadb/internal/estimator"
 	"cadb/internal/index"
 	"cadb/internal/sampling"
 )
@@ -24,8 +23,8 @@ func testDB() *catalog.Database {
 	return db
 }
 
-func newEst(f float64) *estimator.Estimator {
-	return estimator.New(testDB(), sampling.NewManager(testDB(), f, 5))
+func newEst(f float64) *Estimator {
+	return NewEstimator(testDB(), sampling.NewManager(testDB(), f, 5))
 }
 
 func liDef(m compress.Method, cols ...string) *index.Def {
@@ -154,7 +153,7 @@ func TestColSetNotOfferedForOrdDep(t *testing.T) {
 }
 
 func TestSweepPicksCheapestFeasible(t *testing.T) {
-	plan, est := Sweep(testDB(), rowTargets(), nil, 0.5, 0.9, 7)
+	plan, est := Sweep(sampling.NewStore(testDB(), 7), rowTargets(), true, 0.5, 0.9, 1)
 	if plan == nil || est == nil {
 		t.Fatal("sweep returned nothing")
 	}
@@ -168,7 +167,7 @@ func TestSweepPicksCheapestFeasible(t *testing.T) {
 
 func TestExecuteProducesEstimates(t *testing.T) {
 	targets := rowTargets()
-	plan, est := Sweep(testDB(), targets, nil, 0.5, 0.9, 7)
+	plan, est := Sweep(sampling.NewStore(testDB(), 7), targets, true, 0.5, 0.9, 1)
 	got, err := Execute(est, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +245,7 @@ func TestExecuteStoresDeductionFallback(t *testing.T) {
 // TestSweepAccountsForAllGridPoints: the winning plan's SolveTime must cover
 // every f-grid point, not just the winner's own search.
 func TestSweepAccountsForAllGridPoints(t *testing.T) {
-	plan, est := Sweep(testDB(), rowTargets(), nil, 0.5, 0.9, 7)
+	plan, est := Sweep(sampling.NewStore(testDB(), 7), rowTargets(), true, 0.5, 0.9, 1)
 	if est == nil {
 		t.Fatal("sweep returned no estimator")
 	}
@@ -260,7 +259,7 @@ func TestSweepAccountsForAllGridPoints(t *testing.T) {
 // nothing in the graph helps — and appends it so later arrivals see it.
 func TestPlanAdmitDeducesAndAppends(t *testing.T) {
 	targets := rowTargets()
-	plan, est := Sweep(testDB(), targets, nil, 0.5, 0.9, 7)
+	plan, est := Sweep(sampling.NewStore(testDB(), 7), targets, true, 0.5, 0.9, 1)
 	if _, err := Execute(est, plan); err != nil {
 		t.Fatal(err)
 	}
@@ -288,5 +287,30 @@ func TestPlanAdmitDeducesAndAppends(t *testing.T) {
 	// Idempotent: re-admission returns the same node.
 	if plan.Admit(est, perm, 0.5, 0.9) != n {
 		t.Fatal("re-admission must return the existing node")
+	}
+}
+
+// TestColSetRequiresSameClustering: a secondary index over every column of a
+// table has the clustered index's column set but not its layout — it carries
+// a RID — so neither the planner nor DeduceColSet may deduce one from the
+// other.
+func TestColSetRequiresSameClustering(t *testing.T) {
+	est := newEst(0.05)
+	clustered := (&index.Def{Table: "orders", KeyCols: []string{"o_orderkey"}, Clustered: true}).WithMethod(compress.Row)
+	secondary := (&index.Def{Table: "orders", KeyCols: testDB().MustTable("orders").Schema.Names()}).WithMethod(compress.Row)
+	g := newSkeleton(est, []*index.Def{clustered, secondary}, nil).graph(est, 0.05)
+	for _, d := range []*index.Def{clustered, secondary} {
+		for _, ded := range g.nodes[d.ID()].Deductions {
+			if ded.Kind == DeduceColSet {
+				t.Errorf("%s is offered a ColSet deduction from %s", d, ded.Children[0].Def)
+			}
+		}
+	}
+	known, err := est.SampleCF(clustered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := est.DeduceColSet(secondary, known); err == nil {
+		t.Error("DeduceColSet must reject a secondary index deduced from the clustered one")
 	}
 }
