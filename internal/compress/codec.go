@@ -29,10 +29,9 @@ func HasCodec(m Method) bool { return m < numMethods }
 // ---------------------------------------------------------------------------
 // Shared length-prefix and value helpers
 
-// appendLenPrefix appends the length descriptor lenPrefixSize models: one
-// byte below 0x80, two bytes (0x80|hi, lo) up to 0x7EFF. Longer values —
-// possible only inside overflow runs — escape to 0xFF plus a 4-byte length,
-// a real-format cost the size model does not charge.
+// appendLenPrefix appends a length descriptor: one byte below 0x80, two
+// bytes (0x80|hi, lo) up to 0x7EFF. Longer values — possible only inside
+// overflow runs — escape to 0xFF plus a 4-byte length.
 func appendLenPrefix(dst []byte, n int) []byte {
 	switch {
 	case n < 0x80:
@@ -42,6 +41,18 @@ func appendLenPrefix(dst []byte, n int) []byte {
 	default:
 		return append(dst, 0xFF, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
 	}
+}
+
+// lenPrefixLen is the byte length appendLenPrefix writes for n: the one
+// length rule the packer's sizers and the size model both charge.
+func lenPrefixLen(n int) int {
+	switch {
+	case n < 0x80:
+		return 1
+	case n < 0x7F00:
+		return 2
+	}
+	return 5
 }
 
 // readLenPrefix decodes appendLenPrefix, returning the length and the bytes

@@ -214,7 +214,7 @@ func (cc *columnCodec) prepare(s *storage.Schema, rows []storage.Row) [][]int32 
 			}
 			nonNull[ci]++
 			scratch = valueBytes(s.Columns[ci], r[ci], scratch[:0])
-			plain[ci] += int64(lenPrefixSize(len(scratch)) + len(scratch))
+			plain[ci] += int64(lenPrefixLen(len(scratch)) + len(scratch))
 			codes[ci][i] = int32(st.register(s.Columns[ci].Kind, scratch))
 		}
 	}
@@ -224,9 +224,9 @@ func (cc *columnCodec) prepare(s *storage.Schema, rows []storage.Row) [][]int32 
 		}
 		var dictBytes int64
 		for _, v := range st.vals {
-			dictBytes += int64(lenPrefixSize(len(v)) + len(v))
+			dictBytes += int64(lenPrefixLen(len(v)) + len(v))
 		}
-		if st.plain = dictBytes+nonNull[ci]*int64(codeWidth(len(st.vals))) >= plain[ci]; st.plain {
+		if st.plain = dictBytes+nonNull[ci]*int64(gdictCodeWidth(len(st.vals)-1)) >= plain[ci]; st.plain {
 			codes[ci] = nil
 		}
 	}

@@ -284,9 +284,6 @@ func (z *pageColSizer) reset() {
 
 func (z *pageColSizer) suffixCost(valueLen int) int {
 	n := valueLen - len(z.prefix)
-	if z.model {
-		return lenPrefixSize(n) + n
-	}
 	return lenPrefixLen(n) + n
 }
 
@@ -332,17 +329,6 @@ func (z *pageColSizer) size() int {
 		return 1 + body
 	}
 	return lenPrefixLen(len(z.prefix)) + 2 + body // the format adds a u16 dictionary count
-}
-
-// lenPrefixLen is the byte length appendLenPrefix writes for n.
-func lenPrefixLen(n int) int {
-	switch {
-	case n < 0x80:
-		return 1
-	case n < 0x7F00:
-		return 2
-	}
-	return 5
 }
 
 // gdictCodeWidth is the bytes per code on a page whose largest code is maxCode.

@@ -109,7 +109,7 @@ func rleColumnSize(c storage.Column, rows []storage.Row, ci int, scratch *[]byte
 			cur = string(*scratch)
 		}
 		if !started || cur != prev {
-			size += int64(lenPrefixSize(len(cur)) + len(cur) + 2)
+			size += int64(lenPrefixLen(len(cur)) + len(cur) + 2)
 			prev = cur
 			started = true
 		}

@@ -58,15 +58,6 @@ func valueBytes(c storage.Column, v storage.Value, dst []byte) []byte {
 
 func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
-// lenPrefixSize is the per-value length descriptor used by the compressed
-// formats (SQL Server keeps a column-descriptor nibble/byte per value).
-func lenPrefixSize(n int) int {
-	if n < 0x80 {
-		return 1
-	}
-	return 2
-}
-
 // rowCompressedValueSize is the stored size of one value under ROW
 // compression: length descriptor + minimal payload (0 payload for NULL).
 func rowCompressedValueSize(c storage.Column, v storage.Value, scratch []byte) (int, []byte) {
@@ -74,7 +65,7 @@ func rowCompressedValueSize(c storage.Column, v storage.Value, scratch []byte) (
 		return 0, scratch // null bitmap covers it
 	}
 	scratch = valueBytes(c, v, scratch[:0])
-	return lenPrefixSize(len(scratch)) + len(scratch), scratch
+	return lenPrefixLen(len(scratch)) + len(scratch), scratch
 }
 
 // sizeRowCompressed measures the total ROW-compressed payload of the rows.
@@ -178,29 +169,14 @@ func gdictColumnSize(c storage.Column, rows []storage.Row, ci int, scratch []byt
 		}
 		nonNull++
 		scratch = valueBytes(c, r[ci], scratch[:0])
-		cost := int64(lenPrefixSize(len(scratch)) + len(scratch))
+		cost := int64(lenPrefixLen(len(scratch)) + len(scratch))
 		plain += cost
 		if _, seen := distinct[string(scratch)]; !seen {
 			distinct[string(scratch)] = struct{}{}
 			dictBytes += cost
 		}
 	}
-	return min(dictBytes+int64(nonNull*codeWidth(len(distinct))), plain), scratch
-}
-
-// codeWidth returns the bytes needed for a dictionary code addressing n
-// entries (at least 1 byte).
-func codeWidth(n int) int {
-	switch {
-	case n <= 1<<8:
-		return 1
-	case n <= 1<<16:
-		return 2
-	case n <= 1<<24:
-		return 3
-	default:
-		return 4
-	}
+	return min(dictBytes+int64(nonNull*gdictCodeWidth(len(distinct)-1)), plain), scratch
 }
 
 // sizeRLE measures per-page run-length encoding: within each page group, each
