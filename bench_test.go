@@ -57,19 +57,19 @@ func benchDB() *Database {
 	return datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 8000, Seed: 9})
 }
 
-// BenchmarkCompressMethods measures raw page-compression throughput per
-// method on LINEITEM rows.
+// BenchmarkCompressMethods measures the size model's throughput per method on
+// LINEITEM rows.
 func BenchmarkCompressMethods(b *testing.B) {
 	db := benchDB()
 	li := db.MustTable("lineitem")
 	for _, m := range compress.Methods {
 		b.Run(m.String(), func(b *testing.B) {
 			b.ReportAllocs()
-			var sink int64
 			for i := 0; i < b.N; i++ {
-				sink = compress.SizeRows(li.Schema, li.Rows, m)
+				if _, err := compress.MeasureDesignSizes(li.Schema, li.Rows).SizeFor(m, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
-			_ = sink
 		})
 	}
 }

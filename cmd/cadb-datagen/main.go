@@ -16,6 +16,7 @@ import (
 
 	"cadb"
 	"cadb/internal/compress"
+	"cadb/internal/storage"
 )
 
 func main() {
@@ -67,8 +68,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  %-18s distinct=%-8d nulls=%-6d avgwidth=%.1f\n", c.Name, cs.Distinct, cs.NullCount, cs.AvgWidth)
 		}
 		fmt.Fprintf(stdout, "  compressibility (CF = compressed/uncompressed):")
+		sizes, unc := compress.MeasureDesignSizes(t.Schema, t.Rows), storage.PackedBytes(t.Schema, t.Rows)
 		for _, m := range compress.Methods {
-			fmt.Fprintf(stdout, "  %s=%.2f", m, compress.Fraction(t.Schema, t.Rows, m))
+			b, err := sizes.SizeFor(m, nil)
+			if err != nil {
+				fmt.Fprintf(stderr, "cadb-datagen: %v\n", err)
+				return 1
+			}
+			fmt.Fprintf(stdout, "  %s=%.2f", m, float64(b)/float64(max(unc, 1)))
 		}
 		fmt.Fprint(stdout, "\n\n")
 	}

@@ -76,11 +76,12 @@ func assertRoundTrip(t *testing.T, s *storage.Schema, rows []storage.Row, m Meth
 }
 
 // assertSizeAccounting checks the segment's accounted payload against the
-// size model: NONE and ROW values cost exactly what the sizers charge, so
-// the two differ only by the column-major framing; the page-structured
-// methods stay within a documented real-format overhead plus 10%. On
-// realistic multi-row pages (experiments.TestMeasuredSizesWithinTolerance
-// asserts TPC-H/Sales) the framing amortizes under 1% and the overhead under
+// size model. NONE is modeled as the row-major uncompressed reference; ROW
+// values and section bitmaps cost exactly what the model charges, so the two
+// differ only by the page frame and by where bitmaps round; the
+// page-structured methods stay within a documented real-format overhead plus
+// 10%. On realistic multi-row pages (experiments.TestMeasuredSizesWithinTolerance
+// asserts TPC-H/Sales) the frame amortizes under 1% and the overhead under
 // the plain 10%.
 func assertSizeAccounting(t *testing.T, s *storage.Schema, rows []storage.Row, m Method) {
 	t.Helper()
@@ -88,15 +89,21 @@ func assertSizeAccounting(t *testing.T, s *storage.Schema, rows []storage.Row, m
 	if err != nil {
 		t.Fatalf("%s: BuildSegment: %v", m, err)
 	}
-	est := SizeRows(s, rows, m)
+	est := sizeRows(t, s, rows, m)
 	got := seg.PayloadBytes()
 	var slack int64
 	cols := len(s.Columns)
+	// frame is what the format adds per page and the model does not charge: a
+	// u16 row count and a length prefix of up to 5 bytes per section.
+	frame := func() {
+		for i := 0; i < seg.NumPages(); i++ {
+			slack += int64(2 + cols*5)
+		}
+	}
 	switch m {
-	case None, Row:
-		// The format pays a u16 row count per page and, per column section, a
-		// length frame and a null bitmap of one bit per row; the model
-		// charges one row-major bitmap per row instead.
+	case None:
+		// The format pays, per column section, a null bitmap of one bit per
+		// row; the reference one row-major bitmap per row.
 		for i := 0; i < seg.NumPages(); i++ {
 			slack += int64(2 + cols*(2+(seg.PageRows(i)+7)/8))
 		}
@@ -104,22 +111,31 @@ func assertSizeAccounting(t *testing.T, s *storage.Schema, rows []storage.Row, m
 			t.Fatalf("%s: materialized %d bytes vs estimate %d (framing allows +%d)", m, got, est, slack)
 		}
 		return
-	case Page:
-		// The real PAGE format pays a u16 row count per page plus, per
-		// column, a u16 dictionary count, the dictionary bitmap and a
-		// column-major null bitmap the model spreads per row.
+	case Row:
+		// The format rounds each section bitmap on its own pages, the model on
+		// the uncompressed layout's: a byte per column and page either way.
+		frame()
+		groups := int64(len(storage.PackRows(s, rows)))
 		for i := 0; i < seg.NumPages(); i++ {
-			n := seg.PageRows(i)
-			slack += int64(2 + cols*(4+2*((n+7)/8)))
+			slack += int64(cols)
+		}
+		if d := got - est; d > slack || d < -int64(cols)*groups {
+			t.Fatalf("%s: materialized %d bytes vs estimate %d (framing allows +%d)", m, got, est, slack)
+		}
+		return
+	case Page:
+		// The real PAGE format also pays, per column, a u16 dictionary count
+		// and the dictionary bitmap.
+		frame()
+		for i := 0; i < seg.NumPages(); i++ {
+			slack += int64(cols * (2 + (seg.PageRows(i)+7)/8))
 		}
 	case GlobalDict:
-		// The real format pays section framing, mode/width bytes and
-		// column-major null bitmaps (the model spreads one row-major bitmap
-		// per row — the rounding differs in both directions), plus per-column
-		// state-block headers the model does not see.
+		// The real format also pays mode/width bytes per section, plus
+		// per-column state-block headers the model does not see.
+		frame()
 		for i := 0; i < seg.NumPages(); i++ {
-			n := seg.PageRows(i)
-			slack += int64(2 + cols*(4+(n+7)/8) + n*((cols+7)/8))
+			slack += int64(cols * 3)
 		}
 		slack += int64(cols * 8)
 	case RLE:

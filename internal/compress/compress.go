@@ -10,16 +10,15 @@
 // of tuple order; ORD-DEP methods are sensitive to the per-page value
 // distribution.
 //
-// All methods here actually produce bytes. Compressed index sizes in the rest
-// of the system are measured, not modeled, which is what makes SampleCF and
-// the deduction error analysis meaningful.
+// Every method here materializes real pages (the design codec, codec.go and
+// colcodec.go). Sizes for tuning come from a model of those pages instead
+// (DesignSizes, sizedesign.go): SampleCF compresses a sample index through it
+// and extrapolates, and index.Build runs it over a full index. The model
+// tracks the materialized bytes to within a few percent, which
+// experiments.TestMeasuredSizesWithinTolerance pins.
 package compress
 
-import (
-	"fmt"
-
-	"cadb/internal/storage"
-)
+import "fmt"
 
 // Method identifies a compression method.
 type Method uint8
@@ -100,42 +99,4 @@ func ParseMethod(s string) (Method, error) {
 		return RLE, nil
 	}
 	return None, fmt.Errorf("compress: unknown method %q", s)
-}
-
-// SizeRows measures the total compressed payload size in bytes of the given
-// rows (already in index order) under the method. Page-local methods operate
-// on the page groups induced by the uncompressed layout, mirroring an engine
-// that compresses page by page.
-func SizeRows(s *storage.Schema, rows []storage.Row, m Method) int64 {
-	switch m {
-	case None:
-		return storage.PackedBytes(s, rows)
-	case Row:
-		return sizeRowCompressed(s, rows)
-	case Page:
-		return sizePageCompressed(s, rows)
-	case GlobalDict:
-		return sizeGlobalDict(s, rows)
-	case RLE:
-		return sizeRLE(s, rows)
-	}
-	panic(fmt.Sprintf("compress: bad method %d", m))
-}
-
-// SizePages converts SizeRows to a page count.
-func SizePages(s *storage.Schema, rows []storage.Row, m Method) int64 {
-	return storage.PagesForBytes(SizeRows(s, rows, m))
-}
-
-// Fraction returns the compression fraction CF = compressed/uncompressed for
-// the given rows and method (1.0 for None or empty input).
-func Fraction(s *storage.Schema, rows []storage.Row, m Method) float64 {
-	if len(rows) == 0 {
-		return 1
-	}
-	unc := storage.PackedBytes(s, rows)
-	if unc == 0 {
-		return 1
-	}
-	return float64(SizeRows(s, rows, m)) / float64(unc)
 }

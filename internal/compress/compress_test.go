@@ -42,6 +42,27 @@ func sortRows(rows []storage.Row, col int) []storage.Row {
 	return out
 }
 
+// sizeRows is the size model's bytes for the rows under one uniform method.
+func sizeRows(t testing.TB, s *storage.Schema, rows []storage.Row, m Method) int64 {
+	t.Helper()
+	n, err := MeasureDesignSizes(s, rows).SizeFor(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// fraction is the modeled compression fraction CF: the bytes under m over the
+// uncompressed reference (1 for no rows).
+func fraction(t testing.TB, s *storage.Schema, rows []storage.Row, m Method) float64 {
+	t.Helper()
+	unc := storage.PackedBytes(s, rows)
+	if unc == 0 {
+		return 1
+	}
+	return float64(sizeRows(t, s, rows, m)) / float64(unc)
+}
+
 func TestMethodClass(t *testing.T) {
 	if Row.Class() != OrderIndependent || GlobalDict.Class() != OrderIndependent {
 		t.Fatal("ROW and GDICT must be ORD-IND")
@@ -69,9 +90,9 @@ func TestParseMethodRoundTrip(t *testing.T) {
 func TestCompressionReducesSize(t *testing.T) {
 	s := schemaAB()
 	rows := genRows(3000, 5, 5, 1)
-	unc := SizeRows(s, rows, None)
+	unc := sizeRows(t, s, rows, None)
 	for _, m := range Methods {
-		c := SizeRows(s, rows, m)
+		c := sizeRows(t, s, rows, m)
 		if c <= 0 {
 			t.Fatalf("%s: non-positive size", m)
 		}
@@ -90,8 +111,8 @@ func TestOrderIndependenceOfRowAndGlobalDict(t *testing.T) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
 	for _, m := range []Method{Row, GlobalDict} {
-		a := SizeRows(s, rows, m)
-		b := SizeRows(s, shuffled, m)
+		a := sizeRows(t, s, rows, m)
+		b := sizeRows(t, s, shuffled, m)
 		if a != b {
 			t.Errorf("%s: order changed size: %d vs %d", m, a, b)
 		}
@@ -105,8 +126,8 @@ func TestOrderDependenceOfPageAndRLE(t *testing.T) {
 	rows := genRows(4000, 100000, 4, 3)
 	sorted := sortRows(rows, 1)
 	for _, m := range []Method{Page, RLE} {
-		random := SizeRows(s, rows, m)
-		grouped := SizeRows(s, sorted, m)
+		random := sizeRows(t, s, rows, m)
+		grouped := sizeRows(t, s, sorted, m)
 		if grouped >= random {
 			t.Errorf("%s: sorted-by-repeats size %d not smaller than random %d", m, grouped, random)
 		}
@@ -119,8 +140,8 @@ func TestRLECollapsesSortedRuns(t *testing.T) {
 	for i := range rows {
 		rows[i] = storage.Row{storage.IntVal(int64(i / 2500))} // 4 long runs
 	}
-	rle := SizeRows(s, rows, RLE)
-	unc := SizeRows(s, rows, None)
+	rle := sizeRows(t, s, rows, RLE)
+	unc := sizeRows(t, s, rows, None)
 	if rle*20 > unc {
 		t.Fatalf("RLE on 4 runs should compress >20x: rle=%d unc=%d", rle, unc)
 	}
@@ -139,8 +160,8 @@ func TestGlobalDictSkipsHighCardinalityColumns(t *testing.T) {
 		}
 		rows[i] = storage.Row{storage.StringVal(string(b))}
 	}
-	gd := SizeRows(s, rows, GlobalDict)
-	rowc := SizeRows(s, rows, Row)
+	gd := sizeRows(t, s, rows, GlobalDict)
+	rowc := sizeRows(t, s, rows, Row)
 	if gd > rowc+int64(len(rows)) {
 		t.Fatalf("GDICT should fall back to plain storage: gd=%d row=%d", gd, rowc)
 	}
@@ -155,7 +176,7 @@ func TestNullHeavyColumnCompressesUnderRow(t *testing.T) {
 	for i := range rows {
 		rows[i] = storage.Row{storage.IntVal(int64(i)), storage.NullValue(storage.KindString)}
 	}
-	cf := Fraction(s, rows, Row)
+	cf := fraction(t, s, rows, Row)
 	if cf > 0.5 {
 		t.Fatalf("NULL-heavy CHAR(40) should compress below 0.5 under ROW, got %v", cf)
 	}
@@ -165,35 +186,23 @@ func TestFractionBounds(t *testing.T) {
 	s := schemaAB()
 	rows := genRows(1500, 8, 8, 5)
 	for _, m := range Methods {
-		cf := Fraction(s, rows, m)
+		cf := fraction(t, s, rows, m)
 		if cf <= 0 || cf > 1.6 {
 			t.Errorf("%s: implausible CF %v", m, cf)
 		}
 	}
-	if Fraction(s, nil, Row) != 1 {
+	if fraction(t, s, nil, Row) != 1 {
 		t.Fatal("empty input must have CF=1")
 	}
-	if Fraction(s, rows, None) != 1 {
+	if fraction(t, s, rows, None) != 1 {
 		t.Fatal("None must have CF=1")
 	}
 }
 
-func TestSizePagesConsistency(t *testing.T) {
-	s := schemaAB()
-	rows := genRows(2500, 6, 6, 6)
-	for _, m := range append([]Method{None}, Methods...) {
-		bytes := SizeRows(s, rows, m)
-		pages := SizePages(s, rows, m)
-		if pages != storage.PagesForBytes(bytes) {
-			t.Errorf("%s: SizePages inconsistent with SizeRows", m)
-		}
-	}
-}
-
-func TestSizeRowsEmptyInput(t *testing.T) {
+func TestSizeForEmptyInput(t *testing.T) {
 	s := schemaAB()
 	for _, m := range append([]Method{None}, Methods...) {
-		if got := SizeRows(s, nil, m); got != 0 {
+		if got := sizeRows(t, s, nil, m); got != 0 {
 			t.Errorf("%s: empty input size=%d want 0", m, got)
 		}
 	}
@@ -232,8 +241,8 @@ func TestColSetInvariantForOrdInd(t *testing.T) {
 		return ba[i][1].Compare(ba[j][1]) < 0
 	})
 	for _, m := range []Method{Row, GlobalDict} {
-		sa := SizeRows(sAB, ab, m)
-		sb := SizeRows(sBA, ba, m)
+		sa := sizeRows(t, sAB, ab, m)
+		sb := sizeRows(t, sBA, ba, m)
 		if sa != sb {
 			t.Errorf("%s: Size(I_AB)=%d != Size(I_BA)=%d", m, sa, sb)
 		}
@@ -263,8 +272,8 @@ func TestQuickCompressedNeverBeyondSmallOverhead(t *testing.T) {
 			}
 			rows[i] = storage.Row{storage.IntVal(xs[i]), storage.StringVal(y)}
 		}
-		unc := SizeRows(s, rows, None)
-		rc := SizeRows(s, rows, Row)
+		unc := sizeRows(t, s, rows, None)
+		rc := sizeRows(t, s, rows, Row)
 		// Each value adds at most 2 descriptor bytes over its payload.
 		return rc <= unc+int64(4*n)
 	}

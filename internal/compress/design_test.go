@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"cadb/internal/storage"
@@ -90,7 +91,7 @@ func TestGDictPlainElection(t *testing.T) {
 	}
 	// The size model must agree that the dictionary loses: GDICT degrades to
 	// roughly ROW size, never worse than a small overhead.
-	if gd, row := SizeRows(s, rows, GlobalDict), SizeRows(s, rows, Row); gd > row {
+	if gd, row := sizeRows(t, s, rows, GlobalDict), sizeRows(t, s, rows, Row); gd > row {
 		t.Fatalf("all-distinct GDICT modeled %d > ROW %d — plain election missing from model", gd, row)
 	}
 }
@@ -282,6 +283,47 @@ func TestUniformIsOneValueVector(t *testing.T) {
 		}
 		if !bytes.Equal(plainFile, overFile) {
 			t.Fatalf("%s: segment files differ (%d vs %d bytes)", m, len(plainFile), len(overFile))
+		}
+	}
+}
+
+// TestDesignSizesConcurrent: SampleCF sizes a structure's variants from one
+// DesignSizes on many goroutines, so measuring a method on first use must be
+// race-free and give every design what a fresh model gives it.
+func TestDesignSizesConcurrent(t *testing.T) {
+	s := codecSchema()
+	rows := genCodecRows(900, 0.2, 5)
+	type design struct {
+		def  Method
+		over map[string]Method
+	}
+	var designs []design
+	for _, m := range codecMethods {
+		designs = append(designs, design{m, nil})
+	}
+	for _, d := range mixedDesigns {
+		designs = append(designs, design{d.def, d.over})
+	}
+	shared := MeasureDesignSizes(s, rows)
+	got := make([]int64, 4*len(designs))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d := designs[i%len(designs)]
+			n, err := shared.SizeFor(d.def, d.over)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = n
+		}()
+	}
+	wg.Wait()
+	for i, n := range got {
+		d := designs[i%len(designs)]
+		if want, err := MeasureDesignSizes(s, rows).SizeFor(d.def, d.over); err != nil || n != want {
+			t.Errorf("%s%v: %d bytes from the shared model, %d (%v) from a fresh one", d.def, d.over, n, want, err)
 		}
 	}
 }

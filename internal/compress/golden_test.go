@@ -39,7 +39,7 @@ func TestGoldenCFOrdering(t *testing.T) {
 	s, rows := buildFactLike(6000)
 	cf := map[Method]float64{}
 	for _, m := range Methods {
-		cf[m] = Fraction(s, rows, m)
+		cf[m] = fraction(t, s, rows, m)
 	}
 	if cf[Page] >= cf[Row] {
 		t.Errorf("PAGE (%.3f) should compress better than ROW (%.3f) here", cf[Page], cf[Row])
@@ -58,8 +58,8 @@ func TestGoldenCFStability(t *testing.T) {
 	s, small := buildFactLike(3000)
 	_, big := buildFactLike(12000)
 	for _, m := range Methods {
-		a := Fraction(s, small, m)
-		b := Fraction(s, big, m)
+		a := fraction(t, s, small, m)
+		b := fraction(t, s, big, m)
 		diff := a - b
 		if diff < 0 {
 			diff = -diff
@@ -87,14 +87,14 @@ func TestGoldenSortOrderSensitivity(t *testing.T) {
 		}
 	}
 	for _, m := range []Method{Row, GlobalDict} {
-		if a, b := SizeRows(s, rows, m), SizeRows(s, sorted, m); a != b {
+		if a, b := sizeRows(t, s, rows, m), sizeRows(t, s, sorted, m); a != b {
 			t.Errorf("%s: order changed size (%d vs %d) but method is ORD-IND", m, a, b)
 		}
 	}
 	// On the full schema the re-sort helps mode but fragments id/day, so the
 	// only guarantee is order *dependence*: sizes must differ.
 	for _, m := range []Method{Page, RLE} {
-		if a, b := SizeRows(s, rows, m), SizeRows(s, sorted, m); a == b {
+		if a, b := sizeRows(t, s, rows, m), sizeRows(t, s, sorted, m); a == b {
 			t.Errorf("%s: size did not react to tuple order at all", m)
 		}
 	}
@@ -114,7 +114,7 @@ func TestGoldenSortOrderSensitivity(t *testing.T) {
 		scattered = append(scattered, storage.Row{r[di], r[fi]})
 	}
 	for _, m := range []Method{Page, RLE} {
-		a, b := SizeRows(proj, scattered, m), SizeRows(proj, clustered, m)
+		a, b := sizeRows(t, proj, scattered, m), sizeRows(t, proj, clustered, m)
 		if float64(b) > 0.9*float64(a) {
 			t.Errorf("%s: clustering a dominant column should shrink size clearly: %d -> %d", m, a, b)
 		}

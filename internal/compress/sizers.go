@@ -58,69 +58,6 @@ func valueBytes(c storage.Column, v storage.Value, dst []byte) []byte {
 
 func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
-// rowCompressedValueSize is the stored size of one value under ROW
-// compression: length descriptor + minimal payload (0 payload for NULL).
-func rowCompressedValueSize(c storage.Column, v storage.Value, scratch []byte) (int, []byte) {
-	if v.Null {
-		return 0, scratch // null bitmap covers it
-	}
-	scratch = valueBytes(c, v, scratch[:0])
-	return lenPrefixLen(len(scratch)) + len(scratch), scratch
-}
-
-// sizeRowCompressed measures the total ROW-compressed payload of the rows.
-// ROW compression is order-independent: the total is a sum of per-row sizes.
-func sizeRowCompressed(s *storage.Schema, rows []storage.Row) int64 {
-	bitmap := (len(s.Columns) + 7) / 8
-	var total int64
-	scratch := make([]byte, 0, 64)
-	for _, r := range rows {
-		sz := bitmap + storage.SlotSize
-		for i, c := range s.Columns {
-			var n int
-			n, scratch = rowCompressedValueSize(c, r[i], scratch)
-			sz += n
-		}
-		total += int64(sz)
-	}
-	return total
-}
-
-// sizePageCompressed measures PAGE compression: per page group (induced by
-// the uncompressed layout), each column gets a common-prefix header and a
-// local dictionary of repeated suffixes; values are stored as 1-byte
-// dictionary codes or as length-prefixed literals. This is order-dependent:
-// the same rows in a different order fragment differently across pages.
-func sizePageCompressed(s *storage.Schema, rows []storage.Row) int64 {
-	groups := storage.PackRows(s, rows)
-	bitmap := (len(s.Columns) + 7) / 8
-	var total int64
-	for _, g := range groups {
-		n := g.End - g.Start
-		// Per-row fixed overhead: slot + null bitmap.
-		total += int64(n * (bitmap + storage.SlotSize))
-		for ci, c := range s.Columns {
-			total += int64(pageColumnSize(c, rows[g.Start:g.End], ci))
-		}
-	}
-	return total
-}
-
-// pageColumnSize computes the PAGE-compressed size of one column within one
-// page group: the packer's incremental section sizer, charging the model's
-// descriptors (one prefix-header byte, no dictionary count, no bitmaps).
-func pageColumnSize(c storage.Column, rows []storage.Row, ci int) int {
-	z := pageColSizer{model: true}
-	scratch := make([]byte, 0, 64)
-	for _, r := range rows {
-		if !r[ci].Null {
-			scratch = valueBytes(c, r[ci], scratch[:0])
-			z.add(scratch)
-		}
-	}
-	return z.size()
-}
-
 // commonPrefixLen is the length of the longest common prefix of a and b.
 func commonPrefixLen[T string | []byte](a, b T) int {
 	n := min(len(a), len(b))
@@ -131,35 +68,77 @@ func commonPrefixLen[T string | []byte](a, b T) int {
 	return i
 }
 
-// sizeGlobalDict measures per-column global dictionary encoding (DB2 style):
-// one dictionary per column for the whole index; each value stored as a
-// fixed-width code sized by the column's distinct count. The engine keeps a
-// column plain when dictionary encoding would not help. Order-independent.
-func sizeGlobalDict(s *storage.Schema, rows []storage.Row) int64 {
-	// Mirrors the column-major codec layout: a slot array keeps leaf rows
-	// addressable, and each column section carries its own null bitmap at one
-	// bit per row — not the row-major ceil(cols/8) bytes per row of the
-	// row-oriented codecs — plus a 2-byte mode/width header (charged once per
-	// column; the per-page repetition and bitmap rounding are sub-percent).
-	if len(rows) == 0 {
-		return 0
+// The per-column section models below size one column of one page group
+// (the rows of one page in the uncompressed layout), except GDICT, whose
+// dictionary spans the whole row set. Each charges what that method's
+// section body stores; the section's null bitmap is DesignSizes' to add.
+
+// noneColumnSize is the NONE model: every row's full-width value, NULLs
+// zero-filled.
+func noneColumnSize(c storage.Column, rows []storage.Row, ci int) int64 {
+	var size int64
+	for _, r := range rows {
+		size += int64(storage.EncodedValueSize(c, r[ci]))
 	}
-	var total int64
-	total += int64(len(rows) * storage.SlotSize)
-	total += int64(len(s.Columns) * (2 + (len(rows)+7)/8))
-	scratch := make([]byte, 0, 64)
-	for ci, c := range s.Columns {
-		var sz int64
-		sz, scratch = gdictColumnSize(c, rows, ci, scratch)
-		total += sz
-	}
-	return total
+	return size
 }
 
-// gdictColumnSize is the global-dictionary model for one column: the
+// rowColumnSize is the ROW model: a length descriptor plus the minimal
+// encoding of every non-null value.
+func rowColumnSize(c storage.Column, rows []storage.Row, ci int, scratch *[]byte) int64 {
+	var size int64
+	for _, r := range rows {
+		if !r[ci].Null {
+			*scratch = valueBytes(c, r[ci], (*scratch)[:0])
+			size += int64(lenPrefixLen(len(*scratch)) + len(*scratch))
+		}
+	}
+	return size
+}
+
+// pageColumnSize is the PAGE model: the packer's incremental section sizer,
+// charging the model's descriptors (one prefix-header byte, no dictionary
+// count, no dictionary bitmap).
+func pageColumnSize(c storage.Column, rows []storage.Row, ci int, scratch *[]byte) int64 {
+	z := pageColSizer{model: true}
+	for _, r := range rows {
+		if !r[ci].Null {
+			*scratch = valueBytes(c, r[ci], (*scratch)[:0])
+			z.add(*scratch)
+		}
+	}
+	return int64(z.size())
+}
+
+// rleColumnSize is the RLE model: per run, a 2-byte header plus (for value
+// runs) the length-prefixed value bytes. A NULL run is charged as a run of
+// a 5-byte sentinel value.
+func rleColumnSize(c storage.Column, rows []storage.Row, ci int, scratch *[]byte) int64 {
+	var prev string
+	started := false
+	var size int64
+	for _, r := range rows {
+		var cur string
+		if r[ci].Null {
+			cur = "\x00null"
+		} else {
+			*scratch = valueBytes(c, r[ci], (*scratch)[:0])
+			cur = string(*scratch)
+		}
+		if !started || cur != prev {
+			size += int64(lenPrefixLen(len(cur)) + len(cur) + 2)
+			prev = cur
+			started = true
+		}
+	}
+	return size
+}
+
+// gdictColumnSize is the global-dictionary model over the whole row set: the
 // dictionary plus one fixed-width code per non-null value, or the plain
-// length-prefixed values when the dictionary would not pay for itself.
-func gdictColumnSize(c storage.Column, rows []storage.Row, ci int, scratch []byte) (int64, []byte) {
+// length-prefixed values when the dictionary would not pay for itself — the
+// election the codec's pre-pass makes.
+func gdictColumnSize(c storage.Column, rows []storage.Row, ci int, scratch *[]byte) int64 {
 	distinct := make(map[string]struct{}, 1024)
 	var plain, dictBytes int64
 	nonNull := 0
@@ -168,30 +147,13 @@ func gdictColumnSize(c storage.Column, rows []storage.Row, ci int, scratch []byt
 			continue
 		}
 		nonNull++
-		scratch = valueBytes(c, r[ci], scratch[:0])
-		cost := int64(lenPrefixLen(len(scratch)) + len(scratch))
+		*scratch = valueBytes(c, r[ci], (*scratch)[:0])
+		cost := int64(lenPrefixLen(len(*scratch)) + len(*scratch))
 		plain += cost
-		if _, seen := distinct[string(scratch)]; !seen {
-			distinct[string(scratch)] = struct{}{}
+		if _, seen := distinct[string(*scratch)]; !seen {
+			distinct[string(*scratch)] = struct{}{}
 			dictBytes += cost
 		}
 	}
-	return min(dictBytes+int64(nonNull*gdictCodeWidth(len(distinct)-1)), plain), scratch
-}
-
-// sizeRLE measures per-page run-length encoding: within each page group, each
-// column stores one (value, count) pair per run of consecutive equal values.
-// Strongly order-dependent; sorted leading columns collapse dramatically.
-func sizeRLE(s *storage.Schema, rows []storage.Row) int64 {
-	groups := storage.PackRows(s, rows)
-	var total int64
-	scratch := make([]byte, 0, 64)
-	for _, g := range groups {
-		// RLE stores runs, not slotted rows: no per-row overhead beyond the
-		// per-run headers.
-		for ci, c := range s.Columns {
-			total += rleColumnSize(c, rows[g.Start:g.End], ci, &scratch)
-		}
-	}
-	return total
+	return min(dictBytes+int64(nonNull*gdictCodeWidth(len(distinct)-1)), plain)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cadb/internal/compress"
+	"cadb/internal/storage"
 )
 
 func TestZipfUniform(t *testing.T) {
@@ -132,7 +133,11 @@ func TestTPCHSkewChangesDistribution(t *testing.T) {
 func TestTPCHCompressibility(t *testing.T) {
 	db := NewTPCH(TPCHConfig{LineitemRows: 5000, Seed: 8})
 	li := db.MustTable("lineitem")
-	cf := compress.Fraction(li.Schema, li.Rows, compress.Row)
+	row, err := compress.MeasureDesignSizes(li.Schema, li.Rows).SizeFor(compress.Row, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf := float64(row) / float64(storage.PackedBytes(li.Schema, li.Rows))
 	if cf > 0.9 {
 		t.Fatalf("lineitem should ROW-compress below 0.9, got %v", cf)
 	}

@@ -170,3 +170,20 @@ func TestFig11ShapeDeductionCutsEstimationCost(t *testing.T) {
 		t.Fatalf("deduction must cut estimation cost: %v with vs %v without", with, without)
 	}
 }
+
+// TestFigs12To17ShapeDTAcAtLeastDTA pins the paper's headline claim beside
+// the goldens of Figures 12–17: at every budget, the compression-aware
+// advisor's improvement is at least the compression-oblivious one's.
+func TestFigs12To17ShapeDTAcAtLeastDTA(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six advisor sweeps in -short mode")
+	}
+	for i, fig := range []func(Scale) *Report{Fig12, Fig13, Fig14, Fig15, Fig16, Fig17} {
+		// Columns: budget, DTAc (Both in the ablations), ..., DTA last.
+		for _, r := range fig(QuickScale()).Tables[0].Rows {
+			if dtac, dta := parseF(t, r[1]), parseF(t, r[len(r)-1]); dtac < dta {
+				t.Errorf("fig%d at budget %s: DTAc %v < DTA %v", 12+i, r[0], dtac, dta)
+			}
+		}
+	}
+}

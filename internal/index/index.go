@@ -1,7 +1,8 @@
 // Package index defines physical design structures — clustered and secondary
 // indexes, partial (filtered) indexes and indexes on materialized views — and
-// builds them physically: materialize the rows, sort by key, pack into pages
-// and compress with the chosen method. Built sizes are measured, not modeled.
+// builds them: materialize the rows and sort by key, then either size them
+// with the compression size model (Build) or pack them into compressed
+// pages (BuildSegments).
 package index
 
 import (
@@ -609,31 +610,28 @@ func reorderLeading(all []string, keys []string) []string {
 	return out
 }
 
-// Build materializes and measures the index.
+// Build materializes the index and sizes it with the size model.
 func Build(db *catalog.Database, d *Def) (*Physical, error) {
 	schema, rows, err := MaterializeRows(db, d)
 	if err != nil {
 		return nil, err
 	}
-	return BuildFromRows(schema, rows, d), nil
+	return BuildFromRows(schema, rows, d)
 }
 
-// BuildFromRows measures an index over pre-materialized, pre-sorted leaf
-// rows. Used by SampleCF, which builds indexes on samples.
-func BuildFromRows(schema *storage.Schema, rows []storage.Row, d *Def) *Physical {
-	unc := compress.SizeRows(schema, rows, compress.None)
-	bytes := unc
-	if d.IsMixed() {
-		bytes = compress.SizeRowsDesign(schema, rows, d.Method, d.ColMethods)
-	} else if d.Method != compress.None {
-		bytes = compress.SizeRows(schema, rows, d.Method)
+// BuildFromRows sizes an index over pre-materialized, pre-sorted leaf rows
+// with the size model. A design naming an unknown method is an error.
+func BuildFromRows(schema *storage.Schema, rows []storage.Row, d *Def) (*Physical, error) {
+	bytes, err := compress.MeasureDesignSizes(schema, rows).SizeFor(d.Method, d.ColMethods)
+	if err != nil {
+		return nil, fmt.Errorf("index: %s: %w", d, err)
 	}
 	return &Physical{
 		Def:               d,
 		Schema:            schema,
 		Rows:              int64(len(rows)),
-		UncompressedBytes: unc,
+		UncompressedBytes: storage.PackedBytes(schema, rows),
 		Bytes:             bytes,
 		Pages:             storage.PagesForBytes(bytes),
-	}
+	}, nil
 }

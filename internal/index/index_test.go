@@ -133,6 +133,26 @@ func TestBuildUnknownTableOrColumn(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsUnknownMethod: a design naming a method the tree does not
+// know is an error for the size model, as it is for the segment build — not
+// a column sized at zero bytes, and not a panic.
+func TestBuildRejectsUnknownMethod(t *testing.T) {
+	db := tpch()
+	bad := compress.Method(9)
+	for _, d := range []*Def{
+		{Table: "lineitem", KeyCols: []string{"l_shipdate"}, IncludeCols: []string{"l_comment"}, Method: bad},
+		{Table: "lineitem", KeyCols: []string{"l_shipdate"}, IncludeCols: []string{"l_comment"},
+			ColMethods: map[string]compress.Method{"l_comment": bad}},
+	} {
+		if p, err := Build(db, d); err == nil {
+			t.Errorf("%s: Build sized it at %d bytes, want an error", d, p.Bytes)
+		}
+		if _, err := BuildSegmentIndex(db, d); err == nil {
+			t.Errorf("%s: BuildSegmentIndex built it, want an error", d)
+		}
+	}
+}
+
 func TestBuildMeasuredSizes(t *testing.T) {
 	db := tpch()
 	base := &Def{Table: "lineitem", KeyCols: []string{"l_shipdate"}, IncludeCols: []string{"l_returnflag", "l_linestatus", "l_shipmode"}}

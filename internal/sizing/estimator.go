@@ -105,26 +105,16 @@ type Estimator struct {
 // rows built over the sample, sorted by key, with RIDs spread over the full
 // table's range. Identical for every compression method of the structure.
 type materialization struct {
-	schema   *storage.Schema
 	rows     []storage.Row
 	fullRows int64
 	uncBytes int64 // uncompressed size of the sample index
 	timer    *time.Duration
 
-	// design caches the per-(column, method) size decomposition, built on the
-	// first mixed-design SampleCF over this structure. Every further design
-	// vector on the structure then sizes in O(columns) — the shared-sample
-	// reuse that makes greedy per-column refinement affordable.
-	designOnce sync.Once
-	design     *compress.DesignSizes
-}
-
-// designSizes returns the lazily built per-column decomposition.
-func (m *materialization) designSizes() *compress.DesignSizes {
-	m.designOnce.Do(func() {
-		m.design = compress.MeasureDesignSizes(m.schema, m.rows)
-	})
-	return m.design
+	// sizes is the size model over the sample index. It measures each method
+	// the first time a variant asks for it, so every further design on the
+	// structure sizes in O(columns) — the shared-sample reuse that makes
+	// greedy per-column refinement affordable.
+	sizes *compress.DesignSizes
 }
 
 // NewEstimator creates an estimator.
@@ -268,11 +258,11 @@ func (e *Estimator) materialize(d *index.Def) (*materialization, error) {
 		}
 	}
 	m := &materialization{
-		schema:   schema,
 		rows:     leafRows,
 		fullRows: fullRows,
-		uncBytes: compress.SizeRows(schema, leafRows, compress.None),
+		uncBytes: storage.PackedBytes(schema, leafRows),
 		timer:    timer,
+		sizes:    compress.MeasureDesignSizes(schema, leafRows),
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -297,11 +287,9 @@ func (e *Estimator) SampleCF(d *index.Def) (*Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	compSample := mat.uncBytes
-	if d.IsMixed() {
-		compSample = mat.designSizes().SizeFor(mat.schema, d.Method, d.ColMethods)
-	} else if d.Method != compress.None {
-		compSample = compress.SizeRows(mat.schema, mat.rows, d.Method)
+	compSample, err := mat.sizes.SizeFor(d.Method, d.ColMethods)
+	if err != nil {
+		return nil, fmt.Errorf("sizing: %s: %w", d, err)
 	}
 	cf := 1.0
 	if mat.uncBytes > 0 {
@@ -364,7 +352,7 @@ func (e *Estimator) EstimateUncompressed(d *index.Def) (*Estimate, error) {
 		if err != nil {
 			return nil, err
 		}
-		entryW = float64(compress.SizeRows(sch, leaf, compress.None)) / max(1, float64(len(leaf)))
+		entryW = float64(storage.PackedBytes(sch, leaf)) / max(1, float64(len(leaf)))
 	default:
 		t := e.DB.Table(d.Table)
 		if t == nil {

@@ -97,6 +97,17 @@ func TestSampleCFCaching(t *testing.T) {
 	}
 }
 
+func TestSampleCFRejectsUnknownMethod(t *testing.T) {
+	e := sampleEst(0.05)
+	d := (&index.Def{Table: "orders", KeyCols: []string{"o_orderdate"}}).WithColMethod("o_orderdate", compress.Method(9))
+	if est, err := e.SampleCF(d); err == nil {
+		t.Fatalf("SampleCF sized a design naming an unknown method at %d bytes, want an error", est.Bytes)
+	}
+	if _, ok := e.Cached(d); ok {
+		t.Fatal("a failed SampleCF must not be cached")
+	}
+}
+
 func TestEstimateUncompressedMatchesTruth(t *testing.T) {
 	e := sampleEst(0.05)
 	d := &index.Def{Table: "lineitem", KeyCols: []string{"l_partkey"}, IncludeCols: []string{"l_extendedprice"}}

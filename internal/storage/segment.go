@@ -59,7 +59,7 @@ type EncodedPage struct {
 	// Rows is the number of rows encoded in the payload.
 	Rows int
 	// AccountedBytes is payload plus per-row slot overhead — the number the
-	// size model (compress.SizeRows) is diffed against.
+	// size model (compress.DesignSizes) is diffed against.
 	AccountedBytes int
 }
 
@@ -141,15 +141,15 @@ func BuildSegment(s *Schema, rows []Row, c PageCodec) (*Segment, error) {
 func (g *Segment) NumPages() int { return len(g.pages) }
 
 // PhysicalPages returns the total fixed-size page count, the number page-read
-// accounting and SizePages estimates are diffed against.
+// accounting and the size model's page estimates are diffed against.
 func (g *Segment) PhysicalPages() int64 { return g.physPages }
 
 // Rows returns the total row count.
 func (g *Segment) Rows() int64 { return g.rows }
 
 // PayloadBytes returns the accounted payload size (encoded bytes plus slot
-// overhead, plus any serialized codec state), comparable to
-// compress.SizeRows.
+// overhead, plus any serialized codec state), comparable to the size model
+// (compress.DesignSizes).
 func (g *Segment) PayloadBytes() int64 { return g.payloadBytes }
 
 // StateBytes returns the serialized codec-state size included in
