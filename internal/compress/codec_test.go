@@ -92,14 +92,10 @@ func assertSizeAccounting(t *testing.T, s *storage.Schema, rows []storage.Row, m
 	est := sizeRows(t, s, rows, m)
 	got := seg.PayloadBytes()
 	var slack int64
-	cols := len(s.Columns)
+	cols, pages := len(s.Columns), int64(seg.NumPages())
 	// frame is what the format adds per page and the model does not charge: a
 	// u16 row count and a length prefix of up to 5 bytes per section.
-	frame := func() {
-		for i := 0; i < seg.NumPages(); i++ {
-			slack += int64(2 + cols*5)
-		}
-	}
+	frame := pages * int64(2+5*cols)
 	switch m {
 	case None:
 		// The format pays, per column section, a null bitmap of one bit per
@@ -114,11 +110,8 @@ func assertSizeAccounting(t *testing.T, s *storage.Schema, rows []storage.Row, m
 	case Row:
 		// The format rounds each section bitmap on its own pages, the model on
 		// the uncompressed layout's: a byte per column and page either way.
-		frame()
+		slack = frame + pages*int64(cols)
 		groups := int64(len(storage.PackRows(s, rows)))
-		for i := 0; i < seg.NumPages(); i++ {
-			slack += int64(cols)
-		}
 		if d := got - est; d > slack || d < -int64(cols)*groups {
 			t.Fatalf("%s: materialized %d bytes vs estimate %d (framing allows +%d)", m, got, est, slack)
 		}
@@ -126,18 +119,14 @@ func assertSizeAccounting(t *testing.T, s *storage.Schema, rows []storage.Row, m
 	case Page:
 		// The real PAGE format also pays, per column, a u16 dictionary count
 		// and the dictionary bitmap.
-		frame()
+		slack = frame
 		for i := 0; i < seg.NumPages(); i++ {
 			slack += int64(cols * (2 + (seg.PageRows(i)+7)/8))
 		}
 	case GlobalDict:
 		// The real format also pays mode/width bytes per section, plus
 		// per-column state-block headers the model does not see.
-		frame()
-		for i := 0; i < seg.NumPages(); i++ {
-			slack += int64(cols * 3)
-		}
-		slack += int64(cols * 8)
+		slack = frame + pages*int64(3*cols) + int64(8*cols)
 	case RLE:
 		// Value runs cost exactly what the model charges (2-byte header +
 		// prefixed value vs prefixed value + 2); NULL runs cost 2 bytes where
