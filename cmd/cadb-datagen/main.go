@@ -16,7 +16,6 @@ import (
 
 	"cadb"
 	"cadb/internal/compress"
-	"cadb/internal/storage"
 )
 
 func main() {
@@ -68,14 +67,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  %-18s distinct=%-8d nulls=%-6d avgwidth=%.1f\n", c.Name, cs.Distinct, cs.NullCount, cs.AvgWidth)
 		}
 		fmt.Fprintf(stdout, "  compressibility (CF = compressed/uncompressed):")
-		sizes, unc := compress.MeasureDesignSizes(t.Schema, t.Rows), storage.PackedBytes(t.Schema, t.Rows)
 		for _, m := range compress.Methods {
-			b, err := sizes.SizeFor(m, nil)
+			cf, err := compress.Fraction(t.Schema, t.Rows, m)
 			if err != nil {
 				fmt.Fprintf(stderr, "cadb-datagen: %v\n", err)
 				return 1
 			}
-			fmt.Fprintf(stdout, "  %s=%.2f", m, float64(b)/float64(max(unc, 1)))
+			fmt.Fprintf(stdout, "  %s=%.2f", m, cf)
 		}
 		fmt.Fprint(stdout, "\n\n")
 	}

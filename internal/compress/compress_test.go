@@ -52,15 +52,14 @@ func sizeRows(t testing.TB, s *storage.Schema, rows []storage.Row, m Method) int
 	return n
 }
 
-// fraction is the modeled compression fraction CF: the bytes under m over the
-// uncompressed reference (1 for no rows).
+// fraction is Fraction, failing the test on an error.
 func fraction(t testing.TB, s *storage.Schema, rows []storage.Row, m Method) float64 {
 	t.Helper()
-	unc := storage.PackedBytes(s, rows)
-	if unc == 0 {
-		return 1
+	cf, err := Fraction(s, rows, m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return float64(sizeRows(t, s, rows, m)) / float64(unc)
+	return cf
 }
 
 func TestMethodClass(t *testing.T) {

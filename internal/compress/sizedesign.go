@@ -79,6 +79,36 @@ func (d *DesignSizes) SizeFor(def Method, overrides map[string]Method) (int64, e
 	return total, nil
 }
 
+// Fraction returns the compression fraction CF = compressed/uncompressed of
+// the rows under uniform method m (1 for no rows).
+func Fraction(s *storage.Schema, rows []storage.Row, m Method) (float64, error) {
+	unc := storage.PackedBytes(s, rows)
+	if unc == 0 {
+		return 1, nil
+	}
+	b, err := MeasureDesignSizes(s, rows).SizeFor(m, nil)
+	if err != nil {
+		return 0, err
+	}
+	return float64(b) / float64(unc), nil
+}
+
+// LayoutSavingPerRow is what a uniform design of m over cols columns saves
+// per row in layout alone against the row-major reference, which pays a
+// ceil(cols/8)-byte null bitmap and a slot per row: SizeFor charges a
+// 1-bit-per-row bitmap in every section but RLE's, and the slot array unless
+// every column is RLE. NONE is the reference itself.
+func LayoutSavingPerRow(m Method, cols int) float64 {
+	switch m {
+	case None:
+		return 0
+	case RLE:
+		return float64((cols+7)/8 + storage.SlotSize)
+	default:
+		return float64((cols+7)/8) - float64(cols)/8
+	}
+}
+
 // sectionBytes returns every column's section bytes under m, measuring them
 // on first use.
 func (d *DesignSizes) sectionBytes(m Method) []int64 {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cadb/internal/compress"
-	"cadb/internal/storage"
 )
 
 func TestZipfUniform(t *testing.T) {
@@ -133,11 +132,10 @@ func TestTPCHSkewChangesDistribution(t *testing.T) {
 func TestTPCHCompressibility(t *testing.T) {
 	db := NewTPCH(TPCHConfig{LineitemRows: 5000, Seed: 8})
 	li := db.MustTable("lineitem")
-	row, err := compress.MeasureDesignSizes(li.Schema, li.Rows).SizeFor(compress.Row, nil)
+	cf, err := compress.Fraction(li.Schema, li.Rows, compress.Row)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := float64(row) / float64(storage.PackedBytes(li.Schema, li.Rows))
 	if cf > 0.9 {
 		t.Fatalf("lineitem should ROW-compress below 0.9, got %v", cf)
 	}

@@ -102,7 +102,9 @@ func (e *Estimator) DeduceColExt(target *index.Def, parts []*Estimate) (*Estimat
 	for _, p := range parts {
 		pCols := e.colsOf(p.Def)
 		prefix = append(prefix, pCols...)
-		r := float64(p.UncompressedBytes - p.Bytes)
+		// Only the value savings extrapolate; the part's own layout saving
+		// is taken out here and the target's is added once below.
+		r := float64(p.UncompressedBytes-p.Bytes) - layoutSavingPerRow(p.Def, len(pCols))*float64(p.Rows)
 		// Scale the part's reduction to the target's row count (normally
 		// identical since both live on the same table).
 		if p.Rows > 0 && rows != p.Rows {
@@ -131,6 +133,7 @@ func (e *Estimator) DeduceColExt(target *index.Def, parts []*Estimate) (*Estimat
 	if !target.Clustered && len(parts) > 1 {
 		reduction -= float64(len(parts)-1) * ridSavingPerRow(rows) * float64(rows)
 	}
+	reduction += layoutSavingPerRow(target, len(tCols)) * float64(rows)
 	bytes := float64(unc) - reduction
 	minBytes := 0.05 * float64(unc)
 	if bytes < minBytes {
@@ -195,6 +198,15 @@ func ridSavingPerRow(rows int64) float64 {
 		return 0
 	}
 	return saving
+}
+
+// layoutSavingPerRow is compress.LayoutSavingPerRow of an index over cols
+// columns, counting a secondary's RID.
+func layoutSavingPerRow(d *index.Def, cols int) float64 {
+	if !d.Clustered {
+		cols++
+	}
+	return compress.LayoutSavingPerRow(d.Method, cols)
 }
 
 // tuplesPerPage estimates T(I_X): how many leaf entries share a page.
