@@ -56,10 +56,12 @@ func main() {
 	fmt.Printf("\ntotal estimation cost: %.0f sample-index pages "+
 		"(SampleCF on every index would cost more)\n", plan.TotalCost)
 
-	a := oracle.Accounting()
+	// Every phase beneath the oracle records into one recorder; its Timing
+	// is the same snapshot an advisor run returns as Recommendation.Timing.
+	t := oracle.Recorder().Timing()
 	fmt.Printf("\noracle: %d SampleCF calls, sample-build %v, plan-solve %v, plan-execute %v\n",
-		a.SampleCFCalls, a.SampleBuild.Round(time.Microsecond),
-		a.PlanSolve.Round(time.Microsecond), a.PlanExecute.Round(time.Microsecond))
+		t.SampleCFCalls, t.SampleBuild.Round(time.Microsecond),
+		t.PlanSolve.Round(time.Microsecond), t.PlanExecute.Round(time.Microsecond))
 
 	// Indexes invented later — merged candidates, compressed variants — are
 	// admitted into the live graph instead of always being re-sampled.
@@ -74,7 +76,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a = oracle.Accounting()
+	t = oracle.Recorder().Timing()
 	fmt.Printf("late admission %s: %d B via %s (admissions: %d deduced / %d sampled)\n",
-		merged, late.Bytes, late.Source, a.AdmittedDeduced, a.AdmittedSampled)
+		merged, late.Bytes, late.Source, t.AdmittedDeduced, t.AdmittedSampled)
 }

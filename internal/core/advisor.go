@@ -27,6 +27,7 @@ import (
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
 	"cadb/internal/index"
+	"cadb/internal/obs"
 	"cadb/internal/optimizer"
 	"cadb/internal/par"
 	"cadb/internal/sizeest"
@@ -145,72 +146,9 @@ type Recommendation struct {
 	Timing         Timing
 }
 
-// Timing is the Figure 11 runtime split, plus the incremental-evaluation
-// counters of the what-if layer and the size-oracle counters of the
-// estimation layer.
-type Timing struct {
-	Total          time.Duration
-	CandidateGen   time.Duration
-	EstimateAll    time.Duration // end-to-end initial size-estimation phase
-	SampleBuild    time.Duration // taking/joining samples
-	PlanSolve      time.Duration // estimation-plan graph search (all f-grid points)
-	PlanExecute    time.Duration // DAG-parallel plan execution wall time
-	TableEstimate  time.Duration // SampleCF on plain table indexes
-	PartialEstim   time.Duration
-	MVEstimate     time.Duration
-	Enumerate      time.Duration // includes the per-column refinement sweep
-	Refine         time.Duration // per-column design refinement alone
-	EstimationCost float64       // abstract cost units (sample pages)
-
-	// Refinements counts the per-column method changes the refinement sweep
-	// accepted (0 when RefineColumns is off or every structure stayed
-	// uniform).
-	Refinements uint64
-
-	// SampleCFCalls counts sample-index builds across the whole run;
-	// AdmittedDeduced/AdmittedSampled split the late admissions (merged
-	// structures, backtracking variants) by whether the live deduction
-	// graph served them for free. EstimationErrors counts estimation
-	// failures tolerated (and skipped) by the merge/variant loop.
-	SampleCFCalls    uint64
-	AdmittedDeduced  uint64
-	AdmittedSampled  uint64
-	EstimationErrors uint64
-
-	// WhatIfEvaluations counts the candidate configurations delta-costed by
-	// the incremental evaluator during enumeration; of the per-statement
-	// costs those evaluations needed, DeltaStatements were re-planned and
-	// ReusedStatements were served unchanged from the base cost vector.
-	WhatIfEvaluations uint64
-	DeltaStatements   uint64
-	ReusedStatements  uint64
-	// CostCacheHits / CostCacheMisses count the atomic-term lookups of
-	// enumeration and refinement: a (statement, structure) term served from
-	// the cost model's memo, or computed because no earlier what-if needed it.
-	CostCacheHits   uint64
-	CostCacheMisses uint64
-}
-
-// Other returns the non-estimation runtime ("Other" in Figure 11): the total
-// minus the full size-estimation phase. EstimateAll is that phase's
-// end-to-end wall time (sample build, plan solve, DAG-parallel plan
-// execution and the per-kind SampleCF buckets all happen inside it), so it
-// is subtracted directly when present. When EstimateAll was not populated
-// (hand-built Timing values), the wall-clock sub-phases are summed instead —
-// SampleBuild + PlanSolve + PlanExecute; the TableEstimate/PartialEstim/
-// MVEstimate buckets are cumulative SampleCF time *inside* PlanExecute and
-// must not be added on top, which is the double-count/omission mix that
-// previously made "Other" over-report.
-func (t Timing) Other() time.Duration {
-	est := t.EstimateAll
-	if est == 0 {
-		est = t.SampleBuild + t.PlanSolve + t.PlanExecute
-	}
-	if t.Total < est {
-		return 0
-	}
-	return t.Total - est
-}
+// Timing is the run's Figure 11 runtime split and counters: the snapshot of
+// the size oracle's recorder, into which every layer of the run records.
+type Timing = obs.Timing
 
 // Advisor ties the pieces together for one database + workload.
 type Advisor struct {
@@ -228,14 +166,8 @@ type Advisor struct {
 	evalStats *optimizer.EvaluatorStats
 	// oracle is the size-estimation layer for the current Recommend run;
 	// merging and late candidates go through it instead of wiring sampling +
-	// sizing inline.
+	// sizing inline. Its recorder is the run's Timing.
 	oracle *sizeest.Oracle
-	// estErrors tallies estimation failures tolerated by the merge/variant
-	// loop (surfaced as Timing.EstimationErrors).
-	estErrors uint64
-	// refinements counts accepted per-column method changes (surfaced as
-	// Timing.Refinements).
-	refinements uint64
 }
 
 // New creates an advisor with the default cost model.
@@ -260,17 +192,17 @@ func (a *Advisor) Recommend() (*Recommendation, error) {
 	// 1. Candidate structures per query.
 	tGen := time.Now()
 	structures := a.generateCandidates()
-	rec.Timing.CandidateGen = time.Since(tGen)
+	genTime := time.Since(tGen)
 
 	// 2. Expand compression variants and estimate sizes through the size
-	// oracle (shared f-grid samples, DAG-parallel plan execution).
-	a.estErrors = 0
+	// oracle (shared f-grid samples, DAG-parallel plan execution). The
+	// oracle's recorder is the run's: every layer records into it.
 	tEst := time.Now()
 	hypos, plan, err := a.estimateAll(structures)
 	if err != nil {
 		return nil, err
 	}
-	rec.Timing.EstimateAll = time.Since(tEst)
+	estTime := time.Since(tEst)
 	rec.EstimationPlan = plan
 	rec.CandidateCount = len(hypos)
 
@@ -306,31 +238,14 @@ func (a *Advisor) Recommend() (*Recommendation, error) {
 	// seed and greedily retry methods one column at a time (skipped for the
 	// staged baseline, which is deliberately compression-naive). Counted
 	// inside the Enumerate split — the refinement is part of the search.
+	var refineTime time.Duration
 	if a.Opts.RefineColumns && !a.Opts.Staged {
 		tRefine := time.Now()
 		cfg = a.refineColumns(cfg)
-		rec.Timing.Refine = time.Since(tRefine)
-		rec.Timing.Refinements = a.refinements
+		refineTime = time.Since(tRefine)
 	}
-	rec.Timing.Enumerate = time.Since(tEnum)
-	rec.Timing.WhatIfEvaluations, rec.Timing.DeltaStatements, rec.Timing.ReusedStatements = a.evalStats.Snapshot()
+	enumTime := time.Since(tEnum)
 	hits1, misses1 := a.CM.CostCacheStats()
-	rec.Timing.CostCacheHits, rec.Timing.CostCacheMisses = hits1-hits0, misses1-misses0
-
-	// Snapshot the size-estimation layer last so merge-time admissions are
-	// included in the Figure 11 split.
-	acct := a.oracle.Accounting()
-	rec.Timing.SampleBuild = acct.SampleBuild
-	rec.Timing.PlanSolve = acct.PlanSolve
-	rec.Timing.PlanExecute = acct.PlanExecute
-	rec.Timing.TableEstimate = acct.TableSampleCF
-	rec.Timing.PartialEstim = acct.PartialSampleCF
-	rec.Timing.MVEstimate = acct.MVSampleCF
-	rec.Timing.EstimationCost = acct.TotalCost
-	rec.Timing.SampleCFCalls = uint64(acct.SampleCFCalls)
-	rec.Timing.AdmittedDeduced = uint64(acct.AdmittedDeduced)
-	rec.Timing.AdmittedSampled = uint64(acct.AdmittedSampled)
-	rec.Timing.EstimationErrors = a.estErrors
 
 	rec.Config = cfg
 	rec.BaseCost = a.CM.WorkloadCost(a.WL, optimizer.NewConfiguration())
@@ -340,7 +255,16 @@ func (a *Advisor) Recommend() (*Recommendation, error) {
 	}
 	rec.SizeBytes = cfg.SizeBytes(a.DB)
 	rec.SelectedCount = cfg.Len()
-	rec.Timing.Total = time.Since(start)
+	// The advisor's own phases and the what-if counters go into the
+	// recorder once, beside what the estimation layers recorded.
+	r := a.oracle.Recorder()
+	r.Add(func(t *Timing) {
+		t.CandidateGen, t.EstimateAll, t.Enumerate, t.Refine = genTime, estTime, enumTime, refineTime
+		t.WhatIfEvaluations, t.DeltaStatements, t.ReusedStatements = a.evalStats.Snapshot()
+		t.CostCacheHits, t.CostCacheMisses = hits1-hits0, misses1-misses0
+		t.Total = time.Since(start)
+	})
+	rec.Timing = r.Timing()
 	return rec, nil
 }
 

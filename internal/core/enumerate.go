@@ -74,7 +74,7 @@ func (a *Advisor) mergeCandidates(selected []*optimizer.HypoIndex) []*optimizer.
 					e, err = a.oracle.Admit(v)
 				}
 				if err != nil {
-					a.estErrors++
+					a.oracle.Recorder().Add(func(t *Timing) { t.EstimationErrors++ })
 					continue
 				}
 				h := hypoOf(e)

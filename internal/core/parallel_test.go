@@ -18,6 +18,16 @@ func renderRec(rec *Recommendation) string {
 		rec.BaseCost, rec.TotalCost, rec.Improvement, rec.SizeBytes, rec.SelectedCount, rec.String())
 }
 
+// renderCounters serializes the run's counters that must not depend on the
+// worker count. CostCacheHits/CostCacheMisses are left out: two workers may
+// both miss the same memo term, by design.
+func renderCounters(rec *Recommendation) string {
+	t := rec.Timing
+	return fmt.Sprintf("samplecf=%d cost=%v admitted=%d/%d errors=%d whatif=%d delta=%d reused=%d refinements=%d\n",
+		t.SampleCFCalls, t.EstimationCost, t.AdmittedDeduced, t.AdmittedSampled, t.EstimationErrors,
+		t.WhatIfEvaluations, t.DeltaStatements, t.ReusedStatements, t.Refinements)
+}
+
 func recommendAt(t *testing.T, d *catalog.Database, w *workload.Workload, opts Options, parallelism int) *Recommendation {
 	t.Helper()
 	opts.Parallelism = parallelism
@@ -32,7 +42,8 @@ func recommendAt(t *testing.T, d *catalog.Database, w *workload.Workload, opts O
 // worker-pool enumeration and estimation — now routed through the
 // incremental evaluator — return byte-identical recommendations at
 // Parallelism 1, 2 and 8, and run to run, on both bundled workload shapes
-// and with every candidate feature on.
+// and with every candidate feature on. The recorded counters (renderCounters)
+// must match the same way.
 func TestRecommendDeterministic(t *testing.T) {
 	type workloadCase struct {
 		name        string
@@ -59,15 +70,16 @@ func TestRecommendDeterministic(t *testing.T) {
 			opts := DefaultOptions(budget(c.db, 0.3))
 			opts.Backtrack = true
 			opts.EnableMV, opts.EnablePartial = c.allFeatures, c.allFeatures
-			serial := renderRec(recommendAt(t, c.db, c.wl, opts, 1))
-			if two := renderRec(recommendAt(t, c.db, c.wl, opts, 2)); two != serial {
+			render := func(rec *Recommendation) string { return renderRec(rec) + renderCounters(rec) }
+			serial := render(recommendAt(t, c.db, c.wl, opts, 1))
+			if two := render(recommendAt(t, c.db, c.wl, opts, 2)); two != serial {
 				t.Fatalf("recommendation at Parallelism 2 diverged from serial:\n--- serial ---\n%s--- two ---\n%s", serial, two)
 			}
-			parallel := renderRec(recommendAt(t, c.db, c.wl, opts, 8))
+			parallel := render(recommendAt(t, c.db, c.wl, opts, 8))
 			if serial != parallel {
 				t.Fatalf("parallel recommendation diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
 			}
-			if again := renderRec(recommendAt(t, c.db, c.wl, opts, 8)); again != parallel {
+			if again := render(recommendAt(t, c.db, c.wl, opts, 8)); again != parallel {
 				t.Fatalf("recommendation diverged run to run:\n--- first ---\n%s--- second ---\n%s", parallel, again)
 			}
 		})

@@ -52,7 +52,7 @@ func (a *Advisor) refineColumns(cfg *optimizer.Configuration) *optimizer.Configu
 				}
 				est, err := a.oracle.Admit(cur.Def.WithColMethod(col, m))
 				if err != nil {
-					a.estErrors++
+					a.oracle.Recorder().Add(func(t *Timing) { t.EstimationErrors++ })
 					continue
 				}
 				// Dominance prune: every cost term is monotone in (bytes,
@@ -94,7 +94,7 @@ func (a *Advisor) refineColumns(cfg *optimizer.Configuration) *optimizer.Configu
 			if best >= 0 {
 				ev = ev.Advance(evals[best].next, cur, variants[best])
 				cur = variants[best]
-				a.refinements++
+				a.oracle.Recorder().Add(func(t *Timing) { t.Refinements++ })
 			}
 		}
 	}

@@ -187,3 +187,23 @@ func TestFigs12To17ShapeDTAcAtLeastDTA(t *testing.T) {
 		}
 	}
 }
+
+// TestFig10ShapeNSBelowLD pins fig10's and table3's claim beside their
+// goldens: at a = 2 and 3 the order-independent ColExt (NS) deduction is
+// less biased than the order-dependent one (LD), and table3's linear fit of
+// the NS bias stays within the paper's ±0.01a band (DefaultErrorModel
+// assumes 0.003a).
+func TestFig10ShapeNSBelowLD(t *testing.T) {
+	abs := func(v float64) float64 { return max(v, -v) }
+	// Rows: a = 2, 3, 4; columns: a, NS-Bias, NS-Stddev, LD-Bias, LD-Stddev.
+	for _, r := range Fig10(QuickScale()).Tables[0].Rows[:2] {
+		if ns, ld := parsePct(t, r[1]), parsePct(t, r[3]); !(abs(ns) < abs(ld)) {
+			t.Errorf("fig10 at a=%s: |NS bias| %v must be below |LD bias| %v", r[0], ns, ld)
+		}
+	}
+	// Rows: ColExt(NS), ColExt(LD), ColSet(NS); the bias column reads "+0.0021 a".
+	row := Table3(QuickScale()).Tables[0].Rows[0]
+	if c := parseF(t, strings.TrimSuffix(row[1], " a")); abs(c) > 0.01 {
+		t.Errorf("table3 ColExt(NS) bias %v·a outside the paper's ±0.01a", c)
+	}
+}

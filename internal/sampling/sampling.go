@@ -17,6 +17,7 @@ import (
 
 	"cadb/internal/catalog"
 	"cadb/internal/index"
+	"cadb/internal/obs"
 	"cadb/internal/storage"
 	"cadb/internal/workload"
 )
@@ -36,31 +37,11 @@ type Manager struct {
 	mu       sync.Mutex
 	samples  map[string]*TableSample
 	synopses map[string]*Synopsis
-
-	// Accounting for the Figure 11 runtime breakdown (guarded by mu).
-	SampleBuildTime   time.Duration
-	SynopsisBuildTime time.Duration
-	SampleBuildPages  int64
 }
 
-// AbsorbAccounting folds another manager's runtime accounting into m, so a
-// caller that tried several managers (e.g. an f-grid sweep) can report the
-// total cost on the one it kept. Managers sharing a Store never double-count:
-// the shared permutation build is charged to the one manager that triggered
-// it.
-func (m *Manager) AbsorbAccounting(o *Manager) {
-	if o == nil || o == m {
-		return
-	}
-	o.mu.Lock()
-	bt, st, bp := o.SampleBuildTime, o.SynopsisBuildTime, o.SampleBuildPages
-	o.mu.Unlock()
-	m.mu.Lock()
-	m.SampleBuildTime += bt
-	m.SynopsisBuildTime += st
-	m.SampleBuildPages += bp
-	m.mu.Unlock()
-}
+// Recorder returns the recorder of the manager's store: every manager of one
+// store records into it.
+func (m *Manager) Recorder() *obs.Recorder { return m.store.Recorder() }
 
 // TableSample is a uniform random sample of one table.
 type TableSample struct {
@@ -92,9 +73,8 @@ func NewManager(db *catalog.Database, f float64, seed int64) *Manager {
 // prefix of a uniform random permutation is a uniform sample without
 // replacement, and a smaller-f manager's sample is by construction a prefix
 // of a larger-f manager's — the nesting that lets one table scan serve every
-// point of an f-grid sweep. The manager whose call triggers the permutation
-// build is charged for it (exactly one manager per table), so callers summing
-// manager accounting never double-count.
+// point of an f-grid sweep. The permutation build is recorded once per table
+// in the store's recorder, whichever manager triggered it.
 func (m *Manager) Sample(table string) (*TableSample, error) {
 	key := strings.ToLower(table)
 	m.mu.Lock()
@@ -107,7 +87,7 @@ func (m *Manager) Sample(table string) (*TableSample, error) {
 	if t == nil {
 		return nil, fmt.Errorf("sampling: unknown table %q", table)
 	}
-	ordered, elapsed, pages := m.store.ordered(key, t)
+	ordered := m.store.ordered(key, t)
 	want := int(float64(len(t.Rows)) * m.F)
 	if want < 1 {
 		want = 1
@@ -118,8 +98,6 @@ func (m *Manager) Sample(table string) (*TableSample, error) {
 	s := &TableSample{Table: t, Rows: ordered[:want], Fraction: float64(want) / maxf(1, float64(len(t.Rows)))}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.SampleBuildTime += elapsed
-	m.SampleBuildPages += pages
 	if prev, ok := m.samples[key]; ok {
 		return prev, nil
 	}
@@ -131,15 +109,15 @@ func (m *Manager) Sample(table string) (*TableSample, error) {
 // across every sampling fraction: managers created by the store draw their
 // samples as prefixes of that permutation ("bottom-k" sampling by a per-row
 // pseudo-random priority). One scan + one sort per table serves all grid
-// points, and the permutation build cost is charged to the store exactly
-// once. Safe for concurrent use; published permutations are immutable.
+// points. The store owns the run's recorder (see Recorder). Safe for
+// concurrent use; published permutations are immutable.
 type Store struct {
 	DB   *catalog.Database
 	Seed int64
 
 	mu     sync.Mutex
 	tables map[string][]storage.Row
-	pages  int64
+	rec    obs.Recorder
 }
 
 // NewStore creates a sample store for the database.
@@ -162,24 +140,20 @@ func (s *Store) Manager(f float64) *Manager {
 	}
 }
 
-// SampleBuildPages returns the pages scanned building the permutations.
-func (s *Store) SampleBuildPages() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pages
-}
+// Recorder returns the store's recorder. Every manager, estimator and size
+// oracle over the store shares it, so one run's phase times and counters add
+// into one Timing however many f-grid points it tries.
+func (s *Store) Recorder() *obs.Recorder { return &s.rec }
 
 // ordered returns (building lazily) the table's priority permutation. Built
 // outside the lock; a concurrent duplicate build produces the identical
-// permutation and the loser discards its copy, so each table is charged
-// once. The non-zero elapsed/pages are returned exactly once per table — to
-// the caller whose build was kept — so the triggering manager can charge
-// itself without double-counting.
-func (s *Store) ordered(key string, t *catalog.Table) ([]storage.Row, time.Duration, int64) {
+// permutation and the loser discards its copy, so each table's build is
+// recorded once.
+func (s *Store) ordered(key string, t *catalog.Table) []storage.Row {
 	s.mu.Lock()
 	if rows, ok := s.tables[key]; ok {
 		s.mu.Unlock()
-		return rows, 0, 0
+		return rows
 	}
 	s.mu.Unlock()
 	start := time.Now()
@@ -208,11 +182,11 @@ func (s *Store) ordered(key string, t *catalog.Table) ([]storage.Row, time.Durat
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev, ok := s.tables[key]; ok {
-		return prev, 0, 0
+		return prev
 	}
 	s.tables[key] = rows
-	s.pages += t.HeapPages()
-	return rows, elapsed, t.HeapPages()
+	s.rec.Add(func(tm *obs.Timing) { tm.SampleBuild += elapsed })
+	return rows
 }
 
 // splitmix64 is the SplitMix64 finalizer: a high-quality 64-bit mix giving
@@ -290,7 +264,7 @@ func (m *Manager) Synopsis(fact string, joins []workload.Join) (*Synopsis, error
 	}
 	s := &Synopsis{Fact: fact, Joins: joins, Schema: schema, Rows: rows}
 	m.synopses[key] = s
-	m.SynopsisBuildTime += time.Since(start)
+	m.Recorder().Add(func(t *obs.Timing) { t.SampleBuild += time.Since(start) })
 	return s, nil
 }
 

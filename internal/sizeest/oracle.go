@@ -13,6 +13,10 @@
 //     variants) into the live deduction graph, deducing them when a valid
 //     parent/child exists and falling back to SampleCF otherwise.
 //
+// The oracle's plan-execution time and admission counters, like every
+// sampling and SampleCF time and count beneath it, add into the recorder of
+// its sample store (Recorder).
+//
 // Estimate-identity invariant: estimates are byte-identical to the serial
 // sizing.Execute path at any worker count — every node's estimate is a pure
 // function of its definition, the shared samples, and its children's
@@ -30,6 +34,7 @@ import (
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
 	"cadb/internal/index"
+	"cadb/internal/obs"
 	"cadb/internal/par"
 	"cadb/internal/sampling"
 	"cadb/internal/sizing"
@@ -52,23 +57,6 @@ type Config struct {
 	UseDeduction bool
 }
 
-// Accounting is the Figure 11 runtime split of the size-estimation layer,
-// plus the oracle's admission counters.
-type Accounting struct {
-	SampleBuild      time.Duration // shared sample permutations + synopses
-	SampleBuildPages int64
-	PlanSolve        time.Duration // graph search, every f-grid point
-	PlanExecute      time.Duration // DAG-parallel plan execution wall time
-	TableSampleCF    time.Duration
-	PartialSampleCF  time.Duration
-	MVSampleCF       time.Duration
-	TotalCost        float64 // abstract cost units (sample pages)
-	SampleCFCalls    int
-	// AdmittedDeduced / AdmittedSampled split the late admissions by path.
-	AdmittedDeduced int
-	AdmittedSampled int
-}
-
 // Oracle is the size-estimation service the advisor consumes: Prepare solves
 // and executes an estimation plan for the initial target set (exactly once,
 // before any other method), EstimateUncompressed serves statistics-only
@@ -79,12 +67,9 @@ type Oracle struct {
 
 	store *sampling.Store
 
-	mu           sync.Mutex
-	est          *sizing.Estimator
-	plan         *sizing.Plan
-	execTime     time.Duration
-	admitDeduced int
-	admitSampled int
+	mu   sync.Mutex
+	est  *sizing.Estimator
+	plan *sizing.Plan
 }
 
 // defaultSampleF is the fraction used when Prepare sees no compressed
@@ -120,7 +105,8 @@ func (o *Oracle) Prepare(targets []*index.Def) (map[string]*sizing.Estimate, err
 	o.plan, o.est = sizing.Sweep(o.store, targets, o.cfg.UseDeduction, o.cfg.ErrTolerance, o.cfg.Confidence, o.cfg.Workers)
 	start := time.Now()
 	out, err := o.execute(o.plan)
-	o.execTime = time.Since(start)
+	elapsed := time.Since(start)
+	o.Recorder().Add(func(t *obs.Timing) { t.PlanExecute += elapsed })
 	return out, err
 }
 
@@ -296,7 +282,7 @@ func (o *Oracle) Admit(d *index.Def) (*sizing.Estimate, error) {
 	// bands) and does not model design vectors. The sample index is shared
 	// with the structure's uniform variants, so this stays cheap.
 	if o.plan == nil || !o.cfg.UseDeduction || d.IsMixed() {
-		o.admitSampled++
+		o.Recorder().Add(func(t *obs.Timing) { t.AdmittedSampled++ })
 		return o.est.SampleCF(d)
 	}
 	n := o.plan.Admit(o.est, d, o.cfg.ErrTolerance, o.cfg.Confidence)
@@ -308,14 +294,14 @@ func (o *Oracle) Admit(d *index.Def) (*sizing.Estimate, error) {
 			return nil
 		}, nil)
 		if err == nil {
-			o.admitDeduced++
+			o.Recorder().Add(func(t *obs.Timing) { t.AdmittedDeduced++ })
 			return est, nil
 		}
 		// The deduction machinery rejected what the graph offered (e.g. a
 		// validation edge case); demote the node and sample it instead.
 		o.plan.Demote(o.est, n, o.cfg.ErrTolerance, o.cfg.Confidence)
 	}
-	o.admitSampled++
+	o.Recorder().Add(func(t *obs.Timing) { t.AdmittedSampled++ })
 	return o.est.SampleCF(d)
 }
 
@@ -336,31 +322,6 @@ func (o *Oracle) estimator() *sizing.Estimator {
 	return o.est
 }
 
-// Accounting reports the layer's cumulative runtime split and counters. Call
-// between phases (not concurrently with estimation work), like the
-// estimator's own accounting fields.
-func (o *Oracle) Accounting() Accounting {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	a := Accounting{
-		PlanExecute:     o.execTime,
-		AdmittedDeduced: o.admitDeduced,
-		AdmittedSampled: o.admitSampled,
-	}
-	if o.plan != nil {
-		a.PlanSolve = o.plan.SolveTime
-	}
-	if o.est != nil {
-		// The store charges each table's shared permutation build to the one
-		// manager that triggered it, so the winner's manager accounting (plus
-		// the absorbed losers') already covers the store's scans exactly once.
-		a.SampleBuild = o.est.Mgr.SampleBuildTime + o.est.Mgr.SynopsisBuildTime
-		a.SampleBuildPages = o.est.Mgr.SampleBuildPages
-		a.TableSampleCF = o.est.TableSampleCFTime
-		a.PartialSampleCF = o.est.PartialSampleCFTime
-		a.MVSampleCF = o.est.MVSampleCFTime
-		a.TotalCost = o.est.TotalCost
-		a.SampleCFCalls = o.est.SampleCFCalls
-	}
-	return a
-}
+// Recorder returns the recorder of the oracle's sample store: sample builds,
+// plan solve and execution, SampleCF and admissions all add into it.
+func (o *Oracle) Recorder() *obs.Recorder { return o.store.Recorder() }

@@ -115,7 +115,7 @@ func TestOracleBatchesSampleCFVariants(t *testing.T) {
 		}
 	}
 	// Both calls ran (counted individually)…
-	if calls := o.Accounting().SampleCFCalls; calls < 2 {
+	if calls := o.Recorder().Timing().SampleCFCalls; calls < 2 {
 		t.Fatalf("expected both variants sampled, got %d SampleCF calls", calls)
 	}
 	// …and produced consistent shapes off the shared materialization.
@@ -139,7 +139,7 @@ func TestAdmitDeducesMergedIndex(t *testing.T) {
 	if _, err := o.Prepare(targets); err != nil {
 		t.Fatal(err)
 	}
-	calls0 := o.Accounting().SampleCFCalls
+	calls0 := o.Recorder().Timing().SampleCFCalls
 
 	// The shape mergeCandidates produces: leading key + merged includes.
 	merged := (&index.Def{
@@ -154,20 +154,20 @@ func TestAdmitDeducesMergedIndex(t *testing.T) {
 	if e.Source != sizing.SourceColSet && e.Source != sizing.SourceColExt {
 		t.Fatalf("merged index should be deduced, got source %s", e.Source)
 	}
-	acct := o.Accounting()
-	if acct.SampleCFCalls != calls0 {
-		t.Fatalf("admission re-sampled: %d -> %d SampleCF calls", calls0, acct.SampleCFCalls)
+	tm := o.Recorder().Timing()
+	if tm.SampleCFCalls != calls0 {
+		t.Fatalf("admission re-sampled: %d -> %d SampleCF calls", calls0, tm.SampleCFCalls)
 	}
-	if acct.AdmittedDeduced != 1 || acct.AdmittedSampled != 0 {
-		t.Fatalf("admission counters: deduced=%d sampled=%d, want 1/0", acct.AdmittedDeduced, acct.AdmittedSampled)
+	if tm.AdmittedDeduced != 1 || tm.AdmittedSampled != 0 {
+		t.Fatalf("admission counters: deduced=%d sampled=%d, want 1/0", tm.AdmittedDeduced, tm.AdmittedSampled)
 	}
 
 	// Re-admission is a cache hit, not a second admission.
 	if _, err := o.Admit(merged); err != nil {
 		t.Fatal(err)
 	}
-	if a := o.Accounting(); a.AdmittedDeduced != 1 {
-		t.Fatalf("re-admission must hit the cache, counters now %+v", a)
+	if tm := o.Recorder().Timing(); tm.AdmittedDeduced != 1 {
+		t.Fatalf("re-admission must hit the cache, %d deduced admissions now", tm.AdmittedDeduced)
 	}
 }
 
@@ -188,8 +188,8 @@ func TestAdmitFallsBackToSampleCF(t *testing.T) {
 	if e.Source != sizing.SourceSampled {
 		t.Fatalf("no parent exists, expected samplecf, got %s", e.Source)
 	}
-	if a := o.Accounting(); a.AdmittedSampled != 1 {
-		t.Fatalf("admission counters: %+v, want one sampled", a)
+	if tm := o.Recorder().Timing(); tm.AdmittedDeduced != 0 || tm.AdmittedSampled != 1 {
+		t.Fatalf("admission counters: deduced=%d sampled=%d, want 0/1", tm.AdmittedDeduced, tm.AdmittedSampled)
 	}
 	if o.Plan().ByID[stranger.ID()] == nil {
 		t.Fatal("admitted node must join the live graph")

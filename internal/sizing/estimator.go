@@ -8,6 +8,7 @@ import (
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
 	"cadb/internal/index"
+	"cadb/internal/obs"
 	"cadb/internal/sampling"
 	"cadb/internal/storage"
 	"cadb/internal/workload"
@@ -74,10 +75,10 @@ func (e *Estimate) String() string {
 
 // Estimator caches size estimates for one database + sample manager. It is
 // safe for concurrent use: the advisor sizes distinct candidate definitions
-// from a worker pool. The mutex guards the cache and the accounting fields;
-// each definition's estimate is computed at most once (a concurrent
-// duplicate computation discards its result in favor of the cached one, so
-// the accounting stays deterministic).
+// from a worker pool. The mutex guards the caches; each definition's estimate
+// is recorded at most once (a concurrent duplicate computation discards its
+// result in favor of the cached one, so the recorded counters stay
+// deterministic). SampleCF records into the sample manager's recorder.
 type Estimator struct {
 	DB    *catalog.Database
 	Mgr   *sampling.Manager
@@ -90,15 +91,6 @@ type Estimator struct {
 	// (same table, same key columns) shares a single sorted sample scan and
 	// only re-runs the compression sizing.
 	mats map[string]*materialization
-
-	// Accounting for the Figure 11 runtime split.
-	TableSampleCFTime   time.Duration
-	PartialSampleCFTime time.Duration
-	MVSampleCFTime      time.Duration
-	// TotalCost accumulates the abstract estimation cost (sample pages).
-	TotalCost float64
-	// SampleCFCalls counts invocations that actually built a sample index.
-	SampleCFCalls int
 }
 
 // materialization is the per-structure part of SampleCF: the index's leaf
@@ -108,7 +100,6 @@ type materialization struct {
 	rows     []storage.Row
 	fullRows int64
 	uncBytes int64 // uncompressed size of the sample index
-	timer    *time.Duration
 
 	// sizes is the size model over the sample index. It measures each method
 	// the first time a variant asks for it, so every further design on the
@@ -121,27 +112,6 @@ type materialization struct {
 func NewEstimator(db *catalog.Database, mgr *sampling.Manager) *Estimator {
 	return &Estimator{DB: db, Mgr: mgr, Model: DefaultErrorModel(),
 		cache: make(map[string]*Estimate), mats: make(map[string]*materialization)}
-}
-
-// AbsorbAccounting folds another estimator's runtime accounting (and its
-// sample manager's) into e, so a caller that tried several estimators — an
-// f-grid sweep keeps one winner — can report the grid's total cost.
-func (e *Estimator) AbsorbAccounting(o *Estimator) {
-	if o == nil || o == e {
-		return
-	}
-	o.mu.Lock()
-	tt, pt, mt := o.TableSampleCFTime, o.PartialSampleCFTime, o.MVSampleCFTime
-	tc, calls := o.TotalCost, o.SampleCFCalls
-	o.mu.Unlock()
-	e.mu.Lock()
-	e.TableSampleCFTime += tt
-	e.PartialSampleCFTime += pt
-	e.MVSampleCFTime += mt
-	e.TotalCost += tc
-	e.SampleCFCalls += calls
-	e.mu.Unlock()
-	e.Mgr.AbsorbAccounting(o.Mgr)
 }
 
 // Cached returns the cached estimate for the definition, if any.
@@ -184,28 +154,28 @@ func (e *Estimator) PutExact(p *index.Physical) *Estimate {
 	return est
 }
 
-// sampleBase returns the sample rows the index should be built over,
-// classifying the index for the time accounting.
-func (e *Estimator) sampleBase(d *index.Def) (*storage.Schema, []storage.Row, int64, *time.Duration, error) {
+// sampleBase returns the sample rows the index should be built over and the
+// full row count they stand for.
+func (e *Estimator) sampleBase(d *index.Def) (*storage.Schema, []storage.Row, int64, error) {
 	switch {
 	case d.MV != nil:
 		ms, err := e.Mgr.MVSampleFor(d.MV)
 		if err != nil {
-			return nil, nil, 0, nil, err
+			return nil, nil, 0, err
 		}
-		return ms.Schema, ms.Rows, ms.EstimatedRows, &e.MVSampleCFTime, nil
+		return ms.Schema, ms.Rows, ms.EstimatedRows, nil
 	case d.IsPartial():
 		t, rows, full, err := e.partialSample(d)
 		if err != nil {
-			return nil, nil, 0, nil, err
+			return nil, nil, 0, err
 		}
-		return t.Schema, rows, full, &e.PartialSampleCFTime, nil
+		return t.Schema, rows, full, nil
 	default:
 		s, err := e.Mgr.Sample(d.Table)
 		if err != nil {
-			return nil, nil, 0, nil, err
+			return nil, nil, 0, err
 		}
-		return s.Table.Schema, s.Rows, s.Table.RowCount(), &e.TableSampleCFTime, nil
+		return s.Table.Schema, s.Rows, s.Table.RowCount(), nil
 	}
 }
 
@@ -236,7 +206,7 @@ func (e *Estimator) materialize(d *index.Def) (*materialization, error) {
 		return m, nil
 	}
 	e.mu.Unlock()
-	baseSchema, baseRows, fullRows, timer, err := e.sampleBase(d)
+	baseSchema, baseRows, fullRows, err := e.sampleBase(d)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +231,6 @@ func (e *Estimator) materialize(d *index.Def) (*materialization, error) {
 		rows:     leafRows,
 		fullRows: fullRows,
 		uncBytes: storage.PackedBytes(schema, leafRows),
-		timer:    timer,
 		sizes:    compress.MeasureDesignSizes(schema, leafRows),
 	}
 	e.mu.Lock()
@@ -313,16 +282,26 @@ func (e *Estimator) SampleCF(d *index.Def) (*Estimate, error) {
 	elapsed := time.Since(start)
 	e.mu.Lock()
 	if prev, ok := e.cache[d.ID()]; ok {
-		// A concurrent caller finished first; keep its estimate and skip the
-		// accounting so each definition is charged exactly once.
+		// A concurrent caller finished first; keep its estimate and record
+		// nothing, so each definition is counted exactly once.
 		e.mu.Unlock()
 		return prev, nil
 	}
 	e.cache[d.ID()] = est
-	e.TotalCost += est.Cost
-	e.SampleCFCalls++
-	*mat.timer += elapsed
 	e.mu.Unlock()
+	// Costs are whole page counts, so their float sum is exact in any order.
+	e.Mgr.Recorder().Add(func(t *obs.Timing) {
+		t.EstimationCost += est.Cost
+		t.SampleCFCalls++
+		switch {
+		case d.MV != nil:
+			t.MVEstimate += elapsed
+		case d.IsPartial():
+			t.PartialEstim += elapsed
+		default:
+			t.TableEstimate += elapsed
+		}
+	})
 	return est, nil
 }
 

@@ -87,12 +87,12 @@ func TestSampleCFCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := e.SampleCFCalls
+	calls := e.Mgr.Recorder().Timing().SampleCFCalls
 	b, err := e.SampleCF(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b || e.SampleCFCalls != calls {
+	if a != b || e.Mgr.Recorder().Timing().SampleCFCalls != calls {
 		t.Fatal("SampleCF must cache by def ID")
 	}
 }
@@ -363,8 +363,8 @@ func TestSampleCFOnMVIndex(t *testing.T) {
 	if est.Rows != truth.Rows {
 		t.Fatalf("MV rows est=%d true=%d", est.Rows, truth.Rows)
 	}
-	if e.MVSampleCFTime == 0 {
-		t.Fatal("MV SampleCF time accounting missing")
+	if e.Mgr.Recorder().Timing().MVEstimate == 0 {
+		t.Fatal("MV SampleCF time not recorded")
 	}
 }
 
@@ -380,7 +380,7 @@ func TestSampleCFPartialIndex(t *testing.T) {
 	if re := relErr(est.Bytes, truth.Bytes); re > 0.3 {
 		t.Fatalf("partial SampleCF err=%v", re)
 	}
-	if e.PartialSampleCFTime == 0 {
-		t.Fatal("partial SampleCF time accounting missing")
+	if e.Mgr.Recorder().Timing().PartialEstim == 0 {
+		t.Fatal("partial SampleCF time not recorded")
 	}
 }

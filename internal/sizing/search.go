@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cadb/internal/index"
+	"cadb/internal/obs"
 	"cadb/internal/par"
 	"cadb/internal/sampling"
 )
@@ -282,45 +283,41 @@ func DefaultFGrid() []float64 { return []float64{0.01, 0.025, 0.05, 0.075, 0.1} 
 // up to workers goroutines and reduced in grid order, so the winner is the
 // same at any worker count. All points share the store's samples: a
 // smaller-f sample is a prefix of the largest-f one, and one table scan
-// serves the whole grid. The plan's SolveTime covers the skeleton and every
-// grid point, and the losing points' estimator accounting is folded into
-// the winner, so the Figure 11 runtime breakdown reports the grid's cost.
+// serves the whole grid. Every grid point's estimator records into the
+// store's recorder, and so does the solve time of the skeleton and of each
+// grid point, so the Figure 11 runtime breakdown reports the grid's cost.
 func Sweep(store *sampling.Store, targets []*index.Def, deduce bool, e, q float64, workers int) (*Plan, *Estimator) {
 	grid := DefaultFGrid()
 	ests := make([]*Estimator, len(grid))
 	for i, f := range grid {
 		ests[i] = NewEstimator(store.DB, store.Manager(f))
 	}
+	rec := store.Recorder()
+	solveSince := func(start time.Time) {
+		elapsed := time.Since(start)
+		rec.Add(func(t *obs.Timing) { t.PlanSolve += elapsed })
+	}
 	start := time.Now()
 	skel := newSkeleton(ests[0], targets, nil)
-	solveTime := time.Since(start)
+	solveSince(start)
 	solve := allOn
 	if deduce {
 		solve = greedyOn
 	}
 	plans := make([]*Plan, len(grid))
-	times := make([]time.Duration, len(grid))
 	par.For(workers, len(grid), func(i int) {
 		start := time.Now()
 		plans[i] = solve(skel.graph(ests[i], grid[i]), e, q)
-		times[i] = time.Since(start)
+		solveSince(start)
 	})
 	best := 0
 	for i, p := range plans {
-		solveTime += times[i]
 		b := plans[best]
 		if (p.Feasible && !b.Feasible) || (p.Feasible == b.Feasible && p.TotalCost < b.TotalCost) {
 			best = i
 		}
 	}
-	plan, est := plans[best], ests[best]
-	plan.SolveTime = solveTime
-	for i, l := range ests {
-		if i != best {
-			est.AbsorbAccounting(l)
-		}
-	}
-	return plan, est
+	return plans[best], ests[best]
 }
 
 // Execute runs the chosen plan through the estimator: SampleCF for sampled

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"cadb/internal/compress"
 	"cadb/internal/index"
@@ -94,10 +93,6 @@ type Plan struct {
 	ByID      map[string]*Node
 	TotalCost float64
 	Feasible  bool
-	// SolveTime is the total graph-search time spent choosing this plan,
-	// including the losing f-grid points of a Sweep (the Figure 11 grid
-	// cost, which belongs to the plan that the grid produced).
-	SolveTime time.Duration
 }
 
 // Admit inserts a late-arriving target (an index merged or generated after
