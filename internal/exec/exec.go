@@ -9,7 +9,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"cadb/internal/catalog"
@@ -118,38 +117,6 @@ func resolveName(schema *storage.Schema, c workload.ColRef) (string, error) {
 		return "", fmt.Errorf("exec: column %q not found", c)
 	}
 	return found, nil
-}
-
-func orderBy(res *Result, keys []workload.ColRef) error {
-	idx := make([]int, len(keys))
-	for i, k := range keys {
-		name, err := resolveName(res.Schema, k)
-		if err != nil {
-			return err
-		}
-		idx[i] = res.Schema.ColIndex(name)
-	}
-	slices.SortStableFunc(res.Rows, func(a, b storage.Row) int {
-		for _, k := range idx {
-			if c := a[k].Compare(b[k]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
-	return nil
-}
-
-// sortCanonical orders grouped output deterministically for test comparison.
-func sortCanonical(res *Result) {
-	slices.SortStableFunc(res.Rows, func(a, b storage.Row) int {
-		for k := range res.Schema.Columns {
-			if c := a[k].Compare(b[k]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
 }
 
 // CountMatching returns the number of driving-table rows satisfying the

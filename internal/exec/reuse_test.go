@@ -175,7 +175,7 @@ func TestPassAllocBudget(t *testing.T) {
 			 JOIN orders ON lineitem.l_orderkey = orders.o_orderkey
 			 JOIN part ON lineitem.l_partkey = part.p_partkey
 			 WHERE orders.o_orderdate >= DATE 1 GROUP BY part.p_size`, "seg-scan lineitem"},
-		{"ordered covering seek",
+		{"covering seek",
 			`SELECT SUM(l_extendedprice), SUM(l_discount) FROM lineitem WHERE l_shipdate >= DATE 1`,
 			"seg-secondary-seek lineitem"},
 	}

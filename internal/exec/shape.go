@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"cadb/internal/catalog"
 	"cadb/internal/storage"
 	"cadb/internal/workload"
@@ -50,19 +52,31 @@ func selectList(db *catalog.Database, fact string, schema *storage.Schema, q *wo
 	return keep, nil
 }
 
-// applyOrder sorts the result by the ORDER BY keys, or canonically (on
-// every column) when the query leaves the order unconstrained — the
-// reproducibility contract the byte-identity differential tests rely on.
-// Canonical ordering is also what lets unordered access paths skip
-// insertion-order restoration: byte-equal rows are interchangeable under a
-// deterministic whole-row sort.
+// applyOrder sorts the result by the ORDER BY keys, then breaks their ties
+// by the whole row, every comparison under storage.Value.CompareTotal; with
+// no ORDER BY the whole-row order alone decides. Only byte-identical rows
+// tie, so the output is a function of the row multiset, not of the order the
+// access path delivered it in — the byte-identity contract between the store
+// and the oracle.
 func applyOrder(res *Result, q *workload.Query) (*Result, error) {
-	if len(q.OrderBy) > 0 {
-		if err := orderBy(res, q.OrderBy); err != nil {
+	keys := make([]int, 0, len(q.OrderBy)+len(res.Schema.Columns))
+	for _, k := range q.OrderBy {
+		name, err := resolveName(res.Schema, k)
+		if err != nil {
 			return nil, err
 		}
-		return res, nil
+		keys = append(keys, res.Schema.ColIndex(name))
 	}
-	sortCanonical(res)
+	for i := range res.Schema.Columns {
+		keys = append(keys, i)
+	}
+	slices.SortFunc(res.Rows, func(a, b storage.Row) int {
+		for _, k := range keys {
+			if c := a[k].CompareTotal(b[k]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
 	return res, nil
 }

@@ -29,9 +29,9 @@ type IOStats = storage.IOStats
 // lazily, only the columns the statement can observe are reconstructed, and
 // sargable predicates are evaluated inside the codec — and report their I/O;
 // UPDATE and DELETE locate their rows through the same cursors. Results are
-// byte-identical to the plain-row oracle (Run) because order-sensitive
-// consumers get insertion order restored before the join/aggregate pipeline
-// and the rest canonicalize their output.
+// byte-identical to the plain-row oracle (Run) whatever order an access path
+// delivers rows in: both widen, filter and group through the same operators,
+// aggregation is exact, and the shared shaping tail sorts by a total order.
 type Store struct {
 	db       *catalog.Database
 	heaps    map[string]*segHandle   // lowercased table -> heap segment
@@ -189,8 +189,7 @@ func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 			heapDef.Method = cl.Method
 			heapDef.ColMethods = cl.ColMethods
 			// The clustered index is materialized as a key-ordered structure
-			// carrying every column plus a RID, so seeks can restore
-			// insertion order.
+			// carrying every column, so every seek on it is covering.
 			synth := &index.Def{
 				Table:      t.Name,
 				KeyCols:    cl.KeyCols,
@@ -509,7 +508,7 @@ func (st *Store) fetch(rs *runState) index.TableFetch {
 // only its key and used columns. plan resolves the consumer's own references
 // (marking them used) and returns its sink; the wide row a sink receives is
 // borrowed, valid until the sink returns.
-func (st *Store) pipeline(rs *runState, q *workload.Query, ordered bool, plan func(wide *storage.Schema, used []bool) (func(storage.Row), error)) error {
+func (st *Store) pipeline(rs *runState, q *workload.Query, plan func(wide *storage.Schema, used []bool) (func(storage.Row), error)) error {
 	fact := q.Tables[0]
 	jn, err := index.NewJoiner(st.db, fact, q.Joins)
 	if err != nil {
@@ -529,7 +528,7 @@ func (st *Store) pipeline(rs *runState, q *workload.Query, ordered bool, plan fu
 		t := st.db.Table(tbl)
 		return t != nil && t.Schema.Has(col)
 	}
-	src, err := st.accessStream(rs, fact, q.PredsOn(fact, has), jn.FactCols(used), ordered)
+	src, err := st.accessStream(rs, fact, q.PredsOn(fact, has), jn.FactCols(used))
 	if err != nil {
 		return err
 	}
@@ -551,13 +550,12 @@ func (st *Store) pipeline(rs *runState, q *workload.Query, ordered bool, plan fu
 	})
 }
 
-// runAggregate accumulates the pipeline's rows into groups. Float sums make
-// the accumulation order-sensitive, so the stream is opened ordered: every
-// batch arrives in insertion (RID) order and the result stays byte-identical
-// to the oracle's.
+// runAggregate accumulates the pipeline's rows into groups. GroupAcc's
+// result does not depend on row order, so the rows come in whatever order
+// the access path delivers them.
 func (st *Store) runAggregate(rs *runState, q *workload.Query) (*Result, error) {
 	var acc *index.GroupAcc
-	err := st.pipeline(rs, q, true, func(wide *storage.Schema, used []bool) (func(storage.Row), error) {
+	err := st.pipeline(rs, q, func(wide *storage.Schema, used []bool) (func(storage.Row), error) {
 		var err error
 		if acc, err = index.NewGroupAcc(wide, q.GroupBy, q.Aggs); err != nil {
 			return nil, err
@@ -573,14 +571,12 @@ func (st *Store) runAggregate(rs *runState, q *workload.Query) (*Result, error) 
 }
 
 // runProjection collects the pipeline's rows, projected onto the select list
-// as they pass. Without an ORDER BY the shared shaping tail canonicalizes the
-// output, so the stream may deliver in whatever order the access path
-// produces (covering seeks skip order restoration entirely); with one,
-// ordered delivery keeps tie-breaking identical to the oracle's.
+// as they pass, in whatever order the access path delivers them: the shared
+// shaping tail sorts them by a total order.
 func (st *Store) runProjection(rs *runState, q *workload.Query) (*Result, error) {
 	var schema *storage.Schema
 	var rows []storage.Row
-	err := st.pipeline(rs, q, len(q.OrderBy) > 0, func(wide *storage.Schema, used []bool) (func(storage.Row), error) {
+	err := st.pipeline(rs, q, func(wide *storage.Schema, used []bool) (func(storage.Row), error) {
 		keep, err := selectList(st.db, q.Tables[0], wide, q)
 		if err != nil {
 			return nil, err
@@ -591,7 +587,7 @@ func (st *Store) runProjection(rs *runState, q *workload.Query) (*Result, error)
 			idx[i] = wide.ColIndex(name)
 			used[idx[i]] = true
 		}
-		slab := newRowSlab(len(idx), 0)
+		slab := newRowSlab(len(idx))
 		return func(r storage.Row) { rows = append(rows, slab.keep(r, idx)) }, nil
 	})
 	if err != nil {
@@ -607,7 +603,7 @@ func (st *Store) locate(rs *runState, table string, preds []workload.Predicate) 
 	if t == nil {
 		return fmt.Errorf("exec: unknown table %q", table)
 	}
-	src, err := st.accessStream(rs, table, preds, t.Schema.Names(), false)
+	src, err := st.accessStream(rs, table, preds, t.Schema.Names())
 	if err != nil {
 		return err
 	}

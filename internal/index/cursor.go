@@ -10,8 +10,8 @@ import (
 // onto the cursor's needed columns, in page order. The batch and its rows
 // belong to the cursor and are overwritten by the next NextBatch; a consumer
 // that keeps rows longer copies them. Structures that are not in insertion
-// order carry the RID as a column, and the access path that needs the order
-// back sorts on it.
+// order carry the RID as a column, which a non-covering seek reads to look
+// its rows up in the heap.
 type Batch struct {
 	Rows []storage.Row
 }

@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"strings"
 
 	"cadb/internal/catalog"
@@ -412,11 +414,11 @@ func groupRows(s *storage.Schema, rows []storage.Row, groupBy []workload.ColRef,
 }
 
 // GroupAcc is the streaming form of groupRows: a grouping/aggregation
-// accumulator fed one wide row at a time. Because the oracle and the
-// segment-backed executor accumulate through this same code, feeding rows
-// in the same order yields bit-identical float sums — the property the
-// byte-identity differential tests pin down. Groups are emitted in first-
-// appearance order.
+// accumulator fed one wide row at a time. Each group it finishes is the same
+// in any row order — SUM/AVG are exact until rounded once, MIN/MAX ties fall
+// to storage.Value.CompareTotal, a float key is its bits (-0 as +0) — so the
+// oracle and the store agree byte for byte whatever order their access paths
+// deliver. Groups come out in first-appearance order; shaping sorts it away.
 type GroupAcc struct {
 	s       *storage.Schema
 	groupBy []workload.ColRef
@@ -426,13 +428,13 @@ type GroupAcc struct {
 	groups  map[string]*groupState
 	order   []*groupState
 	kb      []byte
+	tmp     big.Int // exactSum scratch
 }
 
 type groupState struct {
 	key   storage.Row
-	sums  []float64
-	mins  []storage.Value
-	maxs  []storage.Value
+	sums  []exactSum      // SUM/AVG totals
+	best  []storage.Value // MIN/MAX so far
 	nvals []int64
 	count int64
 }
@@ -490,13 +492,15 @@ func (ga *GroupAcc) Add(r storage.Row) {
 	if !ok {
 		a = &groupState{
 			key:   make(storage.Row, len(ga.gIdx)),
-			sums:  make([]float64, len(ga.aggs)),
-			mins:  make([]storage.Value, len(ga.aggs)),
-			maxs:  make([]storage.Value, len(ga.aggs)),
+			sums:  make([]exactSum, len(ga.aggs)),
+			best:  make([]storage.Value, len(ga.aggs)),
 			nvals: make([]int64, len(ga.aggs)),
 		}
 		for i, gi := range ga.gIdx {
 			a.key[i] = r[gi]
+			if a.key[i].Kind == storage.KindFloat && a.key[i].Float == 0 {
+				a.key[i].Float = 0 // -0 joins +0's group, under +0
+			}
 		}
 		ga.groups[string(ga.kb)] = a
 		ga.order = append(ga.order, a)
@@ -510,13 +514,17 @@ func (ga *GroupAcc) Add(r storage.Row) {
 		if v.Null {
 			continue
 		}
-		f := numeric(v)
-		a.sums[i] += f
-		if a.nvals[i] == 0 || v.Compare(a.mins[i]) < 0 {
-			a.mins[i] = v
-		}
-		if a.nvals[i] == 0 || v.Compare(a.maxs[i]) > 0 {
-			a.maxs[i] = v
+		switch f := ga.aggs[i].Func; f {
+		case workload.AggSum, workload.AggAvg:
+			if v.Kind == storage.KindFloat {
+				a.sums[i].addFloat(v.Float, &ga.tmp)
+			} else {
+				a.sums[i].addInt(v.Int)
+			}
+		case workload.AggMin, workload.AggMax:
+			if c := v.CompareTotal(a.best[i]); a.nvals[i] == 0 || c < 0 && f == workload.AggMin || c > 0 && f == workload.AggMax {
+				a.best[i] = v
+			}
 		}
 		a.nvals[i]++
 	}
@@ -556,12 +564,12 @@ func (ga *GroupAcc) Finish() (*storage.Schema, []storage.Row) {
 		for i, ag := range ga.aggs {
 			switch ag.Func {
 			case workload.AggSum:
-				row = append(row, storage.FloatVal(a.sums[i]))
+				row = append(row, storage.FloatVal(a.sums[i].value()))
 			case workload.AggAvg:
 				if a.nvals[i] == 0 {
 					row = append(row, storage.NullValue(storage.KindFloat))
 				} else {
-					row = append(row, storage.FloatVal(a.sums[i]/float64(a.nvals[i])))
+					row = append(row, storage.FloatVal(a.sums[i].value()/float64(a.nvals[i])))
 				}
 			case workload.AggCount:
 				n := a.count
@@ -569,10 +577,8 @@ func (ga *GroupAcc) Finish() (*storage.Schema, []storage.Row) {
 					n = a.nvals[i]
 				}
 				row = append(row, storage.IntVal(n))
-			case workload.AggMin:
-				row = append(row, orNull(a.mins[i], a.nvals[i]))
-			case workload.AggMax:
-				row = append(row, orNull(a.maxs[i], a.nvals[i]))
+			case workload.AggMin, workload.AggMax:
+				row = append(row, orNull(a.best[i], a.nvals[i]))
 			}
 		}
 		row = append(row, storage.IntVal(a.count))
@@ -608,15 +614,6 @@ func uniqueName(cols []storage.Column, name string) string {
 	}
 }
 
-func numeric(v storage.Value) float64 {
-	switch v.Kind {
-	case storage.KindFloat:
-		return v.Float
-	default:
-		return float64(v.Int)
-	}
-}
-
 func appendGroupKey(dst []byte, v storage.Value) []byte {
 	if v.Null {
 		return append(dst, 0xFF)
@@ -628,7 +625,10 @@ func appendGroupKey(dst []byte, v storage.Value) []byte {
 		return append(dst, 0)
 	case storage.KindFloat:
 		dst = append(dst, 2)
-		u := uint64(int64(v.Float * 1e6))
+		u := math.Float64bits(v.Float)
+		if v.Float == 0 {
+			u = 0 // -0 and +0 are one group
+		}
 		for s := 56; s >= 0; s -= 8 {
 			dst = append(dst, byte(u>>uint(s)))
 		}

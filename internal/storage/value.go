@@ -9,7 +9,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -101,6 +103,19 @@ func (v Value) Compare(o Value) int {
 		return strings.Compare(v.Str, o.Str)
 	}
 	return 0
+}
+
+// CompareTotal is Compare refined to a total order in which only values of
+// one encoding tie: floats order as cmp.Compare orders them (NaN first) and
+// break ties on their bits, so -0 < +0 and NaN payloads do not tie.
+func (v Value) CompareTotal(o Value) int {
+	if v.Null || o.Null || v.Kind != KindFloat {
+		return v.Compare(o)
+	}
+	if c := cmp.Compare(v.Float, o.Float); c != 0 {
+		return c
+	}
+	return cmp.Compare(int64(math.Float64bits(v.Float)), int64(math.Float64bits(o.Float)))
 }
 
 // Equal reports whether two values compare equal (NULL == NULL here, which is
