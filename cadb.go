@@ -210,15 +210,16 @@ func NewSizeOracle(db *Database, cfg SizeOracleConfig) *SizeOracle {
 // The physical page store and segment-backed execution
 
 // SegmentIndex is a physically materialized index: leaf rows compressed into
-// a segment, with per-page low keys for leading-key seeks and measured
+// a segment, with per-page low keys for composite-key seeks and measured
 // sizes diffable against the size model.
 type SegmentIndex = index.SegmentIndex
 
 // SegmentStore is the segment-backed executor: per-table compressed page
-// stores plus key-ordered index segments. Queries run as a streaming
-// operator pipeline — pages decode lazily and column-selectively, with
-// sargable predicates pushed down into the page codec — and report their
-// physical I/O. Results are byte-identical to the plain-row reference
+// stores plus key-ordered index segments. Every statement runs the access
+// paths the cost model plans for it over the deployed design. Queries run as
+// a streaming operator pipeline — pages decode lazily and column-selectively,
+// with sargable predicates pushed down into the page codec — and report
+// their physical I/O. Results are byte-identical to the plain-row reference
 // executor. UPDATE and DELETE locate their rows through the same cursors.
 type SegmentStore = exec.Store
 
@@ -243,8 +244,9 @@ func BuildSegmentIndex(db *Database, d *IndexDef) (*SegmentIndex, error) {
 }
 
 // NewSegmentStore materializes a physical design as a segment-backed store.
-// The design deploys — every structure builds — at the store's first
-// statement, so SetDiskBacked and SetPrefetch still apply to every segment.
+// The design deploys — every structure builds, and the store's planner is
+// set up over what was built — at the store's first statement, so
+// SetDiskBacked and SetPrefetch still apply to every segment.
 func NewSegmentStore(db *Database, defs []*IndexDef) (*SegmentStore, error) {
 	return exec.NewStore(db, defs)
 }

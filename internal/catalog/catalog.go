@@ -88,6 +88,14 @@ func (t *Table) Stats() *Stats {
 	return t.stats
 }
 
+// HasStats reports whether the statistics are built and current, that is
+// whether Stats would return them without a rebuild.
+func (t *Table) HasStats() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.stats != nil
+}
+
 // InvalidateStats drops cached statistics (used after mutating Rows).
 func (t *Table) InvalidateStats() {
 	t.mu.Lock()
@@ -148,6 +156,24 @@ func (db *Database) Tables() []*Table {
 	out := make([]*Table, 0, len(db.order))
 	for _, k := range db.order {
 		out = append(out, db.tables[k])
+	}
+	return out
+}
+
+// Snapshot returns a database of the same tables as they stand now, for a
+// planner that must keep costing them that way whatever later writes do to
+// their rows. Each snapshot table shares its schema and keys, keeps the row
+// count of the call and carries the statistics, average row width and heap
+// size the table had cached or computes now; nothing invalidates them. Its
+// rows are the call's row slice, which later writes may rewrite in place:
+// read a snapshot's statistics, never its rows.
+func (db *Database) Snapshot() *Database {
+	out := NewDatabase(db.Name)
+	for _, t := range db.Tables() {
+		out.AddTable(&Table{
+			Name: t.Name, Schema: t.Schema, Rows: t.Rows, PK: t.PK, FKs: t.FKs, Fact: t.Fact,
+			stats: t.Stats(), avgRowWidth: t.AvgRowWidth(), heapBytes: t.HeapBytes(),
+		})
 	}
 	return out
 }

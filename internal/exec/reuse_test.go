@@ -174,10 +174,10 @@ func TestPassAllocBudget(t *testing.T) {
 			`SELECT part.p_size, AVG(lineitem.l_extendedprice) FROM lineitem
 			 JOIN orders ON lineitem.l_orderkey = orders.o_orderkey
 			 JOIN part ON lineitem.l_partkey = part.p_partkey
-			 WHERE orders.o_orderdate >= DATE 1 GROUP BY part.p_size`, "seg-scan lineitem"},
+			 WHERE orders.o_orderdate >= DATE 1 GROUP BY part.p_size`, "heap-scan lineitem"},
 		{"covering seek",
 			`SELECT SUM(l_extendedprice), SUM(l_discount) FROM lineitem WHERE l_shipdate >= DATE 1`,
-			"seg-secondary-seek lineitem"},
+			"index-seek lineitem"},
 	}
 	for _, c := range cases {
 		query := q(t, c.sql)

@@ -10,6 +10,7 @@ import (
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
 	"cadb/internal/index"
+	"cadb/internal/optimizer"
 	"cadb/internal/storage"
 	"cadb/internal/workload"
 )
@@ -24,20 +25,37 @@ type IOStats = storage.IOStats
 // index's method when the design has one), plus key-ordered segments for the
 // clustered index and every non-partial secondary. The first statement
 // deploys the whole design — every structure of every table — in one planned
-// build; after a write, a statement rebuilds the stale structures it needs.
-// Queries run as an operator pipeline over streaming cursors — pages decode
-// lazily, only the columns the statement can observe are reconstructed, and
-// sargable predicates are evaluated inside the codec — and report their I/O;
-// UPDATE and DELETE locate their rows through the same cursors. Results are
+// build, then sets up the store's planner: the optimizer's cost model over
+// the catalog statistics as deploy found them, and a configuration of the
+// structures deploy built, at their built sizes.
+//
+// Every statement runs the plan that cost model gives it (CostModel.Plan,
+// memoized per statement): per table, the heap, or an ordered structure's
+// whole page range for a scan and its composite-key range for a seek, looked
+// up in the heap by RID when the structure lacks a column the statement
+// reads. The store makes no path choice of its own. Queries run as an
+// operator pipeline over streaming cursors — pages decode lazily, only the
+// columns the statement can observe are reconstructed, and sargable
+// predicates are evaluated inside the codec — and report their I/O; UPDATE
+// and DELETE locate their rows through the same cursors, and after a write a
+// statement rebuilds the stale structures its plan reads. Results are
 // byte-identical to the plain-row oracle (Run) whatever order an access path
 // delivers rows in: both widen, filter and group through the same operators,
 // aggregation is exact, and the shared shaping tail sorts by a total order.
 type Store struct {
-	db       *catalog.Database
-	heaps    map[string]*segHandle   // lowercased table -> heap segment
-	secs     map[string][]*segHandle // lowercased table -> ordered structures
-	all      []*segHandle            // every handle in ID order, as deployed and spilled
-	deployed bool
+	db     *catalog.Database
+	heaps  map[string]*segHandle   // lowercased table -> heap segment
+	secs   map[string][]*segHandle // lowercased table -> ordered structures
+	all    []*segHandle            // every handle in ID order, as deployed and spilled
+	design []*segHandle            // the ordered structures in design order: the planner's configuration
+
+	// The planner, set up by deploy: a cost model over a snapshot of the
+	// catalog's statistics — later writes never make a plan rebuild them —
+	// the configuration of the built structures, and each statement's plan,
+	// keyed by its Query, Update or Delete.
+	cm    *optimizer.CostModel
+	cfg   *optimizer.Configuration
+	plans map[any]*optimizer.Plan
 
 	// Disk-backed mode (SetDiskBacked): segments spill their pages to files
 	// under diskDir and every page access goes through the pool.
@@ -121,18 +139,20 @@ func (st *Store) Close() {
 
 // segHandle is one segment of the design, built at deploy and after writes.
 type segHandle struct {
-	def   *index.Def // the materialization def (synthetic for heaps)
-	id    string     // stable identity for deterministic candidate order
-	kind  string     // "heap", "clustered", "secondary"
+	def *index.Def // the materialization def (synthetic for heaps)
+	id  string     // stable identity for deterministic build order
+	// hypo is what the planner knows of an ordered structure: the design's
+	// own definition (a clustered index as designed, not its all-column
+	// materialization) at its built sizes once deployed. Nil for heaps.
+	hypo  *optimizer.HypoIndex
 	si    *index.SegmentIndex
 	stale bool
 }
 
 // NewStore materializes the physical design over the database. Partial and
-// MV index definitions are accepted but not used as access paths (partial
-// RID spaces and MV matching stay the optimizer's business); clustered
-// definitions choose the heap's compression method and become seekable
-// key-ordered structures.
+// MV index definitions are accepted but not built, so no plan reads them;
+// clustered definitions choose the heap's compression method and become
+// key-ordered structures carrying every column.
 func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 	st := &Store{
 		db:    db,
@@ -173,14 +193,23 @@ func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 			}
 		}
 		key := strings.ToLower(d.Table)
+		h := &segHandle{def: d, id: d.ID(), hypo: optimizer.NewHypoIndex(d, 0, 0, 0)}
 		if d.Clustered {
 			if _, dup := clustered[key]; dup {
 				return nil, fmt.Errorf("exec: two clustered indexes on %s", d.Table)
 			}
 			clustered[key] = d
-			continue
+			// The clustered index is materialized as a key-ordered structure
+			// carrying every column, so every read of it is covering.
+			h.def = &index.Def{Table: t.Name, KeyCols: d.KeyCols, Method: d.Method, ColMethods: d.ColMethods}
+			for _, c := range t.Schema.Names() {
+				if !containsFoldStr(d.KeyCols, c) {
+					h.def.IncludeCols = append(h.def.IncludeCols, c)
+				}
+			}
 		}
-		st.secs[key] = append(st.secs[key], &segHandle{def: d, id: d.ID(), kind: "secondary"})
+		st.secs[key] = append(st.secs[key], h)
+		st.design = append(st.design, h)
 	}
 	for _, t := range db.Tables() {
 		key := strings.ToLower(t.Name)
@@ -188,22 +217,8 @@ func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 		if cl := clustered[key]; cl != nil {
 			heapDef.Method = cl.Method
 			heapDef.ColMethods = cl.ColMethods
-			// The clustered index is materialized as a key-ordered structure
-			// carrying every column, so every seek on it is covering.
-			synth := &index.Def{
-				Table:      t.Name,
-				KeyCols:    cl.KeyCols,
-				Method:     cl.Method,
-				ColMethods: cl.ColMethods,
-			}
-			for _, c := range t.Schema.Names() {
-				if !containsFoldStr(synth.KeyCols, c) {
-					synth.IncludeCols = append(synth.IncludeCols, c)
-				}
-			}
-			st.secs[key] = append(st.secs[key], &segHandle{def: synth, id: cl.ID(), kind: "clustered"})
 		}
-		st.heaps[key] = &segHandle{def: heapDef, id: "heap:" + key, kind: "heap"}
+		st.heaps[key] = &segHandle{def: heapDef, id: "heap:" + key}
 	}
 	byID := func(a, b *segHandle) int { return strings.Compare(a.id, b.id) }
 	for _, t := range db.Tables() {
@@ -224,15 +239,58 @@ func containsFoldStr(list []string, s string) bool {
 	return false
 }
 
-// ensureBuilt builds the handles whose segment is missing or stale; the first
-// call deploys the whole design instead, needed by this statement or not.
-// Both are one index.BuildSegments fan-out. What must not depend on
-// completion order — retiring stale backings, spill file names — is fixed
-// serially first, in handle order.
-func (st *Store) ensureBuilt(hs []*segHandle) error {
-	if !st.deployed {
-		hs, st.deployed = st.all, true
+// deploy builds the whole design on the store's first statement — every
+// structure of every table, needed by that statement or not — and sets up
+// the planner over what it built. The statistics are the catalog's as they
+// stand (tuning has built them), snapshotted so that no later write makes a
+// plan rebuild them; each ordered structure enters the configuration at its
+// built sizes, in design order.
+func (st *Store) deploy() error {
+	if st.cm != nil {
+		return nil
 	}
+	if err := st.ensureBuilt(st.all...); err != nil {
+		return err
+	}
+	hypos := make([]*optimizer.HypoIndex, len(st.design))
+	for i, h := range st.design {
+		h.hypo = optimizer.NewHypoIndex(h.hypo.Def, h.si.Physical.Rows, h.si.MaterializedBytes(), h.si.Physical.UncompressedBytes)
+		hypos[i] = h.hypo
+	}
+	st.cm = optimizer.NewCostModel(st.db.Snapshot())
+	st.cfg = optimizer.NewConfiguration(hypos...)
+	st.plans = make(map[any]*optimizer.Plan)
+	return nil
+}
+
+// planFor returns the statement's plan over the deployed design, deploying
+// it on the store's first statement. Plans are memoized by the statement's
+// Query, Update or Delete pointer, so a statement must not be edited in
+// place between runs.
+func (st *Store) planFor(s workload.Statement) (*optimizer.Plan, error) {
+	if err := st.deploy(); err != nil {
+		return nil, err
+	}
+	var key any = s.Query
+	switch {
+	case s.Update != nil:
+		key = s.Update
+	case s.Delete != nil:
+		key = s.Delete
+	}
+	p := st.plans[key]
+	if p == nil {
+		p = st.cm.Plan(&s, st.cfg)
+		st.plans[key] = p
+	}
+	return p, nil
+}
+
+// ensureBuilt builds the handles whose segment is missing or stale, in one
+// index.BuildSegments fan-out. What must not depend on completion order —
+// retiring stale backings, spill file names — is fixed serially first, in
+// handle order.
+func (st *Store) ensureBuilt(hs ...*segHandle) error {
 	var todo []*segHandle
 	var defs []*index.Def
 	for _, h := range hs {
@@ -316,129 +374,89 @@ func (st *Store) newRunState() *runState {
 // ---------------------------------------------------------------------------
 // Access paths
 
-// candidate is a scored seekable structure: the conservative page range its
-// leading key admits for the statement's predicates, and whether its leaf
-// carries every needed column.
-type candidate struct {
-	h        *segHandle
-	si       *index.SegmentIndex
-	lo, hi   int
-	score    int64
-	covering bool
+// pathOn returns the plan's access path for the table — for a write, the
+// lookup of its rows — or nil when the plan has none.
+func pathOn(plan *optimizer.Plan, table string) *optimizer.AccessPath {
+	for i := range plan.Paths {
+		if strings.EqualFold(plan.Paths[i].Table, table) {
+			return &plan.Paths[i]
+		}
+	}
+	return nil
 }
 
-// planAccess picks the cheapest seekable structure for a statement, or nil
-// when no sargable predicate beats a full heap scan's page count.
-func (st *Store) planAccess(table string, preds []workload.Predicate, needed []string) (*index.SegmentIndex, *candidate, error) {
+// route is a table's plan path resolved against the store: the segment it
+// reads — the heap, or an ordered structure — and the page range [lo, hi) it
+// visits there: all of it for a scan, the composite-key range for a seek.
+// lookup means the structure lacks a needed column, so the path fetches its
+// rows from the heap by RID.
+type route struct {
+	ap     *optimizer.AccessPath
+	h      *segHandle
+	lo, hi int
+	lookup bool
+}
+
+// route resolves the table's plan path, building what it reads that is
+// stale.
+func (st *Store) route(plan *optimizer.Plan, table string, needed []string) (route, error) {
 	key := strings.ToLower(table)
-	heapH := st.heaps[key]
-	if heapH == nil {
-		return nil, nil, fmt.Errorf("exec: unknown table %q", table)
+	heap := st.heaps[key]
+	r := route{ap: pathOn(plan, table), h: heap}
+	if heap == nil || r.ap == nil {
+		return r, fmt.Errorf("exec: unknown table %q", table)
 	}
-	// Everything the statement can touch — the heap plus every structure a
-	// sargable predicate can seek — must be current; stale ones rebuild here.
-	need := []*segHandle{heapH}
-	for _, h := range st.secs[key] {
-		if _, hasLo, _, hasHi := leadingBounds(preds, h); hasLo || hasHi {
-			need = append(need, h)
+	if r.ap.Index != nil {
+		r.h = nil
+		for _, h := range st.secs[key] {
+			if h.hypo == r.ap.Index {
+				r.h = h
+				break
+			}
 		}
-	}
-	if err := st.ensureBuilt(need); err != nil {
-		return nil, nil, err
-	}
-	heap := heapH.si
-	var best *candidate
-	for _, h := range st.secs[key] {
-		loV, hasLo, hiV, hasHi := leadingBounds(preds, h)
-		if !hasLo && !hasHi {
-			continue
+		if r.h == nil {
+			return r, fmt.Errorf("exec: the plan reads %s, which the store did not build", r.ap.Index.Def)
 		}
-		si := h.si
-		lo, hi := si.SeekPages(loV, hasLo, hiV, hasHi)
-		var rangePages int64
-		for i := lo; i < hi; i++ {
-			rangePages += si.Seg.Page(i).PhysicalPages()
-		}
-		c := candidate{h: h, si: si, lo: lo, hi: hi, score: rangePages}
-		c.covering = h.kind == "clustered" || coversAll(si, needed)
-		if best == nil || c.score < best.score ||
-			(c.score == best.score && (c.covering && !best.covering ||
-				c.covering == best.covering && c.h.id < best.h.id)) {
-			cc := c
-			best = &cc
-		}
+		r.lookup = !covers(r.h.def, needed)
 	}
-	if best != nil && best.score >= heap.Seg.PhysicalPages() {
-		best = nil
+	need := []*segHandle{r.h}
+	if r.lookup {
+		need = append(need, heap)
 	}
-	return heap, best, nil
+	if err := st.ensureBuilt(need...); err != nil {
+		return r, err
+	}
+	r.lo, r.hi = 0, r.h.si.Seg.NumPages()
+	if r.ap.Seek != nil {
+		r.lo, r.hi = r.h.si.SeekPrefix(seekOf(r.ap.Seek))
+	}
+	return r, nil
 }
 
-// distinctHeapPages counts the heap pages a sorted RID batch touches.
-func distinctHeapPages(heap *index.SegmentIndex, rids []int64) int64 {
-	var n int64
-	last := -1
-	at := int64(0)
-	page := 0
-	for _, rid := range rids {
-		for page < heap.Seg.NumPages() && at+int64(heap.Seg.PageRows(page)) <= rid {
-			at += int64(heap.Seg.PageRows(page))
-			page++
-		}
-		if page != last {
-			n++
-			last = page
-		}
-	}
-	return n
-}
-
-// leadingBounds is seekBounds on the structure's leading key column; a
-// structure without key columns is never seekable.
-func leadingBounds(preds []workload.Predicate, h *segHandle) (lo storage.Value, hasLo bool, hi storage.Value, hasHi bool) {
-	if len(h.def.KeyCols) == 0 {
-		return lo, false, hi, false
-	}
-	return seekBounds(preds, h.def.KeyCols[0])
-}
-
-// seekBounds derives a conservative leading-key interval from the sargable
-// predicates on keyCol: the first equality pins both ends; otherwise the
-// first lower and upper range bounds are used. The page range only has to
-// contain every qualifying row — the pipeline re-applies the predicates.
-func seekBounds(preds []workload.Predicate, keyCol string) (lo storage.Value, hasLo bool, hi storage.Value, hasHi bool) {
+// seekOf is the composite seek of a plan's seek predicates: one equality per
+// leading key column, then at most one range.
+func seekOf(preds []workload.Predicate) index.Seek {
+	var s index.Seek
 	for _, p := range preds {
-		if !strings.EqualFold(p.Col, keyCol) || !p.Sargable() {
-			continue
-		}
 		switch p.Op {
 		case workload.OpEq:
-			return p.Lo, true, p.Lo, true
+			s.Eq = append(s.Eq, p.Lo)
 		case workload.OpGt, workload.OpGe:
-			if !hasLo {
-				lo, hasLo = p.Lo, true
-			}
+			s.Lo, s.HasLo = p.Lo, true
 		case workload.OpLt, workload.OpLe:
-			if !hasHi {
-				hi, hasHi = p.Lo, true
-			}
+			s.Hi, s.HasHi = p.Lo, true
 		case workload.OpBetween:
-			if !hasLo {
-				lo, hasLo = p.Lo, true
-			}
-			if !hasHi {
-				hi, hasHi = p.Hi, true
-			}
+			s.Lo, s.HasLo, s.Hi, s.HasHi = p.Lo, true, p.Hi, true
 		}
 	}
-	return lo, hasLo, hi, hasHi
+	return s
 }
 
-// coversAll reports whether the structure's leaf carries every needed
-// column.
-func coversAll(si *index.SegmentIndex, needed []string) bool {
+// covers reports whether the structure's leaf carries every needed column.
+func covers(d *index.Def, needed []string) bool {
+	cols := d.Columns()
 	for _, c := range needed {
-		if !si.Schema().Has(c) {
+		if !containsFoldStr(cols, c) {
 			return false
 		}
 	}
@@ -470,23 +488,33 @@ func (st *Store) RunQuery(q *workload.Query) (*Result, error) {
 	return res, nil
 }
 
-// fetch serves dimension tables to the join machinery: a counted full scan
-// of the heap segment that decodes only the asked-for columns. The joiner
-// keeps the rows for the statement's life, so they are copied out of the
-// cursor's batches into one slab.
-func (st *Store) fetch(rs *runState) index.TableFetch {
+// hasCol reports whether the catalog's table has the column: how a
+// statement's predicates are attributed to its tables.
+func (st *Store) hasCol(table, col string) bool {
+	t := st.db.Table(table)
+	return t != nil && t.Schema.Has(col)
+}
+
+// fetch serves dimension tables to the join machinery along their plan
+// paths, decoding only the asked-for columns. The dimension's predicates are
+// pushed into its stream as into the driving table's, and the post-join
+// filter applies them again. The joiner keeps the rows for the statement's
+// life, so they are copied out of the cursor's batches into one slab.
+//
+// A structure delivers a dimension in key order, less the rows its seek and
+// pushed predicates skip, where the oracle joins the whole table in heap
+// order. On a unique join key — every built-in join is on its dimension's
+// primary key — that changes nothing; on a duplicated one the joiner's
+// last-row-wins pick can differ from the oracle's.
+func (st *Store) fetch(rs *runState, plan *optimizer.Plan, q *workload.Query) index.TableFetch {
 	return func(table string, cols []string) (*storage.Schema, []storage.Row, error) {
-		h := st.heaps[strings.ToLower(table)]
-		if h == nil {
-			return nil, nil, fmt.Errorf("exec: unknown table %q", table)
-		}
-		if err := st.ensureBuilt([]*segHandle{h}); err != nil {
+		src, err := st.open(rs, plan, table, q.PredsOn(table, st.hasCol), cols)
+		if err != nil {
 			return nil, nil, err
 		}
-		src := st.heapScanStream(rs, table, h.si, nil, cols)
 		w := len(src.schema.Columns)
-		slab := make([]storage.Value, 0, int(h.si.Seg.Rows())*w)
-		err := src.forEach(func(r storage.Row) error {
+		slab := make([]storage.Value, 0, int(src.cur.MaxRows())*w)
+		err = src.forEach(func(r storage.Row) error {
 			slab = append(slab, r...)
 			return nil
 		})
@@ -505,10 +533,11 @@ func (st *Store) fetch(rs *runState) index.TableFetch {
 // of every joined table — so the store accepts and rejects exactly the
 // references the oracle does. What resolution marks as used is then all that
 // is read: the driving stream decodes only its used columns, each dimension
-// only its key and used columns. plan resolves the consumer's own references
-// (marking them used) and returns its sink; the wide row a sink receives is
-// borrowed, valid until the sink returns.
-func (st *Store) pipeline(rs *runState, q *workload.Query, plan func(wide *storage.Schema, used []bool) (func(storage.Row), error)) error {
+// only its key and used columns, each along the statement's plan path.
+// consume resolves the consumer's own references (marking them used) and
+// returns its sink; the wide row a sink receives is borrowed, valid until
+// the sink returns.
+func (st *Store) pipeline(rs *runState, q *workload.Query, consume func(wide *storage.Schema, used []bool) (func(storage.Row), error)) error {
 	fact := q.Tables[0]
 	jn, err := index.NewJoiner(st.db, fact, q.Joins)
 	if err != nil {
@@ -520,22 +549,22 @@ func (st *Store) pipeline(rs *runState, q *workload.Query, plan func(wide *stora
 	}
 	used := jn.JoinCols()
 	flt.MarkCols(used)
-	sink, err := plan(jn.Schema(), used)
+	sink, err := consume(jn.Schema(), used)
 	if err != nil {
 		return err
 	}
-	has := func(tbl, col string) bool {
-		t := st.db.Table(tbl)
-		return t != nil && t.Schema.Has(col)
+	plan, err := st.planFor(workload.Statement{Query: q})
+	if err != nil {
+		return err
 	}
-	src, err := st.accessStream(rs, fact, q.PredsOn(fact, has), jn.FactCols(used))
+	src, err := st.open(rs, plan, fact, q.PredsOn(fact, st.hasCol), jn.FactCols(used))
 	if err != nil {
 		return err
 	}
 	// The stream's readahead workers started when it opened: release them on
 	// every way out, not only at exhaustion.
 	defer src.close()
-	if err := jn.Bind(src.schema, used, st.fetch(rs)); err != nil {
+	if err := jn.Bind(src.schema, used, st.fetch(rs, plan, q)); err != nil {
 		return err
 	}
 	return src.forEach(func(r storage.Row) error {
@@ -596,14 +625,27 @@ func (st *Store) runProjection(rs *runState, q *workload.Query) (*Result, error)
 	return applyOrder(&Result{Schema: schema, Rows: rows}, q)
 }
 
-// locate reads a write's qualifying rows, whole, through the cheapest access
-// path, for the I/O a real engine would pay to find them.
-func (st *Store) locate(rs *runState, table string, preds []workload.Predicate) error {
-	t := st.db.Table(table)
-	if t == nil {
-		return fmt.Errorf("exec: unknown table %q", table)
+// locate reads a write's qualifying rows along its plan's lookup path, for
+// the I/O a real engine would pay to find them. It decodes what the rewrite
+// needs — the predicate columns and an UPDATE's SET columns — which are the
+// columns the plan was costed to read.
+func (st *Store) locate(rs *runState, s workload.Statement) error {
+	table, _ := s.WriteTable()
+	var cols []string
+	if s.Update != nil {
+		cols = s.Update.SetCols()
 	}
-	src, err := st.accessStream(rs, table, preds, t.Schema.Names())
+	preds := s.WritePreds()
+	for _, p := range preds {
+		if st.hasCol(table, p.Col) && !containsFoldStr(cols, p.Col) {
+			cols = append(cols, p.Col)
+		}
+	}
+	plan, err := st.planFor(s)
+	if err != nil {
+		return err
+	}
+	src, err := st.open(rs, plan, table, preds, cols)
 	if err != nil {
 		return err
 	}
@@ -611,7 +653,7 @@ func (st *Store) locate(rs *runState, table string, preds []workload.Predicate) 
 }
 
 // RunUpdate applies a predicated UPDATE through the page store: qualifying
-// rows are located via the cheapest access path (counting the reads), the
+// rows are located along the statement's plan (counting the reads), the
 // catalog rows are rewritten in place, and the segments holding a rewritten
 // column are invalidated: the heap, the clustered structure, and the
 // secondaries whose leaf stores a SET column. An in-place update moves no
@@ -623,7 +665,7 @@ func (st *Store) RunUpdate(u *workload.Update) (int64, IOStats, error) {
 	// Locate through the access layer so the lookup I/O is accounted; the
 	// mutation itself is delegated to the oracle-path implementation, which
 	// is the semantics being validated.
-	if err := st.locate(rs, u.Table, u.Preds); err != nil {
+	if err := st.locate(rs, workload.Statement{Update: u}); err != nil {
 		return 0, rs.io, err
 	}
 	n, err := RunUpdate(st.db, u)
@@ -643,7 +685,7 @@ func (st *Store) RunUpdate(u *workload.Update) (int64, IOStats, error) {
 // table is invalidated.
 func (st *Store) RunDelete(d *workload.Delete) (int64, IOStats, error) {
 	rs := st.newRunState()
-	if err := st.locate(rs, d.Table, d.Preds); err != nil {
+	if err := st.locate(rs, workload.Statement{Delete: d}); err != nil {
 		return 0, rs.io, err
 	}
 	n, err := RunDelete(st.db, d)

@@ -3,14 +3,16 @@ package exec
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"cadb/internal/index"
+	"cadb/internal/optimizer"
 	"cadb/internal/storage"
 	"cadb/internal/workload"
 )
 
 // This file is the store's one access layer: lazy page-granular cursors over
-// the chosen access path, with the statement's needed-column set and
+// the plan's access path, with the statement's needed-column set and
 // sargable predicates pushed down into the page decode. The pipeline above
 // (join, filter, group, shape) pulls batches and never sees more columns or
 // rows than the query can observe; writes locate their rows by draining the
@@ -144,84 +146,55 @@ func projectSchema(s *storage.Schema, ords []int) *storage.Schema {
 	return storage.NewSchema(cols...)
 }
 
-// accessStream opens the driving-table stream for a statement over the
-// cheapest access path, decoding lazily, column-selectively and with
-// predicate pushdown.
-func (st *Store) accessStream(rs *runState, table string, preds []workload.Predicate, needed []string) (*rowStream, error) {
-	heap, best, err := st.planAccess(table, preds, needed)
+// open streams one table of a statement along its plan path (see route),
+// decoding lazily, column-selectively and with predicate pushdown, and
+// records the path under the plan's kind. With SetPrefetch on, readahead
+// keeps a window of pages loading ahead of the decode.
+func (st *Store) open(rs *runState, plan *optimizer.Plan, table string, preds []workload.Predicate, needed []string) (*rowStream, error) {
+	r, err := st.route(plan, table, needed)
 	if err != nil {
 		return nil, err
 	}
-	if best == nil {
-		return st.heapScanStream(rs, table, heap, preds, needed), nil
+	si := r.h.si
+	if r.h.hypo == nil {
+		rs.paths = append(rs.paths, fmt.Sprintf("%s %s (%d pages)", r.ap.Kind, table, si.Seg.NumPages()))
+		return rangeStream(rs, si, r.lo, r.hi, preds, needed), nil
 	}
-	if best.covering {
-		return st.coveringStream(rs, table, best, preds, needed), nil
+	span := fmt.Sprintf("%s via %s (%d of %d pages", table, r.h.id, r.hi-r.lo, si.Seg.NumPages())
+	if !r.lookup {
+		rs.paths = append(rs.paths, fmt.Sprintf("%s %s)", r.ap.Kind, span))
+		return rangeStream(rs, si, r.lo, r.hi, preds, needed), nil
 	}
-	return st.lookupStream(rs, table, heap, best, preds, needed)
-}
-
-// heapScanStream streams the heap in page order — insertion order by
-// construction — decoding only the needed columns and pre-filtering rows in
-// the codec. With SetPrefetch on, readahead keeps a window of pages loading
-// ahead of the decode.
-func (st *Store) heapScanStream(rs *runState, table string, heap *index.SegmentIndex, preds []workload.Predicate, needed []string) *rowStream {
-	hs := heap.Schema()
-	ords := ordinalsFor(hs, needed)
-	spec := &storage.DecodeSpec{Needed: ords, Preds: compilePushdown(hs, preds)}
-	cur := heap.ScanCursor(spec, &rs.io)
-	cur.EnablePrefetch(rs.pfWindow, rs.pfWorkers)
-	rs.paths = append(rs.paths, fmt.Sprintf("seg-scan %s (%d pages)", table, heap.Seg.NumPages()))
-	return cursorStream(projectSchema(hs, ords), cur)
-}
-
-// coveringStream serves the statement from a key-ordered structure whose
-// leaf carries every needed column: the page-range twin of heapScanStream,
-// delivering the seek range in key order.
-func (st *Store) coveringStream(rs *runState, table string, best *candidate, preds []workload.Predicate, needed []string) *rowStream {
-	ss := best.si.Schema()
-	ords := ordinalsFor(ss, needed)
-	spec := &storage.DecodeSpec{Needed: ords, Preds: compilePushdown(ss, preds)}
-	cur := best.si.PageRangeCursor(best.lo, best.hi, spec, &rs.io)
-	cur.EnablePrefetch(rs.pfWindow, rs.pfWorkers)
-	rs.paths = append(rs.paths, fmt.Sprintf("seg-%s-seek %s via %s (%d of %d pages)",
-		best.h.kind, table, best.h.id, best.hi-best.lo, best.si.Seg.NumPages()))
-	return cursorStream(projectSchema(ss, ords), cur)
-}
-
-// lookupStream runs a non-covering index seek: the structure range is
-// decoded down to just its RID column (predicates still pushed), then the
-// matching heap rows are fetched with a slot-filtered RID cursor — each heap
-// page visited once, in insertion order, decoding only the needed columns.
-// If the qualifying RIDs would touch more heap pages than a scan, it falls
-// back to scanning (the structure reads stay counted — the descent was real
-// work).
-func (st *Store) lookupStream(rs *runState, table string, heap *index.SegmentIndex, best *candidate, preds []workload.Predicate, needed []string) (*rowStream, error) {
-	ss := best.si.Schema()
-	ridIdx := ss.ColIndex("__rid")
-	if ridIdx < 0 {
-		return nil, fmt.Errorf("exec: structure %s has no RID column", best.h.id)
+	// Seek + lookup: the range decoded down to its RID column (predicates
+	// still pushed), then the heap rows at those RIDs, each heap page
+	// visited once, in insertion order.
+	if si.Schema().ColIndex("__rid") < 0 {
+		return nil, fmt.Errorf("exec: structure %s has no RID column", r.h.id)
 	}
-	spec := &storage.DecodeSpec{Needed: []int{ridIdx}, Preds: compilePushdown(ss, preds)}
-	cur := best.si.PageRangeCursor(best.lo, best.hi, spec, &rs.io)
-	cur.EnablePrefetch(rs.pfWindow, rs.pfWorkers)
 	var rids []int64
-	if err := cursorStream(nil, cur).forEach(func(r storage.Row) error {
-		rids = append(rids, r[0].Int)
+	err = rangeStream(rs, si, r.lo, r.hi, preds, []string{"__rid"}).forEach(func(row storage.Row) error {
+		rids = append(rids, row[0].Int)
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	slices.Sort(rids)
-	if best.score+distinctHeapPages(heap, rids) >= heap.Seg.PhysicalPages() {
-		return st.heapScanStream(rs, table, heap, preds, needed), nil
-	}
+	rs.paths = append(rs.paths, fmt.Sprintf("%s+lookup %s, %d lookups)", r.ap.Kind, span, len(rids)))
+	heap := st.heaps[strings.ToLower(table)].si
 	hs := heap.Schema()
 	ords := ordinalsFor(hs, needed)
-	hspec := &storage.DecodeSpec{Needed: ords, Preds: compilePushdown(hs, preds)}
-	hcur := heap.RIDCursor(rids, hspec, &rs.io)
-	hcur.EnablePrefetch(rs.pfWindow, rs.pfWorkers)
-	rs.paths = append(rs.paths, fmt.Sprintf("seg-index-seek+lookup %s via %s (%d of %d pages, %d lookups)",
-		table, best.h.id, best.hi-best.lo, best.si.Seg.NumPages(), len(rids)))
-	return cursorStream(projectSchema(hs, ords), hcur), nil
+	cur := heap.RIDCursor(rids, &storage.DecodeSpec{Needed: ords, Preds: compilePushdown(hs, preds)}, &rs.io)
+	cur.EnablePrefetch(rs.pfWindow, rs.pfWorkers)
+	return cursorStream(projectSchema(hs, ords), cur), nil
+}
+
+// rangeStream streams the page range [lo, hi) of a segment in page order —
+// insertion order on a heap, key order on an ordered structure.
+func rangeStream(rs *runState, si *index.SegmentIndex, lo, hi int, preds []workload.Predicate, needed []string) *rowStream {
+	ss := si.Schema()
+	ords := ordinalsFor(ss, needed)
+	cur := si.PageRangeCursor(lo, hi, &storage.DecodeSpec{Needed: ords, Preds: compilePushdown(ss, preds)}, &rs.io)
+	cur.EnablePrefetch(rs.pfWindow, rs.pfWorkers)
+	return cursorStream(projectSchema(ss, ords), cur)
 }

@@ -192,30 +192,32 @@ func twinDB(db *catalog.Database) *catalog.Database {
 	return out
 }
 
-// pathBudget is the absolute decode budget of a single-table statement: the
-// rows held by the pages its access path may visit (the structure's seek
-// range, plus the heap unless the structure covers the statement), and the
-// number of distinct columns a page decode may touch (needed ∪ predicated,
-// plus the structure's RID).
-func pathBudget(t *testing.T, st *Store, preds []workload.Predicate, needed []string) (rows, cols int64) {
+// pathBudget is the absolute decode budget of a single-table query: the rows
+// held by the pages its plan path visits (the structure's page range, plus
+// the heap's rows when the path looks them up there), and the number of
+// distinct columns a page decode may touch (needed ∪ predicated, plus the
+// structure's RID).
+func pathBudget(t *testing.T, st *Store, q *workload.Query, needed []string) (rows, cols int64) {
 	t.Helper()
-	heap, best, err := st.planAccess("t", preds, needed)
+	plan, err := st.planFor(workload.Statement{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best == nil || !best.covering {
-		rows += heap.Seg.Rows()
+	r, err := st.route(plan, "t", needed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if best != nil {
-		for p := best.lo; p < best.hi; p++ {
-			rows += int64(best.si.Seg.PageRows(p))
-		}
+	for p := r.lo; p < r.hi; p++ {
+		rows += int64(r.h.si.Seg.PageRows(p))
+	}
+	if r.lookup {
+		rows += st.heaps["t"].si.Seg.Rows()
 	}
 	touched := map[string]bool{"__rid": true}
 	for _, c := range needed {
 		touched[strings.ToLower(c)] = true
 	}
-	for _, p := range preds {
+	for _, p := range q.Preds {
 		touched[strings.ToLower(p.Col)] = true
 	}
 	return rows, int64(len(touched))
@@ -294,7 +296,7 @@ func TestStreamingMatchesOracleRandomized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: oracle: %v", label, err)
 				}
-				maxRows, maxCols := pathBudget(t, st, q.Preds, namedCols(s, q))
+				maxRows, maxCols := pathBudget(t, st, q, namedCols(s, q))
 				got, err := st.RunQuery(q)
 				if err != nil {
 					t.Fatalf("%s: store: %v", label, err)

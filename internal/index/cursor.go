@@ -90,6 +90,20 @@ func (si *SegmentIndex) RIDCursor(rids []int64, spec *storage.DecodeSpec, io *st
 // NumPages returns how many pages the cursor will visit in total.
 func (c *Cursor) NumPages() int { return len(c.work) }
 
+// MaxRows returns the most rows the cursor can yield: those of the pages it
+// visits, or of the slots it visits on them.
+func (c *Cursor) MaxRows() int64 {
+	var n int64
+	for _, w := range c.work {
+		if w.slots != nil {
+			n += int64(len(w.slots))
+		} else {
+			n += int64(c.seg.PageRows(w.page))
+		}
+	}
+	return n
+}
+
 // EnablePrefetch starts async readahead over the cursor's page visit order
 // (a no-op for in-memory segments, a non-positive window or worker count, or
 // once no pages remain). The cursor advances the readahead frontier as it

@@ -137,44 +137,65 @@ func (si *SegmentIndex) SizeError(model *Physical) float64 {
 	return float64(model.Bytes-actual) / float64(actual)
 }
 
-// compareKey orders a page low key against a single leading-key bound.
-func leadingCompare(key []storage.Value, bound storage.Value) int {
-	if len(key) == 0 {
-		return 0
-	}
-	return key[0].Compare(bound.CoerceTo(key[0].Kind))
+// Seek is a composite-key seek: an equality on each of the leading len(Eq)
+// key columns, then an optional range on the next one. Bounds are inclusive
+// and need not be of the key column's kind; they are coerced to it.
+type Seek struct {
+	Eq           []storage.Value
+	Lo, Hi       storage.Value
+	HasLo, HasHi bool
 }
 
-// SeekPages returns the half-open page range [lo, hi) that can contain rows
-// whose leading key lies in [loKey, hiKey]. Unbounded ends are expressed
-// with hasLo/hasHi=false. The range is conservative: every qualifying row is
-// inside it, pages at the edges may hold non-qualifying rows.
-func (si *SegmentIndex) SeekPages(loKey storage.Value, hasLo bool, hiKey storage.Value, hasHi bool) (int, int) {
+// SeekPrefix returns the half-open page range [lo, hi) that can contain rows
+// matching the seek. The range is conservative: every matching row is inside
+// it, pages at the edges may hold others. A seek with no equality is a
+// leading-key range; one with no bound at all reads every page.
+func (si *SegmentIndex) SeekPrefix(s Seek) (int, int) {
 	n := si.Seg.NumPages()
 	if si.nKeys == 0 || n == 0 {
 		return 0, n
 	}
-	lo := 0
-	if hasLo {
-		// First page whose low key reaches loKey; the qualifying range can
-		// start on the page before it (whose tail may hold loKey), but no
-		// earlier — every row there is strictly below the page after's low
-		// key. Note >= 0, not > 0: with duplicate keys spanning pages, the
-		// first qualifying row sits before the *last* page opening with
-		// loKey.
-		i := sort.Search(n, func(i int) bool { return leadingCompare(si.lowKeys[i], loKey) >= 0 })
-		lo = i - 1
-		if lo < 0 {
-			lo = 0
+	// The tuples bounding the matching key prefixes: the equalities, then
+	// the range bound when there is one and a key column left to hold it.
+	eq := s.Eq[:min(len(s.Eq), si.nKeys)]
+	bound := func(v storage.Value, has bool) []storage.Value {
+		b := make([]storage.Value, len(eq), len(eq)+1)
+		for i, e := range eq {
+			b[i] = e.CoerceTo(si.Seg.Schema.Columns[i].Kind)
 		}
+		if has && len(eq) < si.nKeys {
+			b = append(b, v.CoerceTo(si.Seg.Schema.Columns[len(eq)].Kind))
+		}
+		return b
+	}
+	lower, upper := bound(s.Lo, s.HasLo), bound(s.Hi, s.HasHi)
+	lo := 0
+	if len(lower) > 0 {
+		// First page whose low key prefix reaches the lower tuple; the
+		// matching range can start on the page before it (whose tail may
+		// hold it), but no earlier — every row there is at most the page
+		// after's low key. Note >= 0, not > 0: with duplicate keys spanning
+		// pages, the first match sits before the *last* page opening with
+		// the lower tuple.
+		i := sort.Search(n, func(i int) bool { return comparePrefix(si.lowKeys[i], lower) >= 0 })
+		lo = max(i-1, 0)
 	}
 	hi := n
-	if hasHi {
-		// Pages whose low key exceeds hiKey cannot hold qualifying rows.
-		hi = sort.Search(n, func(i int) bool { return leadingCompare(si.lowKeys[i], hiKey) > 0 })
+	if len(upper) > 0 {
+		// Pages whose low key prefix exceeds the upper tuple hold no match.
+		hi = sort.Search(n, func(i int) bool { return comparePrefix(si.lowKeys[i], upper) > 0 })
 	}
-	if hi < lo {
-		hi = lo
+	return lo, max(hi, lo)
+}
+
+// comparePrefix orders a page low key, on its first len(bound) columns,
+// against a bound tuple — lexicographically under Value.Compare, the order the
+// leaf rows are sorted in.
+func comparePrefix(key, bound []storage.Value) int {
+	for i, b := range bound {
+		if c := key[i].Compare(b); c != 0 {
+			return c
+		}
 	}
-	return lo, hi
+	return 0
 }

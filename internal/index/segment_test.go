@@ -2,9 +2,12 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
+	"cadb/internal/catalog"
 	"cadb/internal/compress"
 	"cadb/internal/datagen"
 	"cadb/internal/storage"
@@ -132,39 +135,141 @@ func TestSegmentIndexSizeWithinTolerance(t *testing.T) {
 	}
 }
 
-// TestSeekPagesCoversAllMatches verifies the seek contract: every row whose
-// leading key falls in the bound lies inside the returned page range.
-func TestSeekPagesCoversAllMatches(t *testing.T) {
-	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 4000, Seed: 9})
-	d := &Def{Table: "lineitem", KeyCols: []string{"l_shipmode"}, Method: compress.Row}
-	si, err := BuildSegmentIndex(db, d)
-	if err != nil {
-		t.Fatal(err)
+// TestSeekPrefixContainsEveryMatch is the property test of the composite
+// seek. Over random three-column keys of small domains — duplicates spanning
+// many pages, some NULLs, int, date, float and string kinds — and random
+// seeks of 0–2 equality columns plus an optional one- or two-sided range on
+// the next, every row the seek's predicates match (found by a brute-force
+// scan) lies in the returned page range; and a seek with an equality is
+// never wider than the leading-key range of that equality alone. Bounds are
+// drawn from the data, occasionally fresh or NULL.
+func TestSeekPrefixContainsEveryMatch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 1))
+	kinds := []storage.Kind{storage.KindInt, storage.KindDate, storage.KindFloat, storage.KindString}
+	val := func(k storage.Kind, dom int) storage.Value {
+		x := rng.IntN(dom)
+		switch k {
+		case storage.KindDate:
+			return storage.DateVal(int64(9000 + x))
+		case storage.KindFloat:
+			return storage.FloatVal(float64(x) / 4)
+		case storage.KindString:
+			return storage.StringVal(fmt.Sprintf("K%03d", x))
+		}
+		return storage.IntVal(int64(x))
 	}
-	for _, mode := range []string{"AIR", "MAIL", "TRUCK"} {
-		bound := storage.StringVal(mode)
-		lo, hi := si.SeekPages(bound, true, bound, true)
-		var inRange, total int64
-		for p := 0; p < si.Seg.NumPages(); p++ {
-			for _, r := range fullDecode(t, si.Seg, p) {
-				if r[0].Compare(bound) == 0 {
-					total++
-					if p >= lo && p < hi {
-						inRange++
+	trials, seeks := 12, 60
+	if testing.Short() {
+		trials = 4
+	}
+	narrower := 0 // seeks the columns past the leading equality narrowed
+	for trial := 0; trial < trials; trial++ {
+		cols := make([]storage.Column, 4)
+		doms := make([]int, 3)
+		for i := range 3 {
+			cols[i] = storage.Column{Name: fmt.Sprintf("k%d", i), Kind: kinds[rng.IntN(len(kinds))], Nullable: rng.IntN(3) == 0}
+			doms[i] = 2 + rng.IntN(12)
+		}
+		cols[3] = storage.Column{Name: "pad", Kind: storage.KindString, FixedWidth: 40}
+		schema := storage.NewSchema(cols...)
+		rows := make([]storage.Row, 1500+rng.IntN(2500))
+		for r := range rows {
+			row := make(storage.Row, 4)
+			for i := range 3 {
+				row[i] = val(cols[i].Kind, doms[i])
+				if cols[i].Nullable && rng.IntN(10) == 0 {
+					row[i] = storage.NullValue(cols[i].Kind)
+				}
+			}
+			row[3] = storage.StringVal(fmt.Sprintf("%016x%016x", rng.Uint64(), rng.Uint64()))
+			rows[r] = row
+		}
+		db := catalog.NewDatabase("seek")
+		db.AddTable(&catalog.Table{Name: "t", Schema: schema, Rows: rows})
+		m := []compress.Method{compress.None, compress.Row, compress.Page, compress.GlobalDict, compress.RLE}[trial%5]
+		si, err := BuildSegmentIndex(db, &Def{Table: "t", KeyCols: []string{"k0", "k1", "k2"}, IncludeCols: []string{"pad"}, Method: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if si.Seg.NumPages() < 8 {
+			t.Fatalf("trial %d: %d pages, too few for keys to span pages", trial, si.Seg.NumPages())
+		}
+		leaf := make([][]storage.Row, si.Seg.NumPages())
+		for p := range leaf {
+			leaf[p] = fullDecode(t, si.Seg, p)
+		}
+		ls := si.Schema()
+		bound := func(ci int) storage.Value {
+			switch r := rng.IntN(20); {
+			case r == 0:
+				return storage.NullValue(cols[ci].Kind)
+			case r < 4:
+				return val(cols[ci].Kind, doms[ci]+2)
+			}
+			return rows[rng.IntN(len(rows))][ci]
+		}
+		for range seeks {
+			var s Seek
+			var preds []workload.Predicate
+			neq := rng.IntN(3)
+			for i := range neq {
+				v := bound(i)
+				s.Eq = append(s.Eq, v)
+				preds = append(preds, workload.Predicate{Col: cols[i].Name, Op: workload.OpEq, Lo: v})
+			}
+			if rng.IntN(4) > 0 {
+				c := cols[neq].Name
+				switch rng.IntN(3) {
+				case 0:
+					s.Lo, s.HasLo = bound(neq), true
+					preds = append(preds, workload.Predicate{Col: c, Op: workload.OpGe, Lo: s.Lo})
+				case 1:
+					s.Hi, s.HasHi = bound(neq), true
+					preds = append(preds, workload.Predicate{Col: c, Op: workload.OpLe, Lo: s.Hi})
+				default:
+					s.Lo, s.HasLo, s.Hi, s.HasHi = bound(neq), true, bound(neq), true
+					preds = append(preds, workload.Predicate{Col: c, Op: workload.OpBetween, Lo: s.Lo, Hi: s.Hi})
+				}
+			}
+			lo, hi := si.SeekPrefix(s)
+			for p, prow := range leaf {
+				for _, r := range prow {
+					match := true
+					for _, pr := range preds {
+						match = match && pr.Matches(ls, r)
+					}
+					if match && (p < lo || p >= hi) {
+						t.Fatalf("trial %d (%s): seek %v on pages [%d,%d) misses a match on page %d: %v", trial, m, preds, lo, hi, p, r[:3])
 					}
 				}
 			}
-		}
-		if total == 0 {
-			t.Fatalf("%s: degenerate (no matches)", mode)
-		}
-		if inRange != total {
-			t.Fatalf("%s: page range [%d,%d) covers %d of %d matching rows", mode, lo, hi, inRange, total)
+			if neq > 0 {
+				llo, lhi := si.SeekPrefix(Seek{Lo: s.Eq[0], HasLo: true, Hi: s.Eq[0], HasHi: true})
+				if lo < llo || hi > lhi && hi > lo {
+					t.Fatalf("trial %d (%s): seek %v on pages [%d,%d), wider than the leading-key range [%d,%d)", trial, m, preds, lo, hi, llo, lhi)
+				}
+				if hi-lo < lhi-llo {
+					narrower++
+				}
+			}
 		}
 	}
-	// Unbounded seek covers everything.
-	if lo, hi := si.SeekPages(storage.Value{}, false, storage.Value{}, false); lo != 0 || hi != si.Seg.NumPages() {
-		t.Fatalf("unbounded seek = [%d,%d)", lo, hi)
+	if narrower == 0 {
+		t.Fatal("no composite seek was narrower than its leading-key range")
+	}
+	// A seek with no bound, and a structure without key columns, read every page.
+	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 2000, Seed: 9})
+	for _, d := range []*Def{{Table: "lineitem", KeyCols: []string{"l_shipmode"}, Method: compress.Row}, {Table: "lineitem", Clustered: true}} {
+		si, err := BuildSegmentIndex(db, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lo, hi := si.SeekPrefix(Seek{Eq: []storage.Value{storage.StringVal("AIR")}}); len(d.KeyCols) == 0 && (lo != 0 || hi != si.Seg.NumPages()) {
+			t.Fatalf("%s: keyless seek = [%d,%d)", d, lo, hi)
+		}
+		if lo, hi := si.SeekPrefix(Seek{}); lo != 0 || hi != si.Seg.NumPages() {
+			t.Fatalf("%s: unbounded seek = [%d,%d)", d, lo, hi)
+		}
 	}
 }
 

@@ -104,7 +104,7 @@ func designMean(d *index.Def, leaf []string, table map[compress.Method]float64) 
 type AccessPath struct {
 	Table   string
 	Index   *HypoIndex // nil = heap
-	Kind    string     // "heap-scan", "clustered-scan", "index-scan", "index-seek", "mv-scan", "mv-seek"
+	Kind    string     // "heap-scan", "clustered-scan", "clustered-seek", "index-scan", "index-seek", "mv-scan", "mv-seek"
 	Rows    float64    // rows produced
 	Cost    float64
 	Lookups float64 // RID lookups performed
@@ -113,6 +113,10 @@ type AccessPath struct {
 	// validation hook the segment-backed executor's counted IOStats are
 	// diffed against (the loop benchmark's optimizer.page_read_err_pct).
 	EstPageReads float64
+	// Seek lists the predicates an index or clustered seek positions on, one
+	// per leading key column: equalities, then at most one range. The
+	// segment-backed executor seeks on exactly these; nil for scans.
+	Seek []workload.Predicate
 }
 
 // Plan is the costed plan of a statement.
@@ -233,14 +237,14 @@ func (cm *CostModel) indexPath(ct *compiledTable, hd *handle) (AccessPath, bool)
 	// Seek: contiguous sargable prefix of the key columns. Equality
 	// predicates extend the prefix; the first range predicate ends it.
 	seekSel := 1.0
-	matchedAny := false
+	var seek []workload.Predicate
 	for _, key := range d.KeyCols {
 		i := ct.predOn(key, remains)
 		if i < 0 || !ct.preds[i].Sargable() {
 			break
 		}
 		seekSel *= ct.sels[i]
-		matchedAny = true
+		seek = append(seek, ct.preds[i])
 		if !ct.preds[i].IsEquality() {
 			break
 		}
@@ -251,7 +255,7 @@ func (cm *CostModel) indexPath(ct *compiledTable, hd *handle) (AccessPath, bool)
 	pages := hd.pages
 	usedCols := countUsedCols(hd.leaf, needed)
 
-	if matchedAny {
+	if seek != nil {
 		matched := idxRows * seekSel
 		cost := cm.RandPageIO*hd.height + cm.SeqPageIO*math.Ceil(seekSel*pages)
 		cost += cm.CPUTuple*matched + hd.beta*matched*float64(usedCols)
@@ -260,7 +264,7 @@ func (cm *CostModel) indexPath(ct *compiledTable, hd *handle) (AccessPath, bool)
 			kind = "clustered-seek"
 		}
 		ap := AccessPath{Table: t.Name, Index: hd.h, Kind: kind, Cost: cost,
-			EstPageReads: hd.height + math.Ceil(seekSel*pages)}
+			EstPageReads: hd.height + math.Ceil(seekSel*pages), Seek: seek}
 		if !covering {
 			// RID lookups for rows surviving all predicates resolvable on
 			// the index; remaining predicates are applied after the lookup.

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -192,7 +193,7 @@ func comparePlans(t *testing.T, where string, got, want *Plan) {
 			got, got.Total, got.EstimatedPageReads(), want, want.Total, want.EstimatedPageReads())
 	}
 	for i := range got.Paths {
-		if got.Paths[i] != want.Paths[i] {
+		if !reflect.DeepEqual(got.Paths[i], want.Paths[i]) {
 			t.Fatalf("%s: path %d:\n got  %+v\n want %+v", where, i, got.Paths[i], want.Paths[i])
 		}
 	}

@@ -209,14 +209,14 @@ func (cm *CostModel) refIndexPath(t *catalog.Table, h *HypoIndex, preds []worklo
 	// Seek: contiguous sargable prefix of the key columns. Equality
 	// predicates extend the prefix; the first range predicate ends it.
 	seekSel := 1.0
-	matchedAny := false
+	var seek []workload.Predicate
 	for _, key := range h.Def.KeyCols {
 		p, ok := refPredOn(remaining, key)
 		if !ok || !p.Sargable() {
 			break
 		}
 		seekSel *= PredicateSelectivity(t, p)
-		matchedAny = true
+		seek = append(seek, p)
 		if !p.IsEquality() {
 			break
 		}
@@ -228,7 +228,7 @@ func (cm *CostModel) refIndexPath(t *catalog.Table, h *HypoIndex, preds []worklo
 	beta := cm.refBetaOf(h)
 	residualSel := CombinedSelectivity(t, remaining)
 
-	if matchedAny {
+	if seek != nil {
 		matched := idxRows * seekSel
 		height := cm.treeHeight(pages)
 		cost := cm.RandPageIO*height + cm.SeqPageIO*math.Ceil(seekSel*pages)
@@ -238,7 +238,7 @@ func (cm *CostModel) refIndexPath(t *catalog.Table, h *HypoIndex, preds []worklo
 			kind = "clustered-seek"
 		}
 		ap := AccessPath{Table: t.Name, Index: h, Kind: kind, Cost: cost,
-			EstPageReads: height + math.Ceil(seekSel*pages)}
+			EstPageReads: height + math.Ceil(seekSel*pages), Seek: seek}
 		if !covering {
 			// RID lookups for rows surviving all predicates resolvable on
 			// the index; remaining predicates are applied after the lookup.
