@@ -2,8 +2,6 @@ package compress
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
 	"strings"
 	"sync"
 
@@ -233,116 +231,38 @@ func (cc *columnCodec) prepare(s *storage.Schema, rows []storage.Row) [][]int32 
 	return codes
 }
 
-// SegmentState serializes the codec's segment-level state (the global
-// dictionaries) for the CADBSEG2 state block: per column, a mode byte —
-// 0 stateless, 1 dictionary (u32 entry count + lenPrefix entries), 2 plain-
-// elected GDICT (dictionary dropped; pages carry plain sections). Designs
-// with no GDICT column have nothing to record and return nil.
-func (cc *columnCodec) SegmentState() []byte {
+// StateBytes is the size of the codec's segment-level state (the global
+// dictionaries) counted as if serialized: per column a mode byte, and per
+// dictionary-coded GDICT column a u32 entry count plus the length-prefixed
+// entries. A plain-elected column keeps only its mode byte. Designs with no
+// GDICT column have no state and count 0.
+func (cc *columnCodec) StateBytes() int64 {
+	var n int64
 	hasDict := false
 	for _, st := range cc.dicts {
-		if st != nil {
-			hasDict = true
-			break
+		n++
+		if st == nil {
+			continue
+		}
+		hasDict = true
+		if !st.plain {
+			n += 4
+			for _, v := range st.vals {
+				n += int64(lenPrefixLen(len(v)) + len(v))
+			}
 		}
 	}
 	if !hasDict {
-		return nil
+		return 0
 	}
-	var out []byte
-	for _, st := range cc.dicts {
-		switch {
-		case st == nil:
-			out = append(out, 0)
-		case st.plain:
-			out = append(out, 2)
-		default:
-			out = append(out, 1)
-			out = binary.BigEndian.AppendUint32(out, uint32(len(st.vals)))
-			for _, v := range st.vals {
-				out = appendLenPrefix(out, len(v))
-				out = append(out, v...)
-			}
-		}
-	}
-	return out
-}
-
-// LoadSegmentState rebuilds the codec's state from a CADBSEG2 state block,
-// enabling decode of a segment opened from disk in a fresh process. An empty
-// block is valid for designs (or empty segments) with nothing recorded.
-func (cc *columnCodec) LoadSegmentState(s *storage.Schema, state []byte) error {
-	cc.resolve(s)
-	if len(state) == 0 {
-		return nil
-	}
-	for ci := range s.Columns {
-		if len(state) < 1 {
-			return fmt.Errorf("compress: short segment state at column %d", ci)
-		}
-		mode := state[0]
-		state = state[1:]
-		st := cc.dicts[ci]
-		switch mode {
-		case 0:
-			if st != nil {
-				return fmt.Errorf("compress: GDICT column %d has stateless state", ci)
-			}
-		case 1, 2:
-			if st == nil {
-				return fmt.Errorf("compress: non-GDICT column %d has dictionary state", ci)
-			}
-			if mode == 2 {
-				st.plain = true
-				continue
-			}
-			if len(state) < 4 {
-				return fmt.Errorf("compress: short dictionary header at column %d", ci)
-			}
-			count := int(binary.BigEndian.Uint32(state))
-			state = state[4:]
-			if count > len(state) { // every entry has at least its length byte
-				return fmt.Errorf("compress: %d dictionary entries in %d state bytes at column %d", count, len(state), ci)
-			}
-			st.vals = make([]string, 0, count)
-			for k := 0; k < count; k++ {
-				n, adv, err := readLenPrefix(state)
-				if err != nil {
-					return err
-				}
-				state = state[adv:]
-				if len(state) < n {
-					return fmt.Errorf("compress: short dictionary entry at column %d", ci)
-				}
-				if s.Columns[ci].Kind != storage.KindString && n > 8 {
-					return fmt.Errorf("compress: %d-byte numeric dictionary entry at column %d", n, ci)
-				}
-				st.add(s.Columns[ci].Kind, string(state[:n]))
-				state = state[n:]
-			}
-		default:
-			return fmt.Errorf("compress: unknown state mode %d at column %d", mode, ci)
-		}
-	}
-	return nil
-}
-
-// ColumnMethodIDs returns the per-column method bytes recorded in the
-// CADBSEG2 header's design vector.
-func (cc *columnCodec) ColumnMethodIDs(s *storage.Schema) []byte {
-	cc.resolve(s)
-	out := make([]byte, len(cc.resolved))
-	for i, m := range cc.resolved {
-		out[i] = byte(m)
-	}
-	return out
+	return n
 }
 
 // ---------------------------------------------------------------------------
 // Encoding
 
 // EncodeRows runs the GDICT pre-pass over the segment's rows, then packs
-// them. An empty segment skips the pre-pass, so its state records an empty
+// them. An empty segment skips the pre-pass, so its state holds an empty
 // dictionary rather than a plain election.
 func (cc *columnCodec) EncodeRows(s *storage.Schema, rows []storage.Row) ([]storage.EncodedPage, error) {
 	var codes [][]int32

@@ -8,9 +8,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
+	"cadb/internal/bufferpool"
 	"cadb/internal/storage"
 )
 
@@ -126,74 +128,36 @@ func TestRLEConstantColumn(t *testing.T) {
 	}
 }
 
-// TestSegmentStateRoundTrip serializes a built design codec's segment
-// state and rebuilds a fresh codec from it, which must decode every page of
-// the segment file identically — the reopen path for segment files.
-func TestSegmentStateRoundTrip(t *testing.T) {
-	s := codecSchema()
-	rows := genCodecRows(600, 0.2, 41)
-	def, over := Row, map[string]Method{"mode": GlobalDict, "comment": GlobalDict, "ship": RLE}
-	codec := DesignCodec(def, over)
-	seg, err := storage.BuildSegment(s, rows, codec)
+// spillBytes spills seg through a fresh pool into dir/name and returns the
+// spill file's bytes.
+func spillBytes(t *testing.T, seg *storage.Segment, dir, name string) []byte {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := seg.Spill(path, bufferpool.New(1<<20)); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.cadbseg")
-	sf, err := storage.WriteSegmentFile(path, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sf.Close()
-	if len(sf.State()) == 0 {
-		t.Fatal("expected non-empty segment state for a GDICT design")
-	}
-
-	fresh := DesignCodec(def, over)
-	if err := fresh.LoadSegmentState(s, sf.State()); err != nil {
-		t.Fatalf("LoadSegmentState: %v", err)
-	}
-	at := 0
-	for p := 0; p < sf.NumPages(); p++ {
-		payload, err := sf.ReadPage(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fresh.NewDecoder(s, &storage.DecodeSpec{Needed: s.AllOrdinals()}).Decode(payload, seg.PageRows(p), nil)
-		if err != nil {
-			t.Fatalf("page %d: full decode after state reload: %v", p, err)
-		}
-		for _, r := range got.Rows {
-			if !bytes.Equal(canonical(s, r), canonical(s, rows[at])) {
-				t.Fatalf("page %d: row %d mismatch after state reload", p, at)
-			}
-			at++
-		}
-	}
-	if at != len(rows) {
-		t.Fatalf("decoded %d rows, want %d", at, len(rows))
-	}
-
-	// The design recorded in the file matches the codec's method vector.
-	ids := codec.ColumnMethodIDs(s)
-	design := sf.Design()
-	if len(design) != len(s.Columns) {
-		t.Fatalf("file design has %d columns, want %d", len(design), len(s.Columns))
-	}
-	for i, c := range s.Columns {
-		if design[i].Name != c.Name || design[i].Method != ids[i] {
-			t.Fatalf("design[%d] = {%q, %d}, want {%q, %d}", i, design[i].Name, design[i].Method, c.Name, ids[i])
-		}
-	}
+	seg.CloseBacking()
+	return raw
 }
 
-// cadbseg2GoldenSHA pins the exact bytes of a CADBSEG2 file written for a
-// deterministic mixed design. Any change to the header layout, the
+// spillGoldenSHA pins the exact bytes of the spill file of a deterministic
+// mixed design: its page payloads back to back. Any change to the
 // column-major page format, GDICT code assignment, or RLE run encoding will
 // shift this hash — bump it only with a deliberate format change.
-const cadbseg2GoldenSHA = "d6caa64afaf620708c516f2fa481aab6274139519875da741e8964aac80f3774"
+const spillGoldenSHA = "d1f67a16e3443ca0844ffdc753d7154f376e596f0e98070cd88a60d9accc24df"
 
-func TestCADBSEG2GoldenBytes(t *testing.T) {
+// spillGoldenStateBytes is the size of the golden design's two GDICT
+// dictionaries, which stay in memory beside the spill file.
+const spillGoldenStateBytes = 859
+
+// TestSpillFileGoldenBytes holds the spill file to spillGoldenSHA, its size
+// to DiskBytes, and the codec behind it to its design vector and the exact
+// size of its dictionaries.
+func TestSpillFileGoldenBytes(t *testing.T) {
 	s := codecSchema()
 	rows := genCodecRows(500, 0.2, 77)
 	over := map[string]Method{"mode": GlobalDict, "comment": GlobalDict, "ship": RLE, "price": None}
@@ -201,66 +165,45 @@ func TestCADBSEG2GoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "golden.cadbseg")
-	sf, err := storage.WriteSegmentFile(path, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf.Close()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(raw, []byte("CADBSEG2")) {
-		t.Fatalf("segment file magic %q", raw[:8])
+	raw := spillBytes(t, seg, t.TempDir(), "golden.cadbseg")
+	if int64(len(raw)) != seg.DiskBytes() {
+		t.Fatalf("spill file holds %d bytes, DiskBytes is %d", len(raw), seg.DiskBytes())
 	}
 	sum := sha256.Sum256(raw)
-	if got := hex.EncodeToString(sum[:]); got != cadbseg2GoldenSHA {
-		t.Fatalf("CADBSEG2 golden bytes changed:\n got %s\nwant %s\n(%d bytes)", got, cadbseg2GoldenSHA, len(raw))
+	if got := hex.EncodeToString(sum[:]); got != spillGoldenSHA {
+		t.Fatalf("spill golden bytes changed:\n got %s\nwant %s\n(%d bytes)", got, spillGoldenSHA, len(raw))
 	}
-	// Reopening must reproduce the design vector and round-trip the rows.
-	re, err := storage.OpenSegmentFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.CodecName() != "MIXED" {
-		t.Fatalf("codec name %q, want MIXED", re.CodecName())
+	if seg.Codec.Name() != "MIXED" {
+		t.Fatalf("codec name %q, want MIXED", seg.Codec.Name())
 	}
 	wantMethods := map[string]Method{
 		"id": Row, "qty": Row, "price": None, "ship": RLE, "mode": GlobalDict, "comment": GlobalDict,
 	}
-	for _, dc := range re.Design() {
-		if Method(dc.Method) != wantMethods[dc.Name] {
-			t.Fatalf("column %q recorded method %s, want %s", dc.Name, Method(dc.Method), wantMethods[dc.Name])
+	cc := seg.Codec.(*columnCodec)
+	for ci, c := range s.Columns {
+		if cc.resolved[ci] != wantMethods[c.Name] {
+			t.Fatalf("column %q resolved to %s, want %s", c.Name, cc.resolved[ci], wantMethods[c.Name])
 		}
+	}
+	if seg.StateBytes() != spillGoldenStateBytes {
+		t.Fatalf("codec state is %d bytes, want %d", seg.StateBytes(), spillGoldenStateBytes)
 	}
 }
 
 // TestUniformIsOneValueVector: a uniform method is nothing but a design
 // vector with one value. DesignCodec(m, nil) and a design that reaches m on
 // every column through overrides must be indistinguishable — same name, same
-// pages, same segment file.
+// pages, same dictionaries, same spill file.
 func TestUniformIsOneValueVector(t *testing.T) {
 	s := codecSchema()
 	rows := genCodecRows(700, 0.2, 123)
 	dir := t.TempDir()
-	build := func(label string, c storage.PageCodec) (*storage.Segment, []byte) {
+	build := func(label string, c storage.PageCodec) *storage.Segment {
 		seg, err := storage.BuildSegment(s, rows, c)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		path := filepath.Join(dir, label)
-		sf, err := storage.WriteSegmentFile(path, seg)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		sf.Close()
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return seg, raw
+		return seg
 	}
 	for i, m := range codecMethods {
 		other := codecMethods[(i+1)%len(codecMethods)]
@@ -268,21 +211,30 @@ func TestUniformIsOneValueVector(t *testing.T) {
 		for _, c := range s.Columns {
 			over[c.Name] = m
 		}
-		plain, plainFile := build(m.String()+"-plain", DesignCodec(m, nil))
-		viaOver, overFile := build(m.String()+"-overridden", DesignCodec(other, over))
+		plain := build(m.String()+"-plain", DesignCodec(m, nil))
+		viaOver := build(m.String()+"-overridden", DesignCodec(other, over))
 		if plain.Codec.Name() != m.String() || viaOver.Codec.Name() != m.String() {
 			t.Fatalf("%s: codecs are named %q and %q", m, plain.Codec.Name(), viaOver.Codec.Name())
 		}
 		if plain.NumPages() != viaOver.NumPages() {
 			t.Fatalf("%s: %d pages vs %d through overrides", m, plain.NumPages(), viaOver.NumPages())
 		}
+		// Pages before spilling: afterwards both payloads are nil.
 		for p := 0; p < plain.NumPages(); p++ {
 			if !bytes.Equal(plain.Page(p).Payload, viaOver.Page(p).Payload) {
 				t.Fatalf("%s: page %d differs when the method arrives through overrides", m, p)
 			}
 		}
+		if pc, oc := plain.Codec.(*columnCodec), viaOver.Codec.(*columnCodec); !reflect.DeepEqual(pc.resolved, oc.resolved) || !reflect.DeepEqual(pc.dicts, oc.dicts) {
+			t.Fatalf("%s: design vectors or dictionaries differ when the method arrives through overrides", m)
+		}
+		if plain.PayloadBytes() != viaOver.PayloadBytes() {
+			t.Fatalf("%s: payload bytes %d vs %d through overrides", m, plain.PayloadBytes(), viaOver.PayloadBytes())
+		}
+		plainFile := spillBytes(t, plain, dir, m.String()+"-plain")
+		overFile := spillBytes(t, viaOver, dir, m.String()+"-overridden")
 		if !bytes.Equal(plainFile, overFile) {
-			t.Fatalf("%s: segment files differ (%d vs %d bytes)", m, len(plainFile), len(overFile))
+			t.Fatalf("%s: spill files differ (%d vs %d bytes)", m, len(plainFile), len(overFile))
 		}
 	}
 }

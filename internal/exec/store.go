@@ -99,7 +99,7 @@ func (st *Store) SetDiskBacked(dir string, pool *bufferpool.Pool) {
 // SetPool swaps the buffer pool: already-spilled segments keep their on-disk
 // files but start fetching through the new pool (their old frames are
 // invalidated), and future spills use it too. This is what lets a pool-size
-// sweep reuse one set of segment files.
+// sweep reuse one set of spill files.
 func (st *Store) SetPool(pool *bufferpool.Pool) error {
 	st.pool = pool
 	for _, h := range st.all {

@@ -188,6 +188,29 @@ func TestFigs12To17ShapeDTAcAtLeastDTA(t *testing.T) {
 	}
 }
 
+// TestTable2ShapeNSStddevBelowLD pins table2's claim beside its golden: on
+// every dataset each fitted c of error = c·(-ln f) is negative (errors
+// shrink as f grows), and the order-independent (NS) estimate's stddev
+// grows more slowly as f shrinks than the order-dependent (LD) one's.
+func TestTable2ShapeNSStddevBelowLD(t *testing.T) {
+	abs := func(v float64) float64 { return max(v, -v) }
+	// Columns: dataset, LD-Bias c, NS-Stddev c, LD-Stddev c.
+	rows := Table2(QuickScale()).Tables[0].Rows
+	if len(rows) != 4 {
+		t.Fatalf("rows=%d, want 4 datasets", len(rows))
+	}
+	for _, r := range rows {
+		for k, name := range []string{"LD-Bias", "NS-Stddev", "LD-Stddev"} {
+			if c := parseF(t, r[k+1]); !(c < 0) {
+				t.Errorf("%s: %s c = %v, want < 0", r[0], name, c)
+			}
+		}
+		if ns, ld := parseF(t, r[2]), parseF(t, r[3]); !(abs(ns) < abs(ld)) {
+			t.Errorf("%s: |NS-Stddev c| %v must be below |LD-Stddev c| %v", r[0], ns, ld)
+		}
+	}
+}
+
 // TestFig10ShapeNSBelowLD pins fig10's and table3's claim beside their
 // goldens: at a = 2 and 3 the order-independent ColExt (NS) deduction is
 // less biased than the order-dependent one (LD), and table3's linear fit of

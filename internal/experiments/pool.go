@@ -136,7 +136,7 @@ type catalogDateSpan struct{ lo, hi int64 }
 // PoolSweep measures hit rate and wall-clock across pool size × method at
 // million-row-capable scale. For each method the TPC-H database is generated
 // once, its clustered design materialized and spilled to disk once, and then
-// each pool size swaps in a fresh pool over the same segment files (Repool) —
+// each pool size swaps in a fresh pool over the same spill files (Repool) —
 // so a sweep at 1e6 rows pays the encode cost three times, not fifteen.
 func PoolSweep(cfg PoolSweepConfig) ([]PoolPoint, error) {
 	if len(cfg.PoolFracs) == 0 || cfg.Queries == 0 {

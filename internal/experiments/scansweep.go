@@ -96,7 +96,7 @@ func drainChecksum(cur *index.Cursor) (tuples int64, sum uint64, err error) {
 	}
 }
 
-// rawReadBandwidth reads the whole segment file sequentially via ReadAt in
+// rawReadBandwidth reads the whole spill file sequentially via ReadAt in
 // 1 MB slabs — the no-decode, no-pool upper bound the scan modes chase.
 func rawReadBandwidth(path string) (bytes int64, wall time.Duration, err error) {
 	f, err := os.Open(path)

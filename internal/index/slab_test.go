@@ -214,8 +214,8 @@ func assertSameSegment(t *testing.T, label string, db *catalog.Database, d *Def,
 	if !reflect.DeepEqual(gs, ws) {
 		t.Fatalf("%s: low keys or leaf statistics differ", label)
 	}
-	if !bytes.Equal(got.Seg.Codec.SegmentState(), want.Seg.Codec.SegmentState()) {
-		t.Fatalf("%s: codec state differs", label)
+	if !reflect.DeepEqual(got.Seg.Codec, want.Seg.Codec) {
+		t.Fatalf("%s: codec state (design vector or dictionaries) differs", label)
 	}
 	decoded := scanAll(t, got.Seg)
 	if len(decoded) != len(rows) {

@@ -1,9 +1,10 @@
 package lint
 
 // closecheck: a Close() whose error result is dropped on the floor hides
-// exactly the failures this system is built to surface — SegmentFile.Close
-// is the last chance to learn the OS lost dirty pages, and a CRC that
-// would have failed on the next open fails silently instead. The check
+// exactly the failures this system is built to surface — a failed Close
+// can be the only report that written bytes never reached the disk, and
+// dropped, the loss shows up later as a page checksum mismatch far from
+// its cause, or not at all. The check
 // flags any statement-position call of a method or function named Close
 // returning exactly one error whose result is unused, in non-test code.
 //

@@ -13,7 +13,7 @@ const (
 	fadvDontNeed = 4 // drop this file's cached pages
 )
 
-// adviseRandom turns off kernel readahead on a segment file handle. The
+// adviseRandom turns off kernel readahead on a spill file handle. The
 // buffer pool owns caching and readahead for segment pages — letting the
 // kernel read ahead as well double-caches the file and hands the serial scan
 // an invisible prefetcher, so readahead would no longer be the explicit,

@@ -1,11 +1,8 @@
 package storage
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -17,10 +14,8 @@ import (
 // which would cycle).
 type plainCodec struct{}
 
-func (plainCodec) Name() string                           { return "TEST" }
-func (plainCodec) ColumnMethodIDs(s *Schema) []byte       { return make([]byte, len(s.Columns)) }
-func (plainCodec) SegmentState() []byte                   { return nil }
-func (plainCodec) LoadSegmentState(*Schema, []byte) error { return nil }
+func (plainCodec) Name() string      { return "TEST" }
+func (plainCodec) StateBytes() int64 { return 0 }
 
 func (plainCodec) EncodeRows(s *Schema, rows []Row) ([]EncodedPage, error) {
 	groups := PackRows(s, rows)
@@ -107,83 +102,75 @@ func testSegment(t *testing.T, nrows int) (*Schema, []Row, *Segment) {
 	return s, rows, seg
 }
 
-// TestSegmentFileRoundTrip spills a segment, re-opens the file cold, and
-// checks header metadata and every page payload round-trip exactly.
-func TestSegmentFileRoundTrip(t *testing.T) {
-	_, rows, seg := testSegment(t, 2000)
+// TestSpillDetectsCorruption flips one payload byte in a spill file and
+// checks the damage surfaces through the pool as an error on every fetch of
+// that page, is never admitted as a frame (by a fetch or a prefetch), leaks
+// no pin, and leaves the neighbouring page readable.
+func TestSpillDetectsCorruption(t *testing.T) {
+	_, rows, seg := testSegment(t, 500)
+	if seg.NumPages() < 2 {
+		t.Fatalf("test segment has %d pages, want at least 2", seg.NumPages())
+	}
+	pool := bufferpool.New(1 << 20)
 	path := filepath.Join(t.TempDir(), "seg.cadb")
-	sf, err := WriteSegmentFile(path, seg)
+	if err := seg.Spill(path, pool); err != nil {
+		t.Fatal(err)
+	}
+	defer seg.CloseBacking()
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sf.Close()
-	re, err := OpenSegmentFile(path)
+	if fi.Size() != seg.DiskBytes() {
+		t.Fatalf("spill file holds %d bytes, want DiskBytes %d", fi.Size(), seg.DiskBytes())
+	}
+	// Corrupt the last payload byte: the last page's.
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if re.NumPages() != seg.NumPages() || re.Rows() != seg.Rows() || re.CodecName() != "TEST" {
-		t.Fatalf("header mismatch: %d pages %d rows codec %q", re.NumPages(), re.Rows(), re.CodecName())
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, fi.Size()-1); err != nil {
+		t.Fatal(err)
 	}
-	if re.PayloadBytes() != seg.DiskBytes() {
-		t.Fatalf("payload bytes %d, segment disk bytes %d", re.PayloadBytes(), seg.DiskBytes())
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, fi.Size()-1); err != nil {
+		t.Fatal(err)
 	}
-	var decoded int
-	for i := 0; i < re.NumPages(); i++ {
-		payload, err := re.ReadPage(i)
-		if err != nil {
-			t.Fatal(err)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	bad := seg.NumPages() - 1
+	for try := 1; try <= 2; try++ {
+		if _, _, err := seg.FetchPage(bad, nil); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("fetch %d of the corrupted page: err %v, want a checksum mismatch", try, err)
 		}
-		for _, r := range decodeAll(t, seg, payload, re.PageRows(i)) {
-			if r[0].Int != rows[decoded][0].Int {
-				t.Fatalf("row %d: got id %d", decoded, r[0].Int)
-			}
-			decoded++
+	}
+	if n, _, err := seg.PrefetchSpan(bad-1, bad+1); n != 0 || err == nil {
+		t.Fatalf("prefetch over the corrupted page admitted %d pages (err %v)", n, err)
+	}
+	var io IOStats
+	if _, _, err := seg.FetchPage(bad, &io); err == nil {
+		t.Fatal("the corrupted page was admitted by the prefetch")
+	}
+	payload, release, err := seg.FetchPage(bad-1, &io)
+	if err != nil {
+		t.Fatalf("intact neighbour page: %v", err)
+	}
+	got := decodeAll(t, seg, payload, seg.PageRows(bad-1))
+	release()
+	first := seg.PageStartRow(bad - 1)
+	for i, r := range got {
+		if r[0].Int != rows[first+int64(i)][0].Int {
+			t.Fatalf("neighbour page row %d: got id %d", i, r[0].Int)
 		}
 	}
-	if decoded != len(rows) {
-		t.Fatalf("decoded %d of %d rows", decoded, len(rows))
+	if io.PoolMisses != 1 || io.BytesRead != int64(len(payload)) {
+		t.Fatalf("neighbour read: %d misses, %d bytes; want 1 miss of %d bytes", io.PoolMisses, io.BytesRead, len(payload))
 	}
-}
-
-// TestSegmentFileDetectsCorruption flips one payload byte on disk and checks
-// the page read fails its checksum (and a header flip fails open).
-func TestSegmentFileDetectsCorruption(t *testing.T) {
-	_, _, seg := testSegment(t, 500)
-	path := filepath.Join(t.TempDir(), "seg.cadb")
-	sf, err := WriteSegmentFile(path, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf.Close()
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the last payload byte.
-	corrupt := append([]byte(nil), raw...)
-	corrupt[len(corrupt)-1] ^= 0xFF
-	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenSegmentFile(path)
-	if err != nil {
-		t.Fatal(err) // header is intact
-	}
-	if _, err := re.ReadPage(re.NumPages() - 1); err == nil {
-		t.Fatal("corrupted page passed its checksum")
-	}
-	re.Close()
-
-	// Corrupt the header (codec name byte).
-	corrupt = append([]byte(nil), raw...)
-	corrupt[17] ^= 0xFF
-	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSegmentFile(path); err == nil {
-		t.Fatal("corrupted header passed its checksum")
+	if st := pool.Stats(); st.PinnedFrames != 0 {
+		t.Fatalf("%d frames left pinned", st.PinnedFrames)
 	}
 }
 
@@ -240,84 +227,5 @@ func TestSpillAndFetch(t *testing.T) {
 	}
 	if pool.Bytes() != 0 {
 		t.Fatalf("pool still holds %d bytes after CloseBacking", pool.Bytes())
-	}
-}
-
-// TestOpenSegmentFileHostileHeader hands OpenSegmentFile headers that lie
-// about their lengths: each must cost an error, never a panic and never an
-// allocation sized by the lie.
-func TestOpenSegmentFileHostileHeader(t *testing.T) {
-	_, _, seg := testSegment(t, 500)
-	path := filepath.Join(t.TempDir(), "seg.cadb")
-	sf, err := WriteSegmentFile(path, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	headerLen := int(sf.entries[0].offset)
-	sf.Close()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Field offsets, back from the end of the header: CRC, directory, row
-	// count, page count, then the (empty) state block's length.
-	pageCountAt := headerLen - 4 - 24*seg.NumPages() - 8 - 4
-	stateLenAt := pageCountAt - 4
-	sealed := func(prefix []byte) []byte { // a header cut short but CRC-valid
-		return binary.BigEndian.AppendUint32(prefix, crc32.ChecksumIEEE(prefix))
-	}
-	hugePages := append([]byte(nil), raw[:pageCountAt+12]...)
-	binary.BigEndian.PutUint32(hugePages[pageCountAt:], 0xFFFFFFFF)
-	longState := append([]byte(nil), raw[:stateLenAt+4]...)
-	binary.BigEndian.PutUint32(longState[stateLenAt:], 1<<30-1)
-	manyCols := append([]byte(nil), raw[:16+len("TEST")+2]...)
-	binary.BigEndian.PutUint16(manyCols[16+len("TEST"):], 0xFFFF)
-	// A whole file whose directory is edited and whose header CRC is then
-	// recomputed: only the layout check stands between it and the reads.
-	dirAt := headerLen - 4 - 24*seg.NumPages()
-	resealed := func(edit func(dir []byte)) []byte {
-		file := append([]byte(nil), raw...)
-		edit(file[dirAt : headerLen-4])
-		binary.BigEndian.PutUint32(file[headerLen-4:], crc32.ChecksumIEEE(file[:headerLen-4]))
-		return file
-	}
-	if seg.NumPages() < 2 {
-		t.Fatalf("test segment has %d pages, the directory cases need 2", seg.NumPages())
-	}
-
-	for _, tc := range []struct {
-		name string
-		file []byte
-	}{
-		{"2^32-1 pages", sealed(hugePages)},
-		{"state block longer than the file", append(sealed(longState), raw[stateLenAt+4:]...)},
-		{"65535 columns", sealed(manyCols)},
-		{"version-1 magic", append([]byte("CADBSEG1"), raw[8:]...)},
-		{"page 1 starts before page 0", resealed(func(dir []byte) {
-			binary.BigEndian.PutUint64(dir[24:], binary.BigEndian.Uint64(dir[0:])-1)
-		})},
-		{"page 0 is 4 GiB long", resealed(func(dir []byte) {
-			binary.BigEndian.PutUint32(dir[8:], 0xFFFFFFF0)
-		})},
-		{"payloads stop short of the file's end", append(append([]byte(nil), raw...), 0)},
-		{"truncated", raw[:headerLen/2]},
-	} {
-		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		got, err := OpenSegmentFile(path)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			got.Close()
-			t.Fatalf("%s: header accepted", tc.name)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Fatalf("%s: rejecting the header allocated %d bytes", tc.name, grew)
-		}
-		if tc.name == "version-1 magic" && !strings.Contains(err.Error(), "unsupported segment format") {
-			t.Fatalf("%s: error does not name the format: %v", tc.name, err)
-		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 // implementation is the per-column design codec of internal/compress; it
 // owns the packing policy, so order-dependent methods can scope their
 // page-local dictionaries to the physical page. An instance serves one
-// segment: it carries that segment's state (global dictionaries).
+// segment: it carries that segment's state (global dictionaries), which
+// stays in memory for the segment's life, spilled or not.
 type PageCodec interface {
 	// Name is the method every column is stored under ("NONE", "ROW",
 	// "PAGE", "GDICT", "RLE"), or "MIXED" when columns differ.
@@ -20,21 +21,16 @@ type PageCodec interface {
 	// page payloads, so a codec can make segment-scoped decisions (build a
 	// global dictionary, elect per-column fallbacks) from complete
 	// information. Each payload must be decodable on its own (given the
-	// segment state).
+	// codec's segment state).
 	EncodeRows(s *Schema, rows []Row) ([]EncodedPage, error)
 	// NewDecoder compiles a column-selective decoder for the spec: one per
 	// cursor, fed every page the cursor visits. A spec naming a column the
 	// schema lacks fails at the first Decode.
 	NewDecoder(s *Schema, spec *DecodeSpec) PageDecoder
-	// ColumnMethodIDs returns one compression-method byte per schema column —
-	// the design vector recorded in the segment file header.
-	ColumnMethodIDs(s *Schema) []byte
-	// SegmentState serializes the state pages alone cannot reproduce (nil
-	// when the design has none). It travels in the segment file header.
-	SegmentState() []byte
-	// LoadSegmentState rebuilds, in a fresh instance, the state serialized by
-	// SegmentState, so a segment file opened in another process decodes.
-	LoadSegmentState(s *Schema, state []byte) error
+	// StateBytes is the size of the segment state pages alone cannot
+	// reproduce, counted as if serialized (0 when the design has none). The
+	// size model charges it, so BuildSegment adds it to PayloadBytes.
+	StateBytes() int64
 }
 
 // PageDecoder is a decode plan compiled from one (schema, spec) pair. It owns
@@ -85,8 +81,8 @@ type Segment struct {
 	rows         int64
 	payloadBytes int64
 	physPages    int64
-	diskBytes    int64 // raw payload bytes (what a SegmentFile stores)
-	stateBytes   int64 // serialized codec state (global dictionaries)
+	diskBytes    int64 // raw payload bytes (what a spill file stores)
+	stateBytes   int64 // codec state size (global dictionaries)
 
 	// backing, when set, serves page payloads from disk through a buffer
 	// pool instead of memory (see Spill).
@@ -100,16 +96,16 @@ type Segment struct {
 // the check is poisoned by InvalidateFile or fails on the closed fd — stale
 // bytes can never be admitted.
 type segBacking struct {
-	file   *SegmentFile
+	file   *spillFile
 	pool   *bufferpool.Pool
 	fileID uint64
 	closed atomic.Bool
 }
 
 // BuildSegment encodes the rows into a segment using the codec. The codec's
-// serialized state is charged into PayloadBytes (it travels in the segment
-// file header, so it is real bytes the size model must see, but not pool
-// working set).
+// state size is charged into PayloadBytes (its dictionaries are real bytes
+// the size model must see) but not into DiskBytes: the state never leaves
+// memory, so it is not pool working set.
 func BuildSegment(s *Schema, rows []Row, c PageCodec) (*Segment, error) {
 	if c == nil {
 		return nil, fmt.Errorf("storage: nil page codec")
@@ -131,7 +127,7 @@ func BuildSegment(s *Schema, rows []Row, c PageCodec) (*Segment, error) {
 		return nil, fmt.Errorf("storage: codec %s encoded %d of %d rows", c.Name(), seg.rows, len(rows))
 	}
 	if len(pages) > 0 {
-		seg.stateBytes = int64(len(c.SegmentState()))
+		seg.stateBytes = c.StateBytes()
 		seg.payloadBytes += seg.stateBytes
 	}
 	return seg, nil
@@ -148,12 +144,12 @@ func (g *Segment) PhysicalPages() int64 { return g.physPages }
 func (g *Segment) Rows() int64 { return g.rows }
 
 // PayloadBytes returns the accounted payload size (encoded bytes plus slot
-// overhead, plus any serialized codec state), comparable to the size model
+// overhead, plus the codec state's size), comparable to the size model
 // (compress.DesignSizes).
 func (g *Segment) PayloadBytes() int64 { return g.payloadBytes }
 
-// StateBytes returns the serialized codec-state size included in
-// PayloadBytes (0 for designs without a GDICT column).
+// StateBytes returns the codec-state size included in PayloadBytes (0 for
+// designs without a GDICT column).
 func (g *Segment) StateBytes() int64 { return g.stateBytes }
 
 // Page returns the i-th encoded page.
@@ -186,23 +182,24 @@ func (g *Segment) PageForRow(rid int64) int {
 }
 
 // DiskBytes returns the raw payload bytes of the segment — the size of its
-// SegmentFile body, and the working-set size a buffer pool holds when every
-// page is resident.
+// spill file, and the working-set size a buffer pool holds when every page is
+// resident.
 func (g *Segment) DiskBytes() int64 { return g.diskBytes }
 
-// Spill writes the segment's pages to a file at path and switches payload
-// fetches to go through the pool: in-memory payloads are released, and every
-// later page access pins the page in the pool (loading it from disk on a
-// miss). Page metadata (row counts, accounted bytes, low keys held by the
-// index level) stays in memory.
+// Spill writes the segment's page payloads to a file at path and switches
+// payload fetches to go through the pool: in-memory payloads are released,
+// and every later page access pins the page in the pool (loading it from
+// disk on a miss). The file holds the payloads and nothing else; page
+// metadata (row counts, accounted bytes, low keys held by the index level)
+// and the codec's state stay in memory.
 func (g *Segment) Spill(path string, pool *bufferpool.Pool) error {
 	if pool == nil {
 		return fmt.Errorf("storage: Spill needs a pool")
 	}
 	if g.backing != nil {
-		return fmt.Errorf("storage: segment already spilled to %s", g.backing.file.Path())
+		return fmt.Errorf("storage: segment already spilled to %s", g.backing.file.path)
 	}
-	sf, err := WriteSegmentFile(path, g)
+	sf, err := writeSpillFile(path, g.pages)
 	if err != nil {
 		return err
 	}
@@ -241,10 +238,10 @@ func (g *Segment) CloseBacking() {
 		return
 	}
 	// Order matters: closed is already set, so no new fetch or prefetch
-	// starts; InvalidateFile poisons loads already in flight; Remove closes
+	// starts; InvalidateFile poisons loads already in flight; remove closes
 	// the fd so any straggling ReadAt errors instead of reading.
 	g.backing.pool.InvalidateFile(g.backing.fileID)
-	g.backing.file.Remove()
+	g.backing.file.remove()
 }
 
 // FetchPage returns page i's payload and a release func the caller must
@@ -280,7 +277,7 @@ func (g *Segment) FetchPage(i int, io *IOStats) ([]byte, func(), error) {
 // before CloseBacking still fails here instead of being admitted.
 func (b *segBacking) loadPage(i int) func() ([]byte, error) {
 	return func() ([]byte, error) {
-		data, err := b.file.ReadPage(i)
+		data, err := b.file.readPage(i)
 		if err == nil && b.closed.Load() {
 			return nil, fmt.Errorf("storage: stale segment: backing file was invalidated by a write")
 		}
@@ -303,7 +300,7 @@ func (g *Segment) PrefetchSpan(lo, hi int) (pages int, bytes int64, err error) {
 	var span [][]byte
 	var spanErr error
 	readSpan := func() {
-		span, spanErr = b.file.ReadPageSpan(lo, hi)
+		span, spanErr = b.file.readPageSpan(lo, hi)
 		if spanErr == nil && b.closed.Load() {
 			span, spanErr = nil, fmt.Errorf("storage: stale segment: backing file was invalidated by a write")
 		}
