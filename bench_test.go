@@ -299,8 +299,9 @@ func BenchmarkAblationStaged(b *testing.B) {
 // The read path: one pass of a workload's queries on the tuned, deployed store
 
 // benchDesign tunes for the workload the way the loop benchmark does and
-// returns the recommendation, its structures and the workload's queries.
-func benchDesign(b *testing.B, db *Database, wl *workload.Workload) (*Recommendation, []*IndexDef, []*workload.Query) {
+// returns the recommendation, its structures and the workload's statements
+// the store runs (every one but INSERTs).
+func benchDesign(b *testing.B, db *Database, wl *workload.Workload) (*Recommendation, []*IndexDef, []*workload.Statement) {
 	opts := DefaultOptions(db.TotalHeapBytes() / 4)
 	opts.Parallelism = 1
 	rec, err := Tune(db, wl, opts)
@@ -311,13 +312,29 @@ func benchDesign(b *testing.B, db *Database, wl *workload.Workload) (*Recommenda
 	for _, h := range rec.Config.Indexes() {
 		defs = append(defs, h.Def)
 	}
-	var queries []*workload.Query
+	var stmts []*workload.Statement
 	for _, s := range wl.Statements {
-		if s.Query != nil {
-			queries = append(queries, s.Query)
+		if s.Insert == nil {
+			stmts = append(stmts, s)
 		}
 	}
-	return rec, defs, queries
+	return rec, defs, stmts
+}
+
+// runBenchStatement runs one statement on the store.
+func runBenchStatement(b *testing.B, st *SegmentStore, s *workload.Statement) {
+	var err error
+	switch {
+	case s.Query != nil:
+		_, err = st.RunQuery(s.Query)
+	case s.Update != nil:
+		_, _, err = st.RunUpdate(s.Update)
+	case s.Delete != nil:
+		_, _, err = st.RunDelete(s.Delete)
+	}
+	if err != nil {
+		b.Fatalf("%s: %v", s.Label, err)
+	}
 }
 
 // openBenchStore opens a store over the design; spill puts it behind a pool
@@ -336,18 +353,18 @@ func openBenchStore(b *testing.B, db *Database, rec *Recommendation, defs []*Ind
 }
 
 // benchStorePass tunes for the workload, deploys the recommendation (the
-// first statement deploys the whole design) and then times whole passes —
-// the loop benchmark's pass_s with B/op beside it. Tune and deploy sit
-// outside the timer, so `-cpuprofile` is a profile of the passes alone.
+// first statement deploys the whole design), runs one warm pass and then
+// times whole passes — every statement in workload order, the loop
+// benchmark's pass_s with B/op beside it. Tune, deploy and the warm pass sit
+// outside the timer, so `-cpuprofile` is mostly a profile of the passes (the
+// one-off tune is in it too).
 func benchStorePass(b *testing.B, db *Database, wl *workload.Workload, spill bool) {
-	rec, defs, queries := benchDesign(b, db, wl)
+	rec, defs, stmts := benchDesign(b, db, wl)
 	st := openBenchStore(b, db, rec, defs, spill, b.TempDir())
 	defer st.Close()
 	pass := func() {
-		for _, q := range queries {
-			if _, err := st.RunQuery(q); err != nil {
-				b.Fatal(err)
-			}
+		for _, s := range stmts {
+			runBenchStatement(b, st, s)
 		}
 	}
 	pass()
@@ -365,6 +382,16 @@ func BenchmarkStorePassTPCH(b *testing.B) {
 	benchStorePass(b, db, workloads.SelectIntensive(workloads.MustTPCH()), false)
 }
 
+// BenchmarkStorePassTPCHUpdate is one steady tpch-update pass (10 000
+// lineitem rows, in memory): its queries and its UPDATEs and DELETEs in
+// workload order, on a store the earlier passes have written to. From the
+// second pass on the DELETEs match nothing, and the UPDATEs rewrite the same
+// rows with the values they hold.
+func BenchmarkStorePassTPCHUpdate(b *testing.B) {
+	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 10000, Seed: 1})
+	benchStorePass(b, db, workloads.UpdateIntensive(workloads.MustTPCHWithUpdates()), false)
+}
+
 // BenchmarkStorePassSales is one sales-disk pass (30 000 fact rows, spilled).
 func BenchmarkStorePassSales(b *testing.B) {
 	db := datagen.NewSales(datagen.SalesConfig{FactRows: 30000, Zipf: 0.8, Seed: 1})
@@ -376,7 +403,7 @@ func BenchmarkStorePassSales(b *testing.B) {
 // iteration deploys into a freshly generated database; datagen and the one
 // tune sit outside the timer, so `-cpuprofile` is a profile of deploys.
 func benchStoreDeploy(b *testing.B, gen func() *Database, wl *workload.Workload, spill bool) {
-	rec, defs, queries := benchDesign(b, gen(), wl)
+	rec, defs, stmts := benchDesign(b, gen(), wl)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -386,9 +413,7 @@ func benchStoreDeploy(b *testing.B, gen func() *Database, wl *workload.Workload,
 		dir := b.TempDir()
 		b.StartTimer()
 		st := openBenchStore(b, db, rec, defs, spill, dir)
-		if _, err := st.RunQuery(queries[0]); err != nil {
-			b.Fatal(err)
-		}
+		runBenchStatement(b, st, stmts[0])
 		b.StopTimer()
 		st.Close()
 		b.StartTimer()

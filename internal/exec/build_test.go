@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -18,17 +19,21 @@ import (
 	"cadb/internal/workloads"
 )
 
-// TestUpdateInvalidatesOnlyTouchedStructures pins the precise-invalidation
-// rule: an in-place UPDATE moves no RID, so it rebuilds the heap, the
-// clustered structure and the secondaries storing a SET column — and leaves
-// an index storing none of them as the very segment it was.
+// TestUpdateInvalidatesOnlyTouchedStructures pins what an in-place UPDATE
+// does to each structure over its table. It moves no RID, so an index storing
+// none of the SET columns stays the very segment it was. The structures that
+// store a SET column as a non-key column — the heap, the clustered structure
+// and a secondary including it — keep their segments too, and each one's
+// overlay holds exactly the rows the UPDATE matched. A secondary keyed on a
+// SET column has rows that change position: it is invalidated and rebuilt.
 func TestUpdateInvalidatesOnlyTouchedStructures(t *testing.T) {
 	cfg := datagen.TPCHConfig{LineitemRows: 2000, Seed: 13}
 	oracleDB, storeDB := datagen.NewTPCH(cfg), datagen.NewTPCH(cfg)
 	untouched := &index.Def{Table: "lineitem", KeyCols: []string{"l_partkey"}, IncludeCols: []string{"l_quantity"}, Method: compress.Row}
 	touched := &index.Def{Table: "lineitem", KeyCols: []string{"l_suppkey"}, IncludeCols: []string{"l_returnflag"}, Method: compress.Page}
 	clustered := &index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate"}, Clustered: true, Method: compress.Page}
-	st, err := NewStore(storeDB, []*index.Def{untouched, touched, clustered})
+	keyed := &index.Def{Table: "lineitem", KeyCols: []string{"l_returnflag"}, Method: compress.Row}
+	st, err := NewStore(storeDB, []*index.Def{untouched, touched, clustered, keyed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +41,7 @@ func TestUpdateInvalidatesOnlyTouchedStructures(t *testing.T) {
 		"SELECT l_partkey, l_quantity FROM lineitem WHERE l_partkey BETWEEN 10 AND 20",
 		"SELECT l_suppkey, l_returnflag FROM lineitem WHERE l_suppkey BETWEEN 3 AND 6",
 		"SELECT l_returnflag, COUNT(*) FROM lineitem WHERE l_shipdate BETWEEN DATE 9800 AND DATE 9900 GROUP BY l_returnflag",
+		"SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag",
 	}
 	check := func(when string) {
 		t.Helper()
@@ -62,7 +68,7 @@ func TestUpdateInvalidatesOnlyTouchedStructures(t *testing.T) {
 		return out
 	}
 	before := built()
-	for _, id := range []string{"heap:lineitem", untouched.ID(), touched.ID(), clustered.ID()} {
+	for _, id := range []string{"heap:lineitem", untouched.ID(), touched.ID(), clustered.ID(), keyed.ID()} {
 		if before[id] == nil {
 			t.Fatalf("%s was not built by the warm-up queries", id)
 		}
@@ -71,6 +77,13 @@ func TestUpdateInvalidatesOnlyTouchedStructures(t *testing.T) {
 	stmt, err := sqlparse.ParseStatement("UPDATE lineitem SET l_returnflag = 'R' WHERE l_shipdate BETWEEN DATE 9800 AND DATE 9890")
 	if err != nil {
 		t.Fatal(err)
+	}
+	var matched []int64
+	li := oracleDB.MustTable("lineitem")
+	for i, r := range li.Rows {
+		if matchesAll(li.Schema, r, stmt.Update.Preds) {
+			matched = append(matched, int64(i))
+		}
 	}
 	want, err := RunUpdate(oracleDB, stmt.Update)
 	if err != nil {
@@ -87,14 +100,33 @@ func TestUpdateInvalidatesOnlyTouchedStructures(t *testing.T) {
 	if after[untouched.ID()] != before[untouched.ID()] {
 		t.Errorf("%s stores no SET column but was invalidated", untouched)
 	}
+	if after[untouched.ID()].OverlaidRows() != 0 {
+		t.Errorf("%s stores no SET column but took an overlay", untouched)
+	}
 	for _, id := range []string{"heap:lineitem", touched.ID(), clustered.ID()} {
-		if after[id] != nil {
-			t.Errorf("%s holds l_returnflag but survived the update", id)
+		if after[id] != before[id] {
+			t.Errorf("%s holds l_returnflag off its key but was invalidated", id)
+			continue
+		}
+		if rids := after[id].OverlaidRIDs(); !slices.Equal(rids, matched) {
+			t.Errorf("%s: overlay holds %d RIDs, the update matched %d", id, len(rids), len(matched))
 		}
 	}
+	if after[keyed.ID()] != nil {
+		t.Errorf("%s is keyed on l_returnflag but survived the update", keyed)
+	}
 	check("after")
-	if built()[untouched.ID()] != before[untouched.ID()] {
+	now := built()
+	if now[untouched.ID()] != before[untouched.ID()] {
 		t.Errorf("%s was rebuilt by the queries after the update", untouched)
+	}
+	for _, id := range []string{"heap:lineitem", touched.ID(), clustered.ID()} {
+		if now[id] != before[id] {
+			t.Errorf("%s was rebuilt by the queries after the update", id)
+		}
+	}
+	if now[keyed.ID()] == nil || now[keyed.ID()] == before[keyed.ID()] || now[keyed.ID()].OverlaidRows() != 0 {
+		t.Errorf("%s was not rebuilt by the queries after the update", keyed)
 	}
 }
 

@@ -151,9 +151,18 @@ func matchesAll(s *storage.Schema, r storage.Row, preds []workload.Predicate) bo
 // coerced to the column kind; cached table statistics are invalidated when
 // any row changed.
 func RunUpdate(db *catalog.Database, u *workload.Update) (int64, error) {
+	rids, err := updateRows(db, u)
+	return int64(len(rids)), err
+}
+
+// updateRows is the one update loop, the oracle's and the store's: it
+// rewrites every row the UPDATE matches and returns their RIDs, ascending.
+// A matched row is rewritten, and reported, even when it already holds the
+// new values.
+func updateRows(db *catalog.Database, u *workload.Update) ([]int64, error) {
 	t := db.Table(u.Table)
 	if t == nil {
-		return 0, fmt.Errorf("exec: unknown table %q", u.Table)
+		return nil, fmt.Errorf("exec: unknown table %q", u.Table)
 	}
 	type setIdx struct {
 		col int
@@ -163,35 +172,35 @@ func RunUpdate(db *catalog.Database, u *workload.Update) (int64, error) {
 	for _, a := range u.Set {
 		ci := t.Schema.ColIndex(a.Col)
 		if ci < 0 {
-			return 0, fmt.Errorf("exec: table %q has no column %q", u.Table, a.Col)
+			return nil, fmt.Errorf("exec: table %q has no column %q", u.Table, a.Col)
 		}
 		v := a.Value
 		if !v.Null {
 			v = v.CoerceTo(t.Schema.Columns[ci].Kind)
 		}
 		if v.Null && !t.Schema.Columns[ci].Nullable {
-			return 0, fmt.Errorf("exec: column %s.%s is not nullable", u.Table, a.Col)
+			return nil, fmt.Errorf("exec: column %s.%s is not nullable", u.Table, a.Col)
 		}
 		sets = append(sets, setIdx{col: ci, val: v})
 	}
-	var n int64
+	var rids []int64
 	for i, r := range t.Rows {
 		if !matchesAll(t.Schema, r, u.Preds) {
 			continue
 		}
-		// Copy-on-write: samples and materialized structures may share the
-		// row slice.
+		// Copy-on-write: samples, materialized structures and overlays may
+		// share the row slice.
 		nr := r
 		for _, s := range sets {
 			nr = nr.WithValue(s.col, s.val)
 		}
 		t.Rows[i] = nr
-		n++
+		rids = append(rids, int64(i))
 	}
-	if n > 0 {
+	if len(rids) > 0 {
 		t.InvalidateStats()
 	}
-	return n, nil
+	return rids, nil
 }
 
 // RunDelete removes the rows matching a predicated DELETE, returning the

@@ -36,9 +36,14 @@ type IOStats = storage.IOStats
 // reads. The store makes no path choice of its own. Queries run as an
 // operator pipeline over streaming cursors — pages decode lazily, only the
 // columns the statement can observe are reconstructed, and sargable
-// predicates are evaluated inside the codec — and report their I/O; UPDATE
-// and DELETE locate their rows through the same cursors, and after a write a
-// statement rebuilds the stale structures its plan reads. Results are
+// predicates are evaluated inside the codec — and report their I/O.
+//
+// UPDATE and DELETE locate their rows through the same cursors. An UPDATE
+// that moves no row of a structure records the rewritten rows in that
+// structure's in-memory overlay, which its cursors merge as they decode, and
+// rebuilds nothing (see RunUpdate). A DELETE, and an UPDATE of a key column,
+// leave the structures they move rows in stale, and the next statement that
+// reads one rebuilds it. Results are
 // byte-identical to the plain-row oracle (Run) whatever order an access path
 // delivers rows in: both widen, filter and group through the same operators,
 // aggregation is exact, and the shared shaping tail sorts by a total order.
@@ -327,32 +332,28 @@ func (st *Store) ensureBuilt(hs ...*segHandle) error {
 	return err
 }
 
-// Invalidate marks every segment over the table stale; the next access
-// rebuilds from the catalog rows. Disk-backed segments are closed immediately
-// — their pool frames drop and their spill files are removed, so a cursor
-// still holding the old segment errors instead of reading pre-write pages
-// back out of the pool.
+// Invalidate marks every segment over the table stale, as a DELETE must:
+// removing rows shifts every later RID, so no structure's positions hold.
 func (st *Store) Invalidate(table string) {
-	st.invalidate(table, func(*index.Def) bool { return true })
-}
-
-// invalidate marks stale the table's heap and those of its ordered
-// structures whose definition the write affects.
-func (st *Store) invalidate(table string, affects func(*index.Def) bool) {
-	mark := func(h *segHandle) {
-		h.stale = true
-		if h.si != nil {
-			h.si.Seg.CloseBacking()
-		}
-	}
 	key := strings.ToLower(table)
 	if h := st.heaps[key]; h != nil {
-		mark(h)
+		st.invalidate(h)
 	}
 	for _, h := range st.secs[key] {
-		if affects(h.def) {
-			mark(h)
-		}
+		st.invalidate(h)
+	}
+}
+
+// invalidate marks one structure stale, overlay and all; the next statement
+// that reads it rebuilds it from the catalog rows. Only a DELETE and an
+// UPDATE that moves rows (or folds an overlay) come here. A disk-backed
+// segment is closed at once: its pool frames drop and its spill file is
+// removed, so a cursor still holding the old segment errors instead of
+// reading pre-write pages back out of the pool.
+func (st *Store) invalidate(h *segHandle) {
+	h.stale = true
+	if h.si != nil {
+		h.si.Seg.CloseBacking()
 	}
 }
 
@@ -653,32 +654,60 @@ func (st *Store) locate(rs *runState, s workload.Statement) error {
 }
 
 // RunUpdate applies a predicated UPDATE through the page store: qualifying
-// rows are located along the statement's plan (counting the reads), the
-// catalog rows are rewritten in place, and the segments holding a rewritten
-// column are invalidated: the heap, the clustered structure, and the
-// secondaries whose leaf stores a SET column. An in-place update moves no
-// RID, so an index storing none of the SET columns stays valid — the
-// maintenance rule the cost model charges. The returned count is identical
-// to the plain RunUpdate's.
+// rows are located along the statement's plan (counting the reads), then
+// rewritten in the catalog by the same loop as the plain RunUpdate, whose
+// count it returns. An in-place update moves no RID, so what becomes of each
+// built structure over the table depends on where the SET columns sit in it:
+//   - it stores none of them: it is still valid and is left alone;
+//   - one is a key column: the rewritten rows change position, so it is
+//     invalidated and the next statement that reads it rebuilds it;
+//   - otherwise (always for the heap) the rewritten rows keep their
+//     positions, and each one's new leaf row goes into the structure's
+//     in-memory overlay (index.SegmentIndex.Overlay), which cursors merge as
+//     they decode. The pages, and a disk-backed structure's spill file and
+//     pool frames, stay as they are. An overlay that comes to hold more than
+//     foldShare of its structure's rows is folded: the structure is
+//     invalidated, and the rebuild encodes the rows afresh.
+//
+// A structure whose membership depends on a SET column — a partial index
+// filtering on one, an MV over one — is invalidated too; the store builds
+// neither kind yet.
 func (st *Store) RunUpdate(u *workload.Update) (int64, IOStats, error) {
 	rs := st.newRunState()
-	// Locate through the access layer so the lookup I/O is accounted; the
-	// mutation itself is delegated to the oracle-path implementation, which
-	// is the semantics being validated.
 	if err := st.locate(rs, workload.Statement{Update: u}); err != nil {
 		return 0, rs.io, err
 	}
-	n, err := RunUpdate(st.db, u)
-	if err != nil {
+	rids, err := updateRows(st.db, u)
+	if err != nil || len(rids) == 0 {
 		return 0, rs.io, err
 	}
-	if n > 0 {
-		st.invalidate(u.Table, func(d *index.Def) bool {
-			return slices.ContainsFunc(d.Columns(), u.Touches)
-		})
+	key := strings.ToLower(u.Table)
+	t := st.db.Table(u.Table)
+	for _, h := range append([]*segHandle{st.heaps[key]}, st.secs[key]...) {
+		d := h.def
+		switch {
+		case h.si == nil || h.stale:
+			// Not built: the next read builds it from the rewritten rows.
+		case h != st.heaps[key] && !slices.ContainsFunc(d.Columns(), u.Touches):
+			// Stores no SET column.
+		case slices.ContainsFunc(d.KeyCols, u.Touches):
+			st.invalidate(h)
+		default:
+			if err := h.si.Overlay(t.Schema, t.Rows, rids); err != nil {
+				return 0, rs.io, err
+			}
+			if float64(h.si.OverlaidRows()) > foldShare*float64(h.si.Seg.Rows()) {
+				st.invalidate(h)
+			}
+		}
 	}
-	return n, rs.io, nil
+	return int64(len(rids)), rs.io, nil
 }
+
+// foldShare is the share of a structure's rows its overlay may hold before
+// an UPDATE folds it into a rebuild. It bounds what an overlay keeps in
+// memory, and what a cursor merges, to half its structure.
+const foldShare = 0.5
 
 // RunDelete applies a predicated DELETE through the page store; see
 // RunUpdate. Deleting rows shifts every later RID, so every segment over the

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -158,16 +159,28 @@ func TestDiskStoreStaleFrameGuard(t *testing.T) {
 }
 
 // TestDiskStorePrefetchRacesWrites interleaves scans (with readahead workers
-// in flight) against UPDATE/DELETE invalidation at randomized offsets. A
-// racing reader must either finish with exactly the pre-write rows — the
-// spill file is immutable until invalidation removes it — or fail; it must never surface stale or torn bytes, and after the write the
-// old segment must refuse every fetch. Run under -race this also proves the
-// prefetcher/invalidation shutdown protocol is data-race free.
+// in flight) against writes at randomized offsets, in three arms:
+//   - an UPDATE of the key column of the secondary the racing scan holds,
+//     and a DELETE: both invalidate that segment. The racing reader must
+//     either finish with exactly the pre-write rows — the spill file is
+//     immutable until invalidation removes it — or fail; it must never
+//     surface stale or torn bytes, and after the write the old segment must
+//     refuse every fetch.
+//   - an UPDATE of a column no structure is keyed on, racing a scan of the
+//     heap that reads it: the heap takes an overlay and keeps its pages, so
+//     the scan, which opened before the write, returns exactly the pre-write
+//     rows, the segment still serves its pages, and the store's next read
+//     matches the oracle.
+//
+// Run under -race this also proves the prefetcher/invalidation shutdown
+// protocol is data-race free.
 func TestDiskStorePrefetchRacesWrites(t *testing.T) {
 	cfg := datagen.TPCHConfig{LineitemRows: 3000, Seed: 21}
 	oracleDB := datagen.NewTPCH(cfg)
 	storeDB := datagen.NewTPCH(cfg)
-	st, err := NewStore(storeDB, nil)
+	st, err := NewStore(storeDB, []*index.Def{
+		{Table: "lineitem", KeyCols: []string{"l_tax"}, IncludeCols: []string{"l_shipmode"}, Method: compress.Page},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,18 +192,27 @@ func TestDiskStorePrefetchRacesWrites(t *testing.T) {
 	defer st.Close()
 
 	query := q(t, "SELECT l_shipmode, COUNT(*) FROM lineitem GROUP BY l_shipmode")
-	spec := &storage.DecodeSpec{Needed: []int{0}}
-	for iter := 0; iter < 10; iter++ {
-		// Build (or rebuild) the segment and keep a handle a racing reader
-		// would hold across the write.
+	discounts := q(t, "SELECT l_discount, COUNT(*) FROM lineitem WHERE l_quantity <= 20 GROUP BY l_discount")
+	discount := storeDB.MustTable("lineitem").Schema.ColIndex("l_discount")
+	for iter := 0; iter < 12; iter++ {
+		// Build (or rebuild) every segment and keep a handle a racing reader
+		// would hold across the write: the secondary, whose column 0 is its
+		// key l_tax, or, in the overlay arm, the heap's l_discount.
 		if _, err := st.RunQuery(query); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		si := st.heaps["lineitem"].si
+		if err := st.ensureBuilt(st.all...); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		overlayArm := iter%3 == 2
+		si, spec := st.secs["lineitem"][0].si, &storage.DecodeSpec{Needed: []int{0}}
+		if overlayArm {
+			si, spec = st.heaps["lineitem"].si, &storage.DecodeSpec{Needed: []int{discount}}
+		}
 
 		// Reference: what a scan of the pre-write segment must return.
 		var refIO storage.IOStats
-		var want []int64
+		var want []storage.Value
 		for c := si.ScanCursor(spec, &refIO); ; {
 			b, err := c.NextBatch()
 			if err != nil {
@@ -200,20 +222,20 @@ func TestDiskStorePrefetchRacesWrites(t *testing.T) {
 				break
 			}
 			for _, r := range b.Rows {
-				want = append(want, r[0].Int)
+				want = append(want, r[0])
 			}
 		}
 
 		type raceResult struct {
-			rows []int64
+			rows []storage.Value
 			err  error
 		}
 		done := make(chan raceResult, 1)
+		var io storage.IOStats
+		src := si.ScanCursor(spec, &io)
+		src.EnablePrefetch(8, 2)
 		go func() {
-			var io storage.IOStats
-			src := si.ScanCursor(spec, &io)
-			src.EnablePrefetch(8, 2)
-			var rows []int64
+			var rows []storage.Value
 			for {
 				b, err := src.NextBatch()
 				if err != nil {
@@ -225,7 +247,7 @@ func TestDiskStorePrefetchRacesWrites(t *testing.T) {
 					return
 				}
 				for _, r := range b.Rows {
-					rows = append(rows, r[0].Int)
+					rows = append(rows, r[0])
 				}
 			}
 		}()
@@ -233,17 +255,25 @@ func TestDiskStorePrefetchRacesWrites(t *testing.T) {
 		// Vary how deep into the scan the write lands.
 		time.Sleep(time.Duration(iter*37%211) * time.Microsecond)
 		var gotN, wantN int64
-		if iter%2 == 0 {
+		switch iter % 3 {
+		case 0, 2:
 			upd := &workload.Update{
 				Table: "lineitem",
 				Set:   []workload.Assignment{{Col: "l_tax", Value: storage.IntVal(int64(iter))}},
 				Preds: []workload.Predicate{{Col: "l_quantity", Op: workload.OpLe, Lo: storage.IntVal(30)}},
 			}
+			if overlayArm {
+				upd = &workload.Update{
+					Table: "lineitem",
+					Set:   []workload.Assignment{{Col: "l_discount", Value: storage.FloatVal(float64(iter) / 100)}},
+					Preds: []workload.Predicate{{Col: "l_quantity", Op: workload.OpLe, Lo: storage.IntVal(10)}},
+				}
+			}
 			wantN, err = RunUpdate(oracleDB, upd)
 			if err == nil {
 				gotN, _, err = st.RunUpdate(upd)
 			}
-		} else {
+		case 1:
 			del := &workload.Delete{Table: "lineitem", Preds: []workload.Predicate{
 				{Col: "l_orderkey", Op: workload.OpLe, Lo: storage.IntVal(int64(20 * iter))},
 			}}
@@ -263,6 +293,9 @@ func TestDiskStorePrefetchRacesWrites(t *testing.T) {
 		}
 
 		r := <-done
+		if overlayArm && r.err != nil {
+			t.Fatalf("iter %d: a scan racing an overlaid write failed: %v", iter, r.err)
+		}
 		if r.err == nil {
 			if len(r.rows) != len(want) {
 				t.Fatalf("iter %d: racing scan returned %d rows, pre-write segment holds %d",
@@ -270,9 +303,30 @@ func TestDiskStorePrefetchRacesWrites(t *testing.T) {
 			}
 			for i := range r.rows {
 				if r.rows[i] != want[i] {
-					t.Fatalf("iter %d: racing scan row %d is %d, want %d", iter, i, r.rows[i], want[i])
+					t.Fatalf("iter %d: racing scan row %d is %v, want %v", iter, i, r.rows[i], want[i])
 				}
 			}
+		}
+		if overlayArm {
+			// The heap took an overlay and kept its pages.
+			if st.heaps["lineitem"].si != si || st.heaps["lineitem"].stale || si.OverlaidRows() != int(gotN) {
+				t.Fatalf("iter %d: the heap did not keep its segment under a %d-row overlay", iter, gotN)
+			}
+			if _, release, err := si.Seg.FetchPage(0, nil); err != nil {
+				t.Fatalf("iter %d: the overlaid segment refused a page: %v", iter, err)
+			} else {
+				release()
+			}
+			got, err := st.RunQuery(discounts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRes, err := Run(oracleDB, discounts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertResultsIdentical(t, fmt.Sprintf("iter %d, after the overlaid write", iter), got, wantRes)
+			continue
 		}
 		// The write invalidated the old segment: no fetch may succeed again.
 		if _, _, err := si.Seg.FetchPage(0, nil); err == nil {
@@ -280,7 +334,7 @@ func TestDiskStorePrefetchRacesWrites(t *testing.T) {
 		}
 	}
 	// The store and oracle applied identical writes throughout; the rebuilt
-	// segments must still agree.
+	// and overlaid segments must still agree.
 	got, err := st.RunQuery(query)
 	if err != nil {
 		t.Fatal(err)

@@ -70,11 +70,11 @@ func randomStreamTable(rng *rand.Rand, nrows int) (*catalog.Database, []streamGe
 	return db, gens
 }
 
-// randomStreamQuery draws a single-table query: random predicates (bounds
+// randomStreamQuery draws a query on one table: random predicates (bounds
 // mostly from the data, occasionally fresh or NULL), and either a grouped
 // aggregate or a projection, each with optional ORDER BY.
-func randomStreamQuery(rng *rand.Rand, s *storage.Schema, rows []storage.Row, gens []streamGen) *workload.Query {
-	q := &workload.Query{Tables: []string{"t"}}
+func randomStreamQuery(rng *rand.Rand, table string, s *storage.Schema, rows []storage.Row, gens []streamGen) *workload.Query {
+	q := &workload.Query{Tables: []string{table}}
 	ops := []workload.CmpOp{
 		workload.OpEq, workload.OpNe, workload.OpLt, workload.OpLe,
 		workload.OpGt, workload.OpGe, workload.OpBetween,
@@ -105,7 +105,7 @@ func randomStreamQuery(rng *rand.Rand, s *storage.Schema, rows []storage.Row, ge
 			ci := rng.Intn(len(s.Columns))
 			if !seen[ci] {
 				seen[ci] = true
-				out = append(out, workload.ColRef{Table: "t", Col: s.Columns[ci].Name})
+				out = append(out, workload.ColRef{Table: table, Col: s.Columns[ci].Name})
 			}
 		}
 		return out
@@ -127,7 +127,7 @@ func randomStreamQuery(rng *rand.Rand, s *storage.Schema, rows []storage.Row, ge
 						ci = rng.Intn(len(s.Columns))
 					}
 				}
-				a.Col = workload.ColRef{Table: "t", Col: s.Columns[ci].Name}
+				a.Col = workload.ColRef{Table: table, Col: s.Columns[ci].Name}
 			}
 			q.Aggs = append(q.Aggs, a)
 		}
@@ -174,7 +174,7 @@ func randomStreamDesign(rng *rand.Rand, s *storage.Schema, m compress.Method, ve
 // randomStreamWrite draws an UPDATE (one random assignment) or a DELETE over
 // the same kind of random predicates the queries use.
 func randomStreamWrite(rng *rand.Rand, s *storage.Schema, rows []storage.Row, gens []streamGen) *workload.Statement {
-	preds := randomStreamQuery(rng, s, rows, gens).Preds
+	preds := randomStreamQuery(rng, "t", s, rows, gens).Preds
 	if rng.Float64() < 0.3 {
 		return &workload.Statement{Delete: &workload.Delete{Table: "t", Preds: preds}}
 	}
@@ -291,7 +291,7 @@ func TestStreamingMatchesOracleRandomized(t *testing.T) {
 					}
 					continue
 				}
-				q := randomStreamQuery(rng, s, rows, gens)
+				q := randomStreamQuery(rng, "t", s, rows, gens)
 				want, err := Run(oracleDB, q)
 				if err != nil {
 					t.Fatalf("%s: oracle: %v", label, err)

@@ -29,6 +29,12 @@ type pageWork struct {
 // by the pushed predicates cost their read and a metadata-level decode, but
 // materialize nothing). I/O is accounted into the stats sink as it happens,
 // so a partially consumed cursor reports only the work actually done.
+//
+// A cursor over a structure with an overlay (SegmentIndex.Overlay) serves
+// each overlaid row from the overlay, not from its page: the page is read
+// once as before, its other slots decode with pushdown through the slot
+// list, and the overlaid rows are tested against the same predicates and
+// projected onto the same columns.
 type Cursor struct {
 	seg    *storage.Segment
 	dec    storage.PageDecoder
@@ -38,6 +44,16 @@ type Cursor struct {
 	io     *storage.IOStats
 	pf     *storage.Prefetcher
 	pfBase int // work index the prefetch plan starts at
+
+	// The overlay the cursor opened with, and the page-local buffers that
+	// merge it: the slots left to decode, the overlay entries a page
+	// serves, and the batch rows and values the merge lends out.
+	ov    *overlay
+	spec  *storage.DecodeSpec
+	slots []int
+	serve []int
+	rows  []storage.Row
+	vals  []storage.Value
 }
 
 // ScanCursor streams every page in order — the full-scan access path.
@@ -55,7 +71,7 @@ func (si *SegmentIndex) PageRangeCursor(lo, hi int, spec *storage.DecodeSpec, io
 }
 
 func (si *SegmentIndex) cursor(spec *storage.DecodeSpec, work []pageWork, io *storage.IOStats) *Cursor {
-	return &Cursor{seg: si.Seg, dec: si.Seg.Codec.NewDecoder(si.Seg.Schema, spec), work: work, io: io}
+	return &Cursor{seg: si.Seg, dec: si.Seg.Codec.NewDecoder(si.Seg.Schema, spec), work: work, io: io, ov: si.ov, spec: spec}
 }
 
 // RIDCursor streams exactly the rows at the given segment offsets (sorted
@@ -143,7 +159,8 @@ func (c *Cursor) NextBatch() (*Batch, error) {
 			c.Close()
 			return nil, err
 		}
-		dp, err := c.dec.Decode(payload, c.seg.PageRows(w.page), w.slots)
+		slots := c.split(w)
+		dp, err := c.dec.Decode(payload, c.seg.PageRows(w.page), slots)
 		release()
 		if err != nil {
 			c.Close()
@@ -152,12 +169,95 @@ func (c *Cursor) NextBatch() (*Batch, error) {
 		c.io.PagesDecoded++
 		c.io.TuplesDecoded += dp.TuplesDecoded
 		c.io.ColumnsDecoded += dp.ColumnsDecoded
-		if len(dp.Rows) == 0 {
+		rows := dp.Rows
+		if len(c.serve) > 0 {
+			rows = c.merge(dp.Rows)
+			c.io.TuplesDecoded += int64(len(rows) - len(dp.Rows))
+		}
+		if len(rows) == 0 {
 			continue
 		}
-		c.batch.Rows = dp.Rows
+		c.batch.Rows = rows
 		return &c.batch, nil
 	}
 	c.Close()
 	return nil, nil
+}
+
+// split returns the slots of the page visit the decoder must still decode,
+// and leaves in c.serve the overlay entries that stand in for the rest.
+// Without overlaid rows on the page that is the visit's own slot list; with
+// them it is never nil, since nil would decode the whole page. Finding the
+// page's entries is a binary search, so a page without any costs no more
+// than that.
+func (c *Cursor) split(w pageWork) []int {
+	c.serve = c.serve[:0]
+	if c.ov == nil {
+		return w.slots
+	}
+	start := int32(c.seg.PageStartRow(w.page))
+	n := c.seg.PageRows(w.page)
+	k, _ := slices.BinarySearch(c.ov.pos, start)
+	end, _ := slices.BinarySearch(c.ov.pos[k:], start+int32(n))
+	end += k
+	if k == end {
+		return w.slots
+	}
+	if c.slots == nil {
+		c.slots = make([]int, 0, n)
+	}
+	c.slots = c.slots[:0]
+	visit := func(sl int) {
+		for k < end && int(c.ov.pos[k]-start) < sl {
+			k++
+		}
+		if k < end && int(c.ov.pos[k]-start) == sl {
+			c.serve = append(c.serve, k)
+			return
+		}
+		c.slots = append(c.slots, sl)
+	}
+	if w.slots == nil {
+		for sl := 0; sl < n; sl++ {
+			visit(sl)
+		}
+	} else {
+		for _, sl := range w.slots {
+			visit(sl)
+		}
+	}
+	return c.slots
+}
+
+// merge appends to the page's decoded rows the overlay rows in c.serve that
+// pass the pushed predicates, projected onto the needed columns, and
+// returns them all as one batch.
+func (c *Cursor) merge(decoded []storage.Row) []storage.Row {
+	w := len(c.spec.Needed)
+	c.vals = slices.Grow(c.vals[:0], len(c.serve)*w)[:len(c.serve)*w]
+	c.rows = append(c.rows[:0], decoded...)
+	kept := 0
+	for _, k := range c.serve {
+		row := c.ov.rows[k]
+		if !passes(c.spec.Preds, row) {
+			continue
+		}
+		out := c.vals[kept*w : (kept+1)*w : (kept+1)*w]
+		for j, ci := range c.spec.Needed {
+			out[j] = row[ci]
+		}
+		c.rows = append(c.rows, out)
+		kept++
+	}
+	return c.rows
+}
+
+// passes reports whether a leaf row satisfies every pushed predicate.
+func passes(preds []storage.ColPredicate, row storage.Row) bool {
+	for _, p := range preds {
+		if !p.Matches(row[p.Col]) {
+			return false
+		}
+	}
+	return true
 }

@@ -398,6 +398,46 @@ func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def, r
 		rank = func(ci int) []int32 { return rankColumn(rows, ci, baseSchema.Columns[ci].Kind) }
 	}
 
+	proj, err := newLeafProjection(baseSchema, d)
+	if err != nil {
+		return nil, leafSlab{}, err
+	}
+	if proj.heap {
+		// Every column in table order and nothing to sort by, so the base
+		// rows are the leaf rows.
+		return proj.schema, leafSlab{rows: rows}, nil
+	}
+	keyIdx := make([]int, len(d.KeyCols))
+	for k, c := range d.KeyCols {
+		keyIdx[k] = baseSchema.ColIndex(c)
+	}
+
+	// Project in key order into one slab, so the packer walks memory
+	// sequentially. Every cell is written: the slab may be a reused one.
+	width := len(proj.schema.Columns)
+	out := slab(len(rows)*width, len(rows))
+	for j, i := range keyOrder(rows, keyIdx, rank) {
+		row := out.vals[j*width : (j+1)*width : (j+1)*width]
+		proj.fill(row, rows[i], int64(i))
+		out.rows[j] = row
+	}
+	return proj.schema, out, nil
+}
+
+// leafProjection maps a base row onto a structure's leaf row: the leaf
+// columns in leaf order, then the base row's RID when the structure carries
+// one. A build and an UPDATE's overlay (SegmentIndex.Overlay) project
+// through the same one.
+type leafProjection struct {
+	schema *storage.Schema // the leaf schema
+	colIdx []int           // leaf column -> base column
+	addRID bool
+	// heap means the leaf row is the base row itself: every column in table
+	// order, no RID, no key.
+	heap bool
+}
+
+func newLeafProjection(baseSchema *storage.Schema, d *Def) (*leafProjection, error) {
 	var cols []string
 	if d.Clustered {
 		cols = baseSchema.Names()
@@ -408,47 +448,30 @@ func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def, r
 	}
 	for _, c := range cols {
 		if !baseSchema.Has(c) {
-			return nil, leafSlab{}, fmt.Errorf("index: column %q not in %s", c, d.Table)
+			return nil, fmt.Errorf("index: column %q not in %s", c, d.Table)
 		}
 	}
-	schema := baseSchema.Project(cols)
-	colIdx := make([]int, len(cols))
+	p := &leafProjection{schema: baseSchema.Project(cols), colIdx: make([]int, len(cols)), addRID: !d.Clustered}
 	for i, c := range cols {
-		colIdx[i] = baseSchema.ColIndex(c)
+		p.colIdx[i] = baseSchema.ColIndex(c)
 	}
+	if p.addRID {
+		outCols := append(append([]storage.Column{}, p.schema.Columns...), storage.Column{Name: "__rid", Kind: storage.KindInt})
+		p.schema = storage.NewSchema(outCols...)
+	}
+	p.heap = len(d.KeyCols) == 0 && !p.addRID
+	return p, nil
+}
 
-	addRID := !d.Clustered
-	outCols := schema.Columns
-	if addRID {
-		outCols = append(append([]storage.Column{}, outCols...), storage.Column{Name: "__rid", Kind: storage.KindInt})
-		schema = storage.NewSchema(outCols...)
+// fill writes the leaf row of base row rid into row, which is as wide as the
+// leaf schema.
+func (p *leafProjection) fill(row, base storage.Row, rid int64) {
+	for c, ci := range p.colIdx {
+		row[c] = base[ci]
 	}
-
-	if len(d.KeyCols) == 0 && !addRID {
-		// A heap: every column in table order and nothing to sort by, so the
-		// base rows are the leaf rows.
-		return schema, leafSlab{rows: rows}, nil
+	if p.addRID {
+		row[len(row)-1] = storage.IntVal(rid)
 	}
-	keyIdx := make([]int, len(d.KeyCols))
-	for k, c := range d.KeyCols {
-		keyIdx[k] = baseSchema.ColIndex(c)
-	}
-
-	// Project in key order into one slab, so the packer walks memory
-	// sequentially. Every cell is written: the slab may be a reused one.
-	width := len(outCols)
-	out := slab(len(rows)*width, len(rows))
-	for j, i := range keyOrder(rows, keyIdx, rank) {
-		row := out.vals[j*width : (j+1)*width : (j+1)*width]
-		for c, ci := range colIdx {
-			row[c] = rows[i][ci]
-		}
-		if addRID {
-			row[width-1] = storage.IntVal(int64(i))
-		}
-		out.rows[j] = row
-	}
-	return schema, out, nil
 }
 
 // rankColumn returns each row's dense rank in column ci under Value.Compare:

@@ -29,6 +29,15 @@ type SegmentIndex struct {
 	// lowKeys[i] holds the key-column values of the first row on page i.
 	lowKeys [][]storage.Value
 	nKeys   int
+	// pos[rid] is the leaf position of base row rid: the inverse of the
+	// build's key order, read off the leaf's RID column. Nil on a heap, whose
+	// positions are its RIDs, and on a structure without base RIDs (a
+	// clustered leaf, a partial index, an MV).
+	pos []int32
+	// ov holds the rows in-place UPDATEs rewrote since the build (nil: none).
+	// A write replaces it and never edits it, so a cursor reads the overlay
+	// it opened with.
+	ov *overlay
 }
 
 // LeafStats describes the leaf rows a segment was built from.
@@ -103,6 +112,16 @@ func BuildSegmentOver(schema *storage.Schema, rows []storage.Row, d *Def) (*Segm
 		Seg:      seg,
 		nKeys:    len(d.KeyCols),
 	}
+	if rid := schema.ColIndex("__rid"); rid >= 0 && !d.IsPartial() && !d.IsMV() {
+		si.pos = make([]int32, len(rows))
+		for j, r := range rows {
+			if v := r[rid]; v.Null || v.Int < 0 || v.Int >= int64(len(rows)) {
+				si.pos = nil // not a build over a whole table
+				break
+			}
+			si.pos[r[rid].Int] = int32(j)
+		}
+	}
 	if si.nKeys > 0 {
 		si.lowKeys = make([][]storage.Value, seg.NumPages())
 		at := 0
@@ -114,6 +133,111 @@ func BuildSegmentOver(schema *storage.Schema, rows []storage.Row, d *Def) (*Segm
 		}
 	}
 	return si, nil
+}
+
+// overlay is the leaf rows in-place UPDATEs rewrote in a built structure, by
+// leaf position: pos ascending, rows[k] the leaf row now at pos[k]. An UPDATE
+// that moves no row leaves every position as the build laid it out, so a
+// cursor serves these rows in place of the page's own and the pages stay as
+// they were encoded.
+type overlay struct {
+	pos  []int32
+	rows []storage.Row
+}
+
+// Overlay records the distinct base rows rids of a table as rewritten in
+// place: each one's leaf row, projected from baseRows as the build projects
+// it, replaces the row at its leaf position for every cursor opened from now
+// on. A row already in the overlay takes its new leaf row. The rewrite must
+// move no row: no key column of the structure may have changed. Partial
+// indexes and MVs number their rows in a space of their own, so they keep no
+// leaf positions and take no overlay.
+func (si *SegmentIndex) Overlay(baseSchema *storage.Schema, baseRows []storage.Row, rids []int64) error {
+	d := si.Def
+	proj, err := newLeafProjection(baseSchema, d)
+	if err != nil {
+		return err
+	}
+	if !proj.heap && si.pos == nil {
+		return fmt.Errorf("index: %s was built without leaf positions", d)
+	}
+	if int64(len(baseRows)) != si.Seg.Rows() {
+		return fmt.Errorf("index: %s holds %d rows, its table %d", d, si.Seg.Rows(), len(baseRows))
+	}
+	type entry struct {
+		pos int32
+		row storage.Row
+	}
+	add := make([]entry, len(rids))
+	w := len(proj.schema.Columns)
+	var vals []storage.Value
+	if !proj.heap {
+		vals = make([]storage.Value, len(rids)*w)
+	}
+	for k, rid := range rids {
+		if rid < 0 || rid >= int64(len(baseRows)) {
+			return fmt.Errorf("index: RID %d out of range for %s", rid, d)
+		}
+		if proj.heap {
+			add[k] = entry{int32(rid), baseRows[rid]}
+			continue
+		}
+		row := vals[k*w : (k+1)*w : (k+1)*w]
+		proj.fill(row, baseRows[rid], rid)
+		add[k] = entry{si.pos[rid], row}
+	}
+	slices.SortFunc(add, func(a, b entry) int { return cmp.Compare(a.pos, b.pos) })
+
+	// Merge into the current overlay; the new entry wins a position both
+	// hold.
+	var old overlay
+	if si.ov != nil {
+		old = *si.ov
+	}
+	n := len(old.pos) + len(add)
+	ov := &overlay{pos: make([]int32, 0, n), rows: make([]storage.Row, 0, n)}
+	i := 0
+	for _, e := range add {
+		for ; i < len(old.pos) && old.pos[i] < e.pos; i++ {
+			ov.pos, ov.rows = append(ov.pos, old.pos[i]), append(ov.rows, old.rows[i])
+		}
+		if i < len(old.pos) && old.pos[i] == e.pos {
+			i++
+		}
+		ov.pos, ov.rows = append(ov.pos, e.pos), append(ov.rows, e.row)
+	}
+	ov.pos, ov.rows = append(ov.pos, old.pos[i:]...), append(ov.rows, old.rows[i:]...)
+	si.ov = ov
+	return nil
+}
+
+// OverlaidRows is the number of leaf rows the overlay serves.
+func (si *SegmentIndex) OverlaidRows() int {
+	if si.ov == nil {
+		return 0
+	}
+	return len(si.ov.pos)
+}
+
+// OverlaidRIDs lists, ascending, the base rows the overlay serves; nil when
+// it serves none.
+func (si *SegmentIndex) OverlaidRIDs() []int64 {
+	if si.ov == nil {
+		return nil
+	}
+	out := make([]int64, 0, len(si.ov.pos))
+	if si.pos == nil {
+		for _, p := range si.ov.pos {
+			out = append(out, int64(p))
+		}
+		return out
+	}
+	for rid, p := range si.pos {
+		if _, ok := slices.BinarySearch(si.ov.pos, p); ok {
+			out = append(out, int64(rid))
+		}
+	}
+	return out
 }
 
 // Schema returns the leaf schema (key + include columns, plus __rid for
