@@ -400,24 +400,34 @@ func BenchmarkStorePassSales(b *testing.B) {
 
 // benchStoreDeploy times a deploy: NewSegmentStore plus the first statement,
 // which builds (and with spill, spills) every structure of the design. Each
-// iteration deploys into a freshly generated database; datagen and the one
-// tune sit outside the timer, so `-cpuprofile` is a profile of deploys.
+// iteration deploys into a freshly generated database; datagen, the
+// statistics tuning has built by the time the loop benchmark deploys, and the
+// one tune sit outside the timer, so `-cpuprofile` is a profile of deploys.
+// built_MB/op is the payload deploy encoded, every structure of the design.
 func benchStoreDeploy(b *testing.B, gen func() *Database, wl *workload.Workload, spill bool) {
 	rec, defs, stmts := benchDesign(b, gen(), wl)
+	var built int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		db := gen()
-		db.TotalHeapBytes() // cached by tune in the loop benchmark
+		// The loop benchmark's tune has cached both: the heap sizes, and the
+		// statistics deploy snapshots for its planner.
+		db.TotalHeapBytes()
+		for _, t := range db.Tables() {
+			t.Stats()
+		}
 		dir := b.TempDir()
 		b.StartTimer()
 		st := openBenchStore(b, db, rec, defs, spill, dir)
 		runBenchStatement(b, st, stmts[0])
 		b.StopTimer()
+		built = st.DiskBytes()
 		st.Close()
 		b.StartTimer()
 	}
+	b.ReportMetric(float64(built)/(1<<20), "built_MB/op")
 }
 
 // BenchmarkStoreDeployTPCH is a tpch-select deploy (40 000 lineitem rows, in

@@ -22,10 +22,11 @@ import (
 // TestUpdateInvalidatesOnlyTouchedStructures pins what an in-place UPDATE
 // does to each structure over its table. It moves no RID, so an index storing
 // none of the SET columns stays the very segment it was. The structures that
-// store a SET column as a non-key column — the heap, the clustered structure
-// and a secondary including it — keep their segments too, and each one's
-// overlay holds exactly the rows the UPDATE matched. A secondary keyed on a
-// SET column has rows that change position: it is invalidated and rebuilt.
+// store a SET column as a non-key column — the clustered structure, which is
+// the table's only copy (it has no heap), and a secondary including it — keep
+// their segments too, and each one's overlay holds exactly the rows the
+// UPDATE matched. A secondary keyed on a SET column has rows that change
+// position: it is invalidated and rebuilt.
 func TestUpdateInvalidatesOnlyTouchedStructures(t *testing.T) {
 	cfg := datagen.TPCHConfig{LineitemRows: 2000, Seed: 13}
 	oracleDB, storeDB := datagen.NewTPCH(cfg), datagen.NewTPCH(cfg)
@@ -68,10 +69,13 @@ func TestUpdateInvalidatesOnlyTouchedStructures(t *testing.T) {
 		return out
 	}
 	before := built()
-	for _, id := range []string{"heap:lineitem", untouched.ID(), touched.ID(), clustered.ID(), keyed.ID()} {
+	for _, id := range []string{untouched.ID(), touched.ID(), clustered.ID(), keyed.ID()} {
 		if before[id] == nil {
 			t.Fatalf("%s was not built by the warm-up queries", id)
 		}
+	}
+	if hs := st.tables["lineitem"]; len(hs) != 4 || hs[0].id != clustered.ID() {
+		t.Fatalf("lineitem is stored as %d structures based on %s, want the design's 4 based on its clustered index", len(hs), hs[0].id)
 	}
 
 	stmt, err := sqlparse.ParseStatement("UPDATE lineitem SET l_returnflag = 'R' WHERE l_shipdate BETWEEN DATE 9800 AND DATE 9890")
@@ -103,7 +107,7 @@ func TestUpdateInvalidatesOnlyTouchedStructures(t *testing.T) {
 	if after[untouched.ID()].OverlaidRows() != 0 {
 		t.Errorf("%s stores no SET column but took an overlay", untouched)
 	}
-	for _, id := range []string{"heap:lineitem", touched.ID(), clustered.ID()} {
+	for _, id := range []string{touched.ID(), clustered.ID()} {
 		if after[id] != before[id] {
 			t.Errorf("%s holds l_returnflag off its key but was invalidated", id)
 			continue
@@ -120,7 +124,7 @@ func TestUpdateInvalidatesOnlyTouchedStructures(t *testing.T) {
 	if now[untouched.ID()] != before[untouched.ID()] {
 		t.Errorf("%s was rebuilt by the queries after the update", untouched)
 	}
-	for _, id := range []string{"heap:lineitem", touched.ID(), clustered.ID()} {
+	for _, id := range []string{touched.ID(), clustered.ID()} {
 		if now[id] != before[id] {
 			t.Errorf("%s was rebuilt by the queries after the update", id)
 		}

@@ -180,10 +180,15 @@ func TestFirstStatementDeploysEveryStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Eight heaps, the clustered structure and three secondaries; the partial
-	// definition is not an access path.
-	if want := len(db.Tables()) + 4; len(st.all) != want {
+	// Seven heaps, lineitem's clustered structure in place of its heap, and
+	// three secondaries; the partial definition is not an access path.
+	if want := len(db.Tables()) + 3; len(st.all) != want {
 		t.Fatalf("store has %d handles, want %d", len(st.all), want)
+	}
+	for _, h := range st.all {
+		if h.id == "heap:lineitem" {
+			t.Fatal("the store has a heap handle for lineitem, which has a clustered structure")
+		}
 	}
 	if _, err := st.RunQuery(q(t, "SELECT COUNT(*) FROM nation")); err != nil {
 		t.Fatal(err)

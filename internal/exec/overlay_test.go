@@ -212,8 +212,8 @@ func overlaySequence(t *testing.T, label string, rng *rand.Rand, sc overlaySchem
 			cols []int
 		}
 		var ts []target
-		for _, h := range st.secs[strings.ToLower(sc.fact)] {
-			tg := target{h: h}
+		for _, h := range st.tables[strings.ToLower(sc.fact)] {
+			tg := target{h: h} // a heap stores no column off a key: never a target
 			for _, c := range h.def.Columns() {
 				if !containsFoldStr(h.def.KeyCols, c) {
 					tg.cols = append(tg.cols, s.ColIndex(c))
@@ -307,7 +307,7 @@ func overlaySequence(t *testing.T, label string, rng *rand.Rand, sc overlaySchem
 			if 2*got <= int64(len(ft.Rows)) {
 				t.Fatalf("%s: %s matched %d of %d rows", label, step.what, got, len(ft.Rows))
 			}
-			for _, h := range append([]*segHandle{st.heaps[strings.ToLower(sc.fact)]}, st.secs[strings.ToLower(sc.fact)]...) {
+			for _, h := range st.tables[strings.ToLower(sc.fact)] {
 				if stores := h.hypo == nil || containsFoldStr(h.def.Columns(), s.Columns[free[0]].Name); stores && !h.stale {
 					t.Fatalf("%s: %s: %s holds %d overlaid rows of %d, unfolded", label, step.what, h.id, h.si.OverlaidRows(), h.si.Seg.Rows())
 				}
@@ -327,12 +327,13 @@ func overlaySequence(t *testing.T, label string, rng *rand.Rand, sc overlaySchem
 }
 
 // TestStoreLookupAfterUpdate forces the one path no workload takes — a
-// non-covering secondary seek, then a RID lookup in the heap — after UPDATEs
-// that overlay both the secondary (its included column) and the heap, on a
-// table with a clustered index and on a heap-only one, in memory and
+// non-covering secondary seek, then a RID lookup in the table's base
+// structure — after UPDATEs that overlay both the secondary (its included
+// column) and the base structure, on a table with a clustered index (whose
+// clustered structure is the base) and on a heap-only one, in memory and
 // disk-backed. The seek must find its RIDs through the secondary's overlay
 // (a predicate on the rewritten column is pushed into it), and the lookup
-// must serve the heap's rewritten rows from the heap's overlay.
+// must serve the base structure's rewritten rows from its overlay.
 func TestStoreLookupAfterUpdate(t *testing.T) {
 	secondary := &index.Def{Table: "lineitem", KeyCols: []string{"l_orderkey"}, IncludeCols: []string{"l_comment"}, Method: compress.Page}
 	clustered := &index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate"}, Clustered: true, Method: compress.Row}
@@ -376,6 +377,9 @@ func TestStoreLookupAfterUpdate(t *testing.T) {
 					if len(got.Paths) != 1 || !strings.Contains(got.Paths[0], "seek+lookup") {
 						t.Fatalf("%s %s: %s took %v, not a seek + lookup", label, when, sql, got.Paths)
 					}
+					if base := st.tables["lineitem"][0].id; !strings.HasSuffix(got.Paths[0], " lookups in "+base+")") {
+						t.Fatalf("%s %s: %s took %v, not a lookup in the base structure %s", label, when, sql, got.Paths, base)
+					}
 				}
 			}
 			check("before")
@@ -397,7 +401,7 @@ func TestStoreLookupAfterUpdate(t *testing.T) {
 				}
 				check("after " + sql)
 			}
-			for _, h := range append([]*segHandle{st.heaps["lineitem"]}, st.secs["lineitem"]...) {
+			for _, h := range st.tables["lineitem"] {
 				if h.stale || h.si.OverlaidRows() == 0 {
 					t.Fatalf("%s: %s holds no overlay after the updates", label, h.id)
 				}

@@ -20,22 +20,23 @@ import (
 // accounting currency (see that type for the field semantics).
 type IOStats = storage.IOStats
 
-// Store is the physical half of the database: every table materialized as a
-// page-backed heap segment (insertion order, compressed with the clustered
-// index's method when the design has one), plus key-ordered segments for the
-// clustered index and every non-partial secondary. The first statement
-// deploys the whole design — every structure of every table — in one planned
-// build, then sets up the store's planner: the optimizer's cost model over
-// the catalog statistics as deploy found them, and a configuration of the
-// structures deploy built, at their built sizes.
+// Store is the physical half of the database: every table materialized as
+// one base structure — its clustered index, a key-ordered structure carrying
+// every column, when the design has one, else a page-backed heap segment in
+// insertion order — plus a key-ordered segment for every non-partial
+// secondary. A table is stored once: a clustered table has no heap. The first
+// statement deploys the whole design — every structure of every table — in
+// one planned build, then sets up the store's planner: the optimizer's cost
+// model over the catalog statistics as deploy found them, and a configuration
+// of the structures deploy built, at their built sizes.
 //
 // Every statement runs the plan that cost model gives it (CostModel.Plan,
 // memoized per statement): per table, the heap, or an ordered structure's
 // whole page range for a scan and its composite-key range for a seek, looked
-// up in the heap by RID when the structure lacks a column the statement
-// reads. The store makes no path choice of its own. Queries run as an
-// operator pipeline over streaming cursors — pages decode lazily, only the
-// columns the statement can observe are reconstructed, and sargable
+// up in the table's base structure by RID when the structure lacks a column
+// the statement reads. The store makes no path choice of its own. Queries run
+// as an operator pipeline over streaming cursors — pages decode lazily, only
+// the columns the statement can observe are reconstructed, and sargable
 // predicates are evaluated inside the codec — and report their I/O.
 //
 // UPDATE and DELETE locate their rows through the same cursors. An UPDATE
@@ -49,8 +50,7 @@ type IOStats = storage.IOStats
 // aggregation is exact, and the shared shaping tail sorts by a total order.
 type Store struct {
 	db     *catalog.Database
-	heaps  map[string]*segHandle   // lowercased table -> heap segment
-	secs   map[string][]*segHandle // lowercased table -> ordered structures
+	tables map[string][]*segHandle // lowercased table -> its structures, the base structure first
 	all    []*segHandle            // every handle in ID order, as deployed and spilled
 	design []*segHandle            // the ordered structures in design order: the planner's configuration
 
@@ -142,7 +142,9 @@ func (st *Store) Close() {
 	}
 }
 
-// segHandle is one segment of the design, built at deploy and after writes.
+// segHandle is one segment of the design, built at deploy and after writes:
+// a heap or an ordered structure. A table's base structure — the one RID
+// lookups read — is its clustered structure, or its heap when it has none.
 type segHandle struct {
 	def *index.Def // the materialization def (synthetic for heaps)
 	id  string     // stable identity for deterministic build order
@@ -155,16 +157,13 @@ type segHandle struct {
 }
 
 // NewStore materializes the physical design over the database. Partial and
-// MV index definitions are accepted but not built, so no plan reads them;
-// clustered definitions choose the heap's compression method and become
-// key-ordered structures carrying every column.
+// MV index definitions are accepted but not built, so no plan reads them. A
+// clustered definition becomes its table's base structure: key-ordered,
+// carrying every column and the RID. Only a table without one gets a heap.
 func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
-	st := &Store{
-		db:    db,
-		heaps: make(map[string]*segHandle),
-		secs:  make(map[string][]*segHandle),
-	}
-	clustered := make(map[string]*index.Def)
+	st := &Store{db: db, tables: make(map[string][]*segHandle)}
+	base := make(map[string]*segHandle) // lowercased table -> clustered structure
+	secs := make(map[string][]*segHandle)
 	for _, d := range defs {
 		if d.IsMV() || d.IsPartial() {
 			continue
@@ -200,36 +199,34 @@ func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 		key := strings.ToLower(d.Table)
 		h := &segHandle{def: d, id: d.ID(), hypo: optimizer.NewHypoIndex(d, 0, 0, 0)}
 		if d.Clustered {
-			if _, dup := clustered[key]; dup {
+			if base[key] != nil {
 				return nil, fmt.Errorf("exec: two clustered indexes on %s", d.Table)
 			}
-			clustered[key] = d
+			base[key] = h
 			// The clustered index is materialized as a key-ordered structure
-			// carrying every column, so every read of it is covering.
+			// carrying every column, so every read of it is covering, and the
+			// RID, so lookups find base rows in it.
 			h.def = &index.Def{Table: t.Name, KeyCols: d.KeyCols, Method: d.Method, ColMethods: d.ColMethods}
 			for _, c := range t.Schema.Names() {
 				if !containsFoldStr(d.KeyCols, c) {
 					h.def.IncludeCols = append(h.def.IncludeCols, c)
 				}
 			}
+		} else {
+			secs[key] = append(secs[key], h)
 		}
-		st.secs[key] = append(st.secs[key], h)
 		st.design = append(st.design, h)
-	}
-	for _, t := range db.Tables() {
-		key := strings.ToLower(t.Name)
-		heapDef := &index.Def{Table: t.Name, Clustered: true}
-		if cl := clustered[key]; cl != nil {
-			heapDef.Method = cl.Method
-			heapDef.ColMethods = cl.ColMethods
-		}
-		st.heaps[key] = &segHandle{def: heapDef, id: "heap:" + key}
 	}
 	byID := func(a, b *segHandle) int { return strings.Compare(a.id, b.id) }
 	for _, t := range db.Tables() {
 		key := strings.ToLower(t.Name)
-		slices.SortFunc(st.secs[key], byID)
-		st.all = append(append(st.all, st.heaps[key]), st.secs[key]...)
+		b := base[key]
+		if b == nil {
+			b = &segHandle{def: &index.Def{Table: t.Name, Clustered: true}, id: "heap:" + key}
+		}
+		slices.SortFunc(secs[key], byID)
+		st.tables[key] = append([]*segHandle{b}, secs[key]...)
+		st.all = append(st.all, st.tables[key]...)
 	}
 	slices.SortStableFunc(st.all, byID)
 	return st, nil
@@ -335,11 +332,7 @@ func (st *Store) ensureBuilt(hs ...*segHandle) error {
 // Invalidate marks every segment over the table stale, as a DELETE must:
 // removing rows shifts every later RID, so no structure's positions hold.
 func (st *Store) Invalidate(table string) {
-	key := strings.ToLower(table)
-	if h := st.heaps[key]; h != nil {
-		st.invalidate(h)
-	}
-	for _, h := range st.secs[key] {
+	for _, h := range st.tables[strings.ToLower(table)] {
 		st.invalidate(h)
 	}
 }
@@ -389,40 +382,40 @@ func pathOn(plan *optimizer.Plan, table string) *optimizer.AccessPath {
 // route is a table's plan path resolved against the store: the segment it
 // reads — the heap, or an ordered structure — and the page range [lo, hi) it
 // visits there: all of it for a scan, the composite-key range for a seek.
-// lookup means the structure lacks a needed column, so the path fetches its
-// rows from the heap by RID.
+// lookup, set when the structure lacks a needed column, is the table's base
+// structure, where the path fetches its rows by RID.
 type route struct {
 	ap     *optimizer.AccessPath
 	h      *segHandle
 	lo, hi int
-	lookup bool
+	lookup *segHandle
 }
 
 // route resolves the table's plan path, building what it reads that is
 // stale.
 func (st *Store) route(plan *optimizer.Plan, table string, needed []string) (route, error) {
-	key := strings.ToLower(table)
-	heap := st.heaps[key]
-	r := route{ap: pathOn(plan, table), h: heap}
-	if heap == nil || r.ap == nil {
+	hs := st.tables[strings.ToLower(table)]
+	r := route{ap: pathOn(plan, table)}
+	if hs == nil || r.ap == nil {
 		return r, fmt.Errorf("exec: unknown table %q", table)
 	}
-	if r.ap.Index != nil {
-		r.h = nil
-		for _, h := range st.secs[key] {
-			if h.hypo == r.ap.Index {
-				r.h = h
-				break
-			}
+	base := hs[0]
+	for _, h := range hs {
+		if h.hypo == r.ap.Index { // a heap-scan path has no Index, a heap no hypo
+			r.h = h
+			break
 		}
-		if r.h == nil {
-			return r, fmt.Errorf("exec: the plan reads %s, which the store did not build", r.ap.Index.Def)
-		}
-		r.lookup = !covers(r.h.def, needed)
+	}
+	switch {
+	case r.h == nil && r.ap.Index == nil:
+		return r, fmt.Errorf("exec: the plan scans a heap of %s, which is stored as %s", table, base.id)
+	case r.h == nil:
+		return r, fmt.Errorf("exec: the plan reads %s, which the store did not build", r.ap.Index.Def)
 	}
 	need := []*segHandle{r.h}
-	if r.lookup {
-		need = append(need, heap)
+	if r.h.hypo != nil && !covers(r.h.def, needed) {
+		r.lookup = base
+		need = append(need, base)
 	}
 	if err := st.ensureBuilt(need...); err != nil {
 		return r, err
@@ -661,7 +654,7 @@ func (st *Store) locate(rs *runState, s workload.Statement) error {
 //   - it stores none of them: it is still valid and is left alone;
 //   - one is a key column: the rewritten rows change position, so it is
 //     invalidated and the next statement that reads it rebuilds it;
-//   - otherwise (always for the heap) the rewritten rows keep their
+//   - otherwise (always for a heap) the rewritten rows keep their
 //     positions, and each one's new leaf row goes into the structure's
 //     in-memory overlay (index.SegmentIndex.Overlay), which cursors merge as
 //     they decode. The pages, and a disk-backed structure's spill file and
@@ -681,14 +674,13 @@ func (st *Store) RunUpdate(u *workload.Update) (int64, IOStats, error) {
 	if err != nil || len(rids) == 0 {
 		return 0, rs.io, err
 	}
-	key := strings.ToLower(u.Table)
 	t := st.db.Table(u.Table)
-	for _, h := range append([]*segHandle{st.heaps[key]}, st.secs[key]...) {
+	for _, h := range st.tables[strings.ToLower(u.Table)] {
 		d := h.def
 		switch {
 		case h.si == nil || h.stale:
 			// Not built: the next read builds it from the rewritten rows.
-		case h != st.heaps[key] && !slices.ContainsFunc(d.Columns(), u.Touches):
+		case h.hypo != nil && !slices.ContainsFunc(d.Columns(), u.Touches):
 			// Stores no SET column.
 		case slices.ContainsFunc(d.KeyCols, u.Touches):
 			st.invalidate(h)

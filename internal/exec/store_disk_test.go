@@ -76,7 +76,7 @@ func TestDiskStoreOneMissPerPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap := st.heaps["lineitem"].si.Seg
+	heap := st.tables["lineitem"][0].si.Seg
 	if !heap.Backed() {
 		t.Fatal("heap segment is not disk-backed")
 	}
@@ -121,7 +121,7 @@ func TestDiskStoreStaleFrameGuard(t *testing.T) {
 	if _, err := st.RunQuery(query); err != nil {
 		t.Fatal(err)
 	}
-	oldSeg := st.heaps["lineitem"].si.Seg
+	oldSeg := st.tables["lineitem"][0].si.Seg // the clustered structure: lineitem's base
 	resident := pool.Bytes()
 	if resident == 0 {
 		t.Fatal("nothing resident after a scan")
@@ -205,9 +205,9 @@ func TestDiskStorePrefetchRacesWrites(t *testing.T) {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		overlayArm := iter%3 == 2
-		si, spec := st.secs["lineitem"][0].si, &storage.DecodeSpec{Needed: []int{0}}
+		si, spec := st.tables["lineitem"][1].si, &storage.DecodeSpec{Needed: []int{0}}
 		if overlayArm {
-			si, spec = st.heaps["lineitem"].si, &storage.DecodeSpec{Needed: []int{discount}}
+			si, spec = st.tables["lineitem"][0].si, &storage.DecodeSpec{Needed: []int{discount}}
 		}
 
 		// Reference: what a scan of the pre-write segment must return.
@@ -309,7 +309,7 @@ func TestDiskStorePrefetchRacesWrites(t *testing.T) {
 		}
 		if overlayArm {
 			// The heap took an overlay and kept its pages.
-			if st.heaps["lineitem"].si != si || st.heaps["lineitem"].stale || si.OverlaidRows() != int(gotN) {
+			if heap := st.tables["lineitem"][0]; heap.si != si || heap.stale || si.OverlaidRows() != int(gotN) {
 				t.Fatalf("iter %d: the heap did not keep its segment under a %d-row overlay", iter, gotN)
 			}
 			if _, release, err := si.Seg.FetchPage(0, nil); err != nil {

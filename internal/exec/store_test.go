@@ -246,8 +246,7 @@ func TestStoreCoveringSecondaryServesWithoutLookups(t *testing.T) {
 			t.Fatalf("covering index should not look up the heap: %v", got.Paths)
 		}
 	}
-	heapPages := st.heaps["lineitem"]
-	if heapPages == nil {
+	if base := st.tables["lineitem"]; len(base) == 0 || base[0].hypo != nil {
 		t.Fatal("no heap handle")
 	}
 	full, err := NewStore(db, nil)

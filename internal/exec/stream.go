@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"cadb/internal/index"
 	"cadb/internal/optimizer"
@@ -161,13 +160,13 @@ func (st *Store) open(rs *runState, plan *optimizer.Plan, table string, preds []
 		return rangeStream(rs, si, r.lo, r.hi, preds, needed), nil
 	}
 	span := fmt.Sprintf("%s via %s (%d of %d pages", table, r.h.id, r.hi-r.lo, si.Seg.NumPages())
-	if !r.lookup {
+	if r.lookup == nil {
 		rs.paths = append(rs.paths, fmt.Sprintf("%s %s)", r.ap.Kind, span))
 		return rangeStream(rs, si, r.lo, r.hi, preds, needed), nil
 	}
 	// Seek + lookup: the range decoded down to its RID column (predicates
-	// still pushed), then the heap rows at those RIDs, each heap page
-	// visited once, in insertion order.
+	// still pushed), then the base structure's rows at those RIDs, each of
+	// its pages visited once, in page order.
 	if si.Schema().ColIndex("__rid") < 0 {
 		return nil, fmt.Errorf("exec: structure %s has no RID column", r.h.id)
 	}
@@ -179,14 +178,16 @@ func (st *Store) open(rs *runState, plan *optimizer.Plan, table string, preds []
 	if err != nil {
 		return nil, err
 	}
-	slices.Sort(rids)
-	rs.paths = append(rs.paths, fmt.Sprintf("%s+lookup %s, %d lookups)", r.ap.Kind, span, len(rids)))
-	heap := st.heaps[strings.ToLower(table)].si
-	hs := heap.Schema()
-	ords := ordinalsFor(hs, needed)
-	cur := heap.RIDCursor(rids, &storage.DecodeSpec{Needed: ords, Preds: compilePushdown(hs, preds)}, &rs.io)
+	rs.paths = append(rs.paths, fmt.Sprintf("%s+lookup %s, %d lookups in %s)", r.ap.Kind, span, len(rids), r.lookup.id))
+	base := r.lookup.si
+	bs := base.Schema()
+	ords := ordinalsFor(bs, needed)
+	cur, err := base.RIDCursor(rids, &storage.DecodeSpec{Needed: ords, Preds: compilePushdown(bs, preds)}, &rs.io)
+	if err != nil {
+		return nil, err
+	}
 	cur.EnablePrefetch(rs.pfWindow, rs.pfWorkers)
-	return cursorStream(projectSchema(hs, ords), cur), nil
+	return cursorStream(projectSchema(bs, ords), cur), nil
 }
 
 // rangeStream streams the page range [lo, hi) of a segment in page order —

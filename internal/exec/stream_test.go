@@ -194,9 +194,9 @@ func twinDB(db *catalog.Database) *catalog.Database {
 
 // pathBudget is the absolute decode budget of a single-table query: the rows
 // held by the pages its plan path visits (the structure's page range, plus
-// the heap's rows when the path looks them up there), and the number of
-// distinct columns a page decode may touch (needed ∪ predicated, plus the
-// structure's RID).
+// the base structure's rows when the path looks them up there), and the
+// number of distinct columns a page decode may touch (needed ∪ predicated,
+// plus the structure's RID).
 func pathBudget(t *testing.T, st *Store, q *workload.Query, needed []string) (rows, cols int64) {
 	t.Helper()
 	plan, err := st.planFor(workload.Statement{Query: q})
@@ -210,8 +210,8 @@ func pathBudget(t *testing.T, st *Store, q *workload.Query, needed []string) (ro
 	for p := r.lo; p < r.hi; p++ {
 		rows += int64(r.h.si.Seg.PageRows(p))
 	}
-	if r.lookup {
-		rows += st.heaps["t"].si.Seg.Rows()
+	if r.lookup != nil {
+		rows += r.lookup.si.Seg.Rows()
 	}
 	touched := map[string]bool{"__rid": true}
 	for _, c := range needed {

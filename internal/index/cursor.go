@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"slices"
 
 	"cadb/internal/storage"
@@ -11,7 +12,7 @@ import (
 // belong to the cursor and are overwritten by the next NextBatch; a consumer
 // that keeps rows longer copies them. Structures that are not in insertion
 // order carry the RID as a column, which a non-covering seek reads to look
-// its rows up in the heap.
+// its rows up in the table's base structure (RIDCursor).
 type Batch struct {
 	Rows []storage.Row
 }
@@ -74,17 +75,28 @@ func (si *SegmentIndex) cursor(spec *storage.DecodeSpec, work []pageWork, io *st
 	return &Cursor{seg: si.Seg, dec: si.Seg.Codec.NewDecoder(si.Seg.Schema, spec), work: work, io: io, ov: si.ov, spec: spec}
 }
 
-// RIDCursor streams exactly the rows at the given segment offsets (sorted
-// ascending), visiting each page once with a slot filter — the batched heap
-// lookup half of a non-covering index seek.
-func (si *SegmentIndex) RIDCursor(rids []int64, spec *storage.DecodeSpec, io *storage.IOStats) *Cursor {
-	if !slices.IsSorted(rids) {
-		rids = slices.Clone(rids)
-		slices.Sort(rids)
+// RIDCursor streams exactly the rows of the given base RIDs, visiting each
+// page once with a slot filter — the batched lookup half of a non-covering
+// index seek. On a heap a RID is its row's position; any other structure maps
+// it through pos, so only one that keeps positions serves lookups. The rows
+// come in page order; RIDs outside the table are skipped.
+func (si *SegmentIndex) RIDCursor(rids []int64, spec *storage.DecodeSpec, io *storage.IOStats) (*Cursor, error) {
+	if si.pos == nil && (!si.Def.Clustered || len(si.Def.KeyCols) > 0) {
+		return nil, fmt.Errorf("index: %s keeps no RID positions to look rows up by", si.Def)
 	}
+	at := slices.Clone(rids)
+	if si.pos != nil {
+		for i, rid := range rids {
+			at[i] = -1
+			if rid >= 0 && rid < int64(len(si.pos)) {
+				at[i] = int64(si.pos[rid])
+			}
+		}
+	}
+	slices.Sort(at)
 	var work []pageWork
-	for i := 0; i < len(rids); {
-		p := si.Seg.PageForRow(rids[i])
+	for i := 0; i < len(at); {
+		p := si.Seg.PageForRow(at[i])
 		if p < 0 {
 			i++
 			continue
@@ -92,15 +104,15 @@ func (si *SegmentIndex) RIDCursor(rids []int64, spec *storage.DecodeSpec, io *st
 		start := si.Seg.PageStartRow(p)
 		end := start + int64(si.Seg.PageRows(p))
 		var slots []int
-		for ; i < len(rids) && rids[i] < end; i++ {
-			sl := int(rids[i] - start)
+		for ; i < len(at) && at[i] < end; i++ {
+			sl := int(at[i] - start)
 			if len(slots) == 0 || slots[len(slots)-1] != sl {
 				slots = append(slots, sl)
 			}
 		}
 		work = append(work, pageWork{page: p, slots: slots})
 	}
-	return si.cursor(spec, work, io)
+	return si.cursor(spec, work, io), nil
 }
 
 // NumPages returns how many pages the cursor will visit in total.

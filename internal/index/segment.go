@@ -30,9 +30,12 @@ type SegmentIndex struct {
 	lowKeys [][]storage.Value
 	nKeys   int
 	// pos[rid] is the leaf position of base row rid: the inverse of the
-	// build's key order, read off the leaf's RID column. Nil on a heap, whose
-	// positions are its RIDs, and on a structure without base RIDs (a
-	// clustered leaf, a partial index, an MV).
+	// build's key order, read off the leaf's RID column, 4 B per row. An
+	// UPDATE's overlay and a RID lookup (RIDCursor) find base rows through
+	// it, so a key-ordered structure carrying every column and the RID can
+	// stand in for its table's heap. Nil on a heap, whose positions are its
+	// RIDs, and on a structure without base RIDs (a clustered leaf, a partial
+	// index, an MV).
 	pos []int32
 	// ov holds the rows in-place UPDATEs rewrote since the build (nil: none).
 	// A write replaces it and never edits it, so a cursor reads the overlay

@@ -3,8 +3,10 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"cadb/internal/catalog"
@@ -297,4 +299,87 @@ func TestBuildSegmentIndexAllMethods(t *testing.T) {
 			t.Fatalf("%s: full scan decoded %d rows, want 500", d, len(rows))
 		}
 	}
+}
+
+// TestRIDCursorLooksUpBaseRows: a RID cursor serves the base rows of the RIDs
+// it is given — out-of-range ones skipped — from a heap, whose positions are
+// its RIDs, and from a key-ordered structure carrying every column and the
+// RID, through its RID → leaf-position map, each page visited once. A
+// structure without positions refuses lookups.
+func TestRIDCursorLooksUpBaseRows(t *testing.T) {
+	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 2000, Seed: 7})
+	li := db.MustTable("lineitem")
+	var include []string
+	for _, c := range li.Schema.Names() {
+		if c != "l_shipdate" {
+			include = append(include, c)
+		}
+	}
+	rng := rand.New(rand.NewPCG(7, 7))
+	rids := []int64{-1, int64(len(li.Rows))}
+	want := map[int64]bool{}
+	for len(want) < 60 {
+		r := rng.Int64N(int64(len(li.Rows)))
+		want[r] = true
+		rids = append(rids, r, r) // a repeat is looked up once
+	}
+	for _, d := range []*Def{
+		{Table: "lineitem", Clustered: true, Method: compress.Page},
+		{Table: "lineitem", KeyCols: []string{"l_shipdate"}, IncludeCols: include, Method: compress.Row},
+	} {
+		si, err := BuildSegmentIndex(db, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := si.Schema()
+		cur, err := si.RIDCursor(rids, &storage.DecodeSpec{Needed: s.AllOrdinals()}, &storage.IOStats{})
+		if err != nil {
+			t.Fatalf("%s: %v", d, err)
+		}
+		pages := cur.NumPages()
+		// A heap serves the rows in RID order; the structure carries each
+		// one's RID.
+		order := slices.Sorted(maps.Keys(want))
+		got := map[int64]bool{}
+		for {
+			b, err := cur.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			for _, row := range b.Rows {
+				rid := order[min(len(got), len(order)-1)]
+				if ci := s.ColIndex("__rid"); ci >= 0 {
+					rid = row[ci].Int
+				}
+				if !want[rid] || got[rid] || !matchesBase(s, row, li.Schema, li.Rows[rid]) {
+					t.Fatalf("%s: looked-up row %v is no requested base row", d, row)
+				}
+				got[rid] = true
+			}
+		}
+		if len(got) != len(want) || pages > len(want) {
+			t.Fatalf("%s: %d of %d rows over %d page visits", d, len(got), len(want), pages)
+		}
+	}
+	cl, err := BuildSegmentIndex(db, &Def{Table: "lineitem", KeyCols: []string{"l_shipdate"}, Clustered: true, Method: compress.Row})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RIDCursor(rids, &storage.DecodeSpec{}, &storage.IOStats{}); err == nil {
+		t.Fatal("a structure without RID positions served a lookup")
+	}
+}
+
+// matchesBase reports whether a leaf row holds the base row's value in every
+// base column it carries.
+func matchesBase(leaf *storage.Schema, row storage.Row, base *storage.Schema, b storage.Row) bool {
+	for i, c := range leaf.Columns {
+		if ci := base.ColIndex(c.Name); ci >= 0 && row[i] != b[ci] {
+			return false
+		}
+	}
+	return true
 }
