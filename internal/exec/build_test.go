@@ -84,8 +84,12 @@ func TestUpdateInvalidatesOnlyTouchedStructures(t *testing.T) {
 	}
 	var matched []int64
 	li := oracleDB.MustTable("lineitem")
+	where, err := index.NewRowFilter(li.Schema, stmt.Update.Preds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range li.Rows {
-		if matchesAll(li.Schema, r, stmt.Update.Preds) {
+		if where.Keep(r) {
 			matched = append(matched, int64(i))
 		}
 	}

@@ -9,7 +9,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 
 	"cadb/internal/catalog"
 	"cadb/internal/index"
@@ -91,58 +90,26 @@ func projectRows(schema *storage.Schema, rows []storage.Row, keep []string) []st
 	return out
 }
 
-// resolveName maps a query column reference onto the wide schema's
-// table_col naming (or MV output naming).
-func resolveName(schema *storage.Schema, c workload.ColRef) (string, error) {
-	if c.Table != "" {
-		q := strings.ToLower(c.Table + "_" + c.Col)
-		if schema.Has(q) {
-			return q, nil
-		}
-	}
-	if schema.Has(c.Col) {
-		return strings.ToLower(c.Col), nil
-	}
-	suffix := "_" + strings.ToLower(c.Col)
-	var found string
-	for _, col := range schema.Columns {
-		if strings.HasSuffix(strings.ToLower(col.Name), suffix) {
-			if found != "" {
-				return "", fmt.Errorf("exec: ambiguous column %q", c)
-			}
-			found = col.Name
-		}
-	}
-	if found == "" {
-		return "", fmt.Errorf("exec: column %q not found", c)
-	}
-	return found, nil
-}
-
-// CountMatching returns the number of driving-table rows satisfying the
-// query's predicates on that table — the ground truth for selectivity
-// validation.
+// CountMatching returns the number of the table's rows satisfying the
+// predicates — the ground truth for selectivity validation. Like a write's
+// WHERE, the predicates are bound to the table's schema by index.NewRowFilter,
+// the rule a query's are bound by.
 func CountMatching(db *catalog.Database, table string, preds []workload.Predicate) (int64, error) {
 	t := db.Table(table)
 	if t == nil {
 		return 0, fmt.Errorf("exec: unknown table %q", table)
 	}
+	f, err := index.NewRowFilter(t.Schema, preds)
+	if err != nil {
+		return 0, err
+	}
 	var n int64
 	for _, r := range t.Rows {
-		if matchesAll(t.Schema, r, preds) {
+		if f.Keep(r) {
 			n++
 		}
 	}
 	return n, nil
-}
-
-func matchesAll(s *storage.Schema, r storage.Row, preds []workload.Predicate) bool {
-	for _, p := range preds {
-		if !p.Matches(s, r) {
-			return false
-		}
-	}
-	return true
 }
 
 // RunUpdate applies a predicated UPDATE to the database in place, returning
@@ -158,11 +125,16 @@ func RunUpdate(db *catalog.Database, u *workload.Update) (int64, error) {
 // updateRows is the one update loop, the oracle's and the store's: it
 // rewrites every row the UPDATE matches and returns their RIDs, ascending.
 // A matched row is rewritten, and reported, even when it already holds the
-// new values.
+// new values. The WHERE and the SET list are bound before any row is
+// touched, so an unknown column fails the statement and changes nothing.
 func updateRows(db *catalog.Database, u *workload.Update) ([]int64, error) {
 	t := db.Table(u.Table)
 	if t == nil {
 		return nil, fmt.Errorf("exec: unknown table %q", u.Table)
+	}
+	f, err := index.NewRowFilter(t.Schema, u.Preds)
+	if err != nil {
+		return nil, err
 	}
 	type setIdx struct {
 		col int
@@ -185,7 +157,7 @@ func updateRows(db *catalog.Database, u *workload.Update) ([]int64, error) {
 	}
 	var rids []int64
 	for i, r := range t.Rows {
-		if !matchesAll(t.Schema, r, u.Preds) {
+		if !f.Keep(r) {
 			continue
 		}
 		// Copy-on-write: samples, materialized structures and overlays may
@@ -205,15 +177,19 @@ func updateRows(db *catalog.Database, u *workload.Update) ([]int64, error) {
 
 // RunDelete removes the rows matching a predicated DELETE, returning the
 // number of rows removed. Cached table statistics are invalidated when any
-// row was dropped.
+// row was dropped. An unknown WHERE column fails it before any row goes.
 func RunDelete(db *catalog.Database, d *workload.Delete) (int64, error) {
 	t := db.Table(d.Table)
 	if t == nil {
 		return 0, fmt.Errorf("exec: unknown table %q", d.Table)
 	}
+	f, err := index.NewRowFilter(t.Schema, d.Preds)
+	if err != nil {
+		return 0, err
+	}
 	kept := t.Rows[:0]
 	for _, r := range t.Rows {
-		if matchesAll(t.Schema, r, d.Preds) {
+		if f.Keep(r) {
 			continue
 		}
 		kept = append(kept, r)

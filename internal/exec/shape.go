@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"cadb/internal/catalog"
+	"cadb/internal/index"
 	"cadb/internal/storage"
 	"cadb/internal/workload"
 )
@@ -43,11 +44,11 @@ func selectList(db *catalog.Database, fact string, schema *storage.Schema, q *wo
 	}
 	keep := make([]string, 0, len(cols))
 	for _, c := range cols {
-		name, err := resolveName(schema, c)
+		i, err := index.ResolveCol(schema, c)
 		if err != nil {
 			return nil, err
 		}
-		keep = append(keep, name)
+		keep = append(keep, schema.Columns[i].Name)
 	}
 	return keep, nil
 }
@@ -61,11 +62,11 @@ func selectList(db *catalog.Database, fact string, schema *storage.Schema, q *wo
 func applyOrder(res *Result, q *workload.Query) (*Result, error) {
 	keys := make([]int, 0, len(q.OrderBy)+len(res.Schema.Columns))
 	for _, k := range q.OrderBy {
-		name, err := resolveName(res.Schema, k)
+		i, err := index.ResolveCol(res.Schema, k)
 		if err != nil {
 			return nil, err
 		}
-		keys = append(keys, res.Schema.ColIndex(name))
+		keys = append(keys, i)
 	}
 	for i := range res.Schema.Columns {
 		keys = append(keys, i)

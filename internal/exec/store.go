@@ -649,8 +649,11 @@ func (st *Store) locate(rs *runState, s workload.Statement) error {
 // RunUpdate applies a predicated UPDATE through the page store: qualifying
 // rows are located along the statement's plan (counting the reads), then
 // rewritten in the catalog by the same loop as the plain RunUpdate, whose
-// count it returns. An in-place update moves no RID, so what becomes of each
-// built structure over the table depends on where the SET columns sit in it:
+// count it returns. That loop binds the WHERE as a query's is bound
+// (index.NewRowFilter) before it rewrites anything, so an unknown column
+// fails the statement with no row and no structure changed. An in-place
+// update moves no RID, so what becomes of each built structure over the
+// table depends on where the SET columns sit in it:
 //   - it stores none of them: it is still valid and is left alone;
 //   - one is a key column: the rewritten rows change position, so it is
 //     invalidated and the next statement that reads it rebuilds it;

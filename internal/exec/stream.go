@@ -109,10 +109,13 @@ func (s *rowStream) forEach(fn func(storage.Row) error) error {
 }
 
 // compilePushdown lowers the statement's predicates onto a segment schema:
-// every predicate whose column exists becomes a storage.ColPredicate with
-// bounds coerced to the column kind (see workload.Predicate.Lower).
-// Predicates on other tables' columns are left to the post-join filter,
-// which re-applies everything.
+// every predicate whose column the segment stores under that name becomes a
+// storage.ColPredicate with bounds coerced to the column kind (see
+// workload.Predicate.Lower). Pushdown only saves decoding: which rows a
+// statement reads or writes is decided by index.RowFilter, whose binding
+// (index.ResolveCol) re-applies every predicate after the join and fails on
+// an unknown column. So a predicate on another table's column, or one only
+// the suffix rule would bind, is simply not pushed.
 func compilePushdown(s *storage.Schema, preds []workload.Predicate) []storage.ColPredicate {
 	var out []storage.ColPredicate
 	for _, p := range preds {

@@ -5,6 +5,7 @@ import (
 
 	"cadb/internal/catalog"
 	"cadb/internal/datagen"
+	"cadb/internal/index"
 	"cadb/internal/optimizer"
 	"cadb/internal/sqlparse"
 	"cadb/internal/storage"
@@ -45,8 +46,12 @@ func TestRunUpdateAppliesAssignments(t *testing.T) {
 	}
 	// Every qualifying row now carries the new value.
 	di := li.Schema.ColIndex("l_discount")
+	where, err := index.NewRowFilter(li.Schema, u.Preds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range li.Rows {
-		if u.Preds[0].Matches(li.Schema, r) && r[di].Float != 0.5 {
+		if where.Keep(r) && r[di].Float != 0.5 {
 			t.Fatalf("qualifying row not updated: %v", r[di])
 		}
 	}

@@ -251,7 +251,7 @@ func (c *Cursor) merge(decoded []storage.Row) []storage.Row {
 	kept := 0
 	for _, k := range c.serve {
 		row := c.ov.rows[k]
-		if !passes(c.spec.Preds, row) {
+		if !storage.MatchesRow(c.spec.Preds, row) {
 			continue
 		}
 		out := c.vals[kept*w : (kept+1)*w : (kept+1)*w]
@@ -262,14 +262,4 @@ func (c *Cursor) merge(decoded []storage.Row) []storage.Row {
 		kept++
 	}
 	return c.rows
-}
-
-// passes reports whether a leaf row satisfies every pushed predicate.
-func passes(preds []storage.ColPredicate, row storage.Row) bool {
-	for _, p := range preds {
-		if !p.Matches(row[p.Col]) {
-			return false
-		}
-	}
-	return true
 }

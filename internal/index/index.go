@@ -52,6 +52,22 @@ func (m *MVDef) Fingerprint() string {
 	return b.String()
 }
 
+// ColumnTable returns the catalog table whose statistics describe an MV
+// column reference: the named table if it has the column, else the fact
+// table, else the first joined table that has it; nil if none does.
+func (m *MVDef) ColumnTable(db *catalog.Database, c workload.ColRef) *catalog.Table {
+	names := []string{c.Table, m.Fact}
+	for _, j := range m.Joins {
+		names = append(names, j.RightTable, j.LeftTable)
+	}
+	for _, n := range names {
+		if t := db.Table(n); t != nil && t.Schema.Has(c.Col) {
+			return t
+		}
+	}
+	return nil
+}
+
 // Def describes one index (possibly hypothetical).
 type Def struct {
 	// Table is the base table, or the MV name when MV is set.
@@ -378,21 +394,9 @@ func buildLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def, r
 		}
 	}
 	// Filter for partial indexes.
-	rows := baseRows
-	if d.IsPartial() {
-		rows = make([]storage.Row, 0, len(baseRows)/4)
-		for _, r := range baseRows {
-			ok := true
-			for _, p := range d.Where {
-				if !p.Matches(baseSchema, r) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				rows = append(rows, r)
-			}
-		}
+	rows, err := FilterRows(baseSchema, baseRows, d.Where)
+	if err != nil {
+		return nil, leafSlab{}, err
 	}
 	if rank == nil || d.IsPartial() {
 		rank = func(ci int) []int32 { return rankColumn(rows, ci, baseSchema.Columns[ci].Kind) }

@@ -16,19 +16,10 @@ import (
 // referenceLeafRows is the comparator build that keyOrder replaced, kept as
 // the specification of leaf-row order: filter, project, append the RID, then
 // sort a permutation under Value.Compare with the position as tie-break.
-func referenceLeafRows(baseSchema *storage.Schema, baseRows []storage.Row, d *Def) (*storage.Schema, []storage.Row) {
-	rows := baseRows
-	if d.IsPartial() {
-		rows = nil
-		for _, r := range baseRows {
-			ok := true
-			for _, p := range d.Where {
-				ok = ok && p.Matches(baseSchema, r)
-			}
-			if ok {
-				rows = append(rows, r)
-			}
-		}
+func referenceLeafRows(t *testing.T, baseSchema *storage.Schema, baseRows []storage.Row, d *Def) (*storage.Schema, []storage.Row) {
+	rows, err := FilterRows(baseSchema, baseRows, d.Where)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cols := d.Columns()
 	if d.Clustered {
@@ -175,7 +166,7 @@ func TestKeyOrderMatchesReference(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				d.Where = []workload.Predicate{{Col: "i", Op: workload.OpLe, Lo: storage.IntVal(int64(rng.Intn(5) - 2))}}
 			}
-			wantSchema, want := referenceLeafRows(tbl.Schema, tbl.Rows, d)
+			wantSchema, want := referenceLeafRows(t, tbl.Schema, tbl.Rows, d)
 			for _, path := range []string{"batch of one", "shared batch"} {
 				var schema *storage.Schema
 				var got []storage.Row

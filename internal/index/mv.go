@@ -314,9 +314,10 @@ func indexOfQualified(cols []storage.Column, table, col string) int {
 	return -1
 }
 
-// FilterRows applies the ANDed predicates; predicate columns may be written
-// unqualified (col) or qualified (table.col), both resolved against the wide
-// schema's table_col naming.
+// FilterRows returns the rows that satisfy the ANDed predicates, compiled by
+// NewRowFilter. It serves a wide joined schema and a base table's schema
+// alike: the oracle's post-join filter, a partial index's build and its
+// filtered sample all go through it.
 func FilterRows(s *storage.Schema, rows []storage.Row, preds []workload.Predicate) ([]storage.Row, error) {
 	f, err := NewRowFilter(s, preds)
 	if err != nil {
@@ -334,21 +335,24 @@ func FilterRows(s *storage.Schema, rows []storage.Row, preds []workload.Predicat
 	return out, nil
 }
 
-// RowFilter is the streaming form of FilterRows: predicate columns resolve
-// against the schema and bounds coerce to the column kind once, then rows are
-// tested one at a time.
+// RowFilter is a WHERE clause compiled against one schema: each predicate's
+// column bound by ResolveCol and its bounds coerced to the column kind once
+// (workload.Predicate.Lower), then rows tested one at a time by
+// storage.MatchesRow. It is how every row outside a page decode meets a
+// predicate: reads after the join, and the rows an UPDATE or DELETE
+// rewrites.
 type RowFilter struct {
 	preds []storage.ColPredicate
 }
 
-// NewRowFilter resolves every predicate column against the schema, failing
-// on unknown columns exactly as FilterRows does.
+// NewRowFilter compiles the predicates against the schema, failing on an
+// unknown or ambiguous column.
 func NewRowFilter(s *storage.Schema, preds []workload.Predicate) (*RowFilter, error) {
 	f := &RowFilter{preds: make([]storage.ColPredicate, 0, len(preds))}
 	for _, p := range preds {
-		idx := resolveCol(s, p.Table, p.Col)
-		if idx < 0 {
-			return nil, fmt.Errorf("index: predicate column %q not found", p.Col)
+		idx, err := ResolveCol(s, workload.ColRef{Table: p.Table, Col: p.Col})
+		if err != nil {
+			return nil, err
 		}
 		f.preds = append(f.preds, p.Lower(idx, s.Columns[idx].Kind))
 	}
@@ -366,37 +370,37 @@ func (f *RowFilter) MarkCols(used []bool) {
 }
 
 // Keep reports whether the row satisfies every predicate (NULLs never do).
-func (f *RowFilter) Keep(r storage.Row) bool {
-	for i := range f.preds {
-		if p := &f.preds[i]; !p.Matches(r[p.Col]) {
-			return false
-		}
-	}
-	return true
-}
+func (f *RowFilter) Keep(r storage.Row) bool { return storage.MatchesRow(f.preds, r) }
 
-// resolveCol finds a column in a (possibly qualified) wide schema.
-func resolveCol(s *storage.Schema, table, col string) int {
-	if table != "" {
-		if i := s.ColIndex(table + "_" + col); i >= 0 {
-			return i
+// ResolveCol binds a column reference to its ordinal in a schema — a wide
+// joined one (table_col names, see Joiner) or a table's or an MV's own. The
+// rule, the one every predicate, select item, group-by, aggregate and ORDER
+// BY key is bound by: table_col when the reference is qualified, then the
+// bare name, then the one column whose name ends in _col. A name no rule
+// finds, or that ends more than one column, is an error.
+func ResolveCol(s *storage.Schema, c workload.ColRef) (int, error) {
+	if c.Table != "" {
+		if i := s.ColIndex(c.Table + "_" + c.Col); i >= 0 {
+			return i, nil
 		}
 	}
-	if i := s.ColIndex(col); i >= 0 {
-		return i
+	if i := s.ColIndex(c.Col); i >= 0 {
+		return i, nil
 	}
-	// Unqualified name that exists under exactly one table qualifier.
-	suffix := "_" + strings.ToLower(col)
+	suffix := "_" + strings.ToLower(c.Col)
 	found := -1
-	for i, c := range s.Columns {
-		if strings.HasSuffix(strings.ToLower(c.Name), suffix) {
+	for i, col := range s.Columns {
+		if strings.HasSuffix(strings.ToLower(col.Name), suffix) {
 			if found >= 0 {
-				return -1 // ambiguous
+				return -1, fmt.Errorf("index: ambiguous column %q", c)
 			}
 			found = i
 		}
 	}
-	return found
+	if found < 0 {
+		return -1, fmt.Errorf("index: column %q not found", c)
+	}
+	return found, nil
 }
 
 // groupRows groups by the given columns and computes the aggregates plus the
@@ -451,10 +455,10 @@ func NewGroupAcc(s *storage.Schema, groupBy []workload.ColRef, aggs []workload.A
 		groups:  make(map[string]*groupState, 1024),
 		order:   make([]*groupState, 0, 1024),
 	}
+	var err error
 	for i, g := range groupBy {
-		ga.gIdx[i] = resolveCol(s, g.Table, g.Col)
-		if ga.gIdx[i] < 0 {
-			return nil, fmt.Errorf("index: group-by column %q not found", g.String())
+		if ga.gIdx[i], err = ResolveCol(s, g); err != nil {
+			return nil, err
 		}
 	}
 	for i, a := range aggs {
@@ -462,9 +466,8 @@ func NewGroupAcc(s *storage.Schema, groupBy []workload.ColRef, aggs []workload.A
 			ga.aIdx[i] = -1
 			continue
 		}
-		ga.aIdx[i] = resolveCol(s, a.Col.Table, a.Col.Col)
-		if ga.aIdx[i] < 0 {
-			return nil, fmt.Errorf("index: aggregate column %q not found", a.Col.String())
+		if ga.aIdx[i], err = ResolveCol(s, a.Col); err != nil {
+			return nil, err
 		}
 	}
 	return ga, nil

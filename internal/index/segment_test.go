@@ -234,13 +234,13 @@ func TestSeekPrefixContainsEveryMatch(t *testing.T) {
 				}
 			}
 			lo, hi := si.SeekPrefix(s)
+			where, err := NewRowFilter(ls, preds)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for p, prow := range leaf {
 				for _, r := range prow {
-					match := true
-					for _, pr := range preds {
-						match = match && pr.Matches(ls, r)
-					}
-					if match && (p < lo || p >= hi) {
+					if where.Keep(r) && (p < lo || p >= hi) {
 						t.Fatalf("trial %d (%s): seek %v on pages [%d,%d) misses a match on page %d: %v", trial, m, preds, lo, hi, p, r[:3])
 					}
 				}

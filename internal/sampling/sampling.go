@@ -214,29 +214,6 @@ func hashString(s string) int64 {
 	return h
 }
 
-// FilteredSample applies a partial index's WHERE clause to the base sample
-// (Appendix B.1).
-func (m *Manager) FilteredSample(table string, where []workload.Predicate) ([]storage.Row, error) {
-	s, err := m.Sample(table)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]storage.Row, 0, len(s.Rows)/4)
-	for _, r := range s.Rows {
-		ok := true
-		for _, p := range where {
-			if !p.Matches(s.Table.Schema, r) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
 // Synopsis returns (building lazily) the join synopsis for the given fact
 // table and join set.
 func (m *Manager) Synopsis(fact string, joins []workload.Join) (*Synopsis, error) {
@@ -401,7 +378,7 @@ func EstimateMVRowsOptimizer(db *catalog.Database, mv *index.MVDef) int64 {
 	}
 	est := 1.0
 	for _, g := range mv.GroupBy {
-		t := resolveGroupTable(db, mv, g)
+		t := mv.ColumnTable(db, g)
 		if t == nil {
 			continue
 		}
@@ -426,26 +403,6 @@ func EstimateMVRowsOptimizer(db *catalog.Database, mv *index.MVDef) int64 {
 		est = 1
 	}
 	return int64(est + 0.5)
-}
-
-func resolveGroupTable(db *catalog.Database, mv *index.MVDef, g workload.ColRef) *catalog.Table {
-	if g.Table != "" {
-		if t := db.Table(g.Table); t != nil && t.Schema.Has(g.Col) {
-			return t
-		}
-	}
-	if t := db.Table(mv.Fact); t != nil && t.Schema.Has(g.Col) {
-		return t
-	}
-	for _, j := range mv.Joins {
-		if t := db.Table(j.RightTable); t != nil && t.Schema.Has(g.Col) {
-			return t
-		}
-		if t := db.Table(j.LeftTable); t != nil && t.Schema.Has(g.Col) {
-			return t
-		}
-	}
-	return nil
 }
 
 // predicateSel is a tiny local selectivity helper (histogram-free, distinct

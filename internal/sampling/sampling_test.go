@@ -80,14 +80,19 @@ func TestInvalidFractionPanics(t *testing.T) {
 	NewManager(testDB(), 0, 1)
 }
 
+// TestFilteredSample: a partial index's sample is the base sample through
+// the partial index's own filter (index.FilterRows, Appendix B.1).
 func TestFilteredSample(t *testing.T) {
 	m := NewManager(testDB(), 0.2, 4)
 	where := []workload.Predicate{{Col: "l_quantity", Op: workload.OpLe, Lo: storage.IntVal(10)}}
-	rows, err := m.FilteredSample("lineitem", where)
+	base, err := m.Sample("lineitem")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := m.Sample("lineitem")
+	rows, err := index.FilterRows(base.Table.Schema, base.Rows, where)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) == 0 || len(rows) >= len(base.Rows) {
 		t.Fatalf("filtered sample size %d of %d", len(rows), len(base.Rows))
 	}

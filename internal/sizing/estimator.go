@@ -186,7 +186,7 @@ func (e *Estimator) partialSample(d *index.Def) (*catalog.Table, []storage.Row, 
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	rows, err := e.Mgr.FilteredSample(d.Table, d.Where)
+	rows, err := index.FilterRows(s.Table.Schema, s.Rows, d.Where)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -423,7 +423,7 @@ func (e *Estimator) planShape(d *index.Def) (float64, float64) {
 			// Independence-capped product of distincts — rough but cheap.
 			prod := 1.0
 			for _, g := range d.MV.GroupBy {
-				if t := resolveStatsTable(e.DB, d.MV, g.Table, g.Col); t != nil {
+				if t := d.MV.ColumnTable(e.DB, g); t != nil {
 					if cs := t.Stats().Col(g.Col); cs != nil && cs.Distinct > 0 {
 						prod *= float64(cs.Distinct)
 					}
@@ -454,21 +454,4 @@ func (e *Estimator) planShape(d *index.Def) (float64, float64) {
 		}
 	}
 	return rows, e.entryWidthFromStats(t, d)
-}
-
-func resolveStatsTable(db *catalog.Database, mv *index.MVDef, table, col string) *catalog.Table {
-	if table != "" {
-		if t := db.Table(table); t != nil && t.Schema.Has(col) {
-			return t
-		}
-	}
-	if t := db.Table(mv.Fact); t != nil && t.Schema.Has(col) {
-		return t
-	}
-	for _, j := range mv.Joins {
-		if t := db.Table(j.RightTable); t != nil && t.Schema.Has(col) {
-			return t
-		}
-	}
-	return nil
 }

@@ -103,70 +103,4 @@ func AppendValue(dst []byte, c Column, v Value) []byte {
 	return dst
 }
 
-// DecodeRow decodes one row from src, returning the row and the number of
-// bytes consumed.
-func DecodeRow(s *Schema, src []byte) (Row, int, error) {
-	bitmapLen := (len(s.Columns) + 7) / 8
-	if len(src) < bitmapLen {
-		return nil, 0, fmt.Errorf("storage: short row: %d bytes", len(src))
-	}
-	bitmap := src[:bitmapLen]
-	pos := bitmapLen
-	row := make(Row, len(s.Columns))
-	for i, c := range s.Columns {
-		null := bitmap[i/8]&(1<<(uint(i)%8)) != 0
-		switch c.Kind {
-		case KindInt, KindFloat:
-			if len(src) < pos+8 {
-				return nil, 0, fmt.Errorf("storage: short row at col %d", i)
-			}
-			u := binary.BigEndian.Uint64(src[pos : pos+8])
-			pos += 8
-			if c.Kind == KindInt {
-				row[i] = Value{Kind: KindInt, Int: int64(u), Null: null}
-			} else {
-				row[i] = Value{Kind: KindFloat, Float: floatFromBits(u), Null: null}
-			}
-		case KindDate:
-			if len(src) < pos+4 {
-				return nil, 0, fmt.Errorf("storage: short row at col %d", i)
-			}
-			u := binary.BigEndian.Uint32(src[pos : pos+4])
-			pos += 4
-			row[i] = Value{Kind: KindDate, Int: int64(int32(u)), Null: null}
-		case KindString:
-			if c.FixedWidth > 0 {
-				if len(src) < pos+c.FixedWidth {
-					return nil, 0, fmt.Errorf("storage: short row at col %d", i)
-				}
-				raw := src[pos : pos+c.FixedWidth]
-				pos += c.FixedWidth
-				// Strip the CHAR(n) blank padding on decode.
-				end := len(raw)
-				for end > 0 && raw[end-1] == ' ' {
-					end--
-				}
-				row[i] = Value{Kind: KindString, Str: string(raw[:end]), Null: null}
-			} else {
-				if len(src) < pos+2 {
-					return nil, 0, fmt.Errorf("storage: short row at col %d", i)
-				}
-				n := int(binary.BigEndian.Uint16(src[pos : pos+2]))
-				pos += 2
-				if len(src) < pos+n {
-					return nil, 0, fmt.Errorf("storage: short row at col %d", i)
-				}
-				row[i] = Value{Kind: KindString, Str: string(src[pos : pos+n]), Null: null}
-				pos += n
-			}
-		}
-		if null {
-			row[i] = NullValue(c.Kind)
-		}
-	}
-	return row, pos, nil
-}
-
 func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
-func floatFromBits(u uint64) float64 { return math.Float64frombits(u) }

@@ -50,8 +50,8 @@ func (io *IOStats) Add(o IOStats) {
 }
 
 // PredOp enumerates the comparison operators a pushed-down predicate can
-// carry. The set mirrors workload.CmpOp; the executor translates between
-// them when it compiles a predicate against a concrete schema.
+// carry. The set mirrors workload.CmpOp; workload.Predicate.Lower translates
+// between them when it compiles a predicate against a concrete schema.
 type PredOp uint8
 
 const (
@@ -73,10 +73,10 @@ type ColPredicate struct {
 	Lo, Hi Value
 }
 
-// Matches evaluates the predicate against a single value with the same
-// semantics as workload.Predicate.Matches: NULL never satisfies any
-// operator (SQL three-valued logic), and bounds are compared with
-// Value.Compare.
+// Matches evaluates the predicate against a single value: NULL never
+// satisfies any operator (SQL three-valued logic), and bounds are compared
+// with Value.Compare. It is the one predicate evaluator: codecs, cursors,
+// overlays, the post-join filter and the writes' WHERE all test through it.
 func (p ColPredicate) Matches(v Value) bool {
 	if v.Null {
 		return false
@@ -98,6 +98,17 @@ func (p ColPredicate) Matches(v Value) bool {
 		return v.Compare(p.Lo) >= 0 && v.Compare(p.Hi) <= 0
 	}
 	return false
+}
+
+// MatchesRow reports whether a row satisfies every predicate (AND
+// semantics), each predicate reading the value at its ordinal.
+func MatchesRow(preds []ColPredicate, r Row) bool {
+	for _, p := range preds {
+		if !p.Matches(r[p.Col]) {
+			return false
+		}
+	}
+	return true
 }
 
 // DecodeSpec tells a codec which columns of a page to reconstruct and which

@@ -67,37 +67,6 @@ type Predicate struct {
 	Hi    storage.Value // upper bound, BETWEEN only
 }
 
-// Matches evaluates the predicate against a row of the given schema. The
-// column must exist in the schema.
-func (p Predicate) Matches(s *storage.Schema, r storage.Row) bool {
-	i := s.ColIndex(p.Col)
-	if i < 0 {
-		return false
-	}
-	v := r[i]
-	if v.Null {
-		return false // SQL three-valued logic: NULL never satisfies
-	}
-	lo := p.Lo.CoerceTo(v.Kind)
-	switch p.Op {
-	case OpEq:
-		return v.Compare(lo) == 0
-	case OpNe:
-		return v.Compare(lo) != 0
-	case OpLt:
-		return v.Compare(lo) < 0
-	case OpLe:
-		return v.Compare(lo) <= 0
-	case OpGt:
-		return v.Compare(lo) > 0
-	case OpGe:
-		return v.Compare(lo) >= 0
-	case OpBetween:
-		return v.Compare(lo) >= 0 && v.Compare(p.Hi.CoerceTo(v.Kind)) <= 0
-	}
-	return false
-}
-
 // predOps maps each CmpOp onto the storage-level operator.
 var predOps = [...]storage.PredOp{
 	OpEq: storage.PredEq, OpLt: storage.PredLt, OpLe: storage.PredLe, OpGt: storage.PredGt,
@@ -105,10 +74,10 @@ var predOps = [...]storage.PredOp{
 }
 
 // Lower compiles the predicate against the column it resolved to: ordinal col
-// of the given kind, bounds coerced to that kind once. Matches coerces per
-// row to the stored value's kind, but a stored value always has its column's
-// kind, so the lowered predicate accepts exactly the same values. An operator
-// outside the enumeration lowers to one no value satisfies.
+// of the given kind, bounds coerced to that kind once (a stored value always
+// has its column's kind). The result, tested by storage.ColPredicate.Matches,
+// is the only way a predicate is evaluated; this package binds no column.
+// An operator outside the enumeration lowers to one no value satisfies.
 func (p Predicate) Lower(col int, kind storage.Kind) storage.ColPredicate {
 	cp := storage.ColPredicate{Col: col, Op: storage.PredOp(len(predOps)), Lo: p.Lo.CoerceTo(kind)}
 	if int(p.Op) < len(predOps) {

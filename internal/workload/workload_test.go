@@ -7,71 +7,6 @@ import (
 	"cadb/internal/storage"
 )
 
-func schema() *storage.Schema {
-	return storage.NewSchema(
-		storage.Column{Name: "a", Kind: storage.KindInt},
-		storage.Column{Name: "b", Kind: storage.KindString},
-		storage.Column{Name: "d", Kind: storage.KindDate},
-		storage.Column{Name: "f", Kind: storage.KindFloat},
-	)
-}
-
-func row(a int64, b string, d int64, f float64) storage.Row {
-	return storage.Row{storage.IntVal(a), storage.StringVal(b), storage.DateVal(d), storage.FloatVal(f)}
-}
-
-func TestPredicateMatches(t *testing.T) {
-	s := schema()
-	r := row(10, "xyz", 100, 2.5)
-	cases := []struct {
-		p    Predicate
-		want bool
-	}{
-		{Predicate{Col: "a", Op: OpEq, Lo: storage.IntVal(10)}, true},
-		{Predicate{Col: "a", Op: OpEq, Lo: storage.IntVal(11)}, false},
-		{Predicate{Col: "a", Op: OpNe, Lo: storage.IntVal(11)}, true},
-		{Predicate{Col: "a", Op: OpLt, Lo: storage.IntVal(10)}, false},
-		{Predicate{Col: "a", Op: OpLe, Lo: storage.IntVal(10)}, true},
-		{Predicate{Col: "a", Op: OpGt, Lo: storage.IntVal(9)}, true},
-		{Predicate{Col: "a", Op: OpGe, Lo: storage.IntVal(11)}, false},
-		{Predicate{Col: "a", Op: OpBetween, Lo: storage.IntVal(5), Hi: storage.IntVal(15)}, true},
-		{Predicate{Col: "a", Op: OpBetween, Lo: storage.IntVal(11), Hi: storage.IntVal(15)}, false},
-		{Predicate{Col: "b", Op: OpEq, Lo: storage.StringVal("xyz")}, true},
-		{Predicate{Col: "missing", Op: OpEq, Lo: storage.IntVal(1)}, false},
-	}
-	for i, c := range cases {
-		if got := c.p.Matches(s, r); got != c.want {
-			t.Errorf("case %d (%s): got %v", i, c.p, got)
-		}
-	}
-}
-
-func TestPredicateNullNeverMatches(t *testing.T) {
-	s := schema()
-	r := storage.Row{storage.NullValue(storage.KindInt), storage.StringVal("x"), storage.DateVal(1), storage.FloatVal(1)}
-	for _, op := range []CmpOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe} {
-		p := Predicate{Col: "a", Op: op, Lo: storage.IntVal(0)}
-		if p.Matches(s, r) {
-			t.Errorf("NULL matched %s", op)
-		}
-	}
-}
-
-func TestPredicateCoercion(t *testing.T) {
-	s := schema()
-	r := row(10, "x", 100, 2.0)
-	// Int literal against a float column.
-	p := Predicate{Col: "f", Op: OpEq, Lo: storage.IntVal(2)}
-	if !p.Matches(s, r) {
-		t.Fatal("int literal should coerce to float")
-	}
-	// Int literal against a date column.
-	p2 := Predicate{Col: "d", Op: OpGe, Lo: storage.IntVal(100)}
-	if !p2.Matches(s, r) {
-		t.Fatal("int literal should coerce to date")
-	}
-}
-
 func TestPredicateSargable(t *testing.T) {
 	if (Predicate{Op: OpNe}).Sargable() {
 		t.Fatal("<> is not sargable")
