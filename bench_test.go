@@ -301,7 +301,7 @@ func BenchmarkAblationStaged(b *testing.B) {
 // benchDesign tunes for the workload the way the loop benchmark does and
 // returns the recommendation, its structures and the workload's statements
 // the store runs (every one but INSERTs).
-func benchDesign(b *testing.B, db *Database, wl *workload.Workload) (*Recommendation, []*IndexDef, []*workload.Statement) {
+func benchDesign(b testing.TB, db *Database, wl *workload.Workload) (*Recommendation, []*IndexDef, []*workload.Statement) {
 	opts := DefaultOptions(db.TotalHeapBytes() / 4)
 	opts.Parallelism = 1
 	rec, err := Tune(db, wl, opts)
@@ -322,7 +322,7 @@ func benchDesign(b *testing.B, db *Database, wl *workload.Workload) (*Recommenda
 }
 
 // runBenchStatement runs one statement on the store.
-func runBenchStatement(b *testing.B, st *SegmentStore, s *workload.Statement) {
+func runBenchStatement(b testing.TB, st *SegmentStore, s *workload.Statement) {
 	var err error
 	switch {
 	case s.Query != nil:
@@ -340,7 +340,7 @@ func runBenchStatement(b *testing.B, st *SegmentStore, s *workload.Statement) {
 // openBenchStore opens a store over the design; spill puts it behind a pool
 // a tenth of the design's bytes with readahead on, as the sales-disk workload
 // does.
-func openBenchStore(b *testing.B, db *Database, rec *Recommendation, defs []*IndexDef, spill bool, dir string) *SegmentStore {
+func openBenchStore(b testing.TB, db *Database, rec *Recommendation, defs []*IndexDef, spill bool, dir string) *SegmentStore {
 	st, err := NewSegmentStore(db, defs)
 	if err != nil {
 		b.Fatal(err)
@@ -413,10 +413,13 @@ func benchStoreDeploy(b *testing.B, gen func() *Database, wl *workload.Workload,
 		b.StopTimer()
 		db := gen()
 		// The loop benchmark's tune has cached both: the heap sizes, and the
-		// statistics deploy snapshots for its planner.
+		// statistics deploy snapshots for its planner, sorted for every
+		// column its plans read (here every column, a superset).
 		db.TotalHeapBytes()
 		for _, t := range db.Tables() {
-			t.Stats()
+			for _, c := range t.Schema.Names() {
+				t.Stats().Col(c)
+			}
 		}
 		dir := b.TempDir()
 		b.StartTimer()

@@ -151,8 +151,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *verbose {
 		t := rec.Timing
-		fmt.Fprintf(stdout, "\ntiming: total=%v candgen=%v estimate=%v (samples=%v plan-solve=%v plan-exec=%v table-est=%v partial-est=%v mv-est=%v) enum=%v (refine=%v, %d per-column changes)\n",
-			t.Total.Round(time.Millisecond), t.CandidateGen.Round(time.Millisecond),
+		fmt.Fprintf(stdout, "\ntiming: total=%v stats=%v (%d columns sorted) candgen=%v estimate=%v (samples=%v plan-solve=%v plan-exec=%v table-est=%v partial-est=%v mv-est=%v) enum=%v (refine=%v, %d per-column changes)\n",
+			t.Total.Round(time.Millisecond), t.Stats.Round(time.Millisecond), t.StatsColumns, t.CandidateGen.Round(time.Millisecond),
 			t.EstimateAll.Round(time.Millisecond),
 			t.SampleBuild.Round(time.Millisecond), t.PlanSolve.Round(time.Millisecond),
 			t.PlanExecute.Round(time.Millisecond), t.TableEstimate.Round(time.Millisecond),

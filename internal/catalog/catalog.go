@@ -1,8 +1,14 @@
 // Package catalog holds the logical database: tables with rows, primary and
-// foreign keys, and the per-column statistics (distinct counts, min/max,
-// equi-depth histograms) that the query optimizer and the size-estimation
-// framework consume for cardinality estimation — the same statistics the
-// paper assumes the optimizer maintains (Section 2.2).
+// foreign keys, and the per-column statistics that the query optimizer and
+// the size-estimation framework consume for cardinality estimation — the
+// same statistics the paper assumes the optimizer maintains (Section 2.2).
+//
+// Statistics come in two tiers per column. Row count, NULL count and average
+// width come from one unsorted pass when a table's Stats is built; they are
+// all that index widths and sizes need. Distinct count, min/max, the
+// equi-depth histogram and the most common values need the column sorted,
+// and are built per column on first request, so a tune sorts only the
+// columns its workload's predicates (and MV candidates' GROUP BYs) name.
 package catalog
 
 import (
@@ -12,6 +18,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"cadb/internal/par"
 	"cadb/internal/storage"
@@ -78,7 +85,8 @@ func (t *Table) HeapBytes() int64 {
 // HeapPages returns the uncompressed heap size in pages.
 func (t *Table) HeapPages() int64 { return storage.PagesForBytes(t.HeapBytes()) }
 
-// Stats returns (building lazily) the table statistics.
+// Stats returns the table statistics, building their first tier on the
+// first call after construction or InvalidateStats.
 func (t *Table) Stats() *Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -164,9 +172,12 @@ func (db *Database) Tables() []*Table {
 // planner that must keep costing them that way whatever later writes do to
 // their rows. Each snapshot table shares its schema and keys, keeps the row
 // count of the call and carries the statistics, average row width and heap
-// size the table had cached or computes now; nothing invalidates them. Its
-// rows are the call's row slice, which later writes may rewrite in place:
-// read a snapshot's statistics, never its rows.
+// size the table had cached or computes now; nothing invalidates them. The
+// statistics describe the rows of the call even for a column first sorted
+// after a later write, since a Stats keeps its own copy of the row headers:
+// a snapshot costs what it was taken over, and sorts nothing the tune before
+// it already sorted. Its rows are the call's row slice, which later writes
+// may rewrite in place: read a snapshot's statistics, never its rows.
 func (db *Database) Snapshot() *Database {
 	out := NewDatabase(db.Name)
 	for _, t := range db.Tables() {
@@ -248,43 +259,125 @@ func (c *ColStats) NullFrac(rowCount int64) float64 {
 	return float64(c.NullCount) / float64(rowCount)
 }
 
-// Stats bundles table-level statistics. The column stats are immutable once
-// built; the distinct-prefix cache is guarded for concurrent readers.
+// Stats bundles a table's statistics in two tiers. The first is built with
+// the Stats: one unsorted pass per column yields its NULL count and average
+// width (a fixed-width column needs only the NULL count). The second, the
+// sorted part of a column (Distinct, Min/Max, Hist, MCVs), is built the first
+// time Col asks for that column, once, whichever goroutine asks; a column no
+// selectivity or row estimate reads is never sorted. Both tiers describe the
+// rows the Stats was built over: it keeps its own copy of the row headers, so
+// a column sorted after an UPDATE (copy-on-write rows) or a DELETE (which
+// compacts Table.Rows in place) still describes the rows before the write.
+// The distinct-prefix cache is guarded for concurrent readers.
 type Stats struct {
 	RowCount int64
-	Cols     map[string]*ColStats
+
+	schema  *storage.Schema
+	rows    []storage.Row // the rows the statistics describe, frozen at build
+	buckets int
+	cols    []colSlot // by column ordinal
+	byName  map[string]int
 
 	mu             sync.Mutex
 	distinctPrefix map[string]int64 // cache: joined lowercase col list -> count
 }
 
-// Col returns stats for the named column (nil if unknown).
-func (s *Stats) Col(name string) *ColStats { return s.Cols[strings.ToLower(name)] }
+// colSlot holds one column's statistics: NullCount and AvgWidth from the
+// build, the rest from the first Col that asks.
+type colSlot struct {
+	cs     ColStats
+	once   sync.Once
+	sorted atomic.Bool
+}
 
-// BuildStats produces the table's statistics with the given histogram bucket
-// count. Each column is sorted once and everything — distinct count, most
-// common values, min/max, the equi-depth histogram — is read off the sorted
-// runs; columns are independent, so they build concurrently into their own
-// slots.
-func BuildStats(t *Table, buckets int) *Stats {
-	cols := make([]*ColStats, len(t.Schema.Columns))
-	par.For(runtime.GOMAXPROCS(0), len(cols), func(ci int) {
-		cols[ci] = buildColStats(t, ci, buckets)
-	})
+func newStats(t *Table, buckets int) *Stats {
 	st := &Stats{
 		RowCount:       t.RowCount(),
-		Cols:           make(map[string]*ColStats, len(cols)),
+		schema:         t.Schema,
+		rows:           slices.Clone(t.Rows),
+		buckets:        buckets,
+		cols:           make([]colSlot, len(t.Schema.Columns)),
+		byName:         make(map[string]int, len(t.Schema.Columns)),
 		distinctPrefix: make(map[string]int64),
 	}
 	for ci, col := range t.Schema.Columns {
-		st.Cols[strings.ToLower(col.Name)] = cols[ci]
+		st.byName[strings.ToLower(col.Name)] = ci
 	}
 	return st
 }
 
-func buildColStats(t *Table, ci, buckets int) *ColStats {
-	col := t.Schema.Columns[ci]
-	cs := &ColStats{}
+// Col returns the full statistics of the named column (nil if unknown),
+// sorting the column first if no caller has asked for it yet.
+func (s *Stats) Col(name string) *ColStats {
+	ci, ok := s.byName[strings.ToLower(name)]
+	if !ok {
+		return nil
+	}
+	c := &s.cols[ci]
+	c.once.Do(func() {
+		sortColStats(s.schema.Columns[ci], s.rows, ci, s.buckets, &c.cs)
+		c.sorted.Store(true)
+	})
+	return &c.cs
+}
+
+// AvgWidth returns the named column's average non-NULL value width (0 if the
+// column is unknown or all NULL). It reads the first tier only, so it never
+// sorts.
+func (s *Stats) AvgWidth(name string) float64 {
+	if ci, ok := s.byName[strings.ToLower(name)]; ok {
+		return s.cols[ci].cs.AvgWidth
+	}
+	return 0
+}
+
+// Sorted reports whether the named column's sorted statistics are built.
+func (s *Stats) Sorted(name string) bool {
+	ci, ok := s.byName[strings.ToLower(name)]
+	return ok && s.cols[ci].sorted.Load()
+}
+
+// BuildStats produces the table's statistics with the given histogram bucket
+// count: the first tier of every column now, in one unsorted pass per column
+// (columns are independent, so they run concurrently into their own slots),
+// and each column's sorted tier on its first Col.
+func BuildStats(t *Table, buckets int) *Stats {
+	st := newStats(t, buckets)
+	par.For(runtime.GOMAXPROCS(0), len(st.cols), func(ci int) {
+		countColumn(t.Schema.Columns[ci], st.rows, ci, &st.cols[ci].cs)
+	})
+	return st
+}
+
+// countColumn fills the first tier of column ci: its NULL count and the
+// average width of its non-NULL values.
+func countColumn(col storage.Column, rows []storage.Row, ci int, cs *ColStats) {
+	var nulls, widthSum int64
+	w := col.Width()
+	for _, r := range rows {
+		v := r[ci]
+		switch {
+		case v.Null:
+			nulls++
+		case w <= 0:
+			widthSum += int64(valueWidth(col, v))
+		}
+	}
+	cs.NullCount = nulls
+	n := int64(len(rows)) - nulls
+	if n == 0 {
+		return
+	}
+	if w > 0 {
+		widthSum = int64(w) * n
+	}
+	cs.AvgWidth = float64(widthSum) / float64(n)
+}
+
+// sortColStats fills the sorted tier of column ci over rows. The column is
+// sorted once and everything — distinct count, most common values, min/max,
+// the equi-depth histogram — is read off the sorted runs.
+func sortColStats(col storage.Column, rows []storage.Row, ci, buckets int, cs *ColStats) {
 	// The column's non-NULL values in order: n of them, the i-th through at.
 	var (
 		n  int
@@ -292,23 +385,23 @@ func buildColStats(t *Table, ci, buckets int) *ColStats {
 	)
 	switch col.Kind {
 	case storage.KindInt, storage.KindDate:
-		n, at = sortedKeys(t, ci, cs,
+		n, at = sortedKeys(rows, ci, col.Kind,
 			func(v storage.Value) int64 { return v.Int },
 			func(k int64) storage.Value { return storage.Value{Kind: col.Kind, Int: k} })
 	case storage.KindFloat:
-		n, at = sortedKeys(t, ci, cs,
+		n, at = sortedKeys(rows, ci, col.Kind,
 			func(v storage.Value) float64 { return v.Float },
 			func(k float64) storage.Value { return storage.Value{Kind: col.Kind, Float: k} })
 	case storage.KindString:
-		n, at = sortedKeys(t, ci, cs,
+		n, at = sortedKeys(rows, ci, col.Kind,
 			func(v storage.Value) string { return v.Str },
 			func(k string) storage.Value { return storage.Value{Kind: col.Kind, Str: k} })
 	}
 	if at == nil {
-		n, at = sortedValues(t, ci, cs)
+		n, at = sortedValues(rows, ci)
 	}
 	if n == 0 {
-		return cs
+		return
 	}
 	cs.Min = at(0)
 	cs.Max = at(n - 1)
@@ -316,17 +409,14 @@ func buildColStats(t *Table, ci, buckets int) *ColStats {
 
 	// One pass over the runs of equal keys: count them, and keep the
 	// MCVLimit most frequent in (count desc, key asc) order.
-	var widthSum int64
 	top := make([]MCV, 0, MCVLimit+1)
 	for i := 0; i < n; {
-		v := at(i)
-		key, end := v.Key(), i+1
+		key, end := at(i).Key(), i+1
 		for end < n && at(end).Key() == key {
 			end++
 		}
 		cs.Distinct++
 		run := MCV{Key: key, Count: int64(end - i)}
-		widthSum += run.Count * int64(valueWidth(col, v))
 		i = end
 		pos := len(top)
 		for pos > 0 && mcvBefore(run, top[pos-1]) {
@@ -338,7 +428,6 @@ func buildColStats(t *Table, ci, buckets int) *ColStats {
 			}
 		}
 	}
-	cs.AvgWidth = float64(widthSum) / float64(n)
 	// Values that appear only once are never "common"; an MCV list is only
 	// kept when it captures skew (the top value must beat the uniform
 	// share).
@@ -346,25 +435,20 @@ func buildColStats(t *Table, ci, buckets int) *ColStats {
 	if float64(top[0].Count) > uniform*1.05 || cs.Distinct <= MCVLimit {
 		cs.MCVs = slices.Clip(top)
 	}
-	return cs
 }
 
-// sortedKeys reads column ci's non-NULL values as bare keys, counts the NULLs
-// into cs and sorts the keys; val turns a key back into its value. The
-// statistics build is half of a cold Tune on the benchmark's Sales data and
-// the sort is most of the build: 8- or 16-byte keys sort several times faster
-// than 48-byte Values compared through a kind switch, and numeric keys leave
-// the collector no pointers to trace. A value of another kind than the
-// column's, or a NaN (which Compare and the key order place differently),
-// returns a nil at: the caller sorts the Values themselves.
-func sortedKeys[K cmp.Ordered](t *Table, ci int, cs *ColStats, key func(storage.Value) K, val func(K) storage.Value) (n int, at func(i int) storage.Value) {
-	kind := t.Schema.Columns[ci].Kind
-	keys := make([]K, 0, len(t.Rows))
-	var nulls int64
-	for _, r := range t.Rows {
+// sortedKeys reads column ci's non-NULL values as bare keys and sorts them;
+// val turns a key back into its value. The sort is most of a column's
+// statistics: 8- or 16-byte keys sort several times faster than 48-byte
+// Values compared through a kind switch, and numeric keys leave the collector
+// no pointers to trace. A value of another kind than the column's, or a NaN
+// (which Compare and the key order place differently), returns a nil at: the
+// caller sorts the Values themselves.
+func sortedKeys[K cmp.Ordered](rows []storage.Row, ci int, kind storage.Kind, key func(storage.Value) K, val func(K) storage.Value) (n int, at func(i int) storage.Value) {
+	keys := make([]K, 0, len(rows))
+	for _, r := range rows {
 		v := r[ci]
 		if v.Null {
-			nulls++
 			continue
 		}
 		k := key(v)
@@ -373,18 +457,15 @@ func sortedKeys[K cmp.Ordered](t *Table, ci int, cs *ColStats, key func(storage.
 		}
 		keys = append(keys, k)
 	}
-	cs.NullCount = nulls
 	slices.Sort(keys)
 	return len(keys), func(i int) storage.Value { return val(keys[i]) }
 }
 
 // sortedValues is sortedKeys for a column that mixes kinds.
-func sortedValues(t *Table, ci int, cs *ColStats) (n int, at func(i int) storage.Value) {
-	nonNull := make([]storage.Value, 0, len(t.Rows))
-	for _, r := range t.Rows {
-		if v := r[ci]; v.Null {
-			cs.NullCount++
-		} else {
+func sortedValues(rows []storage.Row, ci int) (n int, at func(i int) storage.Value) {
+	nonNull := make([]storage.Value, 0, len(rows))
+	for _, r := range rows {
+		if v := r[ci]; !v.Null {
 			nonNull = append(nonNull, v)
 		}
 	}

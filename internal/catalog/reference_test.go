@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"sort"
-	"strings"
 
 	"cadb/internal/storage"
 )
@@ -10,15 +9,12 @@ import (
 // ReferenceBuildStats is the statistics builder as it stood before the
 // one-sort-per-column rewrite: per column a value-count map, a reflection
 // sort of every non-NULL value, and a second sort of the map for the MCVs.
-// TestBuildStatsMatchesReference diffs BuildStats against it.
+// Every column comes back sorted, so Col reads it as built. Tests diff
+// BuildStats against it.
 func ReferenceBuildStats(t *Table, buckets int) *Stats {
-	st := &Stats{
-		RowCount:       t.RowCount(),
-		Cols:           make(map[string]*ColStats, len(t.Schema.Columns)),
-		distinctPrefix: make(map[string]int64),
-	}
+	st := newStats(t, buckets)
 	for ci, col := range t.Schema.Columns {
-		cs := &ColStats{}
+		cs := &st.cols[ci].cs
 		counts := make(map[storage.ValueKey]int64, 1024)
 		var widthSum int64
 		var nonNull []storage.Value
@@ -41,7 +37,8 @@ func ReferenceBuildStats(t *Table, buckets int) *Stats {
 			cs.AvgWidth = float64(widthSum) / float64(len(nonNull))
 			cs.Hist = buildHistogram(len(nonNull), func(i int) storage.Value { return nonNull[i] }, buckets)
 		}
-		st.Cols[strings.ToLower(col.Name)] = cs
+		st.cols[ci].once.Do(func() {})
+		st.cols[ci].sorted.Store(true)
 	}
 	return st
 }

@@ -21,7 +21,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"cadb/internal/catalog"
@@ -189,6 +191,11 @@ func (a *Advisor) Recommend() (*Recommendation, error) {
 	start := time.Now()
 	rec := &Recommendation{}
 
+	// 0. Sorted statistics of the columns the workload filters or groups
+	// on, all at once; any other column's are built when first read.
+	statsCols := a.sortStats()
+	statsTime := time.Since(start)
+
 	// 1. Candidate structures per query.
 	tGen := time.Now()
 	structures := a.generateCandidates()
@@ -259,6 +266,7 @@ func (a *Advisor) Recommend() (*Recommendation, error) {
 	// recorder once, beside what the estimation layers recorded.
 	r := a.oracle.Recorder()
 	r.Add(func(t *Timing) {
+		t.Stats, t.StatsColumns = statsTime, uint64(statsCols)
 		t.CandidateGen, t.EstimateAll, t.Enumerate, t.Refine = genTime, estTime, enumTime, refineTime
 		t.WhatIfEvaluations, t.DeltaStatements, t.ReusedStatements = a.evalStats.Snapshot()
 		t.CostCacheHits, t.CostCacheMisses = hits1-hits0, misses1-misses0
@@ -266,6 +274,55 @@ func (a *Advisor) Recommend() (*Recommendation, error) {
 	})
 	rec.Timing = r.Timing()
 	return rec, nil
+}
+
+// sortStats builds the sorted statistics of the columns the run will read
+// them for, in one fan-out over every CPU, and returns how many columns that
+// is: every column a predicate (of a query, UPDATE or DELETE) names, which
+// selectivity and the partial row estimates read, and with MV candidates on,
+// every GROUP BY column, which the MV row estimates read. A column it misses
+// is sorted by its first reader, with the same result.
+func (a *Advisor) sortStats() int {
+	type column struct {
+		t    *catalog.Table
+		name string
+	}
+	var cols []column
+	seen := make(map[column]bool)
+	add := func(t *catalog.Table, name string) {
+		c := column{t, strings.ToLower(name)}
+		if t.Schema.Has(name) && !seen[c] {
+			seen[c] = true
+			cols = append(cols, c)
+		}
+	}
+	for _, s := range a.WL.Statements {
+		q := statementShape(s)
+		if q == nil {
+			continue
+		}
+		for _, table := range q.Tables {
+			t := a.DB.Table(table)
+			if t == nil {
+				continue
+			}
+			for _, p := range q.PredsOn(table, a.hasColumn) {
+				add(t, p.Col)
+			}
+			if !a.Opts.EnableMV {
+				continue
+			}
+			for _, g := range q.GroupBy {
+				if g.Table == "" || strings.EqualFold(g.Table, table) {
+					add(t, g.Col)
+				}
+			}
+		}
+	}
+	par.For(runtime.GOMAXPROCS(0), len(cols), func(i int) {
+		cols[i].t.Stats().Col(cols[i].name)
+	})
+	return len(cols)
 }
 
 // estimateAll sizes every candidate structure and its compression variants

@@ -66,19 +66,22 @@ func statementShape(s *workload.Statement) *workload.Query {
 	return nil
 }
 
+// hasColumn reports whether the named table exists and has the column: the
+// resolver Query.PredsOn and ColumnsOn take.
+func (a *Advisor) hasColumn(table, col string) bool {
+	t := a.DB.Table(table)
+	return t != nil && t.Schema.Has(col)
+}
+
 // candidatesForQuery emits candidate structures for one query.
 func (a *Advisor) candidatesForQuery(q *workload.Query, add func(*index.Def)) {
-	has := func(table, col string) bool {
-		t := a.DB.Table(table)
-		return t != nil && t.Schema.Has(col)
-	}
 	for _, table := range q.Tables {
 		t := a.DB.Table(table)
 		if t == nil {
 			continue
 		}
-		preds := q.PredsOn(table, has)
-		used := q.ColumnsOn(table, has)
+		preds := q.PredsOn(table, a.hasColumn)
+		used := q.ColumnsOn(table, a.hasColumn)
 
 		// Partition predicates into equality and range, ordering keys
 		// equality-first (the standard sarg rule).

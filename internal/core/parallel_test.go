@@ -23,8 +23,8 @@ func renderRec(rec *Recommendation) string {
 // both miss the same memo term, by design.
 func renderCounters(rec *Recommendation) string {
 	t := rec.Timing
-	return fmt.Sprintf("samplecf=%d cost=%v admitted=%d/%d errors=%d whatif=%d delta=%d reused=%d refinements=%d\n",
-		t.SampleCFCalls, t.EstimationCost, t.AdmittedDeduced, t.AdmittedSampled, t.EstimationErrors,
+	return fmt.Sprintf("stats=%d samplecf=%d cost=%v admitted=%d/%d errors=%d whatif=%d delta=%d reused=%d refinements=%d\n",
+		t.StatsColumns, t.SampleCFCalls, t.EstimationCost, t.AdmittedDeduced, t.AdmittedSampled, t.EstimationErrors,
 		t.WhatIfEvaluations, t.DeltaStatements, t.ReusedStatements, t.Refinements)
 }
 

@@ -55,4 +55,8 @@ func TestTimingOtherFromRecommend(t *testing.T) {
 	if tm.Other() <= 0 || tm.Other() > tm.Total {
 		t.Fatalf("implausible Other()=%v of Total=%v", tm.Other(), tm.Total)
 	}
+	// The statistics phase runs first and belongs to Other.
+	if tm.StatsColumns == 0 || tm.Stats > tm.Other() {
+		t.Fatalf("statistics phase: %d columns in %v, of Other()=%v", tm.StatsColumns, tm.Stats, tm.Other())
+	}
 }

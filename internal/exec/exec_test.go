@@ -7,6 +7,7 @@ import (
 
 	"cadb/internal/catalog"
 	"cadb/internal/datagen"
+	"cadb/internal/index"
 	"cadb/internal/optimizer"
 	"cadb/internal/sqlparse"
 	"cadb/internal/storage"
@@ -45,6 +46,43 @@ func TestRunCountStar(t *testing.T) {
 	}
 	if got := res.Rows[0][0].Int; got != 6000 {
 		t.Fatalf("COUNT(*)=%d want 6000", got)
+	}
+}
+
+// TestScalarAggregateOverNoRows: an aggregate without GROUP BY returns
+// exactly one row even when no row qualifies — COUNT 0, SUM NULL — from the
+// oracle and from the store, over the heap and over a seekable index; with a
+// GROUP BY, no input still makes no group and no row.
+func TestScalarAggregateOverNoRows(t *testing.T) {
+	const where = " FROM lineitem WHERE l_quantity > 60"
+	scalar := q(t, "SELECT COUNT(*), SUM(l_quantity)"+where)
+	grouped := q(t, "SELECT l_shipmode, COUNT(*)"+where+" GROUP BY l_shipmode")
+	db := testDB()
+	results := map[string]func(*workload.Query) (*Result, error){
+		"oracle": func(q *workload.Query) (*Result, error) { return Run(db, q) },
+	}
+	for name, defs := range map[string][]*index.Def{"heap store": nil, "indexed store": tpchDesign()} {
+		st, err := NewStore(db, defs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		results[name] = st.RunQuery
+	}
+	for name, run := range results {
+		res, err := run(scalar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || len(res.Rows[0]) != 2 {
+			t.Fatalf("%s: scalar aggregate over no rows returned %v, want [0 NULL]", name, res.Rows)
+		}
+		if c, s := res.Rows[0][0], res.Rows[0][1]; c.Null || c.Kind != storage.KindInt || c.Int != 0 || !s.Null || s.Kind != storage.KindFloat {
+			t.Errorf("%s: COUNT(*), SUM(l_quantity) over no rows = %v, %v; want 0, NULL", name, c, s)
+		}
+		if res, err = run(grouped); err != nil || len(res.Rows) != 0 {
+			t.Errorf("%s: grouped aggregate over no rows returned %d rows (%v), want none", name, len(res.Rows), err)
+		}
 	}
 }
 

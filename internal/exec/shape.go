@@ -18,8 +18,21 @@ import (
 // resolved list; the store copies each survivor straight into that shape.)
 
 // finishAggregate projects away the hidden __count column of a grouped
-// result and applies the query's ordering.
+// result and applies the query's ordering. An aggregate without GROUP BY has
+// exactly one result row even over no input rows, as in SQL: COUNT is 0 and
+// every other aggregate NULL. (The accumulator emits one row per group, and
+// no input makes no group.)
 func finishAggregate(schema *storage.Schema, rows []storage.Row, q *workload.Query) (*Result, error) {
+	if len(q.GroupBy) == 0 && len(rows) == 0 {
+		empty := make(storage.Row, len(schema.Columns))
+		for i, c := range schema.Columns {
+			empty[i] = storage.NullValue(c.Kind)
+			if i < len(q.Aggs) && q.Aggs[i].Func == workload.AggCount {
+				empty[i] = storage.IntVal(0)
+			}
+		}
+		rows = []storage.Row{empty}
+	}
 	keep := make([]string, 0, len(schema.Columns))
 	for _, c := range schema.Columns {
 		if c.Name != "__count" {

@@ -321,8 +321,8 @@ func TestStoreStalenessAfterWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All qualifying rows are gone: the global aggregate has no input groups.
-	if len(before.Rows) != 1 || before.Rows[0][0].Int == 0 || len(after.Rows) != 0 {
+	// All qualifying rows are gone: the global aggregate counts none.
+	if len(before.Rows) != 1 || before.Rows[0][0].Int == 0 || len(after.Rows) != 1 || after.Rows[0][0].Int != 0 {
 		t.Fatalf("staleness: before=%v after=%v", before.Rows, after.Rows)
 	}
 	wantAfter, err := Run(oracleDB, query)

@@ -122,13 +122,10 @@ func TestWritesBindLikeReads(t *testing.T) {
 			t.Fatal(err)
 		}
 		for label, res := range map[string]*Result{"oracle": oracle, "store": store} {
-			// Both executors return no row, not a 0, for a scalar
-			// aggregate over no input.
-			var got int64
-			if len(res.Rows) > 0 {
-				got = res.Rows[0][0].Int
+			if len(res.Rows) != 1 {
+				t.Fatalf("WHERE %s: COUNT(*) through the %s returned %d rows, want 1", where, label, len(res.Rows))
 			}
-			if got != n {
+			if got := res.Rows[0][0].Int; got != n {
 				t.Errorf("WHERE %s: CountMatching %d, COUNT(*) through the %s %d", where, n, label, got)
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -38,16 +37,20 @@ func (m *MVDef) Fingerprint() string {
 	var b strings.Builder
 	b.WriteString(strings.ToLower(m.Fact))
 	for _, j := range m.Joins {
-		fmt.Fprintf(&b, "|j:%s", strings.ToLower(j.String()))
+		b.WriteString("|j:")
+		b.WriteString(strings.ToLower(j.String()))
 	}
 	for _, p := range m.Where {
-		fmt.Fprintf(&b, "|w:%s", strings.ToLower(p.String()))
+		b.WriteString("|w:")
+		b.WriteString(strings.ToLower(p.String()))
 	}
 	for _, g := range m.GroupBy {
-		fmt.Fprintf(&b, "|g:%s", strings.ToLower(g.String()))
+		b.WriteString("|g:")
+		b.WriteString(strings.ToLower(g.String()))
 	}
 	for _, a := range m.Aggs {
-		fmt.Fprintf(&b, "|a:%s", strings.ToLower(a.String()))
+		b.WriteString("|a:")
+		b.WriteString(strings.ToLower(a.String()))
 	}
 	return b.String()
 }
@@ -131,7 +134,7 @@ func (d *Def) designSig() string {
 	if len(parts) == 0 {
 		return ""
 	}
-	sort.Strings(parts)
+	slices.Sort(parts)
 	return strings.Join(parts, ",")
 }
 
@@ -186,31 +189,18 @@ func (d Def) WithColMethod(col string, m compress.Method) *Def {
 func (d Def) Uncompressed() *Def { return d.WithMethod(compress.None) }
 
 // ID returns a canonical identity string: same ID ⇒ same physical structure.
+// Every estimation cache and plan node is keyed on it, so it renders into one
+// pre-sized builder.
 func (d *Def) ID() string {
+	sig := d.designSig()
 	var b strings.Builder
-	if d.Clustered {
-		b.WriteString("CL:")
-	}
-	b.WriteString(strings.ToLower(d.Table))
-	b.WriteString("(")
-	b.WriteString(strings.ToLower(strings.Join(d.KeyCols, ",")))
-	if len(d.IncludeCols) > 0 {
-		inc := make([]string, len(d.IncludeCols))
-		copy(inc, d.IncludeCols)
-		sort.Strings(inc)
-		b.WriteString(" incl ")
-		b.WriteString(strings.ToLower(strings.Join(inc, ",")))
-	}
-	b.WriteString(")")
-	for _, p := range d.Where {
-		fmt.Fprintf(&b, " where %s", strings.ToLower(p.String()))
-	}
-	if d.MV != nil {
-		fmt.Fprintf(&b, " on mv{%s}", d.MV.Fingerprint())
-	}
-	fmt.Fprintf(&b, " %s", d.Method)
-	if sig := d.designSig(); sig != "" {
-		fmt.Fprintf(&b, "[%s]", sig)
+	d.writeStructure(&b, len(sig)+8)
+	b.WriteByte(' ')
+	b.WriteString(d.Method.String())
+	if sig != "" {
+		b.WriteByte('[')
+		b.WriteString(sig)
+		b.WriteByte(']')
 	}
 	return b.String()
 }
@@ -218,11 +208,70 @@ func (d *Def) ID() string {
 // StructureID is ID without the compression design: variants of the same
 // index share it.
 func (d *Def) StructureID() string {
-	c := *d
-	c.Method = compress.None
-	c.ColMethods = nil
-	id := c.ID()
-	return strings.TrimSuffix(id, " "+compress.None.String())
+	var b strings.Builder
+	d.writeStructure(&b, 0)
+	return b.String()
+}
+
+// writeStructure renders the structure part of ID into b, growing b first
+// to hold it and extra more bytes: "CL:" for clustered, the lowercase table,
+// key columns and sorted include columns, each WHERE predicate and the MV's
+// fingerprint.
+func (d *Def) writeStructure(b *strings.Builder, extra int) {
+	var where []string
+	var mv string
+	n := len("CL:()") + len(d.Table) + extra
+	for _, c := range d.KeyCols {
+		n += len(c) + 1
+	}
+	for _, c := range d.IncludeCols {
+		n += len(c) + 1
+	}
+	if len(d.IncludeCols) > 0 {
+		n += len(" incl ")
+	}
+	if len(d.Where) > 0 {
+		where = make([]string, len(d.Where))
+		for i, p := range d.Where {
+			where[i] = strings.ToLower(p.String())
+			n += len(" where ") + len(where[i])
+		}
+	}
+	if d.MV != nil {
+		mv = d.MV.Fingerprint()
+		n += len(" on mv{}") + len(mv)
+	}
+	b.Grow(n)
+	if d.Clustered {
+		b.WriteString("CL:")
+	}
+	b.WriteString(strings.ToLower(d.Table))
+	b.WriteByte('(')
+	writeLowerList(b, d.KeyCols)
+	if len(d.IncludeCols) > 0 {
+		b.WriteString(" incl ")
+		writeLowerList(b, slices.Sorted(slices.Values(d.IncludeCols)))
+	}
+	b.WriteByte(')')
+	for _, w := range where {
+		b.WriteString(" where ")
+		b.WriteString(w)
+	}
+	if d.MV != nil {
+		b.WriteString(" on mv{")
+		b.WriteString(mv)
+		b.WriteByte('}')
+	}
+}
+
+// writeLowerList writes the lowercase names joined by commas.
+func writeLowerList(b *strings.Builder, names []string) {
+	for i, c := range names {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strings.ToLower(c))
+	}
 }
 
 // String renders a DDL-ish description.

@@ -14,6 +14,7 @@ import (
 // estimation layer.
 type Timing struct {
 	Total          time.Duration
+	Stats          time.Duration // sorting the columns the workload names, up front
 	CandidateGen   time.Duration
 	EstimateAll    time.Duration // end-to-end initial size-estimation phase
 	SampleBuild    time.Duration // taking/joining samples
@@ -25,6 +26,13 @@ type Timing struct {
 	Enumerate      time.Duration // includes the per-column refinement sweep
 	Refine         time.Duration // per-column design refinement alone
 	EstimationCost float64       // abstract cost units (sample pages)
+
+	// StatsColumns counts the columns whose sorted statistics (distinct
+	// count, histogram, most common values) the run built up front: every
+	// column a predicate of the workload names and, with MV candidates on,
+	// every GROUP BY column. On a database no earlier run has read, these
+	// are the columns the Stats phase sorted.
+	StatsColumns uint64
 
 	// Refinements counts the per-column method changes the refinement sweep
 	// accepted (0 when RefineColumns is off or every structure stayed

@@ -384,8 +384,8 @@ func (e *Estimator) entryWidthFromStats(t *catalog.Table, d *index.Def) float64 
 			w += float64(cw)
 			continue
 		}
-		if cs := st.Col(c); cs != nil && cs.AvgWidth > 0 {
-			w += cs.AvgWidth
+		if aw := st.AvgWidth(c); aw > 0 {
+			w += aw
 		} else {
 			w += 16
 		}

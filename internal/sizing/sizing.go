@@ -16,7 +16,9 @@
 package sizing
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -199,15 +201,26 @@ func buildGraph(est *Estimator, targets []*index.Def, existing []*index.Def) *gr
 			g.addDeductions(n)
 		}
 	}
-	// Narrow-to-wide processing order.
-	sort.SliceStable(g.order, func(i, j int) bool {
-		a, b := g.order[i], g.order[j]
-		ca, cb := len(a.Def.Columns()), len(b.Def.Columns())
-		if ca != cb {
-			return ca < cb
+	// Narrow-to-wide processing order, ties by ID; each node's column count
+	// and ID are computed once, not once per comparison.
+	type sortKey struct {
+		cols int
+		id   string
+		n    *Node
+	}
+	keys := make([]sortKey, len(g.order))
+	for i, n := range g.order {
+		keys[i] = sortKey{len(n.Def.Columns()), n.Def.ID(), n}
+	}
+	slices.SortStableFunc(keys, func(a, b sortKey) int {
+		if c := cmp.Compare(a.cols, b.cols); c != 0 {
+			return c
 		}
-		return a.Def.ID() < b.Def.ID()
+		return strings.Compare(a.id, b.id)
 	})
+	for i, k := range keys {
+		g.order[i] = k.n
+	}
 	return g
 }
 
