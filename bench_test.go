@@ -191,6 +191,33 @@ func BenchmarkRecommendSales(b *testing.B) {
 	benchRecommendParallelism(b, db, workloads.MustSales(7))
 }
 
+// BenchmarkTuneColdTPCH is the tpch-select loop's tune: each iteration tunes
+// a freshly generated 40 000-row TPC-H database (datagen and the heap sizes
+// the budget is cut from sit outside the timer) at Parallelism 1, so every
+// column statistic and table sample is built inside it. stats_ms/op and
+// sample_build_ms/op are the runs' Timing.Stats and Timing.SampleBuild.
+func BenchmarkTuneColdTPCH(b *testing.B) {
+	wl := workloads.SelectIntensive(workloads.MustTPCH())
+	var stats, sample float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 40000, Seed: 1})
+		opts := core.DefaultOptions(db.TotalHeapBytes() / 4)
+		opts.Parallelism = 1
+		b.StartTimer()
+		rec, err := core.New(db, wl, opts).Recommend()
+		if err != nil {
+			b.Fatal(err)
+		}
+		stats += float64(rec.Timing.Stats) / 1e6
+		sample += float64(rec.Timing.SampleBuild) / 1e6
+	}
+	b.ReportMetric(stats/float64(b.N), "stats_ms/op")
+	b.ReportMetric(sample/float64(b.N), "sample_build_ms/op")
+}
+
 // BenchmarkEnumerate targets the greedy enumeration with compression,
 // skyline and backtracking on — the paper's full DTAc search. Hoisting
 // candidate generation and size estimation out of the timed loop is

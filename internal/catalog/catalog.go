@@ -4,16 +4,21 @@
 // same statistics the paper assumes the optimizer maintains (Section 2.2).
 //
 // Statistics come in two tiers per column. Row count, NULL count and average
-// width come from one unsorted pass when a table's Stats is built; they are
-// all that index widths and sizes need. Distinct count, min/max, the
+// width come from one pass over the rows when a table's Stats is built; they
+// are all that index widths and sizes need. Distinct count, min/max, the
 // equi-depth histogram and the most common values need the column sorted,
-// and are built per column on first request, so a tune sorts only the
-// columns its workload's predicates (and MV candidates' GROUP BYs) name.
+// and are built per column on first request (Stats.Col), or for a batch of
+// columns at once (SortColumns, one row pass per table), so a tune sorts
+// only the columns its workload's predicates (and MV candidates' GROUP BYs)
+// name. A dense INT or DATE column is placed by a counting sort, with no
+// comparisons.
 package catalog
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -260,11 +265,12 @@ func (c *ColStats) NullFrac(rowCount int64) float64 {
 }
 
 // Stats bundles a table's statistics in two tiers. The first is built with
-// the Stats: one unsorted pass per column yields its NULL count and average
-// width (a fixed-width column needs only the NULL count). The second, the
-// sorted part of a column (Distinct, Min/Max, Hist, MCVs), is built the first
-// time Col asks for that column, once, whichever goroutine asks; a column no
-// selectivity or row estimate reads is never sorted. Both tiers describe the
+// the Stats: one pass over the rows counts every column's NULLs and sums the
+// widths of a variable-width column's values (a fixed-width column's width is
+// its type's). The second, the sorted part of a column (Distinct, Min/Max,
+// Hist, MCVs), is built the first time Col or SortColumns asks for that
+// column, once, whichever goroutine asks; a column no selectivity or row
+// estimate reads is never sorted. Both tiers, and DistinctPrefix, describe the
 // rows the Stats was built over: it keeps its own copy of the row headers, so
 // a column sorted after an UPDATE (copy-on-write rows) or a DELETE (which
 // compacts Table.Rows in place) still describes the rows before the write.
@@ -276,14 +282,13 @@ type Stats struct {
 	rows    []storage.Row // the rows the statistics describe, frozen at build
 	buckets int
 	cols    []colSlot // by column ordinal
-	byName  map[string]int
 
 	mu             sync.Mutex
 	distinctPrefix map[string]int64 // cache: joined lowercase col list -> count
 }
 
 // colSlot holds one column's statistics: NullCount and AvgWidth from the
-// build, the rest from the first Col that asks.
+// build, the rest from the first Col or SortColumns that asks.
 type colSlot struct {
 	cs     ColStats
 	once   sync.Once
@@ -291,41 +296,32 @@ type colSlot struct {
 }
 
 func newStats(t *Table, buckets int) *Stats {
-	st := &Stats{
+	return &Stats{
 		RowCount:       t.RowCount(),
 		schema:         t.Schema,
 		rows:           slices.Clone(t.Rows),
 		buckets:        buckets,
 		cols:           make([]colSlot, len(t.Schema.Columns)),
-		byName:         make(map[string]int, len(t.Schema.Columns)),
 		distinctPrefix: make(map[string]int64),
 	}
-	for ci, col := range t.Schema.Columns {
-		st.byName[strings.ToLower(col.Name)] = ci
-	}
-	return st
 }
 
 // Col returns the full statistics of the named column (nil if unknown),
 // sorting the column first if no caller has asked for it yet.
 func (s *Stats) Col(name string) *ColStats {
-	ci, ok := s.byName[strings.ToLower(name)]
-	if !ok {
+	ci := s.schema.ColIndex(name)
+	if ci < 0 {
 		return nil
 	}
-	c := &s.cols[ci]
-	c.once.Do(func() {
-		sortColStats(s.schema.Columns[ci], s.rows, ci, s.buckets, &c.cs)
-		c.sorted.Store(true)
-	})
-	return &c.cs
+	s.sortColumn(ci, nil)
+	return &s.cols[ci].cs
 }
 
 // AvgWidth returns the named column's average non-NULL value width (0 if the
 // column is unknown or all NULL). It reads the first tier only, so it never
 // sorts.
 func (s *Stats) AvgWidth(name string) float64 {
-	if ci, ok := s.byName[strings.ToLower(name)]; ok {
+	if ci := s.schema.ColIndex(name); ci >= 0 {
 		return s.cols[ci].cs.AvgWidth
 	}
 	return 0
@@ -333,90 +329,280 @@ func (s *Stats) AvgWidth(name string) float64 {
 
 // Sorted reports whether the named column's sorted statistics are built.
 func (s *Stats) Sorted(name string) bool {
-	ci, ok := s.byName[strings.ToLower(name)]
-	return ok && s.cols[ci].sorted.Load()
+	ci := s.schema.ColIndex(name)
+	return ci >= 0 && s.cols[ci].sorted.Load()
 }
 
+// sortColumn builds column ci's sorted tier, once, from keys: the column's
+// keys a SortColumns pass has read, or nil for a row pass of its own. It is
+// the one builder of the sorted tier.
+func (s *Stats) sortColumn(ci int, keys *columnKeys) {
+	c := &s.cols[ci]
+	c.once.Do(func() {
+		if keys == nil {
+			keys = &readKeys(s.schema, s.rows, []int{ci})[0]
+		}
+		keys.fill(s.rows, s.buckets, &c.cs)
+		c.sorted.Store(true)
+	})
+}
+
+// countChunk is the fewest rows BuildStats gives a worker of its own.
+const countChunk = 8192
+
 // BuildStats produces the table's statistics with the given histogram bucket
-// count: the first tier of every column now, in one unsorted pass per column
-// (columns are independent, so they run concurrently into their own slots),
-// and each column's sorted tier on its first Col.
+// count: the first tier of every column now, in one pass over the rows (cut
+// into chunks counted by up to GOMAXPROCS workers; integer counts add up in
+// any order), and each column's sorted tier on its first Col or SortColumns.
 func BuildStats(t *Table, buckets int) *Stats {
 	st := newStats(t, buckets)
-	par.For(runtime.GOMAXPROCS(0), len(st.cols), func(ci int) {
-		countColumn(t.Schema.Columns[ci], st.rows, ci, &st.cols[ci].cs)
+	cols := st.schema.Columns
+	widths := make([]int, len(cols))
+	for ci, col := range cols {
+		widths[ci] = col.Width()
+	}
+	rows := st.rows
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(rows)/countChunk))
+	// counts[w] holds worker w's NULL count of each column, then its width
+	// sum of each variable-width column.
+	counts := make([][]int64, workers)
+	par.For(workers, workers, func(w int) {
+		c := make([]int64, 2*len(cols))
+		nulls, sums := c[:len(cols)], c[len(cols):]
+		for _, r := range rows[w*len(rows)/workers : (w+1)*len(rows)/workers] {
+			for ci, width := range widths {
+				switch v := &r[ci]; {
+				case v.Null:
+					nulls[ci]++
+				case width <= 0:
+					sums[ci] += int64(2 + len(v.Str)) // length prefix and bytes
+				}
+			}
+		}
+		counts[w] = c
 	})
+	for ci, width := range widths {
+		var nulls, widthSum int64
+		for _, c := range counts {
+			nulls += c[ci]
+			widthSum += c[len(cols)+ci]
+		}
+		cs := &st.cols[ci].cs
+		cs.NullCount = nulls
+		n := st.RowCount - nulls
+		if n == 0 {
+			continue
+		}
+		if width > 0 {
+			widthSum = int64(width) * n
+		}
+		cs.AvgWidth = float64(widthSum) / float64(n)
+	}
 	return st
 }
 
-// countColumn fills the first tier of column ci: its NULL count and the
-// average width of its non-NULL values.
-func countColumn(col storage.Column, rows []storage.Row, ci int, cs *ColStats) {
-	var nulls, widthSum int64
-	w := col.Width()
-	for _, r := range rows {
-		v := r[ci]
-		switch {
-		case v.Null:
-			nulls++
-		case w <= 0:
-			widthSum += int64(valueWidth(col, v))
-		}
-	}
-	cs.NullCount = nulls
-	n := int64(len(rows)) - nulls
-	if n == 0 {
-		return
-	}
-	if w > 0 {
-		widthSum = int64(w) * n
-	}
-	cs.AvgWidth = float64(widthSum) / float64(n)
+// ColumnRef names one column of one table.
+type ColumnRef struct {
+	Table *Table
+	Col   string
 }
 
-// sortColStats fills the sorted tier of column ci over rows. The column is
-// sorted once and everything — distinct count, most common values, min/max,
-// the equi-depth histogram — is read off the sorted runs.
-func sortColStats(col storage.Column, rows []storage.Row, ci, buckets int, cs *ColStats) {
-	// The column's non-NULL values in order: n of them, the i-th through at.
-	var (
-		n  int
-		at func(i int) storage.Value
-	)
-	switch col.Kind {
-	case storage.KindInt, storage.KindDate:
-		n, at = sortedKeys(rows, ci, col.Kind,
-			func(v storage.Value) int64 { return v.Int },
-			func(k int64) storage.Value { return storage.Value{Kind: col.Kind, Int: k} })
-	case storage.KindFloat:
-		n, at = sortedKeys(rows, ci, col.Kind,
-			func(v storage.Value) float64 { return v.Float },
-			func(k float64) storage.Value { return storage.Value{Kind: col.Kind, Float: k} })
-	case storage.KindString:
-		n, at = sortedKeys(rows, ci, col.Kind,
-			func(v storage.Value) string { return v.Str },
-			func(k string) storage.Value { return storage.Value{Kind: col.Kind, Str: k} })
+// SortColumns builds the sorted tier of the named columns that no caller has
+// sorted yet, on up to workers goroutines, with the result Col would give:
+// one pass over each table's rows reads the keys of all its named columns,
+// then each column is sorted and summarized on its own. Unknown columns are
+// skipped.
+func SortColumns(workers int, cols []ColumnRef) {
+	type table struct {
+		t     *Table
+		st    *Stats
+		names []string
+		keys  []columnKeys
 	}
-	if at == nil {
-		n, at = sortedValues(rows, ci)
+	var tables []*table
+	byTable := make(map[*Table]*table)
+	for _, c := range cols {
+		tb := byTable[c.Table]
+		if tb == nil {
+			tb = &table{t: c.Table}
+			byTable[c.Table] = tb
+			tables = append(tables, tb)
+		}
+		tb.names = append(tb.names, c.Col)
 	}
+	par.For(workers, len(tables), func(i int) {
+		tb := tables[i]
+		tb.st = tb.t.Stats()
+		var cis []int
+		for _, name := range tb.names {
+			if ci := tb.st.schema.ColIndex(name); ci >= 0 && !tb.st.cols[ci].sorted.Load() && !slices.Contains(cis, ci) {
+				cis = append(cis, ci)
+			}
+		}
+		tb.keys = readKeys(tb.st.schema, tb.st.rows, cis)
+	})
+	type column struct {
+		st   *Stats
+		keys *columnKeys
+	}
+	var todo []column
+	for _, tb := range tables {
+		for j := range tb.keys {
+			todo = append(todo, column{tb.st, &tb.keys[j]})
+		}
+	}
+	par.For(workers, len(todo), func(i int) {
+		todo[i].st.sortColumn(todo[i].keys.ci, todo[i].keys)
+	})
+}
+
+// columnKeys holds column ci's non-NULL values in row order as bare keys of
+// the column's kind: an INT or DATE column's in ints (all within lo..hi), a
+// float column's in floats, a string column's in strs. A value of another
+// kind than the column's, or a NaN (which Compare and the key order place
+// differently), sets mixed: the column's Values are sorted instead.
+type columnKeys struct {
+	ci     int
+	kind   storage.Kind
+	mixed  bool
+	ints   []int64
+	lo, hi int64
+	floats []float64
+	strs   []string
+}
+
+// readKeys reads the keys of columns cis in one pass over rows.
+func readKeys(schema *storage.Schema, rows []storage.Row, cis []int) []columnKeys {
+	ks := make([]columnKeys, len(cis))
+	for j, ci := range cis {
+		k := &ks[j]
+		k.ci, k.kind = ci, schema.Columns[ci].Kind
+		switch k.kind {
+		case storage.KindInt, storage.KindDate:
+			k.ints, k.lo, k.hi = make([]int64, 0, len(rows)), math.MaxInt64, math.MinInt64
+		case storage.KindFloat:
+			k.floats = make([]float64, 0, len(rows))
+		case storage.KindString:
+			k.strs = make([]string, 0, len(rows))
+		default:
+			k.mixed = true
+		}
+	}
+	for _, r := range rows {
+		for j := range ks {
+			k := &ks[j]
+			v := &r[k.ci]
+			switch {
+			case v.Null || k.mixed:
+			case v.Kind != k.kind:
+				k.mixed = true
+			case k.ints != nil:
+				k.ints = append(k.ints, v.Int)
+				k.lo, k.hi = min(k.lo, v.Int), max(k.hi, v.Int)
+			case k.floats != nil:
+				if v.Float != v.Float {
+					k.mixed = true
+				} else {
+					k.floats = append(k.floats, v.Float)
+				}
+			default:
+				k.strs = append(k.strs, v.Str)
+			}
+		}
+	}
+	return ks
+}
+
+// denseSpan bounds the span of an INT/DATE column that fill places by
+// counting, as a multiple of its non-NULL count: the bound index.rankDense
+// ranks deploy's key columns under. Past it the counts array outweighs the
+// keys, and the keys are sorted.
+const denseSpan = 4
+
+// fill sorts the keys and reads column ci's sorted tier off them into cs:
+// distinct count, most common values, min/max and the equi-depth histogram.
+// The sort is most of a column's statistics. An INT/DATE column whose values
+// span under denseSpan × their count is placed by a counting sort; any other
+// bare key sorts with slices.Sort (8- or 16-byte keys, several times faster
+// than 48-byte Values compared through a kind switch); a mixed column sorts
+// its Values, read from rows.
+func (k *columnKeys) fill(rows []storage.Row, buckets int, cs *ColStats) {
+	kind := k.kind
+	switch {
+	case k.mixed:
+		values := sortedValues(rows, k.ci)
+		// A run is a stretch of equal keys: run[i] names the first
+		// position of i's run. A histogram bound never splits values that
+		// compare equal, whatever their keys.
+		run := make([]int, len(values))
+		for i := range values {
+			if run[i] = i; i > 0 && values[i].Key() == values[i-1].Key() {
+				run[i] = run[i-1]
+			}
+		}
+		summarize(run, func(i int) storage.Value { return values[i] },
+			func(i, j int) bool { return values[i].Compare(values[j]) == 0 }, buckets, cs)
+	case k.ints != nil:
+		if span := k.hi - k.lo; span >= 0 && span < denseSpan*int64(len(k.ints)) {
+			countSort(k.ints, k.lo, span)
+		} else {
+			slices.Sort(k.ints)
+		}
+		summarize(k.ints, func(i int) storage.Value { return storage.Value{Kind: kind, Int: k.ints[i]} }, nil, buckets, cs)
+	case k.floats != nil:
+		slices.Sort(k.floats)
+		summarize(k.floats, func(i int) storage.Value { return storage.Value{Kind: kind, Float: k.floats[i]} }, nil, buckets, cs)
+	default:
+		slices.Sort(k.strs)
+		summarize(k.strs, func(i int) storage.Value { return storage.Value{Kind: kind, Str: k.strs[i]} }, nil, buckets, cs)
+	}
+	*k = columnKeys{} // a batch's other columns need not keep these keys alive
+}
+
+// countSort sorts keys, every one within lo..lo+span, by counting them:
+// O(len(keys) + span).
+func countSort(keys []int64, lo, span int64) {
+	counts := make([]int32, span+1)
+	for _, x := range keys {
+		counts[x-lo]++
+	}
+	i := 0
+	for d, c := range counts {
+		for ; c > 0; c-- {
+			keys[i] = lo + int64(d)
+			i++
+		}
+	}
+}
+
+// summarize reads a column's sorted tier off its sorted keys; val(i) is the
+// value at sorted position i. Equal keys form one run: one distinct value. A
+// histogram bucket extends over the keys equal to its last and, when tie is
+// set, over the positions tie reports compare equal as values.
+func summarize[K comparable](keys []K, val func(i int) storage.Value, tie func(i, j int) bool, buckets int, cs *ColStats) {
+	n := len(keys)
 	if n == 0 {
 		return
 	}
-	cs.Min = at(0)
-	cs.Max = at(n - 1)
-	cs.Hist = buildHistogram(n, at, buckets)
+	cs.Min, cs.Max = val(0), val(n-1)
+	cs.Hist = histogram(keys, val, tie, buckets)
 
-	// One pass over the runs of equal keys: count them, and keep the
-	// MCVLimit most frequent in (count desc, key asc) order.
+	// One pass over the runs: count them, and keep the MCVLimit most
+	// frequent in (count desc, key asc) order. A run less frequent than a
+	// full list's last never enters it, and needs no key.
 	top := make([]MCV, 0, MCVLimit+1)
 	for i := 0; i < n; {
-		key, end := at(i).Key(), i+1
-		for end < n && at(end).Key() == key {
+		end := i + 1
+		for end < n && keys[end] == keys[i] {
 			end++
 		}
 		cs.Distinct++
-		run := MCV{Key: key, Count: int64(end - i)}
+		count := int64(end - i)
+		if len(top) == MCVLimit && count < top[MCVLimit-1].Count {
+			i = end
+			continue
+		}
+		run := MCV{Key: val(i).Key(), Count: count}
 		i = end
 		pos := len(top)
 		for pos > 0 && mcvBefore(run, top[pos-1]) {
@@ -437,32 +623,11 @@ func sortColStats(col storage.Column, rows []storage.Row, ci, buckets int, cs *C
 	}
 }
 
-// sortedKeys reads column ci's non-NULL values as bare keys and sorts them;
-// val turns a key back into its value. The sort is most of a column's
-// statistics: 8- or 16-byte keys sort several times faster than 48-byte
-// Values compared through a kind switch, and numeric keys leave the collector
-// no pointers to trace. A value of another kind than the column's, or a NaN
-// (which Compare and the key order place differently), returns a nil at: the
-// caller sorts the Values themselves.
-func sortedKeys[K cmp.Ordered](rows []storage.Row, ci int, kind storage.Kind, key func(storage.Value) K, val func(K) storage.Value) (n int, at func(i int) storage.Value) {
-	keys := make([]K, 0, len(rows))
-	for _, r := range rows {
-		v := r[ci]
-		if v.Null {
-			continue
-		}
-		k := key(v)
-		if v.Kind != kind || k != k {
-			return 0, nil
-		}
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return len(keys), func(i int) storage.Value { return val(keys[i]) }
-}
-
-// sortedValues is sortedKeys for a column that mixes kinds.
-func sortedValues(rows []storage.Row, ci int) (n int, at func(i int) storage.Value) {
+// sortedValues returns column ci's non-NULL Values sorted, for a column that
+// mixes kinds or holds a NaN. The order is CompareTotal's, which places NaNs
+// first (Compare ties a NaN with every value, so under it where a NaN lands,
+// and whether equal values stay together, is up to the sort).
+func sortedValues(rows []storage.Row, ci int) []storage.Value {
 	nonNull := make([]storage.Value, 0, len(rows))
 	for _, r := range rows {
 		if v := r[ci]; !v.Null {
@@ -473,12 +638,12 @@ func sortedValues(rows []storage.Row, ci int) (n int, at func(i int) storage.Val
 	// (an int and a date with the same number), keeping each key's run
 	// contiguous.
 	slices.SortFunc(nonNull, func(a, b storage.Value) int {
-		if c := a.Compare(b); c != 0 {
+		if c := a.CompareTotal(b); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Kind, b.Kind)
 	})
-	return len(nonNull), func(i int) storage.Value { return nonNull[i] }
+	return nonNull
 }
 
 // mcvBefore orders most-common-value entries: more frequent first, ties by
@@ -503,39 +668,32 @@ func less(a, b storage.ValueKey) bool {
 	return a.Float < b.Float
 }
 
-func valueWidth(c storage.Column, v storage.Value) int {
-	if w := c.Width(); w > 0 {
-		return w
-	}
-	return 2 + len(v.Str)
-}
-
 // DistinctPrefix returns the exact number of distinct combinations of the
-// given columns in the table (computed once, then cached). The deduction
-// model (Section 4.2) needs |AB| in addition to |A| and |B| because columns
-// may be correlated.
-func (t *Table) DistinctPrefix(cols []string) int64 {
+// given columns among the rows the table's statistics describe (computed once
+// per Stats, then cached). The deduction model (Section 4.2) needs |AB| in
+// addition to |A| and |B| because columns may be correlated. A column the
+// table does not have is an error.
+func (t *Table) DistinctPrefix(cols []string) (int64, error) {
 	if len(cols) == 0 {
-		return 1
+		return 1, nil
 	}
 	st := t.Stats()
+	idx := make([]int, len(cols))
+	for i, c := range cols {
+		if idx[i] = st.schema.ColIndex(c); idx[i] < 0 {
+			return 0, fmt.Errorf("catalog: table %s has no column %q", t.Name, c)
+		}
+	}
 	key := strings.ToLower(strings.Join(cols, "\x00"))
 	st.mu.Lock()
 	if v, ok := st.distinctPrefix[key]; ok {
 		st.mu.Unlock()
-		return v
+		return v, nil
 	}
 	st.mu.Unlock()
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		idx[i] = t.Schema.ColIndex(c)
-		if idx[i] < 0 {
-			panic(fmt.Sprintf("catalog: table %s has no column %q", t.Name, c))
-		}
-	}
 	seen := make(map[string]struct{}, 1024)
 	var buf []byte
-	for _, r := range t.Rows {
+	for _, r := range st.rows {
 		buf = buf[:0]
 		for _, i := range idx {
 			buf = appendKey(buf, r[i])
@@ -546,9 +704,12 @@ func (t *Table) DistinctPrefix(cols []string) int64 {
 	st.mu.Lock()
 	st.distinctPrefix[key] = n
 	st.mu.Unlock()
-	return n
+	return n, nil
 }
 
+// appendKey appends v's encoding to a distinct-prefix key: a tag, then the
+// value's bytes. A float is keyed by its bits with −0 folded into +0, so two
+// floats share a key exactly when they are equal.
 func appendKey(dst []byte, v storage.Value) []byte {
 	if v.Null {
 		return append(dst, 0xFF, 0x00)
@@ -559,18 +720,16 @@ func appendKey(dst []byte, v storage.Value) []byte {
 		dst = append(dst, v.Str...)
 		return append(dst, 0x00)
 	case storage.KindFloat:
-		dst = append(dst, 0x02)
-		u := uint64(int64(v.Float * 1e9)) // good enough for distinct counting
-		for s := 56; s >= 0; s -= 8 {
-			dst = append(dst, byte(u>>uint(s)))
+		f := v.Float
+		if f == 0 {
+			f = 0 // −0 → +0
 		}
+		dst = append(dst, 0x02)
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
 		return append(dst, 0x00)
 	default:
 		dst = append(dst, 0x03)
-		u := uint64(v.Int)
-		for s := 56; s >= 0; s -= 8 {
-			dst = append(dst, byte(u>>uint(s)))
-		}
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v.Int))
 		return append(dst, 0x00)
 	}
 }

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -162,19 +163,27 @@ func TestHistogramEqualValuesDontStraddle(t *testing.T) {
 
 func TestDistinctPrefix(t *testing.T) {
 	tab := testTable(2000, 6)
-	if got := tab.DistinctPrefix(nil); got != 1 {
+	count := func(cols ...string) int64 {
+		t.Helper()
+		n, err := tab.DistinctPrefix(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if got := count(); got != 1 {
 		t.Fatalf("empty prefix=%d want 1", got)
 	}
-	grp := tab.DistinctPrefix([]string{"grp"})
+	grp := count("grp")
 	if grp != 10 {
 		t.Fatalf("|grp|=%d want 10", grp)
 	}
-	both := tab.DistinctPrefix([]string{"grp", "id"})
+	both := count("grp", "id")
 	if both != 2000 {
 		t.Fatalf("|grp,id|=%d want 2000 (id unique)", both)
 	}
 	// Cached second call must agree.
-	if tab.DistinctPrefix([]string{"grp"}) != grp {
+	if count("grp") != grp {
 		t.Fatal("cache mismatch")
 	}
 	// Correlation: |A,B| can be far below |A|*|B|.
@@ -183,14 +192,29 @@ func TestDistinctPrefix(t *testing.T) {
 	}
 }
 
-func TestDistinctPrefixUnknownColumnPanics(t *testing.T) {
+// TestDistinctPrefixFloatsAndFrozenRows: float keys are exact (values a
+// billionth apart are distinct, −0 and +0 one value), and the count describes
+// the rows the statistics were built over, not rows written since.
+func TestDistinctPrefixFloatsAndFrozenRows(t *testing.T) {
+	sch := storage.NewSchema(storage.Column{Name: "f", Kind: storage.KindFloat})
+	vals := []float64{1, 1 + 1e-12, 0, math.Copysign(0, -1), 3e12, 3e12 + 0.5}
+	rows := make([]storage.Row, len(vals))
+	for i, v := range vals {
+		rows[i] = storage.Row{storage.FloatVal(v)}
+	}
+	tab := &Table{Name: "floats", Schema: sch, Rows: rows}
+	tab.Stats()
+	tab.Rows[1] = storage.Row{storage.FloatVal(1)} // after the build: not counted
+	if n, err := tab.DistinctPrefix([]string{"F"}); err != nil || n != 5 {
+		t.Fatalf("|f| = %d, %v; want 5", n, err)
+	}
+}
+
+func TestDistinctPrefixUnknownColumnErrors(t *testing.T) {
 	tab := testTable(10, 7)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	tab.DistinctPrefix([]string{"ghost"})
+	if n, err := tab.DistinctPrefix([]string{"grp", "ghost"}); err == nil {
+		t.Fatalf("unknown column counted %d, want an error", n)
+	}
 }
 
 func TestHeapPages(t *testing.T) {

@@ -13,44 +13,31 @@ type Histogram struct {
 	Total  int64
 }
 
-// buildHistogram constructs an equi-depth histogram from n sorted values,
-// the i-th read through at.
-func buildHistogram(n int, at func(i int) storage.Value, buckets int) *Histogram {
+// histogram builds the equi-depth histogram of a column's sorted keys; val(i)
+// is the value at sorted position i. A bucket extends over the keys equal to
+// its last, and, when tie is set, over the positions tie reports compare
+// equal, so equal values never straddle a boundary.
+func histogram[K comparable](keys []K, val func(i int) storage.Value, tie func(i, j int) bool, buckets int) *Histogram {
+	n := len(keys)
 	if n == 0 {
 		return nil
 	}
-	if buckets < 1 {
-		buckets = 1
-	}
-	if buckets > n {
-		buckets = n
-	}
-	h := &Histogram{Total: int64(n)}
-	per := n / buckets
-	rem := n % buckets
-	start := 0
-	for b := 0; b < buckets && start < n; b++ {
-		count := per
+	buckets = min(max(buckets, 1), n)
+	h := &Histogram{Bounds: make([]storage.Value, 0, buckets), Counts: make([]int64, 0, buckets), Total: int64(n)}
+	per, rem := n/buckets, n%buckets
+	for b, start := 0, 0; b < buckets && start < n; b++ {
+		end := start + per
 		if b < rem {
-			count++
-		}
-		if count == 0 {
-			continue
-		}
-		end := start + count
-		if end > n {
-			end = n
-		}
-		// Extend the bucket so equal values never straddle a boundary.
-		for last := at(end - 1); end < n && at(end).Compare(last) == 0; {
 			end++
 		}
-		h.Bounds = append(h.Bounds, at(end-1))
+		end = min(end, n)
+		last := end - 1
+		for end < n && (keys[end] == keys[last] || tie != nil && tie(end, last)) {
+			end++
+		}
+		h.Bounds = append(h.Bounds, val(end-1))
 		h.Counts = append(h.Counts, int64(end-start))
 		start = end
-		if start >= n {
-			break
-		}
 	}
 	return h
 }

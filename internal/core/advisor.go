@@ -277,20 +277,17 @@ func (a *Advisor) Recommend() (*Recommendation, error) {
 }
 
 // sortStats builds the sorted statistics of the columns the run will read
-// them for, in one fan-out over every CPU, and returns how many columns that
-// is: every column a predicate (of a query, UPDATE or DELETE) names, which
-// selectivity and the partial row estimates read, and with MV candidates on,
-// every GROUP BY column, which the MV row estimates read. A column it misses
-// is sorted by its first reader, with the same result.
+// them for, in one catalog.SortColumns fan-out over every CPU, and returns
+// how many columns that is: every column a predicate (of a query, UPDATE or
+// DELETE) names, which selectivity and the partial row estimates read, and
+// with MV candidates on, every GROUP BY column, which the MV row estimates
+// read. A column it misses is sorted by its first reader, with the same
+// result.
 func (a *Advisor) sortStats() int {
-	type column struct {
-		t    *catalog.Table
-		name string
-	}
-	var cols []column
-	seen := make(map[column]bool)
+	var cols []catalog.ColumnRef
+	seen := make(map[catalog.ColumnRef]bool)
 	add := func(t *catalog.Table, name string) {
-		c := column{t, strings.ToLower(name)}
+		c := catalog.ColumnRef{Table: t, Col: strings.ToLower(name)}
 		if t.Schema.Has(name) && !seen[c] {
 			seen[c] = true
 			cols = append(cols, c)
@@ -319,9 +316,7 @@ func (a *Advisor) sortStats() int {
 			}
 		}
 	}
-	par.For(runtime.GOMAXPROCS(0), len(cols), func(i int) {
-		cols[i].t.Stats().Col(cols[i].name)
-	})
+	catalog.SortColumns(runtime.GOMAXPROCS(0), cols)
 	return len(cols)
 }
 

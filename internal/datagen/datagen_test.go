@@ -122,8 +122,14 @@ func TestTPCHSkewChangesDistribution(t *testing.T) {
 	flat := NewTPCH(TPCHConfig{LineitemRows: 8000, Zipf: 0, Seed: 7})
 	skew := NewTPCH(TPCHConfig{LineitemRows: 8000, Zipf: 3, Seed: 7})
 	// With Z=3, l_partkey should concentrate: far fewer distinct values hit.
-	dFlat := flat.MustTable("lineitem").DistinctPrefix([]string{"l_partkey"})
-	dSkew := skew.MustTable("lineitem").DistinctPrefix([]string{"l_partkey"})
+	dFlat, err := flat.MustTable("lineitem").DistinctPrefix([]string{"l_partkey"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dSkew, err := skew.MustTable("lineitem").DistinctPrefix([]string{"l_partkey"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dSkew*2 > dFlat {
 		t.Fatalf("Z=3 should collapse distinct partkeys: flat=%d skew=%d", dFlat, dSkew)
 	}

@@ -289,7 +289,10 @@ func TestMVIndexBuild(t *testing.T) {
 	if phys.Rows == 0 {
 		t.Fatal("MV index has no rows")
 	}
-	nd := db.MustTable("orders").DistinctPrefix([]string{"o_orderdate"})
+	nd, err := db.MustTable("orders").DistinctPrefix([]string{"o_orderdate"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if phys.Rows != nd {
 		t.Fatalf("MV rows=%d want distinct dates=%d", phys.Rows, nd)
 	}

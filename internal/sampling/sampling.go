@@ -10,7 +10,7 @@ package sampling
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"strings"
 	"sync"
 	"time"
@@ -108,9 +108,9 @@ func (m *Manager) Sample(table string) (*TableSample, error) {
 // Store shares one deterministic, uniformly random row permutation per table
 // across every sampling fraction: managers created by the store draw their
 // samples as prefixes of that permutation ("bottom-k" sampling by a per-row
-// pseudo-random priority). One scan + one sort per table serves all grid
-// points. The store owns the run's recorder (see Recorder). Safe for
-// concurrent use; published permutations are immutable.
+// pseudo-random priority). One scan and one bucket pass per table (see
+// permutation) serve all grid points. The store owns the run's recorder (see
+// Recorder). Safe for concurrent use; published permutations are immutable.
 type Store struct {
 	DB   *catalog.Database
 	Seed int64
@@ -157,26 +157,10 @@ func (s *Store) ordered(key string, t *catalog.Table) []storage.Row {
 	}
 	s.mu.Unlock()
 	start := time.Now()
-	base := uint64(s.Seed) ^ uint64(hashString(key))
-	type pri struct {
-		p uint64
-		i int
-	}
-	pris := make([]pri, len(t.Rows))
-	for i := range t.Rows {
-		pris[i] = pri{splitmix64(base + uint64(i)), i}
-	}
-	// Row index breaks (astronomically unlikely) priority ties so the
-	// permutation is a total deterministic order.
-	sort.Slice(pris, func(a, b int) bool {
-		if pris[a].p != pris[b].p {
-			return pris[a].p < pris[b].p
-		}
-		return pris[a].i < pris[b].i
-	})
+	order := permutation(uint64(s.Seed)^uint64(hashString(key)), len(t.Rows))
 	rows := make([]storage.Row, len(t.Rows))
-	for j, pr := range pris {
-		rows[j] = t.Rows[pr.i]
+	for j, i := range order {
+		rows[j] = t.Rows[i]
 	}
 	elapsed := time.Since(start)
 	s.mu.Lock()
@@ -187,6 +171,55 @@ func (s *Store) ordered(key string, t *catalog.Table) []storage.Row {
 	s.tables[key] = rows
 	s.rec.Add(func(tm *obs.Timing) { tm.SampleBuild += elapsed })
 	return rows
+}
+
+// permutation returns the row order of n rows by ascending (priority, row),
+// where row i's priority is splitmix64(base + i). The priorities are uniform,
+// so their top bits.Len(n) bits spread the rows over at least n buckets,
+// about one row each: one counting pass sizes the buckets, the rows enter
+// their bucket in row order, and an insertion sort by priority finishes each
+// bucket. The sort is stable, so a priority tie keeps row order. O(n)
+// expected, with no comparison sort.
+func permutation(base uint64, n int) []int {
+	type pri struct {
+		p uint64
+		i int
+	}
+	shift := 64 - bits.Len(uint(n)) // p >> 64 is 0: one bucket when n is 0
+	ends := make([]int, 1<<bits.Len(uint(n)))
+	for i := range n {
+		ends[splitmix64(base+uint64(i))>>shift]++
+	}
+	// ends[b] becomes bucket b's start, then advances to its end as the
+	// bucket fills.
+	sum := 0
+	for b, c := range ends {
+		ends[b], sum = sum, sum+c
+	}
+	pris := make([]pri, n)
+	for i := range n {
+		p := splitmix64(base + uint64(i))
+		b := p >> shift
+		pris[ends[b]] = pri{p, i}
+		ends[b]++
+	}
+	start := 0
+	for _, end := range ends {
+		for j := start + 1; j < end; j++ {
+			x := pris[j]
+			k := j
+			for ; k > start && pris[k-1].p > x.p; k-- {
+				pris[k] = pris[k-1]
+			}
+			pris[k] = x
+		}
+		start = end
+	}
+	order := make([]int, n)
+	for j, pr := range pris {
+		order[j] = pr.i
+	}
+	return order
 }
 
 // splitmix64 is the SplitMix64 finalizer: a high-quality 64-bit mix giving

@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"testing"
 
@@ -168,7 +170,10 @@ func TestMVSampleCorrelatedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := testDB().MustTable("lineitem").DistinctPrefix([]string{"l_returnflag", "l_linestatus"})
+	truth, err := testDB().MustTable("lineitem").DistinctPrefix([]string{"l_returnflag", "l_linestatus"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	aeErr := relErr(ms.EstimatedRows, truth)
 	// Optimizer baseline assumes independence: |rf| * |ls| = 6 > truth (4).
 	opt := EstimateMVRowsOptimizer(testDB(), mv)
@@ -326,5 +331,29 @@ func TestStorePrefixSamples(t *testing.T) {
 func TestStoreUnknownTable(t *testing.T) {
 	if _, err := NewStore(testDB(), 1).Manager(0.1).Sample("nope"); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestPermutationMatchesSort: the bucket pass orders rows exactly as a plain
+// sort by (priority, row) does, at sizes from empty to a loop-benchmark
+// table, over three seeds.
+func TestPermutationMatchesSort(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 17, 1000, 40000} {
+		for _, seed := range []int64{1, 7, -3} {
+			base := uint64(seed) ^ uint64(hashString("lineitem"))
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			slices.SortFunc(want, func(a, b int) int {
+				if c := cmp.Compare(splitmix64(base+uint64(a)), splitmix64(base+uint64(b))); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+			if got := permutation(base, n); !slices.Equal(got, want) {
+				t.Fatalf("n=%d seed=%d: bucket-pass permutation differs from the (priority, row) sort", n, seed)
+			}
+		}
 	}
 }

@@ -112,8 +112,15 @@ func (e *Estimator) DeduceColExt(target *index.Def, parts []*Estimate) (*Estimat
 		}
 		if ordDep {
 			// F(I_target, Y) / F(I_part, Y) with Y = this part's columns.
-			nDistinctPart := float64(t.DistinctPrefix(pCols))
-			nDistinctPrefix := float64(t.DistinctPrefix(append([]string{}, prefix...)))
+			dPart, err := t.DistinctPrefix(pCols)
+			if err != nil {
+				return nil, err
+			}
+			dPrefix, err := t.DistinctPrefix(append([]string{}, prefix...))
+			if err != nil {
+				return nil, err
+			}
+			nDistinctPart, nDistinctPrefix := float64(dPart), float64(dPrefix)
 			n := float64(rows)
 			pTuplesPerPage := tuplesPerPage(p.UncompressedBytes, p.Rows)
 			// Run lengths fragment by the distinct prefix combinations, but
