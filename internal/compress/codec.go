@@ -113,13 +113,11 @@ func decodeValue[B []byte | string](c storage.Column, b B) (storage.Value, error
 // PAGE column sections: common prefix + page-local dictionary
 
 // pageColScratch is the working memory of a PAGE column encode, reused from
-// section to section: the page-local dictionary keyed by suffix.
+// section to section: the page-local dictionary, indexed by the ids the
+// page's sizer gave its distinct values.
 type pageColScratch struct {
-	ids   []int32          // row -> slot in count/first/code (unset for NULLs)
-	index map[string]int32 // suffix -> slot
-	count []int32
-	first []int32 // first row holding the suffix
-	code  []int32 // dictionary code, -1 for suffixes stored as literals
+	count []int32 // id -> rows on the page holding the value
+	code  []int32 // id -> dictionary code, -1 for values stored as literals
 }
 
 // appendColumn appends one PAGE column section, the layout parsePageColumn
@@ -129,55 +127,45 @@ type pageColScratch struct {
 //
 // Values are stored in row order as dictionary codes (for suffixes occurring
 // at least twice, per the size model's policy) or length-prefixed literal
-// suffixes. The values' encodings come from the page's value arena.
-func (ps *pageColScratch) appendColumn(payload []byte, rows []storage.Row, ci int, pv *pageValues) ([]byte, error) {
+// suffixes. The values' encodings come from the page's value arena, and their
+// ids from the sizer that sized the page (which may hold one more value: the
+// row that did not fit, always last).
+func (ps *pageColScratch) appendColumn(payload []byte, rows []storage.Row, ci int, pv *pageValues, z *pageColSizer) ([]byte, error) {
 	n := len(rows)
 	bitmapLen := (n + 7) / 8
 	// Null bitmap (bit j set = row j is NULL) and the common prefix across
 	// the non-null values.
 	nullAt := len(payload)
 	payload = append(payload, make([]byte, bitmapLen)...)
-	ps.ids = ps.ids[:0]
 	var prefix []byte
-	seen := false
+	nonNull := 0
 	for j, r := range rows {
-		ps.ids = append(ps.ids, -1)
 		if r[ci].Null {
 			payload[nullAt+j/8] |= 1 << (uint(j) % 8)
-		} else if v := pv.at(j); !seen {
-			prefix, seen = v, true
+			continue
+		}
+		if v := pv.at(j); nonNull == 0 {
+			prefix = v
 		} else {
 			prefix = prefix[:commonPrefixLen(prefix, v)]
 		}
+		nonNull++
 	}
 	payload = appendLenPrefix(payload, len(prefix))
 	payload = append(payload, prefix...)
-	// Local dictionary: suffixes occurring at least twice, codes assigned
-	// in first-occurrence order.
-	if ps.index == nil {
-		ps.index = make(map[string]int32)
-	}
-	clear(ps.index)
-	ps.count, ps.first, ps.code = ps.count[:0], ps.first[:0], ps.code[:0]
-	suffix := func(j int) []byte { return pv.at(j)[len(prefix):] }
-	for j, r := range rows {
-		if r[ci].Null {
-			continue
-		}
-		sfx := suffix(j)
-		id, ok := ps.index[string(sfx)]
-		if !ok {
-			id = int32(len(ps.count))
-			ps.index[string(sfx)] = id
-			ps.count = append(ps.count, 0)
-			ps.first = append(ps.first, int32(j))
-		}
+	// Local dictionary: suffixes occurring at least twice, codes assigned in
+	// first-occurrence order, the order the sizer numbered them in. Every
+	// value on the page shares the prefix, so equal values are equal
+	// suffixes and each id is one suffix.
+	ids := z.ids[:nonNull]
+	ps.count = append(ps.count[:0], make([]int32, z.values.len())...)
+	for _, id := range ids {
 		ps.count[id]++
-		ps.ids[j] = id
 	}
 	dictAtCount := len(payload)
 	payload = append(payload, 0, 0)
 	dictLen := 0
+	ps.code = ps.code[:0]
 	for id, cnt := range ps.count {
 		if cnt < 2 {
 			ps.code = append(ps.code, -1)
@@ -185,7 +173,7 @@ func (ps *pageColScratch) appendColumn(payload []byte, rows []storage.Row, ci in
 		}
 		ps.code = append(ps.code, int32(dictLen))
 		dictLen++
-		sfx := suffix(int(ps.first[id]))
+		sfx := z.values.key(int32(id))[len(prefix):]
 		payload = appendLenPrefix(payload, len(sfx))
 		payload = append(payload, sfx...)
 	}
@@ -201,14 +189,16 @@ func (ps *pageColScratch) appendColumn(payload []byte, rows []storage.Row, ci in
 		if r[ci].Null {
 			continue
 		}
-		if code := ps.code[ps.ids[j]]; code >= 0 {
+		code := ps.code[ids[0]]
+		ids = ids[1:]
+		if code >= 0 {
 			payload[dictAt+j/8] |= 1 << (uint(j) % 8)
 			if dictLen > 255 {
 				payload = append(payload, byte(code>>8))
 			}
 			payload = append(payload, byte(code))
 		} else {
-			sfx := suffix(j)
+			sfx := pv.at(j)[len(prefix):]
 			payload = appendLenPrefix(payload, len(sfx))
 			payload = append(payload, sfx...)
 		}

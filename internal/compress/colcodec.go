@@ -63,48 +63,8 @@ const rleMaxRun = 0x7FFF
 
 // gdictState is the segment-global dictionary of one GDICT column.
 type gdictState struct {
-	vals  []string       // code -> encoded value bytes
-	codes map[string]int // string columns: encoded value bytes -> code
-	nums  map[uint64]int // numeric columns: value bit pattern -> code (cheaper to hash)
-	plain bool           // the dictionary lost to plain storage
-}
-
-// register returns the code of the encoded value, assigning the next one on
-// first sight. Only a new value allocates (its dictionary copy).
-func (st *gdictState) register(kind storage.Kind, v []byte) int {
-	if kind == storage.KindString {
-		if code, ok := st.codes[string(v)]; ok {
-			return code
-		}
-	} else if code, ok := st.nums[numKey(kind, v)]; ok {
-		return code
-	}
-	return st.add(kind, string(v))
-}
-
-// add appends a dictionary entry.
-func (st *gdictState) add(kind storage.Kind, v string) int {
-	code := len(st.vals)
-	st.vals = append(st.vals, v)
-	if kind == storage.KindString {
-		st.codes[v] = code
-	} else {
-		st.nums[numKey(kind, []byte(v))] = code
-	}
-	return code
-}
-
-// numKey restores the 64-bit pattern behind a numeric value's minimal
-// encoding: integers drop leading zero bytes, floats trailing ones.
-func numKey(kind storage.Kind, v []byte) uint64 {
-	var bits uint64
-	for _, b := range v {
-		bits = bits<<8 | uint64(b)
-	}
-	if kind == storage.KindFloat {
-		bits <<= 8 * (8 - len(v))
-	}
-	return bits
+	vals  []string // code -> encoded value bytes, all cut from one string
+	plain bool     // the dictionary lost to plain storage
 }
 
 // newColumnCodec returns a fresh design codec instance. Overrides equal to
@@ -172,7 +132,7 @@ func (cc *columnCodec) resolve(s *storage.Schema) {
 			}
 			cc.resolved[ci] = m
 			if m == GlobalDict {
-				cc.dicts[ci] = &gdictState{codes: make(map[string]int), nums: make(map[uint64]int)}
+				cc.dicts[ci] = &gdictState{}
 			}
 			if m != RLE {
 				cc.slotted = true
@@ -182,7 +142,8 @@ func (cc *columnCodec) resolve(s *storage.Schema) {
 }
 
 // prepare is the segment-level pre-pass: it builds each GDICT column's full
-// dictionary in first-occurrence order and elects plain storage for columns
+// dictionary in first-occurrence order, through an intern table whose arena
+// becomes the dictionary's one string, and elects plain storage for columns
 // where the dictionary would not beat ROW-style plain values — the same
 // min(dictionary, plain) policy the size model charges. It returns every
 // row's code per dictionary-coded column (-1 for NULL; nil for the other
@@ -199,6 +160,7 @@ func (cc *columnCodec) prepare(s *storage.Schema, rows []storage.Row) [][]int32 
 	}
 	// Row-major, so each row is visited once however many columns are GDICT.
 	scratch := make([]byte, 0, 64)
+	keys := make([]internTable, len(cc.dicts))
 	plain := make([]int64, len(cc.dicts))
 	nonNull := make([]int64, len(cc.dicts))
 	for i, r := range rows {
@@ -213,13 +175,14 @@ func (cc *columnCodec) prepare(s *storage.Schema, rows []storage.Row) [][]int32 
 			nonNull[ci]++
 			scratch = valueBytes(s.Columns[ci], r[ci], scratch[:0])
 			plain[ci] += int64(lenPrefixLen(len(scratch)) + len(scratch))
-			codes[ci][i] = int32(st.register(s.Columns[ci].Kind, scratch))
+			codes[ci][i], _ = keys[ci].intern(scratch)
 		}
 	}
 	for ci, st := range cc.dicts {
 		if st == nil {
 			continue
 		}
+		st.vals = keys[ci].strings()
 		var dictBytes int64
 		for _, v := range st.vals {
 			dictBytes += int64(lenPrefixLen(len(v)) + len(v))

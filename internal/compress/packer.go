@@ -17,9 +17,10 @@ import (
 // values only when its common prefix shrinks), so a page costs one sizing
 // pass plus one real encode. Each value is encoded once: the sizing pass
 // appends its minimal bytes to the column's page arena and the section
-// writers read them back from there; GDICT columns carry the codes the
-// segment pre-pass assigned, and the packer holds no dictionary to look a
-// value up in again.
+// writers read them back from there. Each PAGE value is hashed once per page:
+// the sizer interns it and the writer codes the page by the sizer's ids.
+// GDICT columns carry the codes the segment pre-pass assigned, and the packer
+// holds no dictionary to look a value up in again.
 
 // pageLayout is what the packer needs to know about a design's pages.
 type pageLayout struct {
@@ -168,7 +169,7 @@ func (p *packer) encodeGroup(start, n, sizeHint int) ([]byte, error) {
 		case Row:
 			dst = appendRowSection(dst, rows, ci, pv)
 		case Page:
-			dst, err = p.page.appendColumn(dst, rows, ci, pv)
+			dst, err = p.page.appendColumn(dst, rows, ci, pv, &p.sizers[ci].page)
 		case GlobalDict:
 			if codes := p.lay.codes[ci]; codes != nil {
 				dst = appendGDictSection(dst, codes[start:start+n])
@@ -264,12 +265,17 @@ func (z *colSizer) size(m Method, coded bool, k int) int {
 
 // pageColSizer tracks a PAGE section: every distinct value is stored exactly
 // once past the common prefix (as a dictionary entry when it repeats, as a
-// literal otherwise), and every repeat costs one code. With model set it
-// charges the size model's descriptors instead of the format's.
+// literal otherwise), and every repeat costs one code. It numbers the page's
+// distinct values in first-occurrence order and records each added value's
+// id, so the writer codes the page by those ids and hashes nothing: every
+// value on a page shares the page's prefix, so equal values have equal
+// suffixes. With model set it charges the size model's descriptors instead of
+// the format's.
 type pageColSizer struct {
 	model       bool
-	index       map[string]int32 // encoded value -> slot in count
-	count       []int32
+	values      internTable // the distinct values added since reset
+	ids         []int32     // each added value's id, in order
+	count       []int32     // id -> occurrences
 	prefix      []byte
 	stored      int // Σ over distinct values of their length-prefixed suffix
 	dictEntries int // distinct values occurring at least twice
@@ -277,8 +283,8 @@ type pageColSizer struct {
 }
 
 func (z *pageColSizer) reset() {
-	clear(z.index)
-	z.count, z.prefix = z.count[:0], z.prefix[:0]
+	z.values.reset()
+	z.ids, z.count, z.prefix = z.ids[:0], z.count[:0], z.prefix[:0]
 	z.stored, z.dictEntries, z.codedRows = 0, 0, 0
 }
 
@@ -288,25 +294,21 @@ func (z *pageColSizer) suffixCost(valueLen int) int {
 }
 
 func (z *pageColSizer) add(v []byte) {
-	if len(z.count) == 0 {
+	if len(z.ids) == 0 {
 		z.prefix = append(z.prefix, v...)
 	} else if n := commonPrefixLen(z.prefix, v); n < len(z.prefix) {
 		z.prefix = z.prefix[:n]
 		z.stored = 0
-		for val := range z.index {
-			z.stored += z.suffixCost(len(val))
+		for id := range z.count {
+			z.stored += z.suffixCost(len(z.values.key(int32(id))))
 		}
 	}
-	id, ok := z.index[string(v)]
-	if !ok {
-		if z.index == nil {
-			z.index = make(map[string]int32)
-		}
-		id = int32(len(z.count))
-		z.index[string(v)] = id
+	id, fresh := z.values.intern(v)
+	if fresh {
 		z.count = append(z.count, 0)
 		z.stored += z.suffixCost(len(v))
 	}
+	z.ids = append(z.ids, id)
 	z.count[id]++
 	switch z.count[id] {
 	case 1:

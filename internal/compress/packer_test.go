@@ -117,7 +117,10 @@ func (r *refEncoder) encodeGroup(rows []storage.Row) ([]byte, error) {
 		case Page:
 			dst = refPageSection(c, rows, ci)
 		case GlobalDict:
-			dst = refGDictSection(r.cc.dicts[ci], c, rows, ci)
+			var err error
+			if dst, err = refGDictSection(r.cc.dicts[ci], c, rows, ci); err != nil {
+				return nil, err
+			}
 		case RLE:
 			dst = refRLESection(c, rows, ci)
 		default:
@@ -158,15 +161,24 @@ func refRowSection(dst []byte, c storage.Column, rows []storage.Row, ci int) []b
 	return dst
 }
 
-func refGDictSection(st *gdictState, c storage.Column, rows []storage.Row, ci int) []byte {
+// refGDictSection codes the rows against the pre-pass's dictionary through a
+// value -> code lookup of its own, built from the dictionary's entries.
+func refGDictSection(st *gdictState, c storage.Column, rows []storage.Row, ci int) ([]byte, error) {
 	if st.plain {
-		return refRowSection([]byte{gdictPlain}, c, rows, ci)
+		return refRowSection([]byte{gdictPlain}, c, rows, ci), nil
+	}
+	lookup := make(map[string]int, len(st.vals))
+	for code, v := range st.vals {
+		lookup[v] = code
 	}
 	var codes []int
 	maxCode := 0
 	for _, r := range rows {
 		if !r[ci].Null {
-			code := st.register(c.Kind, valueBytes(c, r[ci], nil))
+			code, ok := lookup[string(valueBytes(c, r[ci], nil))]
+			if !ok {
+				return nil, fmt.Errorf("column %s: value %v is not in the dictionary", c.Name, r[ci])
+			}
 			codes = append(codes, code)
 			maxCode = max(maxCode, code)
 		}
@@ -178,7 +190,7 @@ func refGDictSection(st *gdictState, c storage.Column, rows []storage.Row, ci in
 			dst = append(dst, byte(code>>(8*b)))
 		}
 	}
-	return dst
+	return dst, nil
 }
 
 func refRLESection(c storage.Column, rows []storage.Row, ci int) []byte {
@@ -410,7 +422,10 @@ func lineitemByShipdate(rows int) (*storage.Schema, []storage.Row) {
 // the reference spends one per trial; each value encoded into its column's
 // page arena once, plus once more per page for the row that did not fit the
 // page before. GDICT columns coded by the pre-pass encode nothing: the packer
-// is handed their codes and holds no dictionary.
+// is handed their codes and holds no dictionary. Hashing has the same budget:
+// a PAGE column's sizer hashes each non-NULL value once per page, plus once
+// per page for the row that did not fit; the PAGE writer codes by the sizer's
+// ids and has no table to hash into; no other column hashes at all.
 func TestPackerEncodeBudget(t *testing.T) {
 	s, rows := lineitemByShipdate(6000)
 	designs := []packerDesign{
@@ -449,6 +464,14 @@ func TestPackerEncodeBudget(t *testing.T) {
 			if got := p.vals[ci].encodes; got > budget {
 				t.Errorf("%s: column %s encoded %d times, budget %d (%d non-NULL values over %d pages)",
 					d.name, c.Name, got, budget, nonNull, len(pages))
+			}
+			hashBudget, hashFloor := 0, 0
+			if cc.resolved[ci] == Page {
+				hashBudget, hashFloor = nonNull+len(pages), nonNull
+			}
+			if got := p.sizers[ci].page.values.hashed; got > hashBudget || got < hashFloor {
+				t.Errorf("%s: column %s hashed %d values, want %d to %d (%d non-NULL values over %d pages)",
+					d.name, c.Name, got, hashFloor, hashBudget, nonNull, len(pages))
 			}
 		}
 		ref := d.reference(s, rows)

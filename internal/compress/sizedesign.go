@@ -125,10 +125,11 @@ func (d *DesignSizes) pageGroups() []storage.PageGroup {
 
 // measure walks the rows once to size every column under m. Page-local
 // sections are summed over the page groups; a GDICT column's dictionary spans
-// the whole row set and only its null bitmaps are per page.
+// the whole row set and only its null bitmaps are per page. One scratch
+// serves every page group and column.
 func (d *DesignSizes) measure(m Method) []int64 {
 	out := make([]int64, len(d.s.Columns))
-	scratch := make([]byte, 0, 64)
+	sc := &modelScratch{page: pageColSizer{model: true}}
 	for _, g := range d.pageGroups() {
 		rows := d.rows[g.Start:g.End]
 		bitmap := int64((len(rows) + 7) / 8)
@@ -137,19 +138,19 @@ func (d *DesignSizes) measure(m Method) []int64 {
 			case None:
 				out[ci] += bitmap + noneColumnSize(c, rows, ci)
 			case Row:
-				out[ci] += bitmap + rowColumnSize(c, rows, ci, &scratch)
+				out[ci] += bitmap + rowColumnSize(c, rows, ci, sc)
 			case Page:
-				out[ci] += bitmap + pageColumnSize(c, rows, ci, &scratch)
+				out[ci] += bitmap + pageColumnSize(c, rows, ci, sc)
 			case GlobalDict:
 				out[ci] += bitmap
 			case RLE:
-				out[ci] += rleColumnSize(c, rows, ci, &scratch)
+				out[ci] += rleColumnSize(c, rows, ci, sc)
 			}
 		}
 	}
 	if m == GlobalDict {
 		for ci, c := range d.s.Columns {
-			out[ci] += gdictColumnSize(c, d.rows, ci, &scratch)
+			out[ci] += gdictColumnSize(c, d.rows, ci, sc)
 		}
 	}
 	return out

@@ -1,8 +1,10 @@
 package compress
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"cadb/internal/storage"
 )
@@ -18,26 +20,15 @@ func valueBytes(c storage.Column, v storage.Value, dst []byte) []byte {
 	}
 	switch c.Kind {
 	case storage.KindInt, storage.KindDate:
-		u := zigzag(v.Int)
+		u := zigzag(v.Int) // zero takes no payload bytes
 		var buf [8]byte
 		binary.BigEndian.PutUint64(buf[:], u)
-		i := 0
-		for i < 7 && buf[i] == 0 {
-			i++
-		}
-		if u == 0 {
-			return dst // zero takes no payload bytes
-		}
-		return append(dst, buf[i:]...)
+		return append(dst, buf[bits.LeadingZeros64(u)/8:]...)
 	case storage.KindFloat:
-		bits := math.Float64bits(v.Float)
+		u := math.Float64bits(v.Float)
 		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], bits)
-		end := 8
-		for end > 0 && buf[end-1] == 0 {
-			end--
-		}
-		return append(dst, buf[:end]...)
+		binary.BigEndian.PutUint64(buf[:], u)
+		return append(dst, buf[:8-bits.TrailingZeros64(u)/8]...)
 	case storage.KindString:
 		s := v.Str
 		if c.FixedWidth > 0 {
@@ -72,6 +63,16 @@ func commonPrefixLen[T string | []byte](a, b T) int {
 // (the rows of one page in the uncompressed layout), except GDICT, whose
 // dictionary spans the whole row set. Each charges what that method's
 // section body stores; the section's null bitmap is DesignSizes' to add.
+// They share one modelScratch across the page groups and columns of a
+// measure, so sizing allocates only while its buffers and tables grow: no
+// string and no map entry per value.
+
+// modelScratch is the working memory of one measure.
+type modelScratch struct {
+	val, prev []byte       // the current and (RLE) previous value's encoding
+	page      pageColSizer // PAGE: the packer's sizer, charging the model's descriptors
+	dict      internTable  // GDICT: the row set's distinct values
+}
 
 // noneColumnSize is the NONE model: every row's full-width value, NULLs
 // zero-filled.
@@ -85,12 +86,12 @@ func noneColumnSize(c storage.Column, rows []storage.Row, ci int) int64 {
 
 // rowColumnSize is the ROW model: a length descriptor plus the minimal
 // encoding of every non-null value.
-func rowColumnSize(c storage.Column, rows []storage.Row, ci int, scratch *[]byte) int64 {
+func rowColumnSize(c storage.Column, rows []storage.Row, ci int, sc *modelScratch) int64 {
 	var size int64
 	for _, r := range rows {
 		if !r[ci].Null {
-			*scratch = valueBytes(c, r[ci], (*scratch)[:0])
-			size += int64(lenPrefixLen(len(*scratch)) + len(*scratch))
+			sc.val = valueBytes(c, r[ci], sc.val[:0])
+			size += int64(lenPrefixLen(len(sc.val)) + len(sc.val))
 		}
 	}
 	return size
@@ -98,38 +99,48 @@ func rowColumnSize(c storage.Column, rows []storage.Row, ci int, scratch *[]byte
 
 // pageColumnSize is the PAGE model: the packer's incremental section sizer,
 // charging the model's descriptors (one prefix-header byte, no dictionary
-// count, no dictionary bitmap).
-func pageColumnSize(c storage.Column, rows []storage.Row, ci int, scratch *[]byte) int64 {
-	z := pageColSizer{model: true}
+// count, no dictionary bitmap). It hashes each non-null value once.
+func pageColumnSize(c storage.Column, rows []storage.Row, ci int, sc *modelScratch) int64 {
+	z := &sc.page
+	z.reset()
 	for _, r := range rows {
 		if !r[ci].Null {
-			*scratch = valueBytes(c, r[ci], (*scratch)[:0])
-			z.add(*scratch)
+			sc.val = valueBytes(c, r[ci], sc.val[:0])
+			z.add(sc.val)
 		}
 	}
 	return int64(z.size())
 }
 
+// rleNullRunCost is what the RLE model charges a NULL run: the cost of a run
+// of a 5-byte value (length prefix, 5 bytes, 2-byte header). The codec's NULL
+// run is its 2-byte header alone, but every RLE size, golden report and
+// recommendation is calibrated to this charge.
+const rleNullRunCost = 1 + 5 + 2
+
 // rleColumnSize is the RLE model: per run, a 2-byte header plus (for value
-// runs) the length-prefixed value bytes. A NULL run is charged as a run of
-// a 5-byte sentinel value.
-func rleColumnSize(c storage.Column, rows []storage.Row, ci int, scratch *[]byte) int64 {
-	var prev string
-	started := false
+// runs) the length-prefixed value bytes. A NULL run is a flag, charged
+// rleNullRunCost; a value run compares each value's bytes with the previous
+// value's. Like the codec, it never lets a NULL and a value share a run.
+func rleColumnSize(c storage.Column, rows []storage.Row, ci int, sc *modelScratch) int64 {
+	started, prevNull := false, false
 	var size int64
 	for _, r := range rows {
-		var cur string
-		if r[ci].Null {
-			cur = "\x00null"
+		null := r[ci].Null
+		if null {
+			if started && prevNull {
+				continue
+			}
+			size += rleNullRunCost
 		} else {
-			*scratch = valueBytes(c, r[ci], (*scratch)[:0])
-			cur = string(*scratch)
+			sc.val = valueBytes(c, r[ci], sc.val[:0])
+			if started && !prevNull && bytes.Equal(sc.val, sc.prev) {
+				continue
+			}
+			size += int64(lenPrefixLen(len(sc.val)) + len(sc.val) + 2)
+			sc.val, sc.prev = sc.prev, sc.val
 		}
-		if !started || cur != prev {
-			size += int64(lenPrefixLen(len(cur)) + len(cur) + 2)
-			prev = cur
-			started = true
-		}
+		started, prevNull = true, null
 	}
 	return size
 }
@@ -138,8 +149,8 @@ func rleColumnSize(c storage.Column, rows []storage.Row, ci int, scratch *[]byte
 // dictionary plus one fixed-width code per non-null value, or the plain
 // length-prefixed values when the dictionary would not pay for itself — the
 // election the codec's pre-pass makes.
-func gdictColumnSize(c storage.Column, rows []storage.Row, ci int, scratch *[]byte) int64 {
-	distinct := make(map[string]struct{}, 1024)
+func gdictColumnSize(c storage.Column, rows []storage.Row, ci int, sc *modelScratch) int64 {
+	sc.dict.reset()
 	var plain, dictBytes int64
 	nonNull := 0
 	for _, r := range rows {
@@ -147,13 +158,12 @@ func gdictColumnSize(c storage.Column, rows []storage.Row, ci int, scratch *[]by
 			continue
 		}
 		nonNull++
-		*scratch = valueBytes(c, r[ci], (*scratch)[:0])
-		cost := int64(lenPrefixLen(len(*scratch)) + len(*scratch))
+		sc.val = valueBytes(c, r[ci], sc.val[:0])
+		cost := int64(lenPrefixLen(len(sc.val)) + len(sc.val))
 		plain += cost
-		if _, seen := distinct[string(*scratch)]; !seen {
-			distinct[string(*scratch)] = struct{}{}
+		if _, fresh := sc.dict.intern(sc.val); fresh {
 			dictBytes += cost
 		}
 	}
-	return min(dictBytes+int64(nonNull*gdictCodeWidth(len(distinct)-1)), plain)
+	return min(dictBytes+int64(nonNull*gdictCodeWidth(sc.dict.len()-1)), plain)
 }

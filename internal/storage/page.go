@@ -55,8 +55,9 @@ func PackRows(s *Schema, rows []Row) []PageGroup {
 			used = 0
 		}
 	}
+	fixed, varying := packedLayout(s)
 	for i, r := range rows {
-		sz := EncodedRowSize(s, r) + SlotSize
+		sz := packedRowSize(s, fixed, varying, r)
 		if sz > UsablePageBytes {
 			flush(i)
 			used = chargedRowBytes(sz)
@@ -86,8 +87,22 @@ func chargedRowBytes(sz int) int {
 // whole overflow pages. Only variable-width values differ from row to row,
 // so a schema without them costs rows × one row.
 func PackedBytes(s *Schema, rows []Row) int64 {
-	fixed := (len(s.Columns)+7)/8 + SlotSize
-	var varying []int
+	fixed, varying := packedLayout(s)
+	if len(varying) == 0 {
+		return int64(len(rows)) * int64(chargedRowBytes(fixed))
+	}
+	var total int64
+	for _, r := range rows {
+		total += int64(chargedRowBytes(packedRowSize(s, fixed, varying, r)))
+	}
+	return total
+}
+
+// packedLayout splits a packed row's size (EncodedRowSize plus its slot)
+// into what every row of the schema pays — null bitmap, slot and fixed-width
+// values — and the columns whose values vary in width.
+func packedLayout(s *Schema) (fixed int, varying []int) {
+	fixed = (len(s.Columns)+7)/8 + SlotSize
 	for i, c := range s.Columns {
 		if c.Width() == 0 {
 			varying = append(varying, i)
@@ -95,16 +110,14 @@ func PackedBytes(s *Schema, rows []Row) int64 {
 			fixed += c.Width()
 		}
 	}
-	if len(varying) == 0 {
-		return int64(len(rows)) * int64(chargedRowBytes(fixed))
+	return fixed, varying
+}
+
+// packedRowSize is the row's encoded size plus its slot, given its schema's
+// packedLayout.
+func packedRowSize(s *Schema, fixed int, varying []int, r Row) int {
+	for _, i := range varying {
+		fixed += EncodedValueSize(s.Columns[i], r[i])
 	}
-	var total int64
-	for _, r := range rows {
-		sz := fixed
-		for _, i := range varying {
-			sz += EncodedValueSize(s.Columns[i], r[i])
-		}
-		total += int64(chargedRowBytes(sz))
-	}
-	return total
+	return fixed
 }
