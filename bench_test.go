@@ -218,6 +218,34 @@ func BenchmarkTuneColdTPCH(b *testing.B) {
 	b.ReportMetric(sample/float64(b.N), "sample_build_ms/op")
 }
 
+// BenchmarkTuneColdSalesWide is the sales-wide loop's tune: each iteration
+// tunes a freshly generated 8 000-row Sales database (datagen outside the
+// timer) with MV and partial candidates at Parallelism 2, so enumeration and
+// the per-column refinement dominate. refine_ms/op and enumerate_ms/op are
+// the runs' Timing.Refine and Timing.Enumerate.
+func BenchmarkTuneColdSalesWide(b *testing.B) {
+	wl := workloads.SelectIntensive(workloads.MustSales(1))
+	var refine, enumerate float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db := datagen.NewSales(datagen.SalesConfig{FactRows: 8000, Zipf: 0.8, Seed: 1})
+		opts := core.DefaultOptions(db.TotalHeapBytes() / 4)
+		opts.EnableMV, opts.EnablePartial = true, true
+		opts.Parallelism = 2
+		b.StartTimer()
+		rec, err := core.New(db, wl, opts).Recommend()
+		if err != nil {
+			b.Fatal(err)
+		}
+		refine += float64(rec.Timing.Refine) / 1e6
+		enumerate += float64(rec.Timing.Enumerate) / 1e6
+	}
+	b.ReportMetric(refine/float64(b.N), "refine_ms/op")
+	b.ReportMetric(enumerate/float64(b.N), "enumerate_ms/op")
+}
+
 // BenchmarkEnumerate targets the greedy enumeration with compression,
 // skyline and backtracking on — the paper's full DTAc search. Hoisting
 // candidate generation and size estimation out of the timed loop is

@@ -192,7 +192,7 @@ func (a *Advisor) enumerate(candidates []*optimizer.HypoIndex) *optimizer.Config
 // second clustered index on a table, or a compression variant of a structure
 // already present.
 func (a *Advisor) admissible(cfg *optimizer.Configuration, h *optimizer.HypoIndex) bool {
-	if cfg.HasVariantOf(h) {
+	if cfg.ContainsStructure(h.Def) {
 		return false
 	}
 	if h.Def.Clustered && cfg.Clustered(h.Def.Table) != nil {

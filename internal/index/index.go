@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"cadb/internal/catalog"
 	"cadb/internal/compress"
@@ -72,6 +73,15 @@ func (m *MVDef) ColumnTable(db *catalog.Database, c workload.ColRef) *catalog.Ta
 }
 
 // Def describes one index (possibly hypothetical).
+//
+// A Def is immutable once identified: the first ID or StructureID renders its
+// identity and caches it on the Def, and every estimation cache, plan node
+// and configuration is keyed on that string. So set every field before
+// either is taken, and derive a variant with WithMethod, WithColMethod or
+// Uncompressed rather than by editing a Def or a value copy of one in place.
+// Those variants differ from their source in the compression design alone:
+// one made from an identified Def shares its rendered structure identity and
+// renders only the design suffix.
 type Def struct {
 	// Table is the base table, or the MV name when MV is set.
 	Table string
@@ -92,6 +102,22 @@ type Def struct {
 	// lower-cased column names), making this a mixed per-column compression
 	// design. Entries equal to Method are ignored.
 	ColMethods map[string]compress.Method
+
+	// shape is the structure identity a variant inherits from its
+	// identified source: set by clone before the Def is shared, "" when the
+	// Def renders its own.
+	shape string
+	// ident holds the *identity once rendered. An atomic.Value rather than
+	// an atomic.Pointer, which vet would forbid copying: callers keep Defs
+	// by value as templates.
+	ident atomic.Value
+}
+
+// identity is a Def's rendered identity. structure is a prefix of id: the
+// design suffix (" METHOD", then "[col=METHOD,...]" for a mixed design)
+// follows it.
+type identity struct {
+	id, structure string
 }
 
 // MethodFor returns the compression method of one leaf column under the
@@ -118,42 +144,75 @@ func (d *Def) IsMixed() bool {
 	return false
 }
 
-// designSig canonicalizes the per-column overrides: sorted "col=METHOD"
-// entries for overrides that differ from the default, joined by commas.
-// Empty for uniform designs.
-func (d *Def) designSig() string {
-	if len(d.ColMethods) == 0 {
-		return ""
-	}
-	parts := make([]string, 0, len(d.ColMethods))
+// override is one per-column method that differs from the default.
+type override struct {
+	col string // lower-cased
+	m   compress.Method
+}
+
+// overrides appends to dst the per-column methods that differ from the
+// default, sorted as their "col=METHOD" entries sort.
+func (d *Def) overrides(dst []override) []override {
 	for c, m := range d.ColMethods {
 		if m != d.Method {
-			parts = append(parts, strings.ToLower(c)+"="+m.String())
+			dst = append(dst, override{strings.ToLower(c), m})
 		}
 	}
-	if len(parts) == 0 {
-		return ""
+	// Insertion sort: a design overrides a few columns.
+	for i := 1; i < len(dst); i++ {
+		for j := i; j > 0 && cmpOverride(dst[j-1], dst[j]) > 0; j-- {
+			dst[j-1], dst[j] = dst[j], dst[j-1]
+		}
 	}
-	slices.Sort(parts)
-	return strings.Join(parts, ",")
+	return dst
+}
+
+// writeDesign writes a compression design: the default method, then any
+// overrides as "[col=METHOD,...]".
+func writeDesign(b *strings.Builder, m compress.Method, ov []override) {
+	b.WriteString(m.String())
+	for i, o := range ov {
+		if i == 0 {
+			b.WriteByte('[')
+		} else {
+			b.WriteByte(',')
+		}
+		b.WriteString(o.col)
+		b.WriteByte('=')
+		b.WriteString(o.m.String())
+	}
+	if len(ov) > 0 {
+		b.WriteByte(']')
+	}
+}
+
+// cmpOverride orders overrides as their "col=METHOD" entries compare,
+// without rendering them. Column names hold no '=', so when one name is a
+// prefix of the other the shorter entry continues with '='.
+func cmpOverride(x, y override) int {
+	n := min(len(x.col), len(y.col))
+	if c := strings.Compare(x.col[:n], y.col[:n]); c != 0 {
+		return c
+	}
+	switch {
+	case len(x.col) < len(y.col):
+		return cmp.Compare('=', y.col[n])
+	case len(x.col) > len(y.col):
+		return cmp.Compare(x.col[n], '=')
+	}
+	return strings.Compare(x.m.String(), y.m.String())
 }
 
 // Columns returns key + include columns (no duplicates, preserving order).
+// Its one allocation is the result: the lists are a few names long, so each
+// name is checked against those already kept.
 func (d *Def) Columns() []string {
-	seen := make(map[string]bool, len(d.KeyCols)+len(d.IncludeCols))
-	var out []string
-	for _, c := range d.KeyCols {
-		lc := strings.ToLower(c)
-		if !seen[lc] {
-			seen[lc] = true
-			out = append(out, c)
-		}
-	}
-	for _, c := range d.IncludeCols {
-		lc := strings.ToLower(c)
-		if !seen[lc] {
-			seen[lc] = true
-			out = append(out, c)
+	out := make([]string, 0, len(d.KeyCols)+len(d.IncludeCols))
+	for _, list := range [2][]string{d.KeyCols, d.IncludeCols} {
+		for _, c := range list {
+			if !slices.ContainsFunc(out, func(o string) bool { return strings.EqualFold(o, c) }) {
+				out = append(out, c)
+			}
 		}
 	}
 	return out
@@ -165,52 +224,85 @@ func (d *Def) IsPartial() bool { return len(d.Where) > 0 }
 // IsMV reports whether the index is on a materialized view.
 func (d *Def) IsMV() bool { return d.MV != nil }
 
+// clone returns a copy of the definition's fields for a variant to change
+// the design of. The copy inherits the rendered structure identity if d has
+// one, never d's full identity.
+func (d *Def) clone() *Def {
+	c := &Def{Table: d.Table, KeyCols: d.KeyCols, IncludeCols: d.IncludeCols, Clustered: d.Clustered,
+		Where: d.Where, MV: d.MV, Method: d.Method, ColMethods: d.ColMethods, shape: d.shape}
+	if p, ok := d.ident.Load().(*identity); ok {
+		c.shape = p.structure
+	}
+	return c
+}
+
 // WithMethod returns a copy of the definition using the given uniform
 // compression method (any per-column overrides are dropped).
-func (d Def) WithMethod(m compress.Method) *Def {
-	d.Method = m
-	d.ColMethods = nil
-	return &d
+func (d *Def) WithMethod(m compress.Method) *Def {
+	c := d.clone()
+	c.Method = m
+	c.ColMethods = nil
+	return c
 }
 
 // WithColMethod returns a copy of the definition with one column's method
 // overridden (the rest of the design is preserved).
-func (d Def) WithColMethod(col string, m compress.Method) *Def {
-	cm := make(map[string]compress.Method, len(d.ColMethods)+1)
-	for c, mm := range d.ColMethods {
-		cm[c] = mm
+func (d *Def) WithColMethod(col string, m compress.Method) *Def {
+	c := d.clone()
+	c.ColMethods = make(map[string]compress.Method, len(d.ColMethods)+1)
+	for k, mm := range d.ColMethods {
+		c.ColMethods[k] = mm
 	}
-	cm[strings.ToLower(col)] = m
-	d.ColMethods = cm
-	return &d
+	c.ColMethods[strings.ToLower(col)] = m
+	return c
 }
 
-// Uncompressed returns the uncompressed variant of the definition.
-func (d Def) Uncompressed() *Def { return d.WithMethod(compress.None) }
+// Uncompressed returns the uncompressed variant of the definition: d
+// itself when it is one already.
+func (d *Def) Uncompressed() *Def {
+	if d.Method == compress.None && len(d.ColMethods) == 0 {
+		return d
+	}
+	return d.WithMethod(compress.None)
+}
 
 // ID returns a canonical identity string: same ID ⇒ same physical structure.
-// Every estimation cache and plan node is keyed on it, so it renders into one
-// pre-sized builder.
-func (d *Def) ID() string {
-	sig := d.designSig()
-	var b strings.Builder
-	d.writeStructure(&b, len(sig)+8)
-	b.WriteByte(' ')
-	b.WriteString(d.Method.String())
-	if sig != "" {
-		b.WriteByte('[')
-		b.WriteString(sig)
-		b.WriteByte(']')
-	}
-	return b.String()
-}
+// Every estimation cache and plan node is keyed on it. It is rendered on
+// first use and cached; safe for concurrent use.
+func (d *Def) ID() string { return d.identify().id }
 
 // StructureID is ID without the compression design: variants of the same
 // index share it.
-func (d *Def) StructureID() string {
+func (d *Def) StructureID() string { return d.identify().structure }
+
+// identify returns the cached identity, rendering it on first use. Racing
+// first uses each render the same strings; the first stored is kept.
+func (d *Def) identify() *identity {
+	if p, ok := d.ident.Load().(*identity); ok {
+		return p
+	}
+	var buf [16]override // a mixed design overrides a few columns
+	ov := d.overrides(buf[:0])
+	extra := len(" GDICT[]")
+	for _, o := range ov {
+		extra += len(o.col) + len("=GDICT,")
+	}
 	var b strings.Builder
-	d.writeStructure(&b, 0)
-	return b.String()
+	if d.shape != "" {
+		b.Grow(len(d.shape) + extra)
+		b.WriteString(d.shape)
+	} else {
+		d.writeStructure(&b, extra)
+	}
+	n := b.Len()
+	b.WriteByte(' ')
+	writeDesign(&b, d.Method, ov)
+	id := b.String()
+	p := &identity{id: id, structure: id[:n]}
+	if !d.ident.CompareAndSwap(nil, p) {
+		p = d.ident.Load().(*identity)
+	}
+	return p
 }
 
 // writeStructure renders the structure part of ID into b, growing b first
@@ -250,7 +342,10 @@ func (d *Def) writeStructure(b *strings.Builder, extra int) {
 	writeLowerList(b, d.KeyCols)
 	if len(d.IncludeCols) > 0 {
 		b.WriteString(" incl ")
-		writeLowerList(b, slices.Sorted(slices.Values(d.IncludeCols)))
+		var buf [16]string
+		include := append(buf[:0], d.IncludeCols...)
+		slices.Sort(include)
+		writeLowerList(b, include)
 	}
 	b.WriteByte(')')
 	for _, w := range where {
@@ -294,10 +389,10 @@ func (d *Def) String() string {
 	if d.MV != nil {
 		s += " [MV " + d.MV.Name + "]"
 	}
-	if sig := d.designSig(); sig != "" {
-		s += " COMPRESS " + d.Method.String() + "[" + sig + "]"
-	} else if d.Method != compress.None {
-		s += " COMPRESS " + d.Method.String()
+	var design strings.Builder
+	writeDesign(&design, d.Method, d.overrides(nil))
+	if design.String() != compress.None.String() {
+		s += " COMPRESS " + design.String()
 	}
 	return s
 }

@@ -452,8 +452,7 @@ func NewGroupAcc(s *storage.Schema, groupBy []workload.ColRef, aggs []workload.A
 		aggs:    aggs,
 		gIdx:    make([]int, len(groupBy)),
 		aIdx:    make([]int, len(aggs)),
-		groups:  make(map[string]*groupState, 1024),
-		order:   make([]*groupState, 0, 1024),
+		groups:  make(map[string]*groupState),
 	}
 	var err error
 	for i, g := range groupBy {

@@ -37,50 +37,28 @@ type HypoIndex struct {
 	Bytes int64
 	// UncompressedBytes is the leaf payload before compression.
 	UncompressedBytes int64
-
-	// ident holds the strings derived from Def, filled by NewHypoIndex so
-	// that sort comparators, view maps and the cost model never re-render
-	// them. It is trusted only while ident.def == Def: a literal-built
-	// HypoIndex, or a copy whose Def was swapped, derives them per call.
-	ident ident
 }
 
-// ident is the string identity of an index definition.
-type ident struct {
-	def          *index.Def
-	id, structID string
-	// table is the normalized name of the table whose statements the index
-	// can affect: the base table, or an MV's fact table.
-	table string
-}
-
-func identOf(d *index.Def) ident {
-	table := d.Table
-	if d.MV != nil {
-		table = d.MV.Fact
-	}
-	return ident{def: d, id: d.ID(), structID: d.StructureID(), table: normTable(table)}
-}
-
-// NewHypoIndex returns a hypothetical index with its identity strings
-// precomputed. Sizes may be revised on a copy (the identity depends on Def
-// alone), never in place once the index has been costed — see ResetCostCache.
+// NewHypoIndex returns a hypothetical index. Sizes may be revised on a copy,
+// never in place once the index has been costed — see ResetCostCache.
 func NewHypoIndex(d *index.Def, rows, bytes, uncompressedBytes int64) *HypoIndex {
-	return &HypoIndex{Def: d, Rows: rows, Bytes: bytes, UncompressedBytes: uncompressedBytes, ident: identOf(d)}
+	return &HypoIndex{Def: d, Rows: rows, Bytes: bytes, UncompressedBytes: uncompressedBytes}
 }
 
-func (h *HypoIndex) identity() ident {
-	if h.ident.def == h.Def {
-		return h.ident
+// ID is Def.ID().
+func (h *HypoIndex) ID() string { return h.Def.ID() }
+
+// StructureID is Def.StructureID().
+func (h *HypoIndex) StructureID() string { return h.Def.StructureID() }
+
+// table is the normalized name of the table whose statements the index can
+// affect: the base table, or an MV's fact table.
+func (h *HypoIndex) table() string {
+	if h.Def.MV != nil {
+		return normTable(h.Def.MV.Fact)
 	}
-	return identOf(h.Def)
+	return normTable(h.Def.Table)
 }
-
-// ID is Def.ID(), precomputed when the index came from NewHypoIndex.
-func (h *HypoIndex) ID() string { return h.identity().id }
-
-// StructureID is Def.StructureID(), precomputed likewise.
-func (h *HypoIndex) StructureID() string { return h.identity().structID }
 
 // Pages returns the leaf page count.
 func (h *HypoIndex) Pages() int64 { return storage.PagesForBytes(h.Bytes) }
@@ -144,7 +122,7 @@ type Configuration struct {
 }
 
 // configView holds the lazily built lookup maps of a configuration. They key
-// on the members' precomputed identity strings (HypoIndex.ident).
+// on the members' identity strings, which each Def renders once.
 type configView struct {
 	// onTable maps a lowercased table name to the indexes OnTable(t, true)
 	// returns: non-MV indexes on the table plus MV indexes whose fact table
@@ -218,18 +196,18 @@ func (c *Configuration) mat() *configView {
 			structs:   make(map[string]bool, len(list)),
 		}
 		for _, x := range list {
-			id := x.identity()
-			v.ids[id.id] = true
-			v.structs[id.structID] = true
-			v.onTable[id.table] = append(v.onTable[id.table], x)
+			table := x.table()
+			v.ids[x.ID()] = true
+			v.structs[x.StructureID()] = true
+			v.onTable[table] = append(v.onTable[table], x)
 			if x.Def.MV != nil {
 				v.mvs = append(v.mvs, x)
 				continue
 			}
-			v.plain[id.table] = append(v.plain[id.table], x)
+			v.plain[table] = append(v.plain[table], x)
 			if x.Def.Clustered {
-				if _, ok := v.clustered[id.table]; !ok {
-					v.clustered[id.table] = x
+				if _, ok := v.clustered[table]; !ok {
+					v.clustered[table] = x
 				}
 			}
 		}
@@ -293,11 +271,6 @@ func (c *Configuration) Contains(d *index.Def) bool {
 // is present.
 func (c *Configuration) ContainsStructure(d *index.Def) bool {
 	return c.mat().structs[d.StructureID()]
-}
-
-// HasVariantOf is ContainsStructure(h.Def) on h's precomputed StructureID.
-func (c *Configuration) HasVariantOf(h *HypoIndex) bool {
-	return c.mat().structs[h.StructureID()]
 }
 
 // OnTable returns the indexes on the named table (including MV indexes whose

@@ -27,6 +27,11 @@ import (
 //     design means, pages, tree height, entry width;
 //   - a term per (compiled statement, handle): the access path through the
 //     structure, and for writes its maintenance and base-structure costs.
+//     A query's term is that path and nothing else, one allocation: the
+//     path's seek list is a window of the compiled predicates whenever they
+//     sit there in key order, and its column coverage is counted, not
+//     listed. The maintenance and base costs sit in a writeTerm that only a
+//     write statement's terms allocate.
 //
 // price then does O(configuration) integer compares and float mins/sums in
 // the order the plan search always used, so totals are bit-identical to it
@@ -119,12 +124,12 @@ func loadOrBuild[K comparable, V any](sm *sync.Map, key K, build func(K) V) V {
 }
 
 func (m *memo) newHandle(h *HypoIndex) *handle {
-	cm, d, id := m.cm, h.Def, h.identity()
+	cm, d := m.cm, h.Def
 	hd := &handle{
 		h:          h,
 		ord:        m.nextOrd.Add(1) - 1,
-		id:         id.id,
-		tbl:        m.tableOrd(id.table),
+		id:         h.ID(),
+		tbl:        m.tableOrd(h.table()),
 		mv:         d.MV != nil,
 		clustered:  d.Clustered && d.MV == nil,
 		cols:       d.Columns(),
@@ -304,14 +309,21 @@ func (cs *compiledStmt) affectedBy(hd *handle) bool {
 // ---------------------------------------------------------------------------
 // Atomic terms
 
-// term is what one structure contributes to one statement.
+// term is what one structure contributes to one statement. A query's term
+// is path and ok alone; a write's also points at its maintenance and base
+// costs, so only write statements pay for them.
 type term struct {
 	// path reads through the structure: a query table's access path, the
 	// whole query answered from an MV, or a predicated write's row lookup.
 	path AccessPath
 	ok   bool
-	// maint is a write's maintenance of the structure; base its work on the
-	// structure as the table's clustered base.
+	w    *writeTerm // nil for a query
+}
+
+// writeTerm is the part of a term only writes have: maint is the write's
+// maintenance of the structure, base its work on the structure as the
+// table's clustered base.
+type writeTerm struct {
 	maint      AccessPath
 	maintained bool
 	base       AccessPath
@@ -321,13 +333,14 @@ func (m *memo) newTerm(cs *compiledStmt, ct *compiledTable, hd *handle) *term {
 	cm, q, t := m.cm, cs.stmt.Query, &term{}
 	switch {
 	case q == nil:
+		t.w = &writeTerm{}
 		if !hd.mv && cs.stmt.Insert == nil {
 			t.path, t.ok = cm.indexPath(ct, hd)
 		}
 		if hd.clustered {
-			t.base = cm.baseWrite(cs, hd)
+			t.w.base = cm.baseWrite(cs, hd)
 		}
-		t.maint, t.maintained = cm.maintain(cs, hd)
+		t.w.maint, t.w.maintained = cm.maintain(cs, hd)
 	case hd.mv:
 		if residual, ok := mvMatches(hd.h.Def.MV, q); ok {
 			t.path, t.ok = cm.mvAccess(hd, residual, q), true
@@ -502,7 +515,7 @@ func (p *pricing) write(cfg []*handle, plan *Plan) float64 {
 	}
 	cl, base := clusteredOn(cfg, ct), &cs.heapBase
 	if cl != nil {
-		base = &p.term(ct, cl).base
+		base = &p.term(ct, cl).w.base
 	}
 	plan.add(base, cs.n)
 	total += base.Cost
@@ -514,9 +527,9 @@ func (p *pricing) write(cfg []*handle, plan *Plan) float64 {
 		if hd.tbl != ct.tbl || (cl != nil && (hd == cl || hd.id == cl.id)) {
 			continue
 		}
-		if t := p.term(ct, hd); t.maintained {
-			plan.add(&t.maint, t.maint.Rows)
-			total += t.maint.Cost
+		if w := p.term(ct, hd).w; w.maintained {
+			plan.add(&w.maint, w.maint.Rows)
+			total += w.maint.Cost
 		}
 	}
 	return total

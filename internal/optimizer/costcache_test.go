@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"slices"
 	"testing"
 
 	"cadb/internal/index"
@@ -132,4 +133,86 @@ func TestMemoReset(t *testing.T) {
 	warm()
 	cm.ResetCostCache()
 	cold("ResetCostCache")
+}
+
+// TestWhatIfAllocationBudgets pins the memo's garbage: a cold query term is
+// at most one object (the term; its path's seek list and column sets come
+// from the compiled statement and the handle), pricing a query on a warm
+// memo allocates nothing, and Def.Columns allocates at most its result.
+func TestWhatIfAllocationBudgets(t *testing.T) {
+	for _, c := range testCases(t) {
+		m := NewCostModel(c.db).memo.Load()
+		handles := make([]*handle, len(c.pool))
+		for i, h := range c.pool {
+			handles[i] = m.intern(h)
+			if n := testing.AllocsPerRun(10, func() { h.Def.Columns() }); n > 1 {
+				t.Errorf("%s: %s: Def.Columns allocates %v objects, want at most 1", c.name, h.ID(), n)
+			}
+		}
+		terms := 0
+		for _, s := range c.wl.Statements {
+			if s.Query == nil {
+				continue
+			}
+			cs := m.compile(s)
+			var cfg []*handle
+			for ti := range cs.tables {
+				ct := &cs.tables[ti]
+				for _, hd := range handles {
+					if hd.mv || hd.tbl != ct.tbl {
+						continue
+					}
+					cfg = append(cfg, hd)
+					terms++
+					if n := testing.AllocsPerRun(10, func() { m.newTerm(cs, ct, hd) }); n > 1 {
+						t.Errorf("%s: %s: cold term for %s allocates %v objects, want at most 1", c.name, s.Label, hd.id, n)
+					}
+				}
+			}
+			m.price(cs, cfg, nil)
+			if n := testing.AllocsPerRun(10, func() { m.price(cs, cfg, nil) }); n != 0 {
+				t.Errorf("%s: %s: pricing on a warm memo allocates %v objects, want 0", c.name, s.Label, n)
+			}
+		}
+		if terms == 0 {
+			t.Fatalf("%s: no query term was measured", c.name)
+		}
+	}
+}
+
+// TestSeekListNeverWritesThePredicates: an index path's seek list is a
+// window of the compiled statement's predicates while they sit there in key
+// order, and a copy once they do not. Extending it past a gap must not write
+// into the predicates: with keys (l_shipmode, l_returnflag) over predicates
+// on l_shipmode, l_quantity, l_returnflag, an uncapped window would
+// overwrite the l_quantity predicate with the l_returnflag one.
+func TestSeekListNeverWritesThePredicates(t *testing.T) {
+	cm := NewCostModel(testDB(t))
+	q := parseQ(t, "SELECT SUM(l_extendedprice) FROM lineitem WHERE l_shipmode = 'MAIL' AND l_quantity > 5 AND l_returnflag = 'R'")
+	for _, c := range []struct {
+		keys []string
+		seek []string
+	}{
+		{[]string{"l_shipmode", "l_quantity"}, []string{"l_shipmode", "l_quantity"}}, // a window
+		{[]string{"l_shipmode", "l_returnflag"}, []string{"l_shipmode", "l_returnflag"}},
+		{[]string{"l_returnflag", "l_shipmode", "l_quantity"}, []string{"l_returnflag", "l_shipmode", "l_quantity"}},
+	} {
+		m := cm.memo.Load()
+		ct := &m.compile(q).tables[0]
+		ap, ok := cm.indexPath(ct, m.intern(build(t, &index.Def{Table: "lineitem", KeyCols: c.keys, IncludeCols: []string{"l_extendedprice"}})))
+		var got []string
+		for _, p := range ap.Seek {
+			got = append(got, p.Col)
+		}
+		if !ok || !slices.Equal(got, c.seek) {
+			t.Errorf("keys %v: seek on %v (usable %v), want %v", c.keys, got, ok, c.seek)
+		}
+		var preds []string
+		for _, p := range ct.preds {
+			preds = append(preds, p.Col)
+		}
+		if want := []string{"l_shipmode", "l_quantity", "l_returnflag"}; !slices.Equal(preds, want) {
+			t.Fatalf("keys %v: the compiled predicates became %v, want %v", c.keys, preds, want)
+		}
+	}
 }

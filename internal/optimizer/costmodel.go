@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -115,7 +116,8 @@ type AccessPath struct {
 	EstPageReads float64
 	// Seek lists the predicates an index or clustered seek positions on, one
 	// per leading key column: equalities, then at most one range. The
-	// segment-backed executor seeks on exactly these; nil for scans.
+	// segment-backed executor seeks on exactly these; nil for scans. The
+	// list may share its array with the statement's predicates: read only.
 	Seek []workload.Predicate
 }
 
@@ -212,39 +214,45 @@ func (cm *CostModel) indexPath(ct *compiledTable, hd *handle) (AccessPath, bool)
 				return AccessPath{}, false
 			}
 		}
-		subsumed = make([]bool, len(ct.preds))
-		for i, qp := range ct.preds {
-			for _, ip := range d.Where {
-				if equalFoldCol(ip, qp) && implies(qp, ip) && implies(ip, qp) {
-					subsumed[i] = true
-					break
-				}
-			}
+		var buf [8]bool // a handful of predicates: no allocation
+		subsumed = buf[:0]
+		for _, qp := range ct.preds {
+			subsumed = append(subsumed, slices.ContainsFunc(d.Where, func(ip workload.Predicate) bool {
+				return equalFoldCol(ip, qp) && implies(qp, ip) && implies(ip, qp)
+			}))
 		}
 	}
 	remains := func(i int) bool { return subsumed == nil || !subsumed[i] }
 
 	// Needed columns: non-predicate usage plus the columns of predicates
 	// that are not subsumed by the index filter.
-	needed := append([]string{}, ct.cols...)
-	for i, p := range ct.preds {
-		if remains(i) && !containsFold(needed, p.Col) {
-			needed = append(needed, p.Col)
-		}
-	}
-	covering := hd.clustered || containsAll(hd.leaf, needed)
+	covers, usedCols := leafCoverage(hd.leaf, ct.cols, ct.preds, remains)
+	covering := hd.clustered || covers
 
 	// Seek: contiguous sargable prefix of the key columns. Equality
 	// predicates extend the prefix; the first range predicate ends it.
+	// While the seek predicates sit consecutively in ct.preds — always so
+	// for one — the list is a capped window of it, ct.preds[lo:lo+len], and
+	// costs no allocation; a gap copies it out.
 	seekSel := 1.0
 	var seek []workload.Predicate
+	lo := 0
 	for _, key := range d.KeyCols {
 		i := ct.predOn(key, remains)
 		if i < 0 || !ct.preds[i].Sargable() {
 			break
 		}
 		seekSel *= ct.sels[i]
-		seek = append(seek, ct.preds[i])
+		switch {
+		case len(seek) == 0:
+			lo = i
+			seek = ct.preds[i : i+1 : i+1]
+		case lo >= 0 && i == lo+len(seek):
+			seek = ct.preds[lo : i+1 : i+1]
+		default:
+			lo = -1
+			seek = append(seek, ct.preds[i]) // a window is capped: this copies
+		}
 		if !ct.preds[i].IsEquality() {
 			break
 		}
@@ -253,7 +261,6 @@ func (cm *CostModel) indexPath(ct *compiledTable, hd *handle) (AccessPath, bool)
 	t := ct.t
 	idxRows := float64(hd.h.Rows)
 	pages := hd.pages
-	usedCols := countUsedCols(hd.leaf, needed)
 
 	if seek != nil {
 		matched := idxRows * seekSel
@@ -293,20 +300,46 @@ func (cm *CostModel) indexPath(ct *compiledTable, hd *handle) (AccessPath, bool)
 	return AccessPath{Table: t.Name, Index: hd.h, Kind: kind, Cost: cost, EstPageReads: pages}, true
 }
 
+// leafCoverage walks the columns a read of the table needs — cols, then
+// the column of each predicate that remains, each column once — and reports
+// whether the leaf holds every one and how many it holds (at least 1, the
+// per-column CPU multiplier). It builds no list: it runs once per what-if
+// term.
+func leafCoverage(leaf, cols []string, preds []workload.Predicate, remains func(int) bool) (covers bool, used int) {
+	covers = true
+	count := func(c string) {
+		if containsFold(leaf, c) {
+			used++
+		} else {
+			covers = false
+		}
+	}
+	for _, c := range cols {
+		count(c)
+	}
+	for i, p := range preds {
+		if !remains(i) || containsFold(cols, p.Col) {
+			continue
+		}
+		seen := false
+		for j := range i {
+			if remains(j) && storageEqualFold(preds[j].Col, p.Col) {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			count(p.Col)
+		}
+	}
+	return covers, max(used, 1)
+}
+
 func (cm *CostModel) treeHeight(leafPages float64) float64 {
 	if leafPages <= 1 {
 		return 1
 	}
 	return 1 + math.Ceil(math.Log(leafPages)/math.Log(cm.Fanout))
-}
-
-func containsAll(haystack, needles []string) bool {
-	for _, n := range needles {
-		if !containsFold(haystack, n) {
-			return false
-		}
-	}
-	return true
 }
 
 func containsFold(list []string, s string) bool {
@@ -316,19 +349,6 @@ func containsFold(list []string, s string) bool {
 		}
 	}
 	return false
-}
-
-func countUsedCols(idxCols, queryCols []string) int {
-	n := 0
-	for _, c := range queryCols {
-		if containsFold(idxCols, c) {
-			n++
-		}
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
 }
 
 // ---------------------------------------------------------------------------

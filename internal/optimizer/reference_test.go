@@ -562,3 +562,25 @@ func (cm *CostModel) refMaintainCost(h *HypoIndex, affected float64, moves bool)
 	cpu := cm.CPUInsert*affected*passes + cm.refAlphaOf(h)*affected
 	return io + cpu
 }
+
+func containsAll(haystack, needles []string) bool {
+	for _, n := range needles {
+		if !containsFold(haystack, n) {
+			return false
+		}
+	}
+	return true
+}
+
+func countUsedCols(idxCols, queryCols []string) int {
+	n := 0
+	for _, c := range queryCols {
+		if containsFold(idxCols, c) {
+			n++
+		}
+	}
+	if n == 0 {
+		n = 1
+	}
+	return n
+}

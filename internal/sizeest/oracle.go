@@ -232,14 +232,14 @@ func levelSchedule(p *sizing.Plan) ([][]*sizing.Node, error) {
 	return levels, nil
 }
 
-// batchByStructure groups level-0 slots by the uncompressed structure ID, so
-// all compression variants of one structure run on the same worker against
-// one shared materialization. Returns the groups and a sorted key order for
+// batchByStructure groups level-0 slots by structure ID, so all compression
+// variants of one structure run on the same worker against one shared
+// materialization. Returns the groups and a sorted key order for
 // deterministic scheduling.
 func batchByStructure(level []*sizing.Node) (map[string][]int, []string) {
 	groups := make(map[string][]int)
 	for i, n := range level {
-		key := n.Def.Uncompressed().ID()
+		key := n.Def.StructureID()
 		groups[key] = append(groups[key], i)
 	}
 	order := make([]string, 0, len(groups))

@@ -91,6 +91,15 @@ type Estimator struct {
 	// (same table, same key columns) shares a single sorted sample scan and
 	// only re-runs the compression sizing.
 	mats map[string]*materialization
+	// columns holds the single-column definitions the deduction graph
+	// invents for ColExt, one per (table, column, method), so each renders
+	// its identity once however many targets and admissions name it.
+	columns map[columnKey]*index.Def
+}
+
+type columnKey struct {
+	table, col string
+	m          compress.Method
 }
 
 // materialization is the per-structure part of SampleCF: the index's leaf
@@ -111,13 +120,28 @@ type materialization struct {
 // NewEstimator creates an estimator.
 func NewEstimator(db *catalog.Database, mgr *sampling.Manager) *Estimator {
 	return &Estimator{DB: db, Mgr: mgr, Model: DefaultErrorModel(),
-		cache: make(map[string]*Estimate), mats: make(map[string]*materialization)}
+		cache: make(map[string]*Estimate), mats: make(map[string]*materialization),
+		columns: make(map[columnKey]*index.Def)}
+}
+
+// columnDef returns the single-column index on the table under method m.
+func (e *Estimator) columnDef(table, col string, m compress.Method) *index.Def {
+	k := columnKey{table, col, m}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	d, ok := e.columns[k]
+	if !ok {
+		d = &index.Def{Table: table, KeyCols: []string{col}, Method: m}
+		e.columns[k] = d
+	}
+	return d
 }
 
 // Cached returns the cached estimate for the definition, if any.
 func (e *Estimator) Cached(d *index.Def) (*Estimate, bool) {
+	id := d.ID()
 	e.mu.Lock()
-	est, ok := e.cache[d.ID()]
+	est, ok := e.cache[id]
 	e.mu.Unlock()
 	return est, ok
 }
@@ -199,7 +223,7 @@ func (e *Estimator) partialSample(d *index.Def) (*catalog.Table, []storage.Row, 
 // variant of one structure shares it, so a batch of SampleCF targets on the
 // same (table, key columns) pays for one sorted sample scan.
 func (e *Estimator) materialize(d *index.Def) (*materialization, error) {
-	key := d.Uncompressed().ID()
+	key := d.StructureID()
 	e.mu.Lock()
 	if m, ok := e.mats[key]; ok {
 		e.mu.Unlock()

@@ -274,14 +274,13 @@ func (g *graph) addDeductions(n *Node) {
 	// ColExt from singletons: A+B+...+K.
 	var singles []*Node
 	for _, c := range cols {
-		child := (&index.Def{Table: d.Table, KeyCols: []string{c}}).WithMethod(d.Method)
-		singles = append(singles, g.node(child))
+		singles = append(singles, g.node(g.est.columnDef(d.Table, c, d.Method)))
 	}
 	n.Deductions = append(n.Deductions, &Deduction{Kind: DeduceColExt, Children: singles})
 	// ColExt from prefix + last: AB+C.
 	if len(cols) >= 3 {
-		prefix := (&index.Def{Table: d.Table, KeyCols: cols[:len(cols)-1]}).WithMethod(d.Method)
-		last := (&index.Def{Table: d.Table, KeyCols: []string{cols[len(cols)-1]}}).WithMethod(d.Method)
+		prefix := &index.Def{Table: d.Table, KeyCols: cols[:len(cols)-1], Method: d.Method}
+		last := g.est.columnDef(d.Table, cols[len(cols)-1], d.Method)
 		n.Deductions = append(n.Deductions, &Deduction{Kind: DeduceColExt, Children: []*Node{g.node(prefix), g.node(last)}})
 	}
 	// ColExt from another target that is a column subset, plus singletons
@@ -331,7 +330,7 @@ func (g *graph) addDeductions(n *Node) {
 		}
 		for _, c := range cols {
 			if !covered[strings.ToLower(c)] {
-				children = append(children, g.node((&index.Def{Table: d.Table, KeyCols: []string{c}}).WithMethod(d.Method)))
+				children = append(children, g.node(g.est.columnDef(d.Table, c, d.Method)))
 			}
 		}
 		n.Deductions = append(n.Deductions, &Deduction{Kind: DeduceColExt, Children: children})
