@@ -453,6 +453,40 @@ func BenchmarkStorePassSales(b *testing.B) {
 	benchStorePass(b, db, workloads.SelectIntensive(workloads.MustSales(1)), true)
 }
 
+// BenchmarkStoreQueryTPCH times the four decode-heavy tpch-select statements
+// one at a time (40 000 lineitem rows, in memory), each a sub-benchmark
+// reporting the tuples its decodes materialize. Tune, deploy and one warm pass
+// sit outside the timer.
+func BenchmarkStoreQueryTPCH(b *testing.B) {
+	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 40000, Seed: 1})
+	rec, defs, stmts := benchDesign(b, db, workloads.SelectIntensive(workloads.MustTPCH()))
+	st := openBenchStore(b, db, rec, defs, false, b.TempDir())
+	defer st.Close()
+	byLabel := make(map[string]*workload.Statement, len(stmts))
+	for _, s := range stmts {
+		runBenchStatement(b, st, s)
+		byLabel[s.Label] = s
+	}
+	for _, label := range []string{"Q1", "Q3", "Q8", "Q9"} {
+		s := byLabel[label]
+		if s == nil || s.Query == nil {
+			b.Fatalf("tpch-select has no query %s", label)
+		}
+		b.Run(label, func(b *testing.B) {
+			var tuples int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := st.RunQuery(s.Query)
+				if err != nil {
+					b.Fatalf("%s: %v", label, err)
+				}
+				tuples += res.IO.TuplesDecoded
+			}
+			b.ReportMetric(float64(tuples)/float64(b.N), "tuples/op")
+		})
+	}
+}
+
 // benchStoreDeploy times a deploy: NewSegmentStore plus the first statement,
 // which builds (and with spill, spills) every structure of the design. Each
 // iteration deploys into a freshly generated database; datagen, the

@@ -78,33 +78,25 @@ func readLenPrefix(src []byte) (int, int, error) {
 	}
 }
 
-// decodeValue is the inverse of valueBytes: reconstruct a value from its
-// minimal encoding. The encoding may be bytes (a page section) or a string (a
-// global-dictionary entry, which a string value then shares instead of
-// copying).
-func decodeValue[B []byte | string](c storage.Column, b B) (storage.Value, error) {
+// decodeValue is the inverse of valueBytes for a GDICT dictionary entry,
+// which a string value then shares instead of copying. It runs once per entry,
+// when the segment is built (decodeDict); page sections decode through the
+// decoder's kernels.
+func decodeValue(c storage.Column, b string) (storage.Value, error) {
 	switch c.Kind {
 	case storage.KindInt, storage.KindDate:
 		if len(b) > 8 {
-			return storage.Value{}, fmt.Errorf("compress: %d-byte integer", len(b))
+			return storage.Value{}, errWideNumber(c.Kind, len(b))
 		}
-		var u uint64
-		for i := 0; i < len(b); i++ {
-			u = u<<8 | uint64(b[i])
-		}
-		v := int64(u>>1) ^ -int64(u&1) // un-zigzag
-		return storage.Value{Kind: c.Kind, Int: v}, nil
+		return storage.Value{Kind: c.Kind, Int: unzigzag(foldBE(0, b))}, nil
 	case storage.KindFloat:
 		if len(b) > 8 {
-			return storage.Value{}, fmt.Errorf("compress: %d-byte float", len(b))
+			return storage.Value{}, errWideNumber(c.Kind, len(b))
 		}
-		var u uint64 // trailing zero bytes are dropped by the encoding
-		for i := 0; i < len(b); i++ {
-			u |= uint64(b[i]) << (56 - 8*i)
-		}
-		return storage.FloatVal(math.Float64frombits(u)), nil
+		// The encoding drops trailing zero bytes.
+		return storage.FloatVal(math.Float64frombits(foldBE(0, b) << (64 - 8*len(b)))), nil
 	case storage.KindString:
-		return storage.StringVal(string(b)), nil
+		return storage.StringVal(b), nil
 	}
 	return storage.Value{}, fmt.Errorf("compress: unknown kind %v", c.Kind)
 }

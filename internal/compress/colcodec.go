@@ -63,8 +63,9 @@ const rleMaxRun = 0x7FFF
 
 // gdictState is the segment-global dictionary of one GDICT column.
 type gdictState struct {
-	vals  []string // code -> encoded value bytes, all cut from one string
-	plain bool     // the dictionary lost to plain storage
+	vals   []string        // code -> encoded value bytes, all cut from one string
+	values []storage.Value // code -> decoded value, a string sharing vals' bytes
+	plain  bool            // the dictionary lost to plain storage
 }
 
 // newColumnCodec returns a fresh design codec instance. Overrides equal to
@@ -189,9 +190,27 @@ func (cc *columnCodec) prepare(s *storage.Schema, rows []storage.Row) [][]int32 
 		}
 		if st.plain = dictBytes+nonNull[ci]*int64(gdictCodeWidth(len(st.vals)-1)) >= plain[ci]; st.plain {
 			codes[ci] = nil
+			continue
 		}
+		st.values = decodeDict(s.Columns[ci], st.vals)
 	}
 	return codes
+}
+
+// decodeDict decodes a coded dictionary once, when its segment is built, so a
+// page decode copies a code's value instead of decoding it. An entry that
+// does not decode (a kind valueBytes writes nothing for) ends the list, and a
+// page code reaching it is then out of range.
+func decodeDict(c storage.Column, vals []string) []storage.Value {
+	out := make([]storage.Value, 0, len(vals))
+	for _, e := range vals {
+		v, err := decodeValue(c, e)
+		if err != nil {
+			break
+		}
+		out = append(out, v)
+	}
+	return out
 }
 
 // StateBytes is the size of the codec's segment-level state (the global

@@ -10,34 +10,33 @@ import (
 	"cadb/internal/storage"
 )
 
-// This file reads PAGE column sections, the one section format with
+// This file holds the PAGE kernel. PAGE is the one section format with
 // per-page metadata, which enables three shortcuts, in increasing cost:
 //
 //  1. null bitmaps and the common-prefix header can decide a predicate for
 //     the whole page without touching the values region;
-//  2. predicates are evaluated once per local-dictionary entry and row
-//     codes are tested against the matching-code set, instead of decoding
-//     every row;
+//  2. predicates are evaluated once per local-dictionary entry a selected
+//     row holds, and the other rows holding it reuse the verdict;
 //  3. only the needed columns of the surviving rows are materialized, and
 //     dictionary entries decode at most once per page.
+//
+// The values region is walked once per page and column, by parse: the
+// filter and the materialize pass then read each row's entry from ref.
 
-// pageColumn is one parsed column section of a PAGE payload. All slices
+// pageColumn is one parsed column section of a PAGE payload. Its slices
 // alias the payload; nothing is decoded yet.
 type pageColumn struct {
-	nulls    []byte   // null bitmap (bit j = row j is NULL)
-	prefix   []byte   // common prefix of the encoded non-null values
-	dict     [][]byte // local dictionary suffixes
-	codeSize int      // 1 or 2 bytes per dictionary code
-	coded    []byte   // dictionary bitmap (bit j = row j stored as a code)
-	values   []byte   // the row-order values region (codes and literals)
+	nulls  []byte   // null bitmap (bit j = row j is NULL)
+	prefix []byte   // common prefix of the encoded non-null values
+	ents   [][]byte // the local dictionary's suffixes, then each literal suffix in row order
+	ndict  int      // local dictionary entries at the front of ents
+	ref    []int32  // row j's entry in ents, -1 for a NULL
 }
 
-func (col *pageColumn) isNull(j int) bool  { return col.nulls[j/8]&(1<<(uint(j)%8)) != 0 }
-func (col *pageColumn) isCoded(j int) bool { return col.coded[j/8]&(1<<(uint(j)%8)) != 0 }
-
-// parse splits an n-row column section into its parts, walking the values
-// region only to bounds-check it (no value decoding). The dictionary slice is
-// reused from the previous parse.
+// parse splits an n-row column section into its parts and walks the values
+// region once, bounds-checking every code and literal and recording each
+// row's entry. Nothing is decoded. The slices are reused from the previous
+// parse.
 func (col *pageColumn) parse(payload []byte, n int) error {
 	bitmapLen := (n + 7) / 8
 	if len(payload) < bitmapLen {
@@ -58,88 +57,74 @@ func (col *pageColumn) parse(payload []byte, n int) error {
 	if len(payload) < 2 {
 		return fmt.Errorf("compress: short PAGE dictionary count")
 	}
-	dictCount := int(binary.BigEndian.Uint16(payload[:2]))
+	col.ndict = int(binary.BigEndian.Uint16(payload[:2]))
 	payload = payload[2:]
-	col.dict = col.dict[:0]
-	for i := 0; i < dictCount; i++ {
-		dn, adv, err := readLenPrefix(payload)
-		if err != nil {
-			return err
+	col.ents = col.ents[:0]
+	at := 0
+	for i := 0; i < col.ndict; i++ {
+		start, end, ok := lenValue(payload, at)
+		if !ok {
+			if start, end, err = lenValueSlow(payload, at); err != nil {
+				return err
+			}
 		}
-		payload = payload[adv:]
-		if len(payload) < dn {
-			return fmt.Errorf("compress: short PAGE dictionary entry")
-		}
-		col.dict = append(col.dict, payload[:dn])
-		payload = payload[dn:]
+		col.ents = append(col.ents, payload[start:end])
+		at = end
 	}
-	col.codeSize = 1
-	if dictCount > 255 {
-		col.codeSize = 2
+	payload = payload[at:]
+	codeSize := 1
+	if col.ndict > 255 {
+		codeSize = 2
 	}
 	if len(payload) < bitmapLen {
 		return fmt.Errorf("compress: short PAGE dictionary bitmap")
 	}
-	col.coded = payload[:bitmapLen]
-	payload = payload[bitmapLen:]
-	at := 0
-	for j := 0; j < n; j++ {
-		if col.isNull(j) {
-			continue
-		}
-		if col.isCoded(j) {
-			if len(payload) < at+col.codeSize {
+	coded, vals := payload[:bitmapLen], payload[bitmapLen:]
+	col.ref = slices.Grow(col.ref[:0], n)[:n]
+	at = 0
+	for j := range col.ref {
+		switch {
+		case isSet(col.nulls, j):
+			col.ref[j] = -1
+		case isSet(coded, j):
+			if len(vals)-at < codeSize {
 				return fmt.Errorf("compress: short PAGE code")
 			}
-			at += col.codeSize
-			continue
+			code := int(foldBE(0, vals[at:at+codeSize]))
+			at += codeSize
+			if code >= col.ndict {
+				return fmt.Errorf("compress: PAGE code %d of a %d-entry dictionary", code, col.ndict)
+			}
+			col.ref[j] = int32(code)
+		default:
+			start, end, ok := lenValue(vals, at)
+			if !ok {
+				if start, end, err = lenValueSlow(vals, at); err != nil {
+					return err
+				}
+			}
+			col.ref[j] = int32(len(col.ents))
+			col.ents = append(col.ents, vals[start:end])
+			at = end
 		}
-		ln, adv, err := readLenPrefix(payload[at:])
-		if err != nil {
-			return err
-		}
-		if len(payload) < at+adv+ln {
-			return fmt.Errorf("compress: short PAGE literal")
-		}
-		at += adv + ln
 	}
-	col.values = payload[:at]
 	return nil
 }
 
-// nextValue reads row j's entry of the (parse-validated) values region at
-// offset at: a dictionary code (code >= 0, lit nil) or the literal suffix
-// bytes (code < 0). Callers skip NULL rows, which store nothing.
-func (col *pageColumn) nextValue(j, at int) (code int, lit []byte, next int, err error) {
-	vals := col.values
-	if col.isCoded(j) {
-		code = int(vals[at])
-		if col.codeSize == 2 {
-			code = code<<8 | int(vals[at+1])
+// page is the PAGE kernel: it parses the column's section once per page
+// (the filter and materialize passes share the parse) and decodes each entry
+// it needs once.
+func page(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
+	if !c.parsed {
+		c.parsed = true
+		if err := c.page.parse(body, n); err != nil {
+			return false, err
 		}
-		if code >= len(col.dict) {
-			return 0, nil, 0, fmt.Errorf("compress: PAGE code %d out of range", code)
-		}
-		return code, nil, at + col.codeSize, nil
 	}
-	ln, adv, err := readLenPrefix(vals[at:])
-	if err != nil {
-		return 0, nil, 0, err
+	if filter {
+		return d.filterPage(c)
 	}
-	return -1, vals[at+adv : at+adv+ln], at + adv + ln, nil
-}
-
-// decodePrefixed reconstructs one value from the page prefix plus a suffix,
-// reusing scratch for the concatenation.
-func decodePrefixed(c storage.Column, prefix, suffix, scratch []byte) (storage.Value, []byte, error) {
-	if len(prefix) == 0 {
-		v, err := decodeValue(c, suffix)
-		return v, scratch, err
-	}
-	scratch = append(scratch[:0], prefix...)
-	scratch = append(scratch, suffix...)
-	v, err := decodeValue(c, scratch)
-	return v, scratch, err
+	return false, d.materializePage(c)
 }
 
 // predOutcome is a page-level predicate verdict derived from metadata alone.
@@ -270,22 +255,14 @@ func matchesAll(ps []storage.ColPredicate, v storage.Value) bool {
 	return true
 }
 
-// filterPage narrows sel by evaluating the column's predicates against its
+// filterPage narrows the selection by the column's predicates against its
 // parsed PAGE section: NULL rows fail outright, the common prefix decides
 // what it can for the whole page, and residual predicates evaluate once per
-// local-dictionary entry with row codes tested against the matching set.
-// Returns the new selection count and whether any value bytes were decoded
+// entry a selected row holds. Reports whether any value bytes were decoded
 // (pages decided from metadata alone are free).
-func (d *pageDecoder) filterPage(c *decodeCol, n int, sel []bool, selCount int) (int, bool, error) {
+func (d *pageDecoder) filterPage(c *decodeCol) (bool, error) {
 	col := &c.page
-	// A predicated column fails every NULL row (three-valued logic) —
-	// decided from the null bitmap alone.
-	for j := 0; j < n; j++ {
-		if sel[j] && col.isNull(j) {
-			sel[j] = false
-			selCount--
-		}
-	}
+	d.dropNulls(col.nulls)
 	// Try to decide each predicate from the common prefix.
 	residual := d.residual[:0]
 	none := false
@@ -301,97 +278,72 @@ func (d *pageDecoder) filterPage(c *decodeCol, n int, sel []bool, selCount int) 
 	}
 	d.residual = residual
 	if none {
-		clear(sel)
-		return 0, false, nil
+		clear(d.sel)
+		d.selCount = 0
+		return false, nil
 	}
-	if len(residual) == 0 || selCount == 0 {
-		return selCount, false, nil
+	if len(residual) == 0 || d.selCount == 0 {
+		return false, nil
 	}
-	// Evaluate the residual predicates once per dictionary entry, then
-	// test row codes against the matching set; literal suffixes decode
-	// per occurrence.
-	match := d.match[:0]
-	for _, suffix := range col.dict {
-		var v storage.Value
-		var err error
-		v, d.scratch, err = decodePrefixed(c.col, col.prefix, suffix, d.scratch)
-		if err != nil {
-			return 0, true, err
-		}
-		match = append(match, matchesAll(residual, v))
-	}
+	match := slices.Grow(d.match[:0], len(col.ents))[:len(col.ents)]
 	d.match = match
-	at := 0
-	for j := 0; j < n; j++ {
-		if col.isNull(j) {
-			continue
-		}
-		code, lit, next, err := col.nextValue(j, at)
-		if err != nil {
-			return 0, true, err
-		}
-		at = next
-		if !sel[j] {
-			continue
-		}
-		ok := false
-		if code >= 0 {
-			ok = match[code]
-		} else {
-			var v storage.Value
-			v, d.scratch, err = decodePrefixed(c.col, col.prefix, lit, d.scratch)
-			if err != nil {
-				return 0, true, err
-			}
-			ok = matchesAll(residual, v)
-		}
+	clear(match)
+	k := c.col.Kind
+	for j, ok := range d.sel {
 		if !ok {
-			sel[j] = false
-			selCount--
+			continue
+		}
+		e := col.ref[j] // the NULLs are dropped
+		if match[e] == 0 {
+			v, err := c.value(d, k, col.prefix, col.ents[e], false)
+			if err != nil {
+				return true, err
+			}
+			match[e] = 2
+			if matchesAll(residual, v) {
+				match[e] = 1
+			}
+		}
+		if match[e] == 2 {
+			d.sel[j] = false
+			d.selCount--
 		}
 	}
-	return selCount, true, nil
+	return true, nil
 }
 
-// materializePage writes the selected rows' values of the column's parsed
-// PAGE section into the output slab, decoding each dictionary entry at most
-// once per page.
-func (d *pageDecoder) materializePage(c *decodeCol, n int) error {
+// materializePage writes the survivors' values of the column's parsed PAGE
+// section into the output slab, decoding each local-dictionary entry at most
+// once per page and each literal where it lands.
+func (d *pageDecoder) materializePage(c *decodeCol) error {
 	col := &c.page
-	d.dictVals = slices.Grow(d.dictVals[:0], len(col.dict))[:len(col.dict)]
-	d.dictDone = slices.Grow(d.dictDone[:0], len(col.dict))[:len(col.dict)]
-	clear(d.dictDone)
-	at := 0
-	for j := 0; j < n; j++ {
-		i := int(d.outIdx[j])
-		if col.isNull(j) {
-			if i >= 0 {
-				d.slab[i*d.width+c.out] = storage.NullValue(c.col.Kind)
+	vals := slices.Grow(d.entVals[:0], col.ndict)[:col.ndict]
+	done := slices.Grow(d.entDone[:0], col.ndict)[:col.ndict]
+	d.entVals, d.entDone = vals, done
+	clear(done)
+	out, w := d.outColumn(c, false)
+	k := c.col.Kind
+	for i, j := range d.out.Slots {
+		e := int(col.ref[j])
+		switch {
+		case e < 0:
+			out[i*w] = storage.NullValue(k)
+		case e >= col.ndict:
+			v, err := c.value(d, k, col.prefix, col.ents[e], true)
+			if err != nil {
+				return err
 			}
-			continue
-		}
-		code, lit, next, err := col.nextValue(j, at)
-		if err != nil {
-			return err
-		}
-		at = next
-		if i < 0 {
-			continue
-		}
-		var v storage.Value
-		if code >= 0 {
-			if !d.dictDone[code] {
-				d.dictVals[code], d.scratch, err = decodePrefixed(c.col, col.prefix, col.dict[code], d.scratch)
-				d.dictDone[code] = true
+			out[i*w] = v
+		default:
+			if !done[e] {
+				v, err := c.value(d, k, col.prefix, col.ents[e], true)
+				if err != nil {
+					return err
+				}
+				vals[e], done[e] = v, true
 			}
-			v = d.dictVals[code]
-		} else {
-			v, d.scratch, err = decodePrefixed(c.col, col.prefix, lit, d.scratch)
+			out[i*w] = vals[e]
 		}
-		if err != nil {
-			return err
-		}
-		d.slab[i*d.width+c.out] = v
 	}
 	return nil
 }

@@ -5,15 +5,42 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"cadb/internal/storage"
 )
 
 // This file is the read half of the design codec. A cursor compiles one
 // pageDecoder from its (schema, spec) and runs every page through it:
-// predicates are grouped by column and output positions fixed once, and the
-// selection vector, section table, output rows and their value slab are
-// reused from page to page — a decode allocates only the strings it returns.
+// predicates are grouped by column, output positions fixed and each column's
+// kernel picked once, and the selection vector, section table, output rows
+// and their value slab are reused from page to page.
+//
+// A kernel decodes the sections of one (method, column kind) pair. It runs
+// one bounds-checked loop per section, decoding inline: the filter pass tests
+// a stack Value with matchesAll and drops failing rows from the selection;
+// the materialize pass writes each survivor's storage.Value straight into the
+// output slab. Nothing dispatches on method or kind per value:
+//
+//	        INT       DATE      FLOAT      CHAR(n)    VARCHAR
+//	NONE    noneInt   noneDate  noneFloat  noneChar   noneVarchar  fixed width: rows addressed directly
+//	ROW     rowInt    rowInt    rowFloat   rowString  rowString    length-prefixed minimal bytes
+//	GDICT   gdict: copies the dictionary's pre-decoded value per code; a
+//	        plain-elected section runs the column's ROW kernel
+//	PAGE    page (decode_columns.go): the values region is walked once per page
+//	RLE     rle: one value per run
+//
+// PAGE and RLE decode a value once per local-dictionary entry, literal or
+// run, through the column's valueDecoder (intValue, floatValue or
+// stringValue). decodeValue has one caller: the segment build, which decodes
+// a coded GDICT dictionary once (decodeDict, gdictState.values).
+//
+// Allocation: once warm, a decode whose needed and predicated columns are
+// numeric allocates nothing. A string column allocates one string per
+// returned non-NULL value under NONE and ROW, per returned local entry,
+// literal or run under PAGE and RLE, and none under GDICT, whose values share
+// the dictionary's bytes. Filters test strings as views of the page bytes
+// and allocate nothing.
 
 // pageDecoder implements storage.PageDecoder for the design codec.
 type pageDecoder struct {
@@ -25,24 +52,27 @@ type pageDecoder struct {
 
 	// Per-page working memory, reused.
 	sections [][]byte
-	sel      []bool  // sel[j]: row j is still in the selection
-	outIdx   []int32 // row j's position among the survivors, -1 when dropped
+	sel      []bool // sel[j]: row j is still in the selection
+	selCount int    // rows in the selection
 	slab     []storage.Value
 	out      storage.DecodedPage
 	scratch  []byte
 	residual []storage.ColPredicate // PAGE: predicates the prefix left open
-	match    []bool                 // PAGE: verdict per local-dictionary entry
-	dictVals []storage.Value        // PAGE: decoded local-dictionary entries
-	dictDone []bool
+	match    []uint8                // PAGE: verdict per entry (0 unknown, 1 pass, 2 fail)
+	entVals  []storage.Value        // PAGE: decoded entries
+	entDone  []bool
 }
 
 // decodeCol is one column a decoder touches.
 type decodeCol struct {
-	ci     int
-	col    storage.Column
-	method Method
-	preds  []storage.ColPredicate
-	out    int // position in the output row, -1 for a predicate-only column
+	ci    int
+	col   storage.Column
+	preds []storage.ColPredicate
+	out   int // position in the output row, -1 for a predicate-only column
+
+	kern  kernel       // the (method, kind) kernel
+	plain kernel       // GDICT: the ROW kernel a plain-elected section runs
+	value valueDecoder // the kind's minimal-encoding decoder (PAGE, RLE)
 
 	// GDICT: the segment's dictionary, and this decoder's verdict per code
 	// under preds (0 unknown, 1 pass, 2 fail). The dictionary is segment-wide
@@ -55,6 +85,51 @@ type decodeCol struct {
 	page    pageColumn
 	parsed  bool
 	counted bool
+}
+
+// A kernel runs one pass over one section of its column. With filter set it
+// narrows d.sel by the column's predicates and reports whether any value
+// bytes were decoded (a column decided from bitmaps or page metadata alone is
+// free); otherwise it writes every survivor's value into the slab.
+type kernel func(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (counted bool, err error)
+
+// A valueDecoder rebuilds one value of a kind from its minimal encoding
+// (valueBytes' inverse) stored as prefix + suffix: PAGE splits each value at
+// its page's common prefix, RLE passes none. A string value has bytes of its
+// own when keep is set; otherwise it is a view of the bytes (of d.scratch when
+// there is a prefix), valid until the next call.
+type valueDecoder func(d *pageDecoder, k storage.Kind, prefix, suffix []byte, keep bool) (storage.Value, error)
+
+// kernelFor picks the kernel and value decoder of a column under a method.
+func kernelFor(m Method, col storage.Column) (kern kernel, value valueDecoder, err error) {
+	var none, row kernel
+	switch {
+	case col.Kind == storage.KindInt:
+		none, row, value = noneInt, rowInt, intValue
+	case col.Kind == storage.KindDate:
+		none, row, value = noneDate, rowInt, intValue
+	case col.Kind == storage.KindFloat:
+		none, row, value = noneFloat, rowFloat, floatValue
+	case col.Kind == storage.KindString && col.FixedWidth > 0:
+		none, row, value = noneChar, rowString, stringValue
+	case col.Kind == storage.KindString:
+		none, row, value = noneVarchar, rowString, stringValue
+	default:
+		return nil, nil, fmt.Errorf("compress: column %s has unknown kind %v", col.Name, col.Kind)
+	}
+	switch m {
+	case None:
+		return none, value, nil
+	case Row:
+		return row, value, nil
+	case GlobalDict:
+		return gdict, value, nil
+	case Page:
+		return page, value, nil
+	case RLE:
+		return rle, value, nil
+	}
+	return nil, nil, fmt.Errorf("compress: bad column method %d", m)
 }
 
 // NewDecoder compiles the spec against the schema.
@@ -84,9 +159,17 @@ func (cc *columnCodec) NewDecoder(s *storage.Schema, spec *storage.DecodeSpec) s
 		if outPos[ci] < 0 && len(preds[ci]) == 0 {
 			continue
 		}
-		d.cols = append(d.cols, decodeCol{
-			ci: ci, col: c, method: cc.resolved[ci], preds: preds[ci], out: outPos[ci], dict: cc.dicts[ci],
-		})
+		m := cc.resolved[ci]
+		kern, value, err := kernelFor(m, c)
+		if err != nil {
+			d.err = err
+			return d
+		}
+		dc := decodeCol{ci: ci, col: c, preds: preds[ci], out: outPos[ci], kern: kern, value: value, dict: cc.dicts[ci]}
+		if m == GlobalDict {
+			dc.plain, _, _ = kernelFor(Row, c)
+		}
+		d.cols = append(d.cols, dc)
 		d.last = ci
 	}
 	return d
@@ -110,18 +193,18 @@ func (d *pageDecoder) Decode(payload []byte, nrows int, slots []int) (*storage.D
 
 	sel := slices.Grow(d.sel[:0], n)[:n]
 	d.sel = sel
-	selCount := n
+	d.selCount = n
 	if slots == nil {
 		for j := range sel {
 			sel[j] = true
 		}
 	} else {
 		clear(sel)
-		selCount = 0
+		d.selCount = 0
 		for _, sl := range slots {
 			if sl >= 0 && sl < n && !sel[sl] {
 				sel[sl] = true
-				selCount++
+				d.selCount++
 			}
 		}
 	}
@@ -134,22 +217,22 @@ func (d *pageDecoder) Decode(payload []byte, nrows int, slots []int) (*storage.D
 	// Pass 1: evaluate pushed predicates column by column, narrowing the
 	// selection. Each method exploits its own layout: GDICT evaluates once
 	// per dictionary code, RLE once per run, PAGE once per local-dictionary
-	// entry; NONE/ROW walk the section but decode only selected rows.
+	// entry; NONE/ROW decode only selected rows.
 	for i := range d.cols {
 		c := &d.cols[i]
 		c.parsed, c.counted = false, false
-		if len(c.preds) == 0 || selCount == 0 {
+		if len(c.preds) == 0 || d.selCount == 0 {
 			continue
 		}
 		var err error
-		selCount, c.counted, err = d.filter(c, d.sections[c.ci], n, sel, selCount)
-		if err != nil {
+		if c.counted, err = c.kern(d, c, d.sections[c.ci], n, true); err != nil {
 			return nil, err
 		}
 		if c.counted {
 			out.ColumnsDecoded++
 		}
 	}
+	selCount := d.selCount
 	out.TuplesDecoded = int64(selCount)
 	if selCount == 0 {
 		return out, nil
@@ -157,12 +240,10 @@ func (d *pageDecoder) Decode(payload []byte, nrows int, slots []int) (*storage.D
 
 	// Pass 2: materialize the needed columns of the survivors. One slab backs
 	// every output row; the full slice expression keeps an append to one row
-	// from running into the next.
-	d.outIdx = slices.Grow(d.outIdx[:0], n)[:n]
-	for j := 0; j < n; j++ {
-		d.outIdx[j] = -1
-		if sel[j] {
-			d.outIdx[j] = int32(len(out.Slots))
+	// from running into the next. Survivor i's value of a column is slab cell
+	// i*width + its output position.
+	for j, ok := range sel {
+		if ok {
 			out.Slots = append(out.Slots, j)
 		}
 	}
@@ -179,7 +260,7 @@ func (d *pageDecoder) Decode(payload []byte, nrows int, slots []int) (*storage.D
 		if !c.counted {
 			out.ColumnsDecoded++
 		}
-		if err := d.materialize(c, d.sections[c.ci], n); err != nil {
+		if _, err := c.kern(d, c, d.sections[c.ci], n, false); err != nil {
 			return nil, err
 		}
 	}
@@ -205,419 +286,553 @@ func (d *pageDecoder) parseSections(payload []byte) error {
 	return nil
 }
 
-// gdictBody strips the mode byte of a GDICT section, reporting whether the
-// body is ROW-style plain storage (the segment pre-pass found the dictionary
-// unprofitable) instead of dictionary codes.
-func gdictBody(body []byte) (rest []byte, plain bool, err error) {
-	if len(body) < 1 {
-		return nil, false, fmt.Errorf("compress: short GDICT section")
+// outColumn is the slab from the column's first output cell on, and the
+// stride between survivors' cells. A filter pass writes no cell.
+func (d *pageDecoder) outColumn(c *decodeCol, filter bool) ([]storage.Value, int) {
+	if filter {
+		return nil, d.width
 	}
-	return body[1:], body[0] == gdictPlain, nil
+	return d.slab[c.out:], d.width
 }
 
-// filter narrows sel by evaluating the column's predicates against its
-// section, returning the new selection count and whether any value bytes were
-// decoded (columns decided from bitmaps alone are free).
-func (d *pageDecoder) filter(c *decodeCol, body []byte, n int, sel []bool, selCount int) (int, bool, error) {
-	m := c.method
-	if m == GlobalDict {
-		rest, plain, err := gdictBody(body)
-		if err != nil {
-			return 0, false, err
-		}
-		if !plain {
-			return filterGDict(c, rest, n, sel, selCount)
-		}
-		m, body = Row, rest
+// test drops row j from the selection unless v satisfies every predicate of
+// the column.
+func (d *pageDecoder) test(c *decodeCol, j int, v storage.Value) {
+	if !matchesAll(c.preds, v) {
+		d.sel[j] = false
+		d.selCount--
 	}
-	switch m {
-	case None, Row:
-		return filterPlain(c, m, body, n, sel, selCount)
-	case Page:
-		if err := d.parsePage(c, body, n); err != nil {
-			return 0, false, err
-		}
-		return d.filterPage(c, n, sel, selCount)
-	case RLE:
-		return filterRLE(c, body, n, sel, selCount)
-	}
-	return 0, false, fmt.Errorf("compress: bad column method %d", m)
 }
 
-// materialize writes the surviving rows' values of one column into the output
-// slab, decoding dictionary entries and run values at most once each.
-func (d *pageDecoder) materialize(c *decodeCol, body []byte, n int) error {
-	m := c.method
-	if m == GlobalDict {
-		rest, plain, err := gdictBody(body)
-		if err != nil {
-			return err
+// dropNulls removes the NULL rows from the selection: a predicated column
+// fails every NULL (three-valued logic), decided from the bitmap alone.
+func (d *pageDecoder) dropNulls(nulls []byte) {
+	sel := d.sel
+	for j := range sel {
+		if sel[j] && isSet(nulls, j) {
+			sel[j] = false
+			d.selCount--
 		}
-		if !plain {
-			return d.materializeGDict(c, rest, n)
-		}
-		m, body = Row, rest
 	}
-	switch m {
-	case None, Row:
-		return d.materializePlain(c, m, body, n)
-	case Page:
-		if err := d.parsePage(c, body, n); err != nil {
-			return err
-		}
-		return d.materializePage(c, n)
-	case RLE:
-		return d.materializeRLE(c, body, n)
-	}
-	return fmt.Errorf("compress: bad column method %d", m)
 }
 
-func (d *pageDecoder) parsePage(c *decodeCol, body []byte, n int) error {
-	if c.parsed {
-		return nil
+func isSet(bitmap []byte, j int) bool { return bitmap[j>>3]&(1<<(uint(j)&7)) != 0 }
+
+// view is b as a string without a copy, for a value tested and dropped while
+// the page bytes stand still. A value that is kept is copied.
+func view(b []byte) string {
+	if len(b) == 0 {
+		return ""
 	}
-	c.parsed = true
-	return c.page.parse(body, n)
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// put stores row j's value of column c if the row survived.
-func (d *pageDecoder) put(c *decodeCol, j int, v storage.Value) {
-	if i := d.outIdx[j]; i >= 0 {
-		d.slab[int(i)*d.width+c.out] = v
+// foldBE appends b to u as big-endian bytes.
+func foldBE[B []byte | string](u uint64, b B) uint64 {
+	for i := 0; i < len(b); i++ {
+		u = u<<8 | uint64(b[i])
 	}
+	return u
+}
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// lenValue bounds the length-prefixed value at body[at:], returning where its
+// bytes start and end. It reads readLenPrefix's one-byte form and is small
+// enough to inline; ok is false for a longer form or a value past the
+// section, which lenValueSlow then reads or rejects.
+func lenValue(body []byte, at int) (start, end int, ok bool) {
+	if at < len(body) && body[at] < 0x80 {
+		start, end = at+1, at+1+int(body[at])
+		return start, end, end <= len(body)
+	}
+	return 0, 0, false
+}
+
+func lenValueSlow(body []byte, at int) (int, int, error) {
+	ln, adv, err := readLenPrefix(body[at:])
+	if err != nil {
+		return 0, 0, err
+	}
+	start := at + adv
+	if len(body)-start < ln {
+		return 0, 0, fmt.Errorf("compress: %d-byte value runs past its section", ln)
+	}
+	return start, start + ln, nil
+}
+
+func errWideNumber(k storage.Kind, n int) error {
+	return fmt.Errorf("compress: %d-byte %v value", n, k)
 }
 
 // ---------------------------------------------------------------------------
-// NONE and ROW sections
+// Minimal-encoding value decoders (PAGE entries and literals, RLE runs)
 
-// plainWalk steps through the values of a NONE or ROW section in row order,
-// bounds-checking every value without decoding any.
-type plainWalk struct {
-	col   storage.Column
-	m     Method
-	body  []byte
-	nulls []byte
-	at    int
+func intValue(_ *pageDecoder, k storage.Kind, prefix, suffix []byte, _ bool) (storage.Value, error) {
+	if n := len(prefix) + len(suffix); n > 8 {
+		return storage.Value{}, errWideNumber(k, n)
+	}
+	return storage.Value{Kind: k, Int: unzigzag(foldBE(foldBE(0, prefix), suffix))}, nil
 }
 
-func newPlainWalk(col storage.Column, m Method, body []byte, n int) (plainWalk, error) {
+// floatValue restores the trailing zero bytes the encoding drops.
+func floatValue(_ *pageDecoder, k storage.Kind, prefix, suffix []byte, _ bool) (storage.Value, error) {
+	n := len(prefix) + len(suffix)
+	if n > 8 {
+		return storage.Value{}, errWideNumber(k, n)
+	}
+	return storage.FloatVal(math.Float64frombits(foldBE(foldBE(0, prefix), suffix) << (64 - 8*n))), nil
+}
+
+func stringValue(d *pageDecoder, _ storage.Kind, prefix, suffix []byte, keep bool) (storage.Value, error) {
+	b := suffix
+	if len(prefix) > 0 {
+		d.scratch = append(append(d.scratch[:0], prefix...), suffix...)
+		b = d.scratch
+	}
+	if keep {
+		return storage.StringVal(string(b)), nil
+	}
+	return storage.StringVal(view(b)), nil
+}
+
+// ---------------------------------------------------------------------------
+// NONE and ROW sections: [null bitmap][values]
+
+// plainSection splits a NONE or ROW section into its null bitmap and values.
+// A filter first drops the NULL rows from the selection; run is false when
+// no selected row is left to decode.
+func (d *pageDecoder) plainSection(m Method, body []byte, n int, filter bool) (nulls, vals []byte, run bool, err error) {
 	bitmapLen := (n + 7) / 8
 	if len(body) < bitmapLen {
-		return plainWalk{}, fmt.Errorf("compress: short %s section", m)
+		return nil, nil, false, fmt.Errorf("compress: short %s section", m)
 	}
-	return plainWalk{col: col, m: m, body: body, nulls: body[:bitmapLen], at: bitmapLen}, nil
+	nulls = body[:bitmapLen]
+	if filter {
+		if d.dropNulls(nulls); d.selCount == 0 {
+			return nil, nil, false, nil
+		}
+	}
+	return nulls, body[bitmapLen:], true, nil
 }
 
-func (w *plainWalk) isNull(j int) bool { return w.nulls[j/8]&(1<<(uint(j)%8)) != 0 }
-
-// next returns the stored bytes of row j (nil for a NULL). ROW sections store
-// nothing for a NULL; NONE sections store its zero-filled full width.
-func (w *plainWalk) next(j int) ([]byte, error) {
-	null := w.isNull(j)
-	body, at := w.body, w.at
-	if w.m == Row {
-		if null {
-			return nil, nil
-		}
-		ln, adv, err := readLenPrefix(body[at:])
-		if err != nil {
-			return nil, err
-		}
-		at += adv
-		if len(body) < at+ln {
-			return nil, fmt.Errorf("compress: short ROW section value")
-		}
-		w.at = at + ln
-		return body[at:w.at], nil
+// noneFixed is plainSection for a fixed-width NONE column, whose n values
+// (a NULL zero-filled) must all be present.
+func (d *pageDecoder) noneFixed(body []byte, n, width int, filter bool) (nulls, vals []byte, run bool, err error) {
+	nulls, vals, run, err = d.plainSection(None, body, n, filter)
+	if run && len(vals) < n*width {
+		return nil, nil, true, fmt.Errorf("compress: short NONE section: %d bytes for %d %d-byte values", len(vals), n, width)
 	}
-	ln := w.col.Width()
-	if ln == 0 { // VARCHAR: u16 length + bytes
-		if len(body) < at+2 {
-			return nil, fmt.Errorf("compress: short NONE section")
-		}
-		ln = int(binary.BigEndian.Uint16(body[at:]))
-		at += 2
-	}
-	if len(body) < at+ln {
-		return nil, fmt.Errorf("compress: short NONE section")
-	}
-	w.at = at + ln
-	if null {
-		return nil, nil
-	}
-	return body[at:w.at], nil
+	return nulls, vals, run, err
 }
 
-// decode reconstructs a value from the bytes next returned.
-func (w *plainWalk) decode(b []byte) (storage.Value, error) {
-	if w.m == Row {
-		return decodeValue(w.col, b)
+func noneInt(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
+	nulls, vals, run, err := d.noneFixed(body, n, 8, filter)
+	if !run || err != nil {
+		return run, err
 	}
-	switch w.col.Kind {
-	case storage.KindInt:
-		return storage.Value{Kind: storage.KindInt, Int: int64(binary.BigEndian.Uint64(b))}, nil
-	case storage.KindFloat:
-		return storage.Value{Kind: storage.KindFloat, Float: math.Float64frombits(binary.BigEndian.Uint64(b))}, nil
-	case storage.KindDate:
-		return storage.Value{Kind: storage.KindDate, Int: int64(int32(binary.BigEndian.Uint32(b)))}, nil
-	}
-	if w.col.FixedWidth > 0 { // CHAR(n): strip the blank padding
-		end := len(b)
-		for end > 0 && b[end-1] == ' ' {
-			end--
-		}
-		b = b[:end]
-	}
-	return storage.Value{Kind: storage.KindString, Str: string(b)}, nil
-}
-
-func filterPlain(c *decodeCol, m Method, body []byte, n int, sel []bool, selCount int) (int, bool, error) {
-	w, err := newPlainWalk(c.col, m, body, n)
-	if err != nil {
-		return 0, false, err
-	}
-	// A predicated column fails every NULL row; decided from the bitmap.
-	for j := 0; j < n; j++ {
-		if sel[j] && w.isNull(j) {
-			sel[j] = false
-			selCount--
-		}
-	}
-	if selCount == 0 {
-		return 0, false, nil
-	}
-	for j := 0; j < n; j++ {
-		b, err := w.next(j)
-		if err != nil {
-			return 0, true, err
-		}
-		if !sel[j] {
+	out, w := d.outColumn(c, filter)
+	for i, j := 0, 0; j < n; j++ {
+		if !d.sel[j] {
 			continue
 		}
-		v, err := w.decode(b)
-		if err != nil {
-			return 0, true, err
+		v := storage.NullValue(storage.KindInt)
+		if !isSet(nulls, j) {
+			v = storage.IntVal(int64(binary.BigEndian.Uint64(vals[8*j:])))
 		}
-		if !matchesAll(c.preds, v) {
-			sel[j] = false
-			selCount--
+		if filter {
+			d.test(c, j, v)
+		} else {
+			out[i*w] = v
+			i++
 		}
 	}
-	return selCount, true, nil
+	return true, nil
 }
 
-func (d *pageDecoder) materializePlain(c *decodeCol, m Method, body []byte, n int) error {
-	w, err := newPlainWalk(c.col, m, body, n)
-	if err != nil {
-		return err
+func noneFloat(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
+	nulls, vals, run, err := d.noneFixed(body, n, 8, filter)
+	if !run || err != nil {
+		return run, err
 	}
-	for j := 0; j < n; j++ {
-		b, err := w.next(j)
-		if err != nil {
-			return err
-		}
-		if d.outIdx[j] < 0 {
+	out, w := d.outColumn(c, filter)
+	for i, j := 0, 0; j < n; j++ {
+		if !d.sel[j] {
 			continue
 		}
-		v := storage.NullValue(c.col.Kind)
-		if !w.isNull(j) {
-			if v, err = w.decode(b); err != nil {
-				return err
+		v := storage.NullValue(storage.KindFloat)
+		if !isSet(nulls, j) {
+			v = storage.FloatVal(math.Float64frombits(binary.BigEndian.Uint64(vals[8*j:])))
+		}
+		if filter {
+			d.test(c, j, v)
+		} else {
+			out[i*w] = v
+			i++
+		}
+	}
+	return true, nil
+}
+
+func noneDate(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
+	nulls, vals, run, err := d.noneFixed(body, n, 4, filter)
+	if !run || err != nil {
+		return run, err
+	}
+	out, w := d.outColumn(c, filter)
+	for i, j := 0, 0; j < n; j++ {
+		if !d.sel[j] {
+			continue
+		}
+		v := storage.NullValue(storage.KindDate)
+		if !isSet(nulls, j) {
+			v = storage.DateVal(int64(int32(binary.BigEndian.Uint32(vals[4*j:]))))
+		}
+		if filter {
+			d.test(c, j, v)
+		} else {
+			out[i*w] = v
+			i++
+		}
+	}
+	return true, nil
+}
+
+// noneChar strips CHAR(n)'s blank padding.
+func noneChar(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
+	width := c.col.FixedWidth
+	nulls, vals, run, err := d.noneFixed(body, n, width, filter)
+	if !run || err != nil {
+		return run, err
+	}
+	out, w := d.outColumn(c, filter)
+	for i, j := 0, 0; j < n; j++ {
+		if !d.sel[j] {
+			continue
+		}
+		if isSet(nulls, j) {
+			out[i*w] = storage.NullValue(storage.KindString) // a filter dropped the NULLs
+			i++
+			continue
+		}
+		b := vals[width*j : width*(j+1)]
+		for len(b) > 0 && b[len(b)-1] == ' ' {
+			b = b[:len(b)-1]
+		}
+		if filter {
+			d.test(c, j, storage.StringVal(view(b)))
+		} else {
+			out[i*w] = storage.StringVal(string(b))
+			i++
+		}
+	}
+	return true, nil
+}
+
+// noneVarchar walks u16-length values, a NULL's included, up to the last
+// selected row.
+func noneVarchar(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
+	nulls, vals, run, err := d.plainSection(None, body, n, filter)
+	if !run || err != nil {
+		return run, err
+	}
+	out, w := d.outColumn(c, filter)
+	at := 0
+	for i, j, left := 0, 0, d.selCount; left > 0; j++ {
+		if len(vals)-at < 2 {
+			return true, fmt.Errorf("compress: short NONE section")
+		}
+		start := at + 2
+		at = start + int(binary.BigEndian.Uint16(vals[at:]))
+		if at > len(vals) {
+			return true, fmt.Errorf("compress: short NONE section")
+		}
+		if !d.sel[j] {
+			continue
+		}
+		left--
+		switch {
+		case isSet(nulls, j): // a filter dropped the NULLs
+			out[i*w] = storage.NullValue(storage.KindString)
+			i++
+		case filter:
+			d.test(c, j, storage.StringVal(view(vals[start:at])))
+		default:
+			out[i*w] = storage.StringVal(string(vals[start:at]))
+			i++
+		}
+	}
+	return true, nil
+}
+
+// rowInt decodes zigzag minimal bytes (INT and DATE). ROW stores nothing for
+// a NULL.
+func rowInt(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
+	nulls, vals, run, err := d.plainSection(Row, body, n, filter)
+	if !run || err != nil {
+		return run, err
+	}
+	out, w := d.outColumn(c, filter)
+	k := c.col.Kind
+	at := 0
+	for i, j, left := 0, 0, d.selCount; left > 0; j++ {
+		if isSet(nulls, j) {
+			if d.sel[j] { // a filter dropped the NULLs
+				out[i*w] = storage.NullValue(k)
+				i++
+				left--
+			}
+			continue
+		}
+		start, end, ok := lenValue(vals, at)
+		if !ok {
+			if start, end, err = lenValueSlow(vals, at); err != nil {
+				return true, err
 			}
 		}
-		d.put(c, j, v)
+		at = end
+		if !d.sel[j] {
+			continue
+		}
+		left--
+		if end-start > 8 {
+			return true, errWideNumber(k, end-start)
+		}
+		v := storage.Value{Kind: k, Int: unzigzag(foldBE(0, vals[start:end]))}
+		if filter {
+			d.test(c, j, v)
+		} else {
+			out[i*w] = v
+			i++
+		}
 	}
-	return nil
+	return true, nil
+}
+
+// rowFloat restores the trailing zero bytes the encoding drops.
+func rowFloat(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
+	nulls, vals, run, err := d.plainSection(Row, body, n, filter)
+	if !run || err != nil {
+		return run, err
+	}
+	out, w := d.outColumn(c, filter)
+	at := 0
+	for i, j, left := 0, 0, d.selCount; left > 0; j++ {
+		if isSet(nulls, j) {
+			if d.sel[j] { // a filter dropped the NULLs
+				out[i*w] = storage.NullValue(storage.KindFloat)
+				i++
+				left--
+			}
+			continue
+		}
+		start, end, ok := lenValue(vals, at)
+		if !ok {
+			if start, end, err = lenValueSlow(vals, at); err != nil {
+				return true, err
+			}
+		}
+		at = end
+		if !d.sel[j] {
+			continue
+		}
+		left--
+		if end-start > 8 {
+			return true, errWideNumber(storage.KindFloat, end-start)
+		}
+		v := storage.FloatVal(math.Float64frombits(foldBE(0, vals[start:end]) << (64 - 8*(end-start))))
+		if filter {
+			d.test(c, j, v)
+		} else {
+			out[i*w] = v
+			i++
+		}
+	}
+	return true, nil
+}
+
+// rowString reads the value's raw bytes (CHAR(n) is stored stripped).
+func rowString(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
+	nulls, vals, run, err := d.plainSection(Row, body, n, filter)
+	if !run || err != nil {
+		return run, err
+	}
+	out, w := d.outColumn(c, filter)
+	at := 0
+	for i, j, left := 0, 0, d.selCount; left > 0; j++ {
+		if isSet(nulls, j) {
+			if d.sel[j] { // a filter dropped the NULLs
+				out[i*w] = storage.NullValue(storage.KindString)
+				i++
+				left--
+			}
+			continue
+		}
+		start, end, ok := lenValue(vals, at)
+		if !ok {
+			if start, end, err = lenValueSlow(vals, at); err != nil {
+				return true, err
+			}
+		}
+		at = end
+		if !d.sel[j] {
+			continue
+		}
+		left--
+		if filter {
+			d.test(c, j, storage.StringVal(view(vals[start:end])))
+		} else {
+			out[i*w] = storage.StringVal(string(vals[start:end]))
+			i++
+		}
+	}
+	return true, nil
 }
 
 // ---------------------------------------------------------------------------
-// GDICT sections: fixed-width codes against the segment-global dictionary
+// GDICT sections: [mode u8] then [codeWidth u8][null bitmap][fixed-width
+// codes per non-null row] against the segment-global dictionary, or a
+// ROW-style plain body
 
-// gdictWalk steps through the codes of a dictionary-coded GDICT section.
-type gdictWalk struct {
-	nulls []byte
-	codes []byte
-	width int
-	vals  []string
-}
-
-func newGDictWalk(c *decodeCol, body []byte, n int) (gdictWalk, error) {
+// gdict copies each selected row's value from the dictionary, which the
+// segment build decoded once, and filters once per code for the decoder's
+// life.
+func gdict(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
+	if len(body) < 1 {
+		return false, fmt.Errorf("compress: short GDICT section")
+	}
+	if body[0] == gdictPlain {
+		return c.plain(d, c, body[1:], n, filter)
+	}
+	body = body[1:]
 	bitmapLen := (n + 7) / 8
 	if len(body) < 1+bitmapLen {
-		return gdictWalk{}, fmt.Errorf("compress: short GDICT section")
+		return false, fmt.Errorf("compress: short GDICT section")
 	}
 	width := int(body[0])
 	if width < 1 || width > 4 {
-		return gdictWalk{}, fmt.Errorf("compress: GDICT code width %d", width)
+		return false, fmt.Errorf("compress: GDICT code width %d", width)
 	}
-	return gdictWalk{nulls: body[1 : 1+bitmapLen], codes: body[1+bitmapLen:], width: width, vals: c.dict.vals}, nil
-}
-
-func (w *gdictWalk) isNull(j int) bool { return w.nulls[j/8]&(1<<(uint(j)%8)) != 0 }
-
-// next reads the next non-null row's code.
-func (w *gdictWalk) next() (int, error) {
-	if len(w.codes) < w.width {
-		return 0, fmt.Errorf("compress: short GDICT codes")
+	nulls, codes := body[1:1+bitmapLen], body[1+bitmapLen:]
+	vals := c.dict.values
+	if filter && len(c.verdict) < len(vals) {
+		c.verdict = make([]uint8, len(vals))
 	}
-	code := 0
-	for _, b := range w.codes[:w.width] {
-		code = code<<8 | int(b)
-	}
-	w.codes = w.codes[w.width:]
-	if code >= len(w.vals) {
-		return 0, fmt.Errorf("compress: GDICT code %d out of range", code)
-	}
-	return code, nil
-}
-
-// filterGDict evaluates the predicates once per dictionary code, for the
-// decoder's life.
-func filterGDict(c *decodeCol, body []byte, n int, sel []bool, selCount int) (int, bool, error) {
-	w, err := newGDictWalk(c, body, n)
-	if err != nil {
-		return 0, false, err
-	}
-	if len(c.verdict) < len(w.vals) {
-		c.verdict = make([]uint8, len(w.vals))
-	}
-	for j := 0; j < n; j++ {
-		if w.isNull(j) {
-			if sel[j] {
-				sel[j] = false
-				selCount--
+	out, w := d.outColumn(c, filter)
+	at := 0
+	for i, j, left := 0, 0, d.selCount; left > 0; j++ {
+		if isSet(nulls, j) {
+			if d.sel[j] {
+				left--
+				if filter {
+					d.sel[j] = false
+					d.selCount--
+				} else {
+					out[i*w] = storage.NullValue(c.col.Kind)
+					i++
+				}
 			}
 			continue
 		}
-		code, err := w.next()
-		if err != nil {
-			return 0, false, err
+		if len(codes)-at < width {
+			return true, fmt.Errorf("compress: short GDICT codes")
 		}
-		if !sel[j] {
+		code := int(foldBE(0, codes[at:at+width]))
+		at += width
+		if code >= len(vals) {
+			return true, fmt.Errorf("compress: GDICT code %d of a %d-entry dictionary", code, len(vals))
+		}
+		if !d.sel[j] {
+			continue
+		}
+		left--
+		if !filter {
+			out[i*w] = vals[code]
+			i++
 			continue
 		}
 		if c.verdict[code] == 0 {
-			v, err := decodeValue(c.col, w.vals[code])
-			if err != nil {
-				return 0, false, err
-			}
 			c.verdict[code] = 2
-			if matchesAll(c.preds, v) {
+			if matchesAll(c.preds, vals[code]) {
 				c.verdict[code] = 1
 			}
 		}
 		if c.verdict[code] == 2 {
-			sel[j] = false
-			selCount--
+			d.sel[j] = false
+			d.selCount--
 		}
 	}
-	return selCount, true, nil
-}
-
-// materializeGDict decodes straight from the dictionary: integers cost a few
-// shifts, and a string value shares the dictionary entry's bytes.
-func (d *pageDecoder) materializeGDict(c *decodeCol, body []byte, n int) error {
-	w, err := newGDictWalk(c, body, n)
-	if err != nil {
-		return err
-	}
-	for j := 0; j < n; j++ {
-		if w.isNull(j) {
-			d.put(c, j, storage.NullValue(c.col.Kind))
-			continue
-		}
-		code, err := w.next()
-		if err != nil {
-			return err
-		}
-		if d.outIdx[j] < 0 {
-			continue
-		}
-		v, err := decodeValue(c.col, w.vals[code])
-		if err != nil {
-			return err
-		}
-		d.put(c, j, v)
-	}
-	return nil
+	return true, nil
 }
 
 // ---------------------------------------------------------------------------
-// RLE sections
+// RLE sections: runs of [u16 header: bit 15 = NULL run, bits 0-14 = run
+// length] followed, for value runs, by lenPrefix + minimal value bytes
 
-// rleWalk steps through the runs of an RLE section.
-type rleWalk struct {
-	col  storage.Column
-	body []byte
-	row  int // first row of the next run
-	n    int
-}
-
-// next returns the next run: its length and decoded value (a NULL of the
-// column kind for a NULL run).
-func (w *rleWalk) next() (runLen int, v storage.Value, err error) {
-	body := w.body
+// rleRun reads the run starting at row of an n-row page: its length, its
+// value's bytes (NULL runs store none) and the section after it.
+func rleRun(body []byte, row, n int) (runLen int, null bool, val, rest []byte, err error) {
 	if len(body) < 2 {
-		return 0, v, fmt.Errorf("compress: short RLE run header")
+		return 0, false, nil, nil, fmt.Errorf("compress: short RLE run header")
 	}
 	hdr := binary.BigEndian.Uint16(body)
 	body = body[2:]
 	runLen = int(hdr & rleMaxRun)
-	if runLen == 0 || w.row+runLen > w.n {
-		return 0, v, fmt.Errorf("compress: RLE run of %d rows at row %d", runLen, w.row)
+	if runLen == 0 || row+runLen > n {
+		return 0, false, nil, nil, fmt.Errorf("compress: RLE run of %d rows at row %d of %d", runLen, row, n)
 	}
-	v = storage.NullValue(w.col.Kind)
-	if hdr&0x8000 == 0 {
-		ln, adv, err := readLenPrefix(body)
-		if err != nil {
-			return 0, v, err
-		}
-		body = body[adv:]
-		if len(body) < ln {
-			return 0, v, fmt.Errorf("compress: short RLE value")
-		}
-		if v, err = decodeValue(w.col, body[:ln]); err != nil {
-			return 0, v, err
-		}
-		body = body[ln:]
+	if hdr&0x8000 != 0 {
+		return runLen, true, nil, body, nil
 	}
-	w.body = body
-	w.row += runLen
-	return runLen, v, nil
+	start, end, ok := lenValue(body, 0)
+	if !ok {
+		if start, end, err = lenValueSlow(body, 0); err != nil {
+			return 0, false, nil, nil, err
+		}
+	}
+	return runLen, false, body[start:end], body[end:], nil
 }
 
-func filterRLE(c *decodeCol, body []byte, n int, sel []bool, selCount int) (int, bool, error) {
-	w := rleWalk{col: c.col, body: body, n: n}
-	for w.row < n {
-		j := w.row
-		runLen, v, err := w.next()
+// rle decodes a run's value once, and only when the run holds a selected
+// row, up to the last selected row.
+func rle(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
+	out, w := d.outColumn(c, filter)
+	k := c.col.Kind
+	for i, row, left := 0, 0, d.selCount; left > 0; {
+		runLen, null, val, rest, err := rleRun(body, row, n)
 		if err != nil {
-			return 0, false, err
+			return true, err
 		}
-		if matchesAll(c.preds, v) { // a NULL run never does
-			continue
-		}
-		for r := j; r < j+runLen; r++ {
-			if sel[r] {
-				sel[r] = false
-				selCount--
+		body = rest
+		run := d.sel[row : row+runLen]
+		row += runLen
+		hits := 0
+		for _, ok := range run {
+			if ok {
+				hits++
 			}
 		}
-	}
-	return selCount, true, nil
-}
-
-func (d *pageDecoder) materializeRLE(c *decodeCol, body []byte, n int) error {
-	w := rleWalk{col: c.col, body: body, n: n}
-	for w.row < n {
-		j := w.row
-		runLen, v, err := w.next()
-		if err != nil {
-			return err
+		if hits == 0 {
+			continue
 		}
-		for r := j; r < j+runLen; r++ {
-			d.put(c, r, v)
+		left -= hits
+		v := storage.NullValue(k)
+		if !null {
+			if v, err = c.value(d, k, nil, val, !filter); err != nil {
+				return true, err
+			}
+		}
+		if filter {
+			if !matchesAll(c.preds, v) { // a NULL run never does
+				clear(run)
+				d.selCount -= hits
+			}
+			continue
+		}
+		for ; hits > 0; hits-- {
+			out[i*w] = v
+			i++
 		}
 	}
-	return nil
+	return true, nil
 }

@@ -3,6 +3,7 @@ package compress
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"cadb/internal/storage"
@@ -39,7 +40,10 @@ func fuzzSegments(t testing.TB) []fuzzSegment {
 // FuzzPageDecode feeds mutated page payloads to the design codec's decoder.
 // An input names a segment (one per uniform method plus a mixed design), a
 // page of it, a seed for randomSpec's spec and slot list, and the payload
-// decoded in place of the page's own. The payload must decode to rows or
+// decoded in place of the page's own. The seeds are each segment's first and
+// last page whole, halved and with a flipped byte, and its first page with
+// one column's section swapped for each hostile section of that column's
+// kernel. The payload must decode to rows or
 // fail with an error, never panic, and never allocate more than a bounded
 // amount; the same decoder must then decode the intact page exactly as
 // FallbackDecodeColumns does, so one bad page cannot poison the next.
@@ -53,6 +57,24 @@ func FuzzPageDecode(f *testing.F) {
 			flipped := append([]byte(nil), payload...)
 			flipped[len(flipped)/3] ^= 0x5A
 			f.Add(uint8(d), uint16(p), int64(d*41+p), flipped)
+		}
+		// Each kernel's hostile sections (TestKernelsRejectHostileSections) in
+		// place of one column's section of the first page.
+		cc := fs.seg.Codec.(*columnCodec)
+		n, sections := splitPage(f, fs.seg.Page(0).Payload)
+		for ci, c := range fs.seg.Schema.Columns {
+			dictLen := 0
+			if st := cc.dicts[ci]; st != nil {
+				dictLen = len(st.values)
+			}
+			for hi, h := range hostileSections(c, n, dictLen) {
+				if h.method != cc.resolved[ci] {
+					continue
+				}
+				hostile := slices.Clone(sections)
+				hostile[ci] = h.body
+				f.Add(uint8(d), uint16(0), int64(d*43+ci*7+hi), joinPage(n, hostile))
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, design uint8, page uint16, seed int64, payload []byte) {
