@@ -3,7 +3,6 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"cadb/internal/storage"
 )
@@ -76,29 +75,6 @@ func readLenPrefix(src []byte) (int, int, error) {
 		}
 		return int(binary.BigEndian.Uint32(src[1:5])), 5, nil
 	}
-}
-
-// decodeValue is the inverse of valueBytes for a GDICT dictionary entry,
-// which a string value then shares instead of copying. It runs once per entry,
-// when the segment is built (decodeDict); page sections decode through the
-// decoder's kernels.
-func decodeValue(c storage.Column, b string) (storage.Value, error) {
-	switch c.Kind {
-	case storage.KindInt, storage.KindDate:
-		if len(b) > 8 {
-			return storage.Value{}, errWideNumber(c.Kind, len(b))
-		}
-		return storage.Value{Kind: c.Kind, Int: unzigzag(foldBE(0, b))}, nil
-	case storage.KindFloat:
-		if len(b) > 8 {
-			return storage.Value{}, errWideNumber(c.Kind, len(b))
-		}
-		// The encoding drops trailing zero bytes.
-		return storage.FloatVal(math.Float64frombits(foldBE(0, b) << (64 - 8*len(b)))), nil
-	case storage.KindString:
-		return storage.StringVal(b), nil
-	}
-	return storage.Value{}, fmt.Errorf("compress: unknown kind %v", c.Kind)
 }
 
 // ---------------------------------------------------------------------------

@@ -63,9 +63,9 @@ const rleMaxRun = 0x7FFF
 
 // gdictState is the segment-global dictionary of one GDICT column.
 type gdictState struct {
-	vals   []string        // code -> encoded value bytes, all cut from one string
-	values []storage.Value // code -> decoded value, a string sharing vals' bytes
-	plain  bool            // the dictionary lost to plain storage
+	values  []storage.Value // code -> decoded value; strings share one arena string
+	entries int64           // the length-prefixed encoded entries, as StateBytes counts them
+	plain   bool            // the dictionary lost to plain storage
 }
 
 // newColumnCodec returns a fresh design codec instance. Overrides equal to
@@ -183,28 +183,32 @@ func (cc *columnCodec) prepare(s *storage.Schema, rows []storage.Row) [][]int32 
 		if st == nil {
 			continue
 		}
-		st.vals = keys[ci].strings()
-		var dictBytes int64
-		for _, v := range st.vals {
-			dictBytes += int64(lenPrefixLen(len(v)) + len(v))
+		vals := keys[ci].strings()
+		for _, v := range vals {
+			st.entries += int64(lenPrefixLen(len(v)) + len(v))
 		}
-		if st.plain = dictBytes+nonNull[ci]*int64(gdictCodeWidth(len(st.vals)-1)) >= plain[ci]; st.plain {
+		if st.plain = st.entries+nonNull[ci]*int64(gdictCodeWidth(len(vals)-1)) >= plain[ci]; st.plain {
 			codes[ci] = nil
 			continue
 		}
-		st.values = decodeDict(s.Columns[ci], st.vals)
+		st.values = decodeDict(s.Columns[ci], vals)
 	}
 	return codes
 }
 
 // decodeDict decodes a coded dictionary once, when its segment is built, so a
-// page decode copies a code's value instead of decoding it. An entry that
-// does not decode (a kind valueBytes writes nothing for) ends the list, and a
-// page code reaching it is then out of range.
+// page decode copies a code's value instead of decoding it. Entries decode
+// through the column's value decoder; a string shares its entry's bytes. An
+// entry that does not decode ends the list, and a page code reaching it is
+// then out of range.
 func decodeDict(c storage.Column, vals []string) []storage.Value {
+	_, value, err := kernelFor(GlobalDict, c)
+	if err != nil {
+		return nil
+	}
 	out := make([]storage.Value, 0, len(vals))
 	for _, e := range vals {
-		v, err := decodeValue(c, e)
+		v, err := value(nil, c.Kind, nil, bytesOf(e), false)
 		if err != nil {
 			break
 		}
@@ -228,10 +232,7 @@ func (cc *columnCodec) StateBytes() int64 {
 		}
 		hasDict = true
 		if !st.plain {
-			n += 4
-			for _, v := range st.vals {
-				n += int64(lenPrefixLen(len(v)) + len(v))
-			}
+			n += 4 + st.entries
 		}
 	}
 	if !hasDict {

@@ -16,24 +16,34 @@ import (
 // kernel picked once, and the selection vector, section table, output rows
 // and their value slab are reused from page to page.
 //
-// A kernel decodes the sections of one (method, column kind) pair. It runs
-// one bounds-checked loop per section, decoding inline: the filter pass tests
-// a stack Value with matchesAll and drops failing rows from the selection;
-// the materialize pass writes each survivor's storage.Value straight into the
-// output slab. Nothing dispatches on method or kind per value:
+// A kernel decodes the sections of one method for the kinds it serves. It
+// runs one bounds-checked loop per section, decoding inline: the filter pass
+// tests a stack Value with matchesAll and drops failing rows from the
+// selection; the materialize pass writes each survivor's storage.Value
+// straight into the output slab. No value goes through a per-value method or
+// kind call; the kernels that serve several kinds switch on the column's
+// kind inside the loop, a branch that never changes within a section:
 //
-//	        INT       DATE      FLOAT      CHAR(n)    VARCHAR
-//	NONE    noneInt   noneDate  noneFloat  noneChar   noneVarchar  fixed width: rows addressed directly
-//	ROW     rowInt    rowInt    rowFloat   rowString  rowString    length-prefixed minimal bytes
+//	        INT   DATE   FLOAT      CHAR(n)    VARCHAR
+//	NONE    noneNumber (8/4 bytes)  noneChar   noneVarchar  fixed widths addressed by row
+//	ROW     rowMinimal (every kind)                         length-prefixed minimal bytes
 //	GDICT   gdict: copies the dictionary's pre-decoded value per code; a
-//	        plain-elected section runs the column's ROW kernel
+//	        plain-elected section runs rowMinimal
 //	PAGE    page (decode_columns.go): the values region is walked once per page
 //	RLE     rle: one value per run
 //
 // PAGE and RLE decode a value once per local-dictionary entry, literal or
 // run, through the column's valueDecoder (intValue, floatValue or
-// stringValue). decodeValue has one caller: the segment build, which decodes
-// a coded GDICT dictionary once (decodeDict, gdictState.values).
+// stringValue); the segment build decodes a coded GDICT dictionary once
+// through the same decoder (decodeDict, gdictState.values).
+//
+// Hostile bytes: a kernel bounds-checks every byte it reads and returns an
+// error, never panics or writes past the slab. The section framing, a
+// fixed-width NONE section's length and a PAGE section are validated whole.
+// The NONE VARCHAR, ROW, GDICT and RLE kernels read a section only up to the
+// last selected row, so a section malformed only after it decodes without
+// error, and the same page may fail under one selection and decode under a
+// narrower one.
 //
 // Allocation: once warm, a decode whose needed and predicated columns are
 // numeric allocates nothing. A string column allocates one string per
@@ -70,8 +80,7 @@ type decodeCol struct {
 	preds []storage.ColPredicate
 	out   int // position in the output row, -1 for a predicate-only column
 
-	kern  kernel       // the (method, kind) kernel
-	plain kernel       // GDICT: the ROW kernel a plain-elected section runs
+	kern  kernel       // the method's kernel for the column's kind
 	value valueDecoder // the kind's minimal-encoding decoder (PAGE, RLE)
 
 	// GDICT: the segment's dictionary, and this decoder's verdict per code
@@ -102,18 +111,16 @@ type valueDecoder func(d *pageDecoder, k storage.Kind, prefix, suffix []byte, ke
 
 // kernelFor picks the kernel and value decoder of a column under a method.
 func kernelFor(m Method, col storage.Column) (kern kernel, value valueDecoder, err error) {
-	var none, row kernel
+	var none kernel
 	switch {
-	case col.Kind == storage.KindInt:
-		none, row, value = noneInt, rowInt, intValue
-	case col.Kind == storage.KindDate:
-		none, row, value = noneDate, rowInt, intValue
+	case col.Kind == storage.KindInt, col.Kind == storage.KindDate:
+		none, value = noneNumber, intValue
 	case col.Kind == storage.KindFloat:
-		none, row, value = noneFloat, rowFloat, floatValue
+		none, value = noneNumber, floatValue
 	case col.Kind == storage.KindString && col.FixedWidth > 0:
-		none, row, value = noneChar, rowString, stringValue
+		none, value = noneChar, stringValue
 	case col.Kind == storage.KindString:
-		none, row, value = noneVarchar, rowString, stringValue
+		none, value = noneVarchar, stringValue
 	default:
 		return nil, nil, fmt.Errorf("compress: column %s has unknown kind %v", col.Name, col.Kind)
 	}
@@ -121,7 +128,7 @@ func kernelFor(m Method, col storage.Column) (kern kernel, value valueDecoder, e
 	case None:
 		return none, value, nil
 	case Row:
-		return row, value, nil
+		return rowMinimal, value, nil
 	case GlobalDict:
 		return gdict, value, nil
 	case Page:
@@ -159,17 +166,12 @@ func (cc *columnCodec) NewDecoder(s *storage.Schema, spec *storage.DecodeSpec) s
 		if outPos[ci] < 0 && len(preds[ci]) == 0 {
 			continue
 		}
-		m := cc.resolved[ci]
-		kern, value, err := kernelFor(m, c)
+		kern, value, err := kernelFor(cc.resolved[ci], c)
 		if err != nil {
 			d.err = err
 			return d
 		}
-		dc := decodeCol{ci: ci, col: c, preds: preds[ci], out: outPos[ci], kern: kern, value: value, dict: cc.dicts[ci]}
-		if m == GlobalDict {
-			dc.plain, _, _ = kernelFor(Row, c)
-		}
-		d.cols = append(d.cols, dc)
+		d.cols = append(d.cols, decodeCol{ci: ci, col: c, preds: preds[ci], out: outPos[ci], kern: kern, value: value, dict: cc.dicts[ci]})
 		d.last = ci
 	}
 	return d
@@ -327,6 +329,10 @@ func view(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
+// bytesOf is s's bytes without a copy, for a value decoder reading a GDICT
+// entry whose string value then shares them. The bytes must not be written.
+func bytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
+
 // foldBE appends b to u as big-endian bytes.
 func foldBE[B []byte | string](u uint64, b B) uint64 {
 	for i := 0; i < len(b); i++ {
@@ -426,8 +432,15 @@ func (d *pageDecoder) noneFixed(body []byte, n, width int, filter bool) (nulls, 
 	return nulls, vals, run, err
 }
 
-func noneInt(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
-	nulls, vals, run, err := d.noneFixed(body, n, 8, filter)
+// noneNumber decodes the fixed-width numeric columns: 8-byte INT and FLOAT,
+// 4-byte DATE. The kind switch is loop-invariant.
+func noneNumber(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
+	k := c.col.Kind
+	width := 8
+	if k == storage.KindDate {
+		width = 4
+	}
+	nulls, vals, run, err := d.noneFixed(body, n, width, filter)
 	if !run || err != nil {
 		return run, err
 	}
@@ -436,57 +449,16 @@ func noneInt(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (boo
 		if !d.sel[j] {
 			continue
 		}
-		v := storage.NullValue(storage.KindInt)
+		v := storage.NullValue(k)
 		if !isSet(nulls, j) {
-			v = storage.IntVal(int64(binary.BigEndian.Uint64(vals[8*j:])))
-		}
-		if filter {
-			d.test(c, j, v)
-		} else {
-			out[i*w] = v
-			i++
-		}
-	}
-	return true, nil
-}
-
-func noneFloat(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
-	nulls, vals, run, err := d.noneFixed(body, n, 8, filter)
-	if !run || err != nil {
-		return run, err
-	}
-	out, w := d.outColumn(c, filter)
-	for i, j := 0, 0; j < n; j++ {
-		if !d.sel[j] {
-			continue
-		}
-		v := storage.NullValue(storage.KindFloat)
-		if !isSet(nulls, j) {
-			v = storage.FloatVal(math.Float64frombits(binary.BigEndian.Uint64(vals[8*j:])))
-		}
-		if filter {
-			d.test(c, j, v)
-		} else {
-			out[i*w] = v
-			i++
-		}
-	}
-	return true, nil
-}
-
-func noneDate(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
-	nulls, vals, run, err := d.noneFixed(body, n, 4, filter)
-	if !run || err != nil {
-		return run, err
-	}
-	out, w := d.outColumn(c, filter)
-	for i, j := 0, 0; j < n; j++ {
-		if !d.sel[j] {
-			continue
-		}
-		v := storage.NullValue(storage.KindDate)
-		if !isSet(nulls, j) {
-			v = storage.DateVal(int64(int32(binary.BigEndian.Uint32(vals[4*j:]))))
+			switch k {
+			case storage.KindInt:
+				v = storage.IntVal(int64(binary.BigEndian.Uint64(vals[8*j:])))
+			case storage.KindFloat:
+				v = storage.FloatVal(math.Float64frombits(binary.BigEndian.Uint64(vals[8*j:])))
+			default:
+				v = storage.DateVal(int64(int32(binary.BigEndian.Uint32(vals[4*j:]))))
+			}
 		}
 		if filter {
 			d.test(c, j, v)
@@ -565,9 +537,11 @@ func noneVarchar(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) 
 	return true, nil
 }
 
-// rowInt decodes zigzag minimal bytes (INT and DATE). ROW stores nothing for
-// a NULL.
-func rowInt(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
+// rowMinimal decodes length-prefixed minimal bytes: zigzag for INT and
+// DATE, trailing-trimmed for FLOAT (the dropped zero bytes are restored), raw
+// for strings (CHAR(n) is stored stripped). ROW stores nothing for a NULL.
+// The kind switch is loop-invariant.
+func rowMinimal(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
 	nulls, vals, run, err := d.plainSection(Row, body, n, filter)
 	if !run || err != nil {
 		return run, err
@@ -595,94 +569,26 @@ func rowInt(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool
 			continue
 		}
 		left--
-		if end-start > 8 {
-			return true, errWideNumber(k, end-start)
+		b := vals[start:end]
+		var v storage.Value
+		switch {
+		case k == storage.KindString && !filter:
+			out[i*w] = storage.StringVal(string(b))
+			i++
+			continue
+		case k == storage.KindString:
+			v = storage.StringVal(view(b))
+		case len(b) > 8:
+			return true, errWideNumber(k, len(b))
+		case k == storage.KindFloat:
+			v = storage.FloatVal(math.Float64frombits(foldBE(0, b) << (64 - 8*len(b))))
+		default:
+			v = storage.Value{Kind: k, Int: unzigzag(foldBE(0, b))}
 		}
-		v := storage.Value{Kind: k, Int: unzigzag(foldBE(0, vals[start:end]))}
 		if filter {
 			d.test(c, j, v)
 		} else {
 			out[i*w] = v
-			i++
-		}
-	}
-	return true, nil
-}
-
-// rowFloat restores the trailing zero bytes the encoding drops.
-func rowFloat(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
-	nulls, vals, run, err := d.plainSection(Row, body, n, filter)
-	if !run || err != nil {
-		return run, err
-	}
-	out, w := d.outColumn(c, filter)
-	at := 0
-	for i, j, left := 0, 0, d.selCount; left > 0; j++ {
-		if isSet(nulls, j) {
-			if d.sel[j] { // a filter dropped the NULLs
-				out[i*w] = storage.NullValue(storage.KindFloat)
-				i++
-				left--
-			}
-			continue
-		}
-		start, end, ok := lenValue(vals, at)
-		if !ok {
-			if start, end, err = lenValueSlow(vals, at); err != nil {
-				return true, err
-			}
-		}
-		at = end
-		if !d.sel[j] {
-			continue
-		}
-		left--
-		if end-start > 8 {
-			return true, errWideNumber(storage.KindFloat, end-start)
-		}
-		v := storage.FloatVal(math.Float64frombits(foldBE(0, vals[start:end]) << (64 - 8*(end-start))))
-		if filter {
-			d.test(c, j, v)
-		} else {
-			out[i*w] = v
-			i++
-		}
-	}
-	return true, nil
-}
-
-// rowString reads the value's raw bytes (CHAR(n) is stored stripped).
-func rowString(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool, error) {
-	nulls, vals, run, err := d.plainSection(Row, body, n, filter)
-	if !run || err != nil {
-		return run, err
-	}
-	out, w := d.outColumn(c, filter)
-	at := 0
-	for i, j, left := 0, 0, d.selCount; left > 0; j++ {
-		if isSet(nulls, j) {
-			if d.sel[j] { // a filter dropped the NULLs
-				out[i*w] = storage.NullValue(storage.KindString)
-				i++
-				left--
-			}
-			continue
-		}
-		start, end, ok := lenValue(vals, at)
-		if !ok {
-			if start, end, err = lenValueSlow(vals, at); err != nil {
-				return true, err
-			}
-		}
-		at = end
-		if !d.sel[j] {
-			continue
-		}
-		left--
-		if filter {
-			d.test(c, j, storage.StringVal(view(vals[start:end])))
-		} else {
-			out[i*w] = storage.StringVal(string(vals[start:end]))
 			i++
 		}
 	}
@@ -702,7 +608,7 @@ func gdict(d *pageDecoder, c *decodeCol, body []byte, n int, filter bool) (bool,
 		return false, fmt.Errorf("compress: short GDICT section")
 	}
 	if body[0] == gdictPlain {
-		return c.plain(d, c, body[1:], n, filter)
+		return rowMinimal(d, c, body[1:], n, filter)
 	}
 	body = body[1:]
 	bitmapLen := (n + 7) / 8

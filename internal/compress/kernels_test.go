@@ -176,6 +176,10 @@ type hostileSection struct {
 	name   string
 	method Method // the section format it is written in
 	body   []byte
+	// lazy: the kernel reads the section only up to the last selected row,
+	// and the fault sits after it when only early rows are selected, so
+	// those rows decode without error.
+	lazy bool
 }
 
 // fillerValue is a valid non-NULL value of the column's kind.
@@ -212,22 +216,24 @@ func hostileSections(c storage.Column, n, dictLen int) []hostileSection {
 		row = append(appendLenPrefix(row, len(enc)), enc...)
 	}
 	rowPast := append(append(slices.Clone(row), byte(len(enc)+1)), enc...)
+	varchar := c.Kind == storage.KindString && c.FixedWidth == 0
 	out := []hostileSection{
-		{"NONE one value short", None, none},
-		{"ROW length prefix past its section", Row, rowPast},
-		{"plain GDICT length prefix past its section", GlobalDict, append([]byte{gdictPlain}, rowPast...)},
+		{"NONE one value short", None, none, varchar},
+		{"ROW length prefix past its section", Row, rowPast, true},
+		{"plain GDICT length prefix past its section", GlobalDict, append([]byte{gdictPlain}, rowPast...), true},
 	}
 	if c.Kind != storage.KindString {
 		wide := append(slices.Clone(row), 9, 1, 2, 3, 4, 5, 6, 7, 8, 9)
-		out = append(out, hostileSection{"ROW numeric value of 9 bytes", Row, wide})
+		out = append(out, hostileSection{"ROW numeric value of 9 bytes", Row, wide, true})
 	}
 
 	gd := append([]byte{gdictCoded, 1}, bitmap...)
 	gd = append(gd, make([]byte, n-1)...)
-	out = append(out, hostileSection{"GDICT code past the dictionary", GlobalDict, append(gd, byte(dictLen))})
+	out = append(out, hostileSection{"GDICT code past the dictionary", GlobalDict, append(gd, byte(dictLen)), true})
 
+	// The one run starts at row 0, so no selection gets past it.
 	run := []byte{byte((n + 1) >> 8), byte(n + 1)}
-	out = append(out, hostileSection{"RLE run past the page", RLE, append(appendLenPrefix(run, len(enc)), enc...)})
+	out = append(out, hostileSection{"RLE run past the page", RLE, append(appendLenPrefix(run, len(enc)), enc...), false})
 
 	pg := appendLenPrefix(slices.Clone(bitmap), 0) // no common prefix
 	pg = append(pg, 0, 1)                          // one local dictionary entry
@@ -238,7 +244,7 @@ func hostileSections(c storage.Column, n, dictLen int) []hostileSection {
 		pg[coded+j/8] |= 1 << (uint(j) % 8)
 	}
 	pg = append(pg, make([]byte, n-1)...)
-	out = append(out, hostileSection{"PAGE code past the local dictionary", Page, append(pg, 1)})
+	out = append(out, hostileSection{"PAGE code past the local dictionary", Page, append(pg, 1), false})
 	return out
 }
 
@@ -321,7 +327,37 @@ func TestKernelsRejectHostileSections(t *testing.T) {
 				if got, err := dec.Decode(payload, n, nil); err == nil {
 					t.Fatalf("%s: decoded %d rows, want an error", label, len(got.Rows))
 				}
+				assertEarlyRows(t, dec, payload, n, h.lazy, fillerValue(c), label)
 				assertPageDecode(t, seg, dec, 0, spec, nil, label)
+			}
+		}
+	}
+}
+
+// assertEarlyRows decodes a hostile page with slots that select only rows
+// before its fault. A lazy kernel must return exactly those rows (every
+// selected value is want, and the predicates pass it); any other must still
+// reject the page.
+func assertEarlyRows(t *testing.T, dec storage.PageDecoder, payload []byte, n int, lazy bool, want storage.Value, label string) {
+	t.Helper()
+	slots := []int{2, 0, 1}
+	got, err := dec.Decode(payload, n, slots)
+	if !lazy {
+		if err == nil {
+			t.Fatalf("%s, rows 0-2 selected: decoded %d rows, want an error", label, len(got.Rows))
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s, rows 0-2 selected: %v, want the rows before the fault", label, err)
+	}
+	if !slices.Equal(got.Slots, []int{0, 1, 2}) {
+		t.Fatalf("%s, rows 0-2 selected: slots %v, want [0 1 2]", label, got.Slots)
+	}
+	for i, r := range got.Rows {
+		for _, v := range r {
+			if v.CompareTotal(want) != 0 || v.Null != want.Null {
+				t.Fatalf("%s, rows 0-2 selected: row %d holds %v, want %v", label, i, v, want)
 			}
 		}
 	}

@@ -167,9 +167,9 @@ func refGDictSection(st *gdictState, c storage.Column, rows []storage.Row, ci in
 	if st.plain {
 		return refRowSection([]byte{gdictPlain}, c, rows, ci), nil
 	}
-	lookup := make(map[string]int, len(st.vals))
-	for code, v := range st.vals {
-		lookup[v] = code
+	lookup := make(map[string]int, len(st.values))
+	for code, v := range st.values {
+		lookup[string(valueBytes(c, v, nil))] = code
 	}
 	var codes []int
 	maxCode := 0
