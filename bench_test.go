@@ -355,10 +355,12 @@ func BenchmarkAblationStaged(b *testing.B) {
 
 // benchDesign tunes for the workload the way the loop benchmark does and
 // returns the recommendation, its structures and the workload's statements
-// the store runs (every one but INSERTs).
-func benchDesign(b testing.TB, db *Database, wl *workload.Workload) (*Recommendation, []*IndexDef, []*workload.Statement) {
+// the store runs (every one but INSERTs). views turns on materialized-view
+// and partial-index candidates, as sales-wide does.
+func benchDesign(b testing.TB, db *Database, wl *workload.Workload, views bool) (*Recommendation, []*IndexDef, []*workload.Statement) {
 	opts := DefaultOptions(db.TotalHeapBytes() / 4)
 	opts.Parallelism = 1
+	opts.EnableMV, opts.EnablePartial = views, views
 	rec, err := Tune(db, wl, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -413,8 +415,8 @@ func openBenchStore(b testing.TB, db *Database, rec *Recommendation, defs []*Ind
 // benchmark's pass_s with B/op beside it. Tune, deploy and the warm pass sit
 // outside the timer, so `-cpuprofile` is mostly a profile of the passes (the
 // one-off tune is in it too).
-func benchStorePass(b *testing.B, db *Database, wl *workload.Workload, spill bool) {
-	rec, defs, stmts := benchDesign(b, db, wl)
+func benchStorePass(b *testing.B, db *Database, wl *workload.Workload, spill, views bool) {
+	rec, defs, stmts := benchDesign(b, db, wl, views)
 	st := openBenchStore(b, db, rec, defs, spill, b.TempDir())
 	defer st.Close()
 	pass := func() {
@@ -434,7 +436,7 @@ func benchStorePass(b *testing.B, db *Database, wl *workload.Workload, spill boo
 // memory).
 func BenchmarkStorePassTPCH(b *testing.B) {
 	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 40000, Seed: 1})
-	benchStorePass(b, db, workloads.SelectIntensive(workloads.MustTPCH()), false)
+	benchStorePass(b, db, workloads.SelectIntensive(workloads.MustTPCH()), false, false)
 }
 
 // BenchmarkStorePassTPCHUpdate is one steady tpch-update pass (10 000
@@ -444,13 +446,21 @@ func BenchmarkStorePassTPCH(b *testing.B) {
 // rows with the values they hold.
 func BenchmarkStorePassTPCHUpdate(b *testing.B) {
 	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 10000, Seed: 1})
-	benchStorePass(b, db, workloads.UpdateIntensive(workloads.MustTPCHWithUpdates()), false)
+	benchStorePass(b, db, workloads.UpdateIntensive(workloads.MustTPCHWithUpdates()), false, false)
 }
 
 // BenchmarkStorePassSales is one sales-disk pass (30 000 fact rows, spilled).
 func BenchmarkStorePassSales(b *testing.B) {
 	db := datagen.NewSales(datagen.SalesConfig{FactRows: 30000, Zipf: 0.8, Seed: 1})
-	benchStorePass(b, db, workloads.SelectIntensive(workloads.MustSales(1)), true)
+	benchStorePass(b, db, workloads.SelectIntensive(workloads.MustSales(1)), true, false)
+}
+
+// BenchmarkStorePassSalesWide is one steady sales-wide pass (8 000 fact
+// rows, in memory) over a design tuned with view and partial-index
+// candidates: most statements read a materialized view.
+func BenchmarkStorePassSalesWide(b *testing.B) {
+	db := datagen.NewSales(datagen.SalesConfig{FactRows: 8000, Zipf: 0.8, Seed: 1})
+	benchStorePass(b, db, workloads.SelectIntensive(workloads.MustSales(1)), false, true)
 }
 
 // BenchmarkStoreQueryTPCH times the four decode-heavy tpch-select statements
@@ -459,7 +469,7 @@ func BenchmarkStorePassSales(b *testing.B) {
 // sit outside the timer.
 func BenchmarkStoreQueryTPCH(b *testing.B) {
 	db := datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 40000, Seed: 1})
-	rec, defs, stmts := benchDesign(b, db, workloads.SelectIntensive(workloads.MustTPCH()))
+	rec, defs, stmts := benchDesign(b, db, workloads.SelectIntensive(workloads.MustTPCH()), false)
 	st := openBenchStore(b, db, rec, defs, false, b.TempDir())
 	defer st.Close()
 	byLabel := make(map[string]*workload.Statement, len(stmts))
@@ -493,8 +503,8 @@ func BenchmarkStoreQueryTPCH(b *testing.B) {
 // statistics tuning has built by the time the loop benchmark deploys, and the
 // one tune sit outside the timer, so `-cpuprofile` is a profile of deploys.
 // built_MB/op is the payload deploy encoded, every structure of the design.
-func benchStoreDeploy(b *testing.B, gen func() *Database, wl *workload.Workload, spill bool) {
-	rec, defs, stmts := benchDesign(b, gen(), wl)
+func benchStoreDeploy(b *testing.B, gen func() *Database, wl *workload.Workload, spill, views bool) {
+	rec, defs, stmts := benchDesign(b, gen(), wl, views)
 	var built int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -527,7 +537,7 @@ func benchStoreDeploy(b *testing.B, gen func() *Database, wl *workload.Workload,
 func BenchmarkStoreDeployTPCH(b *testing.B) {
 	benchStoreDeploy(b, func() *Database {
 		return datagen.NewTPCH(datagen.TPCHConfig{LineitemRows: 40000, Seed: 1})
-	}, workloads.SelectIntensive(workloads.MustTPCH()), false)
+	}, workloads.SelectIntensive(workloads.MustTPCH()), false, false)
 }
 
 // BenchmarkStoreDeploySales is a sales-disk deploy (30 000 fact rows,
@@ -535,5 +545,14 @@ func BenchmarkStoreDeployTPCH(b *testing.B) {
 func BenchmarkStoreDeploySales(b *testing.B) {
 	benchStoreDeploy(b, func() *Database {
 		return datagen.NewSales(datagen.SalesConfig{FactRows: 30000, Zipf: 0.8, Seed: 1})
-	}, workloads.SelectIntensive(workloads.MustSales(1)), true)
+	}, workloads.SelectIntensive(workloads.MustSales(1)), true, false)
+}
+
+// BenchmarkStoreDeploySalesWide is a sales-wide deploy (8 000 fact rows, in
+// memory): the tables, the indexes and every materialized view of the
+// design, each view one streaming pass over the fact rows.
+func BenchmarkStoreDeploySalesWide(b *testing.B) {
+	benchStoreDeploy(b, func() *Database {
+		return datagen.NewSales(datagen.SalesConfig{FactRows: 8000, Zipf: 0.8, Seed: 1})
+	}, workloads.SelectIntensive(workloads.MustSales(1)), false, true)
 }

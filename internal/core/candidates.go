@@ -199,22 +199,12 @@ func mvFromQuery(q *workload.Query) *index.MVDef {
 }
 
 // MVIndexDef builds the index definition over a materialized view: keyed by
-// the group-by columns, carrying the aggregates and the hidden count.
+// the group-by columns, carrying the aggregates and the hidden count, each
+// under the view's own column name (index.GroupedColumns).
 func MVIndexDef(mv *index.MVDef) *index.Def {
-	var keys []string
-	for _, g := range mv.GroupBy {
-		keys = append(keys, index.QualifiedCol(g))
-	}
-	var include []string
-	for _, ag := range mv.Aggs {
-		name := strings.ToLower(ag.Func.String()) + "_" + index.QualifiedCol(ag.Col)
-		if ag.Col.Col == "" {
-			name = "count_star"
-		}
-		include = append(include, name)
-	}
-	include = append(include, "__count")
-	return &index.Def{Table: mv.Name, KeyCols: keys, IncludeCols: include, MV: mv}
+	cols := index.GroupedColumns(mv.GroupBy, mv.Aggs)
+	n := len(mv.GroupBy)
+	return &index.Def{Table: mv.Name, KeyCols: cols[:n:n], IncludeCols: cols[n:], MV: mv}
 }
 
 func shortHash(s string) string {

@@ -86,18 +86,19 @@ func runStatement(t *testing.T, st *Store, s *workload.Statement) (IOStats, []st
 // for kind (a path whose structure lacks a column the statement reads is the
 // plan's non-covering seek, "+lookup"), and its counted page reads are within
 // 2 + 25 % of the plan's estimate. The plan is the store's: over the
-// structures it built, so without the MVs and partial indexes it does not
-// build.
+// structures it built, materialized views included, so without the partial
+// indexes it does not build.
 //
 // The band, per path kind:
-//   - heap-scan, clustered-scan, index-scan: the estimate is the structure's
-//     built payload in pages, the count its physical pages; they differ only
-//     by page-fill slack.
-//   - clustered-seek, index-seek: the estimate is a tree descent (two page
-//     reads under 256 leaf pages) plus the histogram's share of the leaf
-//     pages; the count is the composite seek's page range, which includes up
-//     to one edge page each side and no descent. The 2 absorbs the descent
-//     and the edges, the 25 % the histogram.
+//   - heap-scan, clustered-scan, index-scan, mv-scan: the estimate is the
+//     structure's built payload in pages, the count its physical pages; they
+//     differ only by page-fill slack.
+//   - clustered-seek, index-seek, mv-seek: the estimate is a tree descent
+//     (two page reads under 256 leaf pages) plus the histogram's share of the
+//     leaf pages; the count is the seek's page range, which includes up to
+//     one edge page each side and no descent. The 2 absorbs the descent and
+//     the edges, the 25 % the histogram. A view's residual predicates are
+//     estimated from its base columns' histograms.
 //   - index-seek+lookup: each estimated lookup is one page read, while the
 //     store reads each heap page once for all the RIDs on it. None of these
 //     workloads' plans takes one; the band would have to widen for one that

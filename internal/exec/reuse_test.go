@@ -120,6 +120,8 @@ func TestPrunedJoinRejectsWhatOracleRejects(t *testing.T) {
 		{"unknown aggregate", with(func(q *workload.Query) {
 			q.Select, q.Aggs = nil, []workload.Aggregate{{Func: workload.AggSum, Col: workload.ColRef{Col: "ghost"}}}
 		}), true},
+		{"unknown table, grouped", q(t, "SELECT COUNT(*) FROM nosuch"), true},
+		{"unknown table, projected", q(t, "SELECT x FROM nosuch"), true},
 		{"suffix-resolved select", with(func(q *workload.Query) {
 			q.Select = []workload.ColRef{{Col: "quantity"}, {Table: "x", Col: "o_totalprice"}}
 		}), false},

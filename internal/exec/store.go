@@ -24,33 +24,38 @@ type IOStats = storage.IOStats
 // one base structure — its clustered index, a key-ordered structure carrying
 // every column, when the design has one, else a page-backed heap segment in
 // insertion order — plus a key-ordered segment for every non-partial
-// secondary. A table is stored once: a clustered table has no heap. The first
-// statement deploys the whole design — every structure of every table — in
-// one planned build, then sets up the store's planner: the optimizer's cost
-// model over the catalog statistics as deploy found them, and a configuration
-// of the structures deploy built, at their built sizes.
+// secondary and every grouped materialized view of the design. A table is
+// stored once: a clustered table has no heap. The first statement deploys
+// the whole design — every structure of every table, and every view — in one
+// planned build, then sets up the store's planner: the optimizer's cost model
+// over the catalog statistics as deploy found them, and a configuration of
+// the structures deploy built, at their built sizes.
 //
 // Every statement runs the plan that cost model gives it (CostModel.Plan,
 // memoized per statement): per table, the heap, or an ordered structure's
 // whole page range for a scan and its composite-key range for a seek, looked
 // up in the table's base structure by RID when the structure lacks a column
-// the statement reads. The store makes no path choice of its own. Queries run
-// as an operator pipeline over streaming cursors — pages decode lazily, only
-// the columns the statement can observe are reconstructed, and sargable
+// the statement reads; or, for a grouped query the plan answers from a view,
+// the view's page range, its rows mapped onto the query's groups (see
+// runFromView). The store makes no path choice of its own. Queries run as an
+// operator pipeline over streaming cursors — pages decode lazily, only the
+// columns the statement can observe are reconstructed, and sargable
 // predicates are evaluated inside the codec — and report their I/O.
 //
 // UPDATE and DELETE locate their rows through the same cursors. An UPDATE
 // that moves no row of a structure records the rewritten rows in that
 // structure's in-memory overlay, which its cursors merge as they decode, and
 // rebuilds nothing (see RunUpdate). A DELETE, and an UPDATE of a key column,
-// leave the structures they move rows in stale, and the next statement that
-// reads one rebuilds it. Results are
-// byte-identical to the plain-row oracle (Run) whatever order an access path
-// delivers rows in: both widen, filter and group through the same operators,
-// aggregation is exact, and the shared shaping tail sorts by a total order.
+// leave the structures they move rows in stale; any write that changes a row
+// leaves stale every view built from that row's table; and the next
+// statement that reads a stale structure rebuilds it. Results are byte-identical to the plain-row oracle (Run)
+// whatever order an access path delivers rows in: both widen, filter and
+// group through the same operators, aggregation is exact, and the shared
+// shaping tail sorts by a total order.
 type Store struct {
 	db     *catalog.Database
-	tables map[string][]*segHandle // lowercased table -> its structures, the base structure first
+	tables map[string][]*segHandle // lowercased table or view -> its structures, a table's base structure first
+	views  []*segHandle            // the materialized views, in design order
 	all    []*segHandle            // every handle in ID order, as deployed and spilled
 	design []*segHandle            // the ordered structures in design order: the planner's configuration
 
@@ -154,23 +159,48 @@ type segHandle struct {
 	hypo  *optimizer.HypoIndex
 	si    *index.SegmentIndex
 	stale bool
+	// view and reads are set on a materialized view's handle: the layout of
+	// its grouped rows, and the lowercased tables building it reads
+	// (index.MVSchema).
+	view  *storage.Schema
+	reads []string
 }
 
-// NewStore materializes the physical design over the database. Partial and
-// MV index definitions are accepted but not built, so no plan reads them. A
+// NewStore materializes the physical design over the database. A
 // clustered definition becomes its table's base structure: key-ordered,
-// carrying every column and the RID. Only a table without one gets a heap.
+// carrying every column and the RID. Only a table without one gets a heap. A
+// grouped materialized view is built as its index, keyed and carrying
+// columns by the view's own names. Partial index definitions, join-projection
+// views and view indexes that leave out a column of their view are accepted
+// but not built, so no plan reads them.
 func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 	st := &Store{db: db, tables: make(map[string][]*segHandle)}
 	base := make(map[string]*segHandle) // lowercased table -> clustered structure
 	secs := make(map[string][]*segHandle)
 	for _, d := range defs {
-		if d.IsMV() || d.IsPartial() {
+		if d.IsPartial() || d.IsMV() && len(d.MV.GroupBy) == 0 && len(d.MV.Aggs) == 0 {
 			continue
 		}
-		t := db.Table(d.Table)
-		if t == nil {
-			return nil, fmt.Errorf("exec: index %s on unknown table %q", d, d.Table)
+		h := &segHandle{def: d, id: d.ID(), hypo: optimizer.NewHypoIndex(d, 0, 0, 0)}
+		var t *catalog.Table
+		var schema *storage.Schema
+		if d.IsMV() {
+			var err error
+			if h.view, h.reads, err = index.MVSchema(db, d.MV); err != nil {
+				return nil, fmt.Errorf("exec: index %s: %w", d, err)
+			}
+			if !covers(d, h.view.Names()) {
+				continue
+			}
+			if db.Table(d.Table) != nil {
+				return nil, fmt.Errorf("exec: view %s is named as a table", d.Table)
+			}
+			schema = h.view
+		} else {
+			if t = db.Table(d.Table); t == nil {
+				return nil, fmt.Errorf("exec: index %s on unknown table %q", d, d.Table)
+			}
+			schema = t.Schema
 		}
 		// Validate eagerly: the design deploys at the first statement, so a bad
 		// column or method would otherwise surface only there, and an override
@@ -182,12 +212,12 @@ func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 			if !compress.HasCodec(m) {
 				return nil, fmt.Errorf("exec: index %s: column %q has method %s, which has no materializing codec", d, c, m)
 			}
-			if !t.Schema.Has(c) && !strings.EqualFold(c, "__rid") {
+			if !schema.Has(c) && !strings.EqualFold(c, "__rid") {
 				return nil, fmt.Errorf("exec: index %s: design names unknown column %q", d, c)
 			}
 		}
 		for _, c := range d.Columns() {
-			if !t.Schema.Has(c) {
+			if !schema.Has(c) {
 				return nil, fmt.Errorf("exec: index %s references unknown column %q", d, c)
 			}
 		}
@@ -197,8 +227,12 @@ func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 			}
 		}
 		key := strings.ToLower(d.Table)
-		h := &segHandle{def: d, id: d.ID(), hypo: optimizer.NewHypoIndex(d, 0, 0, 0)}
-		if d.Clustered {
+		switch {
+		case d.IsMV():
+			st.tables[key] = append(st.tables[key], h)
+			st.views = append(st.views, h)
+			st.all = append(st.all, h)
+		case d.Clustered:
 			if base[key] != nil {
 				return nil, fmt.Errorf("exec: two clustered indexes on %s", d.Table)
 			}
@@ -212,7 +246,7 @@ func NewStore(db *catalog.Database, defs []*index.Def) (*Store, error) {
 					h.def.IncludeCols = append(h.def.IncludeCols, c)
 				}
 			}
-		} else {
+		default:
 			secs[key] = append(secs[key], h)
 		}
 		st.design = append(st.design, h)
@@ -330,10 +364,23 @@ func (st *Store) ensureBuilt(hs ...*segHandle) error {
 }
 
 // Invalidate marks every segment over the table stale, as a DELETE must:
-// removing rows shifts every later RID, so no structure's positions hold.
+// removing rows shifts every later RID, so no structure's positions hold,
+// and every view built from the table's rows may have lost some.
 func (st *Store) Invalidate(table string) {
 	for _, h := range st.tables[strings.ToLower(table)] {
 		st.invalidate(h)
+	}
+	st.invalidateViews(table)
+}
+
+// invalidateViews marks stale every view whose build reads the table, as
+// any write to its rows must: a changed row may change the view's groups.
+func (st *Store) invalidateViews(table string) {
+	key := strings.ToLower(table)
+	for _, h := range st.views {
+		if slices.Contains(h.reads, key) {
+			st.invalidate(h)
+		}
 	}
 }
 
@@ -573,12 +620,20 @@ func (st *Store) pipeline(rs *runState, q *workload.Query, consume func(wide *st
 	})
 }
 
-// runAggregate accumulates the pipeline's rows into groups. GroupAcc's
+// runAggregate accumulates the pipeline's rows into groups, or reads them
+// off the materialized view the plan answers the query from. GroupAcc's
 // result does not depend on row order, so the rows come in whatever order
 // the access path delivers them.
 func (st *Store) runAggregate(rs *runState, q *workload.Query) (*Result, error) {
+	plan, err := st.planFor(workload.Statement{Query: q})
+	if err != nil {
+		return nil, err
+	}
+	if len(plan.Paths) == 1 && plan.Paths[0].Index != nil && plan.Paths[0].Index.Def.IsMV() {
+		return st.runFromView(rs, plan, q)
+	}
 	var acc *index.GroupAcc
-	err := st.pipeline(rs, q, func(wide *storage.Schema, used []bool) (func(storage.Row), error) {
+	err = st.pipeline(rs, q, func(wide *storage.Schema, used []bool) (func(storage.Row), error) {
 		var err error
 		if acc, err = index.NewGroupAcc(wide, q.GroupBy, q.Aggs); err != nil {
 			return nil, err
@@ -591,6 +646,100 @@ func (st *Store) runAggregate(rs *runState, q *workload.Query) (*Result, error) 
 	}
 	schema, rows := acc.Finish()
 	return finishAggregate(schema, rows, q)
+}
+
+// runFromView answers a grouped query from the view its plan reads, by the
+// rule the plan was costed by (optimizer.MatchMV): the view's rows over the
+// plan's page range, each mapped onto the query's own grouped layout
+// (index.GroupAcc.Schema) and kept when its group passes the residual
+// predicates, then the shaping tail the pipeline's groups take. The view's
+// groups are the query's, so every value is one the query's own grouping
+// computes; an AVG read as SUM over __count divides as GroupAcc does.
+//
+// The query's names resolve first against its own wide schema, so the view
+// path accepts and rejects exactly the references the oracle does.
+func (st *Store) runFromView(rs *runState, plan *optimizer.Plan, q *workload.Query) (*Result, error) {
+	ap := &plan.Paths[0]
+	var h *segHandle
+	for _, v := range st.views {
+		if v.hypo == ap.Index {
+			h = v
+		}
+	}
+	if h == nil {
+		return nil, fmt.Errorf("exec: the plan reads %s, which the store did not build", ap.Index.Def)
+	}
+	ans, ok := optimizer.MatchMV(st.cm.DB, h.def.MV, q)
+	if !ok {
+		return nil, fmt.Errorf("exec: the plan answers the query from %s, which cannot answer it", h.id)
+	}
+	jn, err := index.NewJoiner(st.db, q.Tables[0], q.Joins)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := index.NewRowFilter(jn.Schema(), q.Preds); err != nil {
+		return nil, err
+	}
+	acc, err := index.NewGroupAcc(jn.Schema(), q.GroupBy, q.Aggs)
+	if err != nil {
+		return nil, err
+	}
+	out := acc.Schema()
+	ng := len(q.GroupBy)
+	flt, err := index.NewRowFilter(storage.NewSchema(out.Columns[:ng]...), ans.Residual)
+	if err != nil {
+		return nil, err
+	}
+
+	// src[i] is the view column output column i reads.
+	view := h.view.Columns
+	count := view[len(view)-1].Name
+	src := make([]string, len(out.Columns))
+	for i, g := range ans.Groups {
+		src[i] = view[g].Name
+	}
+	for i, a := range ans.Aggs {
+		src[ng+i] = count
+		if a.Src >= 0 {
+			src[ng+i] = view[len(h.def.MV.GroupBy)+a.Src].Name
+		}
+	}
+	src[len(src)-1] = count
+	stream, err := st.open(rs, plan, ap.Table, nil, src)
+	if err != nil {
+		return nil, err
+	}
+	defer stream.close()
+	at := make([]int, len(src))
+	for i, c := range src {
+		at[i] = stream.schema.ColIndex(c)
+	}
+	countAt := at[len(at)-1]
+
+	row, all := make(storage.Row, len(out.Columns)), make([]int, len(out.Columns))
+	for i := range all {
+		all[i] = i
+	}
+	slab := newRowSlab(len(all))
+	var rows []storage.Row
+	err = stream.forEach(func(r storage.Row) error {
+		for i, c := range at {
+			row[i] = r[c]
+		}
+		for i, a := range ans.Aggs {
+			if sum := row[ng+i]; a.Avg && !sum.Null {
+				row[ng+i] = storage.FloatVal(sum.Float / float64(r[countAt].Int))
+			}
+		}
+		if flt.Keep(row) {
+			rows = append(rows, slab.keep(row, all))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return finishAggregate(out, rows, q)
 }
 
 // runProjection collects the pipeline's rows, projected onto the select list
@@ -665,9 +814,10 @@ func (st *Store) locate(rs *runState, s workload.Statement) error {
 //     foldShare of its structure's rows is folded: the structure is
 //     invalidated, and the rebuild encodes the rows afresh.
 //
-// A structure whose membership depends on a SET column — a partial index
-// filtering on one, an MV over one — is invalidated too; the store builds
-// neither kind yet.
+// A materialized view whose build reads the table — its fact table or a
+// joined one — is invalidated, whatever columns the update sets, and rebuilt
+// by the next statement that reads it. (The cost model charges maintenance
+// only for fact-table updates; the store never serves a stale view.)
 func (st *Store) RunUpdate(u *workload.Update) (int64, IOStats, error) {
 	rs := st.newRunState()
 	if err := st.locate(rs, workload.Statement{Update: u}); err != nil {
@@ -696,6 +846,7 @@ func (st *Store) RunUpdate(u *workload.Update) (int64, IOStats, error) {
 			}
 		}
 	}
+	st.invalidateViews(u.Table)
 	return int64(len(rids)), rs.io, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"strings"
 
 	"cadb/internal/catalog"
@@ -25,20 +26,77 @@ func MaterializeMV(db *catalog.Database, mv *MVDef) (*storage.Schema, []storage.
 // MaterializeMVOver is MaterializeMV with an optional fact-table row
 // override; the sampling subsystem passes a fact sample here to build MV
 // samples over join synopses (Appendix B).
+//
+// A grouped view is one streaming pass over the fact rows — Joiner.Widen,
+// RowFilter.Keep, GroupAcc.Add — so no wide row is kept: what the view holds
+// is its groups. The pass widens every column, not only those the view
+// reads: the oracle's grouped queries run through here, so what it computes
+// does not rest on the store's column pruning. A join-projection view (no
+// GROUP BY, no aggregates) keeps its joined rows.
 func MaterializeMVOver(db *catalog.Database, mv *MVDef, factSchema *storage.Schema, factRows []storage.Row) (*storage.Schema, []storage.Row, error) {
-	schema, rows, err := JoinRowsFrom(db, mv.Fact, factSchema, factRows, mv.Joins)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, err = FilterRows(schema, rows, mv.Where)
-	if err != nil {
-		return nil, nil, err
-	}
 	if len(mv.GroupBy) == 0 && len(mv.Aggs) == 0 {
-		// A join-projection view: project the referenced columns.
-		return schema, rows, nil
+		schema, rows, err := JoinRowsFrom(db, mv.Fact, factSchema, factRows, mv.Joins)
+		if err != nil {
+			return nil, nil, err
+		}
+		rows, err = FilterRows(schema, rows, mv.Where)
+		return schema, rows, err
 	}
-	return groupRows(schema, rows, mv.GroupBy, mv.Aggs)
+	jn, flt, ga, err := compileView(db, mv)
+	if err != nil {
+		return nil, nil, err
+	}
+	if factSchema == nil {
+		ft := db.Table(mv.Fact)
+		factSchema, factRows = ft.Schema, ft.Rows
+	}
+	if err := jn.Bind(factSchema, nil, nil); err != nil {
+		return nil, nil, err
+	}
+	for _, r := range factRows {
+		if wide, ok := jn.Widen(r); ok && flt.Keep(wide) {
+			ga.Add(wide)
+		}
+	}
+	schema, rows := ga.Finish()
+	return schema, rows, nil
+}
+
+// compileView resolves a grouped view's join, filter and grouping against
+// the catalog. No row is read.
+func compileView(db *catalog.Database, mv *MVDef) (*Joiner, *RowFilter, *GroupAcc, error) {
+	jn, err := NewJoiner(db, mv.Fact, mv.Joins)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	flt, err := NewRowFilter(jn.Schema(), mv.Where)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ga, err := NewGroupAcc(jn.Schema(), mv.GroupBy, mv.Aggs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return jn, flt, ga, nil
+}
+
+// MVSchema is the schema MaterializeMV returns for a grouped view — its
+// group-by columns, aggregates and hidden __count, named as GroupAcc.Schema
+// names them — and the tables materializing it reads, lowercased: the fact
+// table, then each joined one. No row is read.
+func MVSchema(db *catalog.Database, mv *MVDef) (*storage.Schema, []string, error) {
+	if len(mv.GroupBy) == 0 && len(mv.Aggs) == 0 {
+		return nil, nil, fmt.Errorf("index: view %s neither groups nor aggregates", mv.Name)
+	}
+	jn, _, ga, err := compileView(db, mv)
+	if err != nil {
+		return nil, nil, err
+	}
+	tables := []string{strings.ToLower(jn.fact.Name)}
+	for _, st := range jn.steps {
+		tables = append(tables, strings.ToLower(st.dim.Name))
+	}
+	return ga.Schema(), tables, nil
 }
 
 // QualifiedCol renders the canonical joined-row column name for a reference.
@@ -403,26 +461,12 @@ func ResolveCol(s *storage.Schema, c workload.ColRef) (int, error) {
 	return found, nil
 }
 
-// groupRows groups by the given columns and computes the aggregates plus the
-// hidden __count column.
-func groupRows(s *storage.Schema, rows []storage.Row, groupBy []workload.ColRef, aggs []workload.Aggregate) (*storage.Schema, []storage.Row, error) {
-	ga, err := NewGroupAcc(s, groupBy, aggs)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, r := range rows {
-		ga.Add(r)
-	}
-	schema, out := ga.Finish()
-	return schema, out, nil
-}
-
-// GroupAcc is the streaming form of groupRows: a grouping/aggregation
-// accumulator fed one wide row at a time. Each group it finishes is the same
-// in any row order — SUM/AVG are exact until rounded once, MIN/MAX ties fall
-// to storage.Value.CompareTotal, a float key is its bits (-0 as +0) — so the
-// oracle and the store agree byte for byte whatever order their access paths
-// deliver. Groups come out in first-appearance order; shaping sorts it away.
+// GroupAcc is the grouping/aggregation accumulator, fed one wide row at a
+// time. Each group it finishes is the same in any row order — SUM/AVG are
+// exact until rounded once, MIN/MAX ties fall to storage.Value.CompareTotal,
+// a float key is its bits (-0 as +0) — so the oracle and the store agree
+// byte for byte whatever order their access paths deliver. Groups come out
+// in first-appearance order; shaping sorts it away.
 type GroupAcc struct {
 	s       *storage.Schema
 	groupBy []workload.ColRef
@@ -532,21 +576,16 @@ func (ga *GroupAcc) Add(r storage.Row) {
 	}
 }
 
-// Finish materializes the grouped output: group-by columns (renamed to
-// their canonical qualified form), aggregate columns, and the hidden
-// __count column.
-func (ga *GroupAcc) Finish() (*storage.Schema, []storage.Row) {
-	var cols []storage.Column
+// Schema is the layout of Finish's rows, named by GroupedColumns: the
+// group-by columns with their wide columns' kinds, the aggregate columns,
+// and the hidden __count column.
+func (ga *GroupAcc) Schema() *storage.Schema {
+	names := GroupedColumns(ga.groupBy, ga.aggs)
+	cols := make([]storage.Column, len(names))
 	for i, gi := range ga.gIdx {
-		c := ga.s.Columns[gi]
-		c.Name = QualifiedCol(ga.groupBy[i])
-		cols = append(cols, c)
+		cols[i] = ga.s.Columns[gi]
 	}
 	for i, a := range ga.aggs {
-		name := fmt.Sprintf("%s_%s", strings.ToLower(a.Func.String()), QualifiedCol(a.Col))
-		if a.Col.Col == "" {
-			name = "count_star"
-		}
 		kind := storage.KindFloat
 		if (a.Func == workload.AggMin || a.Func == workload.AggMax) && ga.aIdx[i] >= 0 {
 			kind = ga.s.Columns[ga.aIdx[i]].Kind
@@ -554,19 +593,52 @@ func (ga *GroupAcc) Finish() (*storage.Schema, []storage.Row) {
 		if a.Func == workload.AggCount {
 			kind = storage.KindInt
 		}
-		cols = append(cols, storage.Column{Name: uniqueName(cols, name), Kind: kind})
+		cols[len(ga.gIdx)+i] = storage.Column{Kind: kind}
 	}
-	cols = append(cols, storage.Column{Name: "__count", Kind: storage.KindInt})
-	outSchema := storage.NewSchema(cols...)
+	cols[len(cols)-1] = storage.Column{Kind: storage.KindInt}
+	for i := range cols {
+		cols[i].Name = names[i]
+	}
+	return storage.NewSchema(cols...)
+}
 
+// GroupedColumns names the columns of a grouped result or view, in order:
+// each group-by column as QualifiedCol, each aggregate as func_table_col
+// (count_star for COUNT(*)) with a _2, _3, ... suffix on a repeat, and the
+// hidden __count. A view's index (core.MVIndexDef) keys and includes these
+// names, and the store reads a view by them.
+func GroupedColumns(groupBy []workload.ColRef, aggs []workload.Aggregate) []string {
+	names := make([]string, 0, len(groupBy)+len(aggs)+1)
+	for _, g := range groupBy {
+		names = append(names, QualifiedCol(g))
+	}
+	for _, a := range aggs {
+		name := "count_star"
+		if a.Col.Col != "" {
+			name = strings.ToLower(a.Func.String()) + "_" + QualifiedCol(a.Col)
+		}
+		names = append(names, uniqueName(names, name))
+	}
+	return append(names, "__count")
+}
+
+// Finish materializes the grouped output, one row per group in Schema's
+// layout. An aggregate over no non-NULL input — SUM, AVG, MIN, MAX — is
+// NULL; COUNT is 0.
+func (ga *GroupAcc) Finish() (*storage.Schema, []storage.Row) {
+	outSchema := ga.Schema()
 	out := make([]storage.Row, 0, len(ga.order))
 	for _, a := range ga.order {
-		row := make(storage.Row, 0, len(cols))
+		row := make(storage.Row, 0, len(outSchema.Columns))
 		row = append(row, a.key...)
 		for i, ag := range ga.aggs {
 			switch ag.Func {
 			case workload.AggSum:
-				row = append(row, storage.FloatVal(a.sums[i].value()))
+				if a.nvals[i] == 0 {
+					row = append(row, storage.NullValue(storage.KindFloat))
+				} else {
+					row = append(row, storage.FloatVal(a.sums[i].value()))
+				}
 			case workload.AggAvg:
 				if a.nvals[i] == 0 {
 					row = append(row, storage.NullValue(storage.KindFloat))
@@ -596,14 +668,9 @@ func orNull(v storage.Value, n int64) storage.Value {
 	return v
 }
 
-func uniqueName(cols []storage.Column, name string) string {
+func uniqueName(names []string, name string) string {
 	exists := func(n string) bool {
-		for _, c := range cols {
-			if strings.EqualFold(c.Name, n) {
-				return true
-			}
-		}
-		return false
+		return slices.ContainsFunc(names, func(x string) bool { return strings.EqualFold(x, n) })
 	}
 	if !exists(name) {
 		return name

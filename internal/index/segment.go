@@ -72,7 +72,11 @@ func BuildSegments(db *catalog.Database, defs []*Def, done func(i int, si *Segme
 	order, weight := make([]int, len(defs)), make([]int, len(defs))
 	for i, d := range defs {
 		order[i] = i
-		if t := db.Table(d.Table); t != nil {
+		table := d.Table
+		if d.MV != nil {
+			table = d.MV.Fact // a view's build is a pass over its fact rows
+		}
+		if t := db.Table(table); t != nil {
 			weight[i] = len(t.Rows) * (len(d.Columns()) + 1)
 			if d.Clustered {
 				weight[i] = len(t.Rows) * len(t.Schema.Columns)

@@ -183,7 +183,7 @@ type compiledStmt struct {
 	stmt *workload.Statement
 	// scope lists the ordinals of the tables whose plain indexes can affect
 	// the plan: every table of a query, the written table of a write.
-	// scope[0] is also the only fact table whose MV indexes can (mvMatches
+	// scope[0] is also the only fact table whose MV indexes can (MatchMV
 	// accepts no others, and a write maintains the MVs over its table).
 	scope []int32
 	// tables holds the tables that resolved in the catalog: a query's in
@@ -342,8 +342,8 @@ func (m *memo) newTerm(cs *compiledStmt, ct *compiledTable, hd *handle) *term {
 		}
 		t.w.maint, t.w.maintained = cm.maintain(cs, hd)
 	case hd.mv:
-		if residual, ok := mvMatches(hd.h.Def.MV, q); ok {
-			t.path, t.ok = cm.mvAccess(hd, residual, q), true
+		if ans, ok := MatchMV(cm.DB, hd.h.Def.MV, q); ok {
+			t.path, t.ok = cm.mvAccess(hd, ans.Residual, q), true
 		}
 	default:
 		t.path, t.ok = cm.indexPath(ct, hd)

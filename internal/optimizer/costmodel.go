@@ -354,28 +354,73 @@ func containsFold(list []string, s string) bool {
 // ---------------------------------------------------------------------------
 // MV matching
 
-// mvMatches checks whether the MV can answer the query, returning the
-// residual predicates that must still be applied against the MV's group-by
-// columns.
-func mvMatches(mv *index.MVDef, q *workload.Query) ([]workload.Predicate, bool) {
+// MVAnswer is how a grouped materialized view answers a query (MatchMV):
+// each of the view's groups that passes Residual is one of the query's
+// groups, with the query's aggregates read off the view's row.
+type MVAnswer struct {
+	// Residual lists the query's predicates the view did not apply. Each is
+	// on a group-by column, so it keeps or drops whole groups.
+	Residual []workload.Predicate
+	// Groups[i] is the view group-by column that query group-by column i
+	// reads.
+	Groups []int
+	// Aggs[i] is where query aggregate i comes from.
+	Aggs []MVAgg
+}
+
+// MVAgg locates one query aggregate among a view's columns.
+type MVAgg struct {
+	// Src is the view aggregate read, or -1 for the view's hidden __count.
+	Src int
+	// Avg marks AVG(x) derived as view SUM(x) (Src) over __count: exact only
+	// because x is NOT NULL, so that __count is COUNT(x).
+	Avg bool
+}
+
+// MatchMV is the one rule for whether a view can answer a query, shared by
+// the cost model, which costs the view's path only when it holds, and the
+// store, which executes that path. It holds when the view's groups are the
+// query's, so that every value the answer holds is one the view's grouping
+// computed exactly as the query's would — no re-aggregation:
+//   - the same fact table and joins, and the same GROUP BY columns;
+//   - every view WHERE predicate in the query, and every other query
+//     predicate on a group-by column;
+//   - every plain select item a group-by column;
+//   - every query aggregate one of the view's, COUNT(*) (the hidden
+//     __count), or AVG(x) beside the view's SUM(x) where x is NOT NULL in
+//     its table (db's schema decides).
+//
+// Both the view and the query must group or aggregate. Column references
+// match by name, and by table where both name one.
+func MatchMV(db *catalog.Database, mv *index.MVDef, q *workload.Query) (*MVAnswer, bool) {
 	if len(q.Tables) == 0 || !strings.EqualFold(mv.Fact, q.Tables[0]) {
 		return nil, false
 	}
-	if !sameJoins(mv.Joins, q.Joins) {
+	if len(mv.GroupBy) == 0 && len(mv.Aggs) == 0 || len(q.GroupBy) == 0 && len(q.Aggs) == 0 {
 		return nil, false
 	}
-	if !sameColRefs(mv.GroupBy, q.GroupBy) {
+	if !sameJoins(mv.Joins, q.Joins) || len(mv.GroupBy) != len(q.GroupBy) {
 		return nil, false
 	}
-	// Every query aggregate must be computable from the MV's aggregates.
-	for _, qa := range q.Aggs {
-		if !hasAgg(mv.Aggs, qa) {
+	ans := &MVAnswer{Groups: make([]int, len(q.GroupBy)), Aggs: make([]MVAgg, len(q.Aggs))}
+	for i, g := range q.GroupBy {
+		if ans.Groups[i] = colRefAt(mv.GroupBy, g); ans.Groups[i] < 0 {
 			return nil, false
 		}
 	}
-	// Plain selected columns must be group-by columns.
+	for _, g := range mv.GroupBy {
+		if colRefAt(q.GroupBy, g) < 0 {
+			return nil, false
+		}
+	}
+	for i, qa := range q.Aggs {
+		var ok bool
+		if ans.Aggs[i], ok = aggFrom(db, mv, qa); !ok {
+			return nil, false
+		}
+	}
 	for _, c := range q.Select {
-		if !colRefIn(mv.GroupBy, c) {
+		if colRefAt(mv.GroupBy, c) < 0 {
 			return nil, false
 		}
 	}
@@ -387,17 +432,16 @@ func mvMatches(mv *index.MVDef, q *workload.Query) ([]workload.Predicate, bool) 
 			return nil, false
 		}
 	}
-	var residual []workload.Predicate
 	for _, qp := range q.Preds {
 		if predIn(mv.Where, qp) {
 			continue
 		}
-		if !colRefIn(mv.GroupBy, workload.ColRef{Col: qp.Col}) {
+		if colRefAt(mv.GroupBy, workload.ColRef{Table: qp.Table, Col: qp.Col}) < 0 {
 			return nil, false
 		}
-		residual = append(residual, qp)
+		ans.Residual = append(ans.Residual, qp)
 	}
-	return residual, true
+	return ans, true
 }
 
 func predIn(list []workload.Predicate, p workload.Predicate) bool {
@@ -424,20 +468,21 @@ func (cm *CostModel) mvAccess(hd *handle, residual []workload.Predicate, q *work
 	for _, p := range residual {
 		sel *= cm.mvPredSelectivity(p, q)
 	}
-	// Seek when the leading MV key column matches a residual predicate.
-	seek := false
+	// Seek when a sargable residual predicate is on the leading MV key
+	// column: the first such one positions the seek.
+	var seek []workload.Predicate
 	if len(h.Def.KeyCols) > 0 {
 		lead := h.Def.KeyCols[0]
-		for _, p := range residual {
-			if qualifiedEqualFold(p.Table, p.Col, lead) || storageEqualFold(p.Col, lead) {
-				seek = true
+		for i, p := range residual {
+			if p.Sargable() && (qualifiedEqualFold(p.Table, p.Col, lead) || storageEqualFold(p.Col, lead)) {
+				seek = residual[i : i+1 : i+1]
 				break
 			}
 		}
 	}
 	var cost, reads float64
 	kind := "mv-scan"
-	if seek {
+	if seek != nil {
 		kind = "mv-seek"
 		cost = cm.RandPageIO*hd.height + cm.SeqPageIO*math.Ceil(sel*pages)
 		cost += cm.CPUTuple*sel*rows + hd.beta*sel*rows*float64(usedCols)
@@ -446,7 +491,7 @@ func (cm *CostModel) mvAccess(hd *handle, residual []workload.Predicate, q *work
 		cost = cm.SeqPageIO*pages + cm.CPUTuple*rows + hd.beta*rows*float64(usedCols)
 		reads = pages
 	}
-	return AccessPath{Table: h.Def.Table, Index: h, Kind: kind, Rows: sel * rows, Cost: cost, EstPageReads: reads}
+	return AccessPath{Table: h.Def.Table, Index: h, Kind: kind, Rows: sel * rows, Cost: cost, EstPageReads: reads, Seek: seek}
 }
 
 // qualifiedEqualFold reports whether name is index.QualifiedCol of the
@@ -500,42 +545,51 @@ func joinEqual(x, y workload.Join) bool {
 		storageEqualFold(x.RightTable, y.RightTable) && storageEqualFold(x.RightCol, y.RightCol)
 }
 
-func sameColRefs(a, b []workload.ColRef) bool {
-	if len(a) != len(b) {
+// colRefAt returns the position in list of the column c names, or -1:
+// names equal ignoring case, and tables equal where both name one.
+func colRefAt(list []workload.ColRef, c workload.ColRef) int {
+	for i, x := range list {
+		if sameCol(x, c) {
+			return i
+		}
+	}
+	return -1
+}
+
+func sameCol(x, c workload.ColRef) bool {
+	return storageEqualFold(x.Col, c.Col) && (x.Table == "" || c.Table == "" || storageEqualFold(x.Table, c.Table))
+}
+
+// aggFrom locates query aggregate a among the view's (see MatchMV).
+func aggFrom(db *catalog.Database, mv *index.MVDef, a workload.Aggregate) (MVAgg, bool) {
+	sumAt := -1
+	for i, x := range mv.Aggs {
+		if sameCol(x.Col, a.Col) { // COUNT(*) names no column, and matches only COUNT(*)
+			if x.Func == a.Func {
+				return MVAgg{Src: i}, true
+			}
+			if x.Func == workload.AggSum && sumAt < 0 {
+				sumAt = i
+			}
+		}
+	}
+	switch {
+	case a.Func == workload.AggCount && a.Col.Col == "":
+		return MVAgg{Src: -1}, true
+	case a.Func == workload.AggAvg && sumAt >= 0 && notNull(db, mv, a.Col):
+		return MVAgg{Src: sumAt, Avg: true}, true
+	}
+	return MVAgg{}, false
+}
+
+// notNull reports whether the view's column c is declared NOT NULL in the
+// table it comes from (MVDef.ColumnTable).
+func notNull(db *catalog.Database, mv *index.MVDef, c workload.ColRef) bool {
+	t := mv.ColumnTable(db, c)
+	if t == nil {
 		return false
 	}
-	for _, x := range a {
-		if !colRefIn(b, x) {
-			return false
-		}
-	}
-	return true
-}
-
-func colRefIn(list []workload.ColRef, c workload.ColRef) bool {
-	for _, x := range list {
-		if storageEqualFold(x.Col, c.Col) {
-			return true
-		}
-	}
-	return false
-}
-
-func hasAgg(list []workload.Aggregate, a workload.Aggregate) bool {
-	for _, x := range list {
-		if x.Func == a.Func && storageEqualFold(x.Col.Col, a.Col.Col) {
-			return true
-		}
-		// AVG is derivable from SUM + COUNT(*); COUNT(*) always present via
-		// the hidden __count column.
-	}
-	if a.Func == workload.AggCount && a.Col.Col == "" {
-		return true // hidden __count column
-	}
-	if a.Func == workload.AggAvg {
-		return hasAgg(list, workload.Aggregate{Func: workload.AggSum, Col: a.Col})
-	}
-	return false
+	return !t.Schema.Columns[t.Schema.ColIndex(c.Col)].Nullable
 }
 
 // predEqual compares two predicates structurally: identifiers ignoring case,

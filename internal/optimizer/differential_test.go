@@ -109,7 +109,7 @@ func candidatePool(db *catalog.Database, wl *workload.Workload, rng *rand.Rand) 
 			mv := &index.MVDef{Name: fmt.Sprintf("mv_%d", len(structures)), Fact: q.Tables[0],
 				Joins: q.Joins, GroupBy: q.GroupBy, Aggs: q.Aggs}
 			for _, p := range q.Preds {
-				if !colRefIn(q.GroupBy, workload.ColRef{Col: p.Col}) {
+				if colRefAt(q.GroupBy, workload.ColRef{Table: p.Table, Col: p.Col}) < 0 {
 					mv.Where = append(mv.Where, p)
 				}
 			}

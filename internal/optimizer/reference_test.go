@@ -18,7 +18,7 @@ import (
 // what made it slow and what makes it an independent oracle:
 // TestPriceMatchesReferencePlanSearch holds memo.price to it bit for bit.
 // Only the leaves that define the model rather than the search are shared
-// with production: selectivities, implication, mvMatches.
+// with production: selectivities, implication, MatchMV.
 
 // refPlan is CostModel.Plan as the reference computes it.
 func (cm *CostModel) refPlan(stmt *workload.Statement, cfg *Configuration) *Plan {
@@ -292,11 +292,11 @@ func refPredOn(preds []workload.Predicate, col string) (workload.Predicate, bool
 func (cm *CostModel) refBestMVPath(q *workload.Query, cfg *Configuration) *AccessPath {
 	var best *AccessPath
 	for _, h := range cfg.MVIndexes() {
-		residual, ok := mvMatches(h.Def.MV, q)
+		ans, ok := MatchMV(cm.DB, h.Def.MV, q)
 		if !ok {
 			continue
 		}
-		ap := cm.refMvAccess(h, residual, q)
+		ap := cm.refMvAccess(h, ans.Residual, q)
 		if best == nil || ap.Cost < best.Cost {
 			a := ap
 			best = &a
@@ -320,21 +320,22 @@ func (cm *CostModel) refMvAccess(h *HypoIndex, residual []workload.Predicate, q 
 	for _, p := range residual {
 		sel *= cm.mvPredSelectivity(p, q)
 	}
-	// Seek when the leading MV key column matches a residual predicate.
-	seek := false
+	// Seek when a sargable residual predicate is on the leading MV key
+	// column.
+	var seek []workload.Predicate
 	if len(h.Def.KeyCols) > 0 && len(residual) > 0 {
 		lead := h.Def.KeyCols[0]
 		for _, p := range residual {
-			if strings.EqualFold(index.QualifiedCol(workload.ColRef{Table: p.Table, Col: p.Col}), lead) ||
-				storageEqualFold(p.Col, lead) {
-				seek = true
+			if p.Sargable() && (strings.EqualFold(index.QualifiedCol(workload.ColRef{Table: p.Table, Col: p.Col}), lead) ||
+				storageEqualFold(p.Col, lead)) {
+				seek = []workload.Predicate{p}
 				break
 			}
 		}
 	}
 	var cost, reads float64
 	kind := "mv-scan"
-	if seek {
+	if seek != nil {
 		kind = "mv-seek"
 		cost = cm.RandPageIO*cm.treeHeight(pages) + cm.SeqPageIO*math.Ceil(sel*pages)
 		cost += cm.CPUTuple*sel*rows + beta*sel*rows*float64(usedCols)
@@ -343,7 +344,7 @@ func (cm *CostModel) refMvAccess(h *HypoIndex, residual []workload.Predicate, q 
 		cost = cm.SeqPageIO*pages + cm.CPUTuple*rows + beta*rows*float64(usedCols)
 		reads = pages
 	}
-	return AccessPath{Table: h.Def.Table, Index: h, Kind: kind, Rows: sel * rows, Cost: cost, EstPageReads: reads}
+	return AccessPath{Table: h.Def.Table, Index: h, Kind: kind, Rows: sel * rows, Cost: cost, EstPageReads: reads, Seek: seek}
 }
 
 func (cm *CostModel) refPlanInsert(ins *workload.Insert, cfg *Configuration) *Plan {

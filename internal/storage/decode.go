@@ -77,7 +77,10 @@ type ColPredicate struct {
 // satisfies any operator (SQL three-valued logic), and bounds are compared
 // with Value.Compare. It is the one predicate evaluator: codecs, cursors,
 // overlays, the post-join filter and the writes' WHERE all test through it.
-func (p ColPredicate) Matches(v Value) bool {
+//
+// The receiver is a pointer: a predicate is 96 bytes, and it is tested once
+// per value a filter reads.
+func (p *ColPredicate) Matches(v Value) bool {
 	if v.Null {
 		return false
 	}
@@ -103,8 +106,8 @@ func (p ColPredicate) Matches(v Value) bool {
 // MatchesRow reports whether a row satisfies every predicate (AND
 // semantics), each predicate reading the value at its ordinal.
 func MatchesRow(preds []ColPredicate, r Row) bool {
-	for _, p := range preds {
-		if !p.Matches(r[p.Col]) {
+	for i := range preds {
+		if p := &preds[i]; !p.Matches(r[p.Col]) {
 			return false
 		}
 	}
@@ -169,8 +172,8 @@ func FallbackDecodeColumns(s *Schema, full []Row, spec *DecodeSpec, slots []int)
 			}
 		}
 		ok := true
-		for _, p := range spec.Preds {
-			if !p.Matches(r[p.Col]) {
+		for i := range spec.Preds {
+			if p := &spec.Preds[i]; !p.Matches(r[p.Col]) {
 				ok = false
 				break
 			}

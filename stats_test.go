@@ -9,7 +9,7 @@ import "testing"
 // statement filters on (l_comment, the widest) is never sorted at all.
 func TestDeploySortsNoStatistics(t *testing.T) {
 	db := NewTPCH(TPCHConfig{LineitemRows: 8000, Seed: 1})
-	rec, defs, stmts := benchDesign(t, db, SelectIntensive(TPCHWorkload()))
+	rec, defs, stmts := benchDesign(t, db, SelectIntensive(TPCHWorkload()), false)
 	sorted := func() map[string]bool {
 		out := make(map[string]bool)
 		for _, tab := range db.Tables() {
