@@ -253,9 +253,11 @@ func minus(all, remove []string) []string {
 // enumeration candidate set. hypos is in ID order, and so is the result.
 func (a *Advisor) selectCandidates(hypos []*optimizer.HypoIndex) []*optimizer.HypoIndex {
 	// Each statement picks among the candidates relevant to it, scored by
-	// the statement's cost under the single-index configuration — exactly
-	// the cost model's atomic (statement, structure) term, so scoring also
-	// leaves the memo warm for enumeration. Predicated UPDATE/DELETE
+	// the statement's cost under the single-index configuration
+	// (CostModel.CostEach: the cost model's atomic (statement, structure)
+	// term, so scoring also leaves the memo warm for enumeration; a
+	// candidate the statement cannot use costs the empty configuration's
+	// price, computed once per statement). Predicated UPDATE/DELETE
 	// statements are scored the same way through their own plans
 	// (qualifying-row lookup + maintenance), so an index that speeds an
 	// update's WHERE clause can survive selection. Statements are
@@ -269,6 +271,11 @@ func (a *Advisor) selectCandidates(hypos []*optimizer.HypoIndex) []*optimizer.Hy
 			return
 		}
 		relevant := relevantHypos(shape, hypos)
+		cands := make([]*optimizer.HypoIndex, len(relevant))
+		for i, at := range relevant {
+			cands[i] = hypos[at]
+		}
+		costs := a.CM.CostEach(s, cands)
 		type scored struct {
 			at   int
 			cost float64
@@ -276,8 +283,7 @@ func (a *Advisor) selectCandidates(hypos []*optimizer.HypoIndex) []*optimizer.Hy
 		}
 		scoredList := make([]scored, len(relevant))
 		for i, at := range relevant {
-			h := hypos[at]
-			scoredList[i] = scored{at: at, cost: a.CM.Cost(s, optimizer.NewConfiguration(h)), size: h.Bytes}
+			scoredList[i] = scored{at: at, cost: costs[i], size: hypos[at].Bytes}
 		}
 		if a.Opts.Skyline {
 			// Keep all non-dominated (cost, size) candidates.

@@ -816,8 +816,9 @@ func (st *Store) locate(rs *runState, s workload.Statement) error {
 //
 // A materialized view whose build reads the table — its fact table or a
 // joined one — is invalidated, whatever columns the update sets, and rebuilt
-// by the next statement that reads it. (The cost model charges maintenance
-// only for fact-table updates; the store never serves a stale view.)
+// by the next statement that reads it. (The cost model charges the view's
+// maintenance only when the update sets a column the view reads from the
+// table; the store never serves a stale view.)
 func (st *Store) RunUpdate(u *workload.Update) (int64, IOStats, error) {
 	rs := st.newRunState()
 	if err := st.locate(rs, workload.Statement{Update: u}); err != nil {

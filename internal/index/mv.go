@@ -88,15 +88,40 @@ func MVSchema(db *catalog.Database, mv *MVDef) (*storage.Schema, []string, error
 	if len(mv.GroupBy) == 0 && len(mv.Aggs) == 0 {
 		return nil, nil, fmt.Errorf("index: view %s neither groups nor aggregates", mv.Name)
 	}
-	jn, _, ga, err := compileView(db, mv)
+	_, _, ga, err := compileView(db, mv)
 	if err != nil {
 		return nil, nil, err
 	}
-	tables := []string{strings.ToLower(jn.fact.Name)}
-	for _, st := range jn.steps {
-		tables = append(tables, strings.ToLower(st.dim.Name))
+	return ga.Schema(), mv.Tables(), nil
+}
+
+// Tables lists the tables materializing the view reads, lowercased: the fact
+// table, then the one each join brings in. A write that changes a row of any
+// of them can change the view.
+func (mv *MVDef) Tables() []string {
+	tables := make([]string, 1, 1+len(mv.Joins))
+	tables[0] = strings.ToLower(mv.Fact)
+	for _, j := range mv.Joins {
+		dim, _, _ := joinSides(mv.Fact, j)
+		tables = append(tables, strings.ToLower(dim))
 	}
-	return ga.Schema(), tables, nil
+	return tables
+}
+
+// joinSides resolves one join of a chain rooted at fact: the table it brings
+// in, that table's key column, and the probe column in the joined row so far.
+func joinSides(fact string, j workload.Join) (dim, dimCol, probeCol string) {
+	switch {
+	case strings.EqualFold(j.LeftTable, fact):
+		return j.RightTable, j.RightCol, j.LeftCol
+	case strings.EqualFold(j.RightTable, fact):
+		// A join may be written either direction.
+		return j.LeftTable, j.LeftCol, j.RightCol
+	default:
+		// Snowflake joins hang off a previously joined dimension: treat the
+		// already-joined side as the "fact" side.
+		return j.RightTable, j.RightCol, j.LeftTable + "_" + j.LeftCol
+	}
 }
 
 // QualifiedCol renders the canonical joined-row column name for a reference.
@@ -194,17 +219,7 @@ func NewJoiner(db *catalog.Database, fact string, joins []workload.Join) (*Joine
 	curCols := qualifyColumns(fact, ft.Schema.Columns)
 	jn := &Joiner{fact: ft}
 	for _, j := range joins {
-		dimName, dimCol, factCol := j.RightTable, j.RightCol, j.LeftCol
-		if !strings.EqualFold(j.LeftTable, fact) {
-			// Allow the join to be written either direction.
-			if strings.EqualFold(j.RightTable, fact) {
-				dimName, dimCol, factCol = j.LeftTable, j.LeftCol, j.RightCol
-			} else {
-				// Snowflake joins hang off a previously joined dimension:
-				// treat the already-joined side as the "fact" side.
-				dimName, dimCol, factCol = j.RightTable, j.RightCol, j.LeftTable+"_"+j.LeftCol
-			}
-		}
+		dimName, dimCol, factCol := joinSides(fact, j)
 		dim := db.Table(dimName)
 		if dim == nil {
 			return nil, fmt.Errorf("index: unknown dimension table %q", dimName)

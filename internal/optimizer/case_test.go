@@ -37,7 +37,7 @@ func TestTableNameCaseAgreement(t *testing.T) {
 	}
 	for _, sql := range stmts {
 		s := parseQ(t, sql)
-		cs := m.compile(s)
+		p := &pricing{m: m, cs: m.compile(s)}
 		// consulted reports whether pricing s under {h} looks up a term for h.
 		consulted := func(h *HypoIndex) bool {
 			hits, misses := memoDelta(cm, func() { cm.Cost(s, NewConfiguration(h)) })
@@ -47,7 +47,7 @@ func TestTableNameCaseAgreement(t *testing.T) {
 			// Relevance scope and costing must agree: the index is in scope
 			// and the statement's price consults it, however its table is
 			// spelled.
-			if !cs.affectedBy(m.intern(h)) {
+			if !p.changes(m.intern(h)) {
 				t.Errorf("%q: scope must see index on %q as relevant", sql, h.Def.Table)
 			}
 			if !consulted(h) {
@@ -55,7 +55,7 @@ func TestTableNameCaseAgreement(t *testing.T) {
 			}
 		}
 		// And both must agree the orders index is irrelevant.
-		if cs.affectedBy(m.intern(other)) {
+		if p.changes(m.intern(other)) {
 			t.Errorf("%q: orders index must be out of scope", sql)
 		}
 		if consulted(other) {
@@ -63,14 +63,14 @@ func TestTableNameCaseAgreement(t *testing.T) {
 		}
 	}
 
-	// Configuration views fold case in both directions.
+	// The configuration's per-table view folds case in both directions.
+	for _, c := range []struct{ declared, asked string }{{"LINEITEM", "lineitem"}, {"lineitem", "LINEITEM"}} {
+		cl := &HypoIndex{Def: &index.Def{Table: c.declared, KeyCols: []string{"l_orderkey"}, Clustered: true}}
+		if NewConfiguration(cl).Clustered(c.asked) != cl {
+			t.Fatalf("Clustered(%q) missed the index declared on %q", c.asked, c.declared)
+		}
+	}
 	cfg := NewConfiguration(upper)
-	if got := len(cfg.OnTable("lineitem", true)); got != 1 {
-		t.Fatalf("OnTable(lowercase) missed the uppercase-declared index: %d", got)
-	}
-	if got := len(NewConfiguration(lower).OnTable("LINEITEM", true)); got != 1 {
-		t.Fatalf("OnTable(uppercase) missed the lowercase-declared index: %d", got)
-	}
 
 	// Identical statements spelled with different table casing price the
 	// same, so a mixed-case workload cannot disagree with itself.

@@ -51,15 +51,6 @@ func (h *HypoIndex) ID() string { return h.Def.ID() }
 // StructureID is Def.StructureID().
 func (h *HypoIndex) StructureID() string { return h.Def.StructureID() }
 
-// table is the normalized name of the table whose statements the index can
-// affect: the base table, or an MV's fact table.
-func (h *HypoIndex) table() string {
-	if h.Def.MV != nil {
-		return normTable(h.Def.MV.Fact)
-	}
-	return normTable(h.Def.Table)
-}
-
 // Pages returns the leaf page count.
 func (h *HypoIndex) Pages() int64 { return storage.PagesForBytes(h.Bytes) }
 
@@ -124,18 +115,8 @@ type Configuration struct {
 // configView holds the lazily built lookup maps of a configuration. They key
 // on the members' identity strings, which each Def renders once.
 type configView struct {
-	// onTable maps a lowercased table name to the indexes OnTable(t, true)
-	// returns: non-MV indexes on the table plus MV indexes whose fact table
-	// matches, in insertion order (interleaved, as a linear scan would find
-	// them — maintenance costs are summed in this order, so it is part of the
-	// determinism contract).
-	onTable map[string][]*HypoIndex
-	// plain is onTable without the MV entries (OnTable(t, false)).
-	plain map[string][]*HypoIndex
 	// clustered maps a lowercased table name to its first clustered index.
 	clustered map[string]*HypoIndex
-	// mvs lists the MV indexes in insertion order.
-	mvs []*HypoIndex
 	// ids and structs make Contains/ContainsStructure O(1).
 	ids     map[string]bool
 	structs map[string]bool
@@ -189,26 +170,15 @@ func (c *Configuration) mat() *configView {
 	c.viewOnce.Do(func() {
 		list := c.Indexes()
 		v := &configView{
-			onTable:   make(map[string][]*HypoIndex),
-			plain:     make(map[string][]*HypoIndex),
 			clustered: make(map[string]*HypoIndex),
 			ids:       make(map[string]bool, len(list)),
 			structs:   make(map[string]bool, len(list)),
 		}
 		for _, x := range list {
-			table := x.table()
 			v.ids[x.ID()] = true
 			v.structs[x.StructureID()] = true
-			v.onTable[table] = append(v.onTable[table], x)
-			if x.Def.MV != nil {
-				v.mvs = append(v.mvs, x)
-				continue
-			}
-			v.plain[table] = append(v.plain[table], x)
-			if x.Def.Clustered {
-				if _, ok := v.clustered[table]; !ok {
-					v.clustered[table] = x
-				}
+			if table := normTable(x.Def.Table); x.Def.Clustered && x.Def.MV == nil && v.clustered[table] == nil {
+				v.clustered[table] = x
 			}
 		}
 		c.view = v
@@ -272,21 +242,6 @@ func (c *Configuration) Contains(d *index.Def) bool {
 func (c *Configuration) ContainsStructure(d *index.Def) bool {
 	return c.mat().structs[d.StructureID()]
 }
-
-// OnTable returns the indexes on the named table (including MV indexes whose
-// fact table matches when includeMV is set), in insertion order. The slice
-// is shared and must not be mutated.
-func (c *Configuration) OnTable(table string, includeMV bool) []*HypoIndex {
-	v := c.mat()
-	if includeMV {
-		return v.onTable[normTable(table)]
-	}
-	return v.plain[normTable(table)]
-}
-
-// MVIndexes returns the MV indexes in insertion order. The slice is shared
-// and must not be mutated.
-func (c *Configuration) MVIndexes() []*HypoIndex { return c.mat().mvs }
 
 // Clustered returns the clustered index on the table, if any.
 func (c *Configuration) Clustered(table string) *HypoIndex {

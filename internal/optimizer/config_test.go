@@ -81,8 +81,7 @@ func TestConfigurationDuplicatePointerEdits(t *testing.T) {
 }
 
 // TestConfigurationLookups checks the indexed views against the definition
-// of OnTable/Clustered/Contains, including the MV interleaving order that
-// insert costing sums in.
+// of Clustered/Contains/ContainsStructure, and SizeBytes along edits.
 func TestConfigurationLookups(t *testing.T) {
 	d := testDB(t)
 	plain1 := build(t, &index.Def{Table: "lineitem", KeyCols: []string{"l_shipdate"}})
@@ -97,16 +96,6 @@ func TestConfigurationLookups(t *testing.T) {
 	other := build(t, &index.Def{Table: "orders", KeyCols: []string{"o_orderdate"}})
 
 	cfg := NewConfiguration(plain1, mvIdx, plain2, other)
-	// includeMV interleaves the MV at its insertion position.
-	if got := cfg.OnTable("LINEITEM", true); len(got) != 3 || got[0] != plain1 || got[1] != mvIdx || got[2] != plain2 {
-		t.Fatalf("OnTable(includeMV) order wrong: %v", got)
-	}
-	if got := cfg.OnTable("lineitem", false); len(got) != 2 || got[0] != plain1 || got[1] != plain2 {
-		t.Fatalf("OnTable(plain) wrong: %v", got)
-	}
-	if got := cfg.MVIndexes(); len(got) != 1 || got[0] != mvIdx {
-		t.Fatalf("MVIndexes wrong: %v", got)
-	}
 	if cfg.Clustered("lineitem") != nil {
 		t.Fatal("no clustered index expected")
 	}

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,7 +16,7 @@ import (
 // structures on it, for a write a sum of per-structure maintenance costs —
 // and each of those terms depends on the statement and on one structure,
 // never on what else the configuration holds. So every costing entry point
-// (Plan, Cost, WorkloadCost, the Evaluator) goes through one
+// (Plan, Cost, CostEach, WorkloadCost, the Evaluator) goes through one
 // routine, memo.price, over three things computed once each:
 //
 //   - a compiled statement per *workload.Statement: its tables resolved in the
@@ -23,19 +24,26 @@ import (
 //     it needs, its output rows and its heap-scan path; for a write the
 //     qualifying-row count and the heap write path;
 //   - a handle per *HypoIndex: everything the model derives from the
-//     definition and the sizes — identity, table ordinal, column sets, α/β
-//     design means, pages, tree height, entry width;
+//     definition and the sizes — identity, table ordinal (and an MV's
+//     ordinals of every table it reads), column sets, α/β design means,
+//     pages, tree height, entry width;
 //   - a term per (compiled statement, handle): the access path through the
 //     structure, and for writes its maintenance and base-structure costs.
-//     A query's term is that path and nothing else, one allocation: the
-//     path's seek list is a window of the compiled predicates whenever they
-//     sit there in key order, and its column coverage is counted, not
+//     A query's term is that path and nothing else, one allocation, or none
+//     when the structure cannot serve the query (the shared unusable term):
+//     the path's seek list is a window of the compiled predicates whenever
+//     they sit there in key order, and its column coverage is counted, not
 //     listed. The maintenance and base costs sit in a writeTerm that only a
 //     write statement's terms allocate.
 //
 // price then does O(configuration) integer compares and float mins/sums in
 // the order the plan search always used, so totals are bit-identical to it
 // (reference_test.go keeps that search as the differential oracle).
+//
+// The terms also decide relevance (pricing.changes): price skips a
+// structure whose query term is unusable, so adding or removing one cannot
+// move a query's price, and the Evaluator and CostEach reuse the price
+// without it. Clustered structures and writes keep a table-level rule.
 //
 // Handles and terms are keyed by *HypoIndex pointer. Replacing an index with
 // a resized copy therefore gets a fresh handle and fresh terms; resizing one
@@ -93,9 +101,12 @@ type handle struct {
 	h   *HypoIndex
 	ord int32  // dense, indexes termTable
 	id  string // h.ID()
-	// tbl is the ordinal of the table whose statements the structure can
-	// affect: its base table, or an MV's fact table.
-	tbl           int32
+	// tbl is the ordinal of the table whose queries the structure can
+	// serve: its base table, or an MV's fact table.
+	tbl int32
+	// reads, for an MV, holds the ordinals of every table it reads
+	// (index.MVDef.Tables): a write to any of them maintains it.
+	reads         []int32
 	mv, clustered bool // clustered is never set for an MV index
 	// cols is Def.Columns(); leaf is what a leaf entry stores and can cover —
 	// every table column for a clustered index, cols otherwise.
@@ -129,7 +140,6 @@ func (m *memo) newHandle(h *HypoIndex) *handle {
 		h:          h,
 		ord:        m.nextOrd.Add(1) - 1,
 		id:         h.ID(),
-		tbl:        m.tableOrd(h.table()),
 		mv:         d.MV != nil,
 		clustered:  d.Clustered && d.MV == nil,
 		cols:       d.Columns(),
@@ -158,10 +168,25 @@ func (m *memo) newHandle(h *HypoIndex) *handle {
 	switch {
 	case hd.mv:
 		hd.writeSel = mvWhereSelectivity(cm.DB, d.MV)
+		for _, name := range d.MV.Tables() {
+			hd.reads = append(hd.reads, m.tableOrd(name))
+		}
+		hd.tbl = hd.reads[0]
+		return hd
 	case d.IsPartial() && t != nil:
 		hd.writeSel = CombinedSelectivity(t, d.Where)
 	}
+	hd.tbl = m.tableOrd(d.Table)
 	return hd
+}
+
+// writtenBy reports whether a write to the table maintains the structure:
+// an index on it, or an MV that reads it.
+func (hd *handle) writtenBy(tbl int32) bool {
+	if hd.mv {
+		return slices.Contains(hd.reads, tbl)
+	}
+	return hd.tbl == tbl
 }
 
 // resolve interns the configuration's members, in insertion order.
@@ -181,11 +206,10 @@ func (m *memo) resolve(cfg *Configuration) []*handle {
 // changes.
 type compiledStmt struct {
 	stmt *workload.Statement
-	// scope lists the ordinals of the tables whose plain indexes can affect
-	// the plan: every table of a query, the written table of a write.
-	// scope[0] is also the only fact table whose MV indexes can (MatchMV
-	// accepts no others, and a write maintains the MVs over its table).
-	scope []int32
+	// lead is the ordinal of a query's first table — the only fact table
+	// whose MVs can answer it (MatchMV) — or of a write's table; -1 when the
+	// statement names none.
+	lead int32
 	// tables holds the tables that resolved in the catalog: a query's in
 	// FROM order, a write's one. A write on an unknown table has none and
 	// costs nothing.
@@ -229,7 +253,7 @@ func (m *memo) compile(s *workload.Statement) *compiledStmt {
 
 func (m *memo) newCompiled(s *workload.Statement) *compiledStmt {
 	cm := m.cm
-	cs := &compiledStmt{stmt: s}
+	cs := &compiledStmt{stmt: s, lead: -1}
 	access := func(t *catalog.Table, preds []workload.Predicate, cols []string) compiledTable {
 		ct := compiledTable{t: t, tbl: m.tableOrd(t.Name), preds: preds, cols: cols,
 			sels: make([]float64, len(preds))}
@@ -252,7 +276,9 @@ func (m *memo) newCompiled(s *workload.Statement) *compiledStmt {
 		}
 		var joinRows float64
 		for ti, name := range q.Tables {
-			cs.scope = append(cs.scope, m.tableOrd(name))
+			if ti == 0 {
+				cs.lead = m.tableOrd(name)
+			}
 			t := cm.DB.Table(name)
 			if t == nil {
 				continue
@@ -275,7 +301,7 @@ func (m *memo) newCompiled(s *workload.Statement) *compiledStmt {
 	if !ok {
 		return cs
 	}
-	cs.scope = []int32{m.tableOrd(name)}
+	cs.lead = m.tableOrd(name)
 	if t := cm.DB.Table(name); t != nil {
 		var cols []string
 		if s.Update != nil {
@@ -290,20 +316,6 @@ func (m *memo) newCompiled(s *workload.Statement) *compiledStmt {
 		cs.heapBase = cm.baseWrite(cs, nil)
 	}
 	return cs
-}
-
-// affectedBy reports whether adding or removing the structure can change the
-// statement's plan — the Evaluator's relevance rule.
-func (cs *compiledStmt) affectedBy(hd *handle) bool {
-	if hd.mv {
-		return len(cs.scope) > 0 && cs.scope[0] == hd.tbl
-	}
-	for _, tbl := range cs.scope {
-		if tbl == hd.tbl {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -329,11 +341,14 @@ type writeTerm struct {
 	base       AccessPath
 }
 
+// unusable is the term of every structure that cannot serve a query: shared,
+// so such a term costs no allocation.
+var unusable = &term{}
+
 func (m *memo) newTerm(cs *compiledStmt, ct *compiledTable, hd *handle) *term {
-	cm, q, t := m.cm, cs.stmt.Query, &term{}
-	switch {
-	case q == nil:
-		t.w = &writeTerm{}
+	cm, q := m.cm, cs.stmt.Query
+	if q == nil {
+		t := &term{w: &writeTerm{}}
 		if !hd.mv && cs.stmt.Insert == nil {
 			t.path, t.ok = cm.indexPath(ct, hd)
 		}
@@ -341,14 +356,21 @@ func (m *memo) newTerm(cs *compiledStmt, ct *compiledTable, hd *handle) *term {
 			t.w.base = cm.baseWrite(cs, hd)
 		}
 		t.w.maint, t.w.maintained = cm.maintain(cs, hd)
-	case hd.mv:
-		if ans, ok := MatchMV(cm.DB, hd.h.Def.MV, q); ok {
-			t.path, t.ok = cm.mvAccess(hd, ans.Residual, q), true
-		}
-	default:
-		t.path, t.ok = cm.indexPath(ct, hd)
+		return t
 	}
-	return t
+	var path AccessPath
+	ok := false
+	if hd.mv {
+		if ans, match := MatchMV(cm.DB, hd.h.Def.MV, q); match {
+			path, ok = cm.mvAccess(hd, ans.Residual, q), true
+		}
+	} else {
+		path, ok = cm.indexPath(ct, hd)
+	}
+	if !ok {
+		return unusable
+	}
+	return &term{path: path, ok: true}
 }
 
 // termTable maps handle ordinals to a statement's terms. Slots are atomic
@@ -388,10 +410,10 @@ func (tt *termTable) put(ord int32, t *term) {
 // ---------------------------------------------------------------------------
 // Pricing
 
-// pricing is one price call's state: the statement and the memo counters it
-// will flush. The configuration — its interned members in insertion order —
-// is passed alongside rather than held, so a caller's stack-built member
-// list stays on the stack.
+// pricing is one price call's state, or one relevance run's: the statement
+// and the memo counters it will flush. The configuration — its interned
+// members in insertion order — is passed alongside rather than held, so a
+// caller's stack-built member list stays on the stack.
 type pricing struct {
 	m            *memo
 	cs           *compiledStmt
@@ -410,13 +432,18 @@ func (m *memo) price(cs *compiledStmt, cfg []*handle, plan *Plan) float64 {
 	case len(cs.tables) > 0:
 		total = p.write(cfg, plan)
 	}
+	p.flush()
+	return total
+}
+
+// flush adds the term lookups made so far to the memo's counters.
+func (p *pricing) flush() {
 	if p.hits > 0 {
-		m.hits.Add(p.hits)
+		p.m.hits.Add(p.hits)
 	}
 	if p.misses > 0 {
-		m.misses.Add(p.misses)
+		p.m.misses.Add(p.misses)
 	}
-	return total
 }
 
 func (p *pricing) term(ct *compiledTable, hd *handle) *term {
@@ -428,6 +455,40 @@ func (p *pricing) term(ct *compiledTable, hd *handle) *term {
 	t := p.m.newTerm(p.cs, ct, hd)
 	p.cs.terms.put(hd.ord, t)
 	return t
+}
+
+// changes reports whether adding or removing the structure can change the
+// statement's price. A query is changed only by a structure whose term for
+// it is usable, read through its first access of the table as price reads
+// it (a self-join's accesses compile alike), or by any clustered structure
+// on a table it reads: the first one is the base structure whatever its
+// term, and a usable base structure takes the heap scan out of the running.
+// A write is changed by every structure it maintains or may locate rows
+// through.
+func (p *pricing) changes(hd *handle) bool {
+	cs := p.cs
+	if cs.stmt.Query == nil {
+		return hd.writtenBy(cs.lead)
+	}
+	if hd.mv {
+		return hd.tbl == cs.lead && p.term(nil, hd).ok
+	}
+	for i := range cs.tables {
+		if ct := &cs.tables[i]; ct.tbl == hd.tbl {
+			return hd.clustered || p.term(ct, hd).ok
+		}
+	}
+	return false
+}
+
+// changesAny reports whether any of the structures changes the statement.
+func (p *pricing) changesAny(touched []*handle) bool {
+	for _, hd := range touched {
+		if p.changes(hd) {
+			return true
+		}
+	}
+	return false
 }
 
 // clusteredOn returns the table's base structure: the first clustered index
@@ -485,7 +546,7 @@ func (p *pricing) query(cfg []*handle, plan *Plan) float64 {
 	// entirely.
 	var mv *AccessPath
 	for _, hd := range cfg {
-		if !hd.mv || !cs.affectedBy(hd) {
+		if !hd.mv || hd.tbl != cs.lead {
 			continue
 		}
 		if t := p.term(nil, hd); t.ok && (mv == nil || t.path.Cost < mv.Cost) {
@@ -504,7 +565,7 @@ func (p *pricing) query(cfg []*handle, plan *Plan) float64 {
 // write prices INSERT, UPDATE and DELETE following Appendix A: locate the
 // qualifying rows through the cheapest access path (predicated writes
 // only), rewrite the base structure, then maintain every other index on the
-// table, and every MV over it, in insertion order.
+// table, and every MV that reads it, in insertion order.
 func (p *pricing) write(cfg []*handle, plan *Plan) float64 {
 	cs, ct := p.cs, &p.cs.tables[0]
 	var total float64
@@ -524,7 +585,7 @@ func (p *pricing) write(cfg []*handle, plan *Plan) float64 {
 		// identity, not by pointer — reached through a different HypoIndex
 		// (a duplicate entry, or a copy introduced by Replace) it must not be
 		// double-counted as secondary maintenance.
-		if hd.tbl != ct.tbl || (cl != nil && (hd == cl || hd.id == cl.id)) {
+		if !hd.writtenBy(ct.tbl) || (cl != nil && (hd == cl || hd.id == cl.id)) {
 			continue
 		}
 		if w := p.term(ct, hd).w; w.maintained {

@@ -161,6 +161,31 @@ func (cm *CostModel) Cost(stmt *workload.Statement, cfg *Configuration) float64 
 	return m.price(m.compile(stmt), m.resolve(cfg), nil)
 }
 
+// CostEach returns the statement's cost under each single-structure
+// configuration, costs[i] bit-identical to Cost(stmt, NewConfiguration(hs[i])).
+// A structure that cannot change the statement's price (the Evaluator's
+// relevance rule) costs the empty configuration's price, computed once.
+func (cm *CostModel) CostEach(stmt *workload.Statement, hs []*HypoIndex) []float64 {
+	m := cm.memo.Load()
+	p := pricing{m: m, cs: m.compile(stmt)}
+	costs := make([]float64, len(hs))
+	var empty float64
+	emptyPriced := false
+	for i, h := range hs {
+		hd := m.intern(h)
+		if p.changes(hd) {
+			costs[i] = m.price(p.cs, []*handle{hd}, nil)
+			continue
+		}
+		if !emptyPriced {
+			empty, emptyPriced = m.price(p.cs, nil, nil), true
+		}
+		costs[i] = empty
+	}
+	p.flush()
+	return costs
+}
+
 // Plan costs a statement and returns the full plan.
 func (cm *CostModel) Plan(stmt *workload.Statement, cfg *Configuration) *Plan {
 	m := cm.memo.Load()
@@ -656,19 +681,34 @@ func (cm *CostModel) baseWrite(cs *compiledStmt, cl *handle) AccessPath {
 	return ap
 }
 
-// maintain costs keeping index hd in step with a write of cs.n rows to its
-// table; ok is false when the write leaves the index alone (an UPDATE that
-// touches none of its columns). Inserts and deletes touch every index.
+// maintain costs keeping index hd in step with a write of cs.n rows to a
+// table it is on or, for an MV, reads; ok is false when the write leaves the
+// index alone (an UPDATE that touches none of its columns). Inserts and
+// deletes touch every index on their table.
+//
+// A write to a table an MV joins, not its fact table, reaches the view
+// through the fact rows joined to the written rows: under the foreign-key
+// join each row of the table is joined by |fact|/|table| fact rows on
+// average, and the view is maintained as for a fact write of that many
+// rows. An INSERT there adds rows no fact row references yet, so it changes
+// no group and maintains nothing.
 func (cm *CostModel) maintain(cs *compiledStmt, hd *handle) (AccessPath, bool) {
-	n := cs.n
+	n, t := cs.n, cs.tables[0].t
+	if hd.mv && cs.tables[0].tbl != hd.tbl {
+		fact := cm.DB.Table(hd.h.Def.MV.Fact)
+		if cs.stmt.Insert != nil || fact == nil || t.RowCount() == 0 {
+			return AccessPath{}, false
+		}
+		n *= float64(fact.RowCount()) / float64(t.RowCount())
+	}
 	affected, moves := n*hd.writeSel, false
 	if u := cs.stmt.Update; u != nil {
 		var ok bool
-		if affected, moves, ok = updateAffected(u, hd, n); !ok {
+		if affected, moves, ok = updateAffected(cm.DB, u, hd, n); !ok {
 			return AccessPath{}, false
 		}
 	}
-	ap := AccessPath{Table: cs.tables[0].t.Name, Index: hd.h, Kind: "index-maintain", Rows: affected}
+	ap := AccessPath{Table: t.Name, Index: hd.h, Kind: "index-maintain", Rows: affected}
 	if cs.stmt.Insert != nil {
 		// Bulk maintenance writes whole leaf pages, so it shrinks with CF.
 		writePages := affected * hd.entryWidth / storage.UsablePageBytes * hd.h.CF()
@@ -699,10 +739,10 @@ func (cm *CostModel) maintain(cs *compiledStmt, hd *handle) (AccessPath, bool) {
 // none of the SET columns needs no maintenance. moves reports whether entries
 // relocate (key or partial-filter columns touched: delete+reinsert) rather
 // than being rewritten in place (include columns touched).
-func updateAffected(u *workload.Update, hd *handle, n float64) (affected float64, moves, ok bool) {
+func updateAffected(db *catalog.Database, u *workload.Update, hd *handle, n float64) (affected float64, moves, ok bool) {
 	d := hd.h.Def
 	if hd.mv {
-		if !mvTouchedByUpdate(d.MV, u) {
+		if !mvTouchedByUpdate(db, d.MV, u) {
 			return 0, false, false
 		}
 		return n * hd.writeSel, true, true
@@ -736,30 +776,35 @@ func touchesAny(u *workload.Update, cols []string) bool {
 	return false
 }
 
-// mvTouchedByUpdate reports whether an update on the MV's fact table touches
-// any column the MV materializes or filters on (group-by, aggregate input,
-// WHERE or fact-side join columns).
-func mvTouchedByUpdate(mv *index.MVDef, u *workload.Update) bool {
+// mvTouchedByUpdate reports whether an update of a table the MV reads
+// touches any column the MV reads from that table: a group-by, aggregate
+// input or WHERE column (MVDef.ColumnTable names each one's table) or the
+// table's side of a join.
+func mvTouchedByUpdate(db *catalog.Database, mv *index.MVDef, u *workload.Update) bool {
+	touches := func(c workload.ColRef) bool {
+		t := mv.ColumnTable(db, c)
+		return t != nil && strings.EqualFold(t.Name, u.Table) && u.Touches(c.Col)
+	}
 	for _, g := range mv.GroupBy {
-		if u.Touches(g.Col) {
+		if touches(g) {
 			return true
 		}
 	}
 	for _, a := range mv.Aggs {
-		if a.Col.Col != "" && u.Touches(a.Col.Col) {
+		if a.Col.Col != "" && touches(a.Col) {
 			return true
 		}
 	}
 	for _, p := range mv.Where {
-		if u.Touches(p.Col) {
+		if touches(workload.ColRef{Table: p.Table, Col: p.Col}) {
 			return true
 		}
 	}
 	for _, j := range mv.Joins {
-		if strings.EqualFold(j.LeftTable, mv.Fact) && u.Touches(j.LeftCol) {
+		if strings.EqualFold(j.LeftTable, u.Table) && u.Touches(j.LeftCol) {
 			return true
 		}
-		if strings.EqualFold(j.RightTable, mv.Fact) && u.Touches(j.RightCol) {
+		if strings.EqualFold(j.RightTable, u.Table) && u.Touches(j.RightCol) {
 			return true
 		}
 	}

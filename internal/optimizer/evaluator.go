@@ -10,22 +10,25 @@ import (
 //
 // Greedy enumeration explores configurations that differ from a base by a
 // single index (an add during the greedy step, a swap during backtracking
-// recovery). A statement's plan can only change when the delta touches a
-// table the statement reads or writes (compiledStmt.affectedBy). The
-// Evaluator compiles the workload's statements and interns the base
-// configuration's members once, keeps the per-statement cost vector of the
-// base, and answers CostWithAdd/CostWithReplace by re-pricing only the
-// statements relevant to the delta — through memo.price, like every other
-// costing call — reusing the base vector for everything else. A what-if
-// allocates the neighbor's Configuration node and nothing that grows with
-// the workload or the configuration.
+// recovery). A query's price moves only with a structure that can serve it
+// — one whose memoized term for the query is usable — or with a clustered
+// one on a table it reads; a write's with one it maintains or may locate
+// rows through (pricing.changes). The Evaluator compiles the workload's
+// statements and interns the base configuration's members once, keeps the
+// per-statement cost vector of the base, and answers
+// CostWithAdd/CostWithReplace by re-pricing only the statements the delta
+// changes — through memo.price, like every other costing call — reusing
+// the base vector for everything else. A what-if allocates the neighbor's
+// Configuration node and nothing that grows with the workload or the
+// configuration.
 //
 // Determinism contract: the returned total is bit-identical to a full
 // CostModel.WorkloadCost recompute. Reused entries hold the exact floats a
 // recompute would produce (pricing is deterministic), and the total is
 // summed in statement order with the same weight multiplication — never
 // maintained incrementally, which could drift in floating point.
-// TestEvaluatorMatchesFullRecompute enforces this.
+// TestEvaluatorMatchesFullRecompute and TestEvaluatorRandomDeltas enforce
+// this.
 //
 // An Evaluator is immutable after construction; CostWithAdd/CostWithReplace
 // are safe to call from many goroutines at once (the enumeration worker pool
@@ -76,29 +79,23 @@ func NewEvaluator(cm *CostModel, wl *workload.Workload, cfg *Configuration, stat
 }
 
 // rebase returns an evaluator based at next. With a nil touched list every
-// statement is priced; otherwise only those a touched structure affects, the
+// statement is priced; otherwise only those a touched structure changes, the
 // rest keeping the receiver's costs.
 func (e *Evaluator) rebase(next *Configuration, touched []*handle) *Evaluator {
 	ne := &Evaluator{m: e.m, wl: e.wl, stmts: e.stmts, stats: e.stats,
 		base: next, members: e.m.resolve(next), costs: make([]float64, len(e.stmts))}
+	p := pricing{m: e.m}
 	for i, s := range e.wl.Statements {
-		if touched == nil || affectedByAny(e.stmts[i], touched) {
-			ne.costs[i] = e.m.price(e.stmts[i], ne.members, nil)
+		p.cs = e.stmts[i]
+		if touched == nil || p.changesAny(touched) {
+			ne.costs[i] = e.m.price(p.cs, ne.members, nil)
 		} else {
 			ne.costs[i] = e.costs[i]
 		}
 		ne.total += s.Weight * ne.costs[i]
 	}
+	p.flush()
 	return ne
-}
-
-func affectedByAny(cs *compiledStmt, touched []*handle) bool {
-	for _, hd := range touched {
-		if cs.affectedBy(hd) {
-			return true
-		}
-	}
-	return false
 }
 
 // Base returns the base configuration.
@@ -109,21 +106,24 @@ func (e *Evaluator) Base() *Configuration { return e.base }
 func (e *Evaluator) Total() float64 { return e.total }
 
 // costUnder totals the workload under the neighbor whose interned members
-// are cfg, re-pricing only statements a touched structure affects.
+// are cfg, re-pricing only statements a touched structure changes.
 func (e *Evaluator) costUnder(cfg []*handle, touched ...*handle) float64 {
 	e.stats.evaluations.Add(1)
 	var total float64
 	var delta, reused uint64
+	p := pricing{m: e.m}
 	for i, s := range e.wl.Statements {
 		c := e.costs[i]
-		if affectedByAny(e.stmts[i], touched) {
-			c = e.m.price(e.stmts[i], cfg, nil)
+		p.cs = e.stmts[i]
+		if p.changesAny(touched) {
+			c = e.m.price(p.cs, cfg, nil)
 			delta++
 		} else {
 			reused++
 		}
 		total += s.Weight * c
 	}
+	p.flush()
 	e.stats.deltaStatements.Add(delta)
 	e.stats.reusedStatements.Add(reused)
 	return total
@@ -134,7 +134,7 @@ func (e *Evaluator) costUnder(cfg []*handle, touched ...*handle) float64 {
 const neighborCap = 64
 
 // CostWithAdd returns the configuration Base().With(h) and its workload
-// cost, re-pricing only the statements h is relevant to.
+// cost, re-pricing only the statements h can change.
 func (e *Evaluator) CostWithAdd(h *HypoIndex) (*Configuration, float64) {
 	hd := e.m.intern(h)
 	var buf [neighborCap]*handle
@@ -143,7 +143,7 @@ func (e *Evaluator) CostWithAdd(h *HypoIndex) (*Configuration, float64) {
 }
 
 // CostWithReplace returns the configuration Base().Replace(old, new) and its
-// workload cost, re-pricing only the statements the swap is relevant to.
+// workload cost, re-pricing only the statements the swap can change.
 func (e *Evaluator) CostWithReplace(old, new *HypoIndex) (*Configuration, float64) {
 	oldH, newH := e.m.intern(old), e.m.intern(new)
 	var buf [neighborCap]*handle
@@ -157,8 +157,8 @@ func (e *Evaluator) CostWithReplace(old, new *HypoIndex) (*Configuration, float6
 }
 
 // Advance returns a new evaluator rebased on next, refreshing only the cost
-// vector entries relevant to the touched indexes (the delta between Base()
-// and next). Compiled statements and stats are shared with the receiver.
+// vector entries the touched indexes (the delta between Base() and next)
+// can change. Compiled statements and stats are shared with the receiver.
 func (e *Evaluator) Advance(next *Configuration, touched ...*HypoIndex) *Evaluator {
 	hds := make([]*handle, 0, len(touched))
 	for _, h := range touched {

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"slices"
 	"strings"
 
 	"cadb/internal/catalog"
@@ -133,7 +134,10 @@ func (cm *CostModel) refBestAccess(t *catalog.Table, preds []workload.Predicate,
 	// Base path: clustered index scan/seek if present, else heap scan.
 	best := cm.refBaseScan(t, preds, cols, cfg, outRows)
 
-	for _, h := range cfg.OnTable(t.Name, false) {
+	for _, h := range cfg.Indexes() {
+		if h.Def.MV != nil || !strings.EqualFold(h.Def.Table, t.Name) {
+			continue
+		}
 		if h.Def.Clustered {
 			if ap, ok := cm.refIndexPath(t, h, preds, cols, true); ok && ap.Cost < best.Cost {
 				best = ap
@@ -291,7 +295,10 @@ func refPredOn(preds []workload.Predicate, col string) (workload.Predicate, bool
 // or nil.
 func (cm *CostModel) refBestMVPath(q *workload.Query, cfg *Configuration) *AccessPath {
 	var best *AccessPath
-	for _, h := range cfg.MVIndexes() {
+	for _, h := range cfg.Indexes() {
+		if h.Def.MV == nil {
+			continue
+		}
 		ans, ok := MatchMV(cm.DB, h.Def.MV, q)
 		if !ok {
 			continue
@@ -376,9 +383,10 @@ func (cm *CostModel) refPlanInsert(ins *workload.Insert, cfg *Configuration) *Pl
 	// pointer — a clustered index reached through a different HypoIndex
 	// pointer (e.g. a duplicate entry, or a copy introduced by persistent-
 	// configuration Replace) must not be double-counted as secondary
-	// maintenance.
-	for _, h := range cfg.OnTable(t.Name, true) {
-		if refIsSameIndex(h, cl) {
+	// maintenance. Rows inserted into a table a view joins are referenced
+	// by no fact row yet, so the view keeps its groups.
+	for _, h := range refMaintained(cfg, t.Name) {
+		if refIsSameIndex(h, cl) || h.Def.MV != nil && !strings.EqualFold(h.Def.MV.Fact, t.Name) {
 			continue
 		}
 		affected := n
@@ -386,7 +394,7 @@ func (cm *CostModel) refPlanInsert(ins *workload.Insert, cfg *Configuration) *Pl
 			affected = n * CombinedSelectivity(t, h.Def.Where)
 		}
 		if h.Def.MV != nil {
-			affected = n * mvWhereSelectivity(cm.DB, h.Def.MV)
+			affected = cm.refMVRows(h, t, n)
 		}
 		writePages := affected * refEntryWidth(h) / storage.UsablePageBytes * h.CF()
 		io := cm.SeqPageIO * writePages * 2
@@ -395,6 +403,29 @@ func (cm *CostModel) refPlanInsert(ins *workload.Insert, cfg *Configuration) *Pl
 		plan.Paths = append(plan.Paths, AccessPath{Table: t.Name, Index: h, Kind: "index-maintain", Rows: affected, Cost: io + cpu})
 	}
 	return plan
+}
+
+// refMaintained lists, in insertion order, what a write to the table keeps
+// in step: every index on it and every view whose build reads it.
+func refMaintained(cfg *Configuration, table string) []*HypoIndex {
+	var out []*HypoIndex
+	for _, h := range cfg.Indexes() {
+		if h.Def.MV != nil && slices.Contains(h.Def.MV.Tables(), strings.ToLower(table)) ||
+			h.Def.MV == nil && strings.EqualFold(h.Def.Table, table) {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// refMVRows is how many entries of view h a write of n rows to table t
+// reaches: the fact rows written, or through a join the fact rows joined to
+// the written ones (|fact|/|t| per row), that pass the view's WHERE.
+func (cm *CostModel) refMVRows(h *HypoIndex, t *catalog.Table, n float64) float64 {
+	if !strings.EqualFold(h.Def.MV.Fact, t.Name) {
+		n *= float64(cm.DB.Table(h.Def.MV.Fact).RowCount()) / float64(t.RowCount())
+	}
+	return n * mvWhereSelectivity(cm.DB, h.Def.MV)
 }
 
 // refIsSameIndex reports whether two hypothetical indexes denote the same
@@ -452,8 +483,8 @@ func (cm *CostModel) refPlanUpdate(u *workload.Update, cfg *Configuration) *Plan
 	plan.Total += baseIO + baseCPU
 	plan.Paths = append(plan.Paths, AccessPath{Table: t.Name, Index: cl, Kind: "base-update", Rows: n, Cost: baseIO + baseCPU})
 
-	// 3. Maintain the other indexes the update touches.
-	for _, h := range cfg.OnTable(t.Name, true) {
+	// 3. Maintain the other indexes, and the views, the update touches.
+	for _, h := range refMaintained(cfg, t.Name) {
 		if refIsSameIndex(h, cl) {
 			continue
 		}
@@ -494,7 +525,7 @@ func (cm *CostModel) refPlanDelete(d *workload.Delete, cfg *Configuration) *Plan
 	plan.Total += baseIO + baseCPU
 	plan.Paths = append(plan.Paths, AccessPath{Table: t.Name, Index: cl, Kind: "base-delete", Rows: n, Cost: baseIO + baseCPU})
 
-	for _, h := range cfg.OnTable(t.Name, true) {
+	for _, h := range refMaintained(cfg, t.Name) {
 		if refIsSameIndex(h, cl) {
 			continue
 		}
@@ -503,7 +534,7 @@ func (cm *CostModel) refPlanDelete(d *workload.Delete, cfg *Configuration) *Plan
 			affected = n * CombinedSelectivity(t, h.Def.Where)
 		}
 		if h.Def.MV != nil {
-			affected = n * mvWhereSelectivity(cm.DB, h.Def.MV)
+			affected = cm.refMVRows(h, t, n)
 		}
 		cost := cm.refMaintainCost(h, affected, false)
 		plan.Total += cost
@@ -518,10 +549,10 @@ func (cm *CostModel) refPlanDelete(d *workload.Delete, cfg *Configuration) *Plan
 // rewritten in place (include columns touched).
 func (cm *CostModel) refUpdateAffected(t *catalog.Table, u *workload.Update, h *HypoIndex, n float64) (affected float64, moves, ok bool) {
 	if h.Def.MV != nil {
-		if !mvTouchedByUpdate(h.Def.MV, u) {
+		if !mvTouchedByUpdate(cm.DB, h.Def.MV, u) {
 			return 0, false, false
 		}
-		return n * mvWhereSelectivity(cm.DB, h.Def.MV), true, true
+		return cm.refMVRows(h, t, n), true, true
 	}
 	if h.Def.IsPartial() {
 		// Touching the filter column migrates rows in and out of the index;

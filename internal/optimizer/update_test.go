@@ -215,19 +215,19 @@ func TestPartialIndexFilterMigration(t *testing.T) {
 	// Touching the filter column: every qualifying row may migrate.
 	migrate := parseQ(t, "UPDATE lineitem SET l_quantity = 1 WHERE l_shipdate < DATE 9000")
 	hd := cm.memo.Load().intern(partial)
-	aff, moves, ok := updateAffected(migrate.Update, hd, 1000)
+	aff, moves, ok := updateAffected(d, migrate.Update, hd, 1000)
 	if !ok || !moves || aff != 1000 {
 		t.Fatalf("filter-column update: affected=%v moves=%v ok=%v", aff, moves, ok)
 	}
 	// Touching a stored column only: just the rows already inside the index.
 	stored := parseQ(t, "UPDATE lineitem SET l_shipdate = DATE 9100 WHERE l_orderkey < 100")
-	aff, _, ok = updateAffected(stored.Update, hd, 1000)
+	aff, _, ok = updateAffected(d, stored.Update, hd, 1000)
 	if !ok || aff >= 1000 || aff <= 0 {
 		t.Fatalf("stored-column update should scale by the filter selectivity: affected=%v ok=%v", aff, ok)
 	}
 	// Touching neither: no maintenance.
 	neither := parseQ(t, "UPDATE lineitem SET l_tax = 0.0 WHERE l_orderkey < 100")
-	if _, _, ok := updateAffected(neither.Update, hd, 1000); ok {
+	if _, _, ok := updateAffected(d, neither.Update, hd, 1000); ok {
 		t.Fatal("unrelated update must not maintain the partial index")
 	}
 }

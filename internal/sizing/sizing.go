@@ -111,14 +111,13 @@ func (p *Plan) Admit(est *Estimator, d *index.Def, e, q float64) *Node {
 	if n, ok := p.ByID[d.ID()]; ok {
 		return n
 	}
-	// Rebuild a graph view over the plan's nodes; helper nodes that
-	// addDeductions invents (e.g. unsampled singletons) stay unknown, so
-	// only deductions fully backed by executed nodes are considered.
-	g := &graph{est: est, f: p.F, nodes: make(map[string]*Node, len(p.Nodes)+1)}
-	for _, n := range p.Nodes {
-		g.nodes[n.Def.ID()] = n
-		g.order = append(g.order, n)
-	}
+	// A graph view over the plan's nodes: it resolves them through ByID and
+	// keeps only what addDeductions invents (e.g. unsampled singletons) in a
+	// map of its own. Those stay unknown, so only deductions fully backed by
+	// executed nodes are considered. The order is capped so that appending
+	// to it never writes into p.Nodes.
+	g := &graph{est: est, f: p.F, plan: p.ByID, nodes: make(map[string]*Node),
+		order: p.Nodes[:len(p.Nodes):len(p.Nodes)]}
 	n := g.node(d)
 	n.Target = true
 	n.Cost = sampleCost(est.PlanPages(d), p.F)
@@ -177,8 +176,11 @@ func (p *Plan) Describe() string {
 // helper nodes its candidate deductions reference (single-column indexes and
 // the widest proper prefix).
 type graph struct {
-	est   *Estimator
-	f     float64
+	est *Estimator
+	f   float64
+	// plan, when set, holds the nodes of an executed plan (Plan.Admit), which
+	// node finds before it looks in nodes or invents a node there.
+	plan  map[string]*Node
 	nodes map[string]*Node
 	order []*Node
 }
@@ -226,6 +228,9 @@ func buildGraph(est *Estimator, targets []*index.Def, existing []*index.Def) *gr
 
 func (g *graph) node(d *index.Def) *Node {
 	id := d.ID()
+	if n, ok := g.plan[id]; ok {
+		return n
+	}
 	if n, ok := g.nodes[id]; ok {
 		return n
 	}
